@@ -138,9 +138,9 @@ class LiveClock:
         """Current virtual time in milliseconds since the epoch."""
         if self._held:
             return 0.0
-        loop = self._bind()
-        assert self._epoch is not None
-        return (loop.time() - self._epoch) * 1000.0 * self.speedup
+        if self._epoch is None:
+            self._bind()
+        return (self._loop.time() - self._epoch) * 1000.0 * self.speedup
 
     @property
     def pending_events(self) -> int:

@@ -1,39 +1,45 @@
-"""Wire codec for RRMP messages over UDP.
+"""Binary wire codec for RRMP messages over UDP (format ``RRMP2``).
 
-Every message type in :data:`repro.protocol.messages.WIRE_MESSAGE_TYPES`
-encodes to a tagged JSON object; a datagram is a small frame that adds
-addressing (the live transport multiplexes every co-located member over
-one socket, so ``src``/``dst`` ride in the frame, not the UDP header)
-behind a magic/version prefix:
+RRMP's cost is meant to sit in buffering and recovery decisions, not in
+serialization, so a datagram is one fixed header and one fixed body
+with a few length-prefixed tails, packed by precompiled
+:class:`struct.Struct` objects in network byte order:
 
-    b"RRMP1" + json({"src": ..., "dst": ..., "sent": ..., "group": ...,
-                     "msg": {"t": "DataMessage", "seq": 7, ...}})
+    header  5s magic "RRMP2" | c type tag | I src | I dst | d sent (ms) | B group
+    body    the type's fixed struct, then its parts in order
 
-Design points:
+The live transport multiplexes every co-located member over one socket,
+so ``src``/``dst`` ride in the header, not the UDP header.  Only ``dst``
+differs between the receivers of a fan-out, which :func:`frame_encoder`
+exploits: the body is packed once per send, a header once per receiver.
 
-* **Explicit schemas, strict decoding.**  Each type lists its wire
-  fields with a value codec; unknown types, missing fields, extra
-  fields and wrong value shapes all raise :class:`CodecError` — a
-  malformed datagram must never surface as a half-built message.
-* **Bytes are base64** (``ParityMessage.shard``); tuples are JSON
-  arrays restored to tuples on decode.
-* **Nested messages** (``Repair.data``, ``HandoffMessage.data``) are
-  encoded recursively and restricted to the payload-bearing types.
-* ``kind``/``wire_size`` are class invariants (``repr=False`` defaults)
-  and stay off the wire.
-
-JSON keeps the codec dependency-free and the differential harness's
-captures human-readable; at the paper's message sizes (1 KB nominal
-data packets) compactness is not the constraint.
+* **One table, both directions.**  :data:`_SCHEMAS` lists, per type in
+  :data:`repro.protocol.messages.WIRE_MESSAGE_TYPES`, its tag, fixed
+  struct and parts; encoder and decoder are compiled from the same row.
+* **Variable parts are length-prefixed** (``H`` count, then the items):
+  ``DataMessage.payload`` as strict JSON bytes (zero length = ``None``,
+  all the experiments send), ``ParityMessage.shard`` as raw bytes, int
+  tuples as 64-bit items.  **Nested messages** (``Repair.data``,
+  ``HandoffMessage.data``) are a tag plus a body, restricted to the
+  payload-bearing types.
+* **Strict decoding.**  Wrong magic (the retired JSON ``RRMP1``
+  included), unknown tag, group or repair scope, short or trailing
+  bytes, oversize datagrams, non-finite or negative times and rates all
+  raise :class:`CodecError` and nothing else — a malformed datagram
+  must never surface as a half-built message.
+* Multicast group names are a closed set (one byte on the wire); a new
+  name is a new :data:`_GROUPS` entry.  ``kind``/``wire_size`` are class
+  invariants (trailing dataclass defaults) and stay off the wire.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+import math
+import struct
+from dataclasses import fields
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.protocol.messages import (
     REPAIR_LOCAL,
@@ -52,214 +58,32 @@ from repro.protocol.messages import (
     SessionMessage,
 )
 
-MAGIC = b"RRMP1"
+MAGIC = b"RRMP2"
 
 #: Hard ceiling on accepted datagram size; far above any real frame
-#: (nominal data payloads are 1 KB) but small enough that a hostile or
-#: corrupt blob cannot make the JSON parser chew megabytes.
+#: (nominal data payloads are 1 KB) and what every ``H`` length prefix
+#: can address, so a hostile blob cannot make a decoder chew megabytes.
 MAX_DATAGRAM = 64 * 1024
+
+_HEADER = struct.Struct("!5scIIdB")
+_LENGTH = struct.Struct("!H")
+_DOUBLE = struct.Struct("!d")
+_NO_PAYLOAD = _LENGTH.pack(0)
+
+#: Wire codes (the index) of the multicast group names in use; ``None``
+#: is a unicast.
+_GROUPS = (None, "group", "session", "region")
+_GROUP_CODES = {name: code for code, name in enumerate(_GROUPS)}
+_SCOPE_CODES = {REPAIR_LOCAL: b"\x00", REPAIR_REMOTE: b"\x01",
+                REPAIR_REGIONAL: b"\x02", REPAIR_RELAY: b"\x03"}
+_SCOPES = {code: name for name, code in _SCOPE_CODES.items()}
 
 
 class CodecError(ValueError):
     """A datagram or message that cannot be (de)coded."""
 
 
-# ----------------------------------------------------------------------
-# Value codecs: encode python -> json-ready, decode json -> python.
-# Every decoder validates shape and raises CodecError.
-# ----------------------------------------------------------------------
-def _enc_identity(value: Any) -> Any:
-    return value
-
-
-def _dec_int(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CodecError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _dec_str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise CodecError(f"expected a string, got {value!r}")
-    return value
-
-
-def _dec_float(value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CodecError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _enc_json_value(value: Any) -> Any:
-    try:
-        json.dumps(value)
-    except (TypeError, ValueError) as error:
-        raise CodecError(f"payload is not JSON-serializable: {error}") from error
-    return value
-
-
-def _dec_json_value(value: Any) -> Any:
-    return value
-
-
-def _enc_int_tuple(value: Tuple[int, ...]) -> list:
-    return list(value)
-
-
-def _dec_int_tuple(value: Any) -> Tuple[int, ...]:
-    if not isinstance(value, list):
-        raise CodecError(f"expected a list, got {value!r}")
-    return tuple(_dec_int(item) for item in value)
-
-
-def _enc_bytes(value: bytes) -> str:
-    return base64.b64encode(value).decode("ascii")
-
-
-def _dec_bytes(value: Any) -> bytes:
-    if not isinstance(value, str):
-        raise CodecError(f"expected base64 text, got {value!r}")
-    try:
-        return base64.b64decode(value.encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError) as error:
-        raise CodecError(f"invalid base64: {error}") from error
-
-
-_REPAIR_SCOPES = frozenset(
-    {REPAIR_LOCAL, REPAIR_REMOTE, REPAIR_REGIONAL, REPAIR_RELAY}
-)
-
-
-def _dec_scope(value: Any) -> str:
-    scope = _dec_str(value)
-    if scope not in _REPAIR_SCOPES:
-        raise CodecError(f"unknown repair scope {scope!r}")
-    return scope
-
-
-def _enc_nested(value: Any) -> Dict[str, Any]:
-    if not isinstance(value, (DataMessage, ParityMessage)):
-        raise CodecError(
-            f"nested message must be DataMessage or ParityMessage, "
-            f"got {type(value).__name__}"
-        )
-    return encode_message(value)
-
-
-def _dec_nested(value: Any) -> Any:
-    message = decode_message(value)
-    if not isinstance(message, (DataMessage, ParityMessage)):
-        raise CodecError(
-            f"nested message must be DataMessage or ParityMessage, "
-            f"got {type(message).__name__}"
-        )
-    return message
-
-
-# ----------------------------------------------------------------------
-# Per-type schemas: field name -> (encoder, decoder).
-# ----------------------------------------------------------------------
-_FieldCodec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]
-
-_SCHEMAS: Dict[str, Tuple[type, Dict[str, _FieldCodec]]] = {
-    "DataMessage": (DataMessage, {
-        "seq": (_enc_identity, _dec_int),
-        "sender": (_enc_identity, _dec_int),
-        "payload": (_enc_json_value, _dec_json_value),
-    }),
-    "LocalRequest": (LocalRequest, {
-        "seq": (_enc_identity, _dec_int),
-        "requester": (_enc_identity, _dec_int),
-    }),
-    "RemoteRequest": (RemoteRequest, {
-        "seq": (_enc_identity, _dec_int),
-        "requester": (_enc_identity, _dec_int),
-    }),
-    "Repair": (Repair, {
-        "data": (_enc_nested, _dec_nested),
-        "responder": (_enc_identity, _dec_int),
-        "scope": (_enc_identity, _dec_scope),
-    }),
-    "ParityMessage": (ParityMessage, {
-        "block_id": (_enc_identity, _dec_int),
-        "index": (_enc_identity, _dec_int),
-        "r": (_enc_identity, _dec_int),
-        "block_seqs": (_enc_int_tuple, _dec_int_tuple),
-        "shard": (_enc_bytes, _dec_bytes),
-        "sender": (_enc_identity, _dec_int),
-    }),
-    "SessionMessage": (SessionMessage, {
-        "sender": (_enc_identity, _dec_int),
-        "max_seq": (_enc_identity, _dec_int),
-    }),
-    "SearchRequest": (SearchRequest, {
-        "seq": (_enc_identity, _dec_int),
-        "waiters": (_enc_int_tuple, _dec_int_tuple),
-        "forwarder": (_enc_identity, _dec_int),
-        "hops": (_enc_identity, _dec_int),
-    }),
-    "HaveReply": (HaveReply, {
-        "seq": (_enc_identity, _dec_int),
-        "owner": (_enc_identity, _dec_int),
-    }),
-    "HandoffMessage": (HandoffMessage, {
-        "data": (_enc_nested, _dec_nested),
-        "from_member": (_enc_identity, _dec_int),
-    }),
-    "FeedbackReport": (FeedbackReport, {
-        "receiver": (_enc_identity, _dec_int),
-        "loss_estimate": (_enc_identity, _dec_float),
-        "rtt_ms": (_enc_identity, _dec_float),
-        "max_seq": (_enc_identity, _dec_int),
-        "received": (_enc_identity, _dec_int),
-    }),
-}
-
-
-def encode_message(message: Any) -> Dict[str, Any]:
-    """Encode a protocol message into a tagged, JSON-ready dict."""
-    type_name = type(message).__name__
-    schema = _SCHEMAS.get(type_name)
-    if schema is None or not isinstance(message, schema[0]):
-        raise CodecError(f"cannot encode message type {type_name!r}")
-    encoded: Dict[str, Any] = {"t": type_name}
-    for name, (encode, _decode) in schema[1].items():
-        encoded[name] = encode(getattr(message, name))
-    return encoded
-
-
-def decode_message(obj: Any) -> Any:
-    """Decode a tagged dict back into a protocol message (strict)."""
-    if not isinstance(obj, dict):
-        raise CodecError(f"message must be an object, got {type(obj).__name__}")
-    type_name = obj.get("t")
-    if not isinstance(type_name, str):
-        raise CodecError("message is missing its type tag 't'")
-    schema = _SCHEMAS.get(type_name)
-    if schema is None:
-        raise CodecError(f"unknown message type {type_name!r}")
-    message_type, fields = schema
-    extra = set(obj) - set(fields) - {"t"}
-    if extra:
-        raise CodecError(
-            f"{type_name} has unexpected fields {sorted(extra)!r}"
-        )
-    kwargs: Dict[str, Any] = {}
-    for name, (_encode, decode) in fields.items():
-        if name not in obj:
-            raise CodecError(f"{type_name} is missing field {name!r}")
-        try:
-            kwargs[name] = decode(obj[name])
-        except CodecError as error:
-            raise CodecError(f"{type_name}.{name}: {error}") from error
-    return message_type(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# Frames
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One decoded datagram: addressing plus the carried message."""
 
     src: int
@@ -269,46 +93,262 @@ class Frame:
     group: Optional[str] = None
 
 
+# ----------------------------------------------------------------------
+# Parts: fields a fixed struct cannot carry (variable length) or cannot
+# validate.  encode(value) -> bytes, decode(data, offset) -> (value, end).
+# Every decoder validates and raises CodecError (or struct.error on a
+# short buffer, which the entry points translate).
+# ----------------------------------------------------------------------
+def _enc_bytes(value: bytes) -> bytes:
+    return _LENGTH.pack(len(value)) + value
+
+
+def _dec_bytes(data: bytes, offset: int) -> Tuple[bytes, int]:
+    start = offset + _LENGTH.size
+    end = start + _LENGTH.unpack_from(data, offset)[0]
+    if end > len(data):
+        raise CodecError("datagram ends inside a length-prefixed part")
+    return data[start:end], end
+
+
+_dump_payload = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
+
+
+def _reject_constant(name: str) -> Any:
+    raise CodecError(f"payload holds the non-JSON constant {name}")
+
+
+_load_payload = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
+def _enc_json(value: Any) -> bytes:
+    if value is None:
+        return _NO_PAYLOAD
+    try:
+        return _enc_bytes(_dump_payload(value).encode("utf-8"))
+    except (TypeError, ValueError, RecursionError) as error:
+        raise CodecError(f"payload is not JSON-serializable: {error}") from error
+
+
+def _dec_json(data: bytes, offset: int) -> Tuple[Any, int]:
+    if data[offset:offset + _LENGTH.size] == _NO_PAYLOAD:
+        return None, offset + _LENGTH.size
+    raw, end = _dec_bytes(data, offset)
+    try:
+        return _load_payload(raw.decode("utf-8")), end
+    except (ValueError, RecursionError) as error:
+        raise CodecError(f"payload is not valid JSON: {error}") from error
+
+
+def _enc_ints(value: Tuple[int, ...]) -> bytes:
+    return struct.pack(f"!H{len(value)}q", len(value), *value)
+
+
+def _dec_ints(data: bytes, offset: int) -> Tuple[Tuple[int, ...], int]:
+    items = struct.Struct(f"!{_LENGTH.unpack_from(data, offset)[0]}q")
+    start = offset + _LENGTH.size
+    return items.unpack_from(data, start), start + items.size
+
+
+def _enc_nested(value: Any) -> bytes:
+    tag, encode = _ENCODERS.get(type(value), (None, None))
+    if tag not in _NESTED_TAGS:
+        raise CodecError("nested message must be DataMessage or ParityMessage, "
+                         f"got {type(value).__name__}")
+    return tag + encode(value)
+
+
+def _dec_nested(data: bytes, offset: int) -> Tuple[Any, int]:
+    tag = data[offset:offset + 1]
+    if tag not in _NESTED_TAGS:
+        raise CodecError(f"nested message must be DataMessage or ParityMessage, got tag {tag!r}")
+    return _DECODERS[tag](data, offset + 1)
+
+
+def _enc_scope(value: str) -> bytes:
+    code = _SCOPE_CODES.get(value)
+    if code is None:
+        raise CodecError(f"unknown repair scope {value!r}")
+    return code
+
+
+def _dec_scope(data: bytes, offset: int) -> Tuple[str, int]:
+    scope = _SCOPES.get(data[offset:offset + 1])
+    if scope is None:
+        raise CodecError(f"unknown repair scope code at byte {offset}")
+    return scope, offset + 1
+
+
+def _magnitude(value: float) -> float:
+    """A time or rate off the wire: NaN, infinities and negatives would
+    poison every comparison downstream (TFMCC's worst-receiver election
+    for one), so they are rejected here."""
+    if not 0.0 <= value < math.inf:
+        raise CodecError(f"expected a finite non-negative number, got {value!r}")
+    return value
+
+
+def _dec_magnitude(data: bytes, offset: int) -> Tuple[float, int]:
+    return _magnitude(_DOUBLE.unpack_from(data, offset)[0]), offset + _DOUBLE.size
+
+
+_Part = Tuple[Callable[[Any], bytes], Callable[[bytes, int], Tuple[Any, int]]]
+_BYTES: _Part = (_enc_bytes, _dec_bytes)
+_JSON: _Part = (_enc_json, _dec_json)
+_INTS: _Part = (_enc_ints, _dec_ints)
+_NESTED: _Part = (_enc_nested, _dec_nested)
+_SCOPE: _Part = (_enc_scope, _dec_scope)
+_MAGNITUDE: _Part = (_DOUBLE.pack, _dec_magnitude)
+
+# ----------------------------------------------------------------------
+# Per-type schemas: type -> (tag, fixed struct layout, its fields,
+# ((field, part), ...)).  The wire carries the fixed struct, then the
+# parts in order.
+# ----------------------------------------------------------------------
+_SCHEMAS: Dict[type, Tuple[bytes, str, Tuple[str, ...], Tuple[Tuple[str, _Part], ...]]] = {
+    DataMessage: (b"\x01", "qI", ("seq", "sender"), (("payload", _JSON),)),
+    LocalRequest: (b"\x02", "qI", ("seq", "requester"), ()),
+    RemoteRequest: (b"\x03", "qI", ("seq", "requester"), ()),
+    Repair: (b"\x04", "I", ("responder",), (("scope", _SCOPE), ("data", _NESTED))),
+    ParityMessage: (b"\x05", "IHHI", ("block_id", "index", "r", "sender"),
+                    (("block_seqs", _INTS), ("shard", _BYTES))),
+    SessionMessage: (b"\x06", "Iq", ("sender", "max_seq"), ()),
+    SearchRequest: (b"\x07", "qIH", ("seq", "forwarder", "hops"),
+                    (("waiters", _INTS),)),
+    HaveReply: (b"\x08", "qI", ("seq", "owner"), ()),
+    HandoffMessage: (b"\x09", "I", ("from_member",), (("data", _NESTED),)),
+    FeedbackReport: (b"\x0a", "Iqq", ("receiver", "max_seq", "received"),
+                     (("loss_estimate", _MAGNITUDE), ("rtt_ms", _MAGNITUDE))),
+}
+
+
+def _compile(message_type: type, layout: str, fixed: Tuple[str, ...],
+             parts: Tuple[Tuple[str, _Part], ...]) -> _Part:
+    """One schema row -> (encode body, decode body at an offset)."""
+    body = struct.Struct("!" + layout)
+    wire_order = fixed + tuple(name for name, _part in parts)
+    declared = tuple(field.name for field in fields(message_type))[:len(wire_order)]
+    if sorted(declared) != sorted(wire_order):
+        raise TypeError(f"wire schema of {message_type.__name__} names "
+                        f"{wire_order!r}, the type declares {declared!r}")
+    # attrgetter of one name returns the bare value, not a 1-tuple.
+    get_fixed = (attrgetter(*fixed) if len(fixed) > 1
+                 else lambda message, get=attrgetter(*fixed): (get(message),))
+    part_encoders = [(attrgetter(name), encode_part) for name, (encode_part, _) in parts]
+    part_decoders = [decode_part for _name, (_, decode_part) in parts]
+    # The constructor is called positionally, so decoded values go back
+    # into declaration order where the wire order differs.
+    reorder = (None if declared == wire_order
+               else itemgetter(*(wire_order.index(name) for name in declared)))
+
+    def encode(message: Any) -> bytes:
+        data = body.pack(*get_fixed(message))
+        for get_part, encode_part in part_encoders:
+            data += encode_part(get_part(message))
+        return data
+
+    def decode(data: bytes, offset: int) -> Tuple[Any, int]:
+        values = body.unpack_from(data, offset)
+        offset += body.size
+        for decode_part in part_decoders:
+            value, offset = decode_part(data, offset)
+            values += (value,)
+        if reorder is not None:
+            values = reorder(values)
+        return message_type(*values), offset
+
+    return encode, decode
+
+
+_ENCODERS: Dict[type, Tuple[bytes, Callable[[Any], bytes]]] = {}
+_DECODERS: Dict[bytes, Callable[[bytes, int], Tuple[Any, int]]] = {}
+for _type, (_tag, *_row) in _SCHEMAS.items():
+    _encode_body, _DECODERS[_tag] = _compile(_type, *_row)
+    _ENCODERS[_type] = (_tag, _encode_body)
+_NESTED_TAGS = frozenset(_ENCODERS[_type][0] for _type in (DataMessage, ParityMessage))
+
+
+def _encode(message: Any) -> Tuple[bytes, bytes]:
+    """A protocol message as (type tag, body)."""
+    encoder = _ENCODERS.get(type(message))
+    if encoder is None:
+        raise CodecError(f"cannot encode message type {type(message).__name__!r}")
+    try:
+        return encoder[0], encoder[1](message)
+    except struct.error as error:
+        raise CodecError(f"{type(message).__name__} does not fit the wire: {error}") from error
+
+
+def _decode_at(tag: bytes, data: bytes, offset: int) -> Tuple[Any, int]:
+    """Decode the body of a *tag* message at *offset*: (message, end)."""
+    decoder = _DECODERS.get(tag)
+    if decoder is None:
+        raise CodecError(f"unknown message type tag {tag!r}")
+    return decoder(data, offset)
+
+
+def encode_message(message: Any) -> bytes:
+    """Encode a protocol message as its type tag plus its body."""
+    tag, body = _encode(message)
+    return tag + body
+
+
+def decode_message(data: bytes) -> Any:
+    """Decode a tag plus body back into a protocol message (strict)."""
+    try:
+        message, end = _decode_at(data[:1], data, 1)
+    except struct.error as error:
+        raise CodecError(f"truncated message: {error}") from error
+    if end != len(data):
+        raise CodecError(f"{len(data) - end} trailing bytes after the message")
+    return message
+
+
+# ----------------------------------------------------------------------
+# Frames
+# ----------------------------------------------------------------------
+def frame_encoder(src: int, payload: Any, send_time: float,
+                  group: Optional[str] = None) -> Callable[[int], bytes]:
+    """Encode everything the receivers of one send share, once.
+
+    Returns ``frame(dst) -> bytes``: the datagram for one destination,
+    at the cost of one header pack.
+    """
+    tag, body = _encode(payload)
+    code = _GROUP_CODES.get(group)
+    if code is None:
+        raise CodecError(f"multicast group {group!r} has no wire code")
+    if _HEADER.size + len(body) > MAX_DATAGRAM:
+        raise CodecError(f"frame of {_HEADER.size + len(body)} bytes exceeds {MAX_DATAGRAM}")
+
+    def frame(dst: int) -> bytes:
+        try:
+            return _HEADER.pack(MAGIC, tag, src, dst, send_time, code) + body
+        except struct.error as error:
+            raise CodecError(f"frame header does not fit the wire: {error}") from error
+
+    return frame
+
+
 def encode_frame(src: int, dst: int, payload: Any, send_time: float,
                  group: Optional[str] = None) -> bytes:
-    """Serialize one datagram: ``MAGIC`` + canonical JSON frame."""
-    frame = {
-        "src": src,
-        "dst": dst,
-        "sent": send_time,
-        "group": group,
-        "msg": encode_message(payload),
-    }
-    body = json.dumps(frame, sort_keys=True, separators=(",", ":"))
-    data = MAGIC + body.encode("utf-8")
-    if len(data) > MAX_DATAGRAM:
-        raise CodecError(f"frame of {len(data)} bytes exceeds {MAX_DATAGRAM}")
-    return data
+    """Serialize one datagram: header plus message body."""
+    return frame_encoder(src, payload, send_time, group)(dst)
 
 
 def decode_frame(data: bytes) -> Frame:
     """Parse and validate one datagram; raises :class:`CodecError`."""
     if len(data) > MAX_DATAGRAM:
         raise CodecError(f"datagram of {len(data)} bytes exceeds {MAX_DATAGRAM}")
-    if not data.startswith(MAGIC):
-        raise CodecError("bad magic: not an RRMP datagram")
     try:
-        obj = json.loads(data[len(MAGIC):].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise CodecError(f"frame body is not valid JSON: {error}") from error
-    if not isinstance(obj, dict):
-        raise CodecError("frame body must be a JSON object")
-    expected = {"src", "dst", "sent", "group", "msg"}
-    if set(obj) != expected:
-        raise CodecError(f"frame fields must be {sorted(expected)!r}, "
-                         f"got {sorted(obj)!r}")
-    src = _dec_int(obj["src"])
-    dst = _dec_int(obj["dst"])
-    sent = obj["sent"]
-    if isinstance(sent, bool) or not isinstance(sent, (int, float)):
-        raise CodecError(f"frame 'sent' must be a number, got {sent!r}")
-    group = obj["group"]
-    if group is not None and not isinstance(group, str):
-        raise CodecError(f"frame 'group' must be a string or null, got {group!r}")
-    return Frame(src=src, dst=dst, send_time=float(sent),
-                 payload=decode_message(obj["msg"]), group=group)
+        magic, tag, src, dst, sent, group = _HEADER.unpack_from(data)
+        if magic != MAGIC:
+            raise CodecError("bad magic: not an RRMP2 datagram")
+        payload, end = _decode_at(tag, data, _HEADER.size)
+    except struct.error as error:
+        raise CodecError(f"truncated datagram: {error}") from error
+    if end != len(data):
+        raise CodecError(f"{len(data) - end} trailing bytes after the message")
+    if group >= len(_GROUPS):
+        raise CodecError(f"unknown multicast group code {group}")
+    return Frame(src, dst, _magnitude(sent), payload, _GROUPS[group])

@@ -23,6 +23,11 @@ run unmodified:
   loopback latency.  A zero-delay model degenerates to an immediate
   write.
 
+A unicast is a fan-out of one: every send goes through the same
+routine, which encodes the message once (only the header differs per
+receiver) and hands the clock one callback per distinct modelled delay
+rather than one per datagram.
+
 Inbound datagrams that fail to decode are counted and rejected whole
 (:class:`~repro.live.codec.CodecError` never reaches protocol code).
 """
@@ -31,10 +36,10 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.live.clock import LiveClock
-from repro.live.codec import MAX_DATAGRAM, CodecError, decode_frame, encode_frame
+from repro.live.codec import MAX_DATAGRAM, CodecError, decode_frame, frame_encoder
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Packet, payload_kind, payload_size, payload_type_name
@@ -153,8 +158,12 @@ class LiveTransport:
     # Sending
     # ------------------------------------------------------------------
     def unicast(self, src: NodeId, dst: NodeId, payload: Any) -> Optional[Packet]:
-        """Send *payload* from *src* to *dst* over UDP."""
-        return self._send(src, dst, payload, group=None)
+        """Send *payload* from *src* to *dst* over UDP: a fan-out of one."""
+        now, delays = self._fan_out(src, (dst,), payload, None)
+        if not delays:
+            return None
+        return Packet(src=src, dst=dst, payload=payload, kind=payload_kind(payload),
+                      send_time=now, deliver_time=now + delays[0])
 
     def multicast(
         self,
@@ -168,55 +177,64 @@ class LiveTransport:
         new_message = getattr(self.loss, "new_message", None)
         if new_message is not None:
             new_message()
-        scheduled = 0
-        for dst in dsts:
-            if dst == src and not include_sender:
-                continue
-            if self._send(src, dst, payload, group=group) is not None:
-                scheduled += 1
-        return scheduled
+        if not include_sender:
+            dsts = [dst for dst in dsts if dst != src]
+        return len(self._fan_out(src, dsts, payload, group)[1])
 
     def rtt(self, src: NodeId, dst: NodeId) -> float:
         """Round-trip estimate from the modelled latency (virtual ms)."""
         return self.latency.rtt(src, dst)
 
-    def _send(self, src: NodeId, dst: NodeId, payload: Any,
-              group: Optional[str]) -> Optional[Packet]:
+    def _fan_out(self, src: NodeId, dsts: Iterable[NodeId], payload: Any,
+                 group: Optional[str]) -> Tuple[float, List[float]]:
+        """Send *payload* to every node in *dsts*.
+
+        What the receivers share — classification, send time, the
+        encoded message — is computed once; each destination then costs
+        its accounting, the loss and latency draws (in *dsts* order,
+        like :class:`~repro.net.transport.Network`) and one header.
+        Frames are grouped by modelled delay and each group rides one
+        clock callback, the live twin of ``Network._deliver_batch``.
+        Returns the send time and the delay of every frame scheduled.
+        """
         kind = payload_kind(payload)
         size = payload_size(payload)
         type_name = payload_type_name(payload)
-        self.stats.record_send(type_name, kind, size)
         now = self.clock.now
-        if self.trace is not None:
-            self.trace.emit(now, "packet_sent", src=src, dst=dst,
-                            type=type_name, packet_kind=kind)
-        addr = self._address_of(dst)
-        if addr is None:
-            # No endpoint here and no directory entry: the destination
-            # left, crashed, or was never deployed.  Same observable
-            # outcome as the simulated network's membership check.
-            self.stats.dropped += 1
-            self.stats.send_dropped += 1
-            if self.trace is not None:
-                self.trace.emit(now, "send_dropped", src=src, dst=dst,
-                                type=type_name, reason="unregistered")
-            return None
-        if self.loss.is_lost(src, dst, kind, self._loss_rng):
-            self.stats.dropped += 1
-            if self.trace is not None:
-                self.trace.emit(now, "packet_dropped", src=src, dst=dst,
-                                type=type_name)
-            return None
-        delay = self.latency.one_way(src, dst)
-        packet = Packet(src=src, dst=dst, payload=payload, kind=kind,
-                        send_time=now, deliver_time=now + delay,
-                        multicast_group=group)
-        frame = encode_frame(src, dst, payload, send_time=now, group=group)
-        if delay > 0:
-            self.clock.after(delay, self._transmit, frame, addr)
-        else:
-            self._transmit(frame, addr)
-        return packet
+        frame = frame_encoder(src, payload, now, group)
+        stats, trace = self.stats, self.trace
+        delays: List[float] = []
+        batches: Dict[float, List[Tuple[bytes, Address]]] = {}
+        for dst in dsts:
+            stats.record_send(type_name, kind, size)
+            if trace is not None:
+                trace.emit(now, "packet_sent", src=src, dst=dst,
+                           type=type_name, packet_kind=kind)
+            addr = self._address_of(dst)
+            if addr is None:
+                # No endpoint here and no directory entry: the destination
+                # left, crashed, or was never deployed.  Same observable
+                # outcome as the simulated network's membership check.
+                stats.dropped += 1
+                stats.send_dropped += 1
+                if trace is not None:
+                    trace.emit(now, "send_dropped", src=src, dst=dst,
+                               type=type_name, reason="unregistered")
+            elif self.loss.is_lost(src, dst, kind, self._loss_rng):
+                stats.dropped += 1
+                if trace is not None:
+                    trace.emit(now, "packet_dropped", src=src, dst=dst,
+                               type=type_name)
+            else:
+                delay = self.latency.one_way(src, dst)
+                delays.append(delay)
+                batches.setdefault(delay, []).append((frame(dst), addr))
+        for delay, batch in batches.items():
+            if delay > 0:
+                self.clock.after(delay, self._transmit, batch)
+            else:
+                self._transmit(batch)
+        return now, delays
 
     def _address_of(self, dst: NodeId) -> Optional[Address]:
         """Where datagrams for *dst* go; ``None`` means drop the send."""
@@ -234,17 +252,20 @@ class LiveTransport:
         assert self._local_addr is not None, "open() the transport before sending"
         return self._local_addr
 
-    def _transmit(self, frame: bytes, addr: Address) -> None:
-        if self._sock is None:
-            return  # closed while the latency shim held the frame
-        try:
-            self._sock.sendto(frame, addr)
-        except (BlockingIOError, InterruptedError):  # pragma: no cover
-            # Kernel send buffer full: indistinguishable from wire loss
-            # at the receiver, so account it like one.
-            self.stats.dropped += 1
-        except OSError:  # pragma: no cover - peer gone, route down, ...
-            self.stats.dropped += 1
+    def _transmit(self, batch: List[Tuple[bytes, Address]]) -> None:
+        """Write one delay group of a fan-out to the socket."""
+        sock = self._sock
+        if sock is None:
+            return  # closed while the latency shim held the frames
+        for frame, addr in batch:
+            try:
+                sock.sendto(frame, addr)
+            except OSError:
+                # Kernel send buffer full (BlockingIOError), peer gone,
+                # route down: indistinguishable from wire loss at the
+                # receiver, so account it like one and keep writing —
+                # the rest of the batch is other receivers' traffic.
+                self.stats.dropped += 1
 
     # ------------------------------------------------------------------
     # Receiving
@@ -270,14 +291,14 @@ class LiveTransport:
     def datagram_received(self, data: bytes, addr: Address) -> None:
         """Decode one inbound datagram and hand it to its endpoint."""
         try:
-            frame = decode_frame(data)
+            src, dst, send_time, payload, group = decode_frame(data)
         except CodecError:
             self.recv_rejected += 1
             if self.trace is not None:
                 self.trace.emit(self.clock.now, "recv_rejected",
                                 peer=list(addr), size=len(data))
             return
-        endpoint = self._endpoints.get(frame.dst)
+        endpoint = self._endpoints.get(dst)
         if endpoint is None:
             # Departed while in flight, or a stale directory points a
             # peer at us: mirrors the simulated in-flight drop.
@@ -285,13 +306,8 @@ class LiveTransport:
             self.stats.dropped += 1
             return
         now = self.clock.now
-        packet = Packet(src=frame.src, dst=frame.dst, payload=frame.payload,
-                        kind=payload_kind(frame.payload),
-                        send_time=frame.send_time, deliver_time=now,
-                        multicast_group=frame.group)
         self.stats.delivered += 1
         if self.trace is not None:
-            self.trace.emit(now, "packet_delivered", src=packet.src,
-                            dst=packet.dst,
-                            type=payload_type_name(packet.payload))
-        endpoint.on_packet(packet)
+            self.trace.emit(now, "packet_delivered", src=src, dst=dst,
+                            type=payload_type_name(payload))
+        endpoint.on_packet(Packet(src, dst, payload, payload.kind, send_time, now, group))

@@ -123,6 +123,11 @@ class NullTraceLog(TraceLog):
         )
 
 
+#: One encoder for every line: ``json.dumps`` with non-default arguments
+#: builds a fresh ``JSONEncoder`` per call, once per record digested.
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=repr).encode
+
+
 def record_line(record: TraceRecord) -> bytes:
     """The canonical serialization of one record, without the newline.
 
@@ -134,11 +139,8 @@ def record_line(record: TraceRecord) -> bytes:
     digest paths agree byte-for-byte — which is what lets a sharded
     run's merged digest be compared against a serial golden baseline.
     """
-    return json.dumps(
-        {"t": record.time, "k": record.kind, "f": record.fields},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=repr,
+    return _encode_line(
+        {"t": record.time, "k": record.kind, "f": record.fields}
     ).encode("utf-8")
 
 

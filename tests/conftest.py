@@ -5,8 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.sim import RandomStreams, Simulator, TraceLog
+
+# ``--hypothesis-profile ci``: the depth CI's live-smoke job runs the
+# wire-codec properties at, from a fixed seed so a failure reproduces.
+settings.register_profile("ci", max_examples=2_000, derandomize=True, deadline=None)
 
 
 @pytest.fixture

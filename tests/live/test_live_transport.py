@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import errno
 
 import pytest
 
@@ -10,10 +11,11 @@ from repro.live.clock import LiveClock
 from repro.live.codec import MAGIC, encode_frame
 from repro.live.runtime import Transport
 from repro.live.transport import LiveTransport
-from repro.net.latency import ConstantLatency
+from repro.net.latency import ConstantLatency, HierarchicalLatency
 from repro.net.loss import BernoulliLoss
+from repro.net.topology import chain
 from repro.net.transport import Network
-from repro.protocol.messages import DataMessage, LocalRequest
+from repro.protocol.messages import DataMessage, HaveReply, LocalRequest
 from repro.sim import RandomStreams, Simulator, TraceLog
 
 
@@ -124,6 +126,153 @@ class TestDelivery:
         run(main())
 
 
+def _send_records(trace):
+    """What the send path emitted, without the (real-time) timestamps."""
+    return [(record.kind, record["src"], record["dst"], record["type"])
+            for record in trace.records
+            if record.kind in ("packet_sent", "packet_dropped", "send_dropped")]
+
+
+class TestFanOutBatching:
+    """A fan-out arms one clock callback per distinct modelled delay, and
+    is otherwise indistinguishable from sending datagram by datagram."""
+
+    def test_constant_latency_fan_out_arms_one_handle(self):
+        async def main():
+            clock, transport = await open_transport(trace=TraceLog())
+            sinks = {n: Sink() for n in range(64)}
+            for n, sink in sinks.items():
+                transport.register(n, sink)
+            message = DataMessage(seq=1, sender=0)
+            assert transport.multicast(0, list(sinks), message) == 63
+            assert clock.pending_events == 1
+            await drain(clock)
+            assert clock.events_fired == 1
+            assert all(len(sinks[n].packets) == 1 for n in range(1, 64))
+            assert transport.trace.count("packet_sent") == 63
+            assert transport.stats.sent == transport.stats.delivered == 63
+            transport.close()
+
+        run(main())
+
+    def test_two_region_fan_out_arms_two_handles(self):
+        async def main():
+            hierarchy = chain([4, 4])
+            clock = LiveClock()  # real milliseconds: the two delays must not race
+            transport = LiveTransport(
+                clock, HierarchicalLatency(hierarchy, intra_one_way=1.0,
+                                           inter_one_way=60.0))
+            await transport.open()
+            sinks = {n: Sink() for n in hierarchy.nodes}
+            for n, sink in sinks.items():
+                transport.register(n, sink)
+            # Interleave the regions: grouping is by delay, not adjacency.
+            order = [n for pair in zip(hierarchy.regions[0].members, hierarchy.regions[1].members)
+                     for n in pair]
+            assert transport.multicast(order[0], order, HaveReply(seq=1, owner=0)) == 7
+            assert clock.pending_events == 2
+            await clock.sleep(20.0)
+            near = [n for n, sink in sinks.items() if sink.packets]
+            assert sorted(near) == sorted(hierarchy.regions[0].members[1:])
+            await clock.sleep(80.0)
+            assert sum(len(sink.packets) for sink in sinks.values()) == 7
+            assert {p.multicast_group for s in sinks.values() for p in s.packets} == {"group"}
+            transport.close()
+
+        run(main())
+
+    def test_fan_out_equals_the_per_datagram_path(self):
+        """Same loss draws, stats and per-receiver records as 63 unicasts
+        — and as the simulated network on the same seed."""
+        async def main():
+            message = DataMessage(seq=1, sender=0)
+            outcomes = []
+            for fan_out in (True, False):
+                trace = TraceLog()
+                clock, transport = await open_transport(
+                    loss=BernoulliLoss(probability=0.3),
+                    streams=RandomStreams(11), trace=trace)
+                sinks = {n: Sink() for n in range(64)}
+                for n, sink in sinks.items():
+                    if n != 40:  # one unregistered destination
+                        transport.register(n, sink)
+                if fan_out:
+                    scheduled = transport.multicast(0, list(sinks), message)
+                else:
+                    scheduled = sum(
+                        transport.unicast(0, n, message) is not None
+                        for n in range(1, 64))
+                await drain(clock)
+                stats = transport.stats
+                assert stats.delivered == scheduled == 63 - stats.dropped
+                outcomes.append((_send_records(trace), stats,
+                                 [n for n, sink in sinks.items() if sink.packets]))
+                transport.close()
+            assert outcomes[0] == outcomes[1]
+
+            sim = Simulator()
+            trace = TraceLog()
+            network = Network(sim, ConstantLatency(1.0),
+                              loss=BernoulliLoss(probability=0.3),
+                              streams=RandomStreams(11), trace=trace)
+            for n in range(64):
+                if n != 40:
+                    network.register(n, Sink())
+            network.multicast(0, list(range(64)), message)
+            sim.run()
+            assert _send_records(trace) == outcomes[0][0]
+            assert network.stats == outcomes[0][1]
+
+        run(main())
+
+
+class FlakySocket:
+    """The transport's real socket, failing ``sendto`` on chosen calls."""
+
+    def __init__(self, real, error, failing_calls):
+        self._real = real
+        self._error = error
+        self._failing_calls = failing_calls
+        self.calls = 0
+
+    def sendto(self, frame, addr):
+        self.calls += 1
+        if self.calls in self._failing_calls:
+            raise self._error
+        return self._real.sendto(frame, addr)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+class TestSendErrors:
+    @pytest.mark.parametrize("error", [
+        BlockingIOError(errno.EAGAIN, "send buffer full"),
+        OSError(errno.ENETUNREACH, "network is unreachable"),
+    ], ids=["buffer-full", "os-error"])
+    def test_failed_sendto_costs_one_drop_and_spares_the_batch(self, error):
+        async def main():
+            clock, transport = await open_transport()
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: escaped.append(context))
+            sinks = {n: Sink() for n in range(6)}
+            for n, sink in sinks.items():
+                transport.register(n, sink)
+            transport._sock = flaky = FlakySocket(transport._sock, error, {3})
+            assert transport.multicast(0, list(sinks), DataMessage(seq=1, sender=0)) == 5
+            assert clock.pending_events == 1  # one batch, failing mid-way
+            await drain(clock)
+            assert flaky.calls == 5
+            assert escaped == []
+            assert transport.stats.dropped == 1
+            assert transport.stats.delivered == 4
+            assert [n for n, sink in sinks.items() if sink.packets] == [1, 2, 4, 5]
+            transport.close()
+
+        run(main())
+
+
 class TestSendDropped:
     def test_unregistered_destination_counts_send_dropped(self):
         async def main():
@@ -161,12 +310,15 @@ class TestInboundRejection:
             clock, transport = await open_transport()
             sink = Sink()
             transport.register(1, sink)
-            transport._sock.sendto(b"not an rrmp frame",
-                                   transport.local_address)
-            transport._sock.sendto(MAGIC + b"{broken json",
-                                   transport.local_address)
+            valid = encode_frame(0, 1, DataMessage(seq=1, sender=0), send_time=0.0)
+            for blob in (b"not an rrmp frame",
+                         b'RRMP1{"dst":1,"group":null,"msg":{"payload":null,'
+                         b'"sender":0,"seq":1,"t":"DataMessage"},"sent":0.0,"src":0}',
+                         MAGIC + b"\x01 truncated",
+                         valid + b"\x00"):
+                transport._sock.sendto(blob, transport.local_address)
             await drain(clock)
-            assert transport.recv_rejected == 2
+            assert transport.recv_rejected == 4
             assert sink.packets == []
             transport.close()
 

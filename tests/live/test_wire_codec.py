@@ -1,15 +1,20 @@
-"""Property tests for the live UDP wire codec.
+"""Property tests for the live UDP wire codec (binary ``RRMP2``).
 
 Round-trips are generated per message type from
 :data:`~repro.protocol.messages.WIRE_MESSAGE_TYPES`, so a message type
 added without codec support fails here instead of at the first live
 run.  The malformed-datagram half checks the strict-decoding promise:
-nothing shy of a well-formed frame ever reaches protocol code.
+a datagram either decodes to a well-formed frame or raises
+:class:`CodecError` — nothing else ever escapes.
+
+Example counts come from the active Hypothesis profile (``ci`` in the
+``live-smoke`` job, see ``tests/conftest.py``), so no test here pins
+``max_examples``.
 """
 
 from __future__ import annotations
 
-import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +24,14 @@ from repro.live.codec import (
     MAGIC,
     MAX_DATAGRAM,
     CodecError,
+    Frame,
     decode_frame,
     decode_message,
     encode_frame,
     encode_message,
 )
 from repro.protocol.messages import (
+    DATA_WIRE_SIZE,
     REPAIR_LOCAL,
     REPAIR_REGIONAL,
     REPAIR_RELAY,
@@ -42,24 +49,39 @@ from repro.protocol.messages import (
     SessionMessage,
 )
 
-node_ids = st.integers(min_value=0, max_value=10_000)
-seqs = st.integers(min_value=-(2**31), max_value=2**31)
-payloads = st.one_of(
-    st.none(),
-    st.integers(min_value=-(2**31), max_value=2**31),
-    st.text(max_size=40),
-    st.lists(st.integers(min_value=0, max_value=255), max_size=8),
+HEADER_BYTES = 23  # 5s magic, c tag, I src, I dst, d sent, B group
+TAG_AT = 5
+GROUP_AT = 22
+
+node_ids = st.integers(min_value=0, max_value=2**32 - 1)
+seqs = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+times = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+#: Every multicast group name in use, plus unicast.
+groups = st.sampled_from([None, "group", "session", "region"])
+payloads = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**63), max_value=2**63),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=40),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=12,
 )
 
 data_messages = st.builds(DataMessage, seq=seqs, sender=node_ids,
                           payload=payloads)
 parity_messages = st.builds(
     ParityMessage,
-    block_id=st.integers(min_value=0, max_value=2**20),
+    block_id=st.integers(min_value=0, max_value=2**32 - 1),
     index=st.integers(min_value=0, max_value=255),
-    r=st.integers(min_value=1, max_value=255),
-    block_seqs=st.tuples(*[seqs] * 3),
-    shard=st.binary(max_size=64),
+    r=st.integers(min_value=1, max_value=256),
+    block_seqs=st.lists(seqs, max_size=40).map(tuple),
+    shard=st.binary(max_size=256),
     sender=node_ids,
 )
 
@@ -81,9 +103,9 @@ MESSAGE_STRATEGIES = {
     SearchRequest: st.builds(
         SearchRequest,
         seq=seqs,
-        waiters=st.lists(node_ids, max_size=6).map(tuple),
+        waiters=st.lists(node_ids, max_size=40).map(tuple),
         forwarder=node_ids,
-        hops=st.integers(min_value=0, max_value=16),
+        hops=st.integers(min_value=0, max_value=2**16 - 1),
     ),
     HaveReply: st.builds(HaveReply, seq=seqs, owner=node_ids),
     HandoffMessage: st.builds(
@@ -94,11 +116,10 @@ MESSAGE_STRATEGIES = {
     FeedbackReport: st.builds(
         FeedbackReport,
         receiver=node_ids,
-        loss_estimate=st.floats(min_value=0.0, max_value=1.0,
-                                allow_nan=False),
-        rtt_ms=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        loss_estimate=st.floats(min_value=0.0, max_value=1.0),
+        rtt_ms=st.floats(min_value=0.0, max_value=1e6),
         max_seq=seqs,
-        received=st.integers(min_value=0, max_value=2**31),
+        received=st.integers(min_value=0, max_value=2**63 - 1),
     ),
 }
 
@@ -109,6 +130,23 @@ def test_every_wire_type_has_a_strategy():
 
 
 any_message = st.one_of(*MESSAGE_STRATEGIES.values())
+frames = st.builds(encode_frame, node_ids, node_ids, any_message, times, groups)
+
+
+def decodes_or_rejects(blob: bytes):
+    """The whole contract for inbound bytes: :class:`CodecError`, or a
+    frame that is equal by value to its own re-encoding.  Any other
+    exception (``struct.error``, ``IndexError``, ``UnicodeDecodeError``,
+    ``JSONDecodeError``, a bare ``ValueError``) propagates and fails."""
+    try:
+        frame = decode_frame(blob)
+    except CodecError:
+        return None
+    assert isinstance(frame, Frame)
+    assert type(frame.payload) in WIRE_MESSAGE_TYPES
+    assert decode_frame(encode_frame(frame.src, frame.dst, frame.payload,
+                                     frame.send_time, frame.group)) == frame
+    return frame
 
 
 class TestMessageRoundTrip:
@@ -118,59 +156,113 @@ class TestMessageRoundTrip:
     )
     def test_round_trip_per_type(self, message_type):
         @given(message=MESSAGE_STRATEGIES[message_type])
-        @settings(max_examples=60, deadline=None)
+        @settings(deadline=None)
         def check(message):
             assert decode_message(encode_message(message)) == message
 
         check()
 
     @given(message=any_message)
-    @settings(max_examples=100, deadline=None)
-    def test_encoding_is_json_ready(self, message):
+    @settings(deadline=None)
+    def test_encoding_is_a_tag_byte_plus_a_body(self, message):
         encoded = encode_message(message)
-        restored = json.loads(json.dumps(encoded))
-        assert decode_message(restored) == message
+        assert isinstance(encoded, bytes)
+        assert encoded[0] == WIRE_MESSAGE_TYPES.index(type(message)) + 1
 
-    @given(message=any_message)
-    @settings(max_examples=60, deadline=None)
-    def test_class_invariants_stay_off_the_wire(self, message):
-        encoded = encode_message(message)
-        assert "kind" not in encoded
-        assert "wire_size" not in encoded
+    def test_class_invariants_stay_off_the_wire(self):
+        odd = DataMessage(seq=1, sender=0, kind="control", wire_size=9)
+        plain = DataMessage(seq=1, sender=0)
+        assert encode_message(odd) == encode_message(plain)
+        assert decode_message(encode_message(odd)).wire_size == DATA_WIRE_SIZE
 
     def test_unknown_type_rejected(self):
         with pytest.raises(CodecError):
             encode_message(object())
 
+    def test_nested_message_must_carry_payload_at_encode(self):
+        with pytest.raises(CodecError, match="nested message"):
+            encode_message(Repair(data=LocalRequest(seq=1, requester=0),
+                                  responder=2, scope=REPAIR_LOCAL))
+
+    @pytest.mark.parametrize("message", [
+        LocalRequest(seq=2**63, requester=0),            # seq beyond int64
+        LocalRequest(seq=1, requester=-1),               # node ids are unsigned
+        LocalRequest(seq=1, requester=2**32),
+        SearchRequest(seq=1, waiters=(), forwarder=0, hops=2**16),
+        SearchRequest(seq=1, waiters=(2**63,), forwarder=0),
+        LocalRequest(seq="1", requester=0),
+        Repair(data=DataMessage(seq=1, sender=0), responder=2, scope="galactic"),
+        DataMessage(seq=1, sender=0, payload=float("nan")),
+        DataMessage(seq=1, sender=0, payload={1, 2}),
+    ], ids=["seq-overflow", "negative-node", "node-overflow", "hops-overflow",
+            "waiter-overflow", "str-for-int", "unknown-scope", "nan-payload",
+            "non-json-payload"])
+    def test_out_of_range_values_rejected_at_encode(self, message):
+        with pytest.raises(CodecError):
+            encode_message(message)
+
 
 class TestFrameRoundTrip:
-    @given(
-        message=any_message,
-        src=node_ids,
-        dst=node_ids,
-        send_time=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
-        group=st.one_of(st.none(), st.text(max_size=10)),
-    )
-    @settings(max_examples=100, deadline=None)
+    @given(message=any_message, src=node_ids, dst=node_ids, send_time=times,
+           group=groups)
+    @settings(deadline=None)
     def test_round_trip(self, message, src, dst, send_time, group):
         data = encode_frame(src, dst, message, send_time=send_time,
                             group=group)
-        frame = decode_frame(data)
-        assert frame.src == src
-        assert frame.dst == dst
-        assert frame.send_time == send_time
-        assert frame.group == group
-        assert frame.payload == message
+        assert data.startswith(MAGIC)
+        assert decode_frame(data) == Frame(src, dst, send_time, message, group)
 
-    def test_oversized_frame_rejected_at_encode(self):
-        big = ParityMessage(block_id=0, index=0, r=1, block_seqs=(1,),
-                            shard=b"x" * MAX_DATAGRAM, sender=0)
+    def test_the_common_data_frame_is_small(self):
+        frame = encode_frame(1, 2, DataMessage(seq=17, sender=0),
+                             send_time=12.5, group="group")
+        assert len(frame) <= 40
+
+    def test_long_tuples_round_trip(self):
+        search = SearchRequest(seq=3, waiters=tuple(range(5_000)), forwarder=1)
+        parity = ParityMessage(block_id=1, index=0, r=1,
+                               block_seqs=tuple(range(-2_000, 2_000)),
+                               shard=b"", sender=0)
+        for message in (search, parity):
+            frame = encode_frame(0, 1, message, send_time=0.0)
+            assert decode_frame(frame).payload == message
+
+    def test_largest_shard_that_fits_round_trips(self):
+        room = MAX_DATAGRAM - HEADER_BYTES - struct.calcsize("!IHHI") - 2 - 2
+        fits = ParityMessage(block_id=0, index=0, r=1, block_seqs=(),
+                             shard=b"x" * room, sender=0)
+        frame = encode_frame(0, 1, fits, send_time=0.0)
+        assert len(frame) == MAX_DATAGRAM
+        assert decode_frame(frame).payload == fits
+        for shard in (b"x" * (room + 1), b"x" * MAX_DATAGRAM):
+            with pytest.raises(CodecError):
+                encode_frame(0, 1, ParityMessage(block_id=0, index=0, r=1,
+                                                 block_seqs=(), shard=shard,
+                                                 sender=0), send_time=0.0)
+
+    def test_unknown_group_rejected_at_encode(self):
+        with pytest.raises(CodecError, match="group"):
+            encode_frame(0, 1, HaveReply(seq=1, owner=0), send_time=0.0,
+                         group="no-such-group")
+
+    @pytest.mark.parametrize("src,dst", [(-1, 0), (0, -1), (2**32, 0), (0, 2**32)])
+    def test_out_of_range_addresses_rejected_at_encode(self, src, dst):
         with pytest.raises(CodecError):
-            encode_frame(0, 1, big, send_time=0.0)
+            encode_frame(src, dst, HaveReply(seq=1, owner=0), send_time=0.0)
 
 
 def _valid_frame_bytes() -> bytes:
     return encode_frame(3, 4, DataMessage(seq=7, sender=3), send_time=1.5)
+
+
+def _repair_frame(nested=None, scope=REPAIR_LOCAL) -> bytes:
+    data = nested if nested is not None else DataMessage(seq=1, sender=0)
+    return encode_frame(3, 4, Repair(data=data, responder=2, scope=scope),
+                        send_time=1.5)
+
+
+#: What the retired JSON codec put on the wire for a data message.
+RRMP1_FRAME = (b'RRMP1{"dst":4,"group":null,"msg":{"payload":null,"sender":3,'
+               b'"seq":7,"t":"DataMessage"},"sent":1.5,"src":3}')
 
 
 class TestMalformedDatagrams:
@@ -178,85 +270,136 @@ class TestMalformedDatagrams:
 
     @pytest.mark.parametrize("blob", [
         b"",
-        b"\x00" * 20,
-        b"GARBAGE" + b"{}",
-        MAGIC,                                   # magic but no body
-        MAGIC + b"not json at all",
-        MAGIC + b"\xff\xfe\xfd",                 # not UTF-8
-        MAGIC + b"[1,2,3]",                      # JSON but not an object
-        MAGIC + b'{"src": 1}',                   # missing frame fields
-        MAGIC + b'{"src": 1, "dst": 2, "sent": 0, "group": null, '
-                b'"msg": {}, "extra": true}',    # extra frame field
+        b"\x00" * 40,
+        b"GARBAGE" + _valid_frame_bytes()[7:],
+        MAGIC,                                       # magic but nothing else
+        RRMP1_FRAME,                                 # the retired JSON format
+        b"RRMP1" + _valid_frame_bytes()[5:],         # old magic, new body
+        _valid_frame_bytes()[:HEADER_BYTES],         # header but no body
+        _valid_frame_bytes() + b"\x00",              # trailing byte
+        _valid_frame_bytes()[:TAG_AT] + b"\x00" + _valid_frame_bytes()[TAG_AT + 1:],
+        _valid_frame_bytes()[:TAG_AT] + b"\x0b" + _valid_frame_bytes()[TAG_AT + 1:],
+        _valid_frame_bytes()[:GROUP_AT] + b"\x04" + _valid_frame_bytes()[GROUP_AT + 1:],
     ], ids=[
-        "empty", "zeros", "bad-magic", "magic-only", "not-json",
-        "not-utf8", "json-array", "missing-fields", "extra-field",
+        "empty", "zeros", "bad-magic", "magic-only", "rrmp1-json",
+        "rrmp1-magic", "header-only", "trailing-byte", "tag-zero",
+        "tag-unknown", "group-unknown",
     ])
     def test_rejected_whole(self, blob):
         with pytest.raises(CodecError):
             decode_frame(blob)
 
     def test_oversized_datagram_rejected_before_parsing(self):
-        with pytest.raises(CodecError):
-            decode_frame(MAGIC + b"0" * MAX_DATAGRAM)
-
-    def test_bool_is_not_an_integer(self):
-        with pytest.raises(CodecError):
-            decode_message({"t": "LocalRequest", "seq": True, "requester": 0})
-
-    def test_missing_message_field(self):
-        with pytest.raises(CodecError, match="missing field"):
-            decode_message({"t": "LocalRequest", "seq": 1})
-
-    def test_extra_message_field(self):
-        with pytest.raises(CodecError, match="unexpected fields"):
-            decode_message({"t": "LocalRequest", "seq": 1, "requester": 0,
-                            "evil": 1})
+        with pytest.raises(CodecError, match="exceeds"):
+            decode_frame(_valid_frame_bytes() + b"0" * MAX_DATAGRAM)
 
     def test_unknown_message_type(self):
         with pytest.raises(CodecError, match="unknown message type"):
-            decode_message({"t": "NoSuchMessage"})
+            decode_message(b"\x7f" + encode_message(HaveReply(seq=1, owner=0))[1:])
+
+    def test_truncated_and_trailing_message(self):
+        encoded = encode_message(LocalRequest(seq=1, requester=0))
+        with pytest.raises(CodecError, match="truncated"):
+            decode_message(encoded[:-1])
+        with pytest.raises(CodecError, match="trailing"):
+            decode_message(encoded + b"\x00")
 
     def test_unknown_repair_scope(self):
-        encoded = encode_message(
-            Repair(data=DataMessage(seq=1, sender=0), responder=2,
-                   scope=REPAIR_LOCAL)
-        )
-        encoded["scope"] = "galactic"
+        frame = _repair_frame(scope=REPAIR_RELAY)
+        scope_at = HEADER_BYTES + 4  # after the responder
+        assert frame[scope_at] == 3
         with pytest.raises(CodecError, match="scope"):
-            decode_message(encoded)
+            decode_frame(frame[:scope_at] + b"\x04" + frame[scope_at + 1:])
 
     def test_nested_message_must_carry_payload(self):
-        encoded = encode_message(
-            Repair(data=DataMessage(seq=1, sender=0), responder=2,
-                   scope=REPAIR_LOCAL)
-        )
-        encoded["data"] = encode_message(LocalRequest(seq=1, requester=0))
+        frame = _repair_frame()
+        nested_at = HEADER_BYTES + 5  # after responder and scope
+        assert frame[nested_at] == 1  # DataMessage
+        request = encode_message(LocalRequest(seq=1, requester=0))
         with pytest.raises(CodecError, match="nested message"):
-            decode_message(encoded)
+            decode_frame(frame[:nested_at] + request)
 
-    def test_invalid_base64_shard(self):
-        encoded = encode_message(
-            ParityMessage(block_id=0, index=0, r=1, block_seqs=(1,),
-                          shard=b"abc", sender=0)
-        )
-        encoded["shard"] = "!!! not base64 !!!"
-        with pytest.raises(CodecError, match="base64"):
-            decode_message(encoded)
+    def test_length_prefix_past_the_end(self):
+        frame = _valid_frame_bytes()
+        assert frame[-2:] == b"\x00\x00"  # the empty payload's length
+        with pytest.raises(CodecError):
+            decode_frame(frame[:-2] + b"\x00\x05")
+        with pytest.raises(CodecError):  # int tuple promising 65535 items
+            decode_frame(encode_frame(0, 1, SearchRequest(1, (), 0), 0.0)[:-2]
+                         + b"\xff\xff")
+
+    @pytest.mark.parametrize("payload", [
+        b"\xff\xfe", b"{broken", b"NaN", b"[1,Infinity]", b"[" * 20_000,
+    ], ids=["not-utf8", "not-json", "nan", "infinity", "nesting-bomb"])
+    def test_payload_must_be_strict_json(self, payload):
+        frame = _valid_frame_bytes()[:-2] + struct.pack("!H", len(payload)) + payload
+        with pytest.raises(CodecError, match="payload"):
+            decode_frame(frame)
 
     @given(blob=st.binary(max_size=200))
-    @settings(max_examples=100, deadline=None)
+    @settings(deadline=None)
     def test_arbitrary_bytes_never_escape_codecerror(self, blob):
-        try:
-            decode_frame(blob)
-        except CodecError:
-            pass  # the only acceptable failure mode
+        decodes_or_rejects(blob)
 
-    @given(mutation=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_truncations_never_escape_codecerror(self, mutation):
-        data = _valid_frame_bytes()
-        cut = mutation % len(data)
-        try:
-            decode_frame(data[:cut])
-        except CodecError:
-            pass
+    @given(tag=st.integers(min_value=0, max_value=12), src=node_ids,
+           dst=node_ids, group=st.integers(min_value=0, max_value=5),
+           body=st.binary(max_size=120))
+    @settings(deadline=None)
+    def test_arbitrary_bodies_behind_a_valid_header(self, tag, src, dst, group, body):
+        header = struct.pack("!5sBIIdB", MAGIC, tag, src, dst, 1.5, group)
+        decodes_or_rejects(header + body)
+
+    @given(frame=frames)
+    @settings(deadline=None)
+    def test_every_strict_prefix_is_rejected(self, frame):
+        for cut in range(len(frame)):
+            with pytest.raises(CodecError):
+                decode_frame(frame[:cut])
+
+    @given(frame=frames, extra=st.binary(min_size=1, max_size=1))
+    @settings(deadline=None)
+    def test_one_extra_byte_is_rejected(self, frame, extra):
+        with pytest.raises(CodecError):
+            decode_frame(frame + extra)
+
+    @given(frame=frames, tag=st.integers(min_value=0, max_value=255))
+    @settings(deadline=None)
+    def test_flipped_tag_byte(self, frame, tag):
+        decodes_or_rejects(frame[:TAG_AT] + bytes([tag]) + frame[TAG_AT + 1:])
+
+    @given(message=MESSAGE_STRATEGIES[Repair], scope=st.integers(0, 255))
+    @settings(deadline=None)
+    def test_flipped_scope_byte(self, message, scope):
+        frame = encode_frame(1, 2, message, send_time=0.0)
+        scope_at = HEADER_BYTES + 4
+        mutated = decodes_or_rejects(frame[:scope_at] + bytes([scope])
+                                     + frame[scope_at + 1:])
+        assert (mutated is not None) == (scope < 4)
+
+    @given(frame=frames, at=st.integers(min_value=0), byte=st.integers(0, 255))
+    @settings(deadline=None)
+    def test_any_flipped_byte(self, frame, at, byte):
+        at %= len(frame)
+        decodes_or_rejects(frame[:at] + bytes([byte]) + frame[at + 1:])
+
+
+class TestNonFiniteNumbers:
+    """Regression: the JSON codec's "strict" decoder let ``NaN`` and
+    ``Infinity`` through, so a hostile ``FeedbackReport`` fed TFMCC's
+    worst-receiver election a NaN."""
+
+    @pytest.mark.parametrize("sent", [float("nan"), float("inf"), -1.0])
+    def test_send_time_must_be_finite_and_non_negative(self, sent):
+        frame = encode_frame(1, 2, HaveReply(seq=1, owner=0), send_time=sent)
+        with pytest.raises(CodecError):
+            decode_frame(frame)
+
+    @pytest.mark.parametrize("field", ["loss_estimate", "rtt_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), -0.5])
+    def test_feedback_rates_must_be_finite_and_non_negative(self, field, value):
+        report = {"receiver": 1, "loss_estimate": 0.1, "rtt_ms": 20.0,
+                  "max_seq": 5, "received": 4, field: value}
+        frame = encode_frame(1, 0, FeedbackReport(**report), send_time=0.0)
+        with pytest.raises(CodecError):
+            decode_frame(frame)
