@@ -26,9 +26,9 @@ from benchmarks.conftest import run_once
 from repro.metrics.report import SeriesTable
 from repro.scale.engine import run_flat
 from repro.scale.pool import FlatMemberPool
-from repro.scale.scenarios import scale_100k_spec
 from repro.scenario.library import scale_spec
 from repro.scenario.materialize import build_hierarchy
+from repro.scenario.registry import get_scenario
 
 #: The flat engine must beat the classic engine by at least this factor
 #: in member-deliveries per wall second (measured ~100x).
@@ -57,7 +57,7 @@ def classic_reference_rate(messages: int = 10) -> tuple:
 def flat_100k_rate() -> tuple:
     """Flat engine on scale_100k, tracing off; returns
     ``(deliveries_per_sec, wall_s, result)``."""
-    spec = scale_100k_spec()
+    spec = get_scenario("scale_100k")
     started = time.perf_counter()
     result = run_flat(spec, digest=False)
     wall = time.perf_counter() - started
@@ -68,14 +68,14 @@ def flat_100k_rate() -> tuple:
 
 def test_scale_100k(benchmark, show):
     classic_rate, classic_wall, classic_members = classic_reference_rate()
-    oracle_run = run_flat(scale_100k_spec(), digest=True, oracle=True)
+    oracle_run = run_flat(get_scenario("scale_100k"), digest=True, oracle=True)
 
     state = {}
 
     def measured() -> SeriesTable:
         flat_rate, flat_wall, result = flat_100k_rate()
         state.update(rate=flat_rate, wall=flat_wall, result=result)
-        spec = scale_100k_spec()
+        spec = get_scenario("scale_100k")
         pool_mb = FlatMemberPool(
             build_hierarchy(spec.topology), spec.traffic.count,
         ).nbytes() / 1e6

@@ -2,7 +2,7 @@
 
 One module per paper figure (fig3, fig4, fig6-fig9), one per ablation,
 a registry keyed by experiment id and a CLI
-(``rrmp-experiments`` / ``python -m repro.experiments``).
+(``rrmp`` / ``python -m repro.experiments``).
 """
 
 from repro.experiments.ablation_c import run_c_tradeoff

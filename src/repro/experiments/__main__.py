@@ -1,4 +1,4 @@
-"""``python -m repro.experiments`` — same as the ``rrmp-experiments`` CLI."""
+"""``python -m repro.experiments`` — same as the ``rrmp`` CLI."""
 
 import sys
 

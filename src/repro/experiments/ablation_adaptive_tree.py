@@ -34,14 +34,8 @@ from repro.experiments.base import run_sweeps, seed_list
 from repro.metrics.makespan import MakespanTracker
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
-from repro.net.ipmulticast import RegionCorrelatedOutcome
-from repro.net.latency import HierarchicalLatency
 from repro.runner import SweepSpec
-from repro.scenario.materialize import (
-    build_hierarchy,
-    outcome_for,
-    transport_loss_for,
-)
+from repro.scenario.materialize import build_hierarchy, network_models
 from repro.scenario.registry import get_scenario
 from repro.scenario.spec import AdaptSpec, ChurnSpec, ScenarioSpec
 from repro.tree.rmtp import TreeSimulation
@@ -65,27 +59,15 @@ def _run_tree(spec: ScenarioSpec) -> Dict[str, float]:
     table notes it for the churn scenario.
     """
     hierarchy = build_hierarchy(spec.topology)
+    models = network_models(spec, hierarchy)
     tree = TreeSimulation(
         hierarchy,
         seed=spec.seed,
-        latency=HierarchicalLatency(
-            hierarchy,
-            intra_one_way=spec.topology.intra_one_way,
-            inter_one_way=spec.topology.inter_one_way,
-            inter_up_one_way=spec.topology.inter_up_one_way,
-            inter_down_one_way=spec.topology.inter_down_one_way,
-        ),
-        loss=transport_loss_for(spec.loss),
-        outcome=outcome_for(spec.loss),
+        latency=models.latency,
+        loss=models.loss,
+        outcome=models.outcome,
         timer_factor=spec.policy.timer_factor,
     )
-    if spec.loss.kind == "region_correlated":
-        tree.outcome = RegionCorrelatedOutcome(
-            hierarchy,
-            region_loss=spec.loss.region_loss,
-            receiver_loss=spec.loss.receiver_loss,
-            sender=tree.sender_node,
-        )
     makespan = MakespanTracker().attach(tree.trace)
     traffic = spec.traffic
     if traffic.kind != "uniform":  # pragma: no cover - registry guard

@@ -2,17 +2,17 @@
 
 Usage::
 
-    rrmp-experiments list
-    rrmp-experiments run fig6
-    rrmp-experiments run fig8 --param seeds=25 --param n=50
-    rrmp-experiments run ablation_scaling --quick --jobs 4
-    rrmp-experiments all --quick --jobs 4 --cache-dir /tmp/rrmp-cache
-    rrmp-experiments scenarios list
-    rrmp-experiments scenarios run wan_burst_loss --json
-    rrmp-experiments validate run scale
-    rrmp-experiments validate fuzz --trials 200 --seed 0 --json
-    rrmp-experiments live run wan_burst_loss --speedup 4
-    rrmp-experiments live diff initial_holders --speedup 2 --json
+    rrmp list
+    rrmp run fig6
+    rrmp run fig8 --param seeds=25 --param n=50
+    rrmp run ablation_scaling --quick --jobs 4
+    rrmp all --quick --jobs 4 --cache-dir /tmp/rrmp-cache
+    rrmp scenarios list
+    rrmp scenarios run wan_burst_loss --json
+    rrmp validate run scale
+    rrmp validate fuzz --trials 200 --seed 0 --json
+    rrmp live run wan_burst_loss --speedup 4
+    rrmp live diff initial_holders --speedup 2 --json
 
 ``--param key=value`` values are parsed as Python literals (numbers,
 tuples, booleans; lowercase ``true``/``false``/``none`` coerce too)
@@ -180,7 +180,7 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
-        prog="rrmp-experiments",
+        prog="rrmp",
         description="Regenerate the figures of 'Optimizing Buffer Management "
                     "for Reliable Multicast' (DSN 2002).",
     )

@@ -1,6 +1,6 @@
 """The single source of truth for reduced-cost experiment parameters.
 
-``rrmp-experiments run --quick``, ``rrmp-experiments all --quick``, the
+``rrmp run --quick``, ``rrmp all --quick``, the
 smoke tests and CI all read this table, so the quick path cannot drift
 between entry points.  Every registered experiment id must have an
 entry (enforced by ``tests/experiments/test_cli.py``).

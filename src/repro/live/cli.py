@@ -1,13 +1,15 @@
 """The ``live`` CLI subcommand: real-UDP runs of declarative scenarios.
 
-Wired into the ``rrmp`` / ``rrmp-experiments`` entry point::
+Wired into the ``rrmp`` entry point::
 
     rrmp live run wan_burst_loss --speedup 4 --json
     rrmp live daemon steady_state --interval 500
     rrmp live diff initial_holders --speedup 2 --artifacts out/
     rrmp live node spec.json --nodes 0,1,2 --directory dir.json
 
-``run`` materializes one scenario over loopback UDP and prints its
+Every action takes the shared ``scenario`` / ``--seed`` / ``--param``
+group of :mod:`repro.scenario.cli` (a registered name or a spec JSON
+file).  ``run`` materializes one scenario over loopback UDP and prints its
 summary; ``daemon`` keeps a session alive and emits one JSON metrics
 snapshot per line at a fixed virtual interval (buffer occupancy,
 long-term count, recovery latency, goodput); ``diff`` runs the
@@ -18,7 +20,8 @@ owner's ``[host, port]`` (one ``node`` process per shard makes a
 multi-process deployment).
 
 Exit codes: 0 = clean, 1 = violations or digest mismatch, 2 = usage
-error.
+error — including a spec node the session cannot honour (named in the
+message), e.g. churn or mobility on a sharded ``node``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.live.session import LiveSession, run_spec_live
 from repro.metrics.runreport import RunReport
 from repro.live.transport import Address
 from repro.net.topology import NodeId
-from repro.scenario.registry import get_scenario
+from repro.scenario.cli import add_spec_arguments, spec_from_args
 from repro.scenario.spec import ScenarioSpec
 from repro.validate.oracle import InvariantOracle
 
@@ -95,10 +98,7 @@ def add_live_parser(commands) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("scenario", help="registered scenario name or path "
-                                         "to a ScenarioSpec JSON file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the spec's master seed")
+    add_spec_arguments(parser)
     parser.add_argument("--speedup", type=float, default=1.0,
                         help="virtual-to-real time ratio (default: 1.0; "
                              "higher is faster but needs CPU headroom)")
@@ -106,38 +106,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def main_live(args: argparse.Namespace) -> int:
     """Dispatch a parsed ``live`` invocation; returns the exit code."""
-    try:
-        spec = _resolve_scenario(args.scenario)
-    except (KeyError, OSError, ValueError) as error:
-        message = error.args[0] if error.args else error
-        print(f"error: {message}", file=sys.stderr)
+    spec = spec_from_args(args)
+    if spec is None:
         return 2
-    if args.seed is not None:
-        spec = spec.with_(seed=args.seed)
     if args.speedup <= 0:
         print("error: --speedup must be > 0", file=sys.stderr)
         return 2
-    command = args.live_command
-    if command == "run":
-        return _cmd_run(spec, args)
-    if command == "daemon":
-        return _cmd_daemon(spec, args)
-    if command == "diff":
-        return _cmd_diff(spec, args)
-    if command == "node":
-        return _cmd_node(spec, args)
-    return 2  # pragma: no cover - argparse enforces the choices
-
-
-def _resolve_scenario(name: str) -> ScenarioSpec:
-    """A registry name, or a path to a ScenarioSpec JSON file."""
+    command = {"run": _cmd_run, "daemon": _cmd_daemon, "diff": _cmd_diff,
+               "node": _cmd_node}[args.live_command]
     try:
-        return get_scenario(name)
-    except KeyError:
-        if os.path.exists(name):
-            with open(name, encoding="utf-8") as handle:
-                return ScenarioSpec.from_json(handle.read())
-        raise
+        return command(spec, args)
+    except ValueError as error:
+        # The session refuses, by name, spec nodes it cannot honour.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 def _cmd_run(spec: ScenarioSpec, args: argparse.Namespace) -> int:
@@ -266,13 +248,13 @@ def _cmd_node(spec: ScenarioSpec, args: argparse.Namespace) -> int:
         session = LiveSession(spec, speedup=args.speedup, local_nodes=nodes,
                               directory=directory, bind=bind,
                               hold=args.hold > 0)
-        address = await session.start()
-        print(json.dumps({"bound": list(address),
-                          "nodes": sorted(nodes)}), flush=True)
-        if args.hold > 0:
-            await asyncio.sleep(args.hold)
-            session.release_clock()
         try:
+            address = await session.start()
+            print(json.dumps({"bound": list(address),
+                              "nodes": sorted(nodes)}), flush=True)
+            if args.hold > 0:
+                await asyncio.sleep(args.hold)
+                session.release_clock()
             await session.run()
         finally:
             await session.close()

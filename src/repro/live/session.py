@@ -1,9 +1,12 @@
 """Materialize a :class:`~repro.scenario.spec.ScenarioSpec` over real UDP.
 
-:class:`LiveSession` is the live-world sibling of
-:func:`~repro.scenario.materialize.build_scenario`: the same spec tree,
-the same construction helpers, the same named RNG streams — but members
-run over an asyncio socket on a wall clock instead of the event engine.
+:class:`LiveSession` is the live engine's half of the one path in
+:mod:`repro.scenario.materialize`: it builds the group — members over an
+asyncio socket on a wall clock instead of the event engine — and hands
+it to the same :func:`~repro.scenario.materialize.install_workload` the
+simulator uses, so every spec node (traffic, congestion control, FEC
+flush, churn, mobility, playout, adaptive tree, probes, oracle) is
+installed, stopped, finalized and summarized by one piece of code.
 Because the session exposes the :class:`~repro.protocol.rrmp.MemberGroup`
 surface plus ``sim``/``trace``/``config``/``hierarchy``, everything
 written against the simulation facade — the invariant oracle, traffic
@@ -17,8 +20,9 @@ Two deployment shapes share the class:
   stack.  This is what the differential harness and CI smoke use.
 * **Sharded**: ``local_nodes`` restricts which members are built here
   and ``directory`` maps every node id to its owner's address — one
-  process per member (or per region) on real hosts.  Probe workloads
-  and churn need the whole group and refuse to run sharded.
+  process per member (or per region) on real hosts.  Spec nodes that
+  act on the whole group (probe workloads, churn, mobility, the
+  adaptive tree) are refused by name when sharded.
 
 Determinism: protocol decisions (holder draws, long-term coin flips,
 request targets) come from the same seeded streams as the simulator,
@@ -31,24 +35,14 @@ normalized delivery digests, not wall-clock traces, for this reason.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
-from repro.cc import (
-    CongestionDriver,
-    controller_for,
-    install_feedback_reporters,
-)
 from repro.live.clock import LiveClock
 from repro.live.transport import Address, LiveTransport
-from repro.membership.churn import ChurnSchedule, random_churn
 from repro.metrics.makespan import MakespanTracker
 from repro.metrics.snapshot import DeliveryCounter, MetricsSnapshot, take_snapshot
-from repro.net.ipmulticast import RegionCorrelatedOutcome
-from repro.net.latency import HierarchicalLatency
 from repro.net.topology import NodeId
-from repro.protocol.config import FEC_OFF
 from repro.protocol.member import RrmpMember
-from repro.protocol.messages import DataMessage
 from repro.protocol.rrmp import (
     MemberGroup,
     default_sender_node,
@@ -56,18 +50,15 @@ from repro.protocol.rrmp import (
 )
 from repro.protocol.sender import RrmpSender
 from repro.scenario.materialize import (
+    BuiltScenario,
     build_config,
     build_hierarchy,
-    inject_detect_all,
-    inject_search_probe,
-    outcome_for,
+    install_workload,
+    network_models,
     policy_factory_for,
-    traffic_generator_for,
-    transport_loss_for,
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.sim import RandomStreams, TraceLog
-from repro.stability.detector import attach_stability
 
 #: How often quiescence is polled, in real seconds.
 _QUIESCENCE_POLL_S = 0.005
@@ -113,11 +104,10 @@ class LiveSession(MemberGroup):
         self.config = build_config(spec.policy, spec.fec, spec.congestion)
         self.streams = RandomStreams(spec.seed)
         self.trace = TraceLog(keep_records=spec.measurement.keep_trace)
+        # Subscribed up front, so the trace is always being emitted and
+        # the installer's pure subscribers (makespan, playout) attach
+        # whether or not records are kept.
         self.deliveries = DeliveryCounter(self.trace)
-        # Same delivery-span metric the sim path surfaces; the trace
-        # already has a subscriber (DeliveryCounter), so attaching one
-        # more never changes the hot-path enabled state.
-        self.makespan = MakespanTracker().attach(self.trace)
         # Held until start() finishes: building members and injecting
         # the workload takes real milliseconds, and a running clock
         # would feed that setup time straight into the protocol's first
@@ -125,40 +115,28 @@ class LiveSession(MemberGroup):
         # member even exists).  The simulator gets this for free — all
         # construction happens "at" t=0.
         self.sim = LiveClock(speedup=speedup, held=True)
-        self.latency = HierarchicalLatency(
-            self.hierarchy,
-            intra_one_way=spec.topology.intra_one_way,
-            inter_one_way=spec.topology.inter_one_way,
-            inter_up_one_way=spec.topology.inter_up_one_way,
-            inter_down_one_way=spec.topology.inter_down_one_way,
-        )
+        models = network_models(spec, self.hierarchy)
+        self.latency = models.latency
         self.network = LiveTransport(
             self.sim,
-            self.latency,
-            loss=transport_loss_for(spec.loss),
+            models.latency,
+            loss=models.loss,
             streams=self.streams,
             trace=None,
             directory=directory,
         )
+        self._outcome = models.outcome
         self._local_nodes = set(local_nodes) if local_nodes is not None else None
         self._bind = bind
-        factory = policy_factory_for(spec.policy)
         self._policy_factory = (
-            factory if factory is not None else two_phase_policy_factory(self.config)
+            policy_factory_for(spec.policy) or two_phase_policy_factory(self.config)
         )
         self.members: Dict[NodeId, RrmpMember] = {}
         self.sender: Optional[RrmpSender] = None
-        self.traffic = None
-        self.message_count = 0
-        self.offered_count = 0
-        self.cc_driver: Optional[CongestionDriver] = None
-        self.cc_reporters: List = []
-        self.churn: Optional[ChurnSchedule] = None
-        self.stability_agents: List = []
-        self.data: Optional[DataMessage] = None
-        self.holders: List[NodeId] = []
-        self.bufferers: List[NodeId] = []
-        self.requester: Optional[NodeId] = None
+        #: Everything :func:`install_workload` puts on this group at
+        #: :meth:`start` — traffic, CC loop, churn, trackers, counts.
+        self.built = BuiltScenario(spec=spec, simulation=self,
+                                   mobility=models.mobility)
         self._started = False
         self._closed = False
 
@@ -170,46 +148,35 @@ class LiveSession(MemberGroup):
         """Whether this session hosts only a subset of the group."""
         return self._local_nodes is not None
 
+    @property
+    def message_count(self) -> int:
+        """Messages sent so far by the installed workload."""
+        return self.built.message_count
+
+    @property
+    def makespan(self) -> Optional[MakespanTracker]:
+        """The installed delivery-span tracker (``None`` before start)."""
+        return self.built.makespan
+
     async def start(self) -> Address:
         """Open the socket, build local members, install the workload.
 
         Returns the bound address (useful with an ephemeral port).
+        Raises :class:`ValueError` naming the spec node when the spec
+        asks a shard for something only a whole group can do.
         """
         if self._started:
             raise RuntimeError("session already started")
         self._started = True
-        spec = self.spec
         address = await self.network.open(*self._bind)
         for node in self.hierarchy.nodes:
-            if self._local_nodes is not None and node not in self._local_nodes:
-                continue
-            self.members[node] = RrmpMember(
-                node_id=node,
-                sim=self.sim,
-                network=self.network,
-                hierarchy=self.hierarchy,
-                config=self.config,
-                streams=self.streams,
-                trace=self.trace,
-                policy=self._policy_factory(node),
-            )
+            if self._local_nodes is None or node in self._local_nodes:
+                self._new_member(node)
         sender_node = default_sender_node(self.hierarchy)
         if sender_node in self.members:
-            self.sender = RrmpSender(
-                self.members[sender_node], outcome=outcome_for(spec.loss)
-            )
-            if spec.loss.kind == "region_correlated":
-                self.sender.outcome = RegionCorrelatedOutcome(
-                    self.hierarchy,
-                    region_loss=spec.loss.region_loss,
-                    receiver_loss=spec.loss.receiver_loss,
-                    sender=self.sender.node_id,
-                )
-
-        if spec.policy.kind == "stability":
-            self.stability_agents = attach_stability(list(self.members.values()))
-
-        self._install_workload()
+            self.sender = RrmpSender(self.members[sender_node],
+                                     outcome=self._outcome)
+        install_workload(self.built)
         if not self.hold:
             self.sim.release()  # setup done: virtual time starts now
         return address
@@ -225,139 +192,14 @@ class LiveSession(MemberGroup):
         """
         self.sim.release()
 
-    def _install_workload(self) -> None:
-        spec = self.spec
-        traffic = spec.traffic
-        if traffic.kind in ("detect_all", "search_probe"):
-            if self.sharded:
-                raise ValueError(
-                    f"{traffic.kind} injects state into every member and "
-                    "cannot run in a sharded session; deploy it loopback"
-                )
-            if traffic.kind == "detect_all":
-                self.data, self.holders = inject_detect_all(self, traffic)
-            else:
-                self.data, self.bufferers, self.requester = inject_search_probe(
-                    self, traffic
-                )
-            self.message_count = 1
-        else:
-            generator = traffic_generator_for(traffic, spec, self.streams)
-            if generator is not None:
-                self.traffic = generator
-                if self.sender is not None:
-                    if self.config.congestion.enabled:
-                        self._install_congestion(generator)
-                    else:
-                        self.message_count = generator.schedule(self)
-                else:
-                    # Sender lives in another shard; still consume the
-                    # arrival draw so Poisson streams stay aligned with
-                    # the sender's schedule.
-                    self.message_count = generator.arrival_count()
-        if (
-            self.config.congestion.enabled
-            and self.sender is None
-            and self.members
-        ):
-            # Receiver shard of a congestion-controlled session: the
-            # driver lives with the sender, but feedback must still
-            # flow from here.
-            self.cc_reporters = install_feedback_reporters(
-                self.members.values(),
-                default_sender_node(self.hierarchy),
-                self.config.congestion.feedback_interval,
-            )
-        if (
-            self.cc_driver is None
-            and self.config.fec_mode != FEC_OFF
-            and spec.fec.flush_after is not None
-            and self.traffic is not None
-            and self.message_count > 0
-            and self.sender is not None
-        ):
-            self.sim.at(
-                self.traffic.end_time() + spec.fec.flush_after,
-                self.sender.flush_parity,
-            )
-        if spec.churn.kind == "random":
-            if self.sharded:
-                raise ValueError(
-                    "random churn draws victims from the whole group and "
-                    "cannot run in a sharded session; deploy it loopback"
-                )
-            duration = spec.churn.duration
-            if duration <= 0:
-                duration = spec.measurement.horizon or spec.measurement.duration
-                if duration is None:
-                    raise ValueError("random churn needs a duration or a horizon")
-            protect = (
-                [default_sender_node(self.hierarchy)]
-                if spec.churn.protect_sender else []
-            )
-            self.churn = random_churn(
-                self,
-                self.streams.stream("scenario", "churn"),
-                duration=duration,
-                leave_rate=spec.churn.leave_rate,
-                crash_rate=spec.churn.crash_rate,
-                join_rate=spec.churn.join_rate,
-                protect=protect,
-            )
-
-    def _install_congestion(self, generator) -> None:
-        """Arm the closed send loop: driver at the sender, reporters
-        at every local receiver.  The same controller code paces the
-        live clock — ``LiveClock`` satisfies the driver's ``now``/
-        ``at`` surface."""
-        spec = self.spec
-
-        def _on_stream_complete(now: float) -> None:
-            if self.config.fec_mode != FEC_OFF and spec.fec.flush_after is not None:
-                self.sim.at(now + spec.fec.flush_after, self.sender.flush_parity)
-
-        controller = controller_for(self.config.congestion)
-        self.cc_driver = CongestionDriver(
-            self.sim,
-            self.sender,
-            generator,
-            controller,
-            trace=self.trace,
-            on_complete=_on_stream_complete,
-        )
-        self.cc_driver.start()
-        self.cc_reporters = install_feedback_reporters(
-            self.members.values(),
-            self.sender.node_id,
-            self.config.congestion.feedback_interval,
-        )
-        self.offered_count = generator.arrival_count()
-        self.message_count = self.offered_count
-
-    def add_member(self, region_id: int) -> RrmpMember:
-        """A new receiver joins *region_id* mid-session (churn joins)."""
-        node = self.hierarchy.add_member(region_id)
-        member = RrmpMember(
-            node_id=node,
-            sim=self.sim,
-            network=self.network,
-            hierarchy=self.hierarchy,
-            config=self.config,
-            streams=self.streams,
-            trace=self.trace,
-            policy=self._policy_factory(node),
-        )
-        self.members[node] = member
-        self.trace.emit(self.sim.now, "member_joined", node=node, region=region_id)
-        return member
-
     async def run(self) -> float:
         """Execute the spec's measurement plan; returns the final virtual time.
 
-        Mirrors :meth:`repro.scenario.materialize.BuiltScenario.run`:
-        sleep to the horizon/duration if bounded, then — for draining
-        (or unbounded) specs — stop the session heartbeat and wait for
-        the group to go quiescent.
+        The wall-clock twin of
+        :meth:`repro.scenario.materialize.BuiltScenario.run`: sleep to
+        the horizon/duration if bounded, then — for draining (or
+        unbounded) specs — quiesce and wait for the group to settle,
+        and finish the build the same way the simulator does.
         """
         measurement = self.spec.measurement
         bounded = False
@@ -377,25 +219,9 @@ class LiveSession(MemberGroup):
             await self.sim.sleep(measurement.duration)
             bounded = True
         if measurement.drain or not bounded:
-            # Periodic CC machinery (the send loop and the feedback
-            # reporters) would keep arming timers forever — stop it
-            # before waiting for quiescence.
-            if self.cc_driver is not None:
-                self.cc_driver.stop()
-            for reporter in self.cc_reporters:
-                reporter.stop()
-            if self.sender is not None:
-                self.sender.stop()
-            for agent in self.stability_agents:
-                agent.stop()
+            self.built.quiesce()
             await self.wait_quiescent()
-        for agent in self.stability_agents:
-            agent.stop()
-        if self.cc_driver is not None:
-            self.cc_driver.stop()
-            for reporter in self.cc_reporters:
-                reporter.stop()
-            self.message_count = self.cc_driver.sent
+        self.built.finish()
         return self.sim.now
 
     async def wait_quiescent(self, timeout_s: float = 30.0) -> None:
@@ -435,12 +261,7 @@ class LiveSession(MemberGroup):
         if self._closed:
             return
         self._closed = True
-        if self.cc_driver is not None:
-            self.cc_driver.stop()
-        for reporter in self.cc_reporters:
-            reporter.stop()
-        if self.sender is not None:
-            self.sender.stop()
+        self.built.quiesce()
         self.sim.cancel_all()
         self.network.close()
         await asyncio.sleep(0)  # let the transport finish closing
@@ -453,37 +274,17 @@ class LiveSession(MemberGroup):
         return take_snapshot(self, previous)
 
     def summary(self) -> dict:
-        """Headline metrics, shaped like ``BuiltScenario.summary()``."""
-        latencies = self.recovery_latencies()
-        alive = self.alive_members()
-        from repro.metrics.stats import mean
-        result = {
-            "scenario": self.spec.name,
-            "seed": self.spec.seed,
-            "digest": self.spec.digest(),
-            "mode": "live",
-            "speedup": self.sim.speedup,
-            "members": len(self.members),
-            "alive_members": len(alive),
-            "messages": self.message_count,
-            "delivered_fraction": self.delivered_fraction(self.message_count),
-            "recoveries": len(latencies),
-            "mean_recovery_latency_ms": mean(latencies) if latencies else 0.0,
-            "reliability_violations": self.violation_count(),
-            "control_messages": self.control_message_count(),
-            "data_messages": self.data_message_count(),
-            "send_dropped": self.network.stats.send_dropped,
-            "recv_rejected": self.network.recv_rejected,
-            "events_fired": self.sim.events_fired,
-            "time_ms": self.sim.now,
-        }
-        if self.makespan.delivery_count:
-            result.update(self.makespan.summary())
-        if self.cc_driver is not None:
-            result["offered_messages"] = self.offered_count
-            result["cc_controller"] = self.cc_driver.controller.name
-            result["cc_final_interval_ms"] = self.cc_driver.controller.interval()
-        return result
+        """Headline metrics: ``BuiltScenario.summary()`` plus the live
+        engine's mode, socket and clock readings."""
+        return self.built.summarize(
+            {"mode": "live", "speedup": self.sim.speedup},
+            {
+                "send_dropped": self.network.stats.send_dropped,
+                "recv_rejected": self.network.recv_rejected,
+                "events_fired": self.sim.events_fired,
+                "time_ms": self.sim.now,
+            },
+        )
 
 
 async def run_spec_live(
@@ -506,8 +307,8 @@ async def run_spec_live(
                           directory=directory, bind=bind)
     if oracle is not None:
         oracle.attach(session)
-    await session.start()
     try:
+        await session.start()
         await session.run()
         if oracle is not None:
             oracle.finish()

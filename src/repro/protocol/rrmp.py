@@ -68,13 +68,43 @@ class MemberGroup:
     network) and :class:`repro.live.session.LiveSession` (members over
     asyncio UDP).  Implementations provide ``members`` (dict of
     :class:`~repro.protocol.member.RrmpMember`), ``trace`` (a
-    :class:`~repro.sim.TraceLog`) and ``network`` (anything with a
-    ``stats`` :class:`~repro.net.transport.NetworkStats`); everything
-    here derives from those, which is what lets experiment code and the
-    invariant oracle treat a live group exactly like a simulated one.
+    :class:`~repro.sim.TraceLog`), ``network`` (anything with a
+    ``stats`` :class:`~repro.net.transport.NetworkStats`) and — for
+    building members — ``sim`` (the clock), ``hierarchy``, ``config``,
+    ``streams`` and ``_policy_factory``; everything here derives from
+    those, which is what lets experiment code, the scenario installer
+    and the invariant oracle treat a live group exactly like a
+    simulated one.
     """
 
     members: Dict[NodeId, RrmpMember]
+    #: Whether members of the hierarchy are hosted elsewhere (only a live
+    #: session can be one shard of a group).
+    sharded = False
+
+    def _new_member(self, node: NodeId) -> RrmpMember:
+        """Build and register the member for *node*, wired to this
+        group's clock, network, streams, trace and policy factory."""
+        member = self.members[node] = RrmpMember(
+            node_id=node,
+            sim=self.sim,
+            network=self.network,
+            hierarchy=self.hierarchy,
+            config=self.config,
+            streams=self.streams,
+            trace=self.trace,
+            policy=self._policy_factory(node),
+        )
+        return member
+
+    def add_member(self, region_id: int) -> RrmpMember:
+        """A new receiver joins *region_id* mid-session (IP-multicast
+        group model: no coordination with existing members, §1)."""
+        member = self._new_member(self.hierarchy.add_member(region_id))
+        self.trace.emit(
+            self.sim.now, "member_joined", node=member.node_id, region=region_id
+        )
+        return member
 
     def member(self, node_id: NodeId) -> RrmpMember:
         """The member instance for *node_id*."""
@@ -193,43 +223,13 @@ class RrmpSimulation(MemberGroup):
         )
         if policy_factory is None:
             policy_factory = two_phase_policy_factory(self.config)
+        self._policy_factory = policy_factory
         self.members: Dict[NodeId, RrmpMember] = {}
         for node in hierarchy.nodes:
-            self.members[node] = RrmpMember(
-                node_id=node,
-                sim=self.sim,
-                network=self.network,
-                hierarchy=hierarchy,
-                config=self.config,
-                streams=self.streams,
-                trace=self.trace,
-                policy=policy_factory(node),
-            )
-        self._policy_factory = policy_factory
+            self._new_member(node)
         if sender_node is None:
-            sender_node = self._default_sender_node()
+            sender_node = default_sender_node(hierarchy)
         self.sender = RrmpSender(self.members[sender_node], outcome=outcome)
-
-    def add_member(self, region_id: int) -> RrmpMember:
-        """A new receiver joins *region_id* mid-session (IP-multicast
-        group model: no coordination with existing members, §1)."""
-        node = self.hierarchy.add_member(region_id)
-        member = RrmpMember(
-            node_id=node,
-            sim=self.sim,
-            network=self.network,
-            hierarchy=self.hierarchy,
-            config=self.config,
-            streams=self.streams,
-            trace=self.trace,
-            policy=self._policy_factory(node),
-        )
-        self.members[node] = member
-        self.trace.emit(self.sim.now, "member_joined", node=node, region=region_id)
-        return member
-
-    def _default_sender_node(self) -> NodeId:
-        return default_sender_node(self.hierarchy)
 
     # ------------------------------------------------------------------
     # Execution

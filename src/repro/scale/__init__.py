@@ -13,13 +13,13 @@ numpy struct-of-arrays state, which is what lets one machine reach
 * :mod:`repro.scale.engine` — :class:`FlatShard`, the region-sharded
   flat engine with epoch-barrier synchronization, plus
   :func:`run_flat` (serial, in-process sharded, or one OS process per
-  shard) and the order-independent :class:`CommutativeTraceDigest`;
-* :mod:`repro.scale.sharding` — mirror sharding for *classic* registry
-  scenarios: every shard replays the full object-based simulation and
-  keeps only the trace records its regions own, so the merged digest is
-  byte-identical to a serial run;
-* :mod:`repro.scale.scenarios` — the ``scale`` registry tier
-  (``scale_10k``, ``scale_100k``) the CLI and benchmarks run.
+  shard) and the order-independent :class:`CommutativeTraceDigest`.
+
+The named workloads of this tier (``scale_10k``, ``scale_100k``) live in
+the one scenario registry (:mod:`repro.scenario.library`, registered
+with ``engine="flat"``); ``--shards`` on ``scenarios run`` partitions
+their regions across flat engines and is refused for object-engine
+scenarios, which have no sharded mode.
 """
 
 from repro.scale.engine import (
@@ -29,22 +29,11 @@ from repro.scale.engine import (
     run_flat,
 )
 from repro.scale.pool import FlatMemberPool
-from repro.scale.scenarios import (
-    get_scale_scenario,
-    scale_scenario_names,
-    scale_scenarios,
-)
-from repro.scale.sharding import MirrorShardResult, run_mirror_sharded
 
 __all__ = [
     "CommutativeTraceDigest",
     "FlatMemberPool",
     "FlatRunResult",
     "FlatShard",
-    "MirrorShardResult",
-    "get_scale_scenario",
     "run_flat",
-    "run_mirror_sharded",
-    "scale_scenario_names",
-    "scale_scenarios",
 ]

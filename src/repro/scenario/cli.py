@@ -1,12 +1,12 @@
 """The ``scenarios`` CLI subcommand: list / describe / run named specs.
 
-Wired into the ``rrmp-experiments`` entry point::
+Wired into the ``rrmp`` entry point::
 
-    rrmp-experiments scenarios list
-    rrmp-experiments scenarios describe wan_burst_loss
-    rrmp-experiments scenarios run overload_onset --seed 3 --json
-    rrmp-experiments scenarios run scale_100k --shards 4
-    rrmp-experiments scenarios run initial_holders --shards 2 --jobs 2
+    rrmp scenarios list
+    rrmp scenarios describe wan_burst_loss
+    rrmp scenarios run overload_onset --seed 3 --json
+    rrmp scenarios run my_spec.json --param policy.c=3
+    rrmp scenarios run scale_100k --shards 4 --jobs 4
 
 ``describe`` prints the spec's JSON form (the exact payload
 ``ScenarioSpec.from_json`` accepts) plus its digest; ``run``
@@ -14,13 +14,19 @@ materializes, runs to the measurement end and prints the summary
 metrics — as aligned text or, with ``--json``, as one JSON object for
 pipelines.
 
-Two scenario tiers resolve here.  Classic registry names run on the
-object engine; ``--shards N`` runs them mirror-sharded
-(:mod:`repro.scale.sharding`) with a merged trace digest byte-identical
-to the serial run.  Scale-tier names (``scale_10k``, ``scale_100k``)
-always run on the flat array engine (:mod:`repro.scale.engine`), where
-``--shards`` partitions regions across engines and ``--jobs`` > 1
-moves each shard into its own worker process.
+This module also owns the one way every subcommand (``scenarios``,
+``validate``, ``live``) gets from its command line to a spec:
+:func:`add_spec_arguments` declares the shared ``scenario`` /
+``--seed`` / ``--param`` group and :func:`spec_from_args` resolves it —
+a registered name or a spec JSON file
+(:func:`repro.scenario.registry.resolve_spec`), then the overrides.
+
+``run`` picks the engine from the registry: names registered with
+``engine="flat"`` (``scale_10k``, ``scale_100k``) execute on the flat
+array engine (:mod:`repro.scale.engine`), where ``--shards`` partitions
+regions across engines and ``--jobs`` > 1 moves each shard into its own
+worker process; everything else — object-engine names and spec files —
+runs on the object engine, which has no sharded mode.
 
 ``--profile`` wraps the run in cProfile: raw stats land in
 ``profile.pstats`` (override with ``--profile-out``) and the top 25
@@ -31,14 +37,53 @@ functions by cumulative time go to stderr, leaving stdout clean for
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+from typing import Optional
 
 from repro.metrics.runreport import RunReport
 from repro.runner.profiling import maybe_profile
 from repro.scale.engine import run_flat
-from repro.scale.scenarios import get_scale_scenario, scale_scenarios
-from repro.scale.sharding import run_mirror_sharded
-from repro.scenario.registry import get_scenario, registered_scenarios
+from repro.scenario.registry import registered_scenarios, resolve_spec, scenario_names
+from repro.scenario.spec import ScenarioSpec
+
+
+def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``scenario`` / ``--seed`` / ``--param`` group every
+    spec-consuming subcommand shares (read by :func:`spec_from_args`)."""
+    parser.add_argument("scenario", help="registered scenario name or path to a "
+                                         "ScenarioSpec JSON file")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the spec's master seed")
+    parser.add_argument("--param", action="append", default=[], metavar="K=V",
+                        help="override a spec field by dotted path, e.g. "
+                             "--param congestion.controller=tfmcc "
+                             "--param policy.c=3")
+
+
+def spec_from_args(args: argparse.Namespace) -> Optional[ScenarioSpec]:
+    """Resolve the shared argument group into a spec.
+
+    An unknown name, an unreadable spec file or a bad override is a
+    usage error: it is reported on stderr — with the catalogue, for an
+    unknown name — and ``None`` comes back, for the caller to turn into
+    exit code 2.  Only the lookup is guarded; failures inside a run
+    must stay loud.
+    """
+    from repro.experiments.cli import parse_param
+
+    try:
+        spec = resolve_spec(args.scenario)
+        if args.seed is not None:
+            spec = spec.with_(seed=args.seed)
+        return _apply_spec_overrides(
+            spec, [parse_param(text) for text in args.param]
+        )
+    except (KeyError, OSError, TypeError, ValueError,
+            argparse.ArgumentTypeError) as error:
+        message = error.args[0] if isinstance(error, KeyError) else error
+        print(f"error: {message}", file=sys.stderr)
+        return None
 
 
 def add_scenarios_parser(commands) -> None:
@@ -49,24 +94,17 @@ def add_scenarios_parser(commands) -> None:
     actions = parser.add_subparsers(dest="scenario_command", required=True)
     actions.add_parser("list", help="list registered scenarios")
     describe = actions.add_parser("describe", help="print one scenario's spec JSON")
-    describe.add_argument("name")
+    add_spec_arguments(describe)
     run = actions.add_parser("run", help="build and run one scenario")
-    run.add_argument("name")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the spec's master seed")
-    run.add_argument("--param", action="append", default=[], metavar="K=V",
-                     help="override a spec field by dotted path, e.g. "
-                          "--param congestion.controller=tfmcc "
-                          "--param congestion.target_loss=0.02")
+    add_spec_arguments(run)
     run.add_argument("--json", action="store_true", dest="as_json",
                      help="print the run summary as JSON")
     run.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="partition the run across N shards (classic names: "
-                          "mirror-sharded with a digest identical to serial; "
-                          "scale-tier names: region-partitioned flat engines)")
+                     help="flat-engine scenarios only: partition the regions "
+                          "across N flat engines")
     run.add_argument("--jobs", type=int, default=None, metavar="M",
-                     help="worker processes for sharded runs (default: in-"
-                          "process for scale tier, one per shard for classic)")
+                     help="flat-engine scenarios only: M > 1 runs each shard "
+                          "in its own worker process (default: in-process)")
     run.add_argument("--profile", action="store_true",
                      help="profile the run with cProfile (stats file + top-25 "
                           "cumulative on stderr)")
@@ -75,57 +113,28 @@ def add_scenarios_parser(commands) -> None:
                           "(default: profile.pstats)")
 
 
-def _resolve(name: str):
-    """Look *name* up in the classic registry, then the scale tier.
-
-    Returns ``(spec, is_scale_tier)``; raises ``KeyError`` naming both
-    catalogues when neither tier knows the name.
-    """
-    try:
-        return get_scenario(name), False
-    except KeyError as classic_error:
-        try:
-            return get_scale_scenario(name), True
-        except KeyError:
-            raise KeyError(
-                f"{classic_error.args[0]}; scale tier: "
-                + ", ".join(scale_scenarios())
-            ) from None
-
-
 def main_scenarios(args: argparse.Namespace) -> int:
     """Dispatch a parsed ``scenarios`` invocation; returns the exit code."""
     if args.scenario_command == "list":
         return _cmd_list()
-    try:
-        spec, is_scale = _resolve(args.name)
-    except KeyError as error:
-        # Unknown name: a usage error with the catalogue, not a
-        # traceback.  Only the lookup is guarded — failures inside the
-        # simulation itself must stay loud.
-        print(f"error: {error.args[0]}", file=sys.stderr)
+    spec = spec_from_args(args)
+    if spec is None:
         return 2
     if args.scenario_command == "describe":
         return _cmd_describe(spec)
-    return _cmd_run(spec, is_scale, args)
+    return _cmd_run(spec, args)
 
 
 def _cmd_list() -> int:
-    entries = registered_scenarios()
-    scale_tier = scale_scenarios()
-    width = max(
-        max(len(name) for name in entries),
-        max(len(name) for name in scale_tier),
-    )
-    for name, entry in entries.items():
-        spec = entry.spec()
-        members = spec.topology.member_count()
-        print(f"{name.ljust(width)}  [{members:>6d} members]  {entry.description}")
-    print()
-    print("scale tier (flat engine):")
-    for name, spec in scale_tier.items():
-        members = spec.topology.member_count()
-        print(f"{name.ljust(width)}  [{members:>6d} members]  {spec.description}")
+    tiers = {engine: registered_scenarios(engine) for engine in ("object", "flat")}
+    width = max(len(name) for entries in tiers.values() for name in entries)
+    for engine, entries in tiers.items():
+        if engine == "flat":
+            print()
+            print("scale tier (flat engine):")
+        for name, entry in entries.items():
+            members = entry.spec().topology.member_count()
+            print(f"{name.ljust(width)}  [{members:>6d} members]  {entry.description}")
     return 0
 
 
@@ -142,8 +151,6 @@ def _apply_spec_overrides(spec, pairs):
     assignment runs through ``dataclasses.replace``, so the sub-spec's
     ``__post_init__`` validation re-fires on the overridden value.
     """
-    import dataclasses
-
     for key, value in pairs:
         parts = key.split(".")
         node = spec
@@ -167,34 +174,22 @@ def _apply_spec_overrides(spec, pairs):
     return spec
 
 
-def _cmd_run(spec, is_scale: bool, args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        spec = spec.with_(seed=args.seed)
-    if args.param:
-        from repro.experiments.cli import parse_param
-
-        try:
-            spec = _apply_spec_overrides(
-                spec, [parse_param(text) for text in args.param]
-            )
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+def _cmd_run(spec, args: argparse.Namespace) -> int:
     if args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
+    flat = args.scenario in scenario_names("flat")
+    if args.shards > 1 and not flat:
+        print(f"error: --shards applies to flat-engine scenarios only "
+              f"({', '.join(scenario_names('flat'))}); {args.scenario!r} runs "
+              "on the object engine", file=sys.stderr)
+        return 2
     with maybe_profile(args.profile, args.profile_out):
-        if is_scale:
+        if flat:
             processes = args.jobs is not None and args.jobs > 1
-            result = run_flat(spec, shards=args.shards, processes=processes)
-            summary = result.summary()
-        elif args.shards > 1:
-            result = run_mirror_sharded(spec, args.shards, jobs=args.jobs)
-            summary = result.payload()
+            summary = run_flat(spec, shards=args.shards, processes=processes).summary()
         else:
-            built = spec.build()
-            built.run()
-            summary = built.summary()
+            summary = spec.build().run().summary()
     report = RunReport(kind="scenario", scenario=spec.name, seed=spec.seed,
                        metrics=summary)
     if args.as_json:

@@ -1,10 +1,15 @@
 """Materialize a :class:`~repro.scenario.spec.ScenarioSpec` into a run.
 
-``build_scenario`` is the single assembly point that used to be
-duplicated across every experiment, workload, test and example: it
-turns the declarative spec into a fully wired
-:class:`~repro.protocol.rrmp.RrmpSimulation` with traffic, churn,
-occupancy probes and FEC flush scheduled.
+There is one path from a spec to a wired, loaded member group, and both
+engines walk it: :func:`network_models` builds what must exist before
+the group (latency, transport loss, sender outcome, mobility manager),
+the engine builds its group — :func:`build_scenario` an
+:class:`~repro.protocol.rrmp.RrmpSimulation`,
+:class:`~repro.live.session.LiveSession` its members over UDP — and
+:func:`install_workload` installs the paper's §3–§4 workload on it
+through the :class:`~repro.protocol.rrmp.MemberGroup` surface alone.
+:class:`BuiltScenario` then stops, finalizes and summarizes the run the
+same way whichever clock drove it.
 
 Determinism contract: for a given spec the build performs the exact
 same construction steps, in the same order, with the same named RNG
@@ -12,15 +17,16 @@ streams as the historical hand-assembled setups — so migrating an
 experiment onto specs leaves its tables byte-identical.  Build order:
 
 1. hierarchy, config, latency, transport loss, outcome, policy factory;
-2. the simulation itself;
-3. stability agents (``policy.kind == "stability"``);
-4. occupancy probes (``measurement.probe_period``);
-5. traffic (streams scheduled; probe workloads injected immediately);
-6. FEC tail flush;
-7. churn;
-8. mobility epochs (``spec.mobility``, pre-scheduled finite ticks).
+2. the group itself;
+3. trace subscribers (makespan, playout), adaptive tree, oracle;
+4. stability agents (``policy.kind == "stability"``);
+5. occupancy probes (``measurement.probe_period``);
+6. traffic (streams scheduled; probe workloads injected immediately);
+7. FEC tail flush;
+8. churn;
+9. mobility epochs (``spec.mobility``, pre-scheduled finite ticks).
 
-Steps 4-before-5 matter: probe and send events that share a deadline
+Steps 5-before-6 matter: probe and send events that share a deadline
 fire in insertion order, and the historical experiments created their
 probes before scheduling traffic.
 """
@@ -28,7 +34,7 @@ probes before scheduling traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Mapping, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adapt import LinkStateEstimator, TreeOptimizer
@@ -70,7 +76,7 @@ from repro.net.topology import (
 from repro.cc import CongestionDriver, controller_for, install_feedback_reporters
 from repro.protocol.config import FEC_OFF, CongestionConfig, RrmpConfig
 from repro.protocol.messages import DataMessage
-from repro.protocol.rrmp import RrmpSimulation, default_sender_node
+from repro.protocol.rrmp import MemberGroup, RrmpSimulation, default_sender_node
 from repro.scenario.spec import (
     CongestionSpec,
     FecSpec,
@@ -155,14 +161,12 @@ def policy_factory_for(policy: PolicySpec) -> Optional[PolicyFactory]:
     return lambda _n: NoBufferPolicy()
 
 
-def transport_loss_for(
-    loss: LossSpec, hierarchy: Optional[Hierarchy] = None
-) -> Optional[LossModel]:
+def transport_loss_for(loss: LossSpec, hierarchy: Hierarchy) -> Optional[LossModel]:
     """The spec's transport-level loss model (``None`` = lossless).
 
-    The ``outage`` kind is region-aware and needs *hierarchy*: the
-    partitioned regions are the last ``outage_regions`` non-sender
-    regions in sorted order (deterministic in the topology alone).
+    The ``outage`` kind is region-aware: the partitioned regions are the
+    last ``outage_regions`` non-sender regions in sorted order
+    (deterministic in the topology alone).
     """
     if loss.kind == "gilbert_elliott":
         return GilbertElliottLoss(
@@ -178,8 +182,6 @@ def transport_loss_for(
             base_loss=loss.receiver_loss,
         )
     if loss.kind == "outage":
-        if hierarchy is None:
-            raise ValueError("outage loss needs the hierarchy to pick regions")
         sender_region = hierarchy.region_id_of(default_sender_node(hierarchy))
         candidates = [
             region_id for region_id in sorted(hierarchy.regions)
@@ -196,16 +198,59 @@ def transport_loss_for(
     return None
 
 
-def outcome_for(loss: LossSpec) -> Optional[MulticastOutcome]:
+def outcome_for(loss: LossSpec, hierarchy: Hierarchy) -> Optional[MulticastOutcome]:
     """The spec's IP-multicast outcome model (``None`` = perfect)."""
     if loss.kind == "bernoulli":
         return BernoulliOutcome(loss.p)
     if loss.kind == "fixed_holders":
         return FixedHolderCount(loss.k)
+    if loss.kind == "region_correlated":
+        return RegionCorrelatedOutcome(
+            hierarchy,
+            region_loss=loss.region_loss,
+            receiver_loss=loss.receiver_loss,
+            sender=default_sender_node(hierarchy),
+        )
     # none / gilbert_elliott / bottleneck / outage -> perfect initial
-    # multicast (those models live in the transport);
-    # region_correlated -> post-wire
+    # multicast (those models live in the transport)
     return None
+
+
+class NetworkModels(NamedTuple):
+    """What a spec says about the wire, built before any group exists."""
+
+    latency: HierarchicalLatency
+    loss: Optional[LossModel]
+    outcome: Optional[MulticastOutcome]
+    #: Present when ``spec.mobility`` is enabled; not yet attached.
+    mobility: Optional[MobilityManager]
+
+
+def network_models(spec: ScenarioSpec, hierarchy: Hierarchy) -> NetworkModels:
+    """Step 1 of the build order, shared by every engine: the latency
+    model, the transport loss (distance-scaled under mobility), the
+    sender's multicast outcome and the mobility manager."""
+    topology = spec.topology
+    mobility = None
+    if spec.mobility.enabled:
+        # Built against the bare hierarchy so DistanceLoss can wrap the
+        # manager into the transport before the group exists.
+        mobility = MobilityManager(hierarchy, spec.mobility, spec.seed)
+    loss = transport_loss_for(spec.loss, hierarchy)
+    if mobility is not None and spec.mobility.distance_loss > 0:
+        loss = DistanceLoss(mobility, spec.mobility.distance_loss, base=loss)
+    return NetworkModels(
+        latency=HierarchicalLatency(
+            hierarchy,
+            intra_one_way=topology.intra_one_way,
+            inter_one_way=topology.inter_one_way,
+            inter_up_one_way=topology.inter_up_one_way,
+            inter_down_one_way=topology.inter_down_one_way,
+        ),
+        loss=loss,
+        outcome=outcome_for(spec.loss, hierarchy),
+        mobility=mobility,
+    )
 
 
 def traffic_generator_for(
@@ -245,7 +290,13 @@ def traffic_generator_for(
 
 @dataclass
 class BuiltScenario:
-    """A materialized scenario: the simulation plus everything scheduled.
+    """A materialized scenario: the member group plus everything
+    :func:`install_workload` put on it.
+
+    ``simulation`` is the group: the
+    :class:`~repro.protocol.rrmp.RrmpSimulation` that
+    :func:`build_scenario` made, or — on the live engine — the
+    :class:`~repro.live.session.LiveSession` itself.
 
     Probe workloads (``detect_all``/``search_probe``) expose their cast
     — ``data``, ``holders``, ``bufferers``, ``requester`` — so result
@@ -254,16 +305,16 @@ class BuiltScenario:
     """
 
     spec: ScenarioSpec
-    simulation: RrmpSimulation
+    simulation: MemberGroup
     traffic: Optional[TrafficGenerator] = None
     message_count: int = 0
     churn: Optional[ChurnSchedule] = None
     stability_agents: List = field(default_factory=list)
     #: Invariant oracle (:mod:`repro.validate`), attached when
-    #: ``measurement.oracle`` is set; ``run()`` finalizes it.
+    #: ``measurement.oracle`` is set; ``finish()`` finalizes it.
     oracle: Optional["InvariantOracle"] = None
     #: Closed-loop send driver (:mod:`repro.cc`), present when the
-    #: spec's congestion controller is not ``"none"``.  ``run()``
+    #: spec's congestion controller is not ``"none"``.  ``finish()``
     #: refreshes ``message_count`` from its actual send count.
     cc_driver: Optional[CongestionDriver] = None
     cc_reporters: List = field(default_factory=list)
@@ -273,19 +324,19 @@ class BuiltScenario:
     total_probe: Optional[OccupancyProbe] = None
     node_probe: Optional[OccupancyProbe] = None
     #: Delivery-span tracker (:mod:`repro.metrics.makespan`), attached
-    #: when the spec keeps a trace; pure subscriber, never scheduled.
+    #: when the trace is being emitted; pure subscriber, never scheduled.
     makespan: Optional[MakespanTracker] = None
     #: Adaptive-tree pieces (:mod:`repro.adapt`), present only when
-    #: ``spec.adapt`` is enabled; ``run()`` stops the optimizer.
+    #: ``spec.adapt`` is enabled.
     linkstate: Optional["LinkStateEstimator"] = None
     adapt: Optional["TreeOptimizer"] = None
     #: Waypoint-mobility manager (:mod:`repro.workloads.mobility`),
     #: present when ``spec.mobility`` is enabled; its movement epochs
-    #: are pre-scheduled as a finite set, so ``run()`` need not stop it.
+    #: are pre-scheduled as a finite set, so nobody need stop it.
     mobility: Optional[MobilityManager] = None
     #: Playout-deadline tracker (:mod:`repro.metrics.rebuffer`),
-    #: attached when ``spec.playout`` is enabled and the spec keeps a
-    #: trace; pure subscriber, never scheduled.
+    #: attached when ``spec.playout`` is enabled and the trace is being
+    #: emitted; pure subscriber, never scheduled.
     rebuffer: Optional[RebufferTracker] = None
     data: Optional[DataMessage] = None
     holders: List[NodeId] = field(default_factory=list)
@@ -298,8 +349,41 @@ class BuiltScenario:
         """Largest single-member occupancy any probe tick observed."""
         return self._peak_node
 
+    def stop_periodic(self) -> None:
+        """Stop everything installed here that re-arms itself: the CC
+        send loop and feedback reporters, the tree optimizer, occupancy
+        probes and stability agents.  Idempotent."""
+        if self.cc_driver is not None:
+            self.cc_driver.stop()
+        for reporter in self.cc_reporters:
+            reporter.stop()
+        if self.adapt is not None:
+            self.adapt.stop()
+        for probe in (self.total_probe, self.node_probe):
+            if probe is not None:
+                probe.stop()
+        for agent in self.stability_agents:
+            agent.stop()
+
+    def quiesce(self) -> None:
+        """Stop the periodic machinery *and* the session heartbeat, or
+        the group's clock never runs dry."""
+        self.stop_periodic()
+        if self.simulation.sender is not None:
+            self.simulation.sender.stop()
+
+    def finish(self) -> None:
+        """The measurement end, once the clock has been advanced."""
+        self.stop_periodic()
+        if self.cc_driver is not None:
+            # Under congestion control ``message_count`` is what the
+            # paced sender actually transmitted, not the offered load.
+            self.message_count = self.cc_driver.sent
+        if self.oracle is not None:
+            self.oracle.finish()
+
     def run(self) -> "BuiltScenario":
-        """Advance to the measurement end, then stop probes and agents."""
+        """Advance a simulated group to the measurement end and finish."""
         measurement = self.spec.measurement
         simulation = self.simulation
         bounded = False
@@ -310,60 +394,43 @@ class BuiltScenario:
             simulation.run(duration=measurement.duration)
             bounded = True
         if measurement.drain or not bounded:
-            # Drain (the explicit ``drain`` flag, possibly after a bounded
-            # run, or the no-bound default): stop the session heartbeat
-            # first or the queue never empties.  Feedback reporters and
-            # the CC send loop are periodic too — stop them or drain
-            # never terminates.
-            if self.cc_driver is not None:
-                self.cc_driver.stop()
-            for reporter in self.cc_reporters:
-                reporter.stop()
-            if self.adapt is not None:
-                self.adapt.stop()
-            if simulation.config.session_interval is not None:
-                simulation.sender.stop()
+            # Drain: the explicit ``drain`` flag, possibly after a
+            # bounded run, or the no-bound default.
+            self.quiesce()
             simulation.sim.drain()
-        if self.adapt is not None:
-            self.adapt.stop()
-        if self.cc_driver is not None:
-            self.cc_driver.stop()
-            for reporter in self.cc_reporters:
-                reporter.stop()
-            # Under congestion control ``message_count`` is what the
-            # paced sender actually transmitted, not the offered load.
-            self.message_count = self.cc_driver.sent
-        if self.total_probe is not None:
-            self.total_probe.stop()
-        if self.node_probe is not None:
-            self.node_probe.stop()
-        for agent in self.stability_agents:
-            agent.stop()
-        if self.oracle is not None:
-            self.oracle.finish()
+        self.finish()
         return self
 
     def summary(self) -> dict:
-        """Headline metrics of the run (the ``scenarios run`` payload)."""
-        simulation = self.simulation
-        latencies = simulation.recovery_latencies()
-        alive = simulation.alive_members()
-        delivered = simulation.delivered_fraction(self.message_count)
+        """Headline metrics of a simulated run (the ``scenarios run``
+        payload)."""
+        sim = self.simulation.sim
+        return self.summarize(
+            {}, {"events_fired": sim.events_fired, "sim_time_ms": sim.now}
+        )
+
+    def summarize(self, identity: Mapping, engine: Mapping) -> dict:
+        """The summary both engines print.  *identity* lands after the
+        spec's own identity keys and *engine* after the traffic counts —
+        where the live payload has always carried its ``mode``/
+        ``speedup`` and its socket and clock readings."""
+        group = self.simulation
+        latencies = group.recovery_latencies()
         result = {
             "scenario": self.spec.name,
             "seed": self.spec.seed,
             "digest": self.spec.digest(),
-            "members": len(simulation.members),
-            "alive_members": len(alive),
+            **identity,
+            "members": len(group.members),
+            "alive_members": len(group.alive_members()),
             "messages": self.message_count,
-            "delivered_fraction": delivered,
+            "delivered_fraction": group.delivered_fraction(self.message_count),
             "recoveries": len(latencies),
             "mean_recovery_latency_ms": mean(latencies) if latencies else 0.0,
-            "reliability_violations": simulation.violation_count(),
-            "control_messages": simulation.control_message_count(),
-            "data_messages": simulation.data_message_count(),
-            "events_fired": simulation.sim.events_fired,
-            "sim_time_ms": simulation.sim.now,
+            "reliability_violations": group.violation_count(),
+            "control_messages": group.control_message_count(),
+            "data_messages": group.data_message_count(),
+            **engine,
         }
         if self.total_probe is not None:
             result["avg_total_occupancy"] = self.total_probe.average()
@@ -447,62 +514,65 @@ def inject_search_probe(group, traffic: TrafficSpec):
     return data, chosen, requester
 
 
-def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
-    """Materialize *spec*: simulation built, traffic and churn scheduled."""
-    hierarchy = build_hierarchy(spec.topology)
-    config = build_config(spec.policy, spec.fec, spec.congestion)
-    mobility_manager: Optional[MobilityManager] = None
-    if spec.mobility.enabled:
-        # Built against the bare hierarchy so DistanceLoss can wrap the
-        # manager into the transport before the simulation exists.
-        mobility_manager = MobilityManager(hierarchy, spec.mobility, spec.seed)
-    loss_model = transport_loss_for(spec.loss, hierarchy)
-    if mobility_manager is not None and spec.mobility.distance_loss > 0:
-        loss_model = DistanceLoss(
-            mobility_manager, spec.mobility.distance_loss, base=loss_model
-        )
-    simulation = RrmpSimulation(
-        hierarchy,
-        config=config,
-        seed=spec.seed,
-        latency=HierarchicalLatency(
-            hierarchy,
-            intra_one_way=spec.topology.intra_one_way,
-            inter_one_way=spec.topology.inter_one_way,
-            inter_up_one_way=spec.topology.inter_up_one_way,
-            inter_down_one_way=spec.topology.inter_down_one_way,
-        ),
-        loss=loss_model,
-        outcome=outcome_for(spec.loss),
-        policy_factory=policy_factory_for(spec.policy),
-        keep_trace=spec.measurement.keep_trace,
-    )
-    if spec.loss.kind == "region_correlated":
-        simulation.sender.outcome = RegionCorrelatedOutcome(
-            hierarchy,
-            region_loss=spec.loss.region_loss,
-            receiver_loss=spec.loss.receiver_loss,
-            sender=simulation.sender.node_id,
-        )
-    built = BuiltScenario(spec=spec, simulation=simulation)
+def _active_window(duration: float, spec: ScenarioSpec, what: str) -> float:
+    """How long a timed spec node runs: its own ``duration``, else the
+    measurement horizon."""
+    if duration > 0:
+        return duration
+    window = spec.measurement.horizon or spec.measurement.duration
+    if window is None:
+        raise ValueError(f"{what} needs a duration or a horizon")
+    return window
 
-    if spec.measurement.keep_trace:
+
+def install_workload(built: BuiltScenario) -> BuiltScenario:
+    """Install ``built.spec``'s workload on the group ``built.simulation``.
+
+    Steps 3-9 of the module's build order, written against the
+    :class:`~repro.protocol.rrmp.MemberGroup` surface (``sim`` is any
+    clock with ``now``/``at``/``after``), so the simulated and the live
+    engine install the same things in the same order from the same
+    named RNG streams.  A live shard hosts a subset of the members and
+    maybe not the sender: spec nodes that act on the whole group are
+    refused there by name.
+    """
+    spec = built.spec
+    group = built.simulation
+    config = group.config
+    sender = group.sender
+    trace = group.trace
+    if group.sharded:
+        for node, wanted in (
+            (f"traffic ({spec.traffic.kind})",
+             spec.traffic.kind in ("detect_all", "search_probe")),
+            ("churn", spec.churn.kind == "random"),
+            ("mobility", spec.mobility.enabled),
+            ("adapt", spec.adapt.enabled),
+        ):
+            if wanted:
+                raise ValueError(
+                    f"spec node {node} acts on the whole group and cannot "
+                    "run in a sharded session; deploy it loopback"
+                )
+
+    if trace.enabled:
         # Pure subscriber: schedules nothing, so event counts and trace
-        # digests are untouched.  Gated on keep_trace because the first
-        # subscription flips the trace's hot-path ``enabled`` guard,
-        # which a streaming (keep_trace=False) sweep relies on.
-        built.makespan = MakespanTracker().attach(simulation.trace)
+        # digests are untouched.  Gated on a trace that is already being
+        # emitted because the first subscription flips its hot-path
+        # ``enabled`` guard, which a streaming (keep_trace=False) sweep
+        # relies on.
+        built.makespan = MakespanTracker().attach(trace)
 
-    if spec.playout.enabled and spec.measurement.keep_trace:
+    if spec.playout.enabled and trace.enabled:
         # Same pure-subscriber contract as the makespan tracker.  The
-        # spec and tracker are stashed on the simulation so the oracle's
+        # spec and tracker are stashed on the group so the oracle's
         # rebuffer-accounting invariant can cross-check the counts.
         built.rebuffer = RebufferTracker(
             interval=spec.playout.interval,
             startup_delay=spec.playout.startup_delay,
-        ).attach(simulation.trace)
-        simulation.playout_spec = spec.playout
-        simulation.rebuffer_tracker = built.rebuffer
+        ).attach(trace)
+        group.playout_spec = spec.playout
+        group.rebuffer_tracker = built.rebuffer
 
     if spec.adapt.enabled:
         # Imported lazily for the same reason as the oracle below.
@@ -513,15 +583,15 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         inter = spec.topology.inter_one_way
         prior_rtt = (inter if up is None else up) + (inter if down is None else down)
         built.linkstate = LinkStateEstimator(
-            hierarchy,
+            group.hierarchy,
             ewma_alpha=spec.adapt.ewma_alpha,
             default_rtt_ms=prior_rtt,
-        ).attach(simulation.trace)
+        ).attach(trace)
         built.adapt = TreeOptimizer(
-            simulation.sim,
-            hierarchy,
+            group.sim,
+            group.hierarchy,
             built.linkstate,
-            simulation.trace,
+            trace,
             update_interval=spec.adapt.update_interval,
             hysteresis=spec.adapt.hysteresis,
             max_reparents=spec.adapt.max_reparents,
@@ -535,103 +605,115 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         # workers, and repro.validate pulls in the full oracle stack.
         from repro.validate.oracle import InvariantOracle
 
-        built.oracle = InvariantOracle().attach(simulation)
+        built.oracle = InvariantOracle().attach(group)
 
     if spec.policy.kind == "stability":
-        built.stability_agents = attach_stability(list(simulation.members.values()))
+        built.stability_agents = attach_stability(list(group.members.values()))
 
     if spec.measurement.probe_period is not None:
         period = spec.measurement.probe_period
         built.total_probe = OccupancyProbe(
-            simulation.sim, simulation.buffer_occupancy, period=period
+            group.sim, group.buffer_occupancy, period=period
         )
 
         def sample_peak() -> float:
-            per_node = simulation.occupancy_by_node()
+            per_node = group.occupancy_by_node()
             current = max(per_node.values()) if per_node else 0
             built._peak_node = max(built._peak_node, float(current))
             return float(current)
 
-        built.node_probe = OccupancyProbe(simulation.sim, sample_peak, period=period)
+        built.node_probe = OccupancyProbe(group.sim, sample_peak, period=period)
 
+    flush_fec = config.fec_mode != FEC_OFF and spec.fec.flush_after is not None
     if spec.traffic.kind == "detect_all":
-        built.data, built.holders = inject_detect_all(simulation, spec.traffic)
+        built.data, built.holders = inject_detect_all(group, spec.traffic)
         built.message_count = 1
     elif spec.traffic.kind == "search_probe":
         built.data, built.bufferers, built.requester = inject_search_probe(
-            simulation, spec.traffic
+            group, spec.traffic
         )
         built.message_count = 1
     else:
-        generator = traffic_generator_for(spec.traffic, spec, simulation.streams)
+        generator = traffic_generator_for(spec.traffic, spec, group.streams)
         if generator is not None:
             built.traffic = generator
-            if spec.congestion.enabled:
-                flush_fec = (
-                    config.fec_mode != FEC_OFF
-                    and spec.fec.flush_after is not None
-                )
+            congested = config.congestion.enabled
+            if sender is None:
+                # The sender lives in another shard; still consume the
+                # arrival draw so Poisson streams stay aligned with the
+                # sender's schedule.
+                built.message_count = generator.arrival_count()
+            elif congested:
 
                 def _on_stream_complete(now: float) -> None:
                     if flush_fec:
-                        simulation.sim.at(
-                            now + spec.fec.flush_after,
-                            simulation.sender.flush_parity,
-                        )
+                        group.sim.at(now + spec.fec.flush_after, sender.flush_parity)
 
-                controller = controller_for(config.congestion)
                 built.cc_driver = CongestionDriver(
-                    simulation.sim,
-                    simulation.sender,
+                    group.sim,
+                    sender,
                     generator,
-                    controller,
-                    trace=simulation.trace,
+                    controller_for(config.congestion),
+                    trace=trace,
                     on_complete=_on_stream_complete,
                 )
                 built.cc_driver.start()
+            else:
+                built.message_count = generator.schedule(group)
+            if congested:
+                # The driver lives with the sender, but feedback flows
+                # from every shard's receivers.
                 built.cc_reporters = install_feedback_reporters(
-                    simulation.members.values(),
-                    simulation.sender.node_id,
+                    group.members.values(),
+                    default_sender_node(group.hierarchy),
                     config.congestion.feedback_interval,
                 )
                 built.offered_count = generator.arrival_count()
                 built.message_count = built.offered_count
-            else:
-                built.message_count = generator.schedule(simulation)
 
-    if config.fec_mode != FEC_OFF and spec.fec.flush_after is not None:
-        if (
-            built.cc_driver is None
-            and built.traffic is not None
-            and built.message_count > 0
-        ):
-            simulation.sim.at(
-                built.traffic.end_time() + spec.fec.flush_after,
-                simulation.sender.flush_parity,
-            )
+    if (
+        flush_fec
+        and built.cc_driver is None
+        and sender is not None
+        and built.traffic is not None
+        and built.message_count > 0
+    ):
+        group.sim.at(
+            built.traffic.end_time() + spec.fec.flush_after, sender.flush_parity
+        )
 
     if spec.churn.kind == "random":
-        duration = spec.churn.duration
-        if duration <= 0:
-            duration = spec.measurement.horizon or spec.measurement.duration
-            if duration is None:
-                raise ValueError("random churn needs a duration or a horizon")
-        protect = [simulation.sender.node_id] if spec.churn.protect_sender else []
         built.churn = random_churn(
-            simulation,
-            simulation.streams.stream("scenario", "churn"),
-            duration=duration,
+            group,
+            group.streams.stream("scenario", "churn"),
+            duration=_active_window(spec.churn.duration, spec, "random churn"),
             leave_rate=spec.churn.leave_rate,
             crash_rate=spec.churn.crash_rate,
             join_rate=spec.churn.join_rate,
-            protect=protect,
+            protect=[sender.node_id] if spec.churn.protect_sender else [],
         )
 
-    if mobility_manager is not None:
-        duration = spec.mobility.duration
-        if duration <= 0:
-            duration = spec.measurement.horizon or spec.measurement.duration
-            if duration is None:
-                raise ValueError("mobility needs a duration or a horizon")
-        built.mobility = mobility_manager.attach(simulation, duration)
+    if built.mobility is not None:
+        built.mobility.attach(
+            group, _active_window(spec.mobility.duration, spec, "mobility")
+        )
     return built
+
+
+def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
+    """Materialize *spec*: simulation built, traffic and churn scheduled."""
+    hierarchy = build_hierarchy(spec.topology)
+    models = network_models(spec, hierarchy)
+    simulation = RrmpSimulation(
+        hierarchy,
+        config=build_config(spec.policy, spec.fec, spec.congestion),
+        seed=spec.seed,
+        latency=models.latency,
+        loss=models.loss,
+        outcome=models.outcome,
+        policy_factory=policy_factory_for(spec.policy),
+        keep_trace=spec.measurement.keep_trace,
+    )
+    return install_workload(
+        BuiltScenario(spec=spec, simulation=simulation, mobility=models.mobility)
+    )

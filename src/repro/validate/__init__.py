@@ -13,8 +13,8 @@ The safety net every other subsystem runs inside:
 
 Enable per run via ``MeasurementSpec(oracle=True)``, or from the CLI::
 
-    rrmp-experiments validate run scale
-    rrmp-experiments validate fuzz --trials 200 --seed 0
+    rrmp validate run scale
+    rrmp validate fuzz --trials 200 --seed 0
 """
 
 from repro.validate.fuzz import (

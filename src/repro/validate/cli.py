@@ -1,15 +1,16 @@
 """The ``validate`` CLI subcommand: oracle runs, fuzzing, replays.
 
-Wired into the ``rrmp-experiments`` entry point::
+Wired into the ``rrmp`` entry point::
 
-    rrmp-experiments validate run scale --json
-    rrmp-experiments validate fuzz --trials 200 --seed 0 --artifacts out/
-    rrmp-experiments validate replay out/repro_000042_ab12cd34ef56.json
-    rrmp-experiments validate replay out/   # every artifact, summarized
-    rrmp-experiments validate digest wan_burst_loss
+    rrmp validate run scale --json
+    rrmp validate fuzz --trials 200 --seed 0 --artifacts out/
+    rrmp validate replay out/repro_000042_ab12cd34ef56.json
+    rrmp validate replay out/   # every artifact, summarized
+    rrmp validate digest wan_burst_loss
 
-``run`` executes one registered scenario (or a spec JSON file) with
-the invariant oracle attached; ``fuzz`` samples random specs (see
+``run`` executes one registered scenario (or a spec JSON file, resolved
+like every subcommand's — see :mod:`repro.scenario.cli`) with the
+invariant oracle attached; ``fuzz`` samples random specs (see
 :mod:`repro.validate.fuzz`); ``replay`` re-runs the spec stored in a
 repro artifact; ``digest`` prints a scenario's trace digest (what the
 golden baselines under ``tests/baselines/`` pin).
@@ -26,7 +27,7 @@ import os
 import sys
 
 from repro.metrics.runreport import RunReport
-from repro.scenario.registry import get_scenario
+from repro.scenario.cli import add_spec_arguments, spec_from_args
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.tracing import trace_digest
 from repro.validate.fuzz import load_artifact_spec, run_fuzz, run_spec
@@ -44,10 +45,7 @@ def add_validate_parser(commands) -> None:
         "run", help="run one scenario (registry name or spec JSON file) "
                     "under the invariant oracle",
     )
-    run.add_argument("scenario", help="registered scenario name or path to a "
-                                      "ScenarioSpec JSON file")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the spec's master seed")
+    add_spec_arguments(run)
     run.add_argument("--json", action="store_true", dest="as_json",
                      help="print the oracle report as JSON")
 
@@ -79,9 +77,7 @@ def add_validate_parser(commands) -> None:
     digest = actions.add_parser(
         "digest", help="print a scenario's deterministic trace digest",
     )
-    digest.add_argument("scenario")
-    digest.add_argument("--seed", type=int, default=None,
-                        help="override the spec's master seed")
+    add_spec_arguments(digest)
 
 
 def main_validate(args: argparse.Namespace) -> int:
@@ -100,28 +96,12 @@ def main_validate(args: argparse.Namespace) -> int:
             return 2
         return _run_under_oracle(spec, as_json=args.as_json)
     # run / digest need a scenario lookup
-    try:
-        spec = _resolve_scenario(args.scenario)
-    except (KeyError, OSError, ValueError) as error:
-        message = error.args[0] if error.args else error
-        print(f"error: {message}", file=sys.stderr)
+    spec = spec_from_args(args)
+    if spec is None:
         return 2
-    if args.seed is not None:
-        spec = spec.with_(seed=args.seed)
     if command == "digest":
         return _cmd_digest(spec)
     return _run_under_oracle(spec, as_json=args.as_json)
-
-
-def _resolve_scenario(name: str) -> ScenarioSpec:
-    """A registry name, or a path to a ScenarioSpec JSON file."""
-    try:
-        return get_scenario(name)
-    except KeyError:
-        if os.path.exists(name):
-            with open(name, encoding="utf-8") as handle:
-                return ScenarioSpec.from_json(handle.read())
-        raise
 
 
 def _run_under_oracle(spec: ScenarioSpec, as_json: bool) -> int:

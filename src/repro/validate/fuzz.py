@@ -10,8 +10,8 @@ additionally written out as a **repro artifact**: the (minimized)
 spec's JSON, its digest, and the first violating trace record, so any
 failure is a one-command replay::
 
-    rrmp-experiments validate fuzz --trials 200 --seed 0 --artifacts out/
-    rrmp-experiments validate replay out/repro_000042_ab12cd34ef56.json
+    rrmp validate fuzz --trials 200 --seed 0 --artifacts out/
+    rrmp validate replay out/repro_000042_ab12cd34ef56.json
 
 Sampled specs are bounded small (tens of members, a handful of
 messages, sub-second sim horizons) so hundreds of trials run in
@@ -466,7 +466,7 @@ def artifact_payload(
         "failure": outcome.failure_key,
         "violation_count": outcome.violation_count,
         "spec": outcome.spec.to_dict(),
-        "replay": "rrmp-experiments validate replay <this file>",
+        "replay": "rrmp validate replay <this file>",
     }
     if outcome.error is not None:
         payload["error"] = outcome.error

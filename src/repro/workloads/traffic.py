@@ -24,17 +24,14 @@ arrival process itself never shifts, so with congestion control off
 (``credit = -inf``) the emitted instants are exactly the historical
 open-loop schedule.
 
-:meth:`TrafficGenerator.send_times` survives as a deprecation shim that
-materializes the whole arrival list for callers still wanting the
-open-loop view; :meth:`TrafficGenerator.schedule` keeps installing that
-list directly on a simulation (the congestion-off fast path, preserved
+:meth:`TrafficGenerator.schedule` installs the whole arrival list
+directly on a simulation (the congestion-off fast path, preserved
 byte-identically).
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
@@ -97,24 +94,8 @@ class TrafficGenerator(ABC):
         return len(self._arrivals())
 
     # ------------------------------------------------------------------
-    # Open-loop compatibility surface
+    # Open-loop install
     # ------------------------------------------------------------------
-    def send_times(self) -> List[float]:
-        """Deprecated: the full open-loop arrival list.
-
-        .. deprecated::
-            Drive the pull API (:meth:`next_send`) instead.  The list is
-            derived from the same memoized arrival sequence the pull API
-            consumes (random streams no longer redraw per call).
-        """
-        warnings.warn(
-            "TrafficGenerator.send_times() is deprecated; drive the "
-            "pull API next_send(now, credit) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self._arrivals())
-
     def schedule(self, simulation) -> int:
         """Install all sends open-loop on *simulation*; returns the count.
 

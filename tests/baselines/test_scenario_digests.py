@@ -15,7 +15,7 @@ and the refreshed JSON committed alongside the change that explains
 it.  An unexplained drift is a silent behaviour change — exactly what
 this differential test exists to catch.
 
-``rrmp-experiments validate digest <scenario>`` prints one scenario's
+``rrmp validate digest <scenario>`` prints one scenario's
 digest for manual comparison.
 """
 

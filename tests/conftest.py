@@ -14,6 +14,16 @@ from repro.sim import RandomStreams, Simulator, TraceLog
 settings.register_profile("ci", max_examples=2_000, derandomize=True, deadline=None)
 
 
+def send_times(stream) -> list:
+    """Every send instant of a traffic generator, drained open-loop
+    through the pull API from the first arrival."""
+    stream.restart()
+    times = []
+    while (t := stream.next_send(0.0)) is not None:
+        times.append(t)
+    return times
+
+
 @pytest.fixture
 def sim() -> Simulator:
     """A fresh simulator starting at t = 0."""

@@ -126,6 +126,25 @@ class TestLiveNode:
                      "--nodes", "0,1", "--directory", str(directory)]) == 2
         assert "absent from the directory" in capsys.readouterr().err
 
+    def test_spec_node_a_shard_cannot_honour_is_a_usage_error(
+            self, tmp_path, capsys):
+        """The session's refusal reaches the user as ``error: ...`` and
+        exit 2, not as a traceback."""
+        spec = small_spec()
+        spec = spec.with_(
+            churn=dataclasses.replace(spec.churn, kind="random",
+                                      leave_rate=0.01, duration=100.0),
+            measurement=dataclasses.replace(spec.measurement, horizon=200.0),
+        )
+        directory = tmp_path / "dir.json"
+        directory.write_text(json.dumps({str(n): ["127.0.0.1", 1]
+                                         for n in range(6)}))
+        assert main(["live", "node", spec_path(tmp_path, spec),
+                     "--nodes", "0,1,2", "--directory", str(directory)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: spec node churn")
+        assert "Traceback" not in captured.err
+
     def test_missing_directory_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["live", "node", spec_path(tmp_path), "--nodes", "0",
                      "--directory", str(tmp_path / "missing.json")]) == 2

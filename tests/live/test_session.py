@@ -8,7 +8,8 @@ import dataclasses
 import pytest
 
 from repro.live.session import LiveSession, run_spec_live
-from repro.scenario.registry import get_scenario
+from repro.scenario.registry import get_scenario, scenario_names
+from repro.scenario.spec import AdaptSpec, ChurnSpec, MobilitySpec, PlayoutSpec
 from repro.validate.oracle import InvariantOracle
 
 
@@ -113,6 +114,102 @@ class TestLoopbackRun:
             try:
                 assert not session.sim.held
                 assert session.sim.now < 50.0
+            finally:
+                await session.close()
+
+        run(main())
+
+
+class TestRegistryScenariosLive:
+    """The live engine installs a spec through the same code as the
+    simulator, so no registry scenario may crash it or lose a node."""
+
+    def test_regional_outage_constructs_starts_and_closes(self):
+        """Regression: the outage loss model needs the hierarchy, and the
+        hand-written live installer did not pass it (traceback at
+        construction)."""
+        async def main():
+            session = LiveSession(get_scenario("regional_outage"), speedup=20.0)
+            try:
+                await session.start()
+                assert len(session.members) == 45
+            finally:
+                await session.close()
+
+        run(main())
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_scenario_starts_live_or_is_refused_by_name(self, name):
+        spec = get_scenario(name)
+
+        async def main():
+            session = LiveSession(spec, speedup=20.0)
+            try:
+                await session.start()
+            except ValueError as refusal:
+                assert "spec node" in str(refusal)
+                return
+            finally:
+                await session.close()
+            built = session.built
+            assert session.members and session.sender is not None
+            assert built.message_count > 0
+            assert (built.mobility is not None) == spec.mobility.enabled
+            assert (built.rebuffer is not None) == spec.playout.enabled
+            assert (built.cc_driver is not None) == spec.congestion.enabled
+            assert (built.churn is not None) == (spec.churn.kind == "random")
+
+        run(main())
+
+
+class TestNoSpecNodeDropped:
+    def test_playout_keys_reach_the_live_summary(self):
+        spec = small_spec(playout=PlayoutSpec(kind="cbr", interval=20.0,
+                                              startup_delay=50.0))
+        oracle = InvariantOracle()
+        session = run(run_spec_live(spec, speedup=20.0, oracle=oracle))
+        summary = session.summary()
+        assert summary["playout_receivers"] == 6
+        assert summary["frames_played"] > 0
+        assert "rebuffer_events" in summary
+        assert oracle.violation_count == 0  # rebuffer-accounting included
+        assert session.snapshot().rebuffer_events == summary["rebuffer_events"]
+
+    def test_mobility_adapt_and_probes_are_installed_live(self):
+        base = small_spec()
+        spec = base.with_(
+            mobility=MobilitySpec(kind="waypoint", epoch=20.0, duration=80.0),
+            adapt=AdaptSpec(mode="passive", update_interval=30.0),
+            measurement=dataclasses.replace(base.measurement, duration=150.0,
+                                            drain=False, probe_period=10.0),
+        )
+        summary = run(run_spec_live(spec, speedup=20.0)).summary()
+        assert summary["mobility_epochs"] == 4
+        assert summary["adapt_updates"] >= 1
+        assert summary["avg_total_occupancy"] > 0
+        # New keys only ever follow the established live payload.
+        assert list(summary)[:5] == ["scenario", "seed", "digest", "mode",
+                                     "speedup"]
+        assert list(summary).index("time_ms") < list(summary).index(
+            "avg_total_occupancy")
+
+    @pytest.mark.parametrize("node, overrides", [
+        ("churn", {"churn": ChurnSpec(kind="random", leave_rate=0.01,
+                                      duration=100.0)}),
+        ("mobility", {"mobility": MobilitySpec(kind="waypoint",
+                                               duration=100.0)}),
+        ("adapt", {"adapt": AdaptSpec(mode="passive")}),
+    ])
+    def test_whole_group_nodes_are_refused_by_name_when_sharded(
+            self, node, overrides):
+        async def main():
+            session = LiveSession(small_spec(**overrides), speedup=20.0,
+                                  local_nodes={0, 1, 2},
+                                  directory={n: ("127.0.0.1", 1)
+                                             for n in range(6)})
+            try:
+                with pytest.raises(ValueError, match=f"spec node {node}"):
+                    await session.start()
             finally:
                 await session.close()
 

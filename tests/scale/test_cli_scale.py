@@ -24,10 +24,12 @@ class TestScenariosList:
         assert payload["name"] == "scale_10k"
         assert payload["topology"]["kind"] == "star"
 
-    def test_unknown_name_mentions_both_tiers(self, capsys):
+    def test_unknown_name_lists_one_catalogue_with_the_flat_tier(self, capsys):
         assert main(["scenarios", "run", "scale_1M"]) == 2
         err = capsys.readouterr().err
-        assert "scale tier" in err and "scale_100k" in err
+        assert err.count("unknown scenario") == 1
+        assert "initial_holders" in err
+        assert "flat engine: scale_10k, scale_100k" in err
 
 
 class TestScenariosRunSharded:
@@ -40,12 +42,12 @@ class TestScenariosRunSharded:
         assert payload["delivered_fraction"] == 1.0
         assert payload["trace_digest"]
 
-    def test_classic_sharded_run_reports_mirror_engine(self, capsys):
+    def test_shards_on_an_object_engine_name_is_a_usage_error(self, capsys):
         assert main(["scenarios", "run", "initial_holders", "--shards", "2",
-                     "--jobs", "1", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] == "mirror-sharded"
-        assert payload["shards"] == 2
+                     "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--shards" in captured.err and "flat-engine" in captured.err
 
     def test_classic_serial_run_is_unchanged(self, capsys):
         assert main(["scenarios", "run", "initial_holders", "--json"]) == 0

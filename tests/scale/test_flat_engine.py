@@ -5,12 +5,12 @@ import dataclasses
 import pytest
 
 from repro.scale.engine import CommutativeTraceDigest, run_flat
-from repro.scale.scenarios import (
-    get_scale_scenario,
-    scale_scenario_names,
-    scale_scenarios,
-)
 from repro.scenario.library import scale_spec
+from repro.scenario.registry import (
+    get_scenario,
+    registered_scenarios,
+    scenario_names,
+)
 
 
 def small_spec(seed=1):
@@ -79,7 +79,7 @@ class TestOracle:
 
 class TestSpecGate:
     def test_churn_spec_rejected(self):
-        spec = get_scale_scenario("scale_10k")
+        spec = get_scenario("scale_10k")
         churned = spec.with_(
             churn=dataclasses.replace(spec.churn, kind="random", leave_rate=0.01)
         )
@@ -98,14 +98,24 @@ class TestSpecGate:
 
 class TestScaleTier:
     def test_tier_names_resolve_to_supported_specs(self):
-        assert scale_scenario_names() == ["scale_10k", "scale_100k"]
-        for name, spec in scale_scenarios().items():
+        assert scenario_names(engine="flat") == ["scale_10k", "scale_100k"]
+        for name, entry in registered_scenarios(engine="flat").items():
+            spec = get_scenario(name)
+            assert spec == entry.spec()
             assert spec.name == name
             assert spec.topology.member_count() >= 10_000
 
-    def test_unknown_tier_name_lists_catalogue(self):
-        with pytest.raises(KeyError, match="scale_100k"):
-            get_scale_scenario("scale_1M")
+    def test_flat_tier_stays_out_of_the_golden_digest_catalogue(self):
+        """``scenario_names()`` is what the digest baselines and the
+        ledger's registry audit iterate; a 100k-member entry there
+        would turn each of them into an hours-long run."""
+        assert len(scenario_names()) == 11
+        assert not set(scenario_names()) & set(scenario_names(engine="flat"))
+        assert list(registered_scenarios()) == scenario_names()
+
+    def test_unknown_name_lists_the_flat_tier_too(self):
+        with pytest.raises(KeyError, match="flat engine: scale_10k, scale_100k"):
+            get_scenario("scale_1M")
 
 
 class TestCommutativeDigest:

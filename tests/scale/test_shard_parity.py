@@ -1,35 +1,15 @@
 """Shard determinism: partitioned runs must match serial ones exactly.
 
-Two parity families, matching the two sharding strategies:
-
-* **flat** — region-partitioned engines with epoch barriers; the
-  commutative digest of a sharded run must equal the serial flat run's,
-  for any shard count and for process-mode execution.
-* **mirror** — classic registry scenarios replayed per shard; the
-  merged emission-order digest must equal the *golden* serial baselines
-  in ``tests/baselines/scenario_trace_digests.json``.
+The flat engine partitions regions across engines with epoch barriers;
+the commutative digest of a sharded run must equal the serial flat
+run's, for any shard count and for process-mode execution.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.scale.engine import run_flat
-from repro.scale.scenarios import get_scale_scenario
-from repro.scale.sharding import run_mirror_sharded
 from repro.scenario.library import scale_spec
 from repro.scenario.registry import get_scenario
-
-GOLDEN_PATH = (
-    Path(__file__).resolve().parent.parent / "baselines"
-    / "scenario_trace_digests.json"
-)
-
-
-def golden(name: str) -> dict:
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        return json.load(handle)[name]
 
 
 def parity_spec(seed=3):
@@ -56,7 +36,7 @@ class TestFlatShardParity:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_scale_tier_scenario_parity(self, shards):
-        spec = get_scale_scenario("scale_10k")
+        spec = get_scenario("scale_10k")
         serial = run_flat(spec)
         sharded = run_flat(spec, shards=shards)
         assert sharded.trace_digest == serial.trace_digest
@@ -69,28 +49,3 @@ class TestFlatShardParity:
         over = run_flat(spec, shards=8)
         assert over.shards == 2  # one engine per region, empties dropped
         assert over.trace_digest == serial.trace_digest
-
-
-class TestMirrorShardParity:
-    @pytest.mark.parametrize("name", ["initial_holders", "wan_burst_loss"])
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_merged_digest_equals_golden_serial(self, name, shards):
-        result = run_mirror_sharded(get_scenario(name), shards, jobs=1)
-        expected = golden(name)
-        assert result.trace_digest == expected["digest"]
-        assert result.trace_records == expected["records"]
-        assert sum(result.shard_records) == expected["records"]
-
-    def test_parallel_jobs_match_golden_too(self):
-        result = run_mirror_sharded(get_scenario("wan_burst_loss"), 2, jobs=2)
-        expected = golden("wan_burst_loss")
-        assert result.trace_digest == expected["digest"]
-        assert result.jobs == 2
-
-    def test_multi_region_scenario_actually_splits_records(self):
-        result = run_mirror_sharded(get_scenario("wan_burst_loss"), 2, jobs=1)
-        assert all(count > 0 for count in result.shard_records)
-
-    def test_shards_must_be_positive(self):
-        with pytest.raises(ValueError, match="shards"):
-            run_mirror_sharded(get_scenario("initial_holders"), 0)

@@ -27,6 +27,7 @@ from repro.scenario.spec import (
     TrafficSpec,
 )
 from repro.workloads.traffic import UniformStream
+from tests.conftest import send_times
 
 
 def _hand_built_policy_trial(
@@ -147,7 +148,7 @@ class TestMaterializeFeatures:
             .build()
         )
         assert built.message_count > 0
-        assert all(t < 500.0 for t in built.traffic.send_times())
+        assert all(t < 500.0 for t in send_times(built.traffic))
 
     def test_poisson_without_any_bound_rejected(self):
         with pytest.raises(ValueError, match="poisson"):

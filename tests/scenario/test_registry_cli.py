@@ -9,6 +9,7 @@ from repro.scenario.registry import (
     get_scenario,
     register_scenario,
     registered_scenarios,
+    resolve_spec,
     scenario_names,
 )
 from repro.scenario.spec import ScenarioSpec
@@ -17,6 +18,11 @@ from repro.scenario.spec import ScenarioSpec
 class TestRegistry:
     def test_at_least_six_scenarios_registered(self):
         assert len(scenario_names()) >= 6
+
+    def test_default_catalogue_is_the_object_engine_tier(self):
+        assert scenario_names() == list(registered_scenarios())
+        assert all(entry.engine == "object"
+                   for entry in registered_scenarios().values())
 
     def test_canned_workloads_are_registered(self):
         names = scenario_names()
@@ -120,6 +126,106 @@ class TestScenariosCli:
         assert "scale" in captured.err  # catalogue included as a hint
         assert main(["scenarios", "describe", "not-a-scenario"]) == 2
         capsys.readouterr()
+
+
+def _tiny_spec() -> ScenarioSpec:
+    """A 6-member stream every engine finishes in well under a second."""
+    import dataclasses
+
+    spec = get_scenario("initial_holders")
+    return spec.with_(
+        name="resolver_test",
+        topology=dataclasses.replace(spec.topology, kind="chain", n=6,
+                                     sizes=(3, 3)),
+        traffic=dataclasses.replace(spec.traffic, kind="uniform", count=4,
+                                    interval=20.0, start=10.0),
+    )
+
+
+#: Every subcommand that takes the shared scenario / --seed / --param
+#: group, with the flags that make its stdout one JSON document.
+_SPEC_COMMANDS = [
+    (["scenarios", "run"], ["--json"]),
+    (["scenarios", "describe"], []),
+    (["validate", "run"], ["--json"]),
+    (["live", "run"], ["--json", "--speedup", "20"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", _SPEC_COMMANDS,
+                         ids=[" ".join(c) for c, _ in _SPEC_COMMANDS])
+class TestOneResolver:
+    """``resolve_spec`` plus one argument group serve every subcommand."""
+
+    @staticmethod
+    def _identity(capsys):
+        """``(name, seed, digest)`` from whichever payload was printed."""
+        out = capsys.readouterr().out
+        if "\ndigest:" in out:  # describe: spec JSON, then the digest line
+            body, digest = out.rsplit("digest:", 1)
+            payload = json.loads(body)
+            return payload["name"], payload["seed"], digest.strip()
+        payload = json.loads(out)
+        return payload["scenario"], payload["seed"], payload["digest"]
+
+    def test_accepts_a_registry_name(self, command, flags, capsys):
+        assert main(command + ["search"] + flags) == 0
+        expected = get_scenario("search")
+        assert self._identity(capsys) == ("search", expected.seed,
+                                          expected.digest())
+
+    def test_accepts_a_spec_file(self, command, flags, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(_tiny_spec().to_json())
+        assert main(command + [str(path)] + flags) == 0
+        assert self._identity(capsys) == ("resolver_test", 0,
+                                          _tiny_spec().digest())
+
+    def test_applies_dotted_params_and_seed(self, command, flags, tmp_path,
+                                            capsys):
+        import dataclasses
+
+        path = tmp_path / "spec.json"
+        path.write_text(_tiny_spec().to_json())
+        assert main(command + [str(path), "--param", "policy.c=3",
+                               "--seed", "7"] + flags) == 0
+        base = _tiny_spec()
+        expected = base.with_(
+            seed=7, policy=dataclasses.replace(base.policy, c=3))
+        assert self._identity(capsys) == ("resolver_test", 7,
+                                          expected.digest())
+
+    def test_unknown_name_is_exit_2_with_one_catalogue(self, command, flags,
+                                                       capsys):
+        assert main(command + ["no-such-scenario"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("unknown scenario") == 1
+        assert "wan_burst_loss" in captured.err
+        assert "flat engine: scale_10k, scale_100k" in captured.err
+
+    def test_bad_param_is_exit_2(self, command, flags, capsys):
+        assert main(command + ["search", "--param", "nope.x=1"] + flags) == 2
+        assert "no field" in capsys.readouterr().err
+
+
+class TestResolveSpec:
+    def test_name_wins_and_files_load(self, tmp_path):
+        assert resolve_spec("scale") == get_scenario("scale")
+        assert resolve_spec("scale_10k").topology.member_count() == 10_000
+        path = tmp_path / "spec.json"
+        path.write_text(_tiny_spec().to_json())
+        assert resolve_spec(str(path)) == _tiny_spec()
+
+    def test_neither_name_nor_file_raises_the_catalogue(self):
+        with pytest.raises(KeyError, match="known: initial_holders"):
+            resolve_spec("does/not/exist.json")
+
+    def test_a_file_that_is_not_a_spec_raises_value_error(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"bogus": 1}')
+        with pytest.raises(ValueError, match="bogus"):
+            resolve_spec(str(path))
 
 
 class TestSpecOverrides:

@@ -13,15 +13,16 @@ from repro.workloads.traffic import (
     RampStream,
     UniformStream,
 )
+from tests.conftest import send_times
 
 
 class TestUniformStream:
     def test_send_times(self):
         stream = UniformStream(count=3, interval=20.0, start=5.0)
-        assert stream.send_times() == [5.0, 25.0, 45.0]
+        assert send_times(stream) == [5.0, 25.0, 45.0]
 
     def test_zero_count(self):
-        assert UniformStream(count=0, interval=10.0).send_times() == []
+        assert send_times(UniformStream(count=0, interval=10.0)) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -42,7 +43,7 @@ class TestUniformStream:
 class TestPoissonStream:
     def test_times_within_duration(self):
         stream = PoissonStream(rate=0.1, duration=500.0, rng=random.Random(1))
-        times = stream.send_times()
+        times = send_times(stream)
         assert times
         assert all(0.0 <= t < 500.0 for t in times)
         assert times == sorted(times)
@@ -50,7 +51,7 @@ class TestPoissonStream:
     def test_rate_controls_count(self):
         low = PoissonStream(rate=0.01, duration=1_000.0, rng=random.Random(2))
         high = PoissonStream(rate=0.1, duration=1_000.0, rng=random.Random(2))
-        assert len(high.send_times()) > len(low.send_times())
+        assert len(send_times(high)) > len(send_times(low))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,10 +64,10 @@ class TestRampStream:
     def test_send_times_interpolate_gaps_inclusively(self):
         """5 sends, 4 gaps: exactly 40, 30, 20, 10 ms."""
         stream = RampStream(5, initial_interval=40.0, final_interval=10.0)
-        assert stream.send_times() == [0.0, 40.0, 70.0, 90.0, 100.0]
+        assert send_times(stream) == [0.0, 40.0, 70.0, 90.0, 100.0]
 
     def test_rate_increases_monotonically(self):
-        times = RampStream(20, 50.0, 5.0, start=3.0).send_times()
+        times = send_times(RampStream(20, 50.0, 5.0, start=3.0))
         assert times[0] == 3.0
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert gaps == sorted(gaps, reverse=True)
@@ -74,14 +75,14 @@ class TestRampStream:
         assert gaps[-1] == pytest.approx(5.0)
 
     def test_degenerate_counts(self):
-        assert RampStream(0, 10.0, 5.0).send_times() == []
-        assert RampStream(1, 10.0, 5.0, start=7.0).send_times() == [7.0]
+        assert send_times(RampStream(0, 10.0, 5.0)) == []
+        assert send_times(RampStream(1, 10.0, 5.0, start=7.0)) == [7.0]
         # A single gap uses the initial interval.
-        assert RampStream(2, 10.0, 5.0).send_times() == [0.0, 10.0]
+        assert send_times(RampStream(2, 10.0, 5.0)) == [0.0, 10.0]
 
     def test_constant_when_intervals_equal(self):
         stream = RampStream(4, 10.0, 10.0)
-        assert stream.send_times() == [0.0, 10.0, 20.0, 30.0]
+        assert send_times(stream) == [0.0, 10.0, 20.0, 30.0]
 
     def test_end_time_extends_past_last_send(self):
         stream = RampStream(5, 40.0, 10.0)
@@ -108,11 +109,11 @@ class TestRampStream:
 class TestBurstStream:
     def test_burst_expansion(self):
         stream = BurstStream([(10.0, 3), (50.0, 2)])
-        assert stream.send_times() == [10.0, 10.0, 10.0, 50.0, 50.0]
+        assert send_times(stream) == [10.0, 10.0, 10.0, 50.0, 50.0]
 
     def test_bursts_sorted_regardless_of_input_order(self):
         stream = BurstStream([(50.0, 1), (10.0, 1)])
-        assert stream.send_times() == [10.0, 50.0]
+        assert send_times(stream) == [10.0, 50.0]
 
     def test_validation(self):
         """Regression: negative times and empty bursts used to pass
@@ -178,62 +179,16 @@ class TestPullApi:
         stream.restart()
         assert stream.next_send(0.0) == 5.0
 
-    def test_random_arrivals_are_memoized_across_surfaces(self):
-        """Pull API, restart and the shim must all see ONE drawn sequence."""
+    def test_random_arrivals_are_memoized_across_restarts(self):
+        """The pull API and a restart must see ONE drawn sequence."""
         stream = PoissonStream(rate=0.05, duration=1_000.0, rng=random.Random(7))
         pulled = []
         while (t := stream.next_send(0.0)) is not None:
             pulled.append(t)
-        stream.restart()
-        with pytest.warns(DeprecationWarning):
-            assert stream.send_times() == pulled
+        assert send_times(stream) == pulled
 
     def test_empty_stream(self):
         stream = UniformStream(count=0, interval=10.0)
         assert stream.next_send(0.0) is None
         assert stream.peek_arrival() is None
         assert stream.remaining() == 0
-
-
-class TestSendTimesShim:
-    def test_send_times_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="next_send"):
-            UniformStream(count=1, interval=10.0).send_times()
-
-    def test_warns_on_every_call(self):
-        """The shim is not a once-per-process nag: each call site that
-        still uses it should see the warning."""
-        stream = UniformStream(count=1, interval=10.0)
-        with pytest.warns(DeprecationWarning):
-            stream.send_times()
-        with pytest.warns(DeprecationWarning):
-            stream.send_times()
-
-    def test_warning_points_at_the_caller(self):
-        """stacklevel=2: the warning must blame the calling line, not
-        traffic.py, or migration hunts go nowhere."""
-        with pytest.warns(DeprecationWarning) as captured:
-            UniformStream(count=2, interval=10.0).send_times()
-        assert captured[0].filename == __file__
-
-    def test_shim_does_not_consume_the_pull_cursor(self):
-        stream = UniformStream(count=2, interval=10.0, start=5.0)
-        with pytest.warns(DeprecationWarning):
-            assert stream.send_times() == [5.0, 15.0]
-        assert stream.remaining() == 2
-        assert stream.next_send(0.0) == 5.0
-
-    def test_shim_returns_a_copy(self):
-        stream = UniformStream(count=2, interval=10.0)
-        with pytest.warns(DeprecationWarning):
-            first = stream.send_times()
-        first.append(999.0)
-        with pytest.warns(DeprecationWarning):
-            assert stream.send_times() == [0.0, 10.0]
-
-    def test_schedule_does_not_warn(self, recwarn):
-        simulation = RrmpSimulation(
-            single_region(3), config=RrmpConfig(session_interval=None), seed=0,
-        )
-        UniformStream(count=2, interval=10.0).schedule(simulation)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
