@@ -12,17 +12,18 @@ PAPERS.md — and at most one re-parent is applied per pass, with a hard
 session budget (``max_reparents``), so tree-maintenance churn stays
 bounded no matter how noisy the estimates get.
 
-Re-parenting mutates ``Region.parent_id`` in place; the recovery
-protocol re-reads parent membership every remote round, so in-flight
-recoveries redirect to the new parent on their next round without any
-extra signalling.  Every applied change is validated
-(:meth:`Hierarchy.validate`) and emitted as a ``tree_reparent`` trace
-record, which the ``adaptive-topology`` oracle invariant audits.
+Re-parenting goes through :meth:`Hierarchy.set_parent`, which checks
+the move (both regions exist, no cycle) and re-points the link in
+place; the recovery protocol re-reads parent membership every remote
+round, so in-flight recoveries redirect to the new parent on their next
+round without any extra signalling.  Every applied change is emitted
+as a ``tree_reparent`` trace record, which the ``adaptive-topology``
+oracle invariant audits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.adapt.linkstate import LinkStateEstimator
 from repro.net.topology import Hierarchy, RegionId
@@ -109,14 +110,6 @@ class TreeOptimizer:
             cost_of(region_id)
         return costs
 
-    def _ancestry_ids(self, region_id: RegionId) -> List[RegionId]:
-        chain: List[RegionId] = []
-        current: Optional[RegionId] = region_id
-        while current is not None:
-            chain.append(current)
-            current = self.hierarchy.regions[current].parent_id
-        return chain
-
     # ------------------------------------------------------------------
     # Optimization pass
     # ------------------------------------------------------------------
@@ -157,7 +150,7 @@ class TreeOptimizer:
             if not candidate.members:
                 continue  # an empty region cannot serve repairs
             # Acyclicity: the new parent must not descend from us.
-            if region_id in self._ancestry_ids(candidate_id):
+            if region_id in self.hierarchy.ancestry(candidate_id):
                 continue
             predicted = self.linkstate.edge_cost(region_id, candidate_id) + costs[candidate_id]
             if predicted >= threshold:
@@ -173,10 +166,8 @@ class TreeOptimizer:
         previous_cost: float,
         predicted_cost: float,
     ) -> None:
-        region = self.hierarchy.regions[region_id]
-        old_parent = region.parent_id
-        region.parent_id = new_parent
-        self.hierarchy.validate()
+        old_parent = self.hierarchy.regions[region_id].parent_id
+        self.hierarchy.set_parent(region_id, new_parent)
         self.reparent_count += 1
         self._last_moved[region_id] = self.update_count
         self.trace.emit(

@@ -39,7 +39,8 @@ class BufferHost(Protocol):
         ...
 
     def policy_rng(self, purpose: str) -> random.Random:
-        """A deterministic RNG substream for the given purpose."""
+        """A deterministic RNG substream for the given purpose (asked
+        for at ``bind``, maybe never drawn from: hand out a lazy one)."""
         ...
 
 

@@ -29,7 +29,7 @@ import random
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.protocol.messages import SearchRequest, Seq
-from repro.sim import Simulator, Timer, TraceLog
+from repro.sim import Simulator, Timer, TraceLog, pick_other
 
 
 class SearchHost(Protocol):
@@ -39,8 +39,9 @@ class SearchHost(Protocol):
     sim: Simulator
     trace: TraceLog
 
-    def region_member_ids(self) -> Sequence[int]:
-        """Current members of the host's region (including the host)."""
+    def region_peers(self) -> Tuple[Sequence[int], int]:
+        """The host's region (a shared sequence, host included) and
+        the host's position in it."""
         ...
 
     def send_search_request(self, dst: int, request: SearchRequest) -> None:
@@ -52,7 +53,8 @@ class SearchHost(Protocol):
         ...
 
     def search_rng(self) -> random.Random:
-        """Deterministic RNG substream for target selection."""
+        """Deterministic RNG substream for target selection (asked for
+        at construction, maybe never drawn from: hand out a lazy one)."""
         ...
 
 
@@ -78,8 +80,8 @@ class _SearchProcess:
         if self._stopped:
             return
         host = self.coordinator.host
-        candidates = [m for m in host.region_member_ids() if m != host.node_id]
-        if not candidates:
+        members, position = host.region_peers()
+        if len(members) < 2:
             # Nobody to ask: the search idles; a later regional event
             # (repair arrival) resolves the waiters instead.
             return
@@ -92,7 +94,7 @@ class _SearchProcess:
                             node=host.node_id, seq=self.seq, rounds=rounds)
             return
         self.rounds += 1
-        target = self.coordinator.rng.choice(candidates)
+        target = pick_other(self.coordinator.rng, members, position)
         request = SearchRequest(
             seq=self.seq, waiters=tuple(sorted(self.waiters)), forwarder=host.node_id
         )

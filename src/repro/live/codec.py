@@ -118,7 +118,18 @@ def _reject_constant(name: str) -> Any:
     raise CodecError(f"payload holds the non-JSON constant {name}")
 
 
-_load_payload = json.JSONDecoder(parse_constant=_reject_constant).decode
+def _finite_float(literal: str) -> float:
+    # ``1e309`` is valid JSON grammar but overflows to ``inf``, which
+    # ``_dump_payload`` (allow_nan=False) would then refuse to re-encode.
+    value = float(literal)
+    if not math.isfinite(value):
+        raise CodecError(f"payload holds the out-of-range number {literal}")
+    return value
+
+
+_load_payload = json.JSONDecoder(
+    parse_constant=_reject_constant, parse_float=_finite_float
+).decode
 
 
 def _enc_json(value: Any) -> bytes:

@@ -86,7 +86,9 @@ class LiveTransport:
         bind_clock = getattr(self.loss, "bind_clock", None)
         if bind_clock is not None:
             bind_clock(clock)  # rate-sensitive models need a time source
-        self._loss_rng = (streams or RandomStreams(0)).stream("net", "loss")
+        if streams is None:  # not ``or``: a factory with no stream yet is falsy
+            streams = RandomStreams(0)
+        self._loss_rng = streams.stream("net", "loss")
         self.trace = trace
         self.stats = NetworkStats()
         #: Inbound datagrams rejected by the codec (malformed/foreign).

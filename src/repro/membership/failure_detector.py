@@ -80,7 +80,7 @@ class GossipFailureDetector:
         #: Local time at which each peer's counter last advanced.
         self.last_advanced: Dict[NodeId, float] = {member.node_id: member.sim.now}
         self.suspected: Set[NodeId] = set()
-        self._rng = member.streams.stream("fd", member.node_id)
+        self._rng = member.streams.lazy("fd", member.node_id)
         member.extra_handlers[HeartbeatGossip] = self._on_gossip
         self._task = PeriodicTask(member.sim, gossip_interval, self._tick)
         self._task.start(phase=gossip_interval * self._rng.random())

@@ -9,6 +9,11 @@ have no parent region.
 :class:`Region` is mutable (members join and leave); :class:`Hierarchy`
 owns the regions and answers the membership queries the protocol needs:
 "who are my neighbours?", "who is in my parent region?".
+
+:class:`Hierarchy` is the only mutator (:meth:`~Hierarchy.add_member`,
+:meth:`~Hierarchy.remove_member`, :meth:`~Hierarchy.set_parent`), which
+is what lets a region hand every caller one shared member tuple and a
+position map instead of a copy per query: only those drop the view.
 """
 
 from __future__ import annotations
@@ -29,12 +34,16 @@ class Region:
     """A local region: an id, an optional parent region, and its members.
 
     ``members`` preserves insertion order so random selection by index
-    is deterministic given a seeded RNG.
+    is deterministic given a seeded RNG.  Read it freely; change it and
+    ``parent_id`` only through :class:`Hierarchy`.
     """
 
     region_id: RegionId
     parent_id: Optional[RegionId] = None
     members: List[NodeId] = field(default_factory=list)
+    #: ``(member tuple, node → position in it)``, built on first query
+    #: and dropped by :class:`Hierarchy` on every membership change.
+    _view: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -42,13 +51,25 @@ class Region:
         return len(self.members)
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._member_set()
+        return node_id in self._current_view()[1]
 
-    def _member_set(self) -> set:
-        # Regions are small (tens to ~1000 members); a set view built on
-        # demand keeps the common path (iteration / indexing) cheap and
-        # the mutation path simple.
-        return set(self.members)
+    def member_ids(self) -> Tuple[NodeId, ...]:
+        """The members as one tuple shared by every caller; a
+        membership change builds a new one."""
+        return self._current_view()[0]
+
+    def peers_of(self, node_id: NodeId) -> Tuple[Tuple[NodeId, ...], int]:
+        """``(member_ids(), position of node_id in it)``, the input of
+        an O(1) neighbour pick (:func:`repro.sim.pick_other`)."""
+        members, positions = self._current_view()
+        return members, positions[node_id]
+
+    def _current_view(self) -> Tuple[Tuple[NodeId, ...], Dict[NodeId, int]]:
+        view = self._view
+        if view is None:
+            members = tuple(self.members)
+            view = self._view = (members, {node: i for i, node in enumerate(members)})
+        return view
 
 
 class Hierarchy:
@@ -86,7 +107,9 @@ class Hierarchy:
         if node_id in self._node_region:
             raise TopologyError(f"node {node_id} already placed")
         self._next_node_id = max(self._next_node_id, node_id + 1)
-        self.regions[region_id].members.append(node_id)
+        region = self.regions[region_id]
+        region.members.append(node_id)
+        region._view = None
         self._node_region[node_id] = region_id
         return node_id
 
@@ -99,7 +122,20 @@ class Hierarchy:
         region_id = self._node_region.pop(node_id, None)
         if region_id is None:
             raise TopologyError(f"node {node_id} not in topology")
-        self.regions[region_id].members.remove(node_id)
+        region = self.regions[region_id]
+        region.members.remove(node_id)
+        region._view = None
+
+    def set_parent(self, region_id: RegionId, parent_id: Optional[RegionId]) -> None:
+        """Re-point a parent link (adaptive re-parenting); the new
+        parent must exist and not descend from *region_id*.  Parent
+        lookups read ``parent_id`` at call time: no view to drop."""
+        for endpoint in (region_id, parent_id):
+            if endpoint is not None and endpoint not in self.regions:
+                raise TopologyError(f"region {endpoint} does not exist")
+        if parent_id is not None and region_id in self.ancestry(parent_id):
+            raise TopologyError(f"cycle: region {parent_id} descends from {region_id}")
+        self.regions[region_id].parent_id = parent_id
 
     # ------------------------------------------------------------------
     # Queries
@@ -147,10 +183,10 @@ class Hierarchy:
         region = self.region_of(node_id)
         return [member for member in region.members if member != node_id]
 
-    def parent_members(self, node_id: NodeId) -> List[NodeId]:
-        """Members of the node's parent region (empty if no parent)."""
+    def parent_members(self, node_id: NodeId) -> Tuple[NodeId, ...]:
+        """The parent region's :meth:`Region.member_ids` (empty if no parent)."""
         parent = self.parent_region_of(node_id)
-        return list(parent.members) if parent is not None else []
+        return parent.member_ids() if parent is not None else ()
 
     def same_region(self, a: NodeId, b: NodeId) -> bool:
         """Whether two nodes share a region."""
@@ -166,8 +202,8 @@ class Hierarchy:
         ra, rb = self.region_id_of(a), self.region_id_of(b)
         if ra == rb:
             return 0
-        ancestry_a = self._ancestry(ra)
-        ancestry_b = self._ancestry(rb)
+        ancestry_a = self.ancestry(ra)
+        ancestry_b = self.ancestry(rb)
         depth_a = {region: index for index, region in enumerate(ancestry_a)}
         for hops_b, region in enumerate(ancestry_b):
             if region in depth_a:
@@ -187,8 +223,8 @@ class Hierarchy:
         ra, rb = self.region_id_of(a), self.region_id_of(b)
         if ra == rb:
             return (0, 0)
-        ancestry_a = self._ancestry(ra)
-        ancestry_b = self._ancestry(rb)
+        ancestry_a = self.ancestry(ra)
+        ancestry_b = self.ancestry(rb)
         depth_a = {region: index for index, region in enumerate(ancestry_a)}
         for hops_b, region in enumerate(ancestry_b):
             if region in depth_a:
@@ -197,7 +233,8 @@ class Hierarchy:
         # hop, then down b's whole ancestry (matches region_distance).
         return (len(ancestry_a), len(ancestry_b) - 1)
 
-    def _ancestry(self, region_id: RegionId) -> List[RegionId]:
+    def ancestry(self, region_id: RegionId) -> List[RegionId]:
+        """*region_id*, its parent, and so on up to its root."""
         chain: List[RegionId] = []
         current: Optional[RegionId] = region_id
         while current is not None:

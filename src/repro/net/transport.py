@@ -100,7 +100,9 @@ class Network:
         bind_clock = getattr(self.loss, "bind_clock", None)
         if bind_clock is not None:
             bind_clock(sim)  # rate-sensitive models need a time source
-        self._loss_rng = (streams or RandomStreams(0)).stream("net", "loss")
+        if streams is None:  # not ``or``: a factory with no stream yet is falsy
+            streams = RandomStreams(0)
+        self._loss_rng = streams.stream("net", "loss")
         self.trace = trace
         self.stats = NetworkStats()
         self._endpoints: Dict[NodeId, Endpoint] = {}

@@ -17,7 +17,7 @@ and recovery engines stay independently testable.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Sequence, Set
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.handoff import plan_handoff
 from repro.core.manager import TwoPhaseBufferPolicy
@@ -135,15 +135,16 @@ class RrmpMember:
         return self.hierarchy.region_of(self.node_id).size
 
     def region_member_ids(self) -> Sequence[NodeId]:
-        """Members of this member's region, including itself."""
-        return list(self.hierarchy.region_of(self.node_id).members)
+        """Members of this member's region, including itself (the
+        region's shared tuple, not a copy)."""
+        return self.hierarchy.region_of(self.node_id).member_ids()
 
-    def neighbor_ids(self) -> Sequence[NodeId]:
-        """Other members of this member's region."""
-        return self.hierarchy.neighbors(self.node_id)
+    def region_peers(self) -> Tuple[Sequence[NodeId], int]:
+        """:meth:`region_member_ids` and this member's position in it."""
+        return self.hierarchy.region_of(self.node_id).peers_of(self.node_id)
 
     def parent_member_ids(self) -> Sequence[NodeId]:
-        """Members of the parent region (empty for the root region)."""
+        """Members of the current parent region (empty for a root)."""
         return self.hierarchy.parent_members(self.node_id)
 
     def has_parent_region(self) -> bool:
@@ -155,12 +156,14 @@ class RrmpMember:
         return self.network.rtt(self.node_id, dst)
 
     def policy_rng(self, purpose: str) -> random.Random:
-        """Deterministic RNG substream for the buffer policy."""
-        return self.streams.stream("member", self.node_id, "policy", purpose)
+        """Deterministic RNG substream for the buffer policy (lazy:
+        a member none of whose messages goes idle never draws)."""
+        return self.streams.lazy("member", self.node_id, "policy", purpose)
 
     def search_rng(self) -> random.Random:
-        """Deterministic RNG substream for bufferer search."""
-        return self.streams.stream("member", self.node_id, "search")
+        """Deterministic RNG substream for bufferer search (lazy:
+        most members never search)."""
+        return self.streams.lazy("member", self.node_id, "search")
 
     def recovery_rng(self) -> random.Random:
         """Deterministic RNG substream for recovery target selection."""
@@ -340,7 +343,8 @@ class RrmpMember:
     def _do_regional_multicast(self, data: DataMessage) -> None:
         self._pending_regional.pop(data.seq, None)
         repair = Repair(data=data, responder=self.node_id, scope=REPAIR_REGIONAL)
-        self.network.multicast(self.node_id, self.neighbor_ids(), repair, group="region")
+        # The transport skips the sender itself.
+        self.network.multicast(self.node_id, self.region_member_ids(), repair, group="region")
         self.trace.emit(self.sim.now, "regional_multicast", node=self.node_id, seq=data.seq)
 
     # ==================================================================
@@ -465,7 +469,7 @@ class RrmpMember:
             if last is None or self.sim.now - last >= self.config.idle_threshold:
                 self._announced_at[seq] = self.sim.now
                 self.network.multicast(
-                    self.node_id, self.neighbor_ids(),
+                    self.node_id, self.region_member_ids(),
                     HaveReply(seq=seq, owner=self.node_id), group="region",
                 )
             self.trace.emit(self.sim.now, "search_served",

@@ -24,11 +24,11 @@ reliability violation (the §5 trade-off).
 from __future__ import annotations
 
 import random
-from typing import Protocol, Sequence
+from typing import Protocol, Sequence, Tuple
 
 from repro.protocol.config import RrmpConfig
 from repro.protocol.messages import LocalRequest, RemoteRequest, Seq
-from repro.sim import Simulator, Timer, TraceLog
+from repro.sim import Simulator, Timer, TraceLog, pick_other
 
 
 class RecoveryHost(Protocol):
@@ -39,12 +39,14 @@ class RecoveryHost(Protocol):
     trace: TraceLog
     config: RrmpConfig
 
-    def neighbor_ids(self) -> Sequence[int]:
-        """Other members of the host's region."""
+    def region_peers(self) -> Tuple[Sequence[int], int]:
+        """The host's region (a shared sequence, host included) and
+        the host's position in it."""
         ...
 
     def parent_member_ids(self) -> Sequence[int]:
-        """Members of the parent region (empty if the host has none)."""
+        """Members of the current parent region (a shared sequence;
+        empty if the host has none)."""
         ...
 
     def has_parent_region(self) -> bool:
@@ -170,8 +172,8 @@ class RecoveryProcess:
         if self._deadline_exceeded():
             self._fail()
             return
-        neighbors = list(self.host.neighbor_ids())
-        if not neighbors:
+        members, position = self.host.region_peers()
+        if len(members) < 2:
             # Alone in the region right now: nobody to ask, but churn
             # may add neighbours, so keep the phase alive instead of
             # going silent forever (no request is sent, no round is
@@ -179,7 +181,7 @@ class RecoveryProcess:
             self._local_timer.start(self._idle_retry_delay())
             return
         self.local_rounds += 1
-        target = self._rng.choice(neighbors)
+        target = pick_other(self._rng, members, position)
         self.host.send_local_request(
             target, LocalRequest(seq=self.seq, requester=self.host.node_id)
         )
@@ -196,7 +198,7 @@ class RecoveryProcess:
         if self._deadline_exceeded():
             self._fail()
             return
-        parents = list(self.host.parent_member_ids())
+        parents = self.host.parent_member_ids()
         if not parents:
             # §2.2: "If a receiver has no parent region, its remote
             # recovery phase does nothing."  That is structural for a

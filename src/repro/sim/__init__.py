@@ -9,7 +9,7 @@ streams (:class:`RandomStreams`) and a structured trace log
 
 from repro.sim.engine import SimulationError, Simulator, total_events_fired
 from repro.sim.events import Event, EventQueue
-from repro.sim.randomness import RandomStreams, derive_seed
+from repro.sim.randomness import RandomStreams, derive_seed, pick_other
 from repro.sim.timers import PeriodicTask, Timer, call_repeatedly
 from repro.sim.tracing import (
     NullTraceLog,
@@ -34,6 +34,7 @@ __all__ = [
     "TraceRecord",
     "call_repeatedly",
     "derive_seed",
+    "pick_other",
     "record_line",
     "total_events_fired",
     "trace_digest",

@@ -80,7 +80,7 @@ class StabilityAgent:
         self.fanout = fanout
         self.table = WatermarkTable()
         self.stable_frontier: Seq = 0
-        self._rng = member.streams.stream("stability", member.node_id)
+        self._rng = member.streams.lazy("stability", member.node_id)
         member.extra_handlers[WatermarkDigest] = self._on_digest
         self._task = PeriodicTask(member.sim, gossip_interval, self._gossip)
         self._task.start(phase=gossip_interval * self._rng.random())

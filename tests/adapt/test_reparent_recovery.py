@@ -1,7 +1,7 @@
 """Re-parenting mid-recovery: gap tracking and recovery stay coherent.
 
-A re-parent mutates ``Region.parent_id`` while recoveries may be
-mid-flight.  The design relies on two properties checked here: the
+A re-parent (:meth:`Hierarchy.set_parent`) re-points
+``Region.parent_id`` while recoveries may be mid-flight.  The design relies on two properties checked here: the
 recovery process re-reads ``parent_member_ids()`` every remote round
 (so it redirects without being restarted), and :class:`GapTracker`
 accounting is untouched by the switch — one recovery per missing seq,
@@ -10,9 +10,11 @@ one completion, no resurrection.
 
 import pytest
 
+from repro.net.topology import star
 from repro.protocol.config import RrmpConfig
 from repro.protocol.loss_detection import GapTracker
 from repro.protocol.recovery import RecoveryProcess
+from repro.protocol.rrmp import RrmpSimulation
 from repro.sim import RandomStreams
 
 
@@ -29,11 +31,11 @@ class SwitchableHost:
         self._region_size = region_size
         self._streams = RandomStreams(seed)
 
-    def neighbor_ids(self):
-        return []
+    def region_peers(self):
+        return (self.node_id,), 0
 
     def parent_member_ids(self):
-        return list(self.parents)
+        return tuple(self.parents)
 
     def has_parent_region(self):
         return True
@@ -143,3 +145,27 @@ class TestGapTrackerAcrossReparent:
         process.start()
         assert host.sent_remote[-1][1] == 200  # straight to the new parent
         assert process.remote_rounds == 1
+
+
+class TestReparentThroughTheHierarchy:
+    """The same redirect, end to end: a real member, a real
+    :meth:`Hierarchy.set_parent`, no fake in between."""
+
+    def test_next_remote_round_targets_the_new_parents_members(self):
+        hierarchy = star(3, [3, 3])  # regions 1 and 2 both hang off region 0
+        simulation = RrmpSimulation(
+            hierarchy, seed=3,
+            # lambda = region size: every remote round sends its request.
+            config=RrmpConfig(session_interval=None, remote_lambda=3.0),
+        )
+        member = simulation.members[hierarchy.regions[2].members[0]]
+        targets = []
+        member.send_remote_request = lambda dst, request: targets.append(dst)
+        member.inject_loss_detection(1)
+        simulation.run(duration=300.0)
+        assert targets and set(targets) <= set(hierarchy.regions[0].members)
+        del targets[:]
+        hierarchy.set_parent(2, 1)  # what TreeOptimizer._apply calls
+        simulation.run(duration=300.0)
+        assert targets and set(targets) <= set(hierarchy.regions[1].members)
+        assert list(member.recoveries) == [1]  # the one process, never restarted

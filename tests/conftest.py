@@ -60,7 +60,7 @@ class FakeBufferHost:
         self._region_size = n
 
     def policy_rng(self, purpose: str) -> random.Random:
-        return self._streams.stream("policy", purpose)
+        return self._streams.lazy("policy", purpose)
 
 
 @pytest.fixture
@@ -82,8 +82,8 @@ class FakeSearchHost:
         self.sent = []  # list of (dst, SearchRequest)
         self._streams = RandomStreams(seed)
 
-    def region_member_ids(self):
-        return list(self.members)
+    def region_peers(self):
+        return tuple(self.members), self.members.index(self.node_id)
 
     def send_search_request(self, dst, request):
         self.sent.append((dst, request))
@@ -92,10 +92,27 @@ class FakeSearchHost:
         return self.rtt
 
     def search_rng(self):
-        return self._streams.stream("search")
+        return self._streams.lazy("search")
 
 
 @pytest.fixture
 def search_host(sim: Simulator, trace: TraceLog) -> FakeSearchHost:
     """A fake search host with ten region members."""
     return FakeSearchHost(sim, trace)
+
+
+def assert_views_match_a_fresh_scan(hierarchy):
+    """Every region's shared tuple and position map equal what a scan
+    of ``Region.members`` gives right now."""
+    for region in hierarchy.regions.values():
+        members = region.member_ids()
+        assert members == tuple(region.members)
+        assert members is region.member_ids()  # shared, not rebuilt per call
+        for position, node in enumerate(region.members):
+            assert region.peers_of(node) == (members, position)
+            assert node in region
+        if region.members:
+            parent = hierarchy.regions.get(region.parent_id)
+            assert hierarchy.parent_members(region.members[0]) == (
+                tuple(parent.members) if parent is not None else ()
+            )

@@ -56,6 +56,12 @@ class TestProtocolSurface:
         run(main())
 
 
+    def test_loss_stream_comes_from_the_given_factory_even_when_empty(self):
+        streams = RandomStreams(5)  # no stream yet, so falsy: ``or`` would drop it
+        LiveTransport(LiveClock(), ConstantLatency(1.0), streams=streams)
+        assert streams.names() == [("net", "loss")]
+
+
 class TestDelivery:
     def test_unicast_round_trip(self):
         async def main():

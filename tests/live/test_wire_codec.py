@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.live.codec import (
@@ -260,6 +260,11 @@ def _repair_frame(nested=None, scope=REPAIR_LOCAL) -> bytes:
                         send_time=1.5)
 
 
+#: A frame one byte flip away from carrying ``-1e309`` (see
+#: ``test_any_flipped_byte``).
+OVERFLOW_FRAME = encode_frame(
+    1, 2, DataMessage(seq=1, sender=0, payload=[0, -10000000309]), send_time=0.0)
+
 #: What the retired JSON codec put on the wire for a data message.
 RRMP1_FRAME = (b'RRMP1{"dst":4,"group":null,"msg":{"payload":null,"sender":3,'
                b'"seq":7,"t":"DataMessage"},"sent":1.5,"src":3}')
@@ -330,7 +335,9 @@ class TestMalformedDatagrams:
 
     @pytest.mark.parametrize("payload", [
         b"\xff\xfe", b"{broken", b"NaN", b"[1,Infinity]", b"[" * 20_000,
-    ], ids=["not-utf8", "not-json", "nan", "infinity", "nesting-bomb"])
+        b"1e309", b"-1e309", b'{"a":' * 40 + b"[0,1e309]" + b"}" * 40,
+    ], ids=["not-utf8", "not-json", "nan", "infinity", "nesting-bomb",
+            "float-overflow", "negative-float-overflow", "nested-float-overflow"])
     def test_payload_must_be_strict_json(self, payload):
         frame = _valid_frame_bytes()[:-2] + struct.pack("!H", len(payload)) + payload
         with pytest.raises(CodecError, match="payload"):
@@ -377,6 +384,9 @@ class TestMalformedDatagrams:
         assert (mutated is not None) == (scope < 4)
 
     @given(frame=frames, at=st.integers(min_value=0), byte=st.integers(0, 255))
+    # One digit of a payload integer flipped to "e": "-1e000000309" is
+    # valid JSON grammar that float() overflows to -inf.
+    @example(frame=OVERFLOW_FRAME, at=OVERFLOW_FRAME.index(b"-1") + 2, byte=ord("e"))
     @settings(deadline=None)
     def test_any_flipped_byte(self, frame, at, byte):
         at %= len(frame)

@@ -10,6 +10,7 @@ from repro.net.topology import (
     single_region,
     star,
 )
+from tests.conftest import assert_views_match_a_fresh_scan
 
 
 class TestConstruction:
@@ -81,7 +82,7 @@ class TestQueries:
 
     def test_parent_members(self, three_regions):
         assert set(three_regions.parent_members(3)) == {0, 1, 2}
-        assert three_regions.parent_members(0) == []  # root has no parent
+        assert three_regions.parent_members(0) == ()  # root has no parent
 
     def test_parent_region_of_root_is_none(self, three_regions):
         assert three_regions.parent_region_of(1) is None
@@ -141,3 +142,74 @@ class TestMutation:
         hierarchy.regions[1].members.append(0)  # node 0 also in region 1
         with pytest.raises(TopologyError):
             hierarchy.validate()
+
+
+class TestSharedMemberViews:
+    def test_views_follow_add_and_remove(self):
+        hierarchy = chain([3, 4])
+        assert_views_match_a_fresh_scan(hierarchy)
+        hierarchy.add_member(1)
+        assert_views_match_a_fresh_scan(hierarchy)
+        hierarchy.remove_member(4)
+        assert_views_match_a_fresh_scan(hierarchy)
+        moved = hierarchy.regions[1].members[0]  # a handoff: leave, rejoin elsewhere
+        hierarchy.remove_member(moved)
+        hierarchy.add_member(0, node_id=moved)
+        assert_views_match_a_fresh_scan(hierarchy)
+        assert hierarchy.regions[0].peers_of(moved)[1] == 3
+
+    def test_a_held_tuple_is_never_mutated(self):
+        hierarchy = single_region(3)
+        region = hierarchy.regions[0]
+        held = region.member_ids()
+        hierarchy.add_member(0)
+        hierarchy.remove_member(0)
+        assert held == (0, 1, 2)
+        assert region.member_ids() == (1, 2, 3)
+
+    def test_other_regions_keep_their_view_across_a_change(self):
+        hierarchy = chain([3, 3])
+        untouched = hierarchy.regions[0].member_ids()
+        hierarchy.add_member(1)
+        assert hierarchy.regions[0].member_ids() is untouched
+
+    def test_membership_test_needs_no_scan(self):
+        region = single_region(3).regions[0]
+        assert 2 in region and 3 not in region
+        region.member_ids()
+        assert 2 in region and 3 not in region
+
+
+class TestSetParent:
+    def test_moves_the_link_and_parent_members_follow(self):
+        hierarchy = star(2, [2, 2])  # regions 1 and 2 hang off 0
+        node = hierarchy.regions[2].members[0]
+        assert hierarchy.parent_members(node) == hierarchy.regions[0].member_ids()
+        hierarchy.set_parent(2, 1)
+        assert hierarchy.regions[2].parent_id == 1
+        assert hierarchy.parent_members(node) is hierarchy.regions[1].member_ids()
+        hierarchy.validate()
+
+    def test_detaching_makes_a_root(self):
+        hierarchy = chain([1, 1])
+        hierarchy.set_parent(1, None)
+        assert hierarchy.parent_members(1) == ()
+
+    @pytest.mark.parametrize("region_id, parent_id", [
+        (0, 0),   # own parent
+        (0, 2),   # a descendant
+        (1, 2),   # a child
+    ])
+    def test_a_move_that_closes_a_cycle_is_refused(self, region_id, parent_id):
+        hierarchy = chain([1, 1, 1])
+        with pytest.raises(TopologyError, match="cycle"):
+            hierarchy.set_parent(region_id, parent_id)
+        hierarchy.validate()  # and nothing was changed
+
+    def test_unknown_regions_are_refused(self):
+        hierarchy = chain([1, 1])
+        with pytest.raises(TopologyError):
+            hierarchy.set_parent(1, 99)
+        with pytest.raises(TopologyError):
+            hierarchy.set_parent(99, 0)
+        assert hierarchy.regions[1].parent_id == 0

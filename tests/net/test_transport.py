@@ -136,6 +136,16 @@ class TestLossIntegration:
         assert len(sink.packets) == 1
 
 
+    def test_loss_stream_comes_from_the_given_factory_even_when_empty(self, sim):
+        """Regression: ``streams or RandomStreams(0)`` swapped in seed 0
+        for any factory that had not created a stream yet."""
+        streams = RandomStreams(5)
+        assert len(streams) == 0
+        network = Network(sim, ConstantLatency(5.0), streams=streams)
+        assert streams.names() == [("net", "loss")]
+        assert network._loss_rng is streams.stream("net", "loss")
+
+
 class TestStats:
     def test_counters_by_type_and_kind(self, sim, network):
         sink = Sink()

@@ -27,11 +27,11 @@ class FakeRecoveryHost:
         self.sent_remote = []  # (time, dst, seq)
         self._streams = RandomStreams(seed)
 
-    def neighbor_ids(self):
-        return list(self.neighbors)
+    def region_peers(self):
+        return (self.node_id, *self.neighbors), 0
 
     def parent_member_ids(self):
-        return list(self.parents)
+        return tuple(self.parents)
 
     def has_parent_region(self):
         return self.has_parent
