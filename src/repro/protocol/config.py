@@ -145,12 +145,6 @@ class RrmpConfig:
     #: ``None`` multicasts immediately (the paper's default behaviour).
     regional_backoff_max: Optional[float] = None
 
-    #: Whether remote requests and search requests also refresh the
-    #: short-term idle timer.  Any request is evidence the message is
-    #: still needed, so the default is ``True``.
-    refresh_on_remote_request: bool = True
-    refresh_on_search_request: bool = True
-
     #: Give-up deadline for a recovery, measured from loss detection;
     #: crossing it records a reliability violation (§5 discusses the
     #: small residual violation probability).  ``None`` retries forever.

@@ -375,8 +375,8 @@ class RrmpMember:
             self.repair_interest_hook(seq)
         self.trace.emit(self.sim.now, "remote_request_received",
                         node=self.node_id, seq=seq, requester=requester)
-        if self.config.refresh_on_remote_request:
-            self.policy.on_request(seq)
+        # A remote request is feedback too: the message is still needed.
+        self.policy.on_request(seq)
         data = self.policy.get(seq)
         if data is not None:
             # Case 1 (§3.3): still buffered — answer immediately.
@@ -451,8 +451,7 @@ class RrmpMember:
 
     def _on_search_request(self, request: SearchRequest) -> None:
         seq, waiters = request.seq, request.waiters
-        if self.config.refresh_on_search_request:
-            self.policy.on_request(seq)
+        self.policy.on_request(seq)
         data = self.policy.get(seq)
         if data is not None:
             # Found: serve every waiter and announce, ending the search.

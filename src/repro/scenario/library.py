@@ -330,7 +330,7 @@ def _scale_10k() -> ScenarioSpec:
 
 @register_scenario("scale_100k", description=_SCALE_100K, engine="flat")
 def _scale_100k() -> ScenarioSpec:
-    """The BENCH_scale_100k workload.
+    """The nightly full-oracle workload (ledger ``flat_100k`` is its 40-message twin).
 
     1,000-member regions keep the numpy fan-out wide enough that the
     per-event Python overhead amortizes (100 x 1000 beats 1000 x 100 by

@@ -3,10 +3,8 @@
 from repro.workloads.mobility import DistanceLoss, MobilityManager
 from repro.workloads.scenarios import (
     InitialHoldersResult,
-    ScaleResult,
     SearchResult,
     run_initial_holders,
-    run_scale,
     run_search,
 )
 from repro.workloads.traffic import (
@@ -24,11 +22,9 @@ __all__ = [
     "MobilityManager",
     "PoissonStream",
     "RampStream",
-    "ScaleResult",
     "SearchResult",
     "TrafficGenerator",
     "UniformStream",
     "run_initial_holders",
-    "run_scale",
     "run_search",
 ]

@@ -10,11 +10,6 @@ Two families:
   member has received (and all but *b* have discarded) a message, and a
   downstream member's remote request must find one of the *b*
   bufferers via the §3.3 randomized search.
-* :func:`run_scale` — the north-star stress workload: a multi-region
-  hierarchy an order of magnitude past the paper's 100-member runs
-  (default 1,000 members), a lossy message stream, and full recovery +
-  two-phase buffering end to end.  Used by the engine benchmarks to
-  show optimizations at scale rather than on toy runs.
 
 Each workload is now a declarative
 :class:`~repro.scenario.spec.ScenarioSpec` (built by the factories in
@@ -181,71 +176,4 @@ def run_search(
         request_arrival=arrival.time if arrival is not None else None,
         served_at=served.time if served is not None else None,
         served_via=served.get("via") if served is not None else None,
-    )
-
-
-@dataclass
-class ScaleResult:
-    """Outcome of the north-star multi-region stress scenario."""
-
-    simulation: RrmpSimulation
-    message_count: int
-    member_count: int
-    events_fired: int
-
-    def delivered_fraction(self) -> float:
-        """Fraction of (member, message) pairs eventually delivered."""
-        return self.simulation.delivered_fraction(self.message_count)
-
-    @property
-    def violations(self) -> int:
-        """Recoveries that gave up within the horizon."""
-        return self.simulation.violation_count()
-
-    @property
-    def control_messages(self) -> int:
-        """Control-plane transmissions over the whole run."""
-        return self.simulation.control_message_count()
-
-
-def run_scale(
-    regions: int = 10,
-    members_per_region: int = 100,
-    messages: int = 20,
-    send_interval: float = 25.0,
-    loss_rate: float = 0.05,
-    seed: int = 0,
-    intra_one_way: float = 5.0,
-    inter_one_way: float = 50.0,
-    horizon: float = 3_000.0,
-    max_recovery_time: float = 2_000.0,
-) -> ScaleResult:
-    """Run the north-star stress workload: a big lossy multi-region group.
-
-    A root region plus ``regions - 1`` child regions (default 10 × 100
-    = 1,000 members — an order of magnitude past the paper's §4 runs)
-    receives a uniform stream of *messages* multicasts, each reaching
-    every member independently with probability ``1 - loss_rate``.
-    Loss detection, local/remote recovery and two-phase buffering then
-    run to the *horizon*, which exercises every hot path the engine
-    optimizations target (event dispatch, timer push-back churn,
-    buffer decisions, packet dispatch, multicast fan-out) at scale.
-    """
-    from repro.scenario.library import scale_spec
-
-    spec = scale_spec(
-        regions=regions, members_per_region=members_per_region,
-        messages=messages, send_interval=send_interval, loss_rate=loss_rate,
-        seed=seed, intra_one_way=intra_one_way, inter_one_way=inter_one_way,
-        horizon=horizon, max_recovery_time=max_recovery_time,
-    )
-    built = spec.build()
-    simulation = built.simulation
-    events_before = simulation.sim.events_fired
-    built.run()
-    return ScaleResult(
-        simulation=simulation,
-        message_count=messages,
-        member_count=len(simulation.members),
-        events_fired=simulation.sim.events_fired - events_before,
     )
