@@ -114,8 +114,20 @@ class Hierarchy:
         return node_id
 
     def add_members(self, region_id: RegionId, count: int) -> List[NodeId]:
-        """Add *count* auto-numbered nodes to *region_id*."""
-        return [self.add_member(region_id) for _ in range(count)]
+        """Add *count* auto-numbered nodes to *region_id* in one step.
+
+        Auto-assigned ids start at ``_next_node_id``, which exceeds every
+        placed id, so there is no duplicate for a per-node check to find.
+        """
+        if region_id not in self.regions:
+            raise TopologyError(f"region {region_id} does not exist")
+        nodes = list(range(self._next_node_id, self._next_node_id + count))
+        region = self.regions[region_id]
+        region.members.extend(nodes)
+        region._view = None
+        self._node_region.update(dict.fromkeys(nodes, region_id))
+        self._next_node_id += len(nodes)
+        return nodes
 
     def remove_member(self, node_id: NodeId) -> None:
         """Remove a node (on leave or crash)."""

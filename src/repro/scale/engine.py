@@ -43,11 +43,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.net.topology import RegionId
+from repro.net.topology import Hierarchy, RegionId
 from repro.scale.pool import FlatMemberPool
 from repro.scenario.materialize import build_config, build_hierarchy
 from repro.scenario.spec import ScenarioSpec
@@ -137,6 +137,13 @@ def _flat_unsupported(spec: ScenarioSpec) -> Optional[str]:
     return None
 
 
+def require_flat_support(spec: ScenarioSpec) -> None:
+    """Raise ``ValueError`` if *spec* is outside the flat envelope."""
+    problem = _flat_unsupported(spec)
+    if problem is not None:
+        raise ValueError(f"flat engine cannot run spec {spec.name!r}: {problem}")
+
+
 class _FlatBufferView:
     """Buffer facade for the oracle's index cross-check (always clean:
     the long-term bitmap *is* the index, there is nothing to drift)."""
@@ -203,12 +210,12 @@ class FlatShard:
         owned: Optional[Sequence[RegionId]] = None,
         keep_records: bool = False,
         digest: bool = False,
+        hierarchy: Optional[Hierarchy] = None,
     ) -> None:
-        problem = _flat_unsupported(spec)
-        if problem is not None:
-            raise ValueError(f"flat engine cannot run spec {spec.name!r}: {problem}")
+        require_flat_support(spec)
         self.spec = spec
-        self.hierarchy = build_hierarchy(spec.topology)
+        # Static and only read: one run's in-process shards share it.
+        self.hierarchy = build_hierarchy(spec.topology) if hierarchy is None else hierarchy
         self.config = build_config(spec.policy, spec.fec)
         self.sim = Simulator()
         self.trace = TraceLog(keep_records=keep_records)
@@ -247,6 +254,10 @@ class FlatShard:
         self._rngs: Dict[Tuple[Any, ...], np.random.Generator] = {}
         self._detected_at: Dict[Tuple[RegionId, int], float] = {}
         self._next_sweep: Dict[RegionId, Optional[float]] = {}
+        #: Per region, the columns that may hold a short-term copy: all
+        #: a sweep reads.  ``sweep_cells`` counts the cells it examined.
+        self._live: Dict[RegionId, Set[int]] = {rid: set() for rid in self.owned}
+        self.sweep_cells = 0
         self._recovery_latency_sum = 0.0
         self._recovery_count = 0
 
@@ -317,7 +328,7 @@ class FlatShard:
         if missed.any():
             self.sim.at(now + self._detect_delay(seq), self._detect, region_id, seq)
         if got.any():
-            self._ensure_sweep(region_id, now + self.idle_threshold)
+            self._short_term(region_id, col, now + self.idle_threshold)
 
     def _detect_delay(self, seq: int) -> float:
         """How long a missing region takes to notice the gap.
@@ -438,12 +449,16 @@ class FlatShard:
                 trace.emit(now, "buffer_add", node=node, seq=seq)
                 trace.emit(now, "recovery_completed", node=node, seq=seq,
                            latency=latency)
-        self._ensure_sweep(region_id, now + self.idle_threshold)
+        self._short_term(region_id, col, now + self.idle_threshold)
 
     # ------------------------------------------------------------------
     # Idle sweeps (the §3 short-term phase, batched per region)
     # ------------------------------------------------------------------
-    def _ensure_sweep(self, region_id: RegionId, when: float) -> None:
+    def _short_term(self, region_id: RegionId, col: int, when: float) -> None:
+        """Members gained short-term copies in column *col*, idle at
+        *when*: the one place that widens the sweep window, so no copy
+        turns short-term without a sweep armed to judge it."""
+        self._live[region_id].add(col)
         current = self._next_sweep.get(region_id)
         if current is not None and current <= when + _TIME_EPS:
             return
@@ -451,40 +466,55 @@ class FlatShard:
         self.sim.at(when, self._sweep, region_id)
 
     def _sweep(self, region_id: RegionId) -> None:
+        """Flip the C/n coin for each short-term copy whose timer ran out.
+
+        Reads only the region's live columns — messages that may still
+        have a short-term copy (``buffered & ~long_term``; its deadline
+        is always finite) — so the cost does not grow with the stream.
+        ``_round`` and ``_remote_serve`` only raise deadlines of buffered
+        copies, so the window misses nothing; a column leaves it once
+        all its copies are judged.  Due copies are taken member-major,
+        then by ascending seq (sorted window, ``np.nonzero`` order): the
+        i-th draw of the region's coin stream goes to the i-th due copy,
+        which makes this order part of the digest contract.
+        """
         now = self.sim.now
         pool = self.pool
         start, stop = pool.rows(region_id)
-        buffered = pool.buffered[start:stop]
-        long_term = pool.long_term[start:stop]
-        deadline = pool.idle_deadline[start:stop]
-        due = buffered & ~long_term & (deadline <= now + _TIME_EPS)
+        live = self._live[region_id]
+        cols = np.array(sorted(live), dtype=np.intp)
+        short = pool.buffered[start:stop, cols] & ~pool.long_term[start:stop, cols]
+        deadline = pool.idle_deadline[start:stop, cols]
+        self.sweep_cells += short.size
+        due = short & (deadline <= now + _TIME_EPS)
         if due.any():
-            rows, cols = np.nonzero(due)
+            rows, picks = np.nonzero(due)
+            nodes, seq_cols = start + rows, cols[picks]
             keep_p = min(1.0, self.long_term_c / (stop - start))
             kept = self._rng("coin", region_id).random(rows.size) < keep_p
+            keep_nodes, keep_cols = nodes[kept], seq_cols[kept]
+            pool.long_term[keep_nodes, keep_cols] = True
+            drop_nodes, drop_cols = nodes[~kept], seq_cols[~kept]
+            pool.buffered[drop_nodes, drop_cols] = False
+            pool.idle_deadline[nodes, seq_cols] = np.inf
             trace = self.trace
-            keep_rows, keep_cols = rows[kept], cols[kept]
-            long_term[keep_rows, keep_cols] = True
-            deadline[keep_rows, keep_cols] = np.inf
-            drop_rows, drop_cols = rows[~kept], cols[~kept]
-            buffered[drop_rows, drop_cols] = False
-            deadline[drop_rows, drop_cols] = np.inf
             if trace.enabled:
-                for row, col in zip(keep_rows, keep_cols):
-                    trace.emit(now, "long_term_selected",
-                               node=start + int(row), seq=int(col) + 1,
-                               via="coin-flip")
-                for row, col in zip(drop_rows, drop_cols):
-                    node = start + int(row)
-                    seq = int(col) + 1
-                    duration = now - pool.receive_time[node, int(col)]
-                    trace.emit(now, "buffer_discard", node=node, seq=seq,
+                for node, col in zip(keep_nodes.tolist(), keep_cols.tolist()):
+                    trace.emit(now, "long_term_selected", node=node,
+                               seq=col + 1, via="coin-flip")
+                for node, col in zip(drop_nodes.tolist(), drop_cols.tolist()):
+                    duration = now - pool.receive_time[node, col]
+                    trace.emit(now, "buffer_discard", node=node, seq=col + 1,
                                reason="idle", was_long_term=False,
                                duration=float(duration))
-        pending = buffered & ~long_term & np.isfinite(deadline)
-        self._next_sweep[region_id] = None
-        if pending.any():
-            self._ensure_sweep(region_id, float(deadline[pending].min()))
+        pending = short & ~due
+        live.intersection_update(cols[pending.any(axis=0)].tolist())
+        if live:
+            when = float(deadline[pending].min())
+            self._next_sweep[region_id] = when
+            self.sim.at(when, self._sweep, region_id)
+        else:
+            self._next_sweep[region_id] = None
 
     # ------------------------------------------------------------------
     # Shard fabric
@@ -536,6 +566,7 @@ class FlatShard:
             "events_fired": self.sim.events_fired,
             "sim_time_ms": self.sim.now,
             "trace_records": self.digest.count if self.digest else None,
+            "sweep_cells": self.sweep_cells,
         }
 
 
@@ -561,6 +592,7 @@ class FlatRunResult:
     trace_records: Optional[int] = None
     invariant_violations: Optional[int] = None
     oracle_records_checked: Optional[int] = None
+    sweep_cells: int = 0  # examined by the idle sweeps; not in summary()
     engines: List[FlatShard] = field(default_factory=list, repr=False)
 
     def summary(self) -> Dict[str, Any]:
@@ -627,15 +659,16 @@ def run_flat(
     carry the epoch protocol); results are identical, so tests assert
     process-mode digests against in-process ones.
     """
-    parts = partition_regions(
-        sorted(build_hierarchy(spec.topology).regions), shards
-    )
+    require_flat_support(spec)
+    hierarchy = build_hierarchy(spec.topology)
+    parts = partition_regions(sorted(hierarchy.regions), shards)
     if processes and len(parts) > 1:
         return _run_flat_processes(spec, parts, digest=digest, oracle=oracle,
                                    max_epochs=max_epochs)
 
     engines = [
-        FlatShard(spec, owned=part, keep_records=keep_records, digest=digest)
+        FlatShard(spec, owned=part, keep_records=keep_records, digest=digest,
+                  hierarchy=hierarchy)
         for part in parts
     ]
     oracles = []
@@ -723,6 +756,7 @@ def _merge_results(
         trace_records=digest_count,
         invariant_violations=violations,
         oracle_records_checked=checked,
+        sweep_cells=sum(stats["sweep_cells"] for stats in shard_stats),
         engines=engines,
     )
 
@@ -838,5 +872,6 @@ __all__ = [
     "FlatRunResult",
     "FlatShard",
     "partition_regions",
+    "require_flat_support",
     "run_flat",
 ]

@@ -6,7 +6,10 @@ per-message protocol state in a handful of numpy arrays indexed
 timers.  At 100,000 members × 10 messages the whole pool is ~20 MB,
 and every protocol transition the flat engine performs (multicast
 delivery, loss detection, repair application, idle sweeps) is one
-vectorized operation over a region's contiguous row slice.
+vectorized operation over ``[start:stop, col]``: one region's members
+for one message.  The arrays are column-major (``order="F"``) so that
+run is contiguous in memory; indexing and ``np.nonzero`` order do not
+depend on the layout.
 
 The pool relies on the topology builders' node-numbering contract:
 :func:`repro.net.topology.single_region` / ``chain`` / ``star`` /
@@ -68,12 +71,12 @@ class FlatMemberPool:
             cursor += len(members)
 
         shape = (size, message_count)
-        self.received = np.zeros(shape, dtype=bool)
-        self.buffered = np.zeros(shape, dtype=bool)
-        self.long_term = np.zeros(shape, dtype=bool)
-        self.given_up = np.zeros(shape, dtype=bool)
-        self.receive_time = np.full(shape, np.nan, dtype=np.float64)
-        self.idle_deadline = np.full(shape, np.inf, dtype=np.float64)
+        self.received = np.zeros(shape, dtype=bool, order="F")
+        self.buffered = np.zeros(shape, dtype=bool, order="F")
+        self.long_term = np.zeros(shape, dtype=bool, order="F")
+        self.given_up = np.zeros(shape, dtype=bool, order="F")
+        self.receive_time = np.full(shape, np.nan, dtype=np.float64, order="F")
+        self.idle_deadline = np.full(shape, np.inf, dtype=np.float64, order="F")
 
     # ------------------------------------------------------------------
     # Region access
@@ -81,18 +84,6 @@ class FlatMemberPool:
     def rows(self, region_id: RegionId) -> Tuple[int, int]:
         """The ``[start, stop)`` row range of *region_id*."""
         return self.region_rows[region_id]
-
-    def region_size(self, region_id: RegionId) -> int:
-        start, stop = self.region_rows[region_id]
-        return stop - start
-
-    def region_of_row(self, row: int) -> RegionId:
-        """The region owning member *row* (O(regions); used off the hot
-        path by the oracle adapter)."""
-        for region_id, (start, stop) in self.region_rows.items():
-            if start <= row < stop:
-                return region_id
-        raise KeyError(f"row {row} outside every region range")
 
     # ------------------------------------------------------------------
     # Aggregate queries (summary + oracle support)
@@ -103,32 +94,14 @@ class FlatMemberPool:
         view = self.received if rows is None else self.received[rows[0]:rows[1]]
         return int(view.sum())
 
-    def delivered_fraction(self) -> float:
-        """Fraction of all ``(member, seq)`` pairs delivered."""
-        total = self.size * self.message_count
-        return float(self.received.sum()) / total if total else 1.0
-
     def given_up_pairs(self, rows: Tuple[int, int] | None = None) -> int:
         """Number of ``(member, seq)`` pairs that gave recovery up."""
         view = self.given_up if rows is None else self.given_up[rows[0]:rows[1]]
         return int(view.sum())
 
-    def occupancy(self) -> int:
-        """Total buffered copies across the whole group."""
-        return int(self.buffered.sum())
-
     def long_term_copies(self, seq: int) -> int:
         """Current long-term holders of *seq* across the whole group."""
         return int(self.long_term[:, seq - 1].sum())
-
-    def highest_delivered(self) -> np.ndarray:
-        """Per-member highest contiguously delivered seq (0 = none).
-
-        The flat analogue of the gap tracker's delivery frontier: the
-        length of each member's gap-free received prefix.
-        """
-        prefix = np.cumprod(self.received, axis=1, dtype=np.int64)
-        return prefix.sum(axis=1)
 
     # ------------------------------------------------------------------
     # Per-member views (oracle end-of-run sweep)

@@ -43,7 +43,7 @@ from typing import Optional
 
 from repro.metrics.runreport import RunReport
 from repro.runner.profiling import maybe_profile
-from repro.scale.engine import run_flat
+from repro.scale.engine import require_flat_support, run_flat
 from repro.scenario.registry import registered_scenarios, resolve_spec, scenario_names
 from repro.scenario.spec import ScenarioSpec
 
@@ -184,6 +184,12 @@ def _cmd_run(spec, args: argparse.Namespace) -> int:
               f"({', '.join(scenario_names('flat'))}); {args.scenario!r} runs "
               "on the object engine", file=sys.stderr)
         return 2
+    if flat:
+        try:
+            require_flat_support(spec)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     with maybe_profile(args.profile, args.profile_out):
         if flat:
             processes = args.jobs is not None and args.jobs > 1

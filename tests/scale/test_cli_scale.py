@@ -55,6 +55,21 @@ class TestScenariosRunSharded:
         assert "engine" not in payload  # the plain object-engine summary
         assert payload["delivered_fraction"] == 1.0
 
+    @pytest.mark.parametrize("param", ["fec.mode=proactive", "traffic.count=0"])
+    def test_spec_the_flat_engine_refuses_is_a_usage_error(
+            self, param, capsys, monkeypatch):
+        def build_nothing(topology):
+            raise AssertionError("hierarchy built for a refused spec")
+
+        monkeypatch.setattr("repro.scale.engine.build_hierarchy", build_nothing)
+        assert main(["scenarios", "run", "scale_10k", "--json",
+                     "--param", param]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: flat engine cannot run spec 'scale_10k': ")
+        assert captured.err.count("\n") == 1
+
     def test_invalid_shard_count_is_a_usage_error(self, capsys):
         assert main(["scenarios", "run", "initial_holders",
                      "--shards", "0"]) == 2

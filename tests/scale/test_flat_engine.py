@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.scale.engine import CommutativeTraceDigest, run_flat
@@ -94,6 +95,57 @@ class TestSpecGate:
         )
         with pytest.raises(ValueError, match="max_recovery_time"):
             run_flat(unbounded)
+
+    def test_refusal_comes_before_anything_is_built(self, monkeypatch):
+        def build_nothing(topology):
+            raise AssertionError("hierarchy built for a refused spec")
+
+        monkeypatch.setattr("repro.scale.engine.build_hierarchy", build_nothing)
+        spec = small_spec()
+        with pytest.raises(ValueError, match="flat engine cannot run spec"):
+            run_flat(spec.with_(fec=dataclasses.replace(spec.fec, mode="proactive")))
+
+
+class TestSweepWindow:
+    """The idle sweep reads only the columns that can still hold a
+    short-term copy.  Complete: no copy is left unjudged.  Narrow: its
+    width does not grow with the stream."""
+
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        remote_heavy_spec(),
+        scale_spec(regions=3, members_per_region=5, messages=3, loss_rate=0.0),
+        scale_spec(regions=8, members_per_region=50, messages=60, loss_rate=0.2,
+                   seed=5, horizon=4_500),
+    ], ids=["small", "remote_heavy", "lossless", "long_stream"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_no_short_term_copy_outlives_the_run(self, spec, shards):
+        result = run_flat(spec, shards=shards, digest=False)
+        for engine in result.engines:
+            pool = engine.pool
+            assert not (pool.buffered & ~pool.long_term).any()
+            assert not np.isfinite(pool.idle_deadline).any()
+            assert engine._live == {region: set() for region in engine.owned}
+
+    def test_long_term_copies_per_region_stay_near_c(self):
+        """§3.2 on the flat engine: once every idle timer has fired, a
+        region keeps about C copies of each message."""
+        spec = scale_spec(regions=10, members_per_region=100, messages=40,
+                          seed=1, horizon=4_000)
+        pool = run_flat(spec, digest=False).engines[0].pool
+        copies = sum(pool.long_term_copies(seq) for seq in range(1, 41))
+        assert copies / (10 * 40) == pytest.approx(spec.policy.c, rel=0.25)
+
+    @pytest.mark.parametrize("messages", [10, 160])
+    def test_sweep_work_per_delivery_is_flat_in_stream_length(self, messages):
+        """A count, not a timing: a sweep over a region's whole history
+        examines ~3 x messages cells per (member, message)."""
+        spec = scale_spec(regions=4, members_per_region=50, messages=messages,
+                          seed=0, horizon=messages * 25 + 3_000)
+        result = run_flat(spec, digest=False)
+        assert result.delivered_fraction == 1.0
+        assert 0 < result.sweep_cells <= 16 * result.members * result.messages
+        assert "sweep_cells" not in result.summary()
 
 
 class TestScaleTier:

@@ -32,20 +32,22 @@ class TestLayoutContract:
         with pytest.raises(ValueError, match="message_count"):
             FlatMemberPool(hierarchy, 0)
 
-    def test_region_of_row_inverts_rows(self):
-        pool = _pool(regions=3, members=4)
-        for region_id, (start, stop) in pool.region_rows.items():
-            assert pool.region_of_row(start) == region_id
-            assert pool.region_of_row(stop - 1) == region_id
-        with pytest.raises(KeyError):
-            pool.region_of_row(pool.size)
+    def test_arrays_are_column_contiguous(self):
+        """One region's members for one message -- every slice the
+        engine takes -- is one contiguous run, at any stream length."""
+        pool = _pool(regions=3, members=4, messages=5)
+        start, stop = pool.rows(1)
+        for array in (pool.received, pool.buffered, pool.long_term,
+                      pool.given_up, pool.receive_time, pool.idle_deadline):
+            assert array.shape == (12, 5)
+            assert array[start:stop, 3].flags.c_contiguous
 
 
 class TestAggregates:
     def test_fresh_pool_is_empty(self):
         pool = _pool()
-        assert pool.delivered_fraction() == 0.0
-        assert pool.occupancy() == 0
+        assert pool.delivered_pairs() == 0
+        assert not pool.buffered.any()
         assert pool.given_up_pairs() == 0
         assert np.all(np.isinf(pool.idle_deadline))
 
@@ -55,14 +57,6 @@ class TestAggregates:
         assert pool.delivered_pairs(rows=(0, 4)) == 8
         assert pool.delivered_pairs(rows=(4, 8)) == 0
         assert pool.delivered_pairs() == 8
-        assert pool.delivered_fraction() == pytest.approx(8 / 24)
-
-    def test_highest_delivered_is_the_gapfree_prefix(self):
-        pool = _pool(regions=1, members=3, messages=4)
-        pool.received[0] = [True, True, False, True]  # gap at seq 3
-        pool.received[1] = [True, True, True, True]
-        pool.received[2] = [False, True, True, True]  # gap at seq 1
-        assert pool.highest_delivered().tolist() == [2, 4, 0]
 
     def test_member_views_match_bitmaps(self):
         pool = _pool(regions=1, members=2, messages=4)
