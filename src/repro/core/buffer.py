@@ -11,12 +11,12 @@ what the Figure 6 experiment aggregates into "average buffering time".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set
 
 from repro.protocol.messages import DataMessage, Seq
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferEntry:
     """Live state of one buffered message at one member.
 
@@ -32,18 +32,14 @@ class BufferEntry:
     long_term: bool = False
     #: Time of the most recent event that counts as a "use" (receipt,
     #: request, or serving a repair); drives the long-term TTL.
+    #: :meth:`MessageBuffer.add` starts it at the receive time.
     last_use_time: float = 0.0
     #: Monotonic admission rank assigned by :meth:`MessageBuffer.add`;
     #: orders :meth:`MessageBuffer.long_term_seqs` by insertion.
     order: int = 0
 
-    def __post_init__(self) -> None:
-        if self.last_use_time == 0.0:
-            self.last_use_time = self.receive_time
 
-
-@dataclass(frozen=True)
-class BufferRecord:
+class BufferRecord(NamedTuple):
     """One completed buffering episode (message added then discarded)."""
 
     seq: Seq
@@ -164,8 +160,7 @@ class MessageBuffer:
         if existing is not None:
             return existing
         self._next_order += 1
-        entry = BufferEntry(seq=data.seq, data=data, receive_time=now,
-                            long_term=long_term, order=self._next_order)
+        entry = BufferEntry(data.seq, data, now, None, long_term, now, self._next_order)
         self._entries[data.seq] = entry
         if long_term:
             self._long_term.add(data.seq)
@@ -202,13 +197,7 @@ class MessageBuffer:
             return None
         self._long_term.discard(seq)
         self.records.append(
-            BufferRecord(
-                seq=seq,
-                receive_time=entry.receive_time,
-                discard_time=now,
-                reason=reason,
-                was_long_term=entry.long_term,
-            )
+            BufferRecord(seq, entry.receive_time, now, reason, entry.long_term)
         )
         return entry
 

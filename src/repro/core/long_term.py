@@ -96,7 +96,7 @@ class RandomizedLongTermSelector:
             return
         timer = self._ttl_timers.get(seq)
         if timer is None:
-            timer = Timer(self.sim, lambda s=seq: self._expire(s))
+            timer = Timer(self.sim, self._expire, seq)
             self._ttl_timers[seq] = timer
         timer.start(self.ttl)
 

@@ -96,13 +96,14 @@ class TwoPhaseBufferPolicy(BufferPolicy):
     # Protocol callbacks
     # ------------------------------------------------------------------
     def on_receive(self, data: DataMessage) -> None:
-        now = self.host.sim.now
         if data.seq in self.buffer:
             return
+        host = self.host
+        now = host.sim.now
         self.buffer.add(data, now)
         self.short_term.track(data.seq)
-        if self.host.trace.enabled:
-            self.host.trace.emit(now, "buffer_add", node=self.host.node_id, seq=data.seq)
+        if host.trace.enabled:
+            host.trace.emit(now, "buffer_add", node=host.node_id, seq=data.seq)
 
     def on_request(self, seq: Seq) -> None:
         entry = self.buffer.get(seq)
@@ -163,23 +164,24 @@ class TwoPhaseBufferPolicy(BufferPolicy):
     # Internal transitions
     # ------------------------------------------------------------------
     def _on_idle(self, seq: Seq) -> None:
-        now = self.host.sim.now
+        host = self.host
+        now = host.sim.now
         entry = self.buffer.get(seq)
         if entry is None:  # pragma: no cover - defensive
             return
-        trace = self.host.trace
+        trace = host.trace
         if trace.enabled:
-            trace.emit(now, "buffer_idle", node=self.host.node_id, seq=seq)
-        if self.long_term.decide(self.host.region_size()):
+            trace.emit(now, "buffer_idle", node=host.node_id, seq=seq)
+        if self.long_term.decide(host.region_size()):
             self.buffer.promote(seq)
             entry.last_use_time = now
             self.long_term.arm_ttl(seq)
             if trace.enabled:
-                trace.emit(now, "long_term_selected", node=self.host.node_id,
+                trace.emit(now, "long_term_selected", node=host.node_id,
                            seq=seq, via="coin-flip")
         else:
             removed = self.buffer.discard(seq, now, DISCARD_IDLE)
-            if removed is not None:
+            if removed is not None and trace.enabled:
                 self._emit_discard(seq, now, DISCARD_IDLE, was_long_term=False,
                                    duration=now - removed.receive_time)
 

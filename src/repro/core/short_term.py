@@ -56,7 +56,7 @@ class FeedbackIdleTracker:
         """Begin the idle countdown for a newly-buffered message."""
         if seq in self._timers:
             return
-        timer = Timer(self.sim, lambda s=seq: self._fire(s))
+        timer = Timer(self.sim, self._fire, seq)
         self._timers[seq] = timer
         timer.start(self.idle_threshold)
 

@@ -12,7 +12,7 @@ threshold).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
@@ -27,6 +27,8 @@ class SimulationError(RuntimeError):
 #: attribute simulation work to individual trials, including trials
 #: executed in worker processes.
 _total_events_fired = 0
+
+_INF = float("inf")
 
 
 def total_events_fired() -> int:
@@ -74,6 +76,11 @@ class Simulator:
         """Number of live events still queued."""
         return self._queue.live_count()
 
+    @property
+    def instants_opened(self) -> int:
+        """Distinct firing times scheduled so far: heap entries paid for."""
+        return self._queue._opened
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -81,17 +88,19 @@ class Simulator:
         """Schedule *callback(*args)* at absolute simulated *time*.
 
         Scheduling exactly at ``now`` is allowed (the event fires before
-        time advances); scheduling in the past raises
-        :class:`SimulationError`.
+        time advances); scheduling in the past, or at a non-finite time,
+        raises :class:`SimulationError`.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6f}, which is before now={self._now:.6f}"
-            )
+        if not self._now <= time < _INF:
+            raise self._refusal(time)
         self._seq += 1
         event = Event(time, self._seq, callback, args)
         self._queue.push(event)
         return event
+
+    def _refusal(self, time: float) -> SimulationError:
+        why = f"before now={self._now:.6f}" if time < self._now else "not finite"
+        return SimulationError(f"cannot schedule at t={time:.6f}, which is {why}")
 
     def after(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule *callback(*args)* *delay* milliseconds from now."""
@@ -119,10 +128,8 @@ class Simulator:
         *seq* must come from :meth:`reserve_seq` and be used at most
         once; reusing a live event's seq would break the total order.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6f}, which is before now={self._now:.6f}"
-            )
+        if not self._now <= time < _INF:
+            raise self._refusal(time)
         event = Event(time, seq, callback, args)
         self._queue.push(event)
         return event
@@ -153,42 +160,50 @@ class Simulator:
         if the queue drains earlier, so occupancy probes and time-series
         samples line up across runs.  Returns the final simulated time.
 
-        The loop is the simulator's hottest code: it peeks, pops and
-        fires against the raw heap directly instead of going through
-        :meth:`EventQueue.peek_time` + :meth:`step`, which would walk
-        the heap head twice per event.
+        The loop is the simulator's hottest code: it works on the
+        queue's heap of instants and their buckets directly instead of
+        going through :meth:`EventQueue.peek_time` + :meth:`step`, so an
+        instant costs one heap operation however many events share it.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
         queue = self._queue
-        # EventQueue.compact() rebuilds this list in place, so the alias
-        # stays valid even if a callback's push triggers compaction.
-        heap = queue._heap
-        heappop = heapq.heappop
+        # EventQueue.compact() and clear() work in place and only the
+        # head of ``times`` is ever retired, so these aliases and the
+        # bucket being drained stay valid whatever a callback does.
+        times, buckets = queue._times, queue._buckets
+        limit = _INF if max_events is None else max_events
         fired = 0
         try:
-            while heap:
-                event = heap[0]
-                if event._cancelled:
-                    heappop(heap)
-                    queue._dead -= 1
+            while times:
+                time = times[0]
+                bucket = buckets[time]
+                if not bucket:
+                    del buckets[heappop(times)]
                     continue
-                if max_events is not None and fired >= max_events:
+                if until is not None and time > until:
                     break
-                event_time = event.time
-                if until is not None and event_time > until:
+                popleft = bucket.popleft
+                # A callback scheduling for ``now`` appends to this very
+                # bucket, so the loop ends only when the instant is over.
+                while bucket and fired < limit:
+                    event = popleft()
+                    queue._size -= 1
+                    if event._cancelled:
+                        queue._dead -= 1
+                        continue
+                    event._queue = None
+                    self._now = time
+                    fired += 1
+                    self._events_fired += 1
+                    callback, args = event.callback, event.args
+                    event.callback = None
+                    event.args = ()
+                    if callback is not None:
+                        callback(*args)
+                if bucket:  # max_events stopped the run mid-instant
                     break
-                heappop(heap)
-                event._queue = None
-                self._now = event_time
-                fired += 1
-                self._events_fired += 1
-                callback, args = event.callback, event.args
-                event.callback = None
-                event.args = ()
-                if callback is not None:
-                    callback(*args)
         finally:
             self._running = False
             global _total_events_fired

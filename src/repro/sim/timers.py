@@ -31,18 +31,22 @@ class Timer:
     is.  When the stale event fires early, the timer notices the
     pushed-back deadline and schedules one catch-up event at the true
     deadline under the reserved seq.  A burst of *k* refreshes
-    therefore costs *k* field writes plus at most one extra heap
-    operation, instead of *k* cancelled :class:`Event` allocations
-    sitting in the engine's heap.  Re-arming to an equal-or-earlier
-    deadline falls back to cancel + reschedule (the heaped event would
-    fire too late, or in the wrong same-time order, otherwise).
+    therefore costs *k* field writes plus at most one extra event,
+    instead of *k* cancelled :class:`Event` allocations sitting in the
+    engine's queue.  Re-arming to an equal-or-earlier deadline falls
+    back to cancel + reschedule (the queued event would fire too late,
+    or in the wrong same-time order, otherwise).
+
+    The timer fires ``callback(*args)``, so a tracker arming one timer
+    per message passes its bound method and the seq — no closure each.
     """
 
-    __slots__ = ("_sim", "_callback", "_event", "_deadline", "_reserved_seq")
+    __slots__ = ("_sim", "_callback", "_args", "_event", "_deadline", "_reserved_seq")
 
-    def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
+    def __init__(self, sim: Simulator, callback: Callable[..., None], *args: Any) -> None:
         self._sim = sim
         self._callback = callback
+        self._args = args
         self._event: Optional[Event] = None
         self._deadline = 0.0
         self._reserved_seq = 0
@@ -73,7 +77,7 @@ class Timer:
                 return
             event.cancel()
         self._deadline = deadline
-        new_event = sim.after(delay, self._fire)
+        new_event = sim.at(deadline, self._fire)
         self._event = new_event
         self._reserved_seq = new_event.seq
 
@@ -86,14 +90,14 @@ class Timer:
     def _fire(self) -> None:
         deadline = self._deadline
         if deadline > self._sim.now:
-            # The deadline was pushed back after this event was heaped:
+            # The deadline was pushed back after this event was queued:
             # schedule the single catch-up event at the true deadline,
             # under the seq reserved by the most recent push-back so it
             # fires exactly where the rescheduled event would have.
             self._event = self._sim.at_reserved(deadline, self._reserved_seq, self._fire)
             return
         self._event = None
-        self._callback()
+        self._callback(*self._args)
 
 
 class PeriodicTask:

@@ -163,7 +163,7 @@ class TreeMember:
                              Nack(seq=seq, requester=self.node_id))
         timer = self._nack_timers.get(seq)
         if timer is None:
-            timer = Timer(self.sim, lambda s=seq: self._send_nack(s))
+            timer = Timer(self.sim, self._send_nack, seq)
             self._nack_timers[seq] = timer
         timer.start(self.network.rtt(self.node_id, self.repair_target) * self.timer_factor)
 

@@ -5,9 +5,20 @@ member (76% never drawn from) and every recovery or search round
 copied its region's member list to pick one peer.  These tests pin the
 replacement by counts and object identity, never by timings, so the
 cost cannot creep back unnoticed.
+
+The event queue and the per-copy objects are guarded the same way
+(:class:`TestEventsShareInstants`).  That the cheaper queue fires the
+very same events is not re-checked here: ``sim.events_fired`` of the 11
+registry scenarios is pinned, next to their trace digests, by
+``tests/baselines/test_scenario_digests.py``.
 """
 
+import dataclasses
+
 from repro.core import search
+from repro.core.buffer import BufferRecord
+from repro.core.long_term import RandomizedLongTermSelector
+from repro.core.short_term import FeedbackIdleTracker
 from repro.net.topology import chain, single_region
 from repro.protocol import recovery
 from repro.protocol.config import RrmpConfig
@@ -43,6 +54,39 @@ class TestStreamsExistOnceDrawnFrom:
         assert member_streams(simulation, "recovery") == []
         # Every member did flip the §3.2 coin, so those streams exist.
         assert len(member_streams(simulation, "long-term")) == 1000
+
+
+class TestEventsShareInstants:
+    """A region acts in lockstep, so the heap orders instants (floats),
+    and a buffered copy is one slotted entry plus closure-free timers."""
+
+    def test_a_lossless_stream_fires_twenty_events_per_heap_entry(self):
+        spec = scale_spec(regions=10, members_per_region=100, messages=5, loss_rate=0.0)
+        # A TTL longer than the run, so its timers are still there to inspect.
+        policy = dataclasses.replace(spec.policy, long_term_ttl=10_000.0)
+        built = build_scenario(dataclasses.replace(spec, policy=policy))
+        simulation = built.simulation
+        sim = simulation.sim
+        queue = sim._queue
+        policies = [member.policy for member in simulation.members.values()]
+        # Mid-stream: idle timers armed, session and data events queued.
+        simulation.run(until=60.0)
+        idle = [timer for policy in policies for timer in policy.short_term._timers.values()]
+        assert len(queue._times) > 1 and idle
+        assert all(type(time) is float for time in queue._times)
+        assert all(timer._callback.__func__ is FeedbackIdleTracker._fire for timer in idle)
+        built.run()
+        assert sim.events_fired / sim.instants_opened >= 20
+        assert all(type(time) is float for time in queue._times)
+        ttl = [timer for policy in policies for timer in policy.long_term._ttl_timers.values()]
+        assert ttl
+        assert all(timer._callback.__func__ is RandomizedLongTermSelector._expire
+                   for timer in ttl)
+        entries = [entry for policy in policies for entry in policy.buffer.entries()]
+        records = [record for policy in policies for record in policy.buffer.records]
+        assert entries and not any(hasattr(entry, "__dict__") for entry in entries)
+        assert records and all(type(record) is BufferRecord for record in records)
+        assert issubclass(BufferRecord, tuple)
 
 
 class TestPickingAPeerCopiesNothing:

@@ -1,11 +1,14 @@
-"""Boundary semantics of Simulator.run(max_events=...) and EventQueue
-cancellation, including under the process-pool backend (engine state
-must never leak across trials that share a worker process)."""
+"""Boundary semantics of Simulator.run(max_events=...), EventQueue
+cancellation and non-finite firing times, including under the
+process-pool backend (engine state must never leak across trials that
+share a worker process)."""
+
+import pytest
 
 from repro.runner import ProcessPoolBackend, SerialBackend, SweepSpec
 from repro.runner._testing import trial_engine_exercise
 from repro.sim import EventQueue, Simulator
-from repro.sim.engine import total_events_fired
+from repro.sim.engine import SimulationError, total_events_fired
 
 
 class TestMaxEventsBoundaries:
@@ -75,6 +78,38 @@ class TestMaxEventsBoundaries:
         sim.run(max_events=7)
         assert count[0] == 7
         assert sim.pending_events == 1  # the next tick remains queued
+
+
+class TestNonFiniteTimes:
+    """A NaN time used to fire before t=1 and poison ``now`` (no
+    past-time check can fail against NaN); an infinite one ended the
+    run at ``now == inf``.  Both are refused, and nothing changes."""
+
+    BAD = [float("nan"), float("inf"), float("-inf")]
+
+    def refused(self, sim, schedule):
+        sim.after(1.0, lambda: None)
+        sim.run(until=0.5)
+        with pytest.raises(SimulationError):
+            schedule()
+        assert sim.now == 0.5
+        assert sim.pending_events == 1
+        assert sim.run() == 1.0
+
+    @pytest.mark.parametrize("time", BAD)
+    def test_at(self, time):
+        sim = Simulator()
+        self.refused(sim, lambda: sim.at(time, lambda: None))
+
+    @pytest.mark.parametrize("delay", BAD)
+    def test_after(self, delay):
+        sim = Simulator()
+        self.refused(sim, lambda: sim.after(delay, lambda: None))
+
+    @pytest.mark.parametrize("time", BAD)
+    def test_at_reserved(self, time):
+        sim = Simulator()
+        self.refused(sim, lambda: sim.at_reserved(time, sim.reserve_seq(), lambda: None))
 
 
 class TestEventQueueCancellation:

@@ -51,12 +51,6 @@ class TestEvent:
         event._fire()
         assert sink == [42]
 
-    def test_ordering_by_time_then_seq(self):
-        early, _ = make_event(1.0, 2)
-        late, _ = make_event(2.0, 1)
-        tie_a, _ = make_event(1.0, 1)
-        assert tie_a < early < late
-
 
 class TestEventQueue:
     def test_pop_empty_returns_none(self):
@@ -110,7 +104,7 @@ class TestEventQueue:
         events[0].cancel()
         events[3].cancel()
         assert queue.live_count() == 3
-        assert len(queue) == 5  # cancelled entries still occupy the heap
+        assert len(queue) == 5  # cancelled entries still occupy their buckets
 
     def test_clear_empties_queue(self):
         queue = EventQueue()
@@ -121,7 +115,7 @@ class TestEventQueue:
 
 
 class TestCompaction:
-    """Batched removal of cancelled events from the heap."""
+    """Batched removal of cancelled events from the queue."""
 
     def _fill(self, queue, count):
         events = []
@@ -147,7 +141,7 @@ class TestCompaction:
             event.cancel()
         assert len(queue) == 200
         queue.push(Event(999.0, 999, lambda: None))
-        # The triggering push lands on an already-compacted heap.
+        # The triggering push lands on an already-compacted queue.
         assert len(queue) == 51
         assert queue.dead_count == 0
         assert queue.live_count() == 51
@@ -180,7 +174,7 @@ class TestCompaction:
         queue = EventQueue()
         self._fill(queue, 5)
         event = queue.pop()
-        event.cancel()  # already out of the heap
+        event.cancel()  # already out of the queue
         assert queue.dead_count == 0
         assert queue.live_count() == 4
 
