@@ -156,7 +156,8 @@ class MemberGroup:
         return [record["latency"] for record in self.trace.of_kind("recovery_completed")]
 
     def violation_count(self) -> int:
-        """Recoveries that gave up (reliability violations, §5)."""
+        """Recoveries that gave up (reliability violations, §5); the
+        log's tally, so the same whether or not records are retained."""
         return self.trace.count("reliability_violation")
 
     def control_message_count(self) -> int:

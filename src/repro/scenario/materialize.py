@@ -413,7 +413,10 @@ class BuiltScenario:
         """The summary both engines print.  *identity* lands after the
         spec's own identity keys and *engine* after the traffic counts —
         where the live payload has always carried its ``mode``/
-        ``speedup`` and its socket and clock readings."""
+        ``speedup`` and its socket and clock readings.
+        ``reliability_violations`` is the trace log's tally and holds
+        with ``keep_trace`` off; ``recoveries`` and
+        ``mean_recovery_latency_ms`` need the retained records."""
         group = self.simulation
         latencies = group.recovery_latencies()
         result = {

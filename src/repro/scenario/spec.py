@@ -525,6 +525,10 @@ class MeasurementSpec:
     (:mod:`repro.validate`) for the whole run and finalizes it at the
     measurement end; default off, so experiment outputs are untouched
     unless a run opts into validation.
+    ``keep_trace=False`` retains no trace records.  Counts of a kind
+    (``reliability_violations``) come from the log's tally and are the
+    same either way; ``recoveries`` and ``mean_recovery_latency_ms`` are
+    read off retained records and report 0 without them.
     """
 
     horizon: Optional[float] = None

@@ -1,11 +1,12 @@
 """The runtime invariant oracle.
 
-:class:`InvariantOracle` subscribes to a simulation's
-:class:`~repro.sim.tracing.TraceLog` and feeds every record to the
-protocol invariants of :mod:`repro.validate.invariants` while the run
-executes; :meth:`finish` then sweeps live member state (buffers, gap
-trackers, recovery processes) for the end-of-run checks.  Attach it to
-any :class:`~repro.protocol.rrmp.RrmpSimulation` — directly, via
+:class:`InvariantOracle` subscribes the protocol invariants of
+:mod:`repro.validate.invariants` to a simulation's
+:class:`~repro.sim.tracing.TraceLog`, each to the record kinds it
+checks, so they see those records while the run executes;
+:meth:`finish` then sweeps live member state (buffers, gap trackers,
+recovery processes) for the end-of-run checks.  Attach it to any
+:class:`~repro.protocol.rrmp.RrmpSimulation` — directly, via
 ``MeasurementSpec(oracle=True)``, or through the ``validate`` CLI::
 
     oracle = InvariantOracle().attach(simulation)
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.sim.tracing import NullTraceLog, TraceRecord
+from repro.sim.tracing import NullTraceLog
 from repro.validate.invariants import (
     EndContext,
     Invariant,
@@ -43,12 +44,8 @@ class InvariantOracle:
         )
         for invariant in self._invariants:
             invariant.bind(self)
-        self._by_kind: Dict[str, List[Invariant]] = {}
-        for invariant in self._invariants:
-            for kind in invariant.kinds:
-                self._by_kind.setdefault(kind, []).append(invariant)
         self.simulation = None
-        self.records_checked = 0
+        self._emitted_at_attach = 0
         self.violation_count = 0
         self._violations: List[Violation] = []
         self._finished = False
@@ -72,13 +69,18 @@ class InvariantOracle:
                 "(keep_trace/keep_records may still be off)"
             )
         self.simulation = simulation
-        trace.subscribe(self._on_record)
+        self._emitted_at_attach = trace.emitted
+        for invariant in self._invariants:
+            for kind in invariant.kinds:
+                trace.subscribe(invariant.on_record, kind)
         return self
 
-    def _on_record(self, record: TraceRecord) -> None:
-        self.records_checked += 1
-        for invariant in self._by_kind.get(record.kind, ()):
-            invariant.on_record(record)
+    @property
+    def records_checked(self) -> int:
+        """Records emitted while attached, of every kind (0 before)."""
+        if self.simulation is None:
+            return 0
+        return self.simulation.trace.emitted - self._emitted_at_attach
 
     # ------------------------------------------------------------------
     # Violation sink (called by invariants)

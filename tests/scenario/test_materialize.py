@@ -7,18 +7,22 @@ spec-built path produces byte-identical metrics (hence byte-identical
 ``SeriesTable`` output for the migrated experiment).
 """
 
+from dataclasses import replace
 from typing import Dict
 
 import pytest
 
 from repro.metrics.occupancy import OccupancyProbe
+from repro.metrics.snapshot import take_snapshot
 from repro.metrics.stats import mean
 from repro.net.ipmulticast import BernoulliOutcome
 from repro.net.loss import GilbertElliottLoss
 from repro.net.topology import chain
 from repro.protocol.config import RrmpConfig
 from repro.protocol.rrmp import RrmpSimulation
+from repro.scenario import build_scenario
 from repro.scenario.builder import scenario
+from repro.scenario.library import scale_spec
 from repro.scenario.registry import get_scenario
 from repro.scenario.spec import (
     MeasurementSpec,
@@ -243,3 +247,28 @@ class TestMaterializeFeatures:
 
         assert isinstance(outcome, RegionCorrelatedOutcome)
         assert outcome.sender == built.simulation.sender.node_id
+
+
+class TestGiveUpsAreCountedWithoutATrace:
+    """``reliability_violations`` used to scan retained records, so a
+    run that kept none reported zero while giving up 129 deliveries."""
+
+    def _run(self, keep_trace):
+        spec = scale_spec(regions=3, members_per_region=10, messages=30, send_interval=10,
+                          loss_rate=0.4, seed=3, horizon=3000, max_recovery_time=20)
+        spec = replace(spec, measurement=replace(spec.measurement, keep_trace=keep_trace))
+        return build_scenario(spec).run()
+
+    def test_violations_do_not_depend_on_keep_trace(self):
+        kept, streamed = self._run(True), self._run(False)
+        assert len(kept.simulation.trace.records) > 0
+        assert streamed.simulation.trace.records == []
+        assert kept.simulation.violation_count() == streamed.simulation.violation_count() == 129
+        assert (kept.summary()["reliability_violations"]
+                == streamed.summary()["reliability_violations"] == 129)
+        assert kept.summary()["delivered_fraction"] == streamed.summary()["delivered_fraction"]
+
+    def test_snapshot_reads_the_tally_not_the_records(self):
+        streamed = self._run(False)
+        assert len(streamed.simulation.trace.records) == 0
+        assert take_snapshot(streamed.simulation).reliability_violations == 129

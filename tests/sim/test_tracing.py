@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import NullTraceLog, StreamingTraceDigest, TraceLog, trace_digest
-from repro.sim.tracing import record_line
+from repro.sim.tracing import TraceRecord, record_line
 
 
 class TestTraceLog:
@@ -63,6 +63,76 @@ class TestTraceLog:
         trace.emit(2.0, "b")
         assert trace.records[0].kind == "b"
         assert len(seen) == 2
+
+    def test_count_does_not_need_retained_records(self):
+        log = TraceLog(keep_records=False)
+        log.emit(1.0, "x")
+        log.emit(2.0, "x")
+        log.emit(3.0, "y")
+        assert log.records == []
+        assert (log.count("x"), log.count("y"), log.count("z")) == (2, 1, 0)
+        assert log.emitted == 3
+
+    def test_clear_zeroes_count_but_not_emitted(self, trace):
+        trace.emit(1.0, "x")
+        trace.emit(2.0, "x")
+        trace.clear()
+        assert trace.count("x") == 0
+        assert trace.emitted == 2
+        trace.emit(3.0, "x")
+        assert trace.count("x") == 1
+        assert trace.emitted == 3
+        assert [record.time for record in trace.records] == [3.0]
+
+    def test_delivery_order_is_retain_then_all_kind_then_kind(self, trace):
+        order = []
+        trace.subscribe(lambda record: order.append(("kind-1", len(trace.records))), kind="a")
+        trace.subscribe(lambda record: order.append(("all-1", len(trace.records))))
+        trace.subscribe(lambda record: order.append(("kind-2", len(trace.records))), kind="a")
+        trace.subscribe(lambda record: order.append(("all-2", len(trace.records))))
+        trace.emit(1.0, "a")
+        assert order == [("all-1", 1), ("all-2", 1), ("kind-1", 1), ("kind-2", 1)]
+        del order[:]
+        trace.emit(2.0, "b")
+        assert order == [("all-1", 2), ("all-2", 2)]
+
+    def test_subscribing_after_a_kind_was_emitted_takes_effect(self, trace):
+        trace.emit(1.0, "a")
+        by_kind, every = [], []
+        trace.subscribe(by_kind.append, kind="a")
+        trace.emit(2.0, "a")
+        trace.subscribe(every.append)
+        trace.emit(3.0, "a")
+        assert [record.time for record in by_kind] == [2.0, 3.0]
+        assert [record.time for record in every] == [3.0]
+        assert len(trace.records) == 3
+
+    def test_subscribing_from_inside_a_callback_fires_from_the_next_record(self, trace):
+        late = []
+
+        def subscribe_more(record):
+            if record.time == 1.0:
+                trace.subscribe(late.append)
+                trace.subscribe(late.append, kind="a")
+
+        trace.subscribe(subscribe_more)
+        trace.emit(1.0, "a")
+        assert late == []
+        trace.emit(2.0, "a")
+        assert [record.time for record in late] == [2.0, 2.0]
+
+
+class TestTraceRecord:
+    def test_equal_parts_compare_equal(self):
+        assert TraceRecord(1.0, "a", {"n": 1}) == TraceRecord(1.0, "a", {"n": 1})
+        assert TraceRecord(1.0, "a", {"n": 1}) != TraceRecord(1.0, "a", {"n": 2})
+        assert TraceRecord(1.0, "a") != TraceRecord(2.0, "a")
+        assert TraceRecord(1.0, "a") != (1.0, "a", {})
+        assert TraceRecord(1.0, "a").fields == {}
+
+    def test_repr_round_trips(self):
+        record = TraceRecord(2.5, "buffer_add", {"node": 3, "via": "multicast", "w": (1, 2)})
+        assert eval(repr(record)) == record
 
 
 class TestNullTraceLog:
