@@ -14,9 +14,7 @@ observed state:
   recovery machinery lags and the estimate grows — exactly the regime
   the controller must throttle.
 * ``rtt_ms`` — the receiver's RTT estimate towards the sender (the
-  member's ``rtt_to`` surface, i.e. the measured Jacobson/Karels
-  estimator when :func:`~repro.protocol.rtt.attach_rtt_estimation` is
-  active, the latency oracle otherwise).
+  member's ``rtt_to`` surface, i.e. the transport's latency model).
 * ``max_seq`` / ``received`` — raw counters for observability.
 
 Reports ride the normal unicast path (control wire size, counted in

@@ -109,8 +109,8 @@ def main_live(args: argparse.Namespace) -> int:
     spec = spec_from_args(args)
     if spec is None:
         return 2
-    if args.speedup <= 0:
-        print("error: --speedup must be > 0", file=sys.stderr)
+    if not 0 < args.speedup < float("inf"):  # also refuses nan
+        print("error: --speedup must be finite and > 0", file=sys.stderr)
         return 2
     command = {"run": _cmd_run, "daemon": _cmd_daemon, "diff": _cmd_diff,
                "node": _cmd_node}[args.live_command]

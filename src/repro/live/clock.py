@@ -81,8 +81,8 @@ class LiveClock:
 
     def __init__(self, speedup: float = 1.0, held: bool = False,
                  loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        if speedup <= 0:
-            raise ValueError(f"speedup must be > 0, got {speedup!r}")
+        if not 0 < speedup < float("inf"):  # also refuses nan
+            raise ValueError(f"speedup must be finite and > 0, got {speedup!r}")
         self.speedup = speedup
         self._loop = loop
         self._epoch: Optional[float] = None

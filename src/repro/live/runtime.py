@@ -119,8 +119,8 @@ class Transport(Protocol):
         ...
 
     def multicast(self, src: NodeId, dsts: Iterable[NodeId], payload: Any,
-                  group: str = "group", include_sender: bool = False) -> int:
-        """Fan *payload* out to every node in *dsts*."""
+                  group: str = "group") -> int:
+        """Fan *payload* out to every node in *dsts* except *src*."""
         ...
 
     def rtt(self, src: NodeId, dst: NodeId) -> float:

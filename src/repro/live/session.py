@@ -122,7 +122,6 @@ class LiveSession(MemberGroup):
             models.latency,
             loss=models.loss,
             streams=self.streams,
-            trace=None,
             directory=directory,
         )
         self._outcome = models.outcome

@@ -28,8 +28,10 @@ routine, which encodes the message once (only the header differs per
 receiver) and hands the clock one callback per distinct modelled delay
 rather than one per datagram.
 
-Inbound datagrams that fail to decode are counted and rejected whole
-(:class:`~repro.live.codec.CodecError` never reaches protocol code).
+Inbound datagrams that fail to decode are counted (``recv_rejected``)
+and rejected whole (:class:`~repro.live.codec.CodecError` never reaches
+protocol code).  Like the simulated network, the transport keeps what
+happened to each datagram as counters only.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Packet, payload_kind, payload_size, payload_type_name
 from repro.net.topology import NodeId
 from repro.net.transport import Endpoint, NetworkStats
-from repro.sim import RandomStreams, TraceLog
+from repro.sim import RandomStreams
 
 Address = Tuple[str, int]
 
@@ -77,7 +79,6 @@ class LiveTransport:
         latency: LatencyModel,
         loss: Optional[LossModel] = None,
         streams: Optional[RandomStreams] = None,
-        trace: Optional[TraceLog] = None,
         directory: Optional[Dict[NodeId, Address]] = None,
     ) -> None:
         self.clock = clock
@@ -89,7 +90,6 @@ class LiveTransport:
         if streams is None:  # not ``or``: a factory with no stream yet is falsy
             streams = RandomStreams(0)
         self._loss_rng = streams.stream("net", "loss")
-        self.trace = trace
         self.stats = NetworkStats()
         #: Inbound datagrams rejected by the codec (malformed/foreign).
         self.recv_rejected = 0
@@ -173,14 +173,9 @@ class LiveTransport:
         dsts: Iterable[NodeId],
         payload: Any,
         group: str = "group",
-        include_sender: bool = False,
     ) -> int:
-        """Fan *payload* out as one datagram per receiver."""
-        new_message = getattr(self.loss, "new_message", None)
-        if new_message is not None:
-            new_message()
-        if not include_sender:
-            dsts = [dst for dst in dsts if dst != src]
+        """Fan *payload* out as one datagram per receiver other than *src*."""
+        dsts = [dst for dst in dsts if dst != src]
         return len(self._fan_out(src, dsts, payload, group)[1])
 
     def rtt(self, src: NodeId, dst: NodeId) -> float:
@@ -204,14 +199,11 @@ class LiveTransport:
         type_name = payload_type_name(payload)
         now = self.clock.now
         frame = frame_encoder(src, payload, now, group)
-        stats, trace = self.stats, self.trace
+        stats = self.stats
         delays: List[float] = []
         batches: Dict[float, List[Tuple[bytes, Address]]] = {}
         for dst in dsts:
             stats.record_send(type_name, kind, size)
-            if trace is not None:
-                trace.emit(now, "packet_sent", src=src, dst=dst,
-                           type=type_name, packet_kind=kind)
             addr = self._address_of(dst)
             if addr is None:
                 # No endpoint here and no directory entry: the destination
@@ -219,14 +211,8 @@ class LiveTransport:
                 # outcome as the simulated network's membership check.
                 stats.dropped += 1
                 stats.send_dropped += 1
-                if trace is not None:
-                    trace.emit(now, "send_dropped", src=src, dst=dst,
-                               type=type_name, reason="unregistered")
             elif self.loss.is_lost(src, dst, kind, self._loss_rng):
                 stats.dropped += 1
-                if trace is not None:
-                    trace.emit(now, "packet_dropped", src=src, dst=dst,
-                               type=type_name)
             else:
                 delay = self.latency.one_way(src, dst)
                 delays.append(delay)
@@ -296,9 +282,6 @@ class LiveTransport:
             src, dst, send_time, payload, group = decode_frame(data)
         except CodecError:
             self.recv_rejected += 1
-            if self.trace is not None:
-                self.trace.emit(self.clock.now, "recv_rejected",
-                                peer=list(addr), size=len(data))
             return
         endpoint = self._endpoints.get(dst)
         if endpoint is None:
@@ -309,7 +292,4 @@ class LiveTransport:
             return
         now = self.clock.now
         self.stats.delivered += 1
-        if self.trace is not None:
-            self.trace.emit(now, "packet_delivered", src=src, dst=dst,
-                            type=payload_type_name(payload))
         endpoint.on_packet(Packet(src, dst, payload, payload.kind, send_time, now, group))

@@ -1,7 +1,7 @@
 """Membership dynamics substrate (system S8 in DESIGN.md).
 
-Gossip-style failure detection (ref [13]), scripted and random churn
-schedules, and approximate (stale) membership views.
+Gossip-style failure detection (ref [13]) and scripted and random
+churn schedules.
 """
 
 from repro.membership.churn import (
@@ -17,7 +17,6 @@ from repro.membership.failure_detector import (
     HeartbeatGossip,
     attach_failure_detectors,
 )
-from repro.membership.view import StaleView
 
 __all__ = [
     "ChurnEvent",
@@ -27,7 +26,6 @@ __all__ = [
     "EVENT_LEAVE",
     "GossipFailureDetector",
     "HeartbeatGossip",
-    "StaleView",
     "attach_failure_detectors",
     "random_churn",
 ]

@@ -18,9 +18,7 @@ from repro.net.ipmulticast import (
 from repro.net.latency import (
     ConstantLatency,
     HierarchicalLatency,
-    JitteredLatency,
     LatencyModel,
-    PairwiseLatency,
 )
 from repro.net.loss import (
     BernoulliLoss,
@@ -28,7 +26,6 @@ from repro.net.loss import (
     LossModel,
     NoLoss,
     ReceiverSetLoss,
-    RegionCorrelatedLoss,
 )
 from repro.net.packet import KIND_CONTROL, KIND_DATA, Packet
 from repro.net.topology import (
@@ -54,7 +51,6 @@ __all__ = [
     "GilbertElliottLoss",
     "Hierarchy",
     "HierarchicalLatency",
-    "JitteredLatency",
     "KIND_CONTROL",
     "KIND_DATA",
     "LatencyModel",
@@ -65,10 +61,8 @@ __all__ = [
     "NoLoss",
     "NodeId",
     "Packet",
-    "PairwiseLatency",
     "PerfectOutcome",
     "Region",
-    "RegionCorrelatedLoss",
     "RegionCorrelatedOutcome",
     "RegionId",
     "ReceiverSetLoss",

@@ -13,9 +13,7 @@ Protocol timers use :meth:`LatencyModel.rtt`, mirroring the paper's
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
-from typing import Dict, Tuple
 
 from repro.net.topology import Hierarchy, NodeId
 
@@ -105,47 +103,3 @@ class HierarchicalLatency(LatencyModel):
         up, down = self.hierarchy.region_hop_split(src, dst)
         return up * up_delay + down * down_delay
 
-
-class JitteredLatency(LatencyModel):
-    """Wrap a base model with multiplicative uniform jitter.
-
-    Each packet's delay is ``base * U(1 - jitter, 1 + jitter)`` drawn
-    from a dedicated RNG stream, modelling queueing variance without
-    changing timer estimates (``rtt`` still reports the base value, as a
-    real protocol's smoothed estimator would).
-    """
-
-    def __init__(self, base: LatencyModel, jitter: float, rng: random.Random) -> None:
-        if not 0 <= jitter < 1:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter!r}")
-        self.base = base
-        self.jitter = jitter
-        self._rng = rng
-
-    def one_way(self, src: NodeId, dst: NodeId) -> float:
-        factor = self._rng.uniform(1 - self.jitter, 1 + self.jitter)
-        return self.base.one_way(src, dst) * factor
-
-    def rtt(self, src: NodeId, dst: NodeId) -> float:
-        return self.base.rtt(src, dst)
-
-
-class PairwiseLatency(LatencyModel):
-    """Explicit per-pair one-way latencies, with a default for the rest.
-
-    Useful for adversarial topologies in tests (one distant straggler in
-    an otherwise tight region).
-    """
-
-    def __init__(self, default_one_way: float = 5.0) -> None:
-        self.default_one_way = default_one_way
-        self._pairs: Dict[Tuple[NodeId, NodeId], float] = {}
-
-    def set_pair(self, src: NodeId, dst: NodeId, one_way_ms: float, symmetric: bool = True) -> None:
-        """Set the delay for *src*→*dst* (and the reverse if symmetric)."""
-        self._pairs[(src, dst)] = one_way_ms
-        if symmetric:
-            self._pairs[(dst, src)] = one_way_ms
-
-    def one_way(self, src: NodeId, dst: NodeId) -> float:
-        return self._pairs.get((src, dst), self.default_one_way)

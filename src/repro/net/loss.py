@@ -6,8 +6,10 @@ protocol itself must tolerate arbitrary loss, so the transport accepts a
 pluggable :class:`LossModel` consulted per (src, dst, kind) delivery.
 
 ``kind`` is the packet classification from :mod:`repro.net.packet`
-(``"data"``, ``"control"`` …), letting a model drop data while keeping
-control traffic reliable — exactly the paper's evaluation assumption.
+(``"data"`` or ``"control"``).  Every model here drops data only and
+keeps control traffic reliable — exactly the paper's evaluation
+assumption — except :class:`RegionalOutageLoss`, whose partition severs
+both.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.net.topology import Hierarchy, NodeId
 
@@ -36,83 +38,33 @@ class NoLoss(LossModel):
 
 
 class BernoulliLoss(LossModel):
-    """Independent loss with a fixed probability per delivery.
+    """Independent data loss with a fixed probability per delivery.
 
-    ``kinds`` restricts which packet kinds are droppable (default: only
-    ``"data"``, preserving the paper's reliable-control assumption).
+    A test double: no ``LossSpec`` kind builds it.
     """
 
-    def __init__(self, probability: float, kinds: Optional[Set[str]] = None) -> None:
+    def __init__(self, probability: float) -> None:
         if not 0 <= probability <= 1:
             raise ValueError(f"probability must be in [0, 1], got {probability!r}")
         self.probability = probability
-        self.kinds = {"data"} if kinds is None else set(kinds)
 
     def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
-        if kind not in self.kinds:
+        if kind != "data":
             return False
         return rng.random() < self.probability
 
 
 class ReceiverSetLoss(LossModel):
-    """Drop packets destined to an explicit set of receivers.
+    """Drop data packets destined to an explicit set of receivers.
 
     Deterministic; used by tests to script exact loss patterns.
     """
 
-    def __init__(self, lost_receivers: Set[NodeId], kinds: Optional[Set[str]] = None) -> None:
+    def __init__(self, lost_receivers: Set[NodeId]) -> None:
         self.lost_receivers = set(lost_receivers)
-        self.kinds = {"data"} if kinds is None else set(kinds)
 
     def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
-        return kind in self.kinds and dst in self.lost_receivers
-
-
-class RegionCorrelatedLoss(LossModel):
-    """Loss correlated within regions (models a lossy upstream link).
-
-    With probability ``region_loss`` an entire region loses the packet
-    (a *regional loss* in the paper's terminology — recoverable only via
-    remote recovery); independently, each receiver additionally loses it
-    with probability ``receiver_loss`` (a *local loss*).
-
-    The per-region coin is flipped once per (src-burst, region) pair the
-    first time any member of that region is evaluated, then cached until
-    :meth:`new_message` resets it; the transport calls ``new_message``
-    before each multicast fan-out.
-    """
-
-    def __init__(
-        self,
-        hierarchy: Hierarchy,
-        region_loss: float = 0.0,
-        receiver_loss: float = 0.0,
-        kinds: Optional[Set[str]] = None,
-    ) -> None:
-        for name, p in (("region_loss", region_loss), ("receiver_loss", receiver_loss)):
-            if not 0 <= p <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
-        self.hierarchy = hierarchy
-        self.region_loss = region_loss
-        self.receiver_loss = receiver_loss
-        self.kinds = {"data"} if kinds is None else set(kinds)
-        self._region_outcome: Dict[int, bool] = {}
-
-    def new_message(self) -> None:
-        """Reset cached per-region outcomes for the next multicast."""
-        self._region_outcome.clear()
-
-    def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
-        if kind not in self.kinds:
-            return False
-        region_id = self.hierarchy.region_id_of(dst)
-        region_lost = self._region_outcome.get(region_id)
-        if region_lost is None:
-            region_lost = rng.random() < self.region_loss
-            self._region_outcome[region_id] = region_lost
-        if region_lost:
-            return True
-        return rng.random() < self.receiver_loss
+        return kind == "data" and dst in self.lost_receivers
 
 
 class BottleneckLoss(LossModel):
@@ -122,7 +74,7 @@ class BottleneckLoss(LossModel):
     a bottleneck of ``capacity`` packet deliveries per second — counted
     per (src, dst) attempt, so a multicast to *n* receivers spends *n*
     units, and repairs spend from the same budget (overload degrades
-    recovery too).  Every droppable delivery attempt is timestamped;
+    recovery too).  Every data delivery attempt is timestamped;
     when the attempt rate over the trailing ``window_ms`` exceeds
     capacity, each data packet drops with the excess ratio
     ``1 - capacity/rate`` (random early drop at the queue) on top of
@@ -139,7 +91,6 @@ class BottleneckLoss(LossModel):
         capacity: float,
         window_ms: float = 250.0,
         base_loss: float = 0.0,
-        kinds: Optional[Set[str]] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0 msgs/s, got {capacity!r}")
@@ -150,7 +101,6 @@ class BottleneckLoss(LossModel):
         self.capacity = capacity
         self.window_ms = window_ms
         self.base_loss = base_loss
-        self.kinds = {"data"} if kinds is None else set(kinds)
         self.clock = None
         self._attempts: deque = deque()
 
@@ -170,7 +120,7 @@ class BottleneckLoss(LossModel):
         return 1.0 - self.capacity / rate
 
     def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
-        if kind not in self.kinds:
+        if kind != "data":
             return False
         if self.clock is None:
             raise RuntimeError(
@@ -204,7 +154,6 @@ class GilbertElliottLoss(LossModel):
         p_bad_to_good: float = 0.3,
         p_good: float = 0.0,
         p_bad: float = 0.5,
-        kinds: Optional[Set[str]] = None,
     ) -> None:
         for name, p in (
             ("p_good_to_bad", p_good_to_bad),
@@ -218,11 +167,10 @@ class GilbertElliottLoss(LossModel):
         self.p_bad_to_good = p_bad_to_good
         self.p_good = p_good
         self.p_bad = p_bad
-        self.kinds = {"data"} if kinds is None else set(kinds)
         self._bad_state: Dict[Tuple[NodeId, NodeId], bool] = {}
 
     def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
-        if kind not in self.kinds:
+        if kind != "data":
             return False
         link = (src, dst)
         bad = self._bad_state.get(link, False)
@@ -237,8 +185,8 @@ class RegionalOutageLoss(LossModel):
     """A correlated whole-region partition that later heals.
 
     During ``[start, start + duration)`` every packet crossing the
-    boundary of an outaged region drops — data *and* control by
-    default, because a partition severs the link itself, not one
+    boundary of an outaged region drops — data *and* control,
+    because a partition severs the link itself, not one
     traffic class.  Members inside an outaged region keep talking to
     each other; everyone else keeps talking around them.  After the
     heal, the stranded members discover their accumulated gaps through
@@ -259,7 +207,6 @@ class RegionalOutageLoss(LossModel):
         start: float,
         duration: float,
         receiver_loss: float = 0.0,
-        kinds: Optional[Set[str]] = None,
     ) -> None:
         if start < 0 or duration <= 0:
             raise ValueError(
@@ -272,7 +219,6 @@ class RegionalOutageLoss(LossModel):
         self.start = start
         self.end = start + duration
         self.receiver_loss = receiver_loss
-        self.kinds = {"data", "control"} if kinds is None else set(kinds)
         self.clock = None
         self.partition_drops = 0
 
@@ -290,7 +236,7 @@ class RegionalOutageLoss(LossModel):
                 "RegionalOutageLoss has no clock; the transport must call "
                 "bind_clock() before traffic flows"
             )
-        if (kind in self.kinds and self.regions and self.active(self.clock.now)
+        if (self.regions and self.active(self.clock.now)
                 and self.hierarchy.contains(src) and self.hierarchy.contains(dst)):
             src_region = self.hierarchy.region_id_of(src)
             dst_region = self.hierarchy.region_id_of(dst)

@@ -7,9 +7,10 @@ counted in :class:`NetworkStats`, which the experiment harness reads to
 report overhead (e.g. RRMP's claim of lower traffic than stability
 detection).
 
-A multicast is modelled as an independent delivery per receiver — the
-standard abstraction for IP multicast over a dissemination tree, where
-each receiver observes its own delay and loss outcome.
+A multicast is modelled as an independent delivery per receiver other
+than the sender — the standard abstraction for IP multicast over a
+dissemination tree, where each receiver observes its own delay and loss
+outcome.  What happened to each packet is kept as counters only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Packet, payload_kind, payload_size, payload_type_name
 from repro.net.topology import NodeId
-from repro.sim import RandomStreams, Simulator, TraceLog
+from repro.sim import RandomStreams, Simulator
 
 
 class Endpoint(Protocol):
@@ -81,9 +82,6 @@ class Network:
     streams:
         RNG factory; the network draws from the ``("net", "loss")``
         substream, so loss outcomes never perturb protocol randomness.
-    trace:
-        Optional trace log; emits ``packet_sent`` / ``packet_dropped`` /
-        ``send_dropped`` / ``packet_delivered`` records when provided.
     """
 
     def __init__(
@@ -92,7 +90,6 @@ class Network:
         latency: LatencyModel,
         loss: Optional[LossModel] = None,
         streams: Optional[RandomStreams] = None,
-        trace: Optional[TraceLog] = None,
     ) -> None:
         self.sim = sim
         self.latency = latency
@@ -103,7 +100,6 @@ class Network:
         if streams is None:  # not ``or``: a factory with no stream yet is falsy
             streams = RandomStreams(0)
         self._loss_rng = streams.stream("net", "loss")
-        self.trace = trace
         self.stats = NetworkStats()
         self._endpoints: Dict[NodeId, Endpoint] = {}
 
@@ -140,18 +136,13 @@ class Network:
         dsts: Iterable[NodeId],
         payload: Any,
         group: str = "group",
-        include_sender: bool = False,
     ) -> int:
-        """Fan *payload* out to every node in *dsts*.
+        """Fan *payload* out to every node in *dsts* except *src* itself
+        (a host does not loop back its own multicast).
 
         Returns the number of deliveries actually scheduled (excluding
-        losses).  ``include_sender=False`` skips *src* itself, matching
-        a host that does not loop back its own multicast.
+        losses).
         """
-        # Give region-correlated models a fresh coin for this fan-out.
-        new_message = getattr(self.loss, "new_message", None)
-        if new_message is not None:
-            new_message()
         scheduled = 0
         # Same-tick batching: consecutive deliveries of one fan-out that
         # share a deliver_time (the common case under constant-latency
@@ -162,7 +153,7 @@ class Network:
         batch: List[Packet] = []
         batch_time = 0.0
         for dst in dsts:
-            if dst == src and not include_sender:
+            if dst == src:
                 continue
             packet = self._send(src, dst, payload, group=group, schedule=False)
             if packet is None:
@@ -195,30 +186,22 @@ class Network:
         size = payload_size(payload)
         type_name = payload_type_name(payload)
         self.stats.record_send(type_name, kind, size)
-        now = self.sim.now
-        if self.trace is not None:
-            self.trace.emit(now, "packet_sent", src=src, dst=dst,
-                            type=type_name, packet_kind=kind)
         if dst not in self._endpoints:
             # The destination already left or crashed: the send happens
             # (and is accounted) but the packet goes nowhere — checked
             # before the latency model, which cannot place a node the
             # hierarchy no longer contains.  The loss RNG is untouched
             # so surviving traffic keeps its sample path.  Counted under
-            # its own kind: a `send_dropped` is a membership fact, not a
-            # loss-model outcome, and deployments watch it to catch
+            # its own counter: a `send_dropped` is a membership fact, not
+            # a loss-model outcome, and deployments watch it to catch
             # stale directories.
             self.stats.dropped += 1
             self.stats.send_dropped += 1
-            if self.trace is not None:
-                self.trace.emit(now, "send_dropped", src=src, dst=dst,
-                                type=type_name, reason="unregistered")
             return None
         if self.loss.is_lost(src, dst, kind, self._loss_rng):
             self.stats.dropped += 1
-            if self.trace is not None:
-                self.trace.emit(now, "packet_dropped", src=src, dst=dst, type=type_name)
             return None
+        now = self.sim.now
         delay = self.latency.one_way(src, dst)
         packet = Packet(
             src=src,
@@ -240,14 +223,6 @@ class Network:
             self.stats.dropped += 1
             return
         self.stats.delivered += 1
-        if self.trace is not None:
-            self.trace.emit(
-                packet.deliver_time,
-                "packet_delivered",
-                src=packet.src,
-                dst=packet.dst,
-                type=payload_type_name(packet.payload),
-            )
         endpoint.on_packet(packet)
 
     # ------------------------------------------------------------------

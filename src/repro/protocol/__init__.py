@@ -41,12 +41,9 @@ _EXPORTS = {
     "REPAIR_REMOTE": "messages",
     "RecoveryHost": "recovery",
     "RecoveryProcess": "recovery",
-    "MeasuringRttProvider": "rtt",
     "RemoteRequest": "messages",
     "Repair": "messages",
     "RrmpConfig": "config",
-    "RttEstimator": "rtt",
-    "attach_rtt_estimation": "rtt",
     "RrmpMember": "member",
     "RrmpSender": "sender",
     "RrmpSimulation": "rrmp",

@@ -124,6 +124,8 @@ class RrmpMember:
         #: re-multicasting, while genuinely later searches (e.g. after
         #: a long-term TTL reshuffle) get a fresh announcement.
         self._announced_at: Dict[Seq, float] = {}
+        #: Packets whose payload type has no handler here.
+        self.unhandled_packets = 0
 
         network.register(node_id, self)
 
@@ -184,28 +186,27 @@ class RrmpMember:
     # ==================================================================
     # Network entry point
     # ==================================================================
-    #: Payload type → handler method name.  Exact-type dispatch
-    #: replaces the former isinstance chain on the hottest protocol
-    #: path; every payload is a final (frozen dataclass) type, so exact
-    #: matching is equivalent — and one dict lookup instead of up to
-    #: nine isinstance calls.  The indirection through ``getattr``
-    #: (rather than storing unbound methods) keeps instance-level
-    #: wrappers working, e.g. ``attach_rtt_estimation`` replacing
-    #: ``member._on_repair``.  Populated after the class body.
-    _DISPATCH: Dict[type, str] = {}
+    #: Payload type → handler function.  Every payload is a final
+    #: (frozen dataclass) type, so one exact-type dict lookup replaces
+    #: an isinstance chain on the hottest protocol path.  Populated
+    #: after the class body.
+    _DISPATCH: Dict[type, Callable[..., None]] = {}
 
     def on_packet(self, packet: Packet) -> None:
         """Dispatch a delivered packet to the protocol handlers."""
         if not self.alive:
             return
         payload = packet.payload
-        name = self._DISPATCH.get(type(payload))
-        if name is not None:
-            getattr(self, name)(payload)
+        handler = self._DISPATCH.get(type(payload))
+        if handler is not None:
+            handler(self, payload)
             return
         extra = self.extra_handlers.get(type(payload))
-        if extra is None:  # pragma: no cover - defensive
-            raise TypeError(f"unknown payload type {type(payload).__name__}")
+        if extra is None:
+            # A well-formed packet for a role this member does not play
+            # (e.g. a FeedbackReport at a receiver): ignored and counted.
+            self.unhandled_packets += 1
+            return
         extra(payload)
 
     def _on_multicast_data(self, data: DataMessage) -> None:
@@ -669,13 +670,13 @@ class RrmpMember:
 
 
 RrmpMember._DISPATCH = {
-    DataMessage: "_on_multicast_data",
-    ParityMessage: "_on_parity",
-    Repair: "_on_repair",
-    LocalRequest: "_on_local_request",
-    RemoteRequest: "_on_remote_request",
-    SearchRequest: "_on_search_request",
-    HaveReply: "_on_have_reply",
-    SessionMessage: "_on_session",
-    HandoffMessage: "_on_handoff",
+    DataMessage: RrmpMember._on_multicast_data,
+    ParityMessage: RrmpMember._on_parity,
+    Repair: RrmpMember._on_repair,
+    LocalRequest: RrmpMember._on_local_request,
+    RemoteRequest: RrmpMember._on_remote_request,
+    SearchRequest: RrmpMember._on_search_request,
+    HaveReply: RrmpMember._on_have_reply,
+    SessionMessage: RrmpMember._on_session,
+    HandoffMessage: RrmpMember._on_handoff,
 }

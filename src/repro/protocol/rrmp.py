@@ -219,9 +219,7 @@ class RrmpSimulation(MemberGroup):
         self.sim = Simulator()
         self.trace = TraceLog(keep_records=keep_trace)
         self.latency = latency if latency is not None else HierarchicalLatency(hierarchy)
-        self.network = Network(
-            self.sim, self.latency, loss=loss, streams=self.streams, trace=None
-        )
+        self.network = Network(self.sim, self.latency, loss=loss, streams=self.streams)
         if policy_factory is None:
             policy_factory = two_phase_policy_factory(self.config)
         self._policy_factory = policy_factory

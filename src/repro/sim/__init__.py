@@ -10,9 +10,8 @@ streams (:class:`RandomStreams`) and a structured trace log
 from repro.sim.engine import SimulationError, Simulator, total_events_fired
 from repro.sim.events import Event, EventQueue
 from repro.sim.randomness import RandomStreams, derive_seed, pick_other
-from repro.sim.timers import PeriodicTask, Timer, call_repeatedly
+from repro.sim.timers import PeriodicTask, Timer
 from repro.sim.tracing import (
-    NullTraceLog,
     StreamingTraceDigest,
     TraceLog,
     TraceRecord,
@@ -23,7 +22,6 @@ from repro.sim.tracing import (
 __all__ = [
     "Event",
     "EventQueue",
-    "NullTraceLog",
     "PeriodicTask",
     "RandomStreams",
     "SimulationError",
@@ -32,7 +30,6 @@ __all__ = [
     "Timer",
     "TraceLog",
     "TraceRecord",
-    "call_repeatedly",
     "derive_seed",
     "pick_other",
     "record_line",

@@ -146,16 +146,3 @@ class PeriodicTask:
         # stop() to terminate the task.
         self._event = self._sim.after(self.interval, self._tick)
         self._callback()
-
-
-def call_repeatedly(
-    sim: Simulator,
-    interval: float,
-    callback: Callable[..., None],
-    *args: Any,
-    phase: Optional[float] = None,
-) -> PeriodicTask:
-    """Convenience wrapper: build and start a :class:`PeriodicTask`."""
-    task = PeriodicTask(sim, interval, lambda: callback(*args))
-    task.start(phase=phase)
-    return task

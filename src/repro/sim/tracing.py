@@ -6,9 +6,11 @@ Tracing is how the experiment harness measures quantities the paper
 plots — e.g. "search time" is the interval between a ``search_started``
 and the matching ``search_served`` record.
 
-The log is an in-memory list plus synchronous subscribers.  An observed
-run emits a record for most things it does, so two contracts keep one
-cheap:
+The log is an in-memory list plus synchronous subscribers.  "Not
+traced" is a :class:`TraceLog` that retains nothing and has no
+subscriber: its ``enabled`` flag is false and hot emit sites skip the
+record.  An observed run emits a record for most things it does, so two
+contracts keep one cheap:
 
 * **Routes.**  :meth:`TraceLog.emit` hands a record to one tuple of
   callables per kind: ``records.append`` if records are retained, then
@@ -140,31 +142,6 @@ class TraceLog:
         self._emitted_before_clear = self.emitted
         self._counts.clear()
         self.records.clear()
-
-
-class NullTraceLog(TraceLog):
-    """A trace log that drops everything; used when tracing is disabled.
-
-    Subscribing to a null log is always a mistake — :meth:`emit` never
-    fans out, so the subscriber would silently never fire.  That bit
-    the invariant oracle once (it "attached" and then observed a
-    perfectly clean, perfectly empty run), so :meth:`subscribe` refuses
-    instead of accepting a dead registration.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(keep_records=False)
-
-    def emit(self, time: float, kind: str, **fields: Any) -> None:  # noqa: D102
-        return None
-
-    def subscribe(self, subscriber: Subscriber, kind: Optional[str] = None) -> None:
-        """Refuse: a NullTraceLog never emits, so no subscriber can fire."""
-        raise RuntimeError(
-            "cannot subscribe to a NullTraceLog: emit() drops every record, so "
-            "the subscriber would never fire; use TraceLog(keep_records=False) "
-            "for streaming-only tracing"
-        )
 
 
 #: The definition of the line format and the encoder of every non-scalar

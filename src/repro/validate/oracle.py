@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.sim.tracing import NullTraceLog
 from repro.validate.invariants import (
     EndContext,
     Invariant,
@@ -59,15 +58,6 @@ class InvariantOracle:
         if self.simulation is not None:
             raise RuntimeError("oracle already attached; use one oracle per run")
         trace = simulation.trace
-        if isinstance(trace, NullTraceLog):
-            # subscribe() below would refuse anyway; fail with the
-            # oracle-specific story so the fix is obvious.
-            raise RuntimeError(
-                "cannot attach an InvariantOracle to a NullTraceLog: the oracle "
-                "observes the run through trace records and would see nothing; "
-                "build the simulation with a real TraceLog "
-                "(keep_trace/keep_records may still be off)"
-            )
         self.simulation = simulation
         self._emitted_at_attach = trace.emitted
         for invariant in self._invariants:

@@ -224,28 +224,21 @@ class DistanceLoss(LossModel):
     at co-location, ``max_loss`` at full-field separation — the
     SNR-vs-distance shape from the rate-adaptive multicast literature.
     Composes with an optional *base* model (evaluated first, its
-    ``bind_clock``/``new_message`` duck-hooks forwarded).
+    ``bind_clock`` duck-hook forwarded).
     """
 
     def __init__(self, manager: MobilityManager, max_loss: float,
-                 base: Optional[LossModel] = None,
-                 kinds: Optional[Set[str]] = None) -> None:
+                 base: Optional[LossModel] = None) -> None:
         if not 0 <= max_loss <= 1:
             raise ValueError(f"max_loss must be in [0, 1], got {max_loss!r}")
         self.manager = manager
         self.max_loss = max_loss
         self.base = base
-        self.kinds = {"data"} if kinds is None else set(kinds)
 
     def bind_clock(self, clock) -> None:
         bind = getattr(self.base, "bind_clock", None)
         if bind is not None:
             bind(clock)
-
-    def new_message(self) -> None:
-        reset = getattr(self.base, "new_message", None)
-        if reset is not None:
-            reset()
 
     def probability(self, src: NodeId, dst: NodeId) -> float:
         """The current distance-driven drop probability for the link."""
@@ -255,6 +248,6 @@ class DistanceLoss(LossModel):
     def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
         if self.base is not None and self.base.is_lost(src, dst, kind, rng):
             return True
-        if kind not in self.kinds or self.max_loss <= 0:
+        if kind != "data" or self.max_loss <= 0:
             return False
         return rng.random() < self.probability(src, dst)

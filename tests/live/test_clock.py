@@ -41,6 +41,13 @@ class TestClockSurface:
         with pytest.raises(ValueError):
             LiveClock(speedup=-2.0)
 
+    @pytest.mark.parametrize("speedup", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_speedup(self, speedup):
+        """nan passes ``<= 0`` and then no timer ever comes due; inf
+        makes every virtual reading inf."""
+        with pytest.raises(ValueError, match="finite"):
+            LiveClock(speedup=speedup)
+
     def test_rejects_negative_delay(self):
         async def main():
             clock = LiveClock()

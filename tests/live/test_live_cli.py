@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import pytest
+
 from repro.experiments.cli import main
 from repro.scenario.registry import get_scenario
 
@@ -57,6 +59,14 @@ class TestLiveRun:
         assert main(["live", "run", spec_path(tmp_path),
                      "--speedup", "0"]) == 2
         assert "--speedup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("speedup", ["nan", "inf"])
+    def test_nonfinite_speedup_is_a_usage_error(self, speedup, tmp_path, capsys):
+        """``nan`` used to pass the ``<= 0`` check and hang the run;
+        ``inf`` ran, reported ``time ms inf`` and exited 0."""
+        assert main(["live", "run", spec_path(tmp_path),
+                     "--speedup", speedup]) == 2
+        assert "--speedup must be finite and > 0" in capsys.readouterr().err
 
 
 class TestLiveDaemon:

@@ -7,7 +7,9 @@ import dataclasses
 
 import pytest
 
+from repro.live.codec import encode_frame
 from repro.live.session import LiveSession, run_spec_live
+from repro.protocol.messages import FeedbackReport
 from repro.scenario.registry import get_scenario, scenario_names
 from repro.scenario.spec import AdaptSpec, ChurnSpec, MobilitySpec, PlayoutSpec
 from repro.validate.oracle import InvariantOracle
@@ -118,6 +120,35 @@ class TestLoopbackRun:
                 await session.close()
 
         run(main())
+
+
+class TestWrongRoleDatagram:
+    def test_feedback_report_to_a_receiver_is_ignored_and_counted(self):
+        """A well-formed frame the addressed member has no handler for
+        (a ``FeedbackReport`` at a non-sender) used to raise out of the
+        socket drain; it is dropped like a request for an unheld seq."""
+        async def main():
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: escaped.append(context))
+            session = LiveSession(small_spec(), speedup=20.0)
+            address = await session.start()
+            try:
+                assert session.sender.node_id != 4
+                report = FeedbackReport(receiver=5, loss_estimate=0.5,
+                                        rtt_ms=10.0, max_seq=3, received=1)
+                session.network._sock.sendto(
+                    encode_frame(5, 4, report, send_time=0.0), address)
+                await session.run()
+            finally:
+                await session.close()
+            return session, escaped
+
+        session, escaped = run(main())
+        assert escaped == []
+        assert session.members[4].unhandled_packets == 1
+        assert sum(m.unhandled_packets for m in session.members.values()) == 1
+        assert session.delivered_fraction(session.message_count) == 1.0
 
 
 class TestRegistryScenariosLive:

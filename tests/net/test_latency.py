@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.net.latency import (
-    ConstantLatency,
-    HierarchicalLatency,
-    JitteredLatency,
-    PairwiseLatency,
-)
+from repro.net.latency import ConstantLatency, HierarchicalLatency
 from repro.net.topology import chain, single_region
-from repro.sim import RandomStreams
 
 
 class TestConstantLatency:
@@ -104,43 +98,3 @@ class TestHierarchicalLatencyAsymmetric:
             HierarchicalLatency(hierarchy, inter_up_one_way=-1.0)
         with pytest.raises(ValueError):
             HierarchicalLatency(hierarchy, inter_down_one_way=-1.0)
-
-
-class TestJitteredLatency:
-    def test_jitter_stays_in_band(self):
-        streams = RandomStreams(3)
-        model = JitteredLatency(ConstantLatency(10.0), jitter=0.2,
-                                rng=streams.stream("jitter"))
-        values = [model.one_way(0, 1) for _ in range(200)]
-        assert all(8.0 <= value <= 12.0 for value in values)
-        assert len(set(values)) > 1  # actually random
-
-    def test_rtt_reports_base_estimate(self):
-        streams = RandomStreams(3)
-        model = JitteredLatency(ConstantLatency(10.0), jitter=0.5,
-                                rng=streams.stream("jitter"))
-        assert model.rtt(0, 1) == pytest.approx(20.0)
-
-    def test_invalid_jitter_rejected(self):
-        streams = RandomStreams(3)
-        with pytest.raises(ValueError):
-            JitteredLatency(ConstantLatency(10.0), jitter=1.0,
-                            rng=streams.stream("jitter"))
-
-
-class TestPairwiseLatency:
-    def test_default_applies_to_unknown_pairs(self):
-        model = PairwiseLatency(default_one_way=5.0)
-        assert model.one_way(1, 2) == 5.0
-
-    def test_set_pair_symmetric(self):
-        model = PairwiseLatency()
-        model.set_pair(1, 2, 50.0)
-        assert model.one_way(1, 2) == 50.0
-        assert model.one_way(2, 1) == 50.0
-
-    def test_set_pair_asymmetric(self):
-        model = PairwiseLatency()
-        model.set_pair(1, 2, 50.0, symmetric=False)
-        assert model.one_way(1, 2) == 50.0
-        assert model.one_way(2, 1) == model.default_one_way

@@ -10,9 +10,7 @@ from repro.net.loss import (
     GilbertElliottLoss,
     NoLoss,
     ReceiverSetLoss,
-    RegionCorrelatedLoss,
 )
-from repro.net.topology import chain
 
 
 @pytest.fixture
@@ -40,11 +38,6 @@ class TestBernoulliLoss:
         model = BernoulliLoss(1.0)
         assert not model.is_lost(0, 1, "control", rng)
 
-    def test_kinds_override(self, rng):
-        model = BernoulliLoss(1.0, kinds={"control"})
-        assert model.is_lost(0, 1, "control", rng)
-        assert not model.is_lost(0, 1, "data", rng)
-
     def test_empirical_rate(self, rng):
         model = BernoulliLoss(0.3)
         drops = sum(model.is_lost(0, i, "data", rng) for i in range(10_000))
@@ -65,41 +58,6 @@ class TestReceiverSetLoss:
     def test_control_untouched(self, rng):
         model = ReceiverSetLoss({3})
         assert not model.is_lost(0, 3, "control", rng)
-
-
-class TestRegionCorrelatedLoss:
-    def test_whole_region_drops_together(self, rng):
-        hierarchy = chain([3, 3])
-        model = RegionCorrelatedLoss(hierarchy, region_loss=1.0)
-        model.new_message()
-        outcomes = [model.is_lost(0, node, "data", rng) for node in hierarchy.nodes]
-        assert all(outcomes)
-
-    def test_new_message_resets_outcomes(self, rng):
-        hierarchy = chain([2, 2])
-        model = RegionCorrelatedLoss(hierarchy, region_loss=0.5)
-        results = set()
-        for _ in range(50):
-            model.new_message()
-            results.add(model.is_lost(0, 2, "data", rng))
-        assert results == {True, False}  # both outcomes occur across messages
-
-    def test_outcome_is_cached_within_message(self, rng):
-        hierarchy = chain([2, 2])
-        model = RegionCorrelatedLoss(hierarchy, region_loss=0.5)
-        for _ in range(20):
-            model.new_message()
-            first = model.is_lost(0, 2, "data", rng)
-            second = model.is_lost(0, 3, "data", rng)
-            assert first == second  # same region, same message
-
-    def test_receiver_loss_is_independent(self, rng):
-        hierarchy = chain([2, 50])
-        model = RegionCorrelatedLoss(hierarchy, receiver_loss=0.5)
-        model.new_message()
-        outcomes = [model.is_lost(0, node, "data", rng)
-                    for node in hierarchy.regions[1].members]
-        assert 5 < sum(outcomes) < 45
 
 
 class TestGilbertElliott:

@@ -7,7 +7,7 @@ import pytest
 from repro.net.latency import ConstantLatency
 from repro.net.loss import ReceiverSetLoss
 from repro.net.transport import Network
-from repro.sim import RandomStreams, TraceLog
+from repro.sim import RandomStreams
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,6 @@ class TestUnicast:
         # Misrouted sends are counted separately from transport loss.
         assert network.stats.send_dropped == 1
 
-    def test_unregistered_destination_emits_send_dropped(self, sim):
-        trace = TraceLog()
-        network = Network(sim, ConstantLatency(5.0), streams=RandomStreams(1),
-                          trace=trace)
-        network.unicast(0, 99, ControlPing())
-        sim.run()
-        [record] = trace.of_kind("send_dropped")
-        assert record["src"] == 0
-        assert record["dst"] == 99
-        assert record["reason"] == "unregistered"
-
     def test_destination_departing_mid_flight_drops(self, sim, network):
         sink = Sink()
         network.register(1, sink)
@@ -97,13 +86,6 @@ class TestMulticast:
         assert scheduled == 3
         assert len(sinks[0].packets) == 0
         assert all(len(sinks[i].packets) == 1 for i in (1, 2, 3))
-
-    def test_include_sender_loopback(self, sim, network):
-        sink = Sink()
-        network.register(0, sink)
-        network.multicast(0, [0], ControlPing(), include_sender=True)
-        sim.run()
-        assert len(sink.packets) == 1
 
     def test_multicast_group_tag(self, sim, network):
         sink = Sink()
@@ -160,17 +142,6 @@ class TestStats:
         assert stats.control_messages() == 1
         assert stats.data_messages() == 1
         assert stats.bytes_sent == 64 + 1024
-
-    def test_trace_emission(self, sim):
-        trace = TraceLog()
-        network = Network(sim, ConstantLatency(5.0), streams=RandomStreams(1),
-                          trace=trace)
-        sink = Sink()
-        network.register(1, sink)
-        network.unicast(0, 1, ControlPing())
-        sim.run()
-        assert trace.count("packet_sent") == 1
-        assert trace.count("packet_delivered") == 1
 
     def test_rtt_helper(self, network):
         assert network.rtt(0, 1) == pytest.approx(10.0)

@@ -4,7 +4,7 @@
 from repro.net.latency import ConstantLatency
 from repro.net.topology import single_region
 from repro.protocol.config import RrmpConfig
-from repro.protocol.messages import DataMessage
+from repro.protocol.messages import DataMessage, FeedbackReport
 from repro.protocol.rrmp import RrmpSimulation
 
 
@@ -28,6 +28,20 @@ def inject(simulation, holders, seq=1):
         else:
             member.inject_loss_detection(seq)
     return data
+
+
+class TestUnhandledPayload:
+    def test_payload_for_another_role_is_ignored_and_counted(self):
+        """Only the sender's CC driver handles a ``FeedbackReport``; any
+        other member drops it without disturbing the run."""
+        simulation = build(n=4)
+        report = FeedbackReport(receiver=2, loss_estimate=0.5, rtt_ms=10.0,
+                                max_seq=3, received=1)
+        simulation.network.unicast(2, 3, report)
+        inject(simulation, holders={0})
+        simulation.run(duration=500.0)
+        assert simulation.members[3].unhandled_packets == 1
+        assert simulation.all_received(1)
 
 
 class TestLocalRecovery:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import PeriodicTask, Timer, call_repeatedly
+from repro.sim import PeriodicTask, Timer
 
 
 class TestTimer:
@@ -113,12 +113,6 @@ class TestPeriodicTask:
         assert task.running
         task.stop()
         assert not task.running
-
-    def test_call_repeatedly_passes_args(self, sim):
-        seen = []
-        call_repeatedly(sim, 5.0, seen.append, "x")
-        sim.run(until=12.0)
-        assert seen == ["x", "x"]
 
 
 class TestTimerInPlaceRearm:

@@ -1,8 +1,6 @@
 """Unit tests for the trace log."""
 
-import pytest
-
-from repro.sim import NullTraceLog, StreamingTraceDigest, TraceLog, trace_digest
+from repro.sim import StreamingTraceDigest, TraceLog, trace_digest
 from repro.sim.tracing import TraceRecord, record_line
 
 
@@ -135,22 +133,6 @@ class TestTraceRecord:
         assert eval(repr(record)) == record
 
 
-class TestNullTraceLog:
-    def test_emit_is_a_noop(self):
-        log = NullTraceLog()
-        log.emit(1.0, "a")
-        assert log.records == []
-
-    def test_subscribe_refuses_dead_registrations(self):
-        """A NullTraceLog never emits, so accepting a subscriber would
-        silently guarantee it never fires — refuse instead."""
-        log = NullTraceLog()
-        with pytest.raises(RuntimeError, match="NullTraceLog"):
-            log.subscribe(lambda record: None)
-        with pytest.raises(RuntimeError, match="never fire"):
-            log.subscribe(lambda record: None, kind="a")
-
-
 class TestTraceDigest:
     def test_equal_streams_share_a_digest(self, trace):
         other = TraceLog()
@@ -190,9 +172,6 @@ class TestEnabledFlag:
         log = TraceLog(keep_records=False)
         log.subscribe(lambda record: None)
         assert log.enabled
-
-    def test_null_log_is_never_enabled(self):
-        assert not NullTraceLog().enabled
 
 
 class TestStreamingTraceDigest:
