@@ -15,8 +15,10 @@ operation:
   bufferers (one vectorized random choice);
 * ``_remote_serve`` / ``_apply`` — parent-region search when a region
   holds no copy, and the repair application;
-* ``_sweep`` — the §3 idle-timer sweep: expired short-term copies flip
-  the C/n long-term coin in one batch.
+* ``_sweep`` — the §3 idle-timer sweep: the columns whose earliest
+  idle deadline has come are read as contiguous ``[start:stop, col]``
+  slices and their expired short-term copies flip the C/n long-term
+  coin in one batch.
 
 Sharding and determinism
 ------------------------
@@ -43,7 +45,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -254,9 +256,12 @@ class FlatShard:
         self._rngs: Dict[Tuple[Any, ...], np.random.Generator] = {}
         self._detected_at: Dict[Tuple[RegionId, int], float] = {}
         self._next_sweep: Dict[RegionId, Optional[float]] = {}
-        #: Per region, the columns that may hold a short-term copy: all
-        #: a sweep reads.  ``sweep_cells`` counts the cells it examined.
-        self._live: Dict[RegionId, Set[int]] = {rid: set() for rid in self.owned}
+        #: Per region and column, the earliest idle deadline still pending
+        #: among the column's short-term copies; a sweep reads only the
+        #: columns whose entry has come.  ``sweep_cells`` counts the cells
+        #: the idle machinery examined: a column per sweep that judged it
+        #: and a column per request refresh that re-read its minimum.
+        self._live: Dict[RegionId, Dict[int, float]] = {rid: {} for rid in self.owned}
         self.sweep_cells = 0
         self._recovery_latency_sum = 0.0
         self._recovery_count = 0
@@ -286,11 +291,12 @@ class FlatShard:
         """
         generator = self._rngs.get(key)
         if generator is None:
-            generator = np.random.default_rng(
-                derive_seed(self.spec.seed, ("flat",) + key)
-            )
-            self._rngs[key] = generator
+            generator = self._rngs[key] = self._new_rng(*key)
         return generator
+
+    def _new_rng(self, *key: Any) -> np.random.Generator:
+        """An uncached stream: for a key that is drawn from only once."""
+        return np.random.default_rng(derive_seed(self.spec.seed, ("flat",) + key))
 
     # ------------------------------------------------------------------
     # Protocol transitions (one event per region x message)
@@ -301,7 +307,8 @@ class FlatShard:
         col = seq - 1
         count = stop - start
         if self.loss_p > 0.0:
-            missed = self._rng("mcast", region_id, seq).random(count) < self.loss_p
+            # One delivery per (region, seq): nothing to keep the stream for.
+            missed = self._new_rng("mcast", region_id, seq).random(count) < self.loss_p
         else:
             missed = np.zeros(count, dtype=bool)
         sender_here = start <= self.sender_node < stop
@@ -327,8 +334,13 @@ class FlatShard:
                            node=self.sender_node, seq=seq, via="sender")
         if missed.any():
             self.sim.at(now + self._detect_delay(seq), self._detect, region_id, seq)
-        if got.any():
+        if got.sum() > sender_here:
             self._short_term(region_id, col, now + self.idle_threshold)
+        elif sender_here:
+            # Only the pinned copy arrived: nothing for ``_live``, but a
+            # delivery has always armed a sweep and ``events_fired`` is
+            # part of the golden baselines.
+            self._arm_sweep(region_id, now + self.idle_threshold)
 
     def _detect_delay(self, seq: int) -> float:
         """How long a missing region takes to notice the gap.
@@ -389,6 +401,7 @@ class FlatShard:
                 pool.idle_deadline, (served, col),
                 now + self.intra + self.idle_threshold,
             )
+            self._refreshed(region_id, col)
             self.sim.at(now + 2.0 * self.intra, self._apply,
                         region_id, seq, "local-repair")
         else:
@@ -417,6 +430,7 @@ class FlatShard:
         pool.idle_deadline[served, col] = max(
             pool.idle_deadline[served, col], now + self.idle_threshold
         )
+        self._refreshed(region_id, col)
         if self.trace.enabled:
             self.trace.emit(now, "remote_request_served", node=served, seq=seq,
                             to_region=child_region)
@@ -456,61 +470,94 @@ class FlatShard:
     # ------------------------------------------------------------------
     def _short_term(self, region_id: RegionId, col: int, when: float) -> None:
         """Members gained short-term copies in column *col*, idle at
-        *when*: the one place that widens the sweep window, so no copy
-        turns short-term without a sweep armed to judge it."""
-        self._live[region_id].add(col)
+        *when*: the one place that opens a column to the sweep, so no
+        copy turns short-term without a sweep armed to judge it."""
+        live = self._live[region_id]
+        live[col] = min(live.get(col, when), when)
+        self._arm_sweep(region_id, when)
+
+    def _arm_sweep(self, region_id: RegionId, when: float) -> None:
+        """Schedule a sweep at *when* unless one is due no later."""
         current = self._next_sweep.get(region_id)
         if current is not None and current <= when + _TIME_EPS:
             return
         self._next_sweep[region_id] = when
         self.sim.at(when, self._sweep, region_id)
 
+    def _refreshed(self, region_id: RegionId, col: int) -> None:
+        """A request raised idle deadlines in column *col*: re-read its
+        earliest one (a raise cannot be folded into the old minimum)."""
+        live = self._live[region_id]
+        if col in live:
+            start, stop = self.pool.rows(region_id)
+            self.sweep_cells += stop - start
+            self._pending(live, col, self.pool.idle_deadline[start:stop, col])
+
+    @staticmethod
+    def _pending(live: Dict[int, float], col: int, deadline: np.ndarray) -> None:
+        """Set *col*'s entry to the earliest of its *deadline* slice, or
+        retire the column when no short-term copy is left in it (only a
+        short-term copy has a finite deadline)."""
+        when = float(deadline.min())
+        if when < np.inf:
+            live[col] = when
+        else:
+            del live[col]
+
     def _sweep(self, region_id: RegionId) -> None:
         """Flip the C/n coin for each short-term copy whose timer ran out.
 
-        Reads only the region's live columns — messages that may still
-        have a short-term copy (``buffered & ~long_term``; its deadline
-        is always finite) — so the cost does not grow with the stream.
-        ``_round`` and ``_remote_serve`` only raise deadlines of buffered
-        copies, so the window misses nothing; a column leaves it once
-        all its copies are judged.  Due copies are taken member-major,
-        then by ascending seq (sorted window, ``np.nonzero`` order): the
-        i-th draw of the region's coin stream goes to the i-th due copy,
-        which makes this order part of the digest contract.
+        Reads only the columns whose earliest pending deadline has come,
+        each as its contiguous ``[start:stop, col]`` slice, so the cost
+        follows the copies that are due, not the stream or the window of
+        recent messages.  ``_live`` is kept exact where deadlines are
+        written (``_short_term`` lowers an entry, ``_refreshed`` and this
+        sweep re-derive it), so no due copy is missed and the next sweep
+        is the earliest entry left.  Due copies are taken member-major,
+        then by ascending seq: the i-th draw of the region's coin stream
+        goes to the i-th due copy, which makes this order part of the
+        digest contract.
         """
         now = self.sim.now
         pool = self.pool
         start, stop = pool.rows(region_id)
         live = self._live[region_id]
-        cols = np.array(sorted(live), dtype=np.intp)
-        short = pool.buffered[start:stop, cols] & ~pool.long_term[start:stop, cols]
-        deadline = pool.idle_deadline[start:stop, cols]
-        self.sweep_cells += short.size
-        due = short & (deadline <= now + _TIME_EPS)
-        if due.any():
-            rows, picks = np.nonzero(due)
-            nodes, seq_cols = start + rows, cols[picks]
+        horizon = now + _TIME_EPS
+        found = sorted(col for col, when in live.items() if when <= horizon)
+        deadlines = [pool.idle_deadline[start:stop, col] for col in found]
+        due = [np.nonzero(deadline <= horizon)[0] for deadline in deadlines]
+        sizes = [rows.size for rows in due]
+        if found:
+            self.sweep_cells += len(found) * (stop - start)
             keep_p = min(1.0, self.long_term_c / (stop - start))
-            kept = self._rng("coin", region_id).random(rows.size) < keep_p
-            keep_nodes, keep_cols = nodes[kept], seq_cols[kept]
-            pool.long_term[keep_nodes, keep_cols] = True
-            drop_nodes, drop_cols = nodes[~kept], seq_cols[~kept]
-            pool.buffered[drop_nodes, drop_cols] = False
-            pool.idle_deadline[nodes, seq_cols] = np.inf
+            kept = self._rng("coin", region_id).random(sum(sizes)) < keep_p
+            if len(found) > 1:
+                # Draws are in member-major order across the due columns;
+                # hand them back in column order.
+                order = np.lexsort((np.repeat(found, sizes), np.concatenate(due)))
+                drawn, kept = kept, np.empty_like(kept)
+                kept[order] = drawn
             trace = self.trace
-            if trace.enabled:
-                for node, col in zip(keep_nodes.tolist(), keep_cols.tolist()):
-                    trace.emit(now, "long_term_selected", node=node,
-                               seq=col + 1, via="coin-flip")
-                for node, col in zip(drop_nodes.tolist(), drop_cols.tolist()):
-                    duration = now - pool.receive_time[node, col]
-                    trace.emit(now, "buffer_discard", node=node, seq=col + 1,
-                               reason="idle", was_long_term=False,
-                               duration=float(duration))
-        pending = short & ~due
-        live.intersection_update(cols[pending.any(axis=0)].tolist())
+            offset = 0
+            for col, deadline, rows, size in zip(found, deadlines, due, sizes):
+                mine = kept[offset:offset + size]
+                offset += size
+                keep_rows, drop_rows = rows[mine], rows[~mine]
+                pool.long_term[start:stop, col][keep_rows] = True
+                pool.buffered[start:stop, col][drop_rows] = False
+                deadline[rows] = np.inf
+                self._pending(live, col, deadline)
+                if trace.enabled:
+                    for row in keep_rows.tolist():
+                        trace.emit(now, "long_term_selected", node=start + row,
+                                   seq=col + 1, via="coin-flip")
+                    held = now - pool.receive_time[start:stop, col][drop_rows]
+                    for row, duration in zip(drop_rows.tolist(), held.tolist()):
+                        trace.emit(now, "buffer_discard", node=start + row,
+                                   seq=col + 1, reason="idle",
+                                   was_long_term=False, duration=duration)
         if live:
-            when = float(deadline[pending].min())
+            when = min(live.values())
             self._next_sweep[region_id] = when
             self.sim.at(when, self._sweep, region_id)
         else:

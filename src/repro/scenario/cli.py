@@ -44,6 +44,7 @@ from typing import Optional
 from repro.metrics.runreport import RunReport
 from repro.runner.profiling import maybe_profile
 from repro.scale.engine import require_flat_support, run_flat
+from repro.scenario.materialize import build_config
 from repro.scenario.registry import registered_scenarios, resolve_spec, scenario_names
 from repro.scenario.spec import ScenarioSpec
 
@@ -184,18 +185,27 @@ def _cmd_run(spec, args: argparse.Namespace) -> int:
               f"({', '.join(scenario_names('flat'))}); {args.scenario!r} runs "
               "on the object engine", file=sys.stderr)
         return 2
-    if flat:
-        try:
+    if args.jobs is not None and args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
+    # Range checks on policy values live in RrmpConfig: a bad --param
+    # surfaces when the run is constructed.  Only construction is
+    # guarded; a ValueError raised while running stays loud.
+    try:
+        if flat:
             require_flat_support(spec)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+            build_config(spec.policy, spec.fec)
+        else:
+            simulation = spec.build()
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     with maybe_profile(args.profile, args.profile_out):
         if flat:
             processes = args.jobs is not None and args.jobs > 1
             summary = run_flat(spec, shards=args.shards, processes=processes).summary()
         else:
-            summary = spec.build().run().summary()
+            summary = simulation.run().summary()
     report = RunReport(kind="scenario", scenario=spec.name, seed=spec.seed,
                        metrics=summary)
     if args.as_json:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scale.engine import run_flat
+from repro.scale.engine import _TIME_EPS, FlatShard, run_flat
 from repro.scenario.library import scale_spec
 from repro.scenario.registry import get_scenario
 
@@ -41,6 +41,11 @@ CASES = {
     "long_stream": lambda: scale_spec(
         regions=8, members_per_region=50, messages=60, loss_rate=0.2, seed=5,
         horizon=4_500),
+    # Sends 10 ms apart against deadlines at +40/+70/+75 ms: the one case
+    # whose sweeps find two or more columns due at the same instant.
+    "coincident_deadlines": lambda: scale_spec(
+        regions=4, members_per_region=20, messages=12, send_interval=10,
+        loss_rate=0.2, seed=3, horizon=3_000),
     "scale_10k": lambda: get_scenario("scale_10k"),
     "scale_100k": lambda: get_scenario("scale_100k"),
 }
@@ -85,6 +90,26 @@ def test_flat_trace_digest_matches_baseline(name: str) -> None:
         f"a transition or a trace record does; if that is intended, re-bless "
         f"with {UPDATE_ENV}=1 and commit the JSON."
     )
+
+
+def test_coincident_case_has_sweeps_with_several_due_columns(monkeypatch) -> None:
+    """Coins go to due copies member-major *across* columns, and only
+    ``coincident_deadlines`` has a sweep with more than one due column.
+    If a later change of defaults turned it into a one-column case its
+    digest would still be reproducible and pin nothing."""
+    due_columns = []
+
+    class CountingShard(FlatShard):
+        def _sweep(self, region_id):
+            horizon = self.sim.now + _TIME_EPS
+            due_columns.append(sum(
+                when <= horizon for when in self._live[region_id].values()))
+            super()._sweep(region_id)
+
+    monkeypatch.setattr("repro.scale.engine.FlatShard", CountingShard)
+    run_flat(CASES["coincident_deadlines"](), digest=False)
+    several = sum(count > 1 for count in due_columns)
+    assert several > 0, f"0 of {len(due_columns)} sweeps (39 of 99 when blessed)"
 
 
 def test_baseline_file_covers_exactly_the_cases() -> None:

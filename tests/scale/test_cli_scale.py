@@ -75,6 +75,36 @@ class TestScenariosRunSharded:
                      "--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_invalid_job_count_is_a_usage_error(self, jobs, capsys):
+        assert main(["scenarios", "run", "scale_10k", "--json",
+                     "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+    def test_policy_value_rrmp_config_refuses_is_a_usage_error(
+            self, capsys, monkeypatch):
+        """``PolicySpec`` leaves range checks to ``RrmpConfig``; the flat
+        tier has to ask it before anything is built."""
+        def build_nothing(topology):
+            raise AssertionError("hierarchy built for a refused spec")
+
+        monkeypatch.setattr("repro.scale.engine.build_hierarchy", build_nothing)
+        assert main(["scenarios", "run", "scale_10k", "--json",
+                     "--param", "policy.idle_threshold=0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: idle_threshold must be > 0, got 0\n"
+
+    def test_value_error_while_running_stays_loud(self, monkeypatch):
+        def broken_run(spec, **kwargs):
+            raise ValueError("raised by the run, not by construction")
+
+        monkeypatch.setattr("repro.scenario.cli.run_flat", broken_run)
+        with pytest.raises(ValueError, match="raised by the run"):
+            main(["scenarios", "run", "scale_10k", "--json"])
+
 
 class TestProfileFlag:
     def test_scenarios_run_profile_writes_pstats(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.scale.engine import CommutativeTraceDigest, run_flat
+from repro.scale.engine import CommutativeTraceDigest, FlatShard, run_flat
 from repro.scenario.library import scale_spec
 from repro.scenario.registry import (
     get_scenario,
@@ -27,6 +27,18 @@ def remote_heavy_spec(seed=2):
     return scale_spec(
         regions=6, members_per_region=3, messages=3, loss_rate=0.6, seed=seed,
     )
+
+
+def long_stream_spec():
+    """Long enough that sweeps and recoveries of many messages overlap."""
+    return scale_spec(regions=8, members_per_region=50, messages=60,
+                      loss_rate=0.2, seed=5, horizon=4_500)
+
+
+def coincident_spec():
+    """Sends 10 ms apart: two or more columns fall due in one sweep."""
+    return scale_spec(regions=4, members_per_region=20, messages=12,
+                      send_interval=10, loss_rate=0.2, seed=3, horizon=3_000)
 
 
 class TestReliability:
@@ -64,6 +76,16 @@ class TestDeterminism:
     def test_different_seed_different_digest(self):
         assert (run_flat(small_spec(seed=1)).trace_digest
                 != run_flat(small_spec(seed=2)).trace_digest)
+
+    def test_one_shot_streams_are_not_kept(self):
+        """A multicast's loss stream is drawn from once; caching it grew
+        ``_rngs`` by a generator per (region, message)."""
+        result = run_flat(small_spec(), digest=False)
+        (engine,) = result.engines
+        assert engine._rngs
+        assert not [key for key in engine._rngs if key[0] == "mcast"]
+        assert (run_flat(small_spec(), shards=2).trace_digest
+                == run_flat(small_spec()).trace_digest)
 
 
 class TestOracle:
@@ -106,17 +128,30 @@ class TestSpecGate:
             run_flat(spec.with_(fec=dataclasses.replace(spec.fec, mode="proactive")))
 
 
+def pending_deadlines(engine, region_id):
+    """``_live[region_id]`` recomputed from the pool: per column, the
+    earliest idle deadline among its short-term copies."""
+    start, stop = engine.pool.rows(region_id)
+    short = (engine.pool.buffered[start:stop]
+             & ~engine.pool.long_term[start:stop])
+    deadline = engine.pool.idle_deadline[start:stop]
+    # What lets a sweep read the deadline column alone.
+    assert (np.isfinite(deadline) == short).all()
+    earliest = np.where(short, deadline, np.inf).min(axis=0)
+    return {col: when for col, when in enumerate(earliest.tolist())
+            if when < np.inf}
+
+
 class TestSweepWindow:
-    """The idle sweep reads only the columns that can still hold a
-    short-term copy.  Complete: no copy is left unjudged.  Narrow: its
-    width does not grow with the stream."""
+    """The idle sweep reads only the columns whose earliest pending
+    deadline has come.  Complete: no copy is left unjudged.  Narrow: it
+    reads the due columns, not the stream or the recent window."""
 
     @pytest.mark.parametrize("spec", [
         small_spec(),
         remote_heavy_spec(),
         scale_spec(regions=3, members_per_region=5, messages=3, loss_rate=0.0),
-        scale_spec(regions=8, members_per_region=50, messages=60, loss_rate=0.2,
-                   seed=5, horizon=4_500),
+        long_stream_spec(),
     ], ids=["small", "remote_heavy", "lossless", "long_stream"])
     @pytest.mark.parametrize("shards", [1, 2])
     def test_no_short_term_copy_outlives_the_run(self, spec, shards):
@@ -125,7 +160,25 @@ class TestSweepWindow:
             pool = engine.pool
             assert not (pool.buffered & ~pool.long_term).any()
             assert not np.isfinite(pool.idle_deadline).any()
-            assert engine._live == {region: set() for region in engine.owned}
+            assert engine._live == {region: {} for region in engine.owned}
+
+    @pytest.mark.parametrize("spec, events", [
+        (long_stream_spec(), 2872),
+        (remote_heavy_spec(), 101),  # regions where the sender alone receives
+        (coincident_spec(), 241),
+    ], ids=["long_stream", "remote_heavy", "coincident_deadlines"])
+    def test_live_is_exact_after_every_event(self, spec, events):
+        """``_live`` is maintained where deadlines are written, not
+        recomputed: after every event it must equal what the pool says.
+        One shard owns every region, so its outbox is its own inbox."""
+        engine = FlatShard(spec)
+        while engine.sim.step():
+            for message in engine.drain_outbox():
+                engine.deliver_inbound(message)
+            for region_id in engine.owned:
+                assert engine._live[region_id] == pending_deadlines(engine, region_id)
+        # The golden run (flat_trace_digests.json), not a look-alike.
+        assert engine.sim.events_fired == events
 
     def test_long_term_copies_per_region_stay_near_c(self):
         """§3.2 on the flat engine: once every idle timer has fired, a
@@ -138,13 +191,16 @@ class TestSweepWindow:
 
     @pytest.mark.parametrize("messages", [10, 160])
     def test_sweep_work_per_delivery_is_flat_in_stream_length(self, messages):
-        """A count, not a timing: a sweep over a region's whole history
-        examines ~3 x messages cells per (member, message)."""
+        """A count, not a timing.  Each copy is examined when its column
+        falls due (40, 70 and 75 ms after the delivery here) and when a
+        request refreshes it: under 4 cells per (member, message).  The
+        window of live columns read 8.5-9 x, the whole history ~3 x
+        messages."""
         spec = scale_spec(regions=4, members_per_region=50, messages=messages,
                           seed=0, horizon=messages * 25 + 3_000)
         result = run_flat(spec, digest=False)
         assert result.delivered_fraction == 1.0
-        assert 0 < result.sweep_cells <= 16 * result.members * result.messages
+        assert 0 < result.sweep_cells <= 5 * result.members * result.messages
         assert "sweep_cells" not in result.summary()
 
 

@@ -288,6 +288,26 @@ class TestSpecOverrides:
         ]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_cli_value_refused_at_build_time_is_a_usage_error(self, capsys):
+        """``PolicySpec`` delegates range checks to ``RrmpConfig``, which
+        only sees the value when the scenario is built."""
+        assert main([
+            "scenarios", "run", "initial_holders", "--json",
+            "--param", "policy.idle_threshold=0",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: idle_threshold must be > 0, got 0\n"
+
+    def test_cli_value_error_while_running_stays_loud(self, monkeypatch):
+        def broken_run(self, *args, **kwargs):
+            raise ValueError("raised by the run, not by construction")
+
+        monkeypatch.setattr("repro.scenario.materialize.BuiltScenario.run",
+                            broken_run)
+        with pytest.raises(ValueError, match="raised by the run"):
+            main(["scenarios", "run", "initial_holders", "--json"])
+
 
 class TestCongestionScenario:
     def test_overload_onset_cc_registered_with_controller(self):
