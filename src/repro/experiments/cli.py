@@ -16,7 +16,8 @@ Usage::
 
 ``--param key=value`` values are parsed as Python literals (numbers,
 tuples, booleans; lowercase ``true``/``false``/``none`` coerce too)
-and passed to the experiment function.
+and passed to the experiment function; a key the function does not
+take is a usage error (exit 2) naming the parameters it does take.
 
 ``scenarios`` lists, describes and runs the named declarative
 scenarios of :mod:`repro.scenario` (see ``scenarios --help``);
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import sys
 from typing import List, Optional
 
@@ -228,6 +230,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "run":
         params = quick_params_for(args.experiment) if args.quick else {}
         params.update(fold_params(args.param))
+        accepted = inspect.signature(EXPERIMENTS[args.experiment].run).parameters
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            print(f"error: {args.experiment} has no parameter "
+                  f"{', '.join(map(repr, unknown))}; it accepts "
+                  f"{', '.join(accepted)}", file=sys.stderr)
+            return 2
         runner = runner_from_args(args)
         try:
             with maybe_profile(args.profile, args.profile_out):

@@ -38,6 +38,11 @@ by construction) matches byte-for-byte.
 
 ``processes=True`` runs each shard in its own OS process connected by
 pipes; the epoch protocol is identical, so the digest still matches.
+
+Most streams (a region's multicast outcome and repair picks per seq)
+are drawn from once: a shard seeds them in one vectorized pass
+(:mod:`repro.scale.streams`) and ``_once`` writes a key's state into one
+shared generator, which draws bit for bit what a ``default_rng`` would.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ import numpy as np
 
 from repro.net.topology import Hierarchy, RegionId
 from repro.scale.pool import FlatMemberPool
+from repro.scale.streams import pcg64_states
 from repro.scenario.materialize import build_config, build_hierarchy
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.engine import Simulator
@@ -254,6 +260,15 @@ class FlatShard:
 
         self.outbox: List[Message] = []
         self._rngs: Dict[Tuple[Any, ...], np.random.Generator] = {}
+        once = [(purpose, region_id, seq)
+                for region_id in self.owned
+                for seq in range(1, spec.traffic.count + 1)
+                for purpose in ("mcast", "recovery")]
+        self._seeded = dict(zip(once, pcg64_states(
+            derive_seed(spec.seed, ("flat",) + key) for key in once
+        )))
+        self._bits = np.random.PCG64()
+        self._drawer = np.random.Generator(self._bits)
         self._detected_at: Dict[Tuple[RegionId, int], float] = {}
         self._next_sweep: Dict[RegionId, Optional[float]] = {}
         #: Per region and column, the earliest idle deadline still pending
@@ -283,20 +298,30 @@ class FlatShard:
     # Deterministic randomness
     # ------------------------------------------------------------------
     def _rng(self, *key: Any) -> np.random.Generator:
-        """The numpy stream for *key*, derived from the master seed.
+        """The cached numpy stream for *key*, derived from the master seed.
 
         Streams are keyed per (purpose, region, seq[, src region]) so a
         shard draws exactly what the serial run draws for its regions,
-        no matter how the other regions' events interleave.
+        no matter how the other regions' events interleave.  Serves the
+        ``coin`` (every sweep) and ``serve`` (rare) streams.
         """
         generator = self._rngs.get(key)
         if generator is None:
-            generator = self._rngs[key] = self._new_rng(*key)
+            generator = self._rngs[key] = np.random.default_rng(
+                derive_seed(self.spec.seed, ("flat",) + key)
+            )
         return generator
 
-    def _new_rng(self, *key: Any) -> np.random.Generator:
-        """An uncached stream: for a key that is drawn from only once."""
-        return np.random.default_rng(derive_seed(self.spec.seed, ("flat",) + key))
+    def _once(self, *key: Any) -> np.random.Generator:
+        """The stream of a key drawn from once (``mcast``, ``recovery``):
+        its bulk-seeded PCG64 state written into the shard's one shared
+        generator, which then draws what ``default_rng(derive_seed(...))``
+        would.  Valid until the next call; a key drawn twice raises
+        ``KeyError``."""
+        state, inc = self._seeded.pop(key)
+        self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+        return self._drawer
 
     # ------------------------------------------------------------------
     # Protocol transitions (one event per region x message)
@@ -307,8 +332,7 @@ class FlatShard:
         col = seq - 1
         count = stop - start
         if self.loss_p > 0.0:
-            # One delivery per (region, seq): nothing to keep the stream for.
-            missed = self._new_rng("mcast", region_id, seq).random(count) < self.loss_p
+            missed = self._once("mcast", region_id, seq).random(count) < self.loss_p
         else:
             missed = np.zeros(count, dtype=bool)
         sender_here = start <= self.sender_node < stop
@@ -391,7 +415,7 @@ class FlatShard:
         holders = np.nonzero(pool.buffered[start:stop, col])[0]
         if holders.size:
             requesters = np.nonzero(missing)[0]
-            picks = self._rng("recovery", region_id, seq).integers(
+            picks = self._once("recovery", region_id, seq).integers(
                 0, holders.size, requesters.size
             )
             served = start + holders[picks]

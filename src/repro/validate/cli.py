@@ -13,7 +13,8 @@ like every subcommand's — see :mod:`repro.scenario.cli`) with the
 invariant oracle attached; ``fuzz`` samples random specs (see
 :mod:`repro.validate.fuzz`); ``replay`` re-runs the spec stored in a
 repro artifact; ``digest`` prints a scenario's trace digest (what the
-golden baselines under ``tests/baselines/`` pin).
+golden baselines under ``tests/baselines/`` pin).  Like ``scenarios
+run``, ``run`` and ``digest`` put flat-tier names on the flat engine.
 
 Exit codes: 0 = clean, 1 = invariant violations (or a crashing spec),
 2 = usage error.
@@ -28,9 +29,10 @@ import sys
 
 from repro.metrics.runreport import RunReport
 from repro.scenario.cli import add_spec_arguments, spec_from_args
+from repro.scenario.registry import scenario_names
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.tracing import trace_digest
-from repro.validate.fuzz import load_artifact_spec, run_fuzz, run_spec
+from repro.validate.fuzz import TrialOutcome, load_artifact_spec, run_fuzz, run_spec
 
 
 def add_validate_parser(commands) -> None:
@@ -99,13 +101,25 @@ def main_validate(args: argparse.Namespace) -> int:
     spec = spec_from_args(args)
     if spec is None:
         return 2
+    flat = args.scenario in scenario_names("flat")
     if command == "digest":
-        return _cmd_digest(spec)
-    return _run_under_oracle(spec, as_json=args.as_json)
+        return _cmd_digest(spec, flat)
+    return _run_under_oracle(spec, as_json=args.as_json, flat=flat)
 
 
-def _run_under_oracle(spec: ScenarioSpec, as_json: bool) -> int:
-    outcome = run_spec(spec)
+def _run_flat_spec(spec: ScenarioSpec) -> TrialOutcome:
+    """:func:`run_spec` on the flat engine, which reports the oracle's
+    counts but not each violation."""
+    from repro.scale.engine import run_flat
+
+    result = run_flat(spec, digest=False, oracle=True)
+    return TrialOutcome(spec=spec, violation_count=result.invariant_violations,
+                        records_checked=result.oracle_records_checked,
+                        events_fired=result.events_fired)
+
+
+def _run_under_oracle(spec: ScenarioSpec, as_json: bool, flat: bool = False) -> int:
+    outcome = _run_flat_spec(spec) if flat else run_spec(spec)
     report = RunReport(
         kind="validate", scenario=spec.name, seed=spec.seed,
         metrics={
@@ -240,9 +254,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_digest(spec: ScenarioSpec) -> int:
-    built = spec.build().run()
-    records = built.simulation.trace.records
-    print(f"{trace_digest(records)}  {spec.name} "
-          f"(seed {spec.seed}, {len(records)} records)")
+def _cmd_digest(spec: ScenarioSpec, flat: bool) -> int:
+    if flat:
+        from repro.scale.engine import run_flat
+
+        result = run_flat(spec)
+        digest, count = result.trace_digest, result.trace_records
+    else:
+        records = spec.build().run().simulation.trace.records
+        digest, count = trace_digest(records), len(records)
+    print(f"{digest}  {spec.name} (seed {spec.seed}, {count} records)")
     return 0

@@ -96,6 +96,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "not-a-figure"])
 
+    @pytest.mark.parametrize("quick", [[], ["--quick"]])
+    def test_unknown_param_is_a_usage_error(self, capsys, quick):
+        assert main(["run", "fig4", *quick, "--param", "bogus=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: fig4 has no parameter 'bogus'")
+        assert "cs, n, trials, seed" in line
+
+    def test_quick_params_are_accepted_parameters(self):
+        import inspect
+
+        for eid, params in QUICK_PARAMS.items():
+            accepted = inspect.signature(EXPERIMENTS[eid].run).parameters
+            assert set(params) <= set(accepted), eid
+
 
 class TestRunnerFlags:
     def test_quick_table_shared_between_cli_and_quick_module(self):

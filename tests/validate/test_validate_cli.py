@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,10 @@ from repro.experiments.cli import main
 from repro.scenario.registry import get_scenario
 from repro.sim import trace_digest
 from repro.validate.fuzz import sample_spec
+
+FLAT_GOLDEN = json.loads(
+    (Path(__file__).parents[1] / "baselines" / "flat_trace_digests.json").read_text()
+)
 
 
 class TestValidateRun:
@@ -128,6 +133,23 @@ class TestValidateDigest:
 
     def test_unknown_scenario(self, capsys):
         assert main(["validate", "digest", "nope"]) == 2
+
+    def test_flat_tier_name_prints_the_flat_digest(self, capsys):
+        assert main(["validate", "digest", "scale_10k"]) == 0
+        printed = capsys.readouterr().out.split()[0]
+        assert printed == FLAT_GOLDEN["scale_10k"]["trace_digest"]
+
+
+class TestValidateFlat:
+    def test_flat_tier_name_runs_the_flat_engine_under_the_oracle(self, capsys):
+        assert main(["validate", "run", "scale_10k", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scenario"] == "scale_10k"
+        assert payload["error"] is None
+        assert payload["violation_count"] == 0
+        assert payload["events_fired"] == FLAT_GOLDEN["scale_10k"]["events_fired"] == 590
+        # Every record of the flat run, not the object engine's 426,526.
+        assert payload["records_checked"] == 310_142
 
 
 def test_validate_appears_in_help():
