@@ -1,8 +1,8 @@
 """Experiment harness (system S12 in DESIGN.md).
 
 One module per paper figure (fig3, fig4, fig6-fig9), one per ablation,
-a registry keyed by experiment id and a CLI
-(``rrmp`` / ``python -m repro.experiments``).
+and a registry keyed by experiment id, which the ``rrmp`` command line
+(:mod:`repro.cli`) runs.
 """
 
 from repro.experiments.ablation_c import run_c_tradeoff

@@ -1,23 +1,17 @@
 """One report carrier for every "run something, print the result" path.
 
-``scenarios run``, ``live run`` and ``validate run``/``replay`` each
-grew their own summary-dict + ``json.dumps`` + text-formatting trio.
-:class:`RunReport` is the shared carrier: an ordered flat metrics
-mapping plus an optional oracle report, with one JSON shape
-(``payload()``/``to_json()``), one content digest and the aligned-key
-text renderer the ``scenarios`` CLI established.
+Every ``rrmp`` command that reports a run (``scenarios run``, ``validate
+run|fuzz|replay``, ``live run|diff``) prints a :class:`RunReport`: an
+ordered metrics mapping plus an optional oracle report, with one JSON
+shape (``payload()``/``to_json()``) and one aligned-key text renderer.
 
 Compatibility contract: for a report without an oracle section,
-``to_json()`` is byte-identical to ``json.dumps(metrics)`` — the
-pre-unification output of every consumer — and ``to_text(title)``
-reproduces the ``scenarios run`` text format exactly (keys left-
-justified to the longest, floats rendered ``%.4g``).  Pipelines built
-against the old outputs keep parsing.
+``to_json()`` is byte-identical to ``json.dumps(metrics)``, so
+pipelines built against the JSON outputs keep parsing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -52,35 +46,36 @@ class RunReport:
         """Serialize :meth:`payload` (compact by default, like the CLIs)."""
         return json.dumps(self.payload(), indent=indent)
 
-    def digest(self) -> str:
-        """SHA-256 over the canonical (sorted-key) payload JSON.
-
-        Stable across dict insertion order, so two runs with identical
-        content digest identically however their summaries were built.
-        """
-        canonical = json.dumps(self.payload(), sort_keys=True,
-                               separators=(",", ":"), default=str)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
     @property
     def exit_code(self) -> int:
         """Process exit code: 0 clean, 1 failed."""
         return 1 if self.failed else 0
 
     def to_text(self, title: Optional[str] = None) -> str:
-        """Aligned-key text block (the ``scenarios run`` format).
+        """Aligned-key text block, one line per scalar.
 
         *title* defaults to ``== {kind} {scenario} (seed {seed}) ==``.
-        Floats render ``%.4g``; keys are left-justified to the longest.
+        A nested mapping's scalars show as dotted keys
+        (``oracle.violation_count``); anything deeper, and lists, are left
+        to the JSON form.  Floats render ``%.4g``; keys are
+        left-justified to the longest.
         """
         if title is None:
             title = f"== {self.kind} {self.scenario} (seed {self.seed}) =="
+        rows = list(_scalars(self.payload()))
+        width = max((len(key) for key, _ in rows), default=0)
         lines = [title]
-        summary = self.payload()
-        if summary:
-            width = max(len(key) for key in summary)
-            for key, value in summary.items():
-                if isinstance(value, float):
-                    value = f"{value:.4g}"
-                lines.append(f"  {key.ljust(width)}  {value}")
+        for key, value in rows:
+            if isinstance(value, float):
+                value = f"{value:.4g}"
+            lines.append(f"  {key.ljust(width)}  {value}")
         return "\n".join(lines)
+
+
+def _scalars(mapping: Mapping, prefix: str = ""):
+    for key, value in mapping.items():
+        if isinstance(value, Mapping):
+            if not prefix:
+                yield from _scalars(value, f"{key}.")
+        elif not isinstance(value, (list, tuple)):
+            yield prefix + key, value

@@ -533,12 +533,11 @@ def run_fuzz(
     trials: int,
     seed: int = 0,
     artifact_dir: Optional[str] = None,
-    minimize: bool = True,
     progress: Optional[Callable[[int, TrialOutcome], None]] = None,
 ) -> FuzzReport:
     """Run *trials* sampled scenarios under the oracle.
 
-    Every failing trial is (optionally) minimized and written to
+    Every failing trial is minimized and written to
     *artifact_dir* as a repro artifact.  *progress* is invoked after
     each trial with ``(index, outcome)``.
     """
@@ -549,17 +548,13 @@ def run_fuzz(
         report.records_checked += outcome.records_checked
         report.events_fired += outcome.events_fired
         if outcome.failed:
-            if minimize:
-                # Each accepted shrink was already run and verified to
-                # fail identically, so the minimizer's outcome is final
-                # — no re-run needed (None means nothing shrank and the
-                # original outcome stands).
-                _spec, minimized_outcome, runs = minimize_spec(
-                    spec, outcome.failure_key
-                )
-                report.minimization_runs += runs
-                if minimized_outcome is not None:
-                    outcome = minimized_outcome
+            # Each accepted shrink was already run and verified to fail
+            # identically, so the minimizer's outcome is final — no re-run
+            # needed (None means nothing shrank and the original stands).
+            _spec, minimized_outcome, runs = minimize_spec(spec, outcome.failure_key)
+            report.minimization_runs += runs
+            if minimized_outcome is not None:
+                outcome = minimized_outcome
             failure = artifact_payload(outcome, seed, index)
             report.failures.append(failure)
             if artifact_dir is not None:

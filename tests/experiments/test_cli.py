@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.experiments.cli import (
-    QUICK_PARAMS,
-    build_parser,
-    fold_params,
-    main,
-    parse_param,
-    runner_from_args,
-)
+from repro.cli import build_parser, main, parse_param, runner_from_args
+from repro.experiments.quick import QUICK_PARAMS
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from repro.metrics.report import SeriesTable
 from repro.runner import ProcessPoolBackend, SerialBackend
@@ -115,8 +109,9 @@ class TestCli:
 
 class TestRunnerFlags:
     def test_quick_table_shared_between_cli_and_quick_module(self):
-        from repro.experiments.quick import QUICK_PARAMS as table
-        assert QUICK_PARAMS is table
+        import repro.cli
+        from repro.experiments.quick import quick_params_for
+        assert repro.cli.quick_params_for is quick_params_for
 
     def test_run_supports_quick(self, capsys):
         assert main(["run", "fig4", "--quick", "--no-cache",
@@ -154,50 +149,3 @@ class TestRunnerFlags:
         assert "executed=0" in warm.err
         assert warm.out == cold.out  # byte-identical table from cache
 
-
-class TestFoldParams:
-    def test_flat_pairs_stay_flat(self):
-        assert fold_params([("seeds", 10), ("mode", "fast")]) == {
-            "seeds": 10, "mode": "fast",
-        }
-
-    def test_dotted_keys_nest(self):
-        assert fold_params([("congestion.target_loss", 0.02)]) == {
-            "congestion": {"target_loss": 0.02},
-        }
-
-    def test_sibling_dotted_keys_share_a_node(self):
-        folded = fold_params([
-            ("congestion.target_loss", 0.02),
-            ("congestion.min_rate", 5.0),
-            ("seeds", 3),
-        ])
-        assert folded == {
-            "congestion": {"target_loss": 0.02, "min_rate": 5.0},
-            "seeds": 3,
-        }
-
-    def test_deeply_dotted_keys(self):
-        assert fold_params([("a.b.c", 1)]) == {"a": {"b": {"c": 1}}}
-
-    def test_scalar_then_nested_conflict_rejected(self):
-        import argparse
-
-        with pytest.raises(argparse.ArgumentTypeError, match="conflicts"):
-            fold_params([("a", 1), ("a.b", 2)])
-
-    def test_nested_then_scalar_conflict_rejected(self):
-        import argparse
-
-        with pytest.raises(argparse.ArgumentTypeError, match="conflicts"):
-            fold_params([("a.b", 2), ("a", 1)])
-
-    def test_empty(self):
-        assert fold_params([]) == {}
-
-    def test_parse_param_composes_with_fold(self):
-        pairs = [parse_param("congestion.target_loss=0.02"),
-                 parse_param("seeds=4")]
-        assert fold_params(pairs) == {
-            "congestion": {"target_loss": 0.02}, "seeds": 4,
-        }

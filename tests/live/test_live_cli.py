@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.cli import build_parser, main
 from repro.scenario.registry import get_scenario
 
 
@@ -35,7 +36,7 @@ class TestLiveRun:
                      "--speedup", "20"]) == 0
         output = capsys.readouterr().out
         assert "live live_cli_test" in output
-        assert "oracle violations          0" in output
+        assert re.search(r"^  oracle\.violation_count +0$", output, re.M)
 
     def test_json_payload(self, tmp_path, capsys):
         assert main(["live", "run", spec_path(tmp_path), "--speedup", "20",
@@ -66,7 +67,7 @@ class TestLiveRun:
         ``inf`` ran, reported ``time ms inf`` and exited 0."""
         assert main(["live", "run", spec_path(tmp_path),
                      "--speedup", speedup]) == 2
-        assert "--speedup must be finite and > 0" in capsys.readouterr().err
+        assert "argument --speedup: must be finite and > 0" in capsys.readouterr().err
 
 
 class TestLiveDaemon:
@@ -95,6 +96,40 @@ class TestLiveDaemon:
     def test_bad_interval_is_a_usage_error(self, tmp_path, capsys):
         assert main(["live", "daemon", spec_path(tmp_path),
                      "--interval", "0"]) == 2
+
+
+#: Options a session would hang on (``inf``) or silently ignore
+#: (``nan``, a snapshot count below 1).  Parsing alone must refuse
+#: them, so nothing binds a socket or starts a clock.
+_REFUSED_LIVE_OPTIONS = [
+    ["daemon", "--interval", "inf"],
+    ["daemon", "--interval", "nan"],
+    ["daemon", "--snapshots", "0"],
+    ["daemon", "--snapshots", "-1"],
+    ["node", "--nodes", "0", "--directory", "dir.json", "--hold", "inf"],
+    ["node", "--nodes", "0", "--directory", "dir.json", "--hold", "nan"],
+    ["node", "--nodes", "0", "--directory", "dir.json", "--hold", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", _REFUSED_LIVE_OPTIONS, ids=" ".join)
+def test_refused_live_option_fails_to_parse(argv):
+    with pytest.raises(SystemExit) as raised:
+        build_parser().parse_args(["live", argv[0], "initial_holders", *argv[1:]])
+    assert raised.value.code == 2
+
+
+@pytest.mark.parametrize("argv", _REFUSED_LIVE_OPTIONS[::3], ids=" ".join)
+def test_refused_live_option_exits_2_with_one_error_line(argv, capsys):
+    assert main(["live", argv[0], "initial_holders", "--speedup", "4", *argv[1:]]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: argument --")
+
+
+def test_zero_hold_still_means_no_hold():
+    args = build_parser().parse_args(["live", "node", "initial_holders", "--nodes", "0",
+                                      "--directory", "dir.json", "--hold", "0"])
+    assert args.hold == 0.0
 
 
 class TestLiveDiff:

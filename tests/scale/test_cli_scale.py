@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.cli import main
 
 
 class TestScenariosList:
@@ -81,7 +81,7 @@ class TestScenariosRunSharded:
                      "--jobs", jobs]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert captured.err == f"error: argument --jobs: must be >= 1, got {jobs}\n"
 
     def test_policy_value_rrmp_config_refuses_is_a_usage_error(
             self, capsys, monkeypatch):
@@ -101,7 +101,7 @@ class TestScenariosRunSharded:
         def broken_run(spec, **kwargs):
             raise ValueError("raised by the run, not by construction")
 
-        monkeypatch.setattr("repro.scenario.cli.run_flat", broken_run)
+        monkeypatch.setattr("repro.scale.engine.run_flat", broken_run)
         with pytest.raises(ValueError, match="raised by the run"):
             main(["scenarios", "run", "scale_10k", "--json"])
 
@@ -110,7 +110,7 @@ class TestProfileFlag:
     def test_scenarios_run_profile_writes_pstats(self, tmp_path, capsys):
         out_path = tmp_path / "scen.pstats"
         assert main(["scenarios", "run", "initial_holders", "--json",
-                     "--profile", "--profile-out", str(out_path)]) == 0
+                     "--profile", str(out_path)]) == 0
         captured = capsys.readouterr()
         json.loads(captured.out)  # stdout stayed machine-readable
         assert out_path.exists() and out_path.stat().st_size > 0
@@ -122,10 +122,21 @@ class TestProfileFlag:
 
         out_path = tmp_path / "exp.pstats"
         assert main(["run", "fig6", "--quick", "--no-cache",
-                     "--profile", "--profile-out", str(out_path)]) == 0
+                     "--profile", str(out_path)]) == 0
         assert out_path.exists()
         stats = pstats.Stats(str(out_path))
         assert stats.total_calls > 0
+
+    def test_bare_profile_after_the_positional_writes_the_default_file(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["scenarios", "run", "initial_holders", "--profile"]) == 0
+        assert "scenario initial_holders" in capsys.readouterr().out
+        assert (tmp_path / "profile.pstats").stat().st_size > 0
+
+    def test_profile_out_is_gone(self, capsys):
+        assert main(["scenarios", "run", "initial_holders", "--profile-out", "p"]) == 2
+        assert "--profile-out" in capsys.readouterr().err
 
     def test_profile_off_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

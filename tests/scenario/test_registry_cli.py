@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.cli import main
 from repro.scenario.registry import (
     get_scenario,
     register_scenario,
@@ -232,7 +232,7 @@ class TestSpecOverrides:
     """Dotted ``--param`` overrides on ``scenarios run``."""
 
     def test_apply_overrides_walks_dotted_paths(self):
-        from repro.scenario.cli import _apply_spec_overrides
+        from repro.cli import _apply_spec_overrides
 
         spec = get_scenario("search")
         updated = _apply_spec_overrides(spec, [
@@ -247,7 +247,7 @@ class TestSpecOverrides:
         assert spec.congestion.controller == "none"
 
     def test_unknown_field_raises(self):
-        from repro.scenario.cli import _apply_spec_overrides
+        from repro.cli import _apply_spec_overrides
 
         with pytest.raises(ValueError, match="no field"):
             _apply_spec_overrides(get_scenario("search"), [("bogus.x", 1)])
@@ -256,7 +256,7 @@ class TestSpecOverrides:
                                   [("congestion.bogus", 1)])
 
     def test_validation_refires_on_override(self):
-        from repro.scenario.cli import _apply_spec_overrides
+        from repro.cli import _apply_spec_overrides
 
         with pytest.raises(ValueError):
             _apply_spec_overrides(get_scenario("search"),

@@ -32,3 +32,23 @@ def test_object_engine_run_never_imports_numpy():
     done = subprocess.run([sys.executable, "-c", PROGRAM], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == ""
+
+
+CLI_PROGRAM = """
+import contextlib, io, sys
+import repro.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert repro.cli.main(["list"]) == 0
+heavy = sorted(name for name in sys.modules
+               if name in ("numpy", "asyncio") or name.startswith("repro.live"))
+print(",".join(heavy))
+"""
+
+
+def test_cli_list_loads_neither_numpy_nor_the_live_stack():
+    """Each ``rrmp`` handler imports its own subsystem, so ``rrmp list``
+    pays for none of numpy, asyncio or the live runtime."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", CLI_PROGRAM], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == ""

@@ -307,12 +307,12 @@ class TestRunFuzz:
 
     def test_progress_callback_fires_per_trial(self):
         seen = []
-        run_fuzz(trials=3, seed=1, minimize=False,
+        run_fuzz(trials=3, seed=1,
                  progress=lambda index, outcome: seen.append(index))
         assert seen == [0, 1, 2]
 
 
 def test_fuzz_acceptance_batch():
     """A slice of the acceptance run (200 trials is the CLI gate)."""
-    report = run_fuzz(trials=40, seed=0, minimize=False)
+    report = run_fuzz(trials=40, seed=0)
     assert report.ok

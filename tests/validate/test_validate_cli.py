@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.cli import main
 from repro.scenario.registry import get_scenario
 from repro.sim import trace_digest
 from repro.validate.fuzz import sample_spec
@@ -23,7 +23,7 @@ class TestValidateRun:
         assert main(["validate", "run", "search"]) == 0
         output = capsys.readouterr().out
         assert "all invariants hold" in output
-        assert "invariant violations 0" in output
+        assert "violation_count  0" in output
 
     def test_json_payload(self, capsys):
         assert main(["validate", "run", "search", "--json"]) == 0
