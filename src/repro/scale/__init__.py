@@ -4,12 +4,12 @@ The classic engine (:mod:`repro.protocol`) models every receiver as a
 Python object with its own timers — faithful, but ~0.4M engine ops/s
 caps validated runs at ~1,000 members.  This package trades per-member
 event granularity for per-*(region, message)* aggregate events over
-numpy struct-of-arrays state, which is what lets one machine reach
+numpy column state, which is what lets one machine reach
 100,000 members (see EXPERIMENTS.md "Mega-scale methodology"):
 
-* :mod:`repro.scale.pool` — :class:`FlatMemberPool`, the
-  struct-of-arrays member state (receipt/buffer/long-term bitmaps,
-  receive times, idle-timer deadlines);
+* :mod:`repro.scale.pool` — :class:`FlatMemberPool`, the member state
+  as one column per (region, message): receipt/buffer/long-term/give-up
+  bitmaps while the column is open, its long-term holders once closed;
 * :mod:`repro.scale.engine` — :class:`FlatShard`, the region-sharded
   flat engine with epoch-barrier synchronization, plus
   :func:`run_flat` (serial, in-process sharded, or one OS process per

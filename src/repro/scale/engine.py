@@ -1,8 +1,8 @@
 """The region-sharded flat simulation engine.
 
 One :class:`FlatShard` advances a subset of a scenario's regions on its
-own :class:`~repro.sim.engine.Simulator`, with all member state in a
-:class:`~repro.scale.pool.FlatMemberPool`.  Instead of per-member
+own :class:`~repro.sim.engine.Simulator`, with member state in the
+columns of a :class:`~repro.scale.pool.FlatMemberPool`.  Instead of per-member
 events, the engine schedules one event per *(region, message)*
 transition and performs the member fan-out as a vectorized array
 operation:
@@ -16,9 +16,12 @@ operation:
 * ``_remote_serve`` / ``_apply`` — parent-region search when a region
   holds no copy, and the repair application;
 * ``_sweep`` — the §3 idle-timer sweep: the columns whose earliest
-  idle deadline has come are read as contiguous ``[start:stop, col]``
-  slices and their expired short-term copies flip the C/n long-term
-  coin in one batch.
+  idle deadline has come are read whole and their expired short-term
+  copies flip the C/n long-term coin in one batch.
+
+A column holds dense state only while it is open (:mod:`repro.scale.pool`);
+its idle clock — receive times and deadlines — only while it holds a
+short-term copy.  ``_settle`` closes it once nothing in it can change.
 
 Sharding and determinism
 ------------------------
@@ -40,14 +43,16 @@ by construction) matches byte-for-byte.
 pipes; the epoch protocol is identical, so the digest still matches.
 
 Most streams (a region's multicast outcome and repair picks per seq)
-are drawn from once: a shard seeds them in one vectorized pass
-(:mod:`repro.scale.streams`) and ``_once`` writes a key's state into one
-shared generator, which draws bit for bit what a ``default_rng`` would.
+are drawn from once: a shard seeds them in vectorized passes, a window
+of seqs at a time (:mod:`repro.scale.streams`), and ``_once`` writes a
+key's state into one shared generator, which draws bit for bit what a
+``default_rng`` would.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -71,6 +76,9 @@ XEPS = 2.0 ** -20
 
 #: Epoch-barrier slack for floating-point deadline comparisons.
 _TIME_EPS = 1e-9
+
+#: Seqs whose one-draw streams are seeded in one bulk pass.
+_SEED_WINDOW = 8
 
 #: Cross-shard message: (kind, dest region, seq, src region, arrival).
 Message = Tuple[str, RegionId, int, RegionId, float]
@@ -171,7 +179,7 @@ _POLICY_VIEW = _FlatPolicyView()
 
 
 class FlatMemberView:
-    """One member's oracle-facing view over the pool arrays.
+    """One member's oracle-facing view of the pool's columns.
 
     Built lazily (only for :meth:`FlatShard.alive_members`, i.e. the
     oracle's end-of-run sweep); presents the same surface as
@@ -179,22 +187,23 @@ class FlatMemberView:
     look.
     """
 
-    __slots__ = ("node_id", "_pool")
+    __slots__ = ("node_id", "_buffered", "_gaps")
 
     policy = _POLICY_VIEW
 
-    def __init__(self, node_id: int, pool: FlatMemberPool) -> None:
+    def __init__(self, node_id: int, buffered: List[int], gaps: List[int]) -> None:
         self.node_id = node_id
-        self._pool = pool
+        self._buffered = buffered
+        self._gaps = gaps
 
     def unresolved_gaps(self) -> List[int]:
-        return self._pool.member_unresolved_gaps(self.node_id)
+        return self._gaps
 
     def buffered_seqs(self) -> List[int]:
-        return self._pool.member_buffered_seqs(self.node_id)
+        return self._buffered
 
     def is_buffering(self, seq: int) -> bool:
-        return self._pool.member_is_buffering(self.node_id, seq)
+        return seq in self._buffered
 
     def active_recovery_seqs(self) -> Tuple[()]:
         # Flat recoveries live in (region, seq) events, not per-member
@@ -260,13 +269,12 @@ class FlatShard:
 
         self.outbox: List[Message] = []
         self._rngs: Dict[Tuple[Any, ...], np.random.Generator] = {}
-        once = [(purpose, region_id, seq)
-                for region_id in self.owned
-                for seq in range(1, spec.traffic.count + 1)
-                for purpose in ("mcast", "recovery")]
-        self._seeded = dict(zip(once, pcg64_states(
-            derive_seed(spec.seed, ("flat",) + key) for key in once
-        )))
+        #: PCG64 states of the one-draw keys not drawn yet, for the seqs up
+        #: to ``_seeded_through``; ``_once`` seeds the next window of seqs
+        #: when it reaches them.
+        self._seeded: Dict[Tuple[Any, ...], Tuple[int, int]] = {}
+        self._seeded_through = 0
+        self._seed_through(1)
         self._bits = np.random.PCG64()
         self._drawer = np.random.Generator(self._bits)
         self._detected_at: Dict[Tuple[RegionId, int], float] = {}
@@ -277,6 +285,15 @@ class FlatShard:
         #: the idle machinery examined: a column per sweep that judged it
         #: and a column per request refresh that re-read its minimum.
         self._live: Dict[RegionId, Dict[int, float]] = {rid: {} for rid in self.owned}
+        #: The idle clock of each ``_live`` column (same keys): its
+        #: members' ``(receive_time, idle_deadline)`` vectors.  A deadline
+        #: is finite exactly for a short-term copy, and a receive time is
+        #: meaningful where its deadline is.  Retired clocks wait in
+        #: ``_spare`` (all deadlines +inf) for the region's next column.
+        self._clocks: Dict[RegionId, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {
+            rid: {} for rid in self.owned}
+        self._spare: Dict[RegionId, List[Tuple[np.ndarray, np.ndarray]]] = {
+            rid: [] for rid in self.owned}
         self.sweep_cells = 0
         self._recovery_latency_sum = 0.0
         self._recovery_count = 0
@@ -290,9 +307,10 @@ class FlatShard:
             probe = self.hierarchy.regions[region_id].members[0]
             hops = self.hierarchy.region_distance(self.sender_node, probe)
             latency = self.intra if hops == 0 else self.inter * hops
+            deliver = self._deliver
             for seq in range(1, traffic.count + 1):
                 send_time = traffic.start + (seq - 1) * traffic.interval
-                self.sim.at(send_time + latency, self._deliver, region_id, seq)
+                self.sim.at(send_time + latency, deliver, region_id, seq)
 
     # ------------------------------------------------------------------
     # Deterministic randomness
@@ -312,12 +330,27 @@ class FlatShard:
             )
         return generator
 
+    def _seed_through(self, seq: int) -> None:
+        """Bulk-seed the one-draw keys of the owned regions for the seqs
+        after ``_seeded_through``, up to a window past *seq*."""
+        first = self._seeded_through + 1
+        self._seeded_through = min(self.spec.traffic.count, seq + _SEED_WINDOW - 1)
+        keys = [(purpose, region_id, key_seq)
+                for region_id in self.owned
+                for key_seq in range(first, self._seeded_through + 1)
+                for purpose in ("mcast", "recovery")]
+        self._seeded.update(zip(keys, pcg64_states(
+            derive_seed(self.spec.seed, ("flat",) + key) for key in keys
+        )))
+
     def _once(self, *key: Any) -> np.random.Generator:
         """The stream of a key drawn from once (``mcast``, ``recovery``):
         its bulk-seeded PCG64 state written into the shard's one shared
         generator, which then draws what ``default_rng(derive_seed(...))``
         would.  Valid until the next call; a key drawn twice raises
         ``KeyError``."""
+        if key[2] > self._seeded_through:
+            self._seed_through(key[2])
         state, inc = self._seeded.pop(key)
         self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
@@ -339,14 +372,11 @@ class FlatShard:
         if sender_here:
             missed[self.sender_node - start] = False
         got = ~missed
-        pool = self.pool
-        pool.received[start:stop, col] = got
-        pool.buffered[start:stop, col] = got
-        pool.receive_time[start:stop, col][got] = now
-        pool.idle_deadline[start:stop, col][got] = now + self.idle_threshold
+        column = self.pool.column(region_id, col)
+        column.received[:] = got
+        column.buffered[:] = got
         if sender_here:
-            pool.long_term[self.sender_node, col] = True
-            pool.idle_deadline[self.sender_node, col] = np.inf
+            column.long_term[self.sender_node - start] = True
         trace = self.trace
         if trace.enabled:
             for offset in np.nonzero(got)[0]:
@@ -359,12 +389,16 @@ class FlatShard:
         if missed.any():
             self.sim.at(now + self._detect_delay(seq), self._detect, region_id, seq)
         if got.sum() > sender_here:
-            self._short_term(region_id, col, now + self.idle_threshold)
-        elif sender_here:
-            # Only the pinned copy arrived: nothing for ``_live``, but a
-            # delivery has always armed a sweep and ``events_fired`` is
-            # part of the golden baselines.
-            self._arm_sweep(region_id, now + self.idle_threshold)
+            if sender_here:  # the pinned copy never goes idle
+                got[self.sender_node - start] = False
+            self._short_term(region_id, col, got, now)
+        else:
+            if sender_here:
+                # Only the pinned copy arrived: nothing for ``_live``, but
+                # a delivery has always armed a sweep and ``events_fired``
+                # is part of the golden baselines.
+                self._arm_sweep(region_id, now + self.idle_threshold)
+            self._settle(region_id, col)
 
     def _detect_delay(self, seq: int) -> float:
         """How long a missing region takes to notice the gap.
@@ -382,8 +416,10 @@ class FlatShard:
     def _detect(self, region_id: RegionId, seq: int) -> None:
         now = self.sim.now
         start, stop = self.pool.rows(region_id)
-        col = seq - 1
-        missing = ~self.pool.received[start:stop, col]
+        column = self.pool.column(region_id, seq - 1)
+        if column is None:
+            return  # closed: every member has the message
+        missing = ~column.received
         if not missing.any():
             return
         self._detected_at[(region_id, seq)] = now
@@ -396,36 +432,33 @@ class FlatShard:
     def _round(self, region_id: RegionId, seq: int) -> None:
         """One recovery round: local repair, or escalate to the parent."""
         now = self.sim.now
-        pool = self.pool
-        start, stop = pool.rows(region_id)
+        start, stop = self.pool.rows(region_id)
         col = seq - 1
-        missing = ~pool.received[start:stop, col] & ~pool.given_up[start:stop, col]
+        column = self.pool.column(region_id, col)
+        if column is None:
+            return
+        missing = column.missing()
         if not missing.any():
             return
         detected = self._detected_at[(region_id, seq)]
         if now - detected > self.max_recovery_time + _TIME_EPS:
-            pool.given_up[start:stop, col] |= missing
+            column.given_up |= missing
             trace = self.trace
             if trace.enabled:
                 for offset in np.nonzero(missing)[0]:
                     trace.emit(now, "reliability_violation",
                                node=start + int(offset), seq=seq,
                                elapsed=now - detected)
+            self._settle(region_id, col)
             return
-        holders = np.nonzero(pool.buffered[start:stop, col])[0]
+        holders = np.flatnonzero(column.buffered)
         if holders.size:
             requesters = np.nonzero(missing)[0]
             picks = self._once("recovery", region_id, seq).integers(
                 0, holders.size, requesters.size
             )
-            served = start + holders[picks]
-            # Requests refresh the chosen holders' idle timers on
-            # arrival (§3.1 feedback) — but never un-pin +inf entries.
-            np.maximum.at(
-                pool.idle_deadline, (served, col),
-                now + self.intra + self.idle_threshold,
-            )
-            self._refreshed(region_id, col)
+            self._refresh(region_id, col, holders[picks],
+                          now + self.intra + self.idle_threshold)
             self.sim.at(now + 2.0 * self.intra, self._apply,
                         region_id, seq, "local-repair")
         else:
@@ -443,18 +476,14 @@ class FlatShard:
                       child_region: RegionId) -> None:
         """A child region's remote request reaches this (parent) region."""
         now = self.sim.now
-        pool = self.pool
-        start, stop = pool.rows(region_id)
         col = seq - 1
-        holders = np.nonzero(pool.buffered[start:stop, col])[0]
+        holders = self.pool.holders(region_id, col)
         if not holders.size:
             return  # child keeps retrying; we may hold a copy later
         rng = self._rng("serve", region_id, seq, child_region)
-        served = start + int(holders[int(rng.integers(0, holders.size))])
-        pool.idle_deadline[served, col] = max(
-            pool.idle_deadline[served, col], now + self.idle_threshold
-        )
-        self._refreshed(region_id, col)
+        row = int(holders[int(rng.integers(0, holders.size))])
+        self._refresh(region_id, col, row, now + self.idle_threshold)
+        served = self.pool.rows(region_id)[0] + row
         if self.trace.enabled:
             self.trace.emit(now, "remote_request_served", node=served, seq=seq,
                             to_region=child_region)
@@ -465,16 +494,16 @@ class FlatShard:
     def _apply(self, region_id: RegionId, seq: int, via: str) -> None:
         """A repair arrives: every still-missing member delivers+buffers."""
         now = self.sim.now
-        pool = self.pool
-        start, stop = pool.rows(region_id)
+        start, stop = self.pool.rows(region_id)
         col = seq - 1
-        missing = ~pool.received[start:stop, col] & ~pool.given_up[start:stop, col]
+        column = self.pool.column(region_id, col)
+        if column is None:
+            return
+        missing = column.missing()
         if not missing.any():
             return
-        pool.received[start:stop, col] |= missing
-        pool.buffered[start:stop, col] |= missing
-        pool.receive_time[start:stop, col][missing] = now
-        pool.idle_deadline[start:stop, col][missing] = now + self.idle_threshold
+        column.received |= missing
+        column.buffered |= missing
         latency = now - self._detected_at[(region_id, seq)]
         recovered = int(missing.sum())
         self._recovery_latency_sum += latency * recovered
@@ -487,15 +516,30 @@ class FlatShard:
                 trace.emit(now, "buffer_add", node=node, seq=seq)
                 trace.emit(now, "recovery_completed", node=node, seq=seq,
                            latency=latency)
-        self._short_term(region_id, col, now + self.idle_threshold)
+        self._short_term(region_id, col, missing, now)
 
     # ------------------------------------------------------------------
     # Idle sweeps (the §3 short-term phase, batched per region)
     # ------------------------------------------------------------------
-    def _short_term(self, region_id: RegionId, col: int, when: float) -> None:
-        """Members gained short-term copies in column *col*, idle at
-        *when*: the one place that opens a column to the sweep, so no
-        copy turns short-term without a sweep armed to judge it."""
+    def _short_term(self, region_id: RegionId, col: int, rows: np.ndarray,
+                    now: float) -> None:
+        """The members at *rows* (a bool mask) received column *col*'s
+        message at *now* as short-term copies: the one place that opens a
+        column to the sweep, so no copy turns short-term without a sweep
+        armed to judge it."""
+        when = now + self.idle_threshold
+        clock = self._clocks[region_id].get(col)
+        if clock is None:
+            spare = self._spare[region_id]
+            if spare:
+                clock = spare.pop()
+            else:
+                size = rows.size
+                clock = (np.empty(size), np.full(size, np.inf))
+            self._clocks[region_id][col] = clock
+        receive_time, deadline = clock
+        receive_time[rows] = now
+        deadline[rows] = when
         live = self._live[region_id]
         live[col] = min(live.get(col, when), when)
         self._arm_sweep(region_id, when)
@@ -508,47 +552,61 @@ class FlatShard:
         self._next_sweep[region_id] = when
         self.sim.at(when, self._sweep, region_id)
 
-    def _refreshed(self, region_id: RegionId, col: int) -> None:
-        """A request raised idle deadlines in column *col*: re-read its
-        earliest one (a raise cannot be folded into the old minimum)."""
-        live = self._live[region_id]
-        if col in live:
-            start, stop = self.pool.rows(region_id)
-            self.sweep_cells += stop - start
-            self._pending(live, col, self.pool.idle_deadline[start:stop, col])
+    def _refresh(self, region_id: RegionId, col: int, rows: Any,
+                 until: float) -> None:
+        """Requests reached the holders at *rows*: their idle timers run
+        to at least *until* (§3.1 feedback; +inf entries stay pinned),
+        and the column's earliest deadline is re-read (a raise cannot be
+        folded into the old minimum).  A column with no clock holds no
+        short-term copy, only +inf deadlines: nothing to raise."""
+        clock = self._clocks[region_id].get(col)
+        if clock is not None:
+            deadline = clock[1]
+            np.maximum.at(deadline, rows, until)
+            self.sweep_cells += deadline.size
+            self._pending(region_id, col)
 
-    @staticmethod
-    def _pending(live: Dict[int, float], col: int, deadline: np.ndarray) -> None:
-        """Set *col*'s entry to the earliest of its *deadline* slice, or
-        retire the column when no short-term copy is left in it (only a
-        short-term copy has a finite deadline)."""
-        when = float(deadline.min())
+    def _pending(self, region_id: RegionId, col: int) -> None:
+        """Set *col*'s entry to its earliest idle deadline, or retire the
+        column and its clock when no short-term copy is left in it (only
+        a short-term copy has a finite deadline)."""
+        when = float(self._clocks[region_id][col][1].min())
         if when < np.inf:
-            live[col] = when
+            self._live[region_id][col] = when
         else:
-            del live[col]
+            del self._live[region_id][col]
+            self._spare[region_id].append(self._clocks[region_id].pop(col))
+            self._settle(region_id, col)
+
+    def _settle(self, region_id: RegionId, col: int) -> None:
+        """Close column *col* once nothing in it can change: no
+        short-term copy left and no member still recovering."""
+        if col not in self._live[region_id] and self.pool.settle(region_id, col):
+            self._detected_at.pop((region_id, col + 1), None)
+            # Undrawn when no member ever asked a local holder.
+            self._seeded.pop(("recovery", region_id, col + 1), None)
 
     def _sweep(self, region_id: RegionId) -> None:
         """Flip the C/n coin for each short-term copy whose timer ran out.
 
         Reads only the columns whose earliest pending deadline has come,
-        each as its contiguous ``[start:stop, col]`` slice, so the cost
-        follows the copies that are due, not the stream or the window of
-        recent messages.  ``_live`` is kept exact where deadlines are
-        written (``_short_term`` lowers an entry, ``_refreshed`` and this
-        sweep re-derive it), so no due copy is missed and the next sweep
-        is the earliest entry left.  Due copies are taken member-major,
+        each through its region-sized clock, so the cost follows the
+        copies that are due, not the stream or the window of recent
+        messages.  ``_live`` is kept exact where deadlines are written
+        (``_short_term`` lowers an entry, ``_refresh`` and this sweep
+        re-derive it), so no due copy is missed and the next sweep is the
+        earliest entry left.  Due copies are taken member-major,
         then by ascending seq: the i-th draw of the region's coin stream
         goes to the i-th due copy, which makes this order part of the
         digest contract.
         """
         now = self.sim.now
-        pool = self.pool
-        start, stop = pool.rows(region_id)
+        start, stop = self.pool.rows(region_id)
         live = self._live[region_id]
+        clocks = self._clocks[region_id]
         horizon = now + _TIME_EPS
         found = sorted(col for col, when in live.items() if when <= horizon)
-        deadlines = [pool.idle_deadline[start:stop, col] for col in found]
+        deadlines = [clocks[col][1] for col in found]
         due = [np.nonzero(deadline <= horizon)[0] for deadline in deadlines]
         sizes = [rows.size for rows in due]
         if found:
@@ -562,24 +620,26 @@ class FlatShard:
                 drawn, kept = kept, np.empty_like(kept)
                 kept[order] = drawn
             trace = self.trace
+            opened = self.pool.open_columns[region_id]
             offset = 0
             for col, deadline, rows, size in zip(found, deadlines, due, sizes):
                 mine = kept[offset:offset + size]
                 offset += size
                 keep_rows, drop_rows = rows[mine], rows[~mine]
-                pool.long_term[start:stop, col][keep_rows] = True
-                pool.buffered[start:stop, col][drop_rows] = False
+                column = opened[col]
+                column.long_term[keep_rows] = True
+                column.buffered[drop_rows] = False
                 deadline[rows] = np.inf
-                self._pending(live, col, deadline)
                 if trace.enabled:
                     for row in keep_rows.tolist():
                         trace.emit(now, "long_term_selected", node=start + row,
                                    seq=col + 1, via="coin-flip")
-                    held = now - pool.receive_time[start:stop, col][drop_rows]
+                    held = now - clocks[col][0][drop_rows]
                     for row, duration in zip(drop_rows.tolist(), held.tolist()):
                         trace.emit(now, "buffer_discard", node=start + row,
                                    seq=col + 1, reason="idle",
                                    was_long_term=False, duration=duration)
+                self._pending(region_id, col)
         if live:
             when = min(live.values())
             self._next_sweep[region_id] = when
@@ -612,9 +672,10 @@ class FlatShard:
         """Views of every member this shard owns (oracle end sweep)."""
         views: List[FlatMemberView] = []
         for region_id in self.owned:
-            start, stop = self.pool.rows(region_id)
+            start, _ = self.pool.rows(region_id)
             views.extend(
-                FlatMemberView(node, self.pool) for node in range(start, stop)
+                FlatMemberView(start + row, buffered, gaps)
+                for row, (buffered, gaps) in enumerate(self.pool.member_seqs(region_id))
             )
         return views
 
@@ -624,10 +685,10 @@ class FlatShard:
         total = 0
         violations = 0
         for region_id in self.owned:
-            rows = self.pool.rows(region_id)
-            delivered += self.pool.delivered_pairs(rows)
-            violations += self.pool.given_up_pairs(rows)
-            total += (rows[1] - rows[0]) * self.pool.message_count
+            start, stop = self.pool.rows(region_id)
+            delivered += self.pool.delivered_pairs(region_id)
+            violations += self.pool.given_up_pairs(region_id)
+            total += (stop - start) * self.pool.message_count
         return {
             "delivered_pairs": delivered,
             "total_pairs": total,
@@ -638,7 +699,22 @@ class FlatShard:
             "sim_time_ms": self.sim.now,
             "trace_records": self.digest.count if self.digest else None,
             "sweep_cells": self.sweep_cells,
+            "peak_open_columns": self.pool.peak_open_columns,
+            "holder_counts": self.holder_counts(),
         }
+
+    def holder_counts(self) -> Dict[Tuple[int, int], int]:
+        """Closed (region, seq) columns of the owned regions, counted by
+        (copies that went idle, long-term holders kept).  The sender's
+        pinned copy never goes idle and is in neither number."""
+        counts: Counter = Counter()
+        for region_id in self.owned:
+            start, stop = self.pool.rows(region_id)
+            pinned = int(start <= self.sender_node < stop)
+            counts.update((stop - start - record.given_up_count - pinned,
+                           record.holder_count - pinned)
+                          for record in self.pool.closed_columns[region_id].values())
+        return counts
 
 
 # ----------------------------------------------------------------------
@@ -663,8 +739,19 @@ class FlatRunResult:
     trace_records: Optional[int] = None
     invariant_violations: Optional[int] = None
     oracle_records_checked: Optional[int] = None
-    sweep_cells: int = 0  # examined by the idle sweeps; not in summary()
+    # Work and state counts, not in summary() and not in the digest:
+    sweep_cells: int = 0  # examined by the idle sweeps
+    peak_open_columns: int = 0  # summed over shards: each peaks on its own
+    holder_counts: Dict[Tuple[int, int], int] = field(default_factory=dict, repr=False)
     engines: List[FlatShard] = field(default_factory=list, repr=False)
+
+    def long_term_holder_histogram(self) -> Dict[Tuple[int, int], int]:
+        """§3.2 at scale: how many (region, seq) columns ended with *k*
+        long-term holders out of *n* copies that went idle, keyed
+        ``(n, k)``.  Each idle copy flips the keep coin once, so *k* is
+        Binomial(n, C/size): the paper's Binomial(n, C/n) wherever every
+        member went idle (no give-up, not the sender's region)."""
+        return dict(sorted(self.holder_counts.items()))
 
     def summary(self) -> Dict[str, Any]:
         """JSON-ready summary (the ``scenarios run`` payload shape)."""
@@ -796,6 +883,9 @@ def _merge_results(
     total = sum(stats["total_pairs"] for stats in shard_stats)
     recoveries = sum(stats["recoveries"] for stats in shard_stats)
     latency_sum = sum(stats["recovery_latency_sum_ms"] for stats in shard_stats)
+    holder_counts: Counter = Counter()
+    for stats in shard_stats:
+        holder_counts.update(stats["holder_counts"])
     digest_hex = None
     digest_count = None
     if digest_states is not None:
@@ -828,6 +918,8 @@ def _merge_results(
         invariant_violations=violations,
         oracle_records_checked=checked,
         sweep_cells=sum(stats["sweep_cells"] for stats in shard_stats),
+        peak_open_columns=sum(stats["peak_open_columns"] for stats in shard_stats),
+        holder_counts=holder_counts,
         engines=engines,
     )
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.formulas import bufferer_pmf_binomial
 from repro.scale.engine import CommutativeTraceDigest, FlatShard, run_flat
 from repro.scenario.library import scale_spec
 from repro.scenario.registry import (
@@ -129,17 +130,35 @@ class TestSpecGate:
 
 
 def pending_deadlines(engine, region_id):
-    """``_live[region_id]`` recomputed from the pool: per column, the
-    earliest idle deadline among its short-term copies."""
-    start, stop = engine.pool.rows(region_id)
-    short = (engine.pool.buffered[start:stop]
-             & ~engine.pool.long_term[start:stop])
-    deadline = engine.pool.idle_deadline[start:stop]
-    # What lets a sweep read the deadline column alone.
-    assert (np.isfinite(deadline) == short).all()
-    earliest = np.where(short, deadline, np.inf).min(axis=0)
-    return {col: when for col, when in enumerate(earliest.tolist())
-            if when < np.inf}
+    """``_live[region_id]`` recomputed from the open columns: per column,
+    the earliest idle deadline among its short-term copies."""
+    pending = {}
+    for col, column in engine.pool.open_columns[region_id].items():
+        short = column.buffered & ~column.long_term
+        clock = engine._clocks[region_id].get(col)
+        if clock is None:
+            assert not short.any()
+            continue
+        deadline = clock[1]
+        # What lets a sweep read the deadline vector alone.
+        assert (np.isfinite(deadline) == short).all()
+        if short.any():
+            pending[col] = float(deadline[short].min())
+    return pending
+
+
+def assert_columns_exact(engine, region_id):
+    """A column is open exactly while it holds a short-term copy or a
+    member still recovering; its clock exists exactly while it is live."""
+    live = engine._live[region_id]
+    assert live == pending_deadlines(engine, region_id)
+    assert engine._clocks[region_id].keys() == live.keys()
+    opened = engine.pool.open_columns[region_id]
+    for col, column in opened.items():
+        assert col in live or column.missing().any(), col
+    assert not opened.keys() & engine.pool.closed_columns[region_id].keys()
+    assert {seq - 1 for region, seq in engine._detected_at
+            if region == region_id} <= opened.keys()
 
 
 class TestSweepWindow:
@@ -158,9 +177,13 @@ class TestSweepWindow:
         result = run_flat(spec, shards=shards, digest=False)
         for engine in result.engines:
             pool = engine.pool
-            assert not (pool.buffered & ~pool.long_term).any()
-            assert not np.isfinite(pool.idle_deadline).any()
+            for region_id in engine.owned:
+                assert pool.open_columns[region_id] == {}
+                assert len(pool.closed_columns[region_id]) == spec.traffic.count
             assert engine._live == {region: {} for region in engine.owned}
+            assert engine._clocks == {region: {} for region in engine.owned}
+            assert engine._detected_at == {}
+            assert not [key for key in engine._seeded if key[0] == "recovery"]
 
     @pytest.mark.parametrize("spec, events", [
         (long_stream_spec(), 2872),
@@ -168,15 +191,16 @@ class TestSweepWindow:
         (coincident_spec(), 241),
     ], ids=["long_stream", "remote_heavy", "coincident_deadlines"])
     def test_live_is_exact_after_every_event(self, spec, events):
-        """``_live`` is maintained where deadlines are written, not
-        recomputed: after every event it must equal what the pool says.
-        One shard owns every region, so its outbox is its own inbox."""
+        """``_live``, the clocks and the open columns are maintained where
+        state is written, not recomputed: after every event they must
+        equal what the columns say.  One shard owns every region, so its
+        outbox is its own inbox."""
         engine = FlatShard(spec)
         while engine.sim.step():
             for message in engine.drain_outbox():
                 engine.deliver_inbound(message)
             for region_id in engine.owned:
-                assert engine._live[region_id] == pending_deadlines(engine, region_id)
+                assert_columns_exact(engine, region_id)
         # The golden run (flat_trace_digests.json), not a look-alike.
         assert engine.sim.events_fired == events
 
@@ -202,6 +226,73 @@ class TestSweepWindow:
         assert result.delivered_fraction == 1.0
         assert 0 < result.sweep_cells <= 5 * result.members * result.messages
         assert "sweep_cells" not in result.summary()
+
+
+class TestColumnMemory:
+    def test_peak_open_columns_is_flat_in_stream_length(self):
+        """An exact count, not an RSS reading: the pool holds dense state
+        for the live window only, so ten times the stream opens no more
+        columns at once."""
+        peaks = []
+        for messages in (40, 400):
+            spec = scale_spec(regions=4, members_per_region=50, messages=messages,
+                              seed=0, horizon=messages * 25 + 3_000)
+            result = run_flat(spec, digest=False)
+            assert result.delivered_fraction == 1.0
+            assert "peak_open_columns" not in result.summary()
+            peaks.append(result.peak_open_columns)
+        assert peaks[0] == peaks[1]
+        assert 0 < peaks[0] <= 4 * 5
+
+    def test_seeded_states_follow_the_stream_window(self):
+        spec = scale_spec(regions=4, members_per_region=50, messages=400,
+                          seed=0, horizon=400 * 25 + 3_000)
+        engine = FlatShard(spec)
+        assert len(engine._seeded) < 4 * 2 * 10
+        most = 0
+        while engine.sim.step():
+            most = max(most, len(engine._seeded))
+        assert most < 4 * 2 * 20
+
+
+def chi_square(observed, expected):
+    """Pearson's statistic over k bins, adjacent bins merged from the low
+    end until each expects at least 5; returns (statistic, merged bins)."""
+    statistic, bins = 0.0, 0
+    seen = wanted = 0.0
+    keys = sorted(expected)
+    for index, k in enumerate(keys):
+        seen += observed.get(k, 0)
+        wanted += expected[k]
+        rest = sum(expected[j] for j in keys[index + 1:])
+        if wanted >= 5 and (rest >= 5 or index == len(keys) - 1):
+            statistic += (seen - wanted) ** 2 / wanted
+            bins += 1
+            seen = wanted = 0.0
+    return statistic, bins
+
+
+class TestPaperQuantities:
+    def test_long_term_holders_fit_the_binomial_law(self):
+        """§3.2 at scale: each copy that went idle keeps itself with
+        probability C/n, so a (region, seq) ends with Binomial(n, C/n)
+        long-term holders (``bufferer_pmf_binomial``).  2,000 samples."""
+        spec = scale_spec(regions=200, members_per_region=20, messages=10, seed=0)
+        result = run_flat(spec, digest=False)
+        histogram = result.long_term_holder_histogram()
+        assert sum(histogram.values()) == 200 * 10
+        observed, expected = {}, {}
+        for (idle, holders), count in histogram.items():
+            observed[holders] = observed.get(holders, 0) + count
+            for k in range(idle + 1):
+                expected[k] = (expected.get(k, 0.0)
+                               + count * bufferer_pmf_binomial(idle, spec.policy.c, k))
+        statistic, bins = chi_square(observed, expected)
+        df = bins - 1
+        # The 0.999 quantile of chi-square(df), Wilson-Hilferty.
+        critical = df * (1 - 2 / (9 * df) + 3.09 * (2 / (9 * df)) ** 0.5) ** 3
+        assert df >= 8
+        assert statistic < critical, (statistic, critical, observed)
 
 
 class TestScaleTier:

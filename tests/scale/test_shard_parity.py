@@ -40,6 +40,9 @@ class TestFlatShardParity:
         processes = run_flat(parity_spec(), shards=3, processes=True)
         assert processes.trace_digest == in_process.trace_digest
         assert processes.summary() == in_process.summary()
+        assert (processes.long_term_holder_histogram()
+                == in_process.long_term_holder_histogram()
+                == run_flat(parity_spec()).long_term_holder_histogram())
 
     def test_coincident_deadlines_parity_in_every_mode(self):
         """The merged member-major draw order is a per-region matter:
