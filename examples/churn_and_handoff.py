@@ -24,7 +24,7 @@ def main() -> None:
     built = (
         scenario("churn-and-handoff", seed=11)
         .chain(30, 1)  # region under churn + a downstream requester
-        .latency(inter=200.0)
+        .latency(inter_one_way=200.0)
         .policy("two_phase", c=5.0)
         .protocol(session_interval=None, max_search_rounds=200)
         .build()

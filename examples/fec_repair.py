@@ -30,7 +30,7 @@ def run_mode(mode: str) -> None:
         scenario("fec-repair", seed=7)
         .chain(25, 25)
         .uniform(MESSAGES, INTERVAL)
-        .regional_loss(region=0.3)
+        .regional_loss(region_loss=0.3)
         .fec(mode, block_size=8, parity=2)
         .protocol(remote_lambda=4.0, session_interval=50.0)
         .measure(horizon=HORIZON)

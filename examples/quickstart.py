@@ -23,7 +23,7 @@ def main() -> None:
         scenario("quickstart", seed=42)
         .single_region(100)
         .fixed_holders(10)            # IP multicast reaches only 10 members
-        .multicast_once(at=0.0)
+        .multicast_once(start=0.0)
         .policy("two_phase",
                 c=6.0,                # expected long-term bufferers per region
                 idle_threshold=40.0)  # T = 4 x max RTT, the paper's value

@@ -32,7 +32,7 @@ def main() -> None:
     built = (
         scenario("wan-hierarchy", seed=7)
         .chain(6, 6, 6)  # region 0 -> region 1 -> region 2
-        .latency(intra=5.0, inter=40.0)
+        .latency(intra_one_way=5.0, inter_one_way=40.0)
         .protocol(remote_lambda=1.0, session_interval=None)
         .build()
     )

@@ -10,7 +10,7 @@ Determinism makes the control laws unit-testable from synthetic feedback
 traces alone.
 
 Rates are expressed in messages per second (the human-facing unit of
-:class:`~repro.protocol.config.CongestionConfig`); the simulator clock
+:class:`~repro.protocol.config.CongestionSpec`); the simulator clock
 is milliseconds, so the inter-send credit is ``1000 / rate`` ms.
 
 The adaptive controllers evaluate once per feedback window (the
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Protocol
 
-from repro.protocol.config import CC_AIMD, CC_NONE, CC_TFMCC, CongestionConfig
+from repro.protocol.config import CC_AIMD, CC_NONE, CC_TFMCC, CongestionSpec
 from repro.protocol.messages import FeedbackReport, Seq
 
 _UNLIMITED = float("-inf")
@@ -107,7 +107,7 @@ class _AdaptiveBase:
 
     name = "adaptive"
 
-    def __init__(self, config: CongestionConfig,
+    def __init__(self, config: CongestionSpec,
                  initial_rate: Optional[float] = None) -> None:
         self.config = config
         self._min_interval = 1000.0 / config.max_rate
@@ -209,7 +209,7 @@ class AimdController(_AdaptiveBase):
 
     name = CC_AIMD
 
-    def __init__(self, config: CongestionConfig,
+    def __init__(self, config: CongestionSpec,
                  initial_rate: Optional[float] = None,
                  additive_increase: float = 10.0,
                  decrease_factor: float = 0.5) -> None:
@@ -267,7 +267,7 @@ class TfmccController(_AdaptiveBase):
 
     name = CC_TFMCC
 
-    def __init__(self, config: CongestionConfig,
+    def __init__(self, config: CongestionSpec,
                  initial_rate: Optional[float] = None,
                  increase_factor: float = 1.3) -> None:
         super().__init__(config, initial_rate)
@@ -289,7 +289,7 @@ class TfmccController(_AdaptiveBase):
         self.set_rate(tcp_friendly_rate(excess, limiting.rtt_ms))
 
 
-def controller_for(config: CongestionConfig,
+def controller_for(config: CongestionSpec,
                    initial_rate: Optional[float] = None) -> CongestionController:
     """Instantiate the controller the config names."""
     if config.controller == CC_NONE:

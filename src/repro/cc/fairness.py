@@ -24,11 +24,11 @@ J = 1 is a perfectly fair split; J = 1/n is maximal unfairness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 from repro.cc.controller import controller_for
-from repro.protocol.config import CongestionConfig
+from repro.protocol.config import CongestionSpec
 from repro.protocol.messages import FeedbackReport
 from repro.sim import PeriodicTask, Simulator
 
@@ -72,20 +72,14 @@ def run_fairness_duel(controller: str, *,
                       duration_ms: float = 60_000.0,
                       feedback_interval: float = 50.0,
                       rtt_ms: float = 10.0,
-                      config: CongestionConfig = None) -> FairnessResult:
+                      config: CongestionSpec = None) -> FairnessResult:
     """Run two *controller* flows against a shared bottleneck.
 
     Deterministic: the bottleneck model is closed-form, so the result
     is a pure function of the arguments.
     """
-    if config is None:
-        config = CongestionConfig(
-            controller=controller,
-            feedback_interval=feedback_interval,
-        )
-    else:
-        config = config.with_overrides(controller=controller,
-                                       feedback_interval=feedback_interval)
+    config = replace(config or CongestionSpec(), controller=controller,
+                     feedback_interval=feedback_interval)
     sim = Simulator()
     flows = [
         controller_for(config, initial_rate=config.max_rate),

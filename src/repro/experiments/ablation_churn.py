@@ -27,7 +27,7 @@ def _one_run(graceful: bool, n: int, c: float, seed: int,
     built = (
         scenario("ablation-churn", seed=seed)
         .chain(n, 1)
-        .latency(inter=500.0)
+        .latency(inter_one_way=500.0)
         .policy("two_phase", c=c)
         .protocol(session_interval=None, max_search_rounds=200)
         .measure(horizon=horizon)

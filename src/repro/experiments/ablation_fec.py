@@ -60,7 +60,7 @@ def _measure_rrmp(
         scenario("ablation-fec", seed=seed)
         .chain(region_size, region_size)
         .uniform(messages, interval)
-        .regional_loss(region=region_loss)
+        .regional_loss(region_loss=region_loss)
         .fec(mode, block_size=k, parity=r, flush_after=1.0)
         .protocol(
             remote_lambda=remote_lambda, session_interval=50.0,

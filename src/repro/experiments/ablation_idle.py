@@ -15,15 +15,15 @@ from typing import Dict, Sequence
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
-from repro.workloads.scenarios import run_initial_holders
+from repro.scenario.library import initial_holders_spec
 
 
 def trial_idle_threshold(params: Dict[str, object], seed: int) -> Dict[str, object]:
     """Runner trial: one Figure-6-style run at a given idle threshold."""
-    result = run_initial_holders(
+    result = initial_holders_spec(
         int(params["n"]), int(params["k"]), seed=seed,
         idle_threshold=float(params["threshold"]), rtt=float(params["rtt"]),
-    )
+    ).run()
     durations = result.holder_buffering_durations()
     stats = result.simulation.network.stats
     return {

@@ -32,7 +32,7 @@ def trial_scaling(params: Dict[str, object], seed: int) -> Dict[str, float]:
     built = (
         scenario("ablation-scaling", seed=seed)
         .single_region(n)
-        .latency(intra=float(params["rtt"]) / 2.0)
+        .latency(intra_one_way=float(params["rtt"]) / 2.0)
         .policy("two_phase", c=float(params["long_term_c"]))
         .protocol(session_interval=None, max_recovery_time=5_000.0)
         .measure(duration=3_000.0)

@@ -26,7 +26,7 @@ from typing import Dict, Sequence, Tuple
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
-from repro.workloads.scenarios import run_search
+from repro.scenario.library import search_spec
 
 
 def simulate_multicast_replies(
@@ -62,13 +62,13 @@ def trial_storm(params: Dict[str, object], seed: int) -> Dict[str, float]:
     replies, first = simulate_multicast_replies(
         n, bufferers, backoff_c=float(params["backoff_c"]), rng=rng
     )
-    result = run_search(n, bufferers, seed=seed)
+    result = search_spec(n, bufferers, seed=seed).run()
     # Search traffic: forwarded hops + the single HaveReply
     # regional multicast (counted as 1 logical message).
     return {
         "replies": float(replies),
         "first_reply_ms": first,
-        "search_messages": float(result.search_forwards + 1),
+        "search_messages": float(result.simulation.trace.count("search_forwarded") + 1),
         "search_time_ms": result.search_time or 0.0,
     }
 

@@ -20,15 +20,15 @@ from typing import Dict, Sequence
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean, stdev
-from repro.workloads.scenarios import run_initial_holders
+from repro.scenario.library import initial_holders_spec
 
 
 def trial_holder_buffering(params: Dict[str, object], seed: int) -> Dict[str, float]:
     """Runner trial: one Figure 6 run — mean holder buffering + violations."""
-    result = run_initial_holders(
+    result = initial_holders_spec(
         int(params["n"]), int(params["k"]), seed=seed,
         idle_threshold=float(params["idle_threshold"]), rtt=float(params["rtt"]),
-    )
+    ).run()
     return {
         "mean_buffering_ms": mean(result.holder_buffering_durations()),
         "violations": result.simulation.violation_count(),

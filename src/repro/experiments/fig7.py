@@ -18,12 +18,12 @@ from typing import Dict, List
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
 from repro.metrics.timeseries import StepSeries
-from repro.workloads.scenarios import run_initial_holders
+from repro.scenario.library import initial_holders_spec
 
 
 def trial_coverage_curves(params: Dict[str, object], seed: int) -> Dict[str, List[float]]:
     """Runner trial: one run's #received / #buffered step curves, sampled."""
-    result = run_initial_holders(int(params["n"]), int(params["k"]), seed=seed)
+    result = initial_holders_spec(int(params["n"]), int(params["k"]), seed=seed).run()
     trace = result.simulation.trace
     received = StepSeries()
     buffered = StepSeries()

@@ -17,16 +17,17 @@ from repro.analysis.epidemic import search_time_estimate
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
-from repro.workloads.scenarios import run_search
+from repro.scenario.library import search_spec
 
 
 def trial_search(params: Dict[str, object], seed: int) -> Dict[str, float]:
     """Runner trial: one §4 bufferer search (shared by Figures 8 and 9)."""
     n, b = int(params["n"]), int(params["b"])
-    result = run_search(n, b, seed=seed)
+    result = search_spec(n, b, seed=seed).run()
     if result.search_time is None:
         raise RuntimeError(f"search unserved for n={n}, b={b}, seed={seed}")
-    return {"time": result.search_time, "forwards": result.search_forwards}
+    forwards = result.simulation.trace.count("search_forwarded")
+    return {"time": result.search_time, "forwards": forwards}
 
 
 def run_fig8(

@@ -20,7 +20,7 @@ _EXPORTS = {
     "CC_NONE": "config",
     "CC_TFMCC": "config",
     "CONTROL_WIRE_SIZE": "messages",
-    "CongestionConfig": "config",
+    "CongestionSpec": "config",
     "DATA_WIRE_SIZE": "messages",
     "DataMessage": "messages",
     "FEC_MODES": "config",
@@ -91,7 +91,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         FEC_PROACTIVE,
         FEC_REACTIVE,
         PAPER_SECTION4_CONFIG,
-        CongestionConfig,
+        CongestionSpec,
         RrmpConfig,
     )
     from repro.protocol.loss_detection import GapTracker

@@ -13,8 +13,19 @@ to the values used in the paper's §4 evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 #: FEC operating modes (see :mod:`repro.fec`).
 FEC_OFF = "off"                # no erasure coding (the paper's protocol)
@@ -29,17 +40,103 @@ CC_AIMD = "aimd"        # additive-increase / multiplicative-decrease baseline
 CC_CONTROLLERS = (CC_NONE, CC_TFMCC, CC_AIMD)
 
 
-@dataclass(frozen=True)
-class CongestionConfig:
-    """Congestion-control sub-configuration (see :mod:`repro.cc`).
+#: node class -> its (field name, annotation, converter) rules, resolved
+#: on the first instance.
+_FIELD_RULES: Dict[type, Tuple[Tuple[str, Any, Callable[[Any], Any]], ...]] = {}
 
-    Groups what would otherwise be six more flat ``RrmpConfig`` kwargs.
-    The default — controller ``"none"`` — reproduces the open-loop
-    sender byte-identically: no feedback reporters are armed and the
-    traffic generator is installed on the simulator unchanged.
+
+def normalise_fields(node: Any) -> None:
+    """Store every field of the frozen dataclass *node* as its annotation says.
+
+    The one normalisation rule of the spec tree, called first thing in
+    each node's ``__post_init__``: a ``float`` field stores
+    ``float(value)``, an ``int`` field accepts integral values only, a
+    ``Tuple`` field turns lists into tuples (element by element),
+    ``Optional`` admits ``None``, and a ``bool``, ``str`` or node field
+    takes an instance of its class.  Anything else raises ``ValueError``
+    naming the node and the field.  Equal values thus make equal nodes,
+    with equal hashes and serialised forms, however they were spelled.
+    """
+    cls = type(node)
+    rules = _FIELD_RULES.get(cls)
+    if rules is None:
+        hints = get_type_hints(cls)
+        rules = _FIELD_RULES[cls] = tuple(
+            (spec_field.name, hints[spec_field.name], _converter(hints[spec_field.name]))
+            for spec_field in fields(cls)
+        )
+    for name, hint, convert in rules:
+        value = getattr(node, name)
+        try:
+            normal = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            shown = getattr(hint, "__name__", str(hint).replace("typing.", ""))
+            raise ValueError(
+                f"{cls.__name__}.{name} must be {shown}, got {value!r}"
+            ) from None
+        if normal is not value:
+            object.__setattr__(node, name, normal)
+
+
+def _converter(hint: Any) -> Callable[[Any], Any]:
+    """The function that stores a value for annotation *hint*; it raises
+    ``TypeError`` on a value the annotation does not admit."""
+    if hint in (int, float):
+
+        def number(value: Any) -> Any:
+            if type(value) is not hint:
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or (hint is int and int(value) != value)):
+                    raise TypeError(value)
+                value = hint(value)
+            return value
+
+        return number
+    if isinstance(hint, type):  # bool, str or a node class
+
+        def instance(value: Any) -> Any:
+            if not isinstance(value, hint):
+                raise TypeError(value)
+            return value
+
+        return instance
+    args = get_args(hint)
+    if get_origin(hint) is Union and len(args) == 2 and type(None) in args:
+        inner = _converter(args[0] if args[1] is type(None) else args[1])
+        return lambda value: None if value is None else inner(value)
+    if get_origin(hint) is tuple:
+        variadic = args[-1] is Ellipsis
+        items = [_converter(arg) for arg in (args[:1] if variadic else args)]
+
+        def to_tuple(value: Any) -> tuple:
+            if not isinstance(value, (tuple, list)) or (
+                    not variadic and len(value) != len(items)):
+                raise TypeError(value)
+            converters = items * len(value) if variadic else items
+            return tuple(convert(entry) for convert, entry in zip(converters, value))
+
+        return to_tuple
+    raise TypeError(f"no normalisation rule for annotation {hint!r}")
+
+
+@dataclass(frozen=True)
+class CongestionSpec:
+    """Congestion control for the sender (see :mod:`repro.cc`).
+
+    ``controller`` selects the control law (one of
+    :data:`CC_CONTROLLERS`):
+
+    * ``none`` — open loop (the default; byte-identical to historical
+      behaviour: no feedback reporters are armed and the traffic
+      generator is installed on the simulator unchanged);
+    * ``tfmcc`` — NORM-style TCP-friendly rate from the worst
+      receiver's loss/RTT feedback;
+    * ``aimd`` — additive-increase / multiplicative-decrease baseline.
+
+    One class serves the scenario tree (``ScenarioSpec.congestion``)
+    and the protocol (``RrmpConfig.congestion``).
     """
 
-    #: Which controller drives the sender (one of :data:`CC_CONTROLLERS`).
     controller: str = CC_NONE
 
     #: Loss fraction the controller steers the worst receiver towards.
@@ -70,6 +167,7 @@ class CongestionConfig:
         return self.controller != CC_NONE
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         if self.controller not in CC_CONTROLLERS:
             raise ValueError(
                 f"controller must be one of {CC_CONTROLLERS}, got {self.controller!r}"
@@ -99,10 +197,6 @@ class CongestionConfig:
                 f"parity_min must be <= parity_max, got "
                 f"{self.parity_min!r} > {self.parity_max!r}"
             )
-
-    def with_overrides(self, **changes: object) -> "CongestionConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -167,7 +261,7 @@ class RrmpConfig:
 
     #: Congestion-control sub-configuration (see :mod:`repro.cc`).  The
     #: default controller ``"none"`` keeps the open-loop sender.
-    congestion: CongestionConfig = field(default_factory=CongestionConfig)
+    congestion: CongestionSpec = field(default_factory=CongestionSpec)
 
     def __post_init__(self) -> None:
         if self.remote_lambda < 0:
@@ -204,10 +298,6 @@ class RrmpConfig:
                     "fec_block_size + fec_parity must be <= 256 (GF(256) limit), "
                     f"got {self.fec_block_size + self.fec_parity}"
                 )
-
-    def with_overrides(self, **changes: object) -> "RrmpConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
 
 
 #: Configuration matching the paper's §4 simulation setup: T = 40 ms,

@@ -4,9 +4,10 @@ The package makes the implicit experiment tuple — topology × traffic ×
 loss × churn × buffer policy — a first-class, serializable value:
 
 * :mod:`repro.scenario.spec` — the frozen dataclass tree
-  (:class:`ScenarioSpec` and its sub-specs) with JSON/pickle round
-  trips and a stable digest;
-* :mod:`repro.scenario.builder` — the fluent :func:`scenario` builder;
+  (:class:`ScenarioSpec` and its sub-specs, each field declared once)
+  with JSON/pickle round trips and a stable digest;
+* :mod:`repro.scenario.builder` — the fluent :func:`scenario` builder,
+  whose verbs take the nodes' own field names;
 * :mod:`repro.scenario.materialize` — :func:`build_scenario`, turning
   a spec into a wired :class:`~repro.protocol.rrmp.RrmpSimulation`
   with traffic, churn, probes and FEC flush scheduled;

@@ -16,6 +16,15 @@ chain::
         .build()
     )
 
+A node verb takes the node's own field names as keywords and restates
+nothing: each default, type and range check lives on the spec
+dataclass.  Verbs that select a family (``uniform``, ``loss``,
+``churn``, ``congestion``, ...) start that node afresh from its
+defaults; ``latency``, ``policy``, ``protocol`` and ``measure`` change
+only the fields they are given.  The shape helpers (``regions``,
+``chain``, ``star``, ``tree``, ``multicast_once``) compute field values
+instead.
+
 ``spec()`` returns the immutable value (serialize it, register it,
 ship it to a worker); ``build()`` materializes it; ``run()`` builds and
 runs it.
@@ -24,385 +33,191 @@ runs it.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.scenario.materialize import BuiltScenario
-from repro.scenario.spec import (
-    AdaptSpec,
-    ChurnSpec,
-    CongestionSpec,
-    FecSpec,
-    LossSpec,
-    MobilitySpec,
-    PlayoutSpec,
-    ScenarioSpec,
-    TrafficSpec,
-)
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` for
-#: knobs where ``None`` is meaningful (session_interval, horizon, ttl).
-_UNSET = object()
+from repro.scenario.spec import ScenarioSpec
 
 
 class ScenarioBuilder:
     """Accumulates a :class:`ScenarioSpec` through chained calls."""
 
-    def __init__(self, name: str = "scenario", seed: int = 0) -> None:
-        self._spec = ScenarioSpec(name=str(name), seed=int(seed))
+    def __init__(self, *args: Any, **fields: Any) -> None:
+        self._spec = ScenarioSpec(*args, **fields)
+
+    def _update(self, node: str, **fields: Any) -> "ScenarioBuilder":
+        """Change *fields* of the current *node*, keeping the rest."""
+        current = getattr(self._spec, node)
+        self._spec = replace(self._spec, **{node: replace(current, **fields)})
+        return self
+
+    def _fresh(self, node: str, **fields: Any) -> "ScenarioBuilder":
+        """Replace *node* with a new one: its defaults plus *fields*."""
+        node_class = type(getattr(self._spec, node))
+        self._spec = replace(self._spec, **{node: node_class(**fields)})
+        return self
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
     def single_region(self, n: int) -> "ScenarioBuilder":
         """One region of *n* members (the paper's §4 setting)."""
-        return self._topology(kind="single_region", n=int(n))
+        return self._update("topology", kind="single_region", n=n)
 
     def regions(self, count: int, size: int) -> "ScenarioBuilder":
         """*count* equal regions of *size*: a root plus ``count - 1``
         children hanging off it (the north-star multi-region layout)."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        return self._topology(
-            kind="star", n=int(size), sizes=tuple([int(size)] * (count - 1))
-        )
+        return self._update("topology", kind="star", n=size, sizes=(size,) * (count - 1))
 
     def chain(self, *sizes: int) -> "ScenarioBuilder":
         """Regions in a line, region *i* parenting region *i + 1*."""
-        return self._topology(kind="chain", sizes=tuple(int(s) for s in sizes))
+        return self._update("topology", kind="chain", sizes=sizes)
 
     def star(self, root: int, *leaves: int) -> "ScenarioBuilder":
         """A root region of *root* members with one child per leaf size."""
-        return self._topology(
-            kind="star", n=int(root), sizes=tuple(int(s) for s in leaves)
-        )
+        return self._update("topology", kind="star", n=root, sizes=leaves)
 
     def tree(self, depth: int, fanout: int, region_size: int) -> "ScenarioBuilder":
         """A balanced hierarchy: *fanout* children per region, *depth* levels."""
-        return self._topology(
-            kind="balanced_tree", depth=int(depth), fanout=int(fanout),
-            n=int(region_size),
+        return self._update(
+            "topology", kind="balanced_tree", depth=depth, fanout=fanout, n=region_size
         )
 
-    def latency(self, intra: Optional[float] = None,
-                inter: Optional[float] = None,
-                inter_up=_UNSET, inter_down=_UNSET) -> "ScenarioBuilder":
-        """One-way delays (ms): within a region and per region hop.
-
-        *inter_up* / *inter_down* optionally split the per-hop delay by
-        direction (toward an ancestor region vs away from it), the
-        netem-style asymmetry; pass ``None`` to reset to symmetric.
-        """
-        changes = {}
-        if intra is not None:
-            changes["intra_one_way"] = float(intra)
-        if inter is not None:
-            changes["inter_one_way"] = float(inter)
-        if inter_up is not _UNSET:
-            changes["inter_up_one_way"] = (
-                None if inter_up is None else float(inter_up)
-            )
-        if inter_down is not _UNSET:
-            changes["inter_down_one_way"] = (
-                None if inter_down is None else float(inter_down)
-            )
-        return self._topology(**changes)
-
-    def _topology(self, **changes) -> "ScenarioBuilder":
-        self._spec = replace(self._spec, topology=replace(self._spec.topology, **changes))
-        return self
+    def latency(self, **fields: Any) -> "ScenarioBuilder":
+        """One-way delays (ms): the ``*_one_way`` fields of :class:`TopologySpec`."""
+        return self._update("topology", **fields)
 
     # ------------------------------------------------------------------
     # Traffic
     # ------------------------------------------------------------------
-    def uniform(self, count: int, interval: float, start: float = 0.0) -> "ScenarioBuilder":
-        """*count* multicasts at a fixed *interval*, starting at *start*."""
-        return self._traffic(TrafficSpec(
-            kind="uniform", count=int(count), interval=float(interval),
-            start=float(start),
-        ))
+    def uniform(self, count: int, interval: float, **fields: Any) -> "ScenarioBuilder":
+        """*count* multicasts at a fixed *interval* (from ``start``)."""
+        return self._fresh("traffic", kind="uniform", count=count, interval=interval,
+                           **fields)
 
-    def multicast_once(self, at: float = 0.0) -> "ScenarioBuilder":
-        """A single multicast at time *at*."""
-        return self._traffic(TrafficSpec(
-            kind="uniform", count=1, interval=1.0, start=float(at),
-        ))
+    def multicast_once(self, **fields: Any) -> "ScenarioBuilder":
+        """A single multicast (at ``start``)."""
+        return self._fresh("traffic", kind="uniform", count=1, interval=1.0, **fields)
 
-    def poisson(self, rate: float, duration: float = 0.0,
-                start: float = 0.0) -> "ScenarioBuilder":
-        """A Poisson stream of *rate* msgs/ms; *duration* 0 means
+    def poisson(self, rate: float, **fields: Any) -> "ScenarioBuilder":
+        """A Poisson stream of *rate* msgs/ms; ``duration`` 0 means
         "until the measurement horizon"."""
-        return self._traffic(TrafficSpec(
-            kind="poisson", rate=float(rate), duration=float(duration),
-            start=float(start),
-        ))
+        return self._fresh("traffic", kind="poisson", rate=rate, **fields)
 
     def bursts(self, *bursts: Tuple[float, int]) -> "ScenarioBuilder":
         """Explicit ``(time, size)`` bursts of back-to-back sends."""
-        normalized = tuple((float(t), int(size)) for t, size in bursts)
-        return self._traffic(TrafficSpec(kind="burst", bursts=normalized))
+        return self._fresh("traffic", kind="burst", bursts=bursts)
 
     def ramp(self, count: int, initial_interval: float, final_interval: float,
-             start: float = 0.0) -> "ScenarioBuilder":
+             **fields: Any) -> "ScenarioBuilder":
         """A linearly accelerating stream (overload onset); see
         :class:`repro.workloads.traffic.RampStream`."""
-        return self._traffic(TrafficSpec(
-            kind="ramp", count=int(count),
-            initial_interval=float(initial_interval),
-            final_interval=float(final_interval), start=float(start),
-        ))
+        return self._fresh("traffic", kind="ramp", count=count,
+                           initial_interval=initial_interval,
+                           final_interval=final_interval, **fields)
 
-    def initial_holders(self, k: int) -> "ScenarioBuilder":
-        """The Figure 6/7 probe: one message held by *k* random members,
-        everyone else detecting the loss simultaneously at t = 0."""
-        return self._traffic(TrafficSpec(kind="detect_all", holders=int(k)))
+    def initial_holders(self, holders: int) -> "ScenarioBuilder":
+        """The Figure 6/7 probe: one message held by *holders* random
+        members, everyone else detecting the loss simultaneously at t = 0."""
+        return self._fresh("traffic", kind="detect_all", holders=holders)
 
     def search_probe(self, bufferers: int) -> "ScenarioBuilder":
         """The Figure 8/9 probe: *bufferers* long-term holders in the
         root region, one downstream requester searching for them."""
-        return self._traffic(TrafficSpec(kind="search_probe", bufferers=int(bufferers)))
-
-    def _traffic(self, traffic: TrafficSpec) -> "ScenarioBuilder":
-        self._spec = replace(self._spec, traffic=traffic)
-        return self
+        return self._fresh("traffic", kind="search_probe", bufferers=bufferers)
 
     # ------------------------------------------------------------------
     # Loss
     # ------------------------------------------------------------------
     def loss(self, p: float) -> "ScenarioBuilder":
         """Independent per-receiver loss probability *p* at multicast time."""
-        return self._loss(LossSpec(kind="bernoulli", p=float(p)))
+        return self._fresh("loss", kind="bernoulli", p=p)
 
     def fixed_holders(self, k: int) -> "ScenarioBuilder":
         """Each multicast reaches exactly *k* uniformly-chosen members."""
-        return self._loss(LossSpec(kind="fixed_holders", k=int(k)))
+        return self._fresh("loss", kind="fixed_holders", k=k)
 
-    def regional_loss(self, region: float, receiver: float = 0.0) -> "ScenarioBuilder":
-        """Whole regions miss with probability *region*; survivors lose
-        independently with *receiver* (the remote-recovery stressor)."""
-        return self._loss(LossSpec(
-            kind="region_correlated", region_loss=float(region),
-            receiver_loss=float(receiver),
-        ))
+    def regional_loss(self, region_loss: float, **fields: Any) -> "ScenarioBuilder":
+        """Whole regions miss with probability *region_loss* (``region_correlated``)."""
+        return self._fresh("loss", kind="region_correlated", region_loss=region_loss,
+                           **fields)
 
-    def gilbert_elliott(self, p_good_to_bad: float = 0.01,
-                        p_bad_to_good: float = 0.3, p_good: float = 0.0,
-                        p_bad: float = 0.5) -> "ScenarioBuilder":
-        """Bursty two-state link loss on every data packet (wireless-style
-        correlated drops, including repairs)."""
-        return self._loss(LossSpec(
-            kind="gilbert_elliott",
-            p_good_to_bad=float(p_good_to_bad),
-            p_bad_to_good=float(p_bad_to_good),
-            p_good=float(p_good), p_bad=float(p_bad),
-        ))
+    def gilbert_elliott(self, **fields: Any) -> "ScenarioBuilder":
+        """Bursty two-state link loss on every data packet, repairs included."""
+        return self._fresh("loss", kind="gilbert_elliott", **fields)
 
-    def outage(self, start: float, duration: float, regions: int = 1,
-               receiver_loss: float = 0.0) -> "ScenarioBuilder":
-        """A correlated regional outage: the last *regions* non-sender
-        regions are partitioned from the rest of the tree over
-        ``[start, start + duration)`` — every packet (data and control)
-        crossing the partition boundary drops — then heal, leaving the
-        stranded members to recover their accumulated gaps.  An
-        independent *receiver_loss* floor applies to data packets
-        throughout."""
-        return self._loss(LossSpec(
-            kind="outage", outage_start=float(start),
-            outage_duration=float(duration), outage_regions=int(regions),
-            receiver_loss=float(receiver_loss),
-        ))
+    def outage(self, **fields: Any) -> "ScenarioBuilder":
+        """A whole-region partition that heals (``outage_*`` fields)."""
+        return self._fresh("loss", kind="outage", **fields)
 
-    def bottleneck(self, capacity: float, window: float = 250.0,
-                   receiver_loss: float = 0.0) -> "ScenarioBuilder":
-        """A shared link of *capacity* packet deliveries/s (counted
-        per-receiver over a trailing *window* ms): data packets —
-        multicasts and repairs alike — drop with the excess ratio
-        beyond capacity, plus an independent *receiver_loss* floor.
-        The loss model whose drop rate answers to offered load;
-        congestion-control ablations run on it."""
-        return self._loss(LossSpec(
-            kind="bottleneck", capacity=float(capacity),
-            window=float(window), receiver_loss=float(receiver_loss),
-        ))
-
-    def _loss(self, loss: LossSpec) -> "ScenarioBuilder":
-        self._spec = replace(self._spec, loss=loss)
-        return self
+    def bottleneck(self, **fields: Any) -> "ScenarioBuilder":
+        """A shared link of ``capacity`` deliveries/s whose loss answers to load."""
+        return self._fresh("loss", kind="bottleneck", **fields)
 
     # ------------------------------------------------------------------
     # Policy, protocol, FEC, churn
     # ------------------------------------------------------------------
-    def policy(self, kind: Optional[str] = None, *, c: Optional[float] = None,
-               idle_threshold: Optional[float] = None,
-               long_term_ttl=_UNSET,
-               hold_time: Optional[float] = None) -> "ScenarioBuilder":
+    def policy(self, kind: Optional[str] = None, **fields: Any) -> "ScenarioBuilder":
         """Select the buffer-management family and/or its knobs.
 
         Omitting *kind* keeps the currently selected family, so
         ``.policy(c=4.0)`` tweaks one knob without resetting an earlier
         ``.policy("fixed_time", ...)`` choice.
         """
-        changes = {}
         if kind is not None:
-            changes["kind"] = str(kind)
-        if c is not None:
-            changes["c"] = float(c)
-        if idle_threshold is not None:
-            changes["idle_threshold"] = float(idle_threshold)
-        if long_term_ttl is not _UNSET:
-            changes["long_term_ttl"] = (
-                None if long_term_ttl is None else float(long_term_ttl)
-            )
-        if hold_time is not None:
-            changes["hold_time"] = float(hold_time)
-        return self._policy(**changes)
+            fields["kind"] = kind
+        return self._update("policy", **fields)
 
-    def protocol(self, *, remote_lambda: Optional[float] = None,
-                 session_interval=_UNSET, timer_factor: Optional[float] = None,
-                 max_recovery_time=_UNSET,
-                 max_search_rounds=_UNSET) -> "ScenarioBuilder":
-        """Protocol-level knobs (λ, session messages, give-up deadline)."""
-        changes = {}
-        if remote_lambda is not None:
-            changes["remote_lambda"] = float(remote_lambda)
-        if session_interval is not _UNSET:
-            changes["session_interval"] = (
-                None if session_interval is None else float(session_interval)
-            )
-        if timer_factor is not None:
-            changes["timer_factor"] = float(timer_factor)
-        if max_recovery_time is not _UNSET:
-            changes["max_recovery_time"] = (
-                None if max_recovery_time is None else float(max_recovery_time)
-            )
-        if max_search_rounds is not _UNSET:
-            changes["max_search_rounds"] = (
-                None if max_search_rounds is None else int(max_search_rounds)
-            )
-        return self._policy(**changes)
+    def protocol(self, **fields: Any) -> "ScenarioBuilder":
+        """Protocol knobs of :class:`PolicySpec` (λ, sessions, give-up deadline)."""
+        return self._update("policy", **fields)
 
-    def _policy(self, **changes) -> "ScenarioBuilder":
-        self._spec = replace(self._spec, policy=replace(self._spec.policy, **changes))
-        return self
-
-    def fec(self, mode: str, block_size: int = 8, parity: int = 1,
-            flush_after: Optional[float] = 1.0) -> "ScenarioBuilder":
+    def fec(self, mode: str, **fields: Any) -> "ScenarioBuilder":
         """Erasure-coded repair: ``proactive``/``reactive``/``off``."""
-        self._spec = replace(self._spec, fec=FecSpec(
-            mode=str(mode), block_size=int(block_size), parity=int(parity),
-            flush_after=flush_after if flush_after is None else float(flush_after),
-        ))
-        return self
+        return self._fresh("fec", mode=mode, **fields)
 
-    def churn(self, leave_rate: float = 0.0, crash_rate: float = 0.0,
-              join_rate: float = 0.0, duration: float = 0.0,
-              protect_sender: bool = True) -> "ScenarioBuilder":
-        """Poisson membership churn (events/ms; duration 0 = horizon)."""
-        self._spec = replace(self._spec, churn=ChurnSpec(
-            kind="random", leave_rate=float(leave_rate),
-            crash_rate=float(crash_rate), join_rate=float(join_rate),
-            duration=float(duration), protect_sender=bool(protect_sender),
-        ))
-        return self
+    def churn(self, **fields: Any) -> "ScenarioBuilder":
+        """Poisson membership churn (events/ms; ``duration`` 0 = horizon)."""
+        return self._fresh("churn", kind="random", **fields)
 
-    def congestion(self, controller: str, target_loss: float = 0.05,
-                   min_rate: float = 1.0, max_rate: float = 1000.0,
-                   feedback_interval: float = 50.0,
-                   parity_min: Optional[int] = None,
-                   parity_max: Optional[int] = None) -> "ScenarioBuilder":
+    def congestion(self, controller: str, **fields: Any) -> "ScenarioBuilder":
         """Congestion control: ``none``/``tfmcc``/``aimd`` (rates msgs/s)."""
-        self._spec = replace(self._spec, congestion=CongestionSpec(
-            controller=str(controller), target_loss=float(target_loss),
-            min_rate=float(min_rate), max_rate=float(max_rate),
-            feedback_interval=float(feedback_interval),
-            parity_min=parity_min if parity_min is None else int(parity_min),
-            parity_max=parity_max if parity_max is None else int(parity_max),
-        ))
-        return self
+        return self._fresh("congestion", controller=controller, **fields)
 
-    def adaptive(self, update_interval: float = 250.0, hysteresis: float = 0.1,
-                 max_reparents: int = 8,
-                 ewma_alpha: float = 0.2) -> "ScenarioBuilder":
-        """Adaptive repair hierarchy (:mod:`repro.adapt`, passive mode):
-        a link-state estimator fed by existing recovery/feedback traffic
-        plus a periodic makespan-aware tree re-optimizer, paced every
-        *update_interval* ms, re-parenting only on a relative path-cost
-        improvement beyond *hysteresis* and at most *max_reparents*
-        times per run."""
-        self._spec = replace(self._spec, adapt=AdaptSpec(
-            mode="passive", update_interval=float(update_interval),
-            hysteresis=float(hysteresis), max_reparents=int(max_reparents),
-            ewma_alpha=float(ewma_alpha),
-        ))
-        return self
+    def adaptive(self, **fields: Any) -> "ScenarioBuilder":
+        """Adaptive repair hierarchy (:mod:`repro.adapt`, passive mode)."""
+        return self._fresh("adapt", mode="passive", **fields)
 
-    def mobility(self, speed: float = 4.0, epoch: float = 50.0,
-                 area: float = 1000.0, duration: float = 0.0,
-                 distance_loss: float = 0.0,
-                 protect_sender: bool = True) -> "ScenarioBuilder":
-        """Waypoint mobility (:class:`MobilitySpec`): receivers roam a
-        *area*-sided square at *speed* units/ms, re-evaluating their
-        nearest region anchor every *epoch* ms and gracefully handing
-        off (§3.2) when it changes; *duration* 0 moves until the
-        measurement horizon.  *distance_loss* adds per-link data loss
-        growing with sender/receiver distance."""
-        self._spec = replace(self._spec, mobility=MobilitySpec(
-            kind="waypoint", speed=float(speed), epoch=float(epoch),
-            area=float(area), duration=float(duration),
-            distance_loss=float(distance_loss),
-            protect_sender=bool(protect_sender),
-        ))
-        return self
+    def mobility(self, **fields: Any) -> "ScenarioBuilder":
+        """Waypoint mobility with §3.2 handoffs (:class:`MobilitySpec`)."""
+        return self._fresh("mobility", kind="waypoint", **fields)
 
-    def playout(self, interval: float = 25.0,
-                startup_delay: float = 100.0) -> "ScenarioBuilder":
-        """Streaming playback deadlines (:class:`PlayoutSpec`): each
-        receiver plays one sequence number every *interval* ms starting
-        *startup_delay* ms after its first delivery; late frames count
-        rebuffer events and stall time (see
-        :mod:`repro.metrics.rebuffer`)."""
-        self._spec = replace(self._spec, playout=PlayoutSpec(
-            kind="cbr", interval=float(interval),
-            startup_delay=float(startup_delay),
-        ))
-        return self
+    def playout(self, **fields: Any) -> "ScenarioBuilder":
+        """CBR playback deadlines scored as rebuffers (:class:`PlayoutSpec`)."""
+        return self._fresh("playout", kind="cbr", **fields)
 
     # ------------------------------------------------------------------
     # Measurement & identity
     # ------------------------------------------------------------------
-    def measure(self, horizon=_UNSET, duration=_UNSET,
-                drain: Optional[bool] = None, probe_period=_UNSET,
-                keep_trace: Optional[bool] = None) -> "ScenarioBuilder":
-        """Run bound (horizon / duration / drain) and probe settings."""
-        measurement = self._spec.measurement
-        changes = {}
-        if horizon is not _UNSET:
-            changes["horizon"] = None if horizon is None else float(horizon)
-        if duration is not _UNSET:
-            changes["duration"] = None if duration is None else float(duration)
-        if drain is not None:
-            changes["drain"] = bool(drain)
-        if probe_period is not _UNSET:
-            changes["probe_period"] = (
-                None if probe_period is None else float(probe_period)
-            )
-        if keep_trace is not None:
-            changes["keep_trace"] = bool(keep_trace)
-        self._spec = replace(self._spec, measurement=replace(measurement, **changes))
-        return self
+    def measure(self, **fields: Any) -> "ScenarioBuilder":
+        """Run bound, probes, trace retention, ``oracle`` (:class:`MeasurementSpec`)."""
+        return self._update("measurement", **fields)
 
     def seed(self, seed: int) -> "ScenarioBuilder":
         """Master seed; every random decision derives from it."""
-        self._spec = replace(self._spec, seed=int(seed))
+        self._spec = replace(self._spec, seed=seed)
         return self
 
     def named(self, name: str) -> "ScenarioBuilder":
         """Rename the scenario."""
-        self._spec = replace(self._spec, name=str(name))
+        self._spec = replace(self._spec, name=name)
         return self
 
     def describe(self, text: str) -> "ScenarioBuilder":
         """Attach a one-line human description."""
-        self._spec = replace(self._spec, description=str(text))
+        self._spec = replace(self._spec, description=text)
         return self
 
     # ------------------------------------------------------------------
@@ -421,6 +236,7 @@ class ScenarioBuilder:
         return self._spec.run()
 
 
-def scenario(name: str = "scenario", seed: int = 0) -> ScenarioBuilder:
-    """Start a fluent scenario definition."""
-    return ScenarioBuilder(name, seed)
+def scenario(*args: Any, **fields: Any) -> ScenarioBuilder:
+    """Start a fluent scenario definition from :class:`ScenarioSpec`'s
+    leading fields: ``scenario("name", seed=7)``."""
+    return ScenarioBuilder(*args, **fields)

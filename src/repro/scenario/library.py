@@ -4,9 +4,10 @@ Two layers:
 
 * **Parameterized spec factories** (``initial_holders_spec``,
   ``search_spec``, ``scale_spec``) — the declarative form of the
-  paper's §4 workloads, consumed by
-  :mod:`repro.workloads.scenarios` (whose ``run_*`` helpers wrap them
-  in result objects) and by the registered defaults below.
+  paper's §4 workloads: the figure experiments call
+  ``initial_holders_spec(...).run()`` / ``search_spec(...).run()`` and
+  read the result off :class:`~repro.scenario.materialize.BuiltScenario`,
+  and the registered defaults below are their fixed points.
 * **Registered named scenarios** — ``@register_scenario`` entries,
   the one catalogue every CLI subcommand (``scenarios``, ``validate``,
   ``live``) resolves names in.  Beyond the three §4 workloads, the
@@ -179,7 +180,7 @@ def _wan_burst_loss() -> ScenarioSpec:
         scenario("wan_burst_loss")
         .describe("bursty two-state link loss; repairs drop too")
         .chain(20, 20)
-        .latency(intra=5.0, inter=40.0)
+        .latency(intra_one_way=5.0, inter_one_way=40.0)
         .uniform(30, 10.0, start=1.0)
         .gilbert_elliott(p_good_to_bad=0.02, p_bad_to_good=0.25, p_bad=0.8)
         .protocol(remote_lambda=2.0, max_recovery_time=1_500.0)
@@ -233,9 +234,9 @@ def _heterogeneous_regions() -> ScenarioSpec:
         scenario("heterogeneous_regions")
         .describe("50/12/4-member chain; whole regions miss messages")
         .chain(50, 12, 4)
-        .latency(intra=5.0, inter=80.0)
+        .latency(intra_one_way=5.0, inter_one_way=80.0)
         .uniform(20, 25.0, start=1.0)
-        .regional_loss(region=0.2, receiver=0.05)
+        .regional_loss(region_loss=0.2, receiver_loss=0.05)
         .protocol(remote_lambda=2.0, max_recovery_time=2_000.0)
         .measure(horizon=3_000.0)
     ).spec()
@@ -289,7 +290,7 @@ def _streaming_playback() -> ScenarioSpec:
         .describe("25 ms frame cadence into a lossy two-region WAN; "
                   "rebuffer tracker scores playback smoothness")
         .chain(25, 25)
-        .latency(intra=5.0, inter=60.0)
+        .latency(intra_one_way=5.0, inter_one_way=60.0)
         .uniform(40, 25.0, start=1.0)
         .loss(p=0.08)
         .playout(interval=25.0, startup_delay=50.0)
@@ -310,7 +311,8 @@ def _regional_outage() -> ScenarioSpec:
                   "300 ms; mass gap recovery after the heal")
         .regions(3, 15)
         .uniform(24, 20.0, start=1.0)
-        .outage(start=150.0, duration=300.0, regions=1, receiver_loss=0.02)
+        .outage(outage_start=150.0, outage_duration=300.0, outage_regions=1,
+                receiver_loss=0.02)
         .protocol(max_recovery_time=1_500.0)
         .measure(horizon=2_800.0)
     ).spec()

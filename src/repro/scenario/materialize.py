@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adapt import LinkStateEstimator, TreeOptimizer
     from repro.validate.oracle import InvariantOracle
 
+from repro.core.buffer import DISCARD_IDLE
 from repro.core.policies import (
     BufferPolicy,
     FixedTimePolicy,
@@ -74,11 +75,10 @@ from repro.net.topology import (
     star,
 )
 from repro.cc import CongestionDriver, controller_for, install_feedback_reporters
-from repro.protocol.config import FEC_OFF, CongestionConfig, RrmpConfig
+from repro.protocol.config import FEC_OFF, CongestionSpec, RrmpConfig
 from repro.protocol.messages import DataMessage
 from repro.protocol.rrmp import MemberGroup, RrmpSimulation, default_sender_node
 from repro.scenario.spec import (
-    CongestionSpec,
     FecSpec,
     LossSpec,
     PolicySpec,
@@ -110,23 +110,8 @@ def build_hierarchy(topology: TopologySpec) -> Hierarchy:
     return balanced_tree(topology.depth, topology.fanout, topology.n)
 
 
-def build_congestion_config(congestion: Optional[CongestionSpec]) -> CongestionConfig:
-    """The protocol-level congestion sub-config a spec node describes."""
-    if congestion is None:
-        return CongestionConfig()
-    return CongestionConfig(
-        controller=congestion.controller,
-        target_loss=congestion.target_loss,
-        min_rate=congestion.min_rate,
-        max_rate=congestion.max_rate,
-        feedback_interval=congestion.feedback_interval,
-        parity_min=congestion.parity_min,
-        parity_max=congestion.parity_max,
-    )
-
-
 def build_config(policy: PolicySpec, fec: FecSpec,
-                 congestion: Optional[CongestionSpec] = None) -> RrmpConfig:
+                 congestion: CongestionSpec = CongestionSpec()) -> RrmpConfig:
     """Protocol configuration from the policy, FEC and congestion specs."""
     return RrmpConfig(
         remote_lambda=policy.remote_lambda,
@@ -140,7 +125,7 @@ def build_config(policy: PolicySpec, fec: FecSpec,
         fec_mode=fec.mode,
         fec_block_size=fec.block_size,
         fec_parity=fec.parity,
-        congestion=build_congestion_config(congestion),
+        congestion=congestion,
     )
 
 
@@ -149,13 +134,11 @@ def policy_factory_for(policy: PolicySpec) -> Optional[PolicyFactory]:
     if policy.kind == "two_phase":
         return None
     if policy.kind == "fixed_time":
-        hold = float(policy.hold_time)
-        return lambda _n: FixedTimePolicy(hold)
+        return lambda _n: FixedTimePolicy(policy.hold_time)
     if policy.kind == "stability":
         return lambda _n: StabilityBufferPolicy()
     if policy.kind == "hash":
-        c = float(policy.c)
-        return lambda _n: HashBuffererPolicy(c)
+        return lambda _n: HashBuffererPolicy(policy.c)
     if policy.kind == "never_discard":
         return lambda _n: NeverDiscardPolicy()
     return lambda _n: NoBufferPolicy()
@@ -299,9 +282,9 @@ class BuiltScenario:
     :class:`~repro.live.session.LiveSession` itself.
 
     Probe workloads (``detect_all``/``search_probe``) expose their cast
-    — ``data``, ``holders``, ``bufferers``, ``requester`` — so result
-    wrappers like :class:`repro.workloads.scenarios.SearchResult` can
-    compute their figures.
+    — ``data``, ``holders``, ``bufferers``, ``requester`` — and the two
+    readings Figures 6–9 plot: :meth:`holder_buffering_durations` and
+    :attr:`search_time`.
     """
 
     spec: ScenarioSpec
@@ -343,6 +326,35 @@ class BuiltScenario:
     bufferers: List[NodeId] = field(default_factory=list)
     requester: Optional[NodeId] = None
     _peak_node: float = 0.0
+
+    def holder_buffering_durations(self) -> List[float]:
+        """Short-term buffering time of each ``detect_all`` holder
+        (receipt → idle discard), the quantity Figure 6 averages.
+
+        Holders still buffering (e.g. promoted to long-term) are
+        excluded; run with ``policy.c = 0`` — as §4 does implicitly —
+        to measure every holder.
+        """
+        durations: List[float] = []
+        for node in self.holders:
+            buffer = self.simulation.members[node].policy.buffer
+            durations.extend(buffer.durations(reason=DISCARD_IDLE))
+        return durations
+
+    @property
+    def search_time(self) -> Optional[float]:
+        """``search_probe``: the remote request's arrival in the searched
+        region → a bufferer serving the repair (Figures 8/9).
+
+        0 when the request lands directly on a bufferer (footnote 5);
+        ``None`` if it was not served within the run.
+        """
+        trace = self.simulation.trace
+        arrival = trace.first("remote_request_received")
+        served = trace.first("remote_request_served")
+        if arrival is None or served is None:
+            return None
+        return served.time - arrival.time
 
     @property
     def peak_node_occupancy(self) -> float:

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
-from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.spec import ScenarioSpec
 
-SpecFactory = Callable[[], Union[ScenarioSpec, ScenarioBuilder]]
+SpecFactory = Callable[[], ScenarioSpec]
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,10 @@ class RegisteredScenario:
     def spec(self) -> ScenarioSpec:
         """A fresh spec carrying the registered name/description."""
         produced = self.factory()
-        if isinstance(produced, ScenarioBuilder):
-            produced = produced.spec()
         if not isinstance(produced, ScenarioSpec):
             raise TypeError(
                 f"scenario factory {self.name!r} returned {type(produced).__name__}, "
-                "expected ScenarioSpec or ScenarioBuilder"
+                "expected ScenarioSpec"
             )
         changes = {}
         if produced.name != self.name:

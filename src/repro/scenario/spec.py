@@ -26,8 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, get_type_hints
+
+from repro.protocol.config import CongestionSpec, normalise_fields
 
 TOPOLOGY_KINDS = ("single_region", "chain", "star", "balanced_tree")
 TRAFFIC_KINDS = (
@@ -43,10 +46,12 @@ PLAYOUT_KINDS = ("none", "cbr")
 POLICY_KINDS = (
     "two_phase", "fixed_time", "stability", "hash", "never_discard", "no_buffer",
 )
-CONGESTION_KINDS = ("none", "tfmcc", "aimd")
 ADAPT_MODES = ("off", "passive")
 
-_S = TypeVar("_S")
+#: Field metadata of a field added after specs were first digested:
+#: :meth:`ScenarioSpec.to_dict` leaves it out while it holds its
+#: default, so every older spec keeps its serialised form and digest.
+OMIT_AT_DEFAULT = {"omit_at_default": True}
 
 
 def _require_kind(kind: str, allowed: Tuple[str, ...], what: str) -> None:
@@ -82,10 +87,11 @@ class TopologySpec:
     fanout: int = 2
     intra_one_way: float = 5.0
     inter_one_way: float = 40.0
-    inter_up_one_way: Optional[float] = None
-    inter_down_one_way: Optional[float] = None
+    inter_up_one_way: Optional[float] = field(default=None, metadata=OMIT_AT_DEFAULT)
+    inter_down_one_way: Optional[float] = field(default=None, metadata=OMIT_AT_DEFAULT)
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         _require_kind(self.kind, TOPOLOGY_KINDS, "topology")
         if self.kind in ("single_region", "star", "balanced_tree") and self.n < 1:
             raise ValueError(f"topology n must be >= 1, got {self.n}")
@@ -149,6 +155,7 @@ class TrafficSpec:
     bufferers: int = 1
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         _require_kind(self.kind, TRAFFIC_KINDS, "traffic")
         if self.kind in ("uniform", "ramp") and self.count < 0:
             raise ValueError(f"traffic count must be >= 0, got {self.count}")
@@ -214,13 +221,14 @@ class LossSpec:
     p_bad_to_good: float = 0.3
     p_good: float = 0.0
     p_bad: float = 0.5
-    capacity: float = 0.0
-    window: float = 250.0
-    outage_start: float = 0.0
-    outage_duration: float = 0.0
-    outage_regions: int = 1
+    capacity: float = field(default=0.0, metadata=OMIT_AT_DEFAULT)
+    window: float = field(default=250.0, metadata=OMIT_AT_DEFAULT)
+    outage_start: float = field(default=0.0, metadata=OMIT_AT_DEFAULT)
+    outage_duration: float = field(default=0.0, metadata=OMIT_AT_DEFAULT)
+    outage_regions: int = field(default=1, metadata=OMIT_AT_DEFAULT)
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         _require_kind(self.kind, LOSS_KINDS, "loss")
         for name in ("p", "region_loss", "receiver_loss",
                      "p_good_to_bad", "p_bad_to_good", "p_good", "p_bad"):
@@ -264,6 +272,7 @@ class ChurnSpec:
     protect_sender: bool = True
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         _require_kind(self.kind, CHURN_KINDS, "churn")
         for name in ("leave_rate", "crash_rate", "join_rate"):
             if getattr(self, name) < 0:
@@ -305,6 +314,7 @@ class MobilitySpec:
     protect_sender: bool = True
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         _require_kind(self.kind, MOBILITY_KINDS, "mobility")
         if self.speed < 0:
             raise ValueError(f"mobility speed must be >= 0, got {self.speed!r}")
@@ -346,6 +356,7 @@ class PlayoutSpec:
     startup_delay: float = 100.0
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         _require_kind(self.kind, PLAYOUT_KINDS, "playout")
         if self.interval <= 0:
             raise ValueError(f"playout interval must be > 0 ms, got {self.interval!r}")
@@ -393,6 +404,7 @@ class PolicySpec:
     max_search_rounds: Optional[int] = None
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         _require_kind(self.kind, POLICY_KINDS, "policy")
         # Range validation is delegated to RrmpConfig at build time;
         # only policy-family fields are checked here.
@@ -416,49 +428,11 @@ class FecSpec:
     flush_after: Optional[float] = 1.0
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         if self.mode not in ("off", "proactive", "reactive"):
             raise ValueError(f"fec mode must be off/proactive/reactive, got {self.mode!r}")
         if self.flush_after is not None and self.flush_after < 0:
             raise ValueError("flush_after must be >= 0 or None")
-
-
-@dataclass(frozen=True)
-class CongestionSpec:
-    """Congestion control for the sender (see :mod:`repro.cc`).
-
-    ``controller`` selects the control law:
-
-    * ``none`` — open loop (the default; byte-identical to historical
-      behaviour, feedback reporters stay unarmed);
-    * ``tfmcc`` — NORM-style TCP-friendly rate from the worst
-      receiver's loss/RTT feedback;
-    * ``aimd`` — additive-increase / multiplicative-decrease baseline.
-
-    The remaining fields mirror
-    :class:`~repro.protocol.config.CongestionConfig`: ``target_loss``
-    is the steering point, ``min_rate``/``max_rate`` bound the rate in
-    messages per second, ``feedback_interval`` paces the receivers'
-    reports (ms), and ``parity_min``/``parity_max`` bound adaptive-FEC
-    parity shifting (``parity_max=None`` disables it).
-    """
-
-    controller: str = "none"
-    target_loss: float = 0.05
-    min_rate: float = 1.0
-    max_rate: float = 1000.0
-    feedback_interval: float = 50.0
-    parity_min: Optional[int] = None
-    parity_max: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        _require_kind(self.controller, CONGESTION_KINDS, "congestion controller")
-        # Range validation is delegated to CongestionConfig at build
-        # time; the kind check here keeps bad specs unserializable.
-
-    @property
-    def enabled(self) -> bool:
-        """Whether a real controller (not ``"none"``) is requested."""
-        return self.controller != "none"
 
 
 @dataclass(frozen=True)
@@ -489,6 +463,7 @@ class AdaptSpec:
     ewma_alpha: float = 0.2
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         _require_kind(self.mode, ADAPT_MODES, "adapt")
         if self.update_interval <= 0:
             raise ValueError(
@@ -539,6 +514,7 @@ class MeasurementSpec:
     oracle: bool = False
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         if self.horizon is not None and self.horizon <= 0:
             raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
         if self.duration is not None and self.duration <= 0:
@@ -547,19 +523,49 @@ class MeasurementSpec:
             raise ValueError(f"probe_period must be > 0, got {self.probe_period!r}")
 
 
-def _from_payload(cls: Type[_S], payload: Mapping[str, Any], what: str) -> _S:
-    known = {spec_field.name for spec_field in fields(cls)}  # type: ignore[arg-type]
-    unknown = sorted(set(payload) - known)
+class _Slot(NamedTuple):
+    name: str
+    #: The node class of a sub-spec field, ``None`` for a plain value.
+    node: Optional[type]
+    default: Any
+    omit_at_default: bool
+
+
+@lru_cache(maxsize=None)
+def _slots(cls: type) -> Tuple[_Slot, ...]:
+    """*cls*'s fields as serialisation sees them, resolved once."""
+    hints = get_type_hints(cls)
+    return tuple(
+        _Slot(
+            spec_field.name,
+            hints[spec_field.name] if is_dataclass(hints[spec_field.name]) else None,
+            spec_field.default if spec_field.default is not MISSING
+            else spec_field.default_factory(),  # type: ignore[misc]
+            bool(spec_field.metadata.get("omit_at_default")),
+        )
+        for spec_field in fields(cls)
+    )
+
+
+def _payload(node: Any) -> Dict[str, Any]:
+    payload = {}
+    for slot in _slots(type(node)):
+        value = getattr(node, slot.name)
+        if slot.omit_at_default and value == slot.default:
+            continue
+        payload[slot.name] = value if slot.node is None else _payload(value)
+    return payload
+
+
+def _from_payload(cls: type, payload: Mapping[str, Any], what: str) -> Any:
+    slots = {slot.name: slot for slot in _slots(cls)}
+    unknown = sorted(set(payload) - set(slots))
     if unknown:
         raise ValueError(f"unknown {what} fields: {', '.join(unknown)}")
-    return cls(**{key: _tupled(value) for key, value in payload.items()})
-
-
-def _tupled(value: Any) -> Any:
-    """JSON arrays come back as lists; specs store tuples."""
-    if isinstance(value, list):
-        return tuple(_tupled(item) for item in value)
-    return value
+    return cls(**{
+        key: value if slots[key].node is None else _from_payload(slots[key].node, value, key)
+        for key, value in payload.items()
+    })
 
 
 @dataclass(frozen=True)
@@ -574,12 +580,16 @@ class ScenarioSpec:
     churn: ChurnSpec = field(default_factory=ChurnSpec)
     policy: PolicySpec = field(default_factory=PolicySpec)
     fec: FecSpec = field(default_factory=FecSpec)
-    congestion: CongestionSpec = field(default_factory=CongestionSpec)
-    adapt: AdaptSpec = field(default_factory=AdaptSpec)
-    mobility: MobilitySpec = field(default_factory=MobilitySpec)
-    playout: PlayoutSpec = field(default_factory=PlayoutSpec)
+    congestion: CongestionSpec = field(
+        default_factory=CongestionSpec, metadata=OMIT_AT_DEFAULT)
+    adapt: AdaptSpec = field(default_factory=AdaptSpec, metadata=OMIT_AT_DEFAULT)
+    mobility: MobilitySpec = field(default_factory=MobilitySpec, metadata=OMIT_AT_DEFAULT)
+    playout: PlayoutSpec = field(default_factory=PlayoutSpec, metadata=OMIT_AT_DEFAULT)
     measurement: MeasurementSpec = field(default_factory=MeasurementSpec)
     description: str = ""
+
+    def __post_init__(self) -> None:
+        normalise_fields(self)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -587,60 +597,16 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready plain-dict form.
 
-        The ``congestion``, ``adapt``, ``mobility`` and ``playout``
-        nodes are omitted while they equal their defaults (controller
-        ``"none"`` / mode ``"off"`` / kind ``"none"``), and the
-        bottleneck-only loss fields (``capacity``, ``window``), the
-        outage-only loss fields plus the asymmetric-latency topology
-        fields are omitted at their defaults: pre-existing specs keep
-        their serialized form — and therefore their :meth:`digest` —
-        exactly.
+        A field declared with :data:`OMIT_AT_DEFAULT` metadata is left
+        out while it equals its default, so specs written before it
+        existed keep their serialised form — and their :meth:`digest`.
         """
-        payload = asdict(self)
-        if self.congestion == CongestionSpec():
-            del payload["congestion"]
-        if self.adapt == AdaptSpec():
-            del payload["adapt"]
-        if self.mobility == MobilitySpec():
-            del payload["mobility"]
-        if self.playout == PlayoutSpec():
-            del payload["playout"]
-        defaults = LossSpec()
-        for name in ("capacity", "window",
-                     "outage_start", "outage_duration", "outage_regions"):
-            if payload["loss"][name] == getattr(defaults, name):
-                del payload["loss"][name]
-        topo_defaults = TopologySpec()
-        for name in ("inter_up_one_way", "inter_down_one_way"):
-            if payload["topology"][name] == getattr(topo_defaults, name):
-                del payload["topology"][name]
-        return payload
+        return _payload(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
         """Inverse of :meth:`to_dict` (lists revert to tuples)."""
-        sub_specs = {
-            "topology": TopologySpec,
-            "traffic": TrafficSpec,
-            "loss": LossSpec,
-            "churn": ChurnSpec,
-            "policy": PolicySpec,
-            "fec": FecSpec,
-            "congestion": CongestionSpec,
-            "adapt": AdaptSpec,
-            "mobility": MobilitySpec,
-            "playout": PlayoutSpec,
-            "measurement": MeasurementSpec,
-        }
-        kwargs: Dict[str, Any] = {}
-        for key, value in payload.items():
-            if key in sub_specs:
-                kwargs[key] = _from_payload(sub_specs[key], value, key)
-            elif key in ("name", "seed", "description"):
-                kwargs[key] = value
-            else:
-                raise ValueError(f"unknown scenario field: {key!r}")
-        return cls(**kwargs)
+        return _from_payload(cls, payload, "scenario")
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Lossless JSON serialization."""

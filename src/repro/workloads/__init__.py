@@ -1,12 +1,6 @@
-"""Workloads and canned scenarios (system S11 in DESIGN.md)."""
+"""Workloads: traffic generators and mobility (system S11 in DESIGN.md)."""
 
 from repro.workloads.mobility import DistanceLoss, MobilityManager
-from repro.workloads.scenarios import (
-    InitialHoldersResult,
-    SearchResult,
-    run_initial_holders,
-    run_search,
-)
 from repro.workloads.traffic import (
     BurstStream,
     PoissonStream,
@@ -18,13 +12,9 @@ from repro.workloads.traffic import (
 __all__ = [
     "BurstStream",
     "DistanceLoss",
-    "InitialHoldersResult",
     "MobilityManager",
     "PoissonStream",
     "RampStream",
-    "SearchResult",
     "TrafficGenerator",
     "UniformStream",
-    "run_initial_holders",
-    "run_search",
 ]

@@ -7,7 +7,7 @@ from repro.analysis.epidemic import (
     pull_epidemic_rounds,
     search_time_estimate,
 )
-from repro.workloads.scenarios import run_initial_holders, run_search
+from repro.scenario.library import initial_holders_spec, search_spec
 
 
 class TestPullEpidemicCurve:
@@ -52,7 +52,7 @@ class TestPullEpidemicRounds:
         """The mean-field model predicts the simulated epidemic within
         a factor of two (rounds are 10 ms in the §4 setup)."""
         rounds = pull_epidemic_rounds(50, 1)
-        result = run_initial_holders(50, 1, seed=0)
+        result = initial_holders_spec(50, 1, seed=0).run()
         received = [record.time for record
                     in result.simulation.trace.of_kind("member_received")]
         simulated_ms = max(received)
@@ -84,7 +84,7 @@ class TestSearchTimeEstimate:
     def test_brackets_simulated_search_time(self):
         simulated = []
         for seed in range(30):
-            result = run_search(100, 5, seed=seed)
+            result = search_spec(100, 5, seed=seed).run()
             simulated.append(result.search_time)
         mean_simulated = sum(simulated) / len(simulated)
         estimate = search_time_estimate(100, 5)

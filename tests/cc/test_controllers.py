@@ -14,7 +14,7 @@ from repro.cc.controller import (
     controller_for,
     tcp_friendly_rate,
 )
-from repro.protocol.config import CongestionConfig
+from repro.protocol.config import CongestionSpec
 from repro.protocol.messages import FeedbackReport
 
 
@@ -22,7 +22,7 @@ def _config(**overrides):
     defaults = dict(controller="aimd", target_loss=0.05, min_rate=1.0,
                     max_rate=1000.0, feedback_interval=100.0)
     defaults.update(overrides)
-    return CongestionConfig(**defaults)
+    return CongestionSpec(**defaults)
 
 
 def _report(receiver=1, loss=0.0, rtt=10.0):

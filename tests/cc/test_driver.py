@@ -4,7 +4,7 @@ import pytest
 
 from repro.cc.controller import AimdController, NoneCc
 from repro.cc.driver import CongestionDriver
-from repro.protocol.config import CongestionConfig
+from repro.protocol.config import CongestionSpec
 from repro.protocol.messages import FeedbackReport
 from repro.sim import Simulator
 from repro.workloads.traffic import UniformStream
@@ -38,7 +38,7 @@ def _config(**overrides):
     defaults = dict(controller="aimd", target_loss=0.05, min_rate=10.0,
                     max_rate=100.0, feedback_interval=100.0)
     defaults.update(overrides)
-    return CongestionConfig(**defaults)
+    return CongestionSpec(**defaults)
 
 
 def _drive(controller, generator, fec=None):

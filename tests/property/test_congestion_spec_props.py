@@ -16,21 +16,28 @@ rates = st.floats(min_value=0.1, max_value=10_000.0,
                   allow_nan=False, allow_infinity=False)
 losses = st.floats(min_value=0.0, max_value=1.0,
                    allow_nan=False, allow_infinity=False)
+target_losses = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
+                          allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def congestion_specs(draw):
+    """Valid nodes only: construction checks the ranges, so ``parity_min``
+    is >= 1 and never above ``parity_max``."""
     min_rate = draw(rates)
+    parity_min = draw(st.one_of(st.none(), st.integers(1, 4)))
+    parity_max = draw(st.one_of(
+        st.none(), st.integers(1 if parity_min is None else parity_min, 8)))
     return CongestionSpec(
         controller=draw(st.sampled_from(["none", "tfmcc", "aimd"])),
-        target_loss=draw(losses),
+        target_loss=draw(target_losses),
         min_rate=min_rate,
         max_rate=min_rate * draw(st.floats(min_value=1.0, max_value=100.0,
                                            allow_nan=False)),
         feedback_interval=draw(st.floats(min_value=1.0, max_value=1_000.0,
                                          allow_nan=False)),
-        parity_min=draw(st.one_of(st.none(), st.integers(0, 4))),
-        parity_max=draw(st.one_of(st.none(), st.integers(1, 8))),
+        parity_min=parity_min,
+        parity_max=parity_max,
     )
 
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.scenarios import run_search
+from repro.scenario.library import search_spec
 
 
 class TestSearchProperties:
@@ -15,7 +15,7 @@ class TestSearchProperties:
     def test_search_with_one_bufferer_always_serves(self, n, seed):
         """As long as at least one member buffers the message, the
         downstream requester is served (§3.3's liveness claim)."""
-        result = run_search(n, 1, seed=seed, horizon=10_000.0)
+        result = search_spec(n, 1, seed=seed, horizon=10_000.0).run()
         assert result.search_time is not None
         assert result.simulation.members[result.requester].has_received(1)
 
@@ -25,7 +25,7 @@ class TestSearchProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_search_time_nonnegative_and_on_grid(self, n, seed):
-        result = run_search(n, 1, seed=seed, horizon=10_000.0)
+        result = search_spec(n, 1, seed=seed, horizon=10_000.0).run()
         assert result.search_time >= 0.0
         # Every hop is 5 ms one-way, timers are 10 ms: the grid is 5 ms.
         assert result.search_time % 5.0 < 1e-9
@@ -42,19 +42,19 @@ class TestSearchProperties:
         a second request wave is protocol-legal; what must hold is that
         every wave terminates (no active searches at the horizon) and
         search traffic stays bounded rather than re-seeding forever."""
-        result = run_search(n, min(b, n), seed=seed, horizon=10_000.0)
-        assert result.served_at is not None
+        result = search_spec(n, min(b, n), seed=seed, horizon=10_000.0).run()
+        assert result.simulation.trace.first("remote_request_served") is not None
         simulation = result.simulation
         for node in simulation.hierarchy.regions[0].members:
             assert simulation.members[node].search.active_seqs() == []
         # Bounded traffic: a runaway re-seeding loop would produce
         # thousands of forwards over a 10 s horizon.
-        assert result.search_forwards < 60 * n
+        assert simulation.trace.count("search_forwarded") < 60 * n
 
     @given(seed=st.integers(min_value=0, max_value=1_000))
     @settings(max_examples=25, deadline=None)
     def test_deterministic_given_seed(self, seed):
-        a = run_search(20, 2, seed=seed)
-        b = run_search(20, 2, seed=seed)
+        a = search_spec(20, 2, seed=seed).run()
+        b = search_spec(20, 2, seed=seed).run()
         assert a.search_time == b.search_time
         assert a.bufferers == b.bufferers

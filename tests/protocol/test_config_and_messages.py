@@ -1,5 +1,7 @@
 """Edge-case tests for protocol configuration and wire messages."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.net.topology import Hierarchy, single_region
@@ -32,9 +34,9 @@ class TestRrmpConfig:
         assert PAPER_SECTION4_CONFIG.session_interval is None
         assert PAPER_SECTION4_CONFIG.idle_threshold == 40.0
 
-    def test_with_overrides_returns_new_frozen_copy(self):
+    def test_replace_returns_new_frozen_copy(self):
         base = RrmpConfig()
-        other = base.with_overrides(long_term_c=3.0)
+        other = replace(base, long_term_c=3.0)
         assert other.long_term_c == 3.0
         assert base.long_term_c == 6.0
         with pytest.raises(Exception):

@@ -8,7 +8,7 @@ from repro.net.topology import chain
 from repro.protocol.config import RrmpConfig
 from repro.protocol.messages import DataMessage, SearchRequest
 from repro.protocol.rrmp import RrmpSimulation
-from repro.workloads.scenarios import run_search
+from repro.scenario.library import search_spec
 
 
 class TestSearchBasics:
@@ -16,26 +16,28 @@ class TestSearchBasics:
         """Footnote 5: search time is 0 if the request hits a bufferer."""
         found = False
         for seed in range(30):
-            result = run_search(10, bufferers=9, seed=seed)
+            result = search_spec(10, bufferers=9, seed=seed).run()
             assert result.search_time is not None
             if result.search_time == 0.0:
-                assert result.served_via == "buffer"
+                served = result.simulation.trace.first("remote_request_served")
+                assert served.get("via") == "buffer"
                 found = True
                 break
         assert found, "with 9/10 bufferers some run must hit one directly"
 
     def test_search_finds_single_bufferer(self):
-        result = run_search(20, bufferers=1, seed=3)
+        result = search_spec(20, bufferers=1, seed=3).run()
         assert result.search_time is not None
-        assert result.served_via in ("search", "buffer")
+        served = result.simulation.trace.first("remote_request_served")
+        assert served.get("via") in ("search", "buffer")
 
     def test_requester_eventually_receives_repair(self):
-        result = run_search(20, bufferers=2, seed=5)
+        result = search_spec(20, bufferers=2, seed=5).run()
         member = result.simulation.members[result.requester]
         assert member.has_received(1)
 
     def test_have_reply_announcements_are_bounded(self):
-        result = run_search(30, bufferers=3, seed=2)
+        result = search_spec(30, bufferers=3, seed=2).run()
         have_replies = result.simulation.network.stats.sent_by_type.get("HaveReply", 0)
         # Each announcement is one regional multicast = n-1 unicasts.
         # Distinct bufferers contacted concurrently may each announce
@@ -45,9 +47,10 @@ class TestSearchBasics:
         assert have_replies <= 3 * 29
 
     def test_search_messages_stop_after_serve(self):
-        result = run_search(30, bufferers=3, seed=2, horizon=5_000.0)
-        serve_time = result.served_at
-        assert serve_time is not None
+        result = search_spec(30, bufferers=3, seed=2, horizon=5_000.0).run()
+        served = result.simulation.trace.first("remote_request_served")
+        assert served is not None
+        serve_time = served.time
         late = [
             record for record in result.simulation.trace.of_kind("search_forwarded")
             if record.time > serve_time + 50.0
@@ -58,7 +61,7 @@ class TestSearchBasics:
         def mean_time(b):
             times = []
             for seed in range(25):
-                result = run_search(50, b, seed=seed)
+                result = search_spec(50, b, seed=seed).run()
                 times.append(result.search_time)
             return sum(times) / len(times)
 
@@ -129,7 +132,7 @@ class TestFigure5Walkthrough:
 class TestOwnerHints:
     def test_redirect_after_have_reply(self):
         """In-flight stragglers are redirected, not re-seeded (§3.3)."""
-        result = run_search(40, bufferers=2, seed=7, horizon=3_000.0)
+        result = search_spec(40, bufferers=2, seed=7, horizon=3_000.0).run()
         simulation = result.simulation
         # Inject a second remote request after the search completed:
         requester = result.requester
@@ -150,7 +153,7 @@ class TestOwnerHints:
         assert simulation.trace.count("search_redirected") >= 1
 
     def test_redirect_hop_limit_breaks_stale_chains(self):
-        result = run_search(10, bufferers=1, seed=1)
+        result = search_spec(10, bufferers=1, seed=1).run()
         simulation = result.simulation
         member = simulation.members[simulation.hierarchy.regions[0].members[0]]
         # Poison the hint to point at a member that has discarded.

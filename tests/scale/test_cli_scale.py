@@ -95,7 +95,7 @@ class TestScenariosRunSharded:
                      "--param", "policy.idle_threshold=0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: idle_threshold must be > 0, got 0\n"
+        assert captured.err == "error: idle_threshold must be > 0, got 0.0\n"
 
     def test_value_error_while_running_stays_loud(self, monkeypatch):
         def broken_run(spec, **kwargs):

@@ -31,7 +31,7 @@ class TestBuilderProducesSpecs:
         spec = (
             scenario("full", seed=9)
             .chain(10, 5)
-            .latency(intra=2.0, inter=80.0)
+            .latency(intra_one_way=2.0, inter_one_way=80.0)
             .ramp(12, 40.0, 4.0, start=1.0)
             .gilbert_elliott(p_bad=0.7)
             .policy("hash", c=4.0)
@@ -57,8 +57,8 @@ class TestBuilderProducesSpecs:
         assert spec.description == "everything at once"
 
     def test_numbers_are_normalized_to_canonical_types(self):
-        """Builder coerces ints/floats so equal scenarios share a digest
-        regardless of how the caller spelled the numbers."""
+        """Equal scenarios share a digest however the caller spelled the
+        numbers (the spec nodes normalise; the builder only forwards)."""
         a = scenario().single_region(20).uniform(5, 10).spec()
         b = scenario().single_region(20).uniform(5, 10.0).spec()
         assert a == b
@@ -114,7 +114,7 @@ class TestBuilderProducesSpecs:
     def test_outage_verb_sets_the_loss_node(self):
         spec = (
             scenario().regions(3, 10)
-            .outage(start=100.0, duration=250.0, regions=2,
+            .outage(outage_start=100.0, outage_duration=250.0, outage_regions=2,
                     receiver_loss=0.05)
             .spec()
         )
@@ -127,7 +127,7 @@ class TestBuilderProducesSpecs:
     def test_latency_verb_sets_directional_delays(self):
         spec = (
             scenario().chain(5, 5)
-            .latency(inter=40.0, inter_up=10.0, inter_down=70.0)
+            .latency(inter_one_way=40.0, inter_up_one_way=10.0, inter_down_one_way=70.0)
             .spec()
         )
         assert spec.topology.inter_up_one_way == 10.0
@@ -135,10 +135,19 @@ class TestBuilderProducesSpecs:
         # None resets to symmetric.
         reset = (
             scenario().chain(5, 5)
-            .latency(inter_up=10.0).latency(inter_up=None)
+            .latency(inter_up_one_way=10.0).latency(inter_up_one_way=None)
             .spec()
         )
         assert reset.topology.inter_up_one_way is None
+
+    def test_measure_takes_every_measurement_field(self):
+        spec = scenario().measure(oracle=True, keep_trace=False).spec()
+        assert spec.measurement.oracle is True
+        assert spec.measurement.keep_trace is False
+
+    def test_unknown_field_is_refused_by_the_node(self):
+        with pytest.raises(TypeError, match="bogus"):
+            scenario().playout(bogus=1.0)
 
     def test_round_trip_of_built_spec(self):
         spec = (
@@ -168,7 +177,7 @@ class TestBuilderMaterializes:
         built = (
             scenario("probe", seed=1)
             .chain(20, 1)
-            .latency(inter=500.0)
+            .latency(inter_one_way=500.0)
             .search_probe(4)
             .protocol(session_interval=None)
             .measure(duration=1_500.0)

@@ -183,12 +183,12 @@ class TestMaterializeFeatures:
         )
         assert built.simulation.members[built.simulation.sender.node_id].alive
 
-    def test_detect_all_matches_run_initial_holders(self):
-        """The spec probe path and the workload helper share one code
-        path — identical holder draw and durations."""
-        from repro.workloads.scenarios import run_initial_holders
+    def test_detect_all_matches_the_spec_factory(self):
+        """The registry spec, reshaped after a JSON round trip, and the
+        §4 spec factory draw the same holders."""
+        from repro.scenario.library import initial_holders_spec
 
-        result = run_initial_holders(30, 3, seed=7)
+        result = initial_holders_spec(30, 3, seed=7).run()
         built = get_scenario("initial_holders").with_(seed=7)
         built = ScenarioSpec.from_json(built.to_json())  # survives transport
         built = built.with_(
@@ -239,7 +239,7 @@ class TestMaterializeFeatures:
         built = (
             scenario("regional", seed=9)
             .chain(4, 4)
-            .regional_loss(region=0.5, receiver=0.1)
+            .regional_loss(region_loss=0.5, receiver_loss=0.1)
             .build()
         )
         outcome = built.simulation.sender.outcome

@@ -297,7 +297,31 @@ class TestSpecOverrides:
         ]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: idle_threshold must be > 0, got 0\n"
+        assert captured.err == "error: idle_threshold must be > 0, got 0.0\n"
+
+    def test_cli_non_integral_value_for_an_int_field_is_a_usage_error(self, capsys):
+        assert main([
+            "scenarios", "run", "overload_onset", "--param", "traffic.count=2.5",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: TrafficSpec.count must be int, got 2.5\n"
+
+    def test_cli_float_field_spelled_as_int_keeps_the_registry_digest(self, capsys):
+        assert main([
+            "scenarios", "run", "overload_onset", "--json",
+            "--param", "policy.idle_threshold=40",
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["digest"] == get_scenario("overload_onset").digest()
+
+    def test_list_value_is_stored_as_a_tuple(self):
+        from repro.cli import _apply_spec_overrides
+
+        spec = _apply_spec_overrides(get_scenario("heterogeneous_regions"),
+                                     [("topology.sizes", [3, 4])])
+        assert spec.topology.sizes == (3, 4)
+        assert hash(spec) == hash(spec.with_(name=spec.name))
 
     def test_cli_value_error_while_running_stays_loud(self, monkeypatch):
         def broken_run(self, *args, **kwargs):
