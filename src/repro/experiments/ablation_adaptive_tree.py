@@ -28,17 +28,14 @@ lifecycle).  Adaptive runs execute under the invariant oracle, so the
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.experiments.base import run_sweeps, seed_list
-from repro.metrics.makespan import MakespanTracker
+from repro.experiments.base import run_sweeps, run_tree_baseline, seed_list
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
 from repro.runner import SweepSpec
-from repro.scenario.materialize import build_hierarchy, network_models
 from repro.scenario.registry import get_scenario
-from repro.scenario.spec import AdaptSpec, ChurnSpec, ScenarioSpec
-from repro.tree.rmtp import TreeSimulation
+from repro.scenario.spec import AdaptSpec
 
 #: Repair modes compared at every scenario point.
 _MODES = ("tree", "static", "adaptive")
@@ -47,86 +44,30 @@ _MODES = ("tree", "static", "adaptive")
 _SCENARIOS = ("heterogeneous_regions", "wan_burst_loss", "flash_crowd")
 
 
-def _base_spec(scenario_name: str, seed: int) -> ScenarioSpec:
-    spec = get_scenario(scenario_name)
-    return replace(spec, seed=seed)
-
-
-def _run_tree(spec: ScenarioSpec) -> Dict[str, float]:
-    """The static-tree baseline on the spec's topology and loss.
-
-    Churn is dropped (TreeSimulation has no member lifecycle) — the
-    table notes it for the churn scenario.
-    """
-    hierarchy = build_hierarchy(spec.topology)
-    models = network_models(spec, hierarchy)
-    tree = TreeSimulation(
-        hierarchy,
-        seed=spec.seed,
-        latency=models.latency,
-        loss=models.loss,
-        outcome=models.outcome,
-        timer_factor=spec.policy.timer_factor,
-    )
-    makespan = MakespanTracker().attach(tree.trace)
-    traffic = spec.traffic
-    if traffic.kind != "uniform":  # pragma: no cover - registry guard
-        raise ValueError(
-            f"tree mode only supports uniform traffic, got {traffic.kind!r}"
-        )
-    for index in range(traffic.count):
-        tree.sim.at(traffic.start + index * traffic.interval,
-                    lambda: tree.multicast())
-    horizon = spec.measurement.horizon or spec.measurement.duration
-    tree.run(until=horizon)
-    tree.stop_session()
-    latencies = tree.recovery_latencies()
-    return {
-        "makespan": makespan.session_makespan(),
-        "makespan_p90": makespan.summary()["makespan_seq_p90_ms"],
-        "mean_recovery": mean(latencies) if latencies else 0.0,
-        "violations": 0.0,
-        "reparents": 0.0,
-        "updates": 0.0,
-    }
-
-
-def _run_rrmp(spec: ScenarioSpec, adaptive: bool,
-              update_interval: float, hysteresis: float,
-              max_reparents: int) -> Dict[str, float]:
-    spec = replace(spec, measurement=replace(spec.measurement, oracle=True))
-    if adaptive:
-        spec = replace(spec, adapt=AdaptSpec(
-            mode="passive",
-            update_interval=update_interval,
-            hysteresis=hysteresis,
-            max_reparents=max_reparents,
-        ))
-    built = spec.build().run()
+def trial_adaptive_tree(params: Dict[str, object], seed: int) -> Dict[str, float]:
+    """Runner trial: one run at one ``(scenario, mode)`` point.  Every
+    mode runs the registry spec; the RRMP modes run it under the oracle."""
+    mode = str(params["mode"])
+    spec = get_scenario(str(params["scenario"]))
+    spec = replace(spec, seed=seed, measurement=replace(spec.measurement, oracle=True))
+    if mode == "tree":
+        built = run_tree_baseline(spec)
+    else:
+        if mode == "adaptive":
+            spec = replace(spec, adapt=AdaptSpec(
+                mode="passive",
+                update_interval=float(params["update_interval"]),
+                hysteresis=float(params["hysteresis"]),
+                max_reparents=int(params["max_reparents"]),
+            ))
+        built = spec.run()
     summary = built.summary()
     return {
         "makespan": float(summary.get("makespan_session_ms", 0.0)),
-        "makespan_p90": float(summary.get("makespan_seq_p90_ms", 0.0)),
         "mean_recovery": float(summary["mean_recovery_latency_ms"]),
         "violations": float(summary.get("invariant_violations", 0.0)),
         "reparents": float(summary.get("adapt_reparents", 0.0)),
-        "updates": float(summary.get("adapt_updates", 0.0)),
     }
-
-
-def trial_adaptive_tree(params: Dict[str, object], seed: int) -> Dict[str, float]:
-    """Runner trial: one run at one ``(scenario, mode)`` point."""
-    mode = str(params["mode"])
-    spec = _base_spec(str(params["scenario"]), seed)
-    if mode == "tree":
-        return _run_tree(replace(spec, churn=ChurnSpec()))
-    return _run_rrmp(
-        spec,
-        adaptive=(mode == "adaptive"),
-        update_interval=float(params["update_interval"]),
-        hysteresis=float(params["hysteresis"]),
-        max_reparents=int(params["max_reparents"]),
-    )
 
 
 def run_adaptive_tree_ablation(

@@ -20,49 +20,27 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.analysis.formulas import prob_no_bufferer_binomial
-from repro.experiments.base import run_sweep
+from repro.experiments.base import late_request, run_sweep
 from repro.metrics.report import SeriesTable
-from repro.metrics.stats import mean
-from repro.net.latency import HierarchicalLatency
-from repro.net.topology import chain
-from repro.protocol.config import RrmpConfig
-from repro.protocol.messages import DataMessage
-from repro.protocol.rrmp import RrmpSimulation
+from repro.metrics.stats import mean, mean_defined
+from repro.scenario.builder import scenario
 
 
 def trial_c_tradeoff(params: Dict[str, object], seed: int) -> Dict[str, object]:
     """Runner trial: one late-request run at a given C."""
-    n = int(params["n"])
     request_at = float(params["request_at"])
-    hierarchy = chain([n, 1])
-    config = RrmpConfig(
-        long_term_c=float(params["c"]),
-        session_interval=None,
-        max_search_rounds=300,
-    )
-    simulation = RrmpSimulation(
-        hierarchy, config=config, seed=seed,
-        latency=HierarchicalLatency(hierarchy, inter_one_way=500.0),
-    )
-    data = DataMessage(seq=1, sender=simulation.sender.node_id)
-    for node in hierarchy.regions[0].members:
-        simulation.members[node].inject_receive(data)
-    requester = hierarchy.regions[1].members[0]
-    simulation.sim.at(
-        request_at, simulation.members[requester].inject_loss_detection, 1
+    built = late_request(
+        scenario("ablation-c", seed=seed)
+        .policy(c=float(params["c"]))
+        .protocol(max_search_rounds=300)
+        .measure(horizon=float(params["horizon"])),
+        int(params["n"]), request_at,
     )
     # Let the idle transition settle, then count surviving copies.
-    simulation.run(until=request_at - 1.0)
-    copies = simulation.buffering_count(1)
-    simulation.run(until=float(params["horizon"]))
-    arrival = simulation.trace.first("remote_request_received")
-    served = simulation.trace.first("remote_request_served")
-    search_time = (
-        served.time - arrival.time
-        if arrival is not None and served is not None
-        else None
-    )
-    return {"copies": copies, "search_time": search_time}
+    built.simulation.run(until=request_at - 1.0)
+    copies = built.simulation.buffering_count(1)
+    built.run()
+    return {"copies": copies, "search_time": built.search_time}
 
 
 def run_c_tradeoff(
@@ -87,11 +65,8 @@ def run_c_tradeoff(
     per_point = run_sweep("ablation_c_tradeoff", trial_c_tradeoff, grid, seeds)
     mean_copies, mean_search, unserved_counts, analytic_none = [], [], [], []
     for c, runs in zip(cs, per_point):
-        search_times = [
-            run["search_time"] for run in runs if run["search_time"] is not None
-        ]
         mean_copies.append(mean([run["copies"] for run in runs]))
-        mean_search.append(mean(search_times) if search_times else float("nan"))
+        mean_search.append(mean_defined(run["search_time"] for run in runs))
         unserved_counts.append(sum(1 for run in runs if run["search_time"] is None))
         analytic_none.append(100.0 * prob_no_bufferer_binomial(n, c))
     table.add_series("mean long-term copies (buffer cost)", mean_copies)

@@ -15,30 +15,24 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.base import run_sweep
+from repro.experiments.base import late_request, run_sweep
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
-from repro.protocol.messages import DataMessage
 from repro.scenario.builder import scenario
 
 
-def _one_run(graceful: bool, n: int, c: float, seed: int,
-             depart_at: float, request_at: float, horizon: float) -> Dict[str, float]:
-    built = (
+def trial_churn(params: Dict[str, object], seed: int) -> Dict[str, float]:
+    """Runner trial: one departure-mode run (graceful leave vs crash)."""
+    graceful = bool(params["graceful"])
+    built = late_request(
         scenario("ablation-churn", seed=seed)
-        .chain(n, 1)
-        .latency(inter_one_way=500.0)
-        .policy("two_phase", c=c)
-        .protocol(session_interval=None, max_search_rounds=200)
-        .measure(horizon=horizon)
-        .build()
+        .policy(c=float(params["c"]))
+        .protocol(max_search_rounds=200)
+        .measure(horizon=float(params["horizon"])),
+        int(params["n"]), float(params["request_at"]),
     )
     simulation = built.simulation
-    hierarchy = simulation.hierarchy
-    data = DataMessage(seq=1, sender=simulation.sender.node_id)
-    region_nodes = list(hierarchy.regions[0].members)
-    for node in region_nodes:
-        simulation.members[node].inject_receive(data)
+    region_nodes = list(simulation.hierarchy.regions[0].members)
 
     def depart_bufferers() -> None:
         # Whoever ended up long-term-buffering the message leaves (or
@@ -53,9 +47,7 @@ def _one_run(graceful: bool, n: int, c: float, seed: int,
             action = member.leave if graceful else member.crash
             simulation.sim.after(index * 10.0, lambda act=action: act())
 
-    simulation.sim.at(depart_at, depart_bufferers)
-    requester = hierarchy.regions[1].members[0]
-    simulation.sim.at(request_at, simulation.members[requester].inject_loss_detection, 1)
+    simulation.sim.at(float(params["depart_at"]), depart_bufferers)
     built.run()
     served = simulation.trace.first("remote_request_served")
     return {
@@ -63,15 +55,6 @@ def _one_run(graceful: bool, n: int, c: float, seed: int,
         "handoff transfers": float(simulation.trace.count("handoff_sent")),
         "copies after churn": float(simulation.buffering_count(1)),
     }
-
-
-def trial_churn(params: Dict[str, object], seed: int) -> Dict[str, float]:
-    """Runner trial: one departure-mode run (graceful leave vs crash)."""
-    return _one_run(
-        bool(params["graceful"]), int(params["n"]), float(params["c"]),
-        seed, float(params["depart_at"]), float(params["request_at"]),
-        float(params["horizon"]),
-    )
 
 
 def run_churn_handoff(

@@ -40,27 +40,21 @@ from repro.scenario.builder import scenario
 _CONTROLLERS = ("none", "tfmcc", "aimd")
 
 
-def _measure_cc(
-    controller: str,
-    load: float,
-    n: int,
-    capacity_per_member: float,
-    messages: int,
-    base_loss: float,
-    seed: int,
-    horizon: float,
-) -> Dict[str, float]:
-    """One run: *load* × the sustainable rate under *controller*."""
-    sustainable = capacity_per_member  # capacity / n, in msgs/s
-    rate = load * sustainable
+def trial_cc(params: Dict[str, object], seed: int) -> Dict[str, float]:
+    """Runner trial: ``load`` × the sustainable rate under one controller."""
+    controller = str(params["controller"])
+    n = int(params["n"])
+    sustainable = float(params["capacity_per_member"])  # capacity / n, in msgs/s
+    rate = float(params["load"]) * sustainable
+    horizon = float(params["horizon"])
     builder = (
         scenario("ablation-cc", seed=seed)
         .single_region(n)
-        .uniform(messages, 1000.0 / rate, start=1.0)
+        .uniform(int(params["messages"]), 1000.0 / rate, start=1.0)
         .bottleneck(
-            capacity=capacity_per_member * n,
+            capacity=sustainable * n,
             window=250.0,
-            receiver_loss=base_loss,
+            receiver_loss=float(params["base_loss"]),
         )
         .protocol(max_recovery_time=1_500.0)
         .measure(horizon=horizon, probe_period=100.0)
@@ -70,25 +64,16 @@ def _measure_cc(
             controller, target_loss=0.02, min_rate=sustainable / 10.0,
             max_rate=rate, feedback_interval=100.0,
         )
-    built = builder.build()
-    built.run()
-    summary = built.summary()
+    summary = builder.run().summary()
     delivered = float(summary["delivered_fraction"])
     return {
-        "goodput": delivered * messages * 1000.0 / horizon,
+        # A paced sender may leave offered messages unsent at the
+        # horizon; the delivered fraction covers only those it sent.
+        "goodput": delivered * summary["messages"] * 1000.0 / horizon,
         "delivered": delivered,
         "violations": float(summary["reliability_violations"]),
         "peak_occupancy": float(summary["peak_node_occupancy"]),
     }
-
-
-def trial_cc(params: Dict[str, object], seed: int) -> Dict[str, float]:
-    """Runner trial: one run at one ``(controller, load)`` point."""
-    return _measure_cc(
-        str(params["controller"]), float(params["load"]), int(params["n"]),
-        float(params["capacity_per_member"]), int(params["messages"]),
-        float(params["base_loss"]), seed, float(params["horizon"]),
-    )
 
 
 def run_congestion_ablation(

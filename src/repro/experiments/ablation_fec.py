@@ -30,99 +30,72 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.base import run_sweeps, seed_list
+from repro.experiments.base import run_sweeps, run_tree_baseline, seed_list
 from repro.metrics.fec import summarize_fec
 from repro.runner import SweepSpec
 from repro.metrics.report import SeriesTable
-from repro.metrics.stats import mean
-from repro.net.ipmulticast import RegionCorrelatedOutcome
-from repro.net.topology import chain
-from repro.scenario.builder import scenario
-from repro.tree.rmtp import TreeSimulation
+from repro.metrics.stats import mean_defined
+from repro.scenario.builder import ScenarioBuilder, scenario
 
 #: RRMP variants compared at every sweep point.
 _RRMP_MODES = ("off", "proactive", "reactive")
 
+#: Table columns in order: (name, system, trial key, divisor of the
+#: seed mean).
+_COLUMNS = (
+    ("off: mean latency (ms)", "off", "latency", 1.0),
+    ("off: remote requests", "off", "upstream", 1.0),
+    ("proactive: mean latency (ms)", "proactive", "latency", 1.0),
+    ("proactive: remote requests", "proactive", "upstream", 1.0),
+    ("proactive: gaps decoded", "proactive", "fec_recovered", 1.0),
+    ("proactive: parity KB", "proactive", "parity_bytes", 1024.0),
+    ("reactive: mean latency (ms)", "reactive", "latency", 1.0),
+    ("reactive: remote requests", "reactive", "upstream", 1.0),
+    ("tree: mean latency (ms)", "tree", "latency", 1.0),
+    ("tree: nacks", "tree", "upstream", 1.0),
+)
 
-def _measure_rrmp(
-    mode: str,
-    k: int,
-    r: int,
-    region_loss: float,
-    region_size: int,
-    messages: int,
-    interval: float,
-    remote_lambda: float,
-    seed: int,
-    horizon: float,
-) -> Dict[str, float]:
-    built = (
+
+def _workload(params: Dict[str, object], seed: int) -> ScenarioBuilder:
+    """The two-region stream and regional loss every system runs."""
+    size = int(params["region_size"])
+    horizon = float(params["horizon"])
+    return (
         scenario("ablation-fec", seed=seed)
-        .chain(region_size, region_size)
-        .uniform(messages, interval)
-        .regional_loss(region_loss=region_loss)
-        .fec(mode, block_size=k, parity=r, flush_after=1.0)
-        .protocol(
-            remote_lambda=remote_lambda, session_interval=50.0,
-            max_recovery_time=horizon,
-        )
+        .chain(size, size)
+        .uniform(int(params["messages"]), float(params["interval"]))
+        .regional_loss(region_loss=float(params["loss"]))
+        .protocol(max_recovery_time=horizon)
         .measure(horizon=horizon)
-        .build()
     )
-    simulation = built.simulation
-    built.run()
-    latencies = simulation.recovery_latencies()
-    report = summarize_fec(simulation.trace)
+
+
+def trial_fec_rrmp(params: Dict[str, object], seed: int) -> Dict[str, float]:
+    """Runner trial: one RRMP run at one ``(mode, k, r, loss)`` point."""
+    built = (
+        _workload(params, seed)
+        .fec(str(params["mode"]), block_size=int(params["k"]), parity=int(params["r"]))
+        .protocol(remote_lambda=float(params["remote_lambda"]))
+        .run()
+    )
+    report = summarize_fec(built.simulation.trace)
     return {
-        "latency": mean(latencies) if latencies else float("nan"),
+        "latency": mean_defined(built.simulation.recovery_latencies()),
         "upstream": float(
-            simulation.network.stats.sent_by_type.get("RemoteRequest", 0)
+            built.simulation.network.stats.sent_by_type.get("RemoteRequest", 0)
         ),
         "fec_recovered": float(report.recovered),
         "parity_bytes": float(report.parity_bytes),
     }
 
 
-def _measure_tree(
-    region_loss: float,
-    region_size: int,
-    messages: int,
-    interval: float,
-    seed: int,
-    horizon: float,
-) -> Dict[str, float]:
-    hierarchy = chain([region_size, region_size])
-    simulation = TreeSimulation(hierarchy, seed=seed, session_interval=50.0)
-    simulation.outcome = RegionCorrelatedOutcome(
-        hierarchy, region_loss=region_loss, sender=simulation.sender_node
-    )
-    for index in range(messages):
-        simulation.sim.at(index * interval, simulation.multicast)
-    simulation.run(until=horizon)
-    latencies = simulation.recovery_latencies()
-    return {
-        "latency": mean(latencies) if latencies else float("nan"),
-        "upstream": float(simulation.network.stats.sent_by_type.get("Nack", 0)),
-    }
-
-
-def trial_fec_rrmp(params: Dict[str, object], seed: int) -> Dict[str, float]:
-    """Runner trial: one RRMP run at one ``(mode, k, r, loss)`` point."""
-    return _measure_rrmp(
-        str(params["mode"]), int(params["k"]), int(params["r"]),
-        float(params["loss"]), int(params["region_size"]),
-        int(params["messages"]), float(params["interval"]),
-        float(params["remote_lambda"]), seed, float(params["horizon"]),
-    )
-
-
 def trial_fec_tree(params: Dict[str, object], seed: int) -> Dict[str, float]:
-    """Runner trial: one RMTP-tree baseline run at one loss rate."""
-    return _measure_tree(
-        float(params["loss"]), int(params["region_size"]),
-        int(params["messages"]), float(params["interval"]),
-        seed, float(params["horizon"]),
-    )
+    """Runner trial: the RMTP-tree baseline on the same workload."""
+    built = run_tree_baseline(_workload(params, seed).spec())
+    return {
+        "latency": mean_defined(built.simulation.recovery_latencies()),
+        "upstream": float(built.simulation.network.stats.sent_by_type.get("Nack", 0)),
+    }
 
 
 def run_fec_ablation(
@@ -153,18 +126,6 @@ def run_fec_ablation(
         x_label="(k, r, region loss)",
         xs=list(xs),
     )
-    columns: Dict[str, List[float]] = {
-        "off: mean latency (ms)": [],
-        "off: remote requests": [],
-        "proactive: mean latency (ms)": [],
-        "proactive: remote requests": [],
-        "proactive: gaps decoded": [],
-        "proactive: parity KB": [],
-        "reactive: mean latency (ms)": [],
-        "reactive: remote requests": [],
-        "tree: mean latency (ms)": [],
-        "tree: nacks": [],
-    }
     shared = {
         "region_size": region_size, "messages": messages,
         "interval": interval, "horizon": horizon,
@@ -184,41 +145,17 @@ def run_fec_ablation(
         SweepSpec("ablation_fec", trial_fec_rrmp, rrmp_grid, seeds_list),
         SweepSpec("ablation_fec", trial_fec_tree, tree_grid, seeds_list),
     ])
-    for index, (k, r, loss) in enumerate(sweep_points):
-        per_mode: Dict[str, List[Dict[str, float]]] = {
-            mode: rrmp_results[index * len(_RRMP_MODES) + offset]
-            for offset, mode in enumerate(_RRMP_MODES)
-        }
-        tree_runs: List[Dict[str, float]] = tree_results[index]
-
-        def avg(runs: List[Dict[str, float]], key: str) -> float:
-            values = [run[key] for run in runs if run[key] == run[key]]
-            return mean(values) if values else float("nan")
-
-        columns["off: mean latency (ms)"].append(avg(per_mode["off"], "latency"))
-        columns["off: remote requests"].append(avg(per_mode["off"], "upstream"))
-        columns["proactive: mean latency (ms)"].append(
-            avg(per_mode["proactive"], "latency")
-        )
-        columns["proactive: remote requests"].append(
-            avg(per_mode["proactive"], "upstream")
-        )
-        columns["proactive: gaps decoded"].append(
-            avg(per_mode["proactive"], "fec_recovered")
-        )
-        columns["proactive: parity KB"].append(
-            avg(per_mode["proactive"], "parity_bytes") / 1024.0
-        )
-        columns["reactive: mean latency (ms)"].append(
-            avg(per_mode["reactive"], "latency")
-        )
-        columns["reactive: remote requests"].append(
-            avg(per_mode["reactive"], "upstream")
-        )
-        columns["tree: mean latency (ms)"].append(avg(tree_runs, "latency"))
-        columns["tree: nacks"].append(avg(tree_runs, "upstream"))
-    for name, values in columns.items():
-        table.add_series(name, values)
+    per_system: List[Dict[str, List[Dict[str, float]]]] = [
+        {"tree": tree_results[index],
+         **{mode: rrmp_results[index * len(_RRMP_MODES) + offset]
+            for offset, mode in enumerate(_RRMP_MODES)}}
+        for index in range(len(sweep_points))
+    ]
+    for name, system, key, divisor in _COLUMNS:
+        table.add_series(name, [
+            mean_defined(run[key] for run in runs[system]) / divisor
+            for runs in per_system
+        ])
     table.notes.append(
         "proactive FEC trades r/k parity bandwidth for fewer WAN requests "
         "and faster regional recovery; reactive spends parity only on "

@@ -18,62 +18,35 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.base import run_sweep
-from repro.hashing.deterministic import (
-    HashBuffererPolicy,
-    hash_evaluations,
-    reset_hash_counter,
-)
+from repro.experiments.base import late_request, run_sweep
+from repro.hashing.deterministic import hash_evaluations, reset_hash_counter
 from repro.metrics.report import SeriesTable
-from repro.metrics.stats import mean
-from repro.net.latency import HierarchicalLatency
-from repro.net.topology import chain
-from repro.protocol.config import RrmpConfig
-from repro.protocol.messages import DataMessage
-from repro.protocol.rrmp import RrmpSimulation
-
-
-def _one_run(use_hash: bool, n: int, c: float, seed: int,
-             request_at: float, horizon: float) -> Dict[str, float]:
-    hierarchy = chain([n, 1])
-    config = RrmpConfig(long_term_c=c, session_interval=None, max_search_rounds=300)
-    policy_factory = (lambda _node: HashBuffererPolicy(c)) if use_hash else None
-    simulation = RrmpSimulation(
-        hierarchy, config=config, seed=seed,
-        latency=HierarchicalLatency(hierarchy, inter_one_way=500.0),
-        policy_factory=policy_factory,
-    )
-    data = DataMessage(seq=1, sender=simulation.sender.node_id)
-    for node in hierarchy.regions[0].members:
-        simulation.members[node].inject_receive(data)
-    requester = hierarchy.regions[1].members[0]
-    simulation.sim.at(request_at, simulation.members[requester].inject_loss_detection, 1)
-    reset_hash_counter()
-    simulation.run(until=horizon)
-    arrival = simulation.trace.first("remote_request_received")
-    served = simulation.trace.first("remote_request_served")
-    locate_time = (
-        served.time - arrival.time
-        if arrival is not None and served is not None
-        else float("nan")
-    )
-    search_hops = simulation.trace.count("search_forwarded")
-    lookup_hops = simulation.trace.count("lookup_forwarded")
-    return {
-        "locate time (ms)": locate_time,
-        "locate messages": float(search_hops + lookup_hops),
-        "hash evaluations": float(hash_evaluations()),
-        "copies held": float(simulation.buffering_count(1)),
-        "unserved": 0.0 if served is not None else 1.0,
-    }
+from repro.metrics.stats import mean_defined
+from repro.scenario.builder import scenario
 
 
 def trial_hash_vs_random(params: Dict[str, object], seed: int) -> Dict[str, float]:
     """Runner trial: one late-request locate under one selection scheme."""
-    return _one_run(
-        bool(params["use_hash"]), int(params["n"]), float(params["c"]),
-        seed, float(params["request_at"]), float(params["horizon"]),
+    built = late_request(
+        scenario("ablation-hash", seed=seed)
+        .policy("hash" if params["use_hash"] else "two_phase", c=float(params["c"]))
+        .protocol(max_search_rounds=300)
+        .measure(horizon=float(params["horizon"])),
+        int(params["n"]), float(params["request_at"]),
     )
+    reset_hash_counter()
+    built.run()
+    trace = built.simulation.trace
+    locate_time = built.search_time
+    return {
+        "locate time (ms)": float("nan") if locate_time is None else locate_time,
+        "locate messages": float(
+            trace.count("search_forwarded") + trace.count("lookup_forwarded")
+        ),
+        "hash evaluations": float(hash_evaluations()),
+        "copies held": float(built.simulation.buffering_count(1)),
+        "unserved": 0.0 if trace.first("remote_request_served") is not None else 1.0,
+    }
 
 
 def run_hash_vs_random(
@@ -100,8 +73,7 @@ def run_hash_vs_random(
     labels = [label for label, _use_hash in schemes]
     for per_seed in per_point:
         for name in metric_names:
-            values = [run[name] for run in per_seed if run[name] == run[name]]
-            rows[name].append(mean(values) if values else float("nan"))
+            rows[name].append(mean_defined(run[name] for run in per_seed))
     table = SeriesTable(
         title=(
             f"Ablation — randomized vs deterministic bufferer selection; "

@@ -14,7 +14,7 @@ from typing import Dict, Sequence
 
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
-from repro.metrics.stats import mean
+from repro.metrics.stats import mean, mean_defined
 from repro.scenario.library import initial_holders_spec
 
 
@@ -56,11 +56,7 @@ def run_idle_threshold(
     per_point = run_sweep("ablation_idle_threshold", trial_idle_threshold, grid, seeds)
     buffering, violations, requests = [], [], []
     for runs in per_point:
-        buffering_per_seed = [
-            run["mean_buffering_ms"] for run in runs
-            if run["mean_buffering_ms"] is not None
-        ]
-        buffering.append(mean(buffering_per_seed) if buffering_per_seed else float("nan"))
+        buffering.append(mean_defined(run["mean_buffering_ms"] for run in runs))
         violations.append(sum(run["violations"] for run in runs))
         requests.append(mean([run["local_requests"] for run in runs]))
     table.add_series("mean holder buffering time (ms)", buffering)

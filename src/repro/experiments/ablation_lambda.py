@@ -19,36 +19,32 @@ from typing import Dict, Sequence
 
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
-from repro.metrics.stats import mean
-from repro.net.latency import HierarchicalLatency
-from repro.net.topology import chain
-from repro.protocol.config import RrmpConfig
+from repro.metrics.stats import mean, mean_defined
 from repro.protocol.messages import DataMessage
-from repro.protocol.rrmp import RrmpSimulation
+from repro.scenario.builder import scenario
 
 
 def trial_lambda(params: Dict[str, object], seed: int) -> Dict[str, float]:
     """Runner trial: one full-region-loss recovery at a given λ."""
     region_size = int(params["region_size"])
     horizon = float(params["horizon"])
-    hierarchy = chain([region_size, region_size])
-    config = RrmpConfig(
-        remote_lambda=float(params["lam"]),
-        session_interval=None,
-        max_recovery_time=horizon,
+    built = (
+        scenario("ablation-lambda", seed=seed)
+        .chain(region_size, region_size)
+        .latency(inter_one_way=float(params["inter_one_way"]))
+        .protocol(remote_lambda=float(params["lam"]), session_interval=None,
+                  max_recovery_time=horizon)
+        .measure(horizon=horizon)
+        .build()
     )
-    simulation = RrmpSimulation(
-        hierarchy, config=config, seed=seed,
-        latency=HierarchicalLatency(
-            hierarchy, inter_one_way=float(params["inter_one_way"])
-        ),
-    )
+    simulation = built.simulation
+    hierarchy = simulation.hierarchy
     data = DataMessage(seq=1, sender=simulation.sender.node_id)
     for node in hierarchy.regions[0].members:
         simulation.members[node].inject_receive(data)
     for node in hierarchy.regions[1].members:
         simulation.members[node].inject_loss_detection(1)
-    simulation.run(until=horizon)
+    built.run()
     stats = simulation.network.stats
     child = hierarchy.regions[1].members
     recovered = [
@@ -93,12 +89,10 @@ def run_lambda_sweep(
     per_point = run_sweep("ablation_lambda", trial_lambda, grid, seeds)
     remote_requests, remote_repairs, full_recovery, mean_latency = [], [], [], []
     for runs in per_point:
-        recover_per_seed = [run["full_recovery_ms"] for run in runs]
-        latency_per_seed = [run["mean_latency_ms"] for run in runs]
         remote_requests.append(mean([run["remote_requests"] for run in runs]))
         remote_repairs.append(mean([run["remote_repairs"] for run in runs]))
-        full_recovery.append(mean([v for v in recover_per_seed if v == v] or [float("nan")]))
-        mean_latency.append(mean([v for v in latency_per_seed if v == v] or [float("nan")]))
+        full_recovery.append(mean_defined(run["full_recovery_ms"] for run in runs))
+        mean_latency.append(mean_defined(run["mean_latency_ms"] for run in runs))
     table.add_series("mean remote requests sent", remote_requests)
     table.add_series("mean remote repairs (WAN crossings)", remote_repairs)
     table.add_series("mean time to full region recovery (ms)", full_recovery)

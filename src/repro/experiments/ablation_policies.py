@@ -23,19 +23,15 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.base import run_sweep
-from repro.metrics.occupancy import OccupancyProbe
+from repro.experiments.base import run_sweep, run_tree_baseline
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
-from repro.net.ipmulticast import BernoulliOutcome
-from repro.net.topology import chain
 from repro.scenario.builder import scenario
-from repro.tree.rmtp import TreeSimulation
 
 
 #: The compared schemes, in table order: label -> the PolicySpec kind
 #: and knobs the scenario builder applies (or "tree" for the RMTP
-#: baseline, which is a different simulation class entirely).  Keeping
+#: baseline, which runs the same spec as a repair-server tree).  Keeping
 #: the mapping here — not in trial params — keeps trial specs
 #: picklable: the trial function resolves its policy by label inside
 #: the worker process.
@@ -55,40 +51,24 @@ _POLICY_BY_LABEL: Dict[str, tuple] = {label: entry for label, entry in _POLICIES
 def trial_policy(params: Dict[str, object], seed: int) -> Dict[str, float]:
     """Runner trial: one streamed-WAN run under one buffering policy."""
     kind, knobs = _POLICY_BY_LABEL[str(params["policy"])]
-    args = (
-        int(params["region_size"]), int(params["messages"]),
-        float(params["interval"]), float(params["loss"]),
-        seed, float(params["horizon"]),
+    size = int(params["region_size"])
+    messages = int(params["messages"])
+    horizon = float(params["horizon"])
+    builder = (
+        scenario("ablation-policies", seed=seed)
+        .chain(size, size, size)
+        .uniform(messages, float(params["interval"]))
+        .loss(p=float(params["loss"]))
+        .protocol(max_recovery_time=horizon)
+        .measure(horizon=horizon, probe_period=10.0)
     )
     if kind == "tree":
-        return _measure_tree(*args)
-    return _measure_rrmp(kind, knobs, *args)
-
-
-def _measure_rrmp(
-    kind: str,
-    knobs: Dict[str, float],
-    region_size: int,
-    messages: int,
-    interval: float,
-    loss: float,
-    seed: int,
-    horizon: float,
-) -> Dict[str, float]:
-    # long_term_ttl enables §3.2's eventual discard so the two-phase
-    # row shows the full lifecycle instead of holding C copies forever.
-    built = (
-        scenario("ablation-policies", seed=seed)
-        .chain(region_size, region_size, region_size)
-        .uniform(messages, interval)
-        .loss(p=loss)
-        .policy(kind, long_term_ttl=1_000.0, **knobs)
-        .protocol(session_interval=50.0, max_recovery_time=horizon)
-        .measure(horizon=horizon, probe_period=10.0)
-        .build()
-    )
+        built = run_tree_baseline(builder.spec())
+    else:
+        # long_term_ttl enables §3.2's eventual discard so the two-phase
+        # row shows the full lifecycle instead of holding C copies forever.
+        built = builder.policy(kind, long_term_ttl=1_000.0, **knobs).run()
     simulation = built.simulation
-    built.run()
     latencies = simulation.recovery_latencies()
     undelivered = sum(
         len(simulation.alive_members()) - simulation.received_count(seq)
@@ -103,49 +83,6 @@ def _measure_rrmp(
         "data messages": float(simulation.data_message_count()),
         "undelivered": float(undelivered),
         "violations": float(simulation.violation_count()),
-    }
-
-
-def _measure_tree(
-    region_size: int,
-    messages: int,
-    interval: float,
-    loss: float,
-    seed: int,
-    horizon: float,
-) -> Dict[str, float]:
-    hierarchy = chain([region_size] * 3)
-    simulation = TreeSimulation(
-        hierarchy, seed=seed, outcome=BernoulliOutcome(loss), session_interval=50.0
-    )
-    total_probe = OccupancyProbe(simulation.sim, simulation.buffer_occupancy, period=10.0)
-    peak_node = [0.0]
-
-    def sample_peak() -> float:
-        per_node = simulation.occupancy_by_node()
-        current = max(per_node.values()) if per_node else 0
-        peak_node[0] = max(peak_node[0], float(current))
-        return float(current)
-
-    node_probe = OccupancyProbe(simulation.sim, sample_peak, period=10.0)
-    for index in range(messages):
-        simulation.sim.at(index * interval, simulation.multicast)
-    simulation.run(until=horizon)
-    total_probe.stop()
-    node_probe.stop()
-    latencies = simulation.recovery_latencies()
-    undelivered = sum(
-        sum(0 if m.has_received(seq) else 1 for m in simulation.members.values())
-        for seq in range(1, messages + 1)
-    )
-    return {
-        "avg total occupancy": total_probe.average(),
-        "peak single-node occupancy": peak_node[0],
-        "mean recovery latency (ms)": mean(latencies) if latencies else 0.0,
-        "control messages": float(simulation.control_message_count()),
-        "data messages": float(simulation.data_message_count()),
-        "undelivered": float(undelivered),
-        "violations": 0.0,
     }
 
 

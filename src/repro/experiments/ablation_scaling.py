@@ -20,7 +20,7 @@ from typing import Dict, Sequence
 from repro.analysis.epidemic import pull_epidemic_rounds
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
-from repro.metrics.stats import mean
+from repro.metrics.stats import mean, mean_defined
 from repro.protocol.messages import DataMessage
 from repro.scenario.builder import scenario
 
@@ -86,8 +86,7 @@ def run_scaling(
     per_point = run_sweep("ablation_scaling", trial_scaling, grid, seeds)
     recovery_ms, requests_per_member, copies, model_rounds = [], [], [], []
     for n, runs in zip(ns, per_point):
-        recovery_per_seed = [run["recovery_ms"] for run in runs]
-        recovery_ms.append(mean([v for v in recovery_per_seed if v == v]))
+        recovery_ms.append(mean_defined(run["recovery_ms"] for run in runs))
         requests_per_member.append(mean([run["requests_per_member"] for run in runs]))
         copies.append(mean([run["copies"] for run in runs]))
         model_rounds.append(pull_epidemic_rounds(n, max(1, round(holder_fraction * n))) * rtt)

@@ -10,15 +10,26 @@ fan out with :func:`run_sweep` through the ambient
 :class:`repro.runner.Runner`.  The default runner executes serially
 with no cache (the historical behaviour); the CLI installs a parallel,
 cached runner via ``--jobs`` / ``--cache-dir``.
+
+Every arm of every experiment is a :class:`~repro.scenario.spec.ScenarioSpec`:
+the RRMP arms build it with ``spec.build()``/``run()``, the RMTP
+baseline runs it through :func:`run_tree_baseline`, and the §3.2
+late-request probes through :func:`late_request`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
+from repro.metrics.makespan import MakespanTracker
+from repro.protocol.messages import DataMessage
 from repro.runner import SweepSpec, current_runner
+from repro.scenario.builder import ScenarioBuilder
+from repro.scenario.materialize import BuiltScenario, build_hierarchy, network_models
+from repro.scenario.spec import ScenarioSpec
+from repro.tree.rmtp import TreeSimulation
 
-__all__ = ["seed_list", "run_sweep", "run_sweeps"]
+__all__ = ["late_request", "run_sweep", "run_sweeps", "run_tree_baseline", "seed_list"]
 
 
 def seed_list(seeds: int, base: int = 0) -> List[int]:
@@ -48,3 +59,64 @@ def run_sweep(
 def run_sweeps(sweeps: Sequence[SweepSpec]) -> List[List[List[Any]]]:
     """Run several sweeps as one batch through the ambient runner."""
     return current_runner().run_sweeps(sweeps)
+
+
+def run_tree_baseline(spec: ScenarioSpec) -> BuiltScenario:
+    """Run the RMTP-like repair-server tree (:mod:`repro.tree.rmtp`) on
+    the RRMP arm's *spec*, to its measurement horizon.
+
+    Topology, latency, transport loss and multicast outcome come from
+    :func:`~repro.scenario.materialize.network_models`; the session
+    interval and NACK timer factor from ``spec.policy``.  The makespan
+    tracker is attached, and the occupancy probes when
+    ``measurement.probe_period`` is set.  The tree has no buffer policy,
+    FEC, churn or oracle, so those spec nodes are not read.  The result's
+    ``simulation`` is the tree, read like any member group.
+    """
+    traffic = spec.traffic
+    if traffic.kind != "uniform":
+        raise ValueError(f"the tree baseline runs uniform traffic only, got {traffic.kind!r}")
+    hierarchy = build_hierarchy(spec.topology)
+    models = network_models(spec, hierarchy)
+    tree = TreeSimulation(
+        hierarchy,
+        seed=spec.seed,
+        latency=models.latency,
+        loss=models.loss,
+        outcome=models.outcome,
+        session_interval=spec.policy.session_interval,
+        timer_factor=spec.policy.timer_factor,
+    )
+    built = BuiltScenario(spec=spec, simulation=tree, message_count=traffic.count)
+    built.makespan = MakespanTracker().attach(tree.trace)
+    if spec.measurement.probe_period is not None:
+        built.install_probes(spec.measurement.probe_period)
+    # Probes first: a probe tick and a send at one instant fire in
+    # insertion order.
+    for index in range(traffic.count):
+        tree.sim.at(traffic.start + index * traffic.interval, tree.multicast)
+    tree.run(until=spec.measurement.horizon or spec.measurement.duration)
+    built.finish()
+    return built
+
+
+def late_request(builder: ScenarioBuilder, n: int, request_at: float) -> BuiltScenario:
+    """Build the §3.2 late-request probe from *builder*'s policy,
+    protocol and measurement: a region of *n* members that all received
+    message 1, and one requester 500 ms downstream that detects its loss
+    at *request_at* — after the region has gone idle.  Session messages
+    are off, so nobody else learns of the message."""
+    built = (
+        builder.chain(n, 1)
+        .latency(inter_one_way=500.0)
+        .protocol(session_interval=None)
+        .build()
+    )
+    group = built.simulation
+    regions = group.hierarchy.regions
+    data = DataMessage(seq=1, sender=group.sender.node_id)
+    for node in regions[0].members:
+        group.members[node].inject_receive(data)
+    requester = group.members[regions[1].members[0]]
+    group.sim.at(request_at, requester.inject_loss_detection, 1)
+    return built

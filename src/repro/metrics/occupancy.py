@@ -4,15 +4,13 @@ The policy-comparison experiments ask "how much buffer space does each
 scheme hold over time?" — for RRMP the interesting claim is that load
 is *spread* across members (conclusion), versus a repair server that
 concentrates it.  :class:`OccupancyProbe` samples any occupancy
-callable on a fixed period; :func:`occupancy_balance` quantifies the
-spread across members.
+callable on a fixed period.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable
 
-from repro.metrics.stats import Summary
 from repro.metrics.timeseries import StepSeries
 from repro.sim import PeriodicTask, Simulator
 
@@ -39,32 +37,9 @@ class OccupancyProbe:
         """Stop sampling."""
         self._task.stop()
 
-    def peak(self) -> float:
-        """Largest sampled occupancy."""
-        values = [self.series.value_at(t) for t, _ in self.series.sample(
-            0.0, self.series.last_time or 0.0, max(self._task.interval, 1e-9))]
-        return max(values) if values else 0.0
-
     def average(self) -> float:
         """Mean of the sampled occupancy values."""
         if self.series.last_time is None:
             return 0.0
         points = self.series.sample(0.0, self.series.last_time, self._task.interval)
         return sum(v for _, v in points) / len(points)
-
-
-def occupancy_balance(per_node: Dict[int, int]) -> Tuple[float, float]:
-    """(mean, max) buffered messages per member — the load-spread metric.
-
-    A repair-server scheme shows max ≫ mean (one member carries
-    everything); the two-phase scheme shows max close to mean.
-    """
-    if not per_node:
-        return (0.0, 0.0)
-    values: List[float] = [float(v) for v in per_node.values()]
-    return (sum(values) / len(values), max(values))
-
-
-def occupancy_summary(per_node: Dict[int, int]) -> Summary:
-    """Full distribution summary of per-member occupancy."""
-    return Summary.from_values(float(v) for v in per_node.values())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -17,6 +17,13 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean() of empty sequence")
     return sum(values) / len(values)
+
+
+def mean_defined(values: Iterable[Optional[float]]) -> float:
+    """Mean of the values that are neither ``None`` nor NaN (a run that
+    measured nothing); NaN when no value is left."""
+    defined = [value for value in values if value is not None and value == value]
+    return mean(defined) if defined else float("nan")
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -2,18 +2,15 @@
 
 Figure 7 plots two curves over simulated time — members that have
 *received* a message and members that still *buffer* it.  Both are step
-functions driven by trace events; :class:`StepSeries` records the
-steps, :class:`TraceCounter` builds one from trace records, and
-:meth:`StepSeries.sample` turns the steps into evenly-spaced points for
+functions; :class:`StepSeries` records the steps and
+:meth:`StepSeries.sample` turns them into evenly-spaced points for
 tabular output.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, List, Optional, Tuple
-
-from repro.sim.tracing import TraceLog, TraceRecord
+from typing import List, Optional, Tuple
 
 
 class StepSeries:
@@ -36,12 +33,6 @@ class StepSeries:
         self._times.append(time)
         self._values.append(value)
 
-    def step(self, time: float, delta: float) -> float:
-        """Adjust the current value by *delta* at *time*; returns the new value."""
-        new_value = self.value_at(time) + delta
-        self.record(time, new_value)
-        return new_value
-
     def value_at(self, time: float) -> float:
         """The series value at *time* (initial value before first step)."""
         index = bisect_right(self._times, time) - 1
@@ -61,45 +52,9 @@ class StepSeries:
         return points
 
     @property
-    def final_value(self) -> float:
-        """Value after the last recorded step."""
-        return self._values[-1] if self._values else self.initial
-
-    @property
     def last_time(self) -> Optional[float]:
         """Time of the last recorded step, if any."""
         return self._times[-1] if self._times else None
 
     def __len__(self) -> int:
         return len(self._times)
-
-
-class TraceCounter:
-    """Builds a :class:`StepSeries` by counting trace records.
-
-    ``up`` records increment the series, ``down`` records decrement it.
-    An optional predicate filters records (e.g. only events for one
-    sequence number).
-    """
-
-    def __init__(
-        self,
-        trace: TraceLog,
-        up: str,
-        down: Optional[str] = None,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-        initial: float = 0.0,
-    ) -> None:
-        self.series = StepSeries(initial=initial)
-        self._predicate = predicate
-        trace.subscribe(self._on_up, kind=up)
-        if down is not None:
-            trace.subscribe(self._on_down, kind=down)
-
-    def _on_up(self, record: TraceRecord) -> None:
-        if self._predicate is None or self._predicate(record):
-            self.series.step(record.time, +1)
-
-    def _on_down(self, record: TraceRecord) -> None:
-        if self._predicate is None or self._predicate(record):
-            self.series.step(record.time, -1)

@@ -823,62 +823,108 @@ def run_flat(
     if processes and len(parts) > 1:
         return _run_flat_processes(spec, parts, digest=digest, oracle=oracle,
                                    max_epochs=max_epochs)
-
-    engines = [
-        FlatShard(spec, owned=part, keep_records=keep_records, digest=digest,
-                  hierarchy=hierarchy)
+    handles = [
+        _LocalShard(FlatShard(spec, owned=part, keep_records=keep_records,
+                              digest=digest, hierarchy=hierarchy), oracle)
         for part in parts
     ]
-    oracles = []
-    if oracle:
-        from repro.validate.oracle import InvariantOracle
+    finals = _run_epochs(spec, parts, handles, max_epochs)
+    return _merge_results(spec, finals, engines=[handle.engine for handle in handles])
 
-        oracles = [InvariantOracle().attach(engine) for engine in engines]
 
-    region_shard: Dict[RegionId, int] = {}
-    for index, part in enumerate(parts):
-        for region_id in part:
-            region_shard[region_id] = index
+class _LocalShard:
+    """A shard handle over a :class:`FlatShard` in this process (also
+    the engine inside each shard process)."""
 
+    def __init__(self, engine: FlatShard, oracle: bool) -> None:
+        self.engine = engine
+        self.oracle = None
+        if oracle:
+            from repro.validate.oracle import InvariantOracle
+
+            self.oracle = InvariantOracle().attach(engine)
+
+    @property
+    def busy(self) -> bool:
+        """Whether the shard still has events scheduled."""
+        return self.engine.sim.pending_events > 0
+
+    def start_epoch(self, barrier: float, inbound: List[Message]) -> None:
+        """Schedule *inbound* and run to *barrier*."""
+        for message in inbound:
+            self.engine.deliver_inbound(message)
+        self.engine.sim.run(until=barrier)
+
+    def end_epoch(self) -> List[Message]:
+        """The epoch's cross-shard messages."""
+        return self.engine.drain_outbox()
+
+    def finish(self) -> Dict[str, Any]:
+        """Finalize the oracle; the shard's stats, digest and oracle counts."""
+        orc = self.oracle
+        if orc is not None:
+            orc.finish()
+        return {
+            "stats": self.engine.stats(),
+            "digest": self.engine.digest.state if self.engine.digest else None,
+            "oracle": (orc.violation_count, orc.records_checked) if orc else None,
+        }
+
+
+class _PipeShard:
+    """A shard handle over a :func:`_shard_worker` process."""
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.busy = True
+
+    def start_epoch(self, barrier: float, inbound: List[Message]) -> None:
+        self.conn.send(("epoch", barrier, inbound))
+
+    def end_epoch(self) -> List[Message]:
+        self.busy, outbox = self.conn.recv()
+        return outbox
+
+    def finish(self) -> Dict[str, Any]:
+        self.conn.send(("finish",))
+        return self.conn.recv()
+
+
+def _run_epochs(spec: ScenarioSpec, parts: List[List[RegionId]],
+                shards: List[Any], max_epochs: int) -> List[Dict[str, Any]]:
+    """The epoch-barrier protocol over shard handles, in-process or over
+    pipes: each epoch every shard takes its inbound messages and runs to
+    the barrier, then the outboxes are gathered in one total order; the
+    run ends when no shard has events or mail.  Returns each shard's
+    ``finish()``.  Every shard starts its epoch before any is waited on,
+    so shard processes run in parallel."""
+    region_shard = {
+        region_id: index for index, part in enumerate(parts) for region_id in part
+    }
     lookahead = _lookahead(spec)
     barrier = 0.0
     pending: List[Message] = []
     for _ in range(max_epochs):
-        if not pending and not any(e.sim.pending_events for e in engines):
+        if not pending and not any(shard.busy for shard in shards):
             break
         barrier += lookahead
+        inboxes: List[List[Message]] = [[] for _ in shards]
         for message in pending:
-            engines[region_shard[message[1]]].deliver_inbound(message)
-        pending = []
+            inboxes[region_shard[message[1]]].append(message)
+        for shard, inbox in zip(shards, inboxes):
+            shard.start_epoch(barrier, inbox)
         produced: List[Message] = []
-        for engine in engines:
-            engine.sim.run(until=barrier)
-            produced.extend(engine.drain_outbox())
+        for shard in shards:
+            produced.extend(shard.end_epoch())
         pending = _sorted_messages(produced)
     else:  # pragma: no cover - runaway guard
         raise RuntimeError(f"flat run did not settle within {max_epochs} epochs")
-
-    for orc in oracles:
-        orc.finish()
-    return _merge_results(
-        spec, engines=engines,
-        shard_stats=[engine.stats() for engine in engines],
-        digest_states=[engine.digest.state for engine in engines]
-        if digest else None,
-        oracle_stats=[(o.violation_count, o.records_checked) for o in oracles]
-        if oracle else None,
-        shard_count=len(parts),
-    )
+    return [shard.finish() for shard in shards]
 
 
-def _merge_results(
-    spec: ScenarioSpec,
-    engines: List[FlatShard],
-    shard_stats: List[Dict[str, Any]],
-    digest_states: Optional[List[Tuple[int, int]]],
-    oracle_stats: Optional[List[Tuple[int, int]]],
-    shard_count: int,
-) -> FlatRunResult:
+def _merge_results(spec: ScenarioSpec, finals: List[Dict[str, Any]],
+                   engines: List[FlatShard]) -> FlatRunResult:
+    shard_stats = [final["stats"] for final in finals]
     delivered = sum(stats["delivered_pairs"] for stats in shard_stats)
     total = sum(stats["total_pairs"] for stats in shard_stats)
     recoveries = sum(stats["recoveries"] for stats in shard_stats)
@@ -888,21 +934,21 @@ def _merge_results(
         holder_counts.update(stats["holder_counts"])
     digest_hex = None
     digest_count = None
-    if digest_states is not None:
+    if finals[0]["digest"] is not None:
         merged = CommutativeTraceDigest()
-        for acc, count in digest_states:
-            merged.merge(acc, count)
+        for final in finals:
+            merged.merge(*final["digest"])
         digest_hex = merged.hexdigest()
         digest_count = merged.count
     violations = None
     checked = None
-    if oracle_stats is not None:
-        violations = sum(item[0] for item in oracle_stats)
-        checked = sum(item[1] for item in oracle_stats)
+    if finals[0]["oracle"] is not None:
+        violations = sum(final["oracle"][0] for final in finals)
+        checked = sum(final["oracle"][1] for final in finals)
     return FlatRunResult(
         spec_name=spec.name,
         seed=spec.seed,
-        shards=shard_count,
+        shards=len(finals),
         members=total // max(spec.traffic.count, 1),
         messages=spec.traffic.count,
         delivered_fraction=delivered / total if total else 1.0,
@@ -929,31 +975,18 @@ def _merge_results(
 # ----------------------------------------------------------------------
 def _shard_worker(conn, spec_json: str, owned: List[RegionId],
                   digest: bool, oracle: bool) -> None:
-    """One shard in its own process: epoch protocol over a pipe."""
-    spec = ScenarioSpec.from_json(spec_json)
-    engine = FlatShard(spec, owned=owned, digest=digest)
-    orc = None
-    if oracle:
-        from repro.validate.oracle import InvariantOracle
-
-        orc = InvariantOracle().attach(engine)
+    """One shard in its own process, serving a :class:`_PipeShard`."""
+    shard = _LocalShard(
+        FlatShard(ScenarioSpec.from_json(spec_json), owned=owned, digest=digest), oracle
+    )
     while True:
         command = conn.recv()
         if command[0] == "epoch":
             _, barrier, inbound = command
-            for message in inbound:
-                engine.deliver_inbound(message)
-            engine.sim.run(until=barrier)
-            conn.send((engine.sim.pending_events, engine.drain_outbox()))
+            shard.start_epoch(barrier, inbound)
+            conn.send((shard.busy, shard.end_epoch()))
         elif command[0] == "finish":
-            if orc is not None:
-                orc.finish()
-            conn.send({
-                "stats": engine.stats(),
-                "digest": engine.digest.state if engine.digest else None,
-                "oracle": (orc.violation_count, orc.records_checked)
-                if orc else None,
-            })
+            conn.send(shard.finish())
             conn.close()
             return
 
@@ -976,40 +1009,8 @@ def _run_flat_processes(spec: ScenarioSpec, parts: List[List[RegionId]],
             child_conn.close()
             pipes.append(parent_conn)
             workers.append(worker)
-
-        region_shard: Dict[RegionId, int] = {}
-        for index, part in enumerate(parts):
-            for region_id in part:
-                region_shard[region_id] = index
-
-        lookahead = _lookahead(spec)
-        barrier = 0.0
-        pending: List[Message] = []
-        busy = [True] * len(parts)
-        for _ in range(max_epochs):
-            if not pending and not any(busy):
-                break
-            barrier += lookahead
-            inboxes: List[List[Message]] = [[] for _ in parts]
-            for message in pending:
-                inboxes[region_shard[message[1]]].append(message)
-            for conn, inbox in zip(pipes, inboxes):
-                conn.send(("epoch", barrier, inbox))
-            produced: List[Message] = []
-            for index, conn in enumerate(pipes):
-                queue_size, outbox = conn.recv()
-                busy[index] = queue_size > 0
-                produced.extend(outbox)
-            pending = _sorted_messages(produced)
-        else:  # pragma: no cover - runaway guard
-            raise RuntimeError(
-                f"flat run did not settle within {max_epochs} epochs"
-            )
-
-        finals = []
-        for conn in pipes:
-            conn.send(("finish",))
-            finals.append(conn.recv())
+        finals = _run_epochs(spec, parts, [_PipeShard(conn) for conn in pipes],
+                             max_epochs)
     finally:
         for conn in pipes:
             conn.close()
@@ -1018,14 +1019,7 @@ def _run_flat_processes(spec: ScenarioSpec, parts: List[List[RegionId]],
             if worker.is_alive():  # pragma: no cover - hang guard
                 worker.terminate()
 
-    return _merge_results(
-        spec,
-        engines=[],
-        shard_stats=[final["stats"] for final in finals],
-        digest_states=[final["digest"] for final in finals] if digest else None,
-        oracle_stats=[final["oracle"] for final in finals] if oracle else None,
-        shard_count=len(parts),
-    )
+    return _merge_results(spec, finals, engines=[])
 
 
 __all__ = [

@@ -361,6 +361,20 @@ class BuiltScenario:
         """Largest single-member occupancy any probe tick observed."""
         return self._peak_node
 
+    def install_probes(self, period: float) -> None:
+        """Sample the group's total occupancy and its largest
+        single-member occupancy every *period* ms (build step 5)."""
+        group = self.simulation
+        self.total_probe = OccupancyProbe(group.sim, group.buffer_occupancy, period=period)
+
+        def sample_peak() -> float:
+            per_node = group.occupancy_by_node()
+            current = max(per_node.values()) if per_node else 0
+            self._peak_node = max(self._peak_node, float(current))
+            return float(current)
+
+        self.node_probe = OccupancyProbe(group.sim, sample_peak, period=period)
+
     def stop_periodic(self) -> None:
         """Stop everything installed here that re-arms itself: the CC
         send loop and feedback reporters, the tree optimizer, occupancy
@@ -626,18 +640,7 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
         built.stability_agents = attach_stability(list(group.members.values()))
 
     if spec.measurement.probe_period is not None:
-        period = spec.measurement.probe_period
-        built.total_probe = OccupancyProbe(
-            group.sim, group.buffer_occupancy, period=period
-        )
-
-        def sample_peak() -> float:
-            per_node = group.occupancy_by_node()
-            current = max(per_node.values()) if per_node else 0
-            built._peak_node = max(built._peak_node, float(current))
-            return float(current)
-
-        built.node_probe = OccupancyProbe(group.sim, sample_peak, period=period)
+        built.install_probes(spec.measurement.probe_period)
 
     flush_fec = config.fec_mode != FEC_OFF and spec.fec.flush_after is not None
     if spec.traffic.kind == "detect_all":

@@ -38,6 +38,7 @@ from repro.protocol.messages import (
     Seq,
     SessionMessage,
 )
+from repro.protocol.rrmp import MemberGroup, default_sender_node
 from repro.sim import PeriodicTask, RandomStreams, Simulator, Timer, TraceLog
 
 
@@ -206,12 +207,13 @@ class TreeMember:
         return seq in self.buffer
 
 
-class TreeSimulation:
+class TreeSimulation(MemberGroup):
     """A fully-wired tree-based (RMTP-like) session for comparisons.
 
-    Mirrors :class:`repro.protocol.rrmp.RrmpSimulation`'s query surface
-    (``buffer_occupancy``, ``recovery_latencies``, …) so experiment code
-    can treat the two protocols uniformly.
+    Shares :class:`~repro.protocol.rrmp.MemberGroup`'s query surface
+    (``buffer_occupancy``, ``recovery_latencies``, …) with
+    :class:`~repro.protocol.rrmp.RrmpSimulation`, so experiment code
+    reads the two protocols uniformly.  Its members never leave.
     """
 
     def __init__(
@@ -234,8 +236,8 @@ class TreeSimulation:
         self.outcome = outcome if outcome is not None else PerfectOutcome()
         self._outcome_rng = self.streams.stream("tree", "outcome")
         self.servers: Dict[RegionId, NodeId] = {}
-        root_region = self._root_region()
-        self.sender_node: NodeId = hierarchy.regions[root_region].members[0]
+        self.sender_node: NodeId = default_sender_node(hierarchy)
+        root_region = hierarchy.region_id_of(self.sender_node)
         for region_id in sorted(hierarchy.regions):
             members = hierarchy.regions[region_id].members
             if members:
@@ -259,17 +261,8 @@ class TreeSimulation:
                 is_server=is_server, repair_target=target, timer_factor=timer_factor,
             )
         self.next_seq: Seq = 1
-        self._session_task: Optional[PeriodicTask] = None
         if session_interval is not None:
-            self._session_task = PeriodicTask(self.sim, session_interval, self._send_session)
-            self._session_task.start()
-
-    def _root_region(self) -> RegionId:
-        for region_id in sorted(self.hierarchy.regions):
-            region = self.hierarchy.regions[region_id]
-            if region.parent_id is None and region.members:
-                return region_id
-        raise ValueError("hierarchy has no root region with members")
+            PeriodicTask(self.sim, session_interval, self._send_session).start()
 
     # ------------------------------------------------------------------
     # Sending
@@ -294,43 +287,10 @@ class TreeSimulation:
         self.network.multicast(self.sender_node, group, message, group="session")
 
     # ------------------------------------------------------------------
-    # Execution and queries (RrmpSimulation-compatible subset)
+    # Execution (queries are inherited from MemberGroup)
     # ------------------------------------------------------------------
     def run(self, duration: Optional[float] = None, until: Optional[float] = None) -> float:
         """Advance the simulation."""
         if duration is not None:
             return self.sim.run_for(duration)
         return self.sim.run(until=until)
-
-    def stop_session(self) -> None:
-        """Stop session heartbeats."""
-        if self._session_task is not None:
-            self._session_task.stop()
-
-    def member(self, node_id: NodeId) -> TreeMember:
-        """The member instance for *node_id*."""
-        return self.members[node_id]
-
-    def all_received(self, seq: Seq) -> bool:
-        """Whether every member has received *seq*."""
-        return all(m.has_received(seq) for m in self.members.values())
-
-    def buffer_occupancy(self) -> int:
-        """Total buffered messages (concentrated at servers)."""
-        return sum(m.buffered_count for m in self.members.values())
-
-    def occupancy_by_node(self) -> Dict[NodeId, int]:
-        """Per-member occupancy; shows the repair-server hotspot."""
-        return {node: m.buffered_count for node, m in self.members.items()}
-
-    def recovery_latencies(self) -> List[float]:
-        """Latencies (ms) of completed recoveries."""
-        return [record["latency"] for record in self.trace.of_kind("recovery_completed")]
-
-    def control_message_count(self) -> int:
-        """Control-plane transmissions so far."""
-        return self.network.stats.control_messages()
-
-    def data_message_count(self) -> int:
-        """Data-plane transmissions so far."""
-        return self.network.stats.data_messages()

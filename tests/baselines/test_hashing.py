@@ -105,9 +105,12 @@ class TestEndToEnd:
     def test_hash_policy_serves_late_remote_request(self):
         """A region running the hash policy answers a late request via
         direct lookup instead of the randomized search."""
-        from repro.experiments.ablation_hash import _one_run
-        result = _one_run(use_hash=True, n=50, c=6.0, seed=0,
-                          request_at=200.0, horizon=1_500.0)
+        from repro.experiments.ablation_hash import trial_hash_vs_random
+        result = trial_hash_vs_random(
+            {"use_hash": True, "n": 50, "c": 6.0, "request_at": 200.0,
+             "horizon": 1_500.0},
+            seed=0,
+        )
         assert result["unserved"] == 0.0
         assert result["locate time (ms)"] <= 20.0
         assert result["hash evaluations"] >= 50  # the computation cost

@@ -207,6 +207,17 @@ class TestCongestionAblation:
         assert table.series["aimd: peak occupancy"][overload] <= open_loop
         assert len([note for note in table.notes if "Jain index" in note]) == 2
 
+    def test_goodput_counts_only_the_messages_sent(self):
+        """At 4x load a 2 s horizon ends with AIMD having sent about a
+        third of the offered stream; the delivered fraction covers only
+        those, so goodput cannot beat the sustainable rate."""
+        from repro.experiments.ablation_congestion import trial_cc
+
+        run = trial_cc({"controller": "aimd", "load": 4.0, "n": 30,
+                        "capacity_per_member": 100.0, "messages": 300,
+                        "base_loss": 0.02, "horizon": 2_000.0}, seed=0)
+        assert 0.0 < run["goodput"] <= 100.0
+
 
 class TestAdaptiveTreeAblation:
     """Re-parenting slow regions shortens the session makespan."""

@@ -1,8 +1,8 @@
-"""Tests for buffer-occupancy probes and balance metrics."""
+"""Tests for buffer-occupancy probes."""
 
 import pytest
 
-from repro.metrics.occupancy import OccupancyProbe, occupancy_balance, occupancy_summary
+from repro.metrics.occupancy import OccupancyProbe
 
 
 class TestOccupancyProbe:
@@ -34,25 +34,3 @@ class TestOccupancyProbe:
         sim.at(35.0, probe.stop)
         sim.run(until=200.0)
         assert count[0] == 4  # t = 0, 10, 20, 30
-
-
-class TestBalance:
-    def test_mean_and_max(self):
-        mean_value, max_value = occupancy_balance({1: 2, 2: 4, 3: 6})
-        assert mean_value == pytest.approx(4.0)
-        assert max_value == 6.0
-
-    def test_empty(self):
-        assert occupancy_balance({}) == (0.0, 0.0)
-
-    def test_hotspot_detection(self):
-        """A repair-server profile: one node holds everything."""
-        spread = occupancy_balance({i: 3 for i in range(10)})
-        hotspot = occupancy_balance({0: 30, **{i: 0 for i in range(1, 10)}})
-        assert spread[0] == hotspot[0]  # same mean
-        assert hotspot[1] == 10 * spread[1] / 3 * 3  # far larger peak
-
-    def test_summary(self):
-        summary = occupancy_summary({1: 1, 2: 2, 3: 3})
-        assert summary.count == 3
-        assert summary.maximum == 3.0

@@ -1,9 +1,8 @@
-"""Tests for step time series and trace counters."""
+"""Tests for step time series."""
 
 import pytest
 
-from repro.metrics.timeseries import StepSeries, TraceCounter
-from repro.sim import TraceLog
+from repro.metrics.timeseries import StepSeries
 
 
 class TestStepSeries:
@@ -17,13 +16,6 @@ class TestStepSeries:
         assert series.value_at(9.999) == 0.0
         assert series.value_at(10.0) == 3.0
         assert series.value_at(11.0) == 3.0
-
-    def test_step_applies_delta(self):
-        series = StepSeries()
-        series.step(1.0, +2)
-        series.step(2.0, +3)
-        series.step(3.0, -1)
-        assert series.value_at(3.5) == 4.0
 
     def test_same_time_overwrites(self):
         series = StepSeries()
@@ -49,42 +41,8 @@ class TestStepSeries:
         with pytest.raises(ValueError):
             StepSeries().sample(0.0, 1.0, 0.0)
 
-    def test_final_value_and_last_time(self):
+    def test_last_time(self):
         series = StepSeries()
-        assert series.final_value == 0.0
         assert series.last_time is None
         series.record(3.0, 7.0)
-        assert series.final_value == 7.0
         assert series.last_time == 3.0
-
-
-class TestTraceCounter:
-    def test_counts_up_and_down(self):
-        trace = TraceLog()
-        counter = TraceCounter(trace, up="add", down="remove")
-        trace.emit(1.0, "add")
-        trace.emit(2.0, "add")
-        trace.emit(3.0, "remove")
-        assert counter.series.value_at(2.5) == 2.0
-        assert counter.series.value_at(3.5) == 1.0
-
-    def test_predicate_filters(self):
-        trace = TraceLog()
-        counter = TraceCounter(trace, up="add",
-                               predicate=lambda record: record["seq"] == 1)
-        trace.emit(1.0, "add", seq=1)
-        trace.emit(2.0, "add", seq=2)
-        assert counter.series.final_value == 1.0
-
-    def test_figure7_style_counts(self):
-        """The fig7 usage pattern: received counts vs buffer census."""
-        trace = TraceLog()
-        received = TraceCounter(trace, up="member_received")
-        buffered = TraceCounter(trace, up="buffer_add", down="buffer_discard")
-        trace.emit(0.0, "member_received", node=1)
-        trace.emit(0.0, "buffer_add", node=1)
-        trace.emit(10.0, "member_received", node=2)
-        trace.emit(10.0, "buffer_add", node=2)
-        trace.emit(50.0, "buffer_discard", node=1)
-        assert received.series.value_at(60.0) == 2.0
-        assert buffered.series.value_at(60.0) == 1.0

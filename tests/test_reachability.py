@@ -4,12 +4,14 @@ Every run goes ``ScenarioSpec`` -> ``scenario/materialize.py`` -> a
 member group, so a pluggable model that ``materialize.py`` never names
 can only be built by a test.  Such a model needs a stated reason to
 stay; otherwise it is deleted with the seam kept open for it.  The
-second guard pins the member's dispatch table to the wire format, so a
+experiments follow the same path: none wires a group by hand.  The
+last guard pins the member's dispatch table to the wire format, so a
 new wire type without a handler fails here, not at the first live run.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -17,6 +19,7 @@ import re
 from pathlib import Path
 
 import repro
+from repro import experiments
 from repro.core.policies import BufferPolicy
 from repro.net.ipmulticast import MulticastOutcome
 from repro.net.latency import LatencyModel
@@ -71,6 +74,25 @@ def test_every_pluggable_model_is_spec_reachable_or_exempt_with_a_reason():
         f"{sorted(unreachable - set(EXEMPT))}; stale exemptions: "
         f"{sorted(set(EXEMPT) - unreachable)}")
     assert all(EXEMPT.values())
+
+
+#: Classes an experiment would wire a run from by hand.
+HAND_BUILT = {"RrmpSimulation", "RrmpConfig", "HierarchicalLatency", "TreeSimulation"}
+
+
+def test_experiments_build_every_run_from_a_spec():
+    # Every arm is a ScenarioSpec: RRMP through spec.build(), the RMTP
+    # baseline through base.run_tree_baseline, its one construction.
+    found = []
+    for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text())
+        for owner in module.body:
+            for node in ast.walk(owner):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if callee in HAND_BUILT:
+                        found.append((path.name, getattr(owner, "name", None), callee))
+    assert found == [("base.py", "run_tree_baseline", "TreeSimulation")]
 
 
 def test_member_dispatch_covers_the_wire_format_with_its_own_functions():
