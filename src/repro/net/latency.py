@@ -87,7 +87,8 @@ class HierarchicalLatency(LatencyModel):
         )
 
     def one_way(self, src: NodeId, dst: NodeId) -> float:
-        hops = self.hierarchy.region_distance(src, dst)
+        up, down = self.hierarchy.region_hop_split(src, dst)
+        hops = up + down
         if hops == 0:
             return self.intra_one_way
         if not self.asymmetric:
@@ -100,6 +101,5 @@ class HierarchicalLatency(LatencyModel):
             self.inter_down_one_way if self.inter_down_one_way is not None
             else self.inter_one_way
         )
-        up, down = self.hierarchy.region_hop_split(src, dst)
         return up * up_delay + down * down_delay
 

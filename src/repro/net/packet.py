@@ -15,8 +15,7 @@ network model consults:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.net.topology import NodeId
 
@@ -24,9 +23,12 @@ KIND_DATA = "data"
 KIND_CONTROL = "control"
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One point-to-point delivery (multicasts become one per receiver)."""
+class Packet(NamedTuple):
+    """One point-to-point delivery (multicasts become one per receiver).
+
+    A tuple, so its fields are read-only and the network builds one per
+    delivery positionally, in this field order.
+    """
 
     src: NodeId
     dst: NodeId

@@ -34,8 +34,9 @@ class Region:
     """A local region: an id, an optional parent region, and its members.
 
     ``members`` preserves insertion order so random selection by index
-    is deterministic given a seeded RNG.  Read it freely; change it and
-    ``parent_id`` only through :class:`Hierarchy`.
+    is deterministic given a seeded RNG.  Read it freely; change it
+    only through :class:`Hierarchy`.  :meth:`Hierarchy.set_parent` is
+    the only writer of ``parent_id``: it also drops the hop table.
     """
 
     region_id: RegionId
@@ -84,6 +85,10 @@ class Hierarchy:
         self.regions: Dict[RegionId, Region] = {}
         self._node_region: Dict[NodeId, RegionId] = {}
         self._next_node_id: NodeId = 0
+        #: ``(region a, region b) → (up, down)`` hops, filled on first
+        #: query.  Keyed by region, so membership changes keep it valid;
+        #: :meth:`set_parent` drops it.
+        self._pair_hops: Dict[Tuple[RegionId, RegionId], Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -140,14 +145,15 @@ class Hierarchy:
 
     def set_parent(self, region_id: RegionId, parent_id: Optional[RegionId]) -> None:
         """Re-point a parent link (adaptive re-parenting); the new
-        parent must exist and not descend from *region_id*.  Parent
-        lookups read ``parent_id`` at call time: no view to drop."""
+        parent must exist and not descend from *region_id*.  Drops the
+        region-pair hop table, whose answers the new link changes."""
         for endpoint in (region_id, parent_id):
             if endpoint is not None and endpoint not in self.regions:
                 raise TopologyError(f"region {endpoint} does not exist")
         if parent_id is not None and region_id in self.ancestry(parent_id):
             raise TopologyError(f"cycle: region {parent_id} descends from {region_id}")
         self.regions[region_id].parent_id = parent_id
+        self._pair_hops.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -211,28 +217,27 @@ class Hierarchy:
         hop distance through the closest common ancestor region.  Used
         by latency models that scale with hierarchy distance.
         """
-        ra, rb = self.region_id_of(a), self.region_id_of(b)
-        if ra == rb:
-            return 0
-        ancestry_a = self.ancestry(ra)
-        ancestry_b = self.ancestry(rb)
-        depth_a = {region: index for index, region in enumerate(ancestry_a)}
-        for hops_b, region in enumerate(ancestry_b):
-            if region in depth_a:
-                return depth_a[region] + hops_b
-        # Disjoint trees (no common ancestor): treat as the sum of both
-        # depths plus one logical hop between the roots.
-        return len(ancestry_a) + len(ancestry_b) - 1
+        up, down = self.region_hop_split(a, b)
+        return up + down
 
-    def region_hop_split(self, a: NodeId, b: NodeId) -> "Tuple[int, int]":
+    def region_hop_split(self, a: NodeId, b: NodeId) -> Tuple[int, int]:
         """``(up, down)`` region hops for a packet from *a* to *b*.
 
         *up* counts hops from *a*'s region toward the closest common
-        ancestor, *down* the hops from that ancestor to *b*'s region —
-        so ``up + down == region_distance(a, b)``.  Latency models use
-        the split to price asymmetric per-hop delays.
+        ancestor, *down* the hops from that ancestor to *b*'s region.
+        Latency models use the split to price asymmetric per-hop delays.
+        Each region pair is walked once, then read from a table.
         """
-        ra, rb = self.region_id_of(a), self.region_id_of(b)
+        try:
+            pair = (self._node_region[a], self._node_region[b])
+        except KeyError as missing:
+            raise TopologyError(f"node {missing.args[0]} not in topology") from None
+        hops = self._pair_hops.get(pair)
+        if hops is None:
+            hops = self._pair_hops[pair] = self._walk_hops(*pair)
+        return hops
+
+    def _walk_hops(self, ra: RegionId, rb: RegionId) -> Tuple[int, int]:
         if ra == rb:
             return (0, 0)
         ancestry_a = self.ancestry(ra)
@@ -241,8 +246,8 @@ class Hierarchy:
         for hops_b, region in enumerate(ancestry_b):
             if region in depth_a:
                 return (depth_a[region], hops_b)
-        # Disjoint trees: up to a's root plus the logical root-to-root
-        # hop, then down b's whole ancestry (matches region_distance).
+        # Disjoint trees (no common ancestor): up to a's root, one
+        # logical root-to-root hop, then down b's whole ancestry.
         return (len(ancestry_a), len(ancestry_b) - 1)
 
     def ancestry(self, region_id: RegionId) -> List[RegionId]:

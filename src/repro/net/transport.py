@@ -202,18 +202,10 @@ class Network:
             self.stats.dropped += 1
             return None
         now = self.sim.now
-        delay = self.latency.one_way(src, dst)
-        packet = Packet(
-            src=src,
-            dst=dst,
-            payload=payload,
-            kind=kind,
-            send_time=now,
-            deliver_time=now + delay,
-            multicast_group=group,
-        )
+        deliver_time = now + self.latency.one_way(src, dst)
+        packet = Packet(src, dst, payload, kind, now, deliver_time, group)
         if schedule:
-            self.sim.at(packet.deliver_time, self._deliver, packet)
+            self.sim.at(deliver_time, self._deliver, packet)
         return packet
 
     def _deliver(self, packet: Packet) -> None:

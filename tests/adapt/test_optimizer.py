@@ -52,7 +52,7 @@ class TestReparenting:
         # Region 2 hangs off region 0 over a dead edge; sibling region 1
         # is clean, so 2 should move under 1.
         hierarchy = star(2, [2, 2])
-        hierarchy.regions[2].parent_id = 0
+        hierarchy.set_parent(2, 0)
         optimizer = make_optimizer(sim, trace, hierarchy, update_interval=100.0)
         poison_edge(optimizer.linkstate, trace, node=4)  # node 4 in region 2
         optimizer.start()

@@ -41,6 +41,7 @@ def _run_digest(name: str) -> dict:
         "digest": trace_digest(records),
         "records": len(records),
         "events_fired": built.simulation.sim.events_fired,
+        "instants_opened": built.simulation.sim.instants_opened,
     }
 
 

@@ -98,3 +98,43 @@ class TestHierarchicalLatencyAsymmetric:
             HierarchicalLatency(hierarchy, inter_up_one_way=-1.0)
         with pytest.raises(ValueError):
             HierarchicalLatency(hierarchy, inter_down_one_way=-1.0)
+
+
+class TestHopTableInvalidation:
+    """Hierarchy keeps each region pair's hops after the first query;
+    each of these reads a delay first, so a table that is never dropped
+    would answer with the old tree."""
+
+    def test_reparent_moves_one_way_rtt_and_distance_together(self):
+        hierarchy = chain([2, 2, 2])  # nodes 4, 5 two hops below 0, 1
+        model = HierarchicalLatency(hierarchy, intra_one_way=5.0, inter_one_way=40.0)
+        assert (model.one_way(4, 0), model.rtt(4, 0), hierarchy.region_distance(4, 0)) \
+            == (80.0, 160.0, 2)
+        hierarchy.set_parent(2, 0)
+        assert (model.one_way(4, 0), model.rtt(4, 0), hierarchy.region_distance(4, 0)) \
+            == (40.0, 80.0, 1)
+
+    def test_a_moved_node_gets_its_new_regions_delay(self):
+        from repro.net.topology import star
+        hierarchy = star(2, [2, 2])  # regions 1 (nodes 2, 3) and 2 (4, 5) under 0
+        model = HierarchicalLatency(hierarchy, inter_one_way=40.0)
+        assert model.one_way(2, 0) == 40.0
+        assert model.one_way(4, 0) == 40.0
+        hierarchy.set_parent(2, 1)
+        assert model.one_way(2, 0) == 40.0  # region 1 did not move
+        hierarchy.remove_member(2)  # node 2 moves from region 1 into region 2
+        hierarchy.add_member(2, 2)
+        assert model.one_way(2, 0) == 80.0
+        assert model.one_way(2, 4) == 5.0
+        assert model.one_way(3, 2) == 40.0
+
+    def test_asymmetric_delays_are_repriced_after_a_reparent(self):
+        hierarchy = chain([2, 2, 2])
+        model = HierarchicalLatency(hierarchy, inter_up_one_way=10.0,
+                                    inter_down_one_way=30.0)
+        assert (model.one_way(4, 0), model.one_way(0, 4)) == (20.0, 60.0)
+        assert hierarchy.region_hop_split(4, 2) == (1, 0)
+        hierarchy.set_parent(2, 0)  # region 2 becomes region 1's sibling
+        assert (model.one_way(4, 0), model.one_way(0, 4)) == (10.0, 30.0)
+        assert hierarchy.region_hop_split(4, 2) == (1, 1)
+        assert model.one_way(4, 2) == 40.0

@@ -240,7 +240,7 @@ class TestAdaptiveTopology:
 
     def test_legal_reparent_is_clean(self, oracle, fake_sim):
         fake_sim.hierarchy = self._star()
-        fake_sim.hierarchy.regions[2].parent_id = 1  # apply the move first
+        fake_sim.hierarchy.set_parent(2, 1)  # apply the move first
         fake_sim.trace.emit(10.0, "tree_reparent", region=2, old_parent=0,
                             new_parent=1, previous_cost=800.0,
                             predicted_cost=160.0)
@@ -249,7 +249,7 @@ class TestAdaptiveTopology:
     def test_reparent_onto_empty_region_fires(self, oracle, fake_sim):
         fake_sim.hierarchy = self._star()
         fake_sim.hierarchy.add_region(3, parent_id=0)  # exists, no members
-        fake_sim.hierarchy.regions[2].parent_id = 3
+        fake_sim.hierarchy.set_parent(2, 3)
         fake_sim.trace.emit(10.0, "tree_reparent", region=2, old_parent=0,
                             new_parent=3, previous_cost=800.0,
                             predicted_cost=160.0)
@@ -264,7 +264,8 @@ class TestAdaptiveTopology:
 
     def test_cycle_fires(self, oracle, fake_sim):
         fake_sim.hierarchy = self._star()
-        # Manufacture 1 -> 2 -> 1 behind the optimizer's back.
+        # Manufacture 1 -> 2 -> 1 behind the optimizer's back: set_parent
+        # refuses a cycle, so write the links (no delay is read after).
         fake_sim.hierarchy.regions[1].parent_id = 2
         fake_sim.hierarchy.regions[2].parent_id = 1
         fake_sim.trace.emit(10.0, "tree_reparent", region=2, old_parent=0,
@@ -274,7 +275,7 @@ class TestAdaptiveTopology:
 
     def test_split_forest_fires(self, oracle, fake_sim):
         fake_sim.hierarchy = self._star()
-        fake_sim.hierarchy.regions[2].parent_id = None  # second root
+        fake_sim.hierarchy.set_parent(2, None)  # second root
         fake_sim.trace.emit(10.0, "tree_reparent", region=2, old_parent=0,
                             new_parent=1, previous_cost=800.0,
                             predicted_cost=160.0)
@@ -284,5 +285,5 @@ class TestAdaptiveTopology:
         """Static runs pay nothing: no records, no end-of-run re-check —
         even a hierarchy the invariant would reject goes unexamined."""
         fake_sim.hierarchy = self._star()
-        fake_sim.hierarchy.regions[2].parent_id = None
+        fake_sim.hierarchy.set_parent(2, None)
         assert oracle.finish() == ()
