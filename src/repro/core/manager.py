@@ -105,17 +105,18 @@ class TwoPhaseBufferPolicy(BufferPolicy):
         if host.trace.enabled:
             host.trace.emit(now, "buffer_add", node=host.node_id, seq=data.seq)
 
-    def on_request(self, seq: Seq) -> None:
+    def on_request(self, seq: Seq) -> Optional[DataMessage]:
         entry = self.buffer.get(seq)
         if entry is None:
-            return
-        now = self.host.sim.now
+            return None
+        now = self._host.sim.now
         entry.last_request_time = now
         entry.last_use_time = now
         if entry.long_term:
-            self.long_term.touch(seq)
+            self._long_term.touch(seq)
         else:
-            self.short_term.refresh(seq)
+            self._short_term.refresh(seq)
+        return entry.data
 
     def on_serve(self, seq: Seq) -> None:
         entry = self.buffer.get(seq)

@@ -80,8 +80,13 @@ class BufferPolicy(ABC):
     def on_receive(self, data: DataMessage) -> None:
         """A new message arrived at the member (any path)."""
 
-    def on_request(self, seq: Seq) -> None:
-        """A retransmission request for *seq* was observed (feedback)."""
+    def on_request(self, seq: Seq) -> Optional[DataMessage]:
+        """A retransmission request for *seq* was observed (feedback).
+
+        Returns the buffered body the member answers with, or ``None``:
+        one lookup serves both the feedback and the answer.
+        """
+        return self.buffer.data(seq)
 
     def on_serve(self, seq: Seq) -> None:
         """The member served a repair for *seq* from this buffer."""

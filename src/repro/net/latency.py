@@ -17,6 +17,13 @@ from abc import ABC, abstractmethod
 
 from repro.net.topology import Hierarchy, NodeId
 
+_INF = float("inf")
+
+
+def _check_delay(name: str, value: float) -> None:
+    if not 0 <= value < _INF:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
 
 class LatencyModel(ABC):
     """One-way latency between a source and destination node, in ms."""
@@ -34,8 +41,7 @@ class ConstantLatency(LatencyModel):
     """The same one-way delay between every pair of nodes."""
 
     def __init__(self, one_way_ms: float = 5.0) -> None:
-        if one_way_ms < 0:
-            raise ValueError(f"latency must be >= 0, got {one_way_ms!r}")
+        _check_delay("one_way_ms", one_way_ms)
         self.one_way_ms = one_way_ms
 
     def one_way(self, src: NodeId, dst: NodeId) -> float:
@@ -67,31 +73,40 @@ class HierarchicalLatency(LatencyModel):
         inter_up_one_way: float | None = None,
         inter_down_one_way: float | None = None,
     ) -> None:
-        if intra_one_way < 0 or inter_one_way < 0:
-            raise ValueError("latencies must be >= 0")
-        for value in (inter_up_one_way, inter_down_one_way):
-            if value is not None and value < 0:
-                raise ValueError("latencies must be >= 0")
+        _check_delay("intra_one_way", intra_one_way)
+        _check_delay("inter_one_way", inter_one_way)
+        for name, value in (("inter_up_one_way", inter_up_one_way),
+                            ("inter_down_one_way", inter_down_one_way)):
+            if value is not None:
+                _check_delay(name, value)
         self.hierarchy = hierarchy
         self.intra_one_way = intra_one_way
         self.inter_one_way = inter_one_way
         self.inter_up_one_way = inter_up_one_way
         self.inter_down_one_way = inter_down_one_way
+        self._asymmetric = inter_up_one_way is not None or inter_down_one_way is not None
 
     @property
     def asymmetric(self) -> bool:
         """Whether directional per-hop delays are configured."""
-        return (
-            self.inter_up_one_way is not None
-            or self.inter_down_one_way is not None
-        )
+        return self._asymmetric
+
+    def rtt(self, src: NodeId, dst: NodeId) -> float:
+        if self._asymmetric:
+            # The reverse split is not always the forward one swapped
+            # (disjoint trees), so price each direction on its own.
+            return self.one_way(src, dst) + self.one_way(dst, src)
+        up, down = self.hierarchy.region_hop_split(src, dst)
+        hops = up + down
+        delay = self.intra_one_way if hops == 0 else self.inter_one_way * hops
+        return delay + delay
 
     def one_way(self, src: NodeId, dst: NodeId) -> float:
         up, down = self.hierarchy.region_hop_split(src, dst)
         hops = up + down
         if hops == 0:
             return self.intra_one_way
-        if not self.asymmetric:
+        if not self._asymmetric:
             return self.inter_one_way * hops
         up_delay = (
             self.inter_up_one_way if self.inter_up_one_way is not None

@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
-from repro.net.packet import Packet, payload_kind, payload_size, payload_type_name
+from repro.net.packet import KIND_CONTROL, Packet
 from repro.net.topology import NodeId
 from repro.sim import RandomStreams, Simulator
 
@@ -182,10 +182,10 @@ class Network:
 
     def _send(self, src: NodeId, dst: NodeId, payload: Any, group: Optional[str],
               schedule: bool = True) -> Optional[Packet]:
-        kind = payload_kind(payload)
-        size = payload_size(payload)
-        type_name = payload_type_name(payload)
-        self.stats.record_send(type_name, kind, size)
+        # payload_kind, payload_size and payload_type_name, inline (per packet).
+        kind = getattr(payload, "kind", KIND_CONTROL)
+        size = int(getattr(payload, "wire_size", 64))
+        self.stats.record_send(type(payload).__name__, kind, size)
         if dst not in self._endpoints:
             # The destination already left or crashed: the send happens
             # (and is accounted) but the packet goes nowhere — checked

@@ -356,8 +356,7 @@ class RrmpMember:
             self.repair_interest_hook(request.seq)
         # Feedback first (§3.1): every request, answerable or not,
         # refreshes the idle state of a buffered copy.
-        self.policy.on_request(request.seq)
-        data = self.policy.get(request.seq)
+        data = self.policy.on_request(request.seq)
         if data is None:
             # §2.2: "Otherwise it ignores the request."
             return
@@ -377,8 +376,7 @@ class RrmpMember:
         self.trace.emit(self.sim.now, "remote_request_received",
                         node=self.node_id, seq=seq, requester=requester)
         # A remote request is feedback too: the message is still needed.
-        self.policy.on_request(seq)
-        data = self.policy.get(seq)
+        data = self.policy.on_request(seq)
         if data is not None:
             # Case 1 (§3.3): still buffered — answer immediately.
             self.network.unicast(
@@ -452,8 +450,7 @@ class RrmpMember:
 
     def _on_search_request(self, request: SearchRequest) -> None:
         seq, waiters = request.seq, request.waiters
-        self.policy.on_request(seq)
-        data = self.policy.get(seq)
+        data = self.policy.on_request(seq)
         if data is not None:
             # Found: serve every waiter and announce, ending the search.
             for waiter in waiters:

@@ -19,6 +19,10 @@ same message"):
 The process ends when the member receives the message (any path), or —
 if ``max_recovery_time`` is configured — gives up and records a
 reliability violation (the §5 trade-off).
+
+Requests are frozen and the same every round, so a process builds its
+one :class:`LocalRequest` and one :class:`RemoteRequest` up front and
+each round resends that object.
 """
 
 from __future__ import annotations
@@ -96,6 +100,11 @@ class RecoveryProcess:
         #: shutdown-cancelled recovery as a successful completion.
         self.cancelled = False
         self._rng = host.recovery_rng()
+        config = host.config  # frozen: read once
+        self._limit = config.max_recovery_time
+        self._timer_factor = config.timer_factor
+        self._local_request = LocalRequest(seq=seq, requester=host.node_id)
+        self._remote_request = RemoteRequest(seq=seq, requester=host.node_id)
         self._local_timer = Timer(host.sim, self._local_round)
         self._remote_timer = Timer(host.sim, self._remote_round)
 
@@ -149,10 +158,6 @@ class RecoveryProcess:
         self._local_timer.cancel()
         self._remote_timer.cancel()
 
-    def _deadline_exceeded(self) -> bool:
-        limit = self.host.config.max_recovery_time
-        return limit is not None and (self.host.sim.now - self.detected_at) >= limit
-
     def _idle_retry_delay(self) -> float:
         """Back-off before re-checking a phase that has no peers *now*.
 
@@ -161,18 +166,20 @@ class RecoveryProcess:
         The idle threshold is the natural probe period — it is the
         time scale at which buffered state changes hands.
         """
-        return self.host.config.idle_threshold * self.host.config.timer_factor
+        return self.host.config.idle_threshold * self._timer_factor
 
     # ------------------------------------------------------------------
     # Local phase
     # ------------------------------------------------------------------
     def _local_round(self) -> None:
-        if not self.active:
+        if self.completed or self.failed or self.cancelled:
             return
-        if self._deadline_exceeded():
+        host = self.host
+        limit = self._limit
+        if limit is not None and host.sim.now - self.detected_at >= limit:
             self._fail()
             return
-        members, position = self.host.region_peers()
+        members, position = host.region_peers()
         if len(members) < 2:
             # Alone in the region right now: nobody to ask, but churn
             # may add neighbours, so keep the phase alive instead of
@@ -182,23 +189,21 @@ class RecoveryProcess:
             return
         self.local_rounds += 1
         target = pick_other(self._rng, members, position)
-        self.host.send_local_request(
-            target, LocalRequest(seq=self.seq, requester=self.host.node_id)
-        )
-        self._local_timer.start(
-            self.host.rtt_to(target) * self.host.config.timer_factor
-        )
+        host.send_local_request(target, self._local_request)
+        self._local_timer.start(host.rtt_to(target) * self._timer_factor)
 
     # ------------------------------------------------------------------
     # Remote phase
     # ------------------------------------------------------------------
     def _remote_round(self) -> None:
-        if not self.active:
+        if self.completed or self.failed or self.cancelled:
             return
-        if self._deadline_exceeded():
+        host = self.host
+        limit = self._limit
+        if limit is not None and host.sim.now - self.detected_at >= limit:
             self._fail()
             return
-        parents = self.host.parent_member_ids()
+        parents = host.parent_member_ids()
         if not parents:
             # §2.2: "If a receiver has no parent region, its remote
             # recovery phase does nothing."  That is structural for a
@@ -206,20 +211,16 @@ class RecoveryProcess:
             # silent there; a parent region that exists but is
             # *currently empty* may refill under churn, so re-arm a
             # probe timer rather than abandoning the phase.
-            if self.host.has_parent_region():
+            if host.has_parent_region():
                 self._remote_timer.start(self._idle_retry_delay())
             return
         self.remote_rounds += 1
         # Choose r first; the timer tracks r whether or not the
         # probabilistic send happens (§2.2).
         target = self._rng.choice(parents)
-        region_size = max(1, self.host.region_size())
-        probability = min(1.0, self.host.config.remote_lambda / region_size)
+        region_size = max(1, host.region_size())
+        probability = min(1.0, host.config.remote_lambda / region_size)
         if self._rng.random() < probability:
             self.remote_requests_sent += 1
-            self.host.send_remote_request(
-                target, RemoteRequest(seq=self.seq, requester=self.host.node_id)
-            )
-        self._remote_timer.start(
-            self.host.rtt_to(target) * self.host.config.timer_factor
-        )
+            host.send_remote_request(target, self._remote_request)
+        self._remote_timer.start(host.rtt_to(target) * self._timer_factor)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, get_type_hints
@@ -99,12 +100,11 @@ class TopologySpec:
             raise ValueError("chain topology requires non-empty sizes")
         if any(size < 1 for size in self.sizes):
             raise ValueError(f"region sizes must be >= 1, got {self.sizes}")
-        if self.intra_one_way < 0 or self.inter_one_way < 0:
-            raise ValueError("latencies must be >= 0")
-        for name in ("inter_up_one_way", "inter_down_one_way"):
+        for name in ("intra_one_way", "inter_one_way",
+                     "inter_up_one_way", "inter_down_one_way"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0 or None, got {value!r}")
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def member_count(self) -> int:
         """Total receivers the topology will contain."""

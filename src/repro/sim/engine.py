@@ -15,6 +15,7 @@ from __future__ import annotations
 from heapq import heappop
 from typing import Any, Callable, Optional
 
+from repro.sim import events as _events
 from repro.sim.events import Event, EventQueue
 
 
@@ -52,7 +53,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulated time in milliseconds.  A plain attribute
+        #: for speed, but read-only by contract: only the engine (the
+        #: run loop, :meth:`step` and ``run(until=...)``) writes it.
+        self.now = float(start_time)
         self._queue = EventQueue()
         self._seq = 0
         self._running = False
@@ -61,11 +65,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
     @property
     def events_fired(self) -> int:
         """Total number of events executed so far (diagnostics)."""
@@ -91,22 +90,31 @@ class Simulator:
         time advances); scheduling in the past, or at a non-finite time,
         raises :class:`SimulationError`.
         """
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             raise self._refusal(time)
         self._seq += 1
         event = Event(time, self._seq, callback, args)
-        self._queue.push(event)
+        queue = self._queue
+        bucket = queue._buckets.get(time)
+        if bucket is None or (queue._dead >= _events.COMPACT_MIN_DEAD
+                              and queue._dead * 2 >= queue._size):
+            queue.push(event)
+        else:
+            # A fresh seq is the largest yet: it goes at the bucket's tail.
+            event._queue = queue
+            queue._size += 1
+            bucket.append(event)
         return event
 
     def _refusal(self, time: float) -> SimulationError:
-        why = f"before now={self._now:.6f}" if time < self._now else "not finite"
+        why = f"before now={self.now:.6f}" if time < self.now else "not finite"
         return SimulationError(f"cannot schedule at t={time:.6f}, which is {why}")
 
     def after(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule *callback(*args)* *delay* milliseconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.at(self._now + delay, callback, *args)
+        return self.at(self.now + delay, callback, *args)
 
     def reserve_seq(self) -> int:
         """Consume and return the next event sequence number.
@@ -128,7 +136,7 @@ class Simulator:
         *seq* must come from :meth:`reserve_seq` and be used at most
         once; reusing a live event's seq would break the total order.
         """
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             raise self._refusal(time)
         event = Event(time, seq, callback, args)
         self._queue.push(event)
@@ -147,7 +155,7 @@ class Simulator:
         if event is None:
             return False
         global _total_events_fired
-        self._now = event.time
+        self.now = event.time
         self._events_fired += 1
         _total_events_fired += 1
         event._fire()
@@ -194,7 +202,7 @@ class Simulator:
                         queue._dead -= 1
                         continue
                     event._queue = None
-                    self._now = time
+                    self.now = time
                     fired += 1
                     self._events_fired += 1
                     callback, args = event.callback, event.args
@@ -208,13 +216,13 @@ class Simulator:
             self._running = False
             global _total_events_fired
             _total_events_fired += fired
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> float:
         """Run for *duration* milliseconds of simulated time."""
-        return self.run(until=self._now + duration, max_events=max_events)
+        return self.run(until=self.now + duration, max_events=max_events)
 
     def drain(self, max_events: int = 10_000_000) -> float:
         """Run until no live events remain.
@@ -230,6 +238,6 @@ class Simulator:
             raise SimulationError(
                 f"drain() exceeded max_events={max_events}: "
                 f"{self._queue.live_count()} live events still queued, "
-                f"next pending at t={next_time:.6f} (now={self._now:.6f})"
+                f"next pending at t={next_time:.6f} (now={self.now:.6f})"
             )
         return end

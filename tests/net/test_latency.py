@@ -3,7 +3,9 @@
 import pytest
 
 from repro.net.latency import ConstantLatency, HierarchicalLatency
-from repro.net.topology import chain, single_region
+from repro.net.topology import Hierarchy, chain, single_region
+
+NOT_FINITE_OR_NEGATIVE = (float("nan"), float("inf"), -1.0)
 
 
 class TestConstantLatency:
@@ -15,6 +17,11 @@ class TestConstantLatency:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)
+
+    @pytest.mark.parametrize("value", NOT_FINITE_OR_NEGATIVE)
+    def test_non_finite_rejected_like_negative(self, value):
+        with pytest.raises(ValueError, match="one_way_ms must be finite and >= 0"):
+            ConstantLatency(value)
 
 
 class TestHierarchicalLatency:
@@ -35,6 +42,47 @@ class TestHierarchicalLatency:
         hierarchy = chain([2, 2])
         model = HierarchicalLatency(hierarchy)
         assert model.one_way(0, 2) > model.one_way(0, 1)
+
+
+    @pytest.mark.parametrize("value", NOT_FINITE_OR_NEGATIVE)
+    @pytest.mark.parametrize("name", ["intra_one_way", "inter_one_way",
+                                      "inter_up_one_way", "inter_down_one_way"])
+    def test_non_finite_rejected_like_negative(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            HierarchicalLatency(chain([2, 2]), **{name: value})
+
+
+def disjoint_trees() -> Hierarchy:
+    """Region 1 under root 0, and region 2 a root of its own tree."""
+    hierarchy = Hierarchy()
+    hierarchy.add_region(0)
+    hierarchy.add_region(1, parent_id=0)
+    hierarchy.add_region(2)
+    hierarchy.add_member(1, 0)
+    hierarchy.add_member(2, 1)
+    return hierarchy
+
+
+class TestRtt:
+    def test_asymmetric_rtt_prices_each_direction_on_disjoint_trees(self):
+        hierarchy = disjoint_trees()
+        # The reverse split is not the forward one swapped: (1, 1), not (0, 2).
+        assert hierarchy.region_hop_split(0, 1) == (2, 0)
+        assert hierarchy.region_hop_split(1, 0) == (1, 1)
+        model = HierarchicalLatency(hierarchy, inter_up_one_way=10.0,
+                                    inter_down_one_way=30.0)
+        for a, b in ((0, 1), (1, 0)):
+            assert model.rtt(a, b) == model.one_way(a, b) + model.one_way(b, a) == 60.0
+
+    def test_symmetric_rtt_is_both_one_way_delays(self):
+        chained = chain([2, 2, 2])
+        for hierarchy, pairs in ((chained, ((0, 1), (0, 2), (4, 0), (2, 5))),
+                                 (disjoint_trees(), ((0, 1), (1, 0)))):
+            model = HierarchicalLatency(hierarchy, intra_one_way=0.1, inter_one_way=0.7)
+            for a, b in pairs:
+                assert model.rtt(a, b) == model.one_way(a, b) + model.one_way(b, a)
+        model = HierarchicalLatency(chained, intra_one_way=5.0, inter_one_way=40.0)
+        assert (model.rtt(0, 1), model.rtt(0, 2), model.rtt(0, 4)) == (10.0, 80.0, 160.0)
 
 
 class TestHierarchicalLatencyAsymmetric:

@@ -1,10 +1,17 @@
 """Unit tests for the local/remote recovery processes (§2.2)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.live.codec import encode_frame
 from repro.protocol.config import RrmpConfig
+from repro.protocol.messages import LocalRequest, RemoteRequest
 from repro.protocol.recovery import RecoveryProcess
 from repro.sim import RandomStreams
+
+WIRE_FRAMES = Path(__file__).parents[1] / "baselines" / "wire_frames.json"
 
 
 class FakeRecoveryHost:
@@ -237,3 +244,24 @@ class TestGiveUp:
         sim.run(until=1_000.0)
         assert trace.count("reliability_violation") == 0
         assert len(host.sent_local) == 101
+
+
+class TestRequestsOnTheWire:
+    def test_every_round_resends_one_request_that_frames_as_before(self, sim, trace):
+        """A process builds its requests once: every round's request
+        equals a fresh one and encodes to the golden wire bytes."""
+        host = FakeRecoveryHost(sim, trace, neighbors=[8, 9], parents=[64], region_size=1)
+        host.node_id = 7
+        local, remote = [], []
+        host.send_local_request = lambda dst, request: local.append(request)
+        host.send_remote_request = lambda dst, request: remote.append(request)
+        RecoveryProcess(host, 17, 0.0).start()
+        sim.run(until=45.0)
+        assert len(local) == len(remote) == 5
+        assert all(request == LocalRequest(seq=17, requester=7) for request in local)
+        assert all(request == RemoteRequest(seq=17, requester=7) for request in remote)
+        golden = json.loads(WIRE_FRAMES.read_text(encoding="utf-8"))
+        assert {encode_frame(7, 8, request, 40.25).hex() for request in local} \
+            == {golden["LocalRequest"]}
+        assert {encode_frame(7, 64, request, 41.0).hex() for request in remote} \
+            == {golden["RemoteRequest"]}

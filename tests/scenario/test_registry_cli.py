@@ -299,6 +299,19 @@ class TestSpecOverrides:
         assert captured.out == ""
         assert captured.err == "error: idle_threshold must be > 0, got 0.0\n"
 
+    @pytest.mark.parametrize("name, field, value, shown", [
+        ("initial_holders", "intra_one_way", "nan", "nan"),
+        ("search", "inter_one_way", "1e999", "inf"),
+        ("initial_holders", "intra_one_way", "-1", "-1.0"),
+        ("search", "inter_down_one_way", "1e999", "inf"),
+    ])
+    def test_cli_non_finite_or_negative_latency_is_a_usage_error(self, capsys, name, field,
+                                                                 value, shown):
+        assert main(["scenarios", "run", name, "--param", f"topology.{field}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field} must be finite and >= 0, got {shown}\n"
+
     def test_cli_non_integral_value_for_an_int_field_is_a_usage_error(self, capsys):
         assert main([
             "scenarios", "run", "overload_onset", "--param", "traffic.count=2.5",

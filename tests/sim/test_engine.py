@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+from unittest import mock
+
 import pytest
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import SimulationError, Simulator, events
 
 
 class TestScheduling:
@@ -77,6 +79,22 @@ class TestCancellation:
         sim.after(1.0, victim.cancel)
         sim.run()
         assert fired == []
+
+
+class TestCompactionFromAt:
+    def test_at_into_an_open_instant_compacts_when_due(self, sim):
+        """``at`` appends to an instant's bucket directly, but reads the
+        compaction threshold at call time and still compacts."""
+        doomed = [sim.at(1.0, lambda: None) for _ in range(6)]
+        for event in doomed[:4]:
+            event.cancel()
+        queue = sim._queue
+        sim.at(1.0, lambda: None)
+        assert queue.dead_count == 4  # below COMPACT_MIN_DEAD
+        with mock.patch.object(events, "COMPACT_MIN_DEAD", 2):
+            sim.at(1.0, lambda: None)
+        assert queue.dead_count == 0
+        assert len(queue) == sim.pending_events == 4
 
 
 class TestRun:
