@@ -23,7 +23,7 @@ from repro.core.buffer import (
     MessageBuffer,
 )
 from repro.core.handoff import handoff_load, plan_handoff
-from repro.core.long_term import RandomizedLongTermSelector, long_term_probability
+from repro.core.long_term import keeps_long_term, long_term_probability
 from repro.core.manager import TwoPhaseBufferPolicy
 from repro.core.policies import (
     BufferHost,
@@ -33,7 +33,6 @@ from repro.core.policies import (
     NoBufferPolicy,
 )
 from repro.core.search import SearchCoordinator, SearchHost
-from repro.core.short_term import FeedbackIdleTracker
 
 __all__ = [
     "BufferEntry",
@@ -46,16 +45,15 @@ __all__ = [
     "DISCARD_IDLE",
     "DISCARD_STABLE",
     "DISCARD_TTL",
-    "FeedbackIdleTracker",
     "FixedTimePolicy",
     "MessageBuffer",
     "NeverDiscardPolicy",
     "NoBufferPolicy",
-    "RandomizedLongTermSelector",
     "SearchCoordinator",
     "SearchHost",
     "TwoPhaseBufferPolicy",
     "handoff_load",
+    "keeps_long_term",
     "long_term_probability",
     "plan_handoff",
 ]

@@ -1,16 +1,26 @@
 """The two-phase buffer policy — the paper's primary contribution (§3).
 
-:class:`TwoPhaseBufferPolicy` composes the feedback-based short-term
-stage (:mod:`repro.core.short_term`) with the randomized long-term stage
-(:mod:`repro.core.long_term`):
+:class:`TwoPhaseBufferPolicy` gives each received copy one life:
 
-1. every received message is buffered and its idle timer armed;
-2. every observed request for a buffered message refreshes that timer;
-3. when the timer fires (no request for ``T`` ms), the member flips a
-   coin with probability ``C/n``: heads → the entry is promoted to
-   long-term (kept until the optional TTL), tails → discarded;
+1. every received message is buffered short-term and its idle clock
+   armed;
+2. every observed request for a buffered message pushes that clock back
+   to ``now + T`` (§3.1's feedback);
+3. when the clock runs out (no request for ``T`` ms), the member flips
+   a coin with probability ``C/n`` (:func:`repro.core.long_term.keeps_long_term`):
+   heads → the copy is promoted to long-term and the same clock becomes
+   its TTL (none when ``long_term_ttl`` is ``None``), tails → discarded;
 4. on graceful leave, long-term entries are handed to random peers
    (:meth:`drain_for_handoff`, used by the member's leave path).
+
+Why the idle rule works (§3.1): in a region of *n* members where a
+fraction *p* misses the message, each missing member sends one
+uniformly-random local request per round, so the probability that a
+particular holder receives *no* request in a round is
+``(1 - 1/(n-1))^{np} ≈ e^{-p}`` — silence decays exponentially in the
+number of members still missing the message.  The closed form lives in
+:func:`repro.analysis.formulas.prob_no_request`; this module implements
+the mechanism.
 
 Trace records emitted (consumed by experiments and tests):
 
@@ -22,26 +32,29 @@ Trace records emitted (consumed by experiments and tests):
 
 from __future__ import annotations
 
-from typing import List, Optional
+import math
+import random
+from typing import Dict, List, Optional
 
 from repro.core.buffer import (
     DISCARD_HANDOFF,
     DISCARD_IDLE,
     DISCARD_TTL,
 )
-from repro.core.long_term import RandomizedLongTermSelector
+from repro.core.long_term import keeps_long_term
 from repro.core.policies import BufferHost, BufferPolicy
-from repro.core.short_term import FeedbackIdleTracker
 from repro.protocol.messages import DataMessage, Seq
+from repro.sim import Timer
 
 
 class TwoPhaseBufferPolicy(BufferPolicy):
     """Feedback-based short-term + randomized long-term buffering.
 
-    Parameters mirror :class:`repro.protocol.config.RrmpConfig`; the
-    policy is usually built via
-    :func:`repro.protocol.rrmp.two_phase_policy_factory` so both share
-    one config object.
+    Each buffered copy has at most one :class:`~repro.sim.Timer`: its
+    idle clock while short-term, its TTL while long-term.  Parameters
+    mirror :class:`repro.protocol.config.RrmpConfig`; the policy is
+    usually built via :func:`repro.protocol.rrmp.two_phase_policy_factory`
+    so both share one config object.
     """
 
     def __init__(
@@ -51,45 +64,32 @@ class TwoPhaseBufferPolicy(BufferPolicy):
         long_term_ttl: Optional[float] = None,
     ) -> None:
         super().__init__()
+        if not 0 < idle_threshold < math.inf:
+            raise ValueError(f"idle_threshold must be finite and > 0, got {idle_threshold!r}")
+        if not 0 <= long_term_c < math.inf:
+            raise ValueError(f"long_term_c must be finite and >= 0, got {long_term_c!r}")
+        if long_term_ttl is not None and not 0 < long_term_ttl < math.inf:
+            raise ValueError(
+                f"long_term_ttl must be finite and > 0 or None, got {long_term_ttl!r}"
+            )
         self.idle_threshold = idle_threshold
         self.long_term_c = long_term_c
         self.long_term_ttl = long_term_ttl
-        self._short_term: Optional[FeedbackIdleTracker] = None
-        self._long_term: Optional[RandomizedLongTermSelector] = None
+        #: seq -> the copy's one clock (idle deadline or TTL).
+        self._clocks: Dict[Seq, Timer] = {}
+        self._rng: Optional[random.Random] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def bind(self, host: BufferHost) -> None:
         super().bind(host)
-        self._short_term = FeedbackIdleTracker(
-            host.sim, self.idle_threshold, on_idle=self._on_idle
-        )
-        self._long_term = RandomizedLongTermSelector(
-            host.sim,
-            host.policy_rng("long-term"),
-            expected_bufferers=self.long_term_c,
-            ttl=self.long_term_ttl,
-            on_expire=self._on_ttl_expired,
-        )
-
-    @property
-    def short_term(self) -> FeedbackIdleTracker:
-        """The idle tracker (raises before :meth:`bind`)."""
-        if self._short_term is None:
-            raise RuntimeError("TwoPhaseBufferPolicy used before bind()")
-        return self._short_term
-
-    @property
-    def long_term(self) -> RandomizedLongTermSelector:
-        """The long-term selector (raises before :meth:`bind`)."""
-        if self._long_term is None:
-            raise RuntimeError("TwoPhaseBufferPolicy used before bind()")
-        return self._long_term
+        self._rng = host.policy_rng("long-term")
 
     def close(self) -> None:
-        self.short_term.close()
-        self.long_term.close()
+        for timer in self._clocks.values():
+            timer.cancel()
+        self._clocks.clear()
         super().close()
 
     # ------------------------------------------------------------------
@@ -101,7 +101,8 @@ class TwoPhaseBufferPolicy(BufferPolicy):
         host = self.host
         now = host.sim.now
         self.buffer.add(data, now)
-        self.short_term.track(data.seq)
+        timer = self._clocks[data.seq] = Timer(host.sim, self._on_clock, data.seq)
+        timer.start(self.idle_threshold)
         if host.trace.enabled:
             host.trace.emit(now, "buffer_add", node=host.node_id, seq=data.seq)
 
@@ -109,22 +110,15 @@ class TwoPhaseBufferPolicy(BufferPolicy):
         entry = self.buffer.get(seq)
         if entry is None:
             return None
-        now = self._host.sim.now
-        entry.last_request_time = now
-        entry.last_use_time = now
-        if entry.long_term:
-            self._long_term.touch(seq)
-        else:
-            self._short_term.refresh(seq)
+        timer = self._clocks.get(seq)
+        if timer is not None:
+            timer.start(self.long_term_ttl if entry.long_term else self.idle_threshold)
         return entry.data
 
     def on_serve(self, seq: Seq) -> None:
         entry = self.buffer.get(seq)
-        if entry is None:
-            return
-        entry.last_use_time = self.host.sim.now
-        if entry.long_term:
-            self.long_term.touch(seq)
+        if entry is not None and entry.long_term:
+            self._arm_ttl(seq)
 
     # ------------------------------------------------------------------
     # Long-term handoff (§3.2)
@@ -133,65 +127,83 @@ class TwoPhaseBufferPolicy(BufferPolicy):
         """Remove and return long-term entries for transfer on leave."""
         now = self.host.sim.now
         transferred: List[DataMessage] = []
-        for seq in list(self.buffer.long_term_seqs()):
+        for seq in self.buffer.long_term_seqs():
             entry = self.buffer.discard(seq, now, DISCARD_HANDOFF)
             if entry is None:
                 continue
-            self.long_term.disarm(seq)
+            timer = self._clocks.pop(seq, None)
+            if timer is not None:
+                timer.cancel()
             transferred.append(entry.data)
             self._emit_discard(seq, now, DISCARD_HANDOFF, was_long_term=True,
                                duration=now - entry.receive_time)
         return transferred
 
     def accept_handoff(self, data: DataMessage) -> None:
-        """Install a message received via handoff directly as long-term."""
-        now = self.host.sim.now
-        entry = self.buffer.get(data.seq)
+        """Install a message received via handoff directly as long-term.
+
+        An already-buffered copy is promoted in place, since the
+        leaver's long-term responsibility transfers to us.  Only a
+        short-term copy cancels its clock (the idle deadline) before the
+        TTL starts; a long-term copy's armed TTL is restarted as is,
+        which a :class:`~repro.sim.Timer` does by pushing it back in place.
+        """
+        seq = data.seq
+        host = self.host
+        now = host.sim.now
+        entry = self.buffer.get(seq)
         if entry is None:
-            entry = self.buffer.add(data, now, long_term=True)
-            self.host.trace.emit(now, "buffer_add", node=self.host.node_id, seq=data.seq)
-        else:
-            # Already buffered: promote, since the leaver's long-term
-            # responsibility transfers to us.
-            self.short_term.untrack(data.seq)
-        self.buffer.promote(data.seq)
-        entry.last_use_time = now
-        self.long_term.arm_ttl(data.seq)
-        self.host.trace.emit(
-            now, "long_term_selected", node=self.host.node_id, seq=data.seq, via="handoff"
-        )
+            self.buffer.add(data, now, long_term=True)
+            host.trace.emit(now, "buffer_add", node=host.node_id, seq=seq)
+        elif not entry.long_term:
+            self._clocks[seq].cancel()
+            entry.long_term = True
+        self._arm_ttl(seq)
+        host.trace.emit(now, "long_term_selected", node=host.node_id, seq=seq, via="handoff")
 
     # ------------------------------------------------------------------
     # Internal transitions
     # ------------------------------------------------------------------
-    def _on_idle(self, seq: Seq) -> None:
+    def _arm_ttl(self, seq: Seq) -> None:
+        """Turn the long-term copy *seq*'s clock into its TTL: start it,
+        or push it back if armed; without a TTL the copy has no clock."""
+        ttl = self.long_term_ttl
+        if ttl is None:
+            self._clocks.pop(seq, None)
+            return
+        timer = self._clocks.get(seq)
+        if timer is None:
+            timer = self._clocks[seq] = Timer(self.host.sim, self._on_clock, seq)
+        timer.start(ttl)
+
+    def _on_clock(self, seq: Seq) -> None:
+        """The copy's clock ran out; its phase says which one it was."""
         host = self.host
         now = host.sim.now
         entry = self.buffer.get(seq)
         if entry is None:  # pragma: no cover - defensive
             return
+        if entry.long_term:
+            del self._clocks[seq]
+            self.buffer.discard(seq, now, DISCARD_TTL)
+            self._emit_discard(seq, now, DISCARD_TTL, was_long_term=True,
+                               duration=now - entry.receive_time)
+            return
         trace = host.trace
         if trace.enabled:
             trace.emit(now, "buffer_idle", node=host.node_id, seq=seq)
-        if self.long_term.decide(host.region_size()):
-            self.buffer.promote(seq)
-            entry.last_use_time = now
-            self.long_term.arm_ttl(seq)
+        if keeps_long_term(self._rng, self.long_term_c, host.region_size()):
+            entry.long_term = True
+            self._arm_ttl(seq)
             if trace.enabled:
                 trace.emit(now, "long_term_selected", node=host.node_id,
                            seq=seq, via="coin-flip")
         else:
-            removed = self.buffer.discard(seq, now, DISCARD_IDLE)
-            if removed is not None and trace.enabled:
+            del self._clocks[seq]
+            self.buffer.discard(seq, now, DISCARD_IDLE)
+            if trace.enabled:
                 self._emit_discard(seq, now, DISCARD_IDLE, was_long_term=False,
-                                   duration=now - removed.receive_time)
-
-    def _on_ttl_expired(self, seq: Seq) -> None:
-        now = self.host.sim.now
-        removed = self.buffer.discard(seq, now, DISCARD_TTL)
-        if removed is not None:
-            self._emit_discard(seq, now, DISCARD_TTL, was_long_term=True,
-                               duration=now - removed.receive_time)
+                                   duration=now - entry.receive_time)
 
     def _emit_discard(
         self, seq: Seq, now: float, reason: str, was_long_term: bool, duration: float

@@ -6,7 +6,7 @@ plotted for C ∈ {5, 6, 7, 8}.
 
 We regenerate both the analytic curves and a Monte-Carlo estimate that
 exercises the *actual mechanism*
-(:class:`repro.core.long_term.RandomizedLongTermSelector` coin flips
+(:func:`repro.core.long_term.keeps_long_term` coin flips
 across a region), so the figure doubles as a validation that the code
 implements the math.
 """
@@ -16,24 +16,20 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.analysis.formulas import bufferer_pmf_poisson
-from repro.core.long_term import RandomizedLongTermSelector
+from repro.core.long_term import keeps_long_term
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
-from repro.sim import RandomStreams, Simulator
+from repro.sim import RandomStreams
 
 
 def sample_bufferer_counts(
     n: int, c: float, trials: int, seed: int = 0
 ) -> list:
     """Monte-Carlo: per trial, flip the §3.2 coin at each of *n* members."""
-    streams = RandomStreams(seed)
-    sim = Simulator()
-    selector = RandomizedLongTermSelector(
-        sim, streams.stream("fig3", "coins"), expected_bufferers=c
-    )
+    rng = RandomStreams(seed).stream("fig3", "coins")
     counts = []
     for _ in range(trials):
-        counts.append(sum(1 for _member in range(n) if selector.decide(n)))
+        counts.append(sum(1 for _member in range(n) if keeps_long_term(rng, c, n)))
     return counts
 
 

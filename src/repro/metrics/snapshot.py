@@ -67,12 +67,7 @@ def long_term_buffered(group) -> int:
 
     Policies without a long-term phase (baselines) count zero.
     """
-    total = 0
-    for member in group.alive_members():
-        buffer = getattr(member.policy, "buffer", None)
-        if buffer is not None:
-            total += getattr(buffer, "long_term_count", 0)
-    return total
+    return sum(member.policy.buffer.long_term_count for member in group.alive_members())
 
 
 def take_snapshot(group, previous: Optional[MetricsSnapshot] = None) -> MetricsSnapshot:

@@ -13,6 +13,7 @@ to the values used in the paper's §4 evaluation:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from typing import (
@@ -50,7 +51,8 @@ def normalise_fields(node: Any) -> None:
 
     The one normalisation rule of the spec tree, called first thing in
     each node's ``__post_init__``: a ``float`` field stores
-    ``float(value)``, an ``int`` field accepts integral values only, a
+    ``float(value)`` and refuses nan and ±inf (no spec value is
+    infinite), an ``int`` field accepts integral values only, a
     ``Tuple`` field turns lists into tuples (element by element),
     ``Optional`` admits ``None``, and a ``bool``, ``str`` or node field
     takes an instance of its class.  Anything else raises ``ValueError``
@@ -70,7 +72,8 @@ def normalise_fields(node: Any) -> None:
         try:
             normal = convert(value)
         except (TypeError, ValueError, OverflowError):
-            shown = getattr(hint, "__name__", str(hint).replace("typing.", ""))
+            shown = hint.__name__ if isinstance(hint, type) else str(hint)
+            shown = shown.replace("typing.", "").replace("float", "finite float")
             raise ValueError(
                 f"{cls.__name__}.{name} must be {shown}, got {value!r}"
             ) from None
@@ -89,6 +92,8 @@ def _converter(hint: Any) -> Callable[[Any], Any]:
                         or (hint is int and int(value) != value)):
                     raise TypeError(value)
                 value = hint(value)
+            if not -math.inf < value < math.inf:
+                raise ValueError(value)
             return value
 
         return number

@@ -160,24 +160,6 @@ def require_flat_support(spec: ScenarioSpec) -> None:
         raise ValueError(f"flat engine cannot run spec {spec.name!r}: {problem}")
 
 
-class _FlatBufferView:
-    """Buffer facade for the oracle's index cross-check (always clean:
-    the long-term bitmap *is* the index, there is nothing to drift)."""
-
-    __slots__ = ()
-
-    def check_index(self) -> Tuple[()]:
-        return ()
-
-
-class _FlatPolicyView:
-    __slots__ = ()
-    buffer = _FlatBufferView()
-
-
-_POLICY_VIEW = _FlatPolicyView()
-
-
 class FlatMemberView:
     """One member's oracle-facing view of the pool's columns.
 
@@ -188,8 +170,6 @@ class FlatMemberView:
     """
 
     __slots__ = ("node_id", "_buffered", "_gaps")
-
-    policy = _POLICY_VIEW
 
     def __init__(self, node_id: int, buffered: List[int], gaps: List[int]) -> None:
         self.node_id = node_id

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, get_type_hints
@@ -103,7 +102,7 @@ class TopologySpec:
         for name in ("intra_one_way", "inter_one_way",
                      "inter_up_one_way", "inter_down_one_way"):
             value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
+            if value is not None and value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def member_count(self) -> int:

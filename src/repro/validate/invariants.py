@@ -16,8 +16,7 @@ The six invariants (see README "Validation"):
 * **buffer-conservation** — every ``buffer_add`` is eventually paired
   with a ``buffer_discard`` carrying a known reason, or the entry is
   still genuinely buffered at the end; nothing is discarded that was
-  never added, nothing is buffered that was never traced, and the
-  long-term index stays internally consistent.
+  never added, and nothing is buffered that was never traced.
 * **long-term-quota** — the number of concurrent long-term holders of
   one message inside one region stays within a statistical envelope of
   the configured C (the paper's expected copy count).  The bound is
@@ -268,11 +267,6 @@ class BufferConservation(Invariant):
                         f"member {node} buffers seq {seq} with no live "
                         "buffer_add trace entry",
                     )
-            for problem in member.policy.buffer.check_index():
-                self.fail(
-                    ctx.simulation.sim.now,
-                    f"member {node} long-term index inconsistent: {problem}",
-                )
 
 
 class LongTermQuota(Invariant):

@@ -45,11 +45,6 @@ class TestStorage:
         assert entry.long_term
         assert list(buffer.long_term_seqs()) == [2]
 
-    def test_last_use_defaults_to_receive_time(self):
-        buffer = MessageBuffer()
-        entry = buffer.add(msg(1), now=25.0)
-        assert entry.last_use_time == 25.0
-
 
 class TestDiscard:
     def test_discard_records_episode(self):
@@ -94,40 +89,29 @@ class TestDiscard:
         assert sorted(buffer.durations()) == [pytest.approx(40.0), pytest.approx(100.0)]
 
 
-class TestLongTermIndex:
-    """The lazily-maintained long-term set must track every mutation."""
+class TestLongTermView:
+    """``long_term_seqs`` and ``long_term_count`` are read off the
+    entries' flags, in admission order."""
 
-    def _consistent(self, buffer: MessageBuffer) -> None:
-        scanned = [entry.seq for entry in buffer.entries() if entry.long_term]
-        assert sorted(buffer.long_term_seqs()) == sorted(scanned)
-        assert buffer.long_term_count == len(scanned)
-        for entry in buffer.entries():
-            assert buffer.is_long_term(entry.seq) == entry.long_term
-
-    def test_promote_and_demote(self):
+    def test_promote(self):
         buffer = MessageBuffer()
         buffer.add(msg(1), now=0.0)
         buffer.add(msg(2), now=0.0)
         assert buffer.promote(1).long_term
-        self._consistent(buffer)
-        assert buffer.is_long_term(1)
-        assert not buffer.is_long_term(2)
-        buffer.demote(1)
-        self._consistent(buffer)
-        assert buffer.long_term_count == 0
+        assert not buffer.get(2).long_term
+        assert list(buffer.long_term_seqs()) == [1]
+        assert buffer.long_term_count == 1
 
     def test_promote_missing_returns_none(self):
         buffer = MessageBuffer()
         assert buffer.promote(7) is None
-        assert buffer.demote(7) is None
         assert buffer.long_term_count == 0
 
-    def test_discard_clears_index(self):
+    def test_discard_drops_a_long_term_entry(self):
         buffer = MessageBuffer()
         buffer.add(msg(1), now=0.0, long_term=True)
         buffer.discard(1, now=5.0, reason=DISCARD_TTL)
-        self._consistent(buffer)
-        assert not buffer.is_long_term(1)
+        assert list(buffer.long_term_seqs()) == []
         assert buffer.long_term_count == 0
 
     def test_long_term_seqs_ordered_by_insertion(self):
@@ -139,24 +123,26 @@ class TestLongTermIndex:
         buffer.promote(5)
         assert list(buffer.long_term_seqs()) == [5, 9]
 
-    def test_discard_promote_readd_round_trip(self):
+    def test_readmission_goes_to_the_back(self):
+        """A seq re-added after its discard is admitted anew, so it
+        sorts after every copy still buffered, whatever its number."""
         buffer = MessageBuffer()
-        buffer.add(msg(1), now=0.0)
-        buffer.promote(1)
+        for seq in (1, 2, 3):
+            buffer.add(msg(seq), now=0.0)
+            buffer.promote(seq)
         buffer.discard(1, now=10.0, reason=DISCARD_IDLE)
-        self._consistent(buffer)
-        # Re-admission starts over as short-term.
         entry = buffer.add(msg(1), now=20.0)
-        assert not entry.long_term
-        self._consistent(buffer)
+        assert not entry.long_term  # re-admission starts over short-term
+        assert list(buffer.long_term_seqs()) == [2, 3]
         buffer.promote(1)
-        self._consistent(buffer)
-        assert list(buffer.long_term_seqs()) == [1]
+        assert list(buffer.long_term_seqs()) == [2, 3, 1]
+        assert buffer.long_term_count == 3
 
-    def test_discard_all_clears_index(self):
+    def test_discard_all_clears(self):
         buffer = MessageBuffer()
         for seq in (1, 2, 3):
             buffer.add(msg(seq), now=0.0, long_term=seq != 2)
+        assert buffer.long_term_count == 2
         buffer.discard_all(now=9.0)
-        self._consistent(buffer)
+        assert list(buffer.long_term_seqs()) == []
         assert buffer.long_term_count == 0

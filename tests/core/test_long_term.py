@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.long_term import RandomizedLongTermSelector, long_term_probability
+from repro.core.long_term import keeps_long_term, long_term_probability
 from repro.sim import RandomStreams
 
 
@@ -24,115 +24,46 @@ class TestProbability:
             long_term_probability(-1.0, 100)
 
 
-class TestDecide:
-    def make(self, sim, c, ttl=None, on_expire=None, seed=5):
-        streams = RandomStreams(seed)
-        return RandomizedLongTermSelector(
-            sim, streams.stream("coins"), expected_bufferers=c,
-            ttl=ttl, on_expire=on_expire,
-        )
+class TestKeepsLongTerm:
+    def coins(self, seed=5):
+        return RandomStreams(seed).stream("coins")
 
-    def test_expected_count_matches_c(self, sim):
+    def test_expected_count_matches_c(self):
         """Mean of Binomial(n, C/n) is C — the §3.2 guarantee."""
-        selector = self.make(sim, c=6.0)
+        rng = self.coins()
         n, trials = 100, 3_000
         total = sum(
-            sum(1 for _member in range(n) if selector.decide(n))
+            sum(1 for _member in range(n) if keeps_long_term(rng, 6.0, n))
             for _trial in range(trials)
         )
         assert total / trials == pytest.approx(6.0, abs=0.25)
 
-    def test_no_bufferer_probability_matches_e_minus_c(self, sim):
-        selector = self.make(sim, c=2.0)
+    def test_no_bufferer_probability_matches_e_minus_c(self):
+        rng = self.coins()
         n, trials = 100, 4_000
         empty = sum(
             1 for _ in range(trials)
-            if not any(selector.decide(n) for _member in range(n))
+            if not any(keeps_long_term(rng, 2.0, n) for _member in range(n))
         )
         # (1 - 2/100)^100 ~= 0.1326
         assert empty / trials == pytest.approx(0.1326, abs=0.03)
 
-    def test_c_zero_never_keeps(self, sim):
-        selector = self.make(sim, c=0.0)
-        assert not any(selector.decide(100) for _ in range(100))
+    def test_c_zero_never_keeps(self):
+        rng = self.coins()
+        assert not any(keeps_long_term(rng, 0.0, 100) for _ in range(100))
 
-    def test_small_region_always_keeps(self, sim):
-        selector = self.make(sim, c=6.0)
-        assert all(selector.decide(3) for _ in range(50))
+    def test_small_region_always_keeps(self):
+        rng = self.coins()
+        assert all(keeps_long_term(rng, 6.0, 3) for _ in range(50))
 
-    def test_empty_region_never_keeps(self, sim):
-        selector = self.make(sim, c=6.0)
-        assert not selector.decide(0)
+    def test_empty_region_never_keeps(self):
+        assert not keeps_long_term(self.coins(), 6.0, 0)
 
-
-class TestTtl:
-    def test_ttl_fires_on_expiry(self, sim):
-        expired = []
-        streams = RandomStreams(1)
-        selector = RandomizedLongTermSelector(
-            sim, streams.stream("coins"), expected_bufferers=6.0,
-            ttl=100.0, on_expire=lambda seq: expired.append((sim.now, seq)),
-        )
-        selector.arm_ttl(1)
-        sim.run()
-        assert expired == [(pytest.approx(100.0), 1)]
-
-    def test_touch_extends_ttl(self, sim):
-        expired = []
-        streams = RandomStreams(1)
-        selector = RandomizedLongTermSelector(
-            sim, streams.stream("coins"), expected_bufferers=6.0,
-            ttl=100.0, on_expire=lambda seq: expired.append(sim.now),
-        )
-        selector.arm_ttl(1)
-        sim.at(50.0, selector.touch, 1)
-        sim.run()
-        assert expired == [pytest.approx(150.0)]
-
-    def test_touch_without_arm_is_noop(self, sim):
-        streams = RandomStreams(1)
-        selector = RandomizedLongTermSelector(
-            sim, streams.stream("coins"), expected_bufferers=6.0, ttl=100.0,
-        )
-        selector.touch(1)  # never armed
-        assert sim.pending_events == 0
-
-    def test_disarm_cancels(self, sim):
-        expired = []
-        streams = RandomStreams(1)
-        selector = RandomizedLongTermSelector(
-            sim, streams.stream("coins"), expected_bufferers=6.0,
-            ttl=100.0, on_expire=lambda seq: expired.append(seq),
-        )
-        selector.arm_ttl(1)
-        selector.disarm(1)
-        sim.run()
-        assert expired == []
-
-    def test_no_ttl_means_keep_forever(self, sim):
-        streams = RandomStreams(1)
-        selector = RandomizedLongTermSelector(
-            sim, streams.stream("coins"), expected_bufferers=6.0, ttl=None,
-        )
-        selector.arm_ttl(1)
-        assert sim.pending_events == 0
-
-    def test_close_cancels_all_ttls(self, sim):
-        expired = []
-        streams = RandomStreams(1)
-        selector = RandomizedLongTermSelector(
-            sim, streams.stream("coins"), expected_bufferers=6.0,
-            ttl=100.0, on_expire=lambda seq: expired.append(seq),
-        )
-        selector.arm_ttl(1)
-        selector.arm_ttl(2)
-        selector.close()
-        sim.run()
-        assert expired == []
-
-    def test_invalid_ttl_rejected(self, sim):
-        streams = RandomStreams(1)
-        with pytest.raises(ValueError):
-            RandomizedLongTermSelector(
-                sim, streams.stream("coins"), expected_bufferers=6.0, ttl=0.0,
-            )
+    def test_certain_outcomes_draw_nothing(self):
+        """P <= 0 and P >= 1 decide without a draw, so the stream's next
+        value is the one a fresh stream would give."""
+        rng = self.coins()
+        keeps_long_term(rng, 0.0, 100)
+        keeps_long_term(rng, 6.0, 3)
+        keeps_long_term(rng, 6.0, 0)
+        assert rng.random() == self.coins().random()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.buffer import DISCARD_HANDOFF, DISCARD_IDLE, DISCARD_TTL
 from repro.core.manager import TwoPhaseBufferPolicy
 from repro.protocol.messages import DataMessage
 from tests.conftest import FakeBufferHost
@@ -251,7 +252,7 @@ class TestLifecycle:
 
 
 class TestHandoffIndexConsistency:
-    """Index integrity across drain_for_handoff / accept_handoff trips."""
+    """Long-term flags and views across drain_for_handoff / accept_handoff trips."""
 
     def _build(self, sim, trace, seed=99):
         host = FakeBufferHost(sim, trace, seed=seed)
@@ -259,7 +260,7 @@ class TestHandoffIndexConsistency:
         policy.bind(host)
         return policy
 
-    def test_handoff_round_trip_keeps_index_in_sync(self, sim, trace):
+    def test_handoff_round_trip_moves_every_long_term_copy(self, sim, trace):
         leaver = self._build(sim, trace, seed=1)
         receiver = self._build(sim, trace, seed=2)
         for seq in (1, 2, 3):
@@ -276,14 +277,183 @@ class TestHandoffIndexConsistency:
         assert receiver.buffer.long_term_count == 3
         assert sorted(receiver.buffer.long_term_seqs()) == [1, 2, 3]
         for seq in (1, 2, 3):
-            assert receiver.buffer.is_long_term(seq)
+            assert receiver.buffer.get(seq).long_term
 
     def test_accept_handoff_promotes_existing_short_term_entry(self, sim, trace):
         policy = self._build(sim, trace)
         data = DataMessage(seq=4, sender=0)
         policy.on_receive(data)
-        assert not policy.buffer.is_long_term(4)
+        assert not policy.buffer.get(4).long_term
         policy.accept_handoff(data)
-        assert policy.buffer.is_long_term(4)
+        assert policy.buffer.get(4).long_term
         assert policy.buffer.long_term_count == 1
-        assert not policy.short_term.is_tracking(4)
+        assert 4 not in policy._clocks  # idle clock gone, and no TTL configured
+
+
+def deadline(policy, seq):
+    """When *seq*'s one clock runs out, or ``None`` if it has no clock."""
+    timer = policy._clocks.get(seq)
+    return None if timer is None else timer.deadline
+
+
+class TestIdleClock:
+    """§3.1: a short-term copy's clock is its idle deadline."""
+
+    def test_idle_after_t(self, sim, buffer_host, trace):
+        policy = make_policy(buffer_host, c=0.0)
+        policy.on_receive(msg(1))
+        assert deadline(policy, 1) == pytest.approx(40.0)
+        sim.run()
+        assert trace.first("buffer_idle").time == pytest.approx(40.0)
+        [record] = policy.buffer.records
+        assert (record.reason, record.discard_time) == (DISCARD_IDLE, pytest.approx(40.0))
+        assert policy._clocks == {}
+
+    def test_requests_push_the_deadline_back(self, sim, buffer_host):
+        """Each request resets the countdown to now + T (the paper's rule)."""
+        policy = make_policy(buffer_host, c=0.0)
+        policy.on_receive(msg(1))
+        for t in (10.0, 20.0, 30.0, 60.0):
+            sim.at(t, policy.on_request, 1)
+        sim.run(until=60.0)
+        assert deadline(policy, 1) == pytest.approx(100.0)
+        sim.run()
+        assert policy.buffer.records[0].discard_time == pytest.approx(100.0)  # 60 + 40
+
+    def test_serving_a_short_term_copy_leaves_its_deadline(self, sim, buffer_host):
+        policy = make_policy(buffer_host, c=0.0, ttl=200.0)
+        policy.on_receive(msg(1))
+        sim.run(until=30.0)
+        policy.on_serve(1)
+        assert deadline(policy, 1) == pytest.approx(40.0)
+
+    def test_duplicate_receive_does_not_reset_the_deadline(self, sim, buffer_host):
+        policy = make_policy(buffer_host, c=0.0)
+        policy.on_receive(msg(1))
+        sim.at(20.0, policy.on_receive, msg(1))
+        sim.run()
+        assert policy.buffer.records[0].discard_time == pytest.approx(40.0)
+
+    def test_independent_copies(self, sim, buffer_host):
+        policy = make_policy(buffer_host, c=0.0)
+        policy.on_receive(msg(1))
+        sim.at(10.0, policy.on_receive, msg(2))
+        sim.at(30.0, policy.on_request, 1)
+        sim.run()
+        assert [(r.seq, r.discard_time) for r in policy.buffer.records] == [
+            (2, pytest.approx(50.0)), (1, pytest.approx(70.0)),
+        ]
+
+    def test_receive_again_after_idle(self, sim, buffer_host):
+        """A message received again after its idle discard gets a fresh clock."""
+        policy = make_policy(buffer_host, c=0.0)
+        policy.on_receive(msg(1))
+        sim.run()
+        policy.on_receive(msg(1))
+        assert deadline(policy, 1) == pytest.approx(80.0)
+        sim.run()
+        assert [r.discard_time for r in policy.buffer.records] == [
+            pytest.approx(40.0), pytest.approx(80.0),
+        ]
+
+
+class TestTtlClock:
+    """§3.2: a long-term copy's clock is its TTL, and it has none
+    without one."""
+
+    def test_promotion_turns_the_idle_clock_into_the_ttl(self, sim, buffer_host):
+        buffer_host.set_region_size(1)
+        policy = make_policy(buffer_host, c=1.0, ttl=200.0)
+        policy.on_receive(msg(1))
+        timer = policy._clocks[1]
+        sim.run(until=40.0)
+        assert policy.buffer.get(1).long_term
+        assert policy._clocks[1] is timer
+        assert deadline(policy, 1) == pytest.approx(240.0)
+
+    def test_no_ttl_means_no_clock(self, sim, buffer_host):
+        buffer_host.set_region_size(1)
+        policy = make_policy(buffer_host, c=1.0)
+        policy.on_receive(msg(1))
+        sim.run()
+        assert policy.buffer.get(1).long_term
+        assert policy._clocks == {}
+        assert sim.pending_events == 0
+        assert policy.on_request(1) is not None  # a request arms nothing
+        policy.on_serve(1)
+        assert policy._clocks == {} and sim.pending_events == 0
+
+    def test_serving_touches_the_ttl(self, sim, buffer_host):
+        buffer_host.set_region_size(1)
+        policy = make_policy(buffer_host, c=1.0, ttl=200.0)
+        policy.on_receive(msg(1))
+        sim.at(50.0, policy.on_serve, 1)  # promoted at 40
+        sim.run()
+        [record] = policy.buffer.records
+        assert (record.reason, record.discard_time) == (DISCARD_TTL, pytest.approx(250.0))
+
+    def test_close_cancels_every_clock(self, sim, buffer_host, trace):
+        buffer_host.set_region_size(1)
+        policy = make_policy(buffer_host, c=1.0, ttl=200.0)
+        policy.on_receive(msg(1))
+        sim.run(until=40.0)  # 1 is long-term, on its TTL
+        policy.on_receive(msg(2))  # 2 is short-term, on its idle clock
+        assert set(policy._clocks) == {1, 2}
+        policy.close()
+        assert policy._clocks == {}
+        sim.run()
+        assert {record.reason for record in policy.buffer.records} == {"close"}
+        assert trace.count("buffer_idle") == 1  # only 1's, before the close
+
+    def test_rehandoff_pushes_the_armed_ttl_back_in_place(self, sim, buffer_host):
+        """A second handoff of a copy that is already long-term restarts
+        its TTL on the armed timer: the stale event fires at the old
+        deadline and re-queues once, under the seq the push-back
+        reserved, exactly as before the idle clock and TTL were merged."""
+        buffer_host.set_region_size(1)
+        policy = make_policy(buffer_host, c=1.0, ttl=200.0)
+        policy.on_receive(msg(1))
+        sim.run(until=100.0)  # idle at 40, TTL due at 240
+        policy.accept_handoff(msg(1))
+        assert deadline(policy, 1) == pytest.approx(300.0)
+        sim.run()
+        [record] = policy.buffer.records
+        assert (record.reason, record.discard_time) == (DISCARD_TTL, pytest.approx(300.0))
+        # idle clock at 40, the stale TTL event at 240, its catch-up at 300
+        assert sim.events_fired == 3
+
+
+class TestDrainOrder:
+    def test_drain_returns_admission_order(self, sim, buffer_host):
+        """Handoff plans draw one peer per drained copy, so the drain
+        order is part of every leave's sample path: it is the order the
+        copies were (re)admitted, not seq or promotion order."""
+        policy = make_policy(buffer_host, c=0.0, ttl=500.0)
+        for seq in (7, 3, 5, 9):
+            policy.on_receive(msg(seq))
+        sim.run()  # C = 0: every copy idles out and is discarded
+        for seq in (9, 5, 3, 7):  # re-admitted in a new order
+            policy.on_receive(msg(seq))
+        for seq in (3, 7, 5):     # promoted in yet another
+            policy.accept_handoff(msg(seq))
+        assert list(policy.buffer.long_term_seqs()) == [5, 3, 7]
+        assert [data.seq for data in policy.drain_for_handoff()] == [5, 3, 7]
+        assert [r.seq for r in policy.buffer.records if r.reason == DISCARD_HANDOFF] == [5, 3, 7]
+        assert list(policy.buffer.seqs()) == [9]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("kwargs", [
+        {"idle_threshold": 0.0}, {"idle_threshold": -1.0},
+        {"idle_threshold": float("inf")}, {"idle_threshold": float("nan")},
+        {"long_term_c": -1.0}, {"long_term_c": float("inf")},
+        {"long_term_c": float("nan")},
+        {"long_term_ttl": 0.0}, {"long_term_ttl": float("inf")},
+        {"long_term_ttl": float("nan")},
+    ])
+    def test_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            TwoPhaseBufferPolicy(**kwargs)
+
+    def test_c_zero_and_no_ttl_accepted(self):
+        TwoPhaseBufferPolicy(long_term_c=0.0, long_term_ttl=None)

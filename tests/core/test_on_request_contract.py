@@ -6,8 +6,9 @@ lookup per answer.  For every concrete policy, generated programs of
 receipts, requests and elapsed time check that it returns exactly the
 buffered body (the object ``get`` returns), or ``None`` when nothing is
 buffered, and that a request never evicts.  The two-phase policy must
-still treat the request as feedback: ``last_request_time`` moves to
-now, and so does the idle deadline or, for a long-term copy, the TTL.
+still treat the request as feedback: the copy's one clock is due again
+``T`` from now while it is short-term, or the TTL from now once it is
+long-term.
 """
 
 import pytest
@@ -43,12 +44,8 @@ programs = st.lists(
 
 def check_feedback(policy, seq, now):
     """The two-phase refresh a request must still make."""
-    entry = policy.buffer.get(seq)
-    assert entry.last_request_time == now
-    if entry.long_term:
-        assert policy.long_term._ttl_timers[seq].deadline == now + TTL
-    else:
-        assert policy.short_term.idle_deadline(seq) == now + IDLE
+    delay = TTL if policy.buffer.get(seq).long_term else IDLE
+    assert policy._clocks[seq].deadline == now + delay
 
 
 @pytest.mark.parametrize("name", sorted(POLICIES))

@@ -92,4 +92,4 @@ class TestTwoPhaseProperties:
         policy.close()
         sim.run()
         assert policy.occupancy == 0
-        assert policy.short_term.tracked_count == 0
+        assert policy._clocks == {}

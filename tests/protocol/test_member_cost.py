@@ -17,8 +17,7 @@ import dataclasses
 
 from repro.core import search
 from repro.core.buffer import BufferRecord
-from repro.core.long_term import RandomizedLongTermSelector
-from repro.core.short_term import FeedbackIdleTracker
+from repro.core.manager import TwoPhaseBufferPolicy
 from repro.net.topology import chain, single_region
 from repro.protocol import recovery
 from repro.protocol.config import RrmpConfig
@@ -58,7 +57,8 @@ class TestStreamsExistOnceDrawnFrom:
 
 class TestEventsShareInstants:
     """A region acts in lockstep, so the heap orders instants (floats),
-    and a buffered copy is one slotted entry plus closure-free timers."""
+    and a buffered copy is one slotted entry plus at most one
+    closure-free timer."""
 
     def test_a_lossless_stream_fires_twenty_events_per_heap_entry(self):
         spec = scale_spec(regions=10, members_per_region=100, messages=5, loss_rate=0.0)
@@ -71,22 +71,39 @@ class TestEventsShareInstants:
         policies = [member.policy for member in simulation.members.values()]
         # Mid-stream: idle timers armed, session and data events queued.
         simulation.run(until=60.0)
-        idle = [timer for policy in policies for timer in policy.short_term._timers.values()]
+        idle = self.clocks(policies, long_term=False)
         assert len(queue._times) > 1 and idle
         assert all(type(time) is float for time in queue._times)
-        assert all(timer._callback.__func__ is FeedbackIdleTracker._fire for timer in idle)
+        self.assert_bound_to_the_policy(idle)
         built.run()
         assert sim.events_fired / sim.instants_opened >= 20
         assert all(type(time) is float for time in queue._times)
-        ttl = [timer for policy in policies for timer in policy.long_term._ttl_timers.values()]
+        assert not self.clocks(policies, long_term=False)
+        ttl = self.clocks(policies, long_term=True)
         assert ttl
-        assert all(timer._callback.__func__ is RandomizedLongTermSelector._expire
-                   for timer in ttl)
+        self.assert_bound_to_the_policy(ttl)
+        for policy in policies:
+            assert set(policy._clocks) == set(policy.buffer.long_term_seqs())
         entries = [entry for policy in policies for entry in policy.buffer.entries()]
         records = [record for policy in policies for record in policy.buffer.records]
         assert entries and not any(hasattr(entry, "__dict__") for entry in entries)
         assert records and all(type(record) is BufferRecord for record in records)
         assert issubclass(BufferRecord, tuple)
+
+    @staticmethod
+    def clocks(policies, long_term):
+        """(policy, seq, timer) for every clock of a copy in that phase."""
+        return [(policy, seq, timer) for policy in policies
+                for seq, timer in policy._clocks.items()
+                if policy.buffer.get(seq).long_term is long_term]
+
+    @staticmethod
+    def assert_bound_to_the_policy(clocks):
+        """Each timer calls its own policy's bound method with the seq."""
+        for policy, seq, timer in clocks:
+            assert timer._callback.__func__ is TwoPhaseBufferPolicy._on_clock
+            assert timer._callback.__self__ is policy
+            assert timer._args == (seq,)
 
 
 class TestPickingAPeerCopiesNothing:

@@ -299,18 +299,33 @@ class TestSpecOverrides:
         assert captured.out == ""
         assert captured.err == "error: idle_threshold must be > 0, got 0.0\n"
 
-    @pytest.mark.parametrize("name, field, value, shown", [
-        ("initial_holders", "intra_one_way", "nan", "nan"),
-        ("search", "inter_one_way", "1e999", "inf"),
-        ("initial_holders", "intra_one_way", "-1", "-1.0"),
-        ("search", "inter_down_one_way", "1e999", "inf"),
+    @pytest.mark.parametrize("name, field, value, message", [
+        ("initial_holders", "intra_one_way", "nan",
+         "TopologySpec.intra_one_way must be finite float, got nan"),
+        ("search", "inter_one_way", "1e999",
+         "TopologySpec.inter_one_way must be finite float, got inf"),
+        ("initial_holders", "intra_one_way", "-1",
+         "intra_one_way must be finite and >= 0, got -1.0"),
+        ("search", "inter_down_one_way", "1e999",
+         "TopologySpec.inter_down_one_way must be Optional[finite float], got inf"),
     ])
     def test_cli_non_finite_or_negative_latency_is_a_usage_error(self, capsys, name, field,
-                                                                 value, shown):
+                                                                 value, message):
         assert main(["scenarios", "run", name, "--param", f"topology.{field}={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {field} must be finite and >= 0, got {shown}\n"
+        assert captured.err == f"error: {message}\n"
+
+    def test_cli_describe_refuses_a_non_finite_value(self, capsys):
+        """Spec construction refuses nan, so ``describe`` never prints a
+        spec whose ``run`` would hang (a nan horizon never ends)."""
+        assert main(["scenarios", "describe", "scale",
+                     "--param", "measurement.horizon=nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: MeasurementSpec.horizon must be Optional[finite float], got nan\n"
+        )
 
     def test_cli_non_integral_value_for_an_int_field_is_a_usage_error(self, capsys):
         assert main([

@@ -174,6 +174,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             MeasurementSpec(horizon=-1.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MeasurementSpec(horizon=float("nan")),
+         "MeasurementSpec.horizon must be Optional[finite float], got nan"),
+        (lambda: PolicySpec(c=float("nan")), "PolicySpec.c must be finite float, got nan"),
+        (lambda: TrafficSpec(interval=float("inf")),
+         "TrafficSpec.interval must be finite float, got inf"),
+    ], ids=["horizon-nan", "c-nan", "interval-inf"])
+    def test_non_finite_number_rejected(self, build, message):
+        """One rule for every float field: nan and ±inf are refused when
+        the spec is built, naming the node and the field."""
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
     def test_member_count(self):
         assert TopologySpec(kind="single_region", n=7).member_count() == 7
         assert TopologySpec(kind="chain", sizes=(3, 4)).member_count() == 7
