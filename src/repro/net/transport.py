@@ -11,12 +11,18 @@ A multicast is modelled as an independent delivery per receiver other
 than the sender — the standard abstraction for IP multicast over a
 dissemination tree, where each receiver observes its own delay and loss
 outcome.  What happened to each packet is kept as counters only.
+
+Every delivery is handed to :meth:`repro.sim.Simulator.post`, so all
+packets that arrive at one instant, from any number of sends, ride one
+engine event (:meth:`Network._deliver_batch`) in the order one event
+per packet would have fired them.  A multicast posts each run of
+receivers that share a delivery time once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Protocol
 
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
@@ -128,7 +134,23 @@ class Network:
         model dropped it.  Sending to an unregistered destination counts
         as a send but delivers nothing (the node left or crashed).
         """
-        return self._send(src, dst, payload, group=None)
+        # _send and the post, inline: a repair storm is all unicasts.
+        kind = getattr(payload, "kind", KIND_CONTROL)
+        stats = self.stats
+        stats.record_send(type(payload).__name__, kind, int(getattr(payload, "wire_size", 64)))
+        if dst not in self._endpoints:
+            stats.dropped += 1
+            stats.send_dropped += 1
+            return None
+        if self.loss.is_lost(src, dst, kind, self._loss_rng):
+            stats.dropped += 1
+            return None
+        sim = self.sim
+        now = sim.now
+        deliver_time = now + self.latency.one_way(src, dst)
+        packet = Packet(src, dst, payload, kind, now, deliver_time, None)
+        sim.post(deliver_time, self._deliver_batch, [packet])
+        return packet
 
     def multicast(
         self,
@@ -144,44 +166,31 @@ class Network:
         losses).
         """
         scheduled = 0
-        # Same-tick batching: consecutive deliveries of one fan-out that
-        # share a deliver_time (the common case under constant-latency
-        # models) ride a single engine event instead of one heap entry
-        # per receiver.  Only *adjacent* equal times are merged, so the
-        # relative delivery order is exactly what per-packet events
-        # would have produced.
+        # Consecutive receivers that share a deliver_time (the common
+        # case under constant-latency models) are posted as one run.
+        post = self.sim.post
+        deliver = self._deliver_batch
         batch: List[Packet] = []
         batch_time = 0.0
         for dst in dsts:
             if dst == src:
                 continue
-            packet = self._send(src, dst, payload, group=group, schedule=False)
+            packet = self._send(src, dst, payload, group)
             if packet is None:
                 continue
             scheduled += 1
             if batch and packet.deliver_time != batch_time:
-                self._schedule_delivery(batch)
+                post(batch_time, deliver, batch)
                 batch = []
             batch.append(packet)
             batch_time = packet.deliver_time
         if batch:
-            self._schedule_delivery(batch)
+            post(batch_time, deliver, batch)
         return scheduled
 
-    def _schedule_delivery(self, packets: List[Packet]) -> None:
-        """Schedule one engine event for a run of same-time packets."""
-        if len(packets) == 1:
-            packet = packets[0]
-            self.sim.at(packet.deliver_time, self._deliver, packet)
-        else:
-            self.sim.at(packets[0].deliver_time, self._deliver_batch, tuple(packets))
-
-    def _deliver_batch(self, packets: Tuple[Packet, ...]) -> None:
-        for packet in packets:
-            self._deliver(packet)
-
-    def _send(self, src: NodeId, dst: NodeId, payload: Any, group: Optional[str],
-              schedule: bool = True) -> Optional[Packet]:
+    def _send(self, src: NodeId, dst: NodeId, payload: Any,
+              group: Optional[str]) -> Optional[Packet]:
+        """Count, loss-draw and price one packet; ``None`` if it is lost."""
         # payload_kind, payload_size and payload_type_name, inline (per packet).
         kind = getattr(payload, "kind", KIND_CONTROL)
         size = int(getattr(payload, "wire_size", 64))
@@ -202,20 +211,19 @@ class Network:
             self.stats.dropped += 1
             return None
         now = self.sim.now
-        deliver_time = now + self.latency.one_way(src, dst)
-        packet = Packet(src, dst, payload, kind, now, deliver_time, group)
-        if schedule:
-            self.sim.at(deliver_time, self._deliver, packet)
-        return packet
+        return Packet(src, dst, payload, kind, now, now + self.latency.one_way(src, dst), group)
 
-    def _deliver(self, packet: Packet) -> None:
-        endpoint = self._endpoints.get(packet.dst)
-        if endpoint is None:
-            # Destination departed while the packet was in flight.
-            self.stats.dropped += 1
-            return
-        self.stats.delivered += 1
-        endpoint.on_packet(packet)
+    def _deliver_batch(self, packets: List[Packet]) -> None:
+        """Hand every packet of one engine event to its endpoint."""
+        endpoints, stats = self._endpoints, self.stats
+        for packet in packets:
+            endpoint = endpoints.get(packet.dst)
+            if endpoint is None:
+                # Destination departed while the packet was in flight.
+                stats.dropped += 1
+                continue
+            stats.delivered += 1
+            endpoint.on_packet(packet)
 
     # ------------------------------------------------------------------
     # Timer helpers

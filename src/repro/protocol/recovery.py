@@ -28,11 +28,11 @@ each round resends that object.
 from __future__ import annotations
 
 import random
-from typing import Protocol, Sequence, Tuple
+from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.protocol.config import RrmpConfig
 from repro.protocol.messages import LocalRequest, RemoteRequest, Seq
-from repro.sim import Simulator, Timer, TraceLog, pick_other
+from repro.sim import Event, Simulator, TraceLog, pick_other
 
 
 class RecoveryHost(Protocol):
@@ -105,8 +105,10 @@ class RecoveryProcess:
         self._timer_factor = config.timer_factor
         self._local_request = LocalRequest(seq=seq, requester=host.node_id)
         self._remote_request = RemoteRequest(seq=seq, requester=host.node_id)
-        self._local_timer = Timer(host.sim, self._local_round)
-        self._remote_timer = Timer(host.sim, self._remote_round)
+        # A round is only ever armed by the start or by the round's own
+        # firing, so each phase is one plain event, never pushed back.
+        self._local_event: Optional[Event] = None
+        self._remote_event: Optional[Event] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -122,11 +124,11 @@ class RecoveryProcess:
         return not (self.completed or self.failed or self.cancelled)
 
     def complete(self, now: float) -> None:
-        """The message arrived: stop all timers and record latency."""
+        """The message arrived: stop both phases and record latency."""
         if not self.active:
             return
         self.completed = True
-        self._stop_timers()
+        self._stop_rounds()
         self.host.trace.emit(
             now,
             "recovery_completed",
@@ -140,12 +142,12 @@ class RecoveryProcess:
 
     def cancel(self) -> None:
         """Abandon silently (member shutdown)."""
-        self._stop_timers()
+        self._stop_rounds()
         self.cancelled = True
 
     def _fail(self) -> None:
         self.failed = True
-        self._stop_timers()
+        self._stop_rounds()
         self.host.trace.emit(
             self.host.sim.now,
             "reliability_violation",
@@ -154,9 +156,11 @@ class RecoveryProcess:
             waited=self.host.sim.now - self.detected_at,
         )
 
-    def _stop_timers(self) -> None:
-        self._local_timer.cancel()
-        self._remote_timer.cancel()
+    def _stop_rounds(self) -> None:
+        for event in (self._local_event, self._remote_event):
+            if event is not None:
+                event.cancel()
+        self._local_event = self._remote_event = None
 
     def _idle_retry_delay(self) -> float:
         """Back-off before re-checking a phase that has no peers *now*.
@@ -185,12 +189,14 @@ class RecoveryProcess:
             # may add neighbours, so keep the phase alive instead of
             # going silent forever (no request is sent, no round is
             # counted — this is a probe, not a recovery round).
-            self._local_timer.start(self._idle_retry_delay())
-            return
-        self.local_rounds += 1
-        target = pick_other(self._rng, members, position)
-        host.send_local_request(target, self._local_request)
-        self._local_timer.start(host.rtt_to(target) * self._timer_factor)
+            delay = self._idle_retry_delay()
+        else:
+            self.local_rounds += 1
+            target = pick_other(self._rng, members, position)
+            host.send_local_request(target, self._local_request)
+            delay = host.rtt_to(target) * self._timer_factor
+        sim = host.sim
+        self._local_event = sim.at(sim.now + delay, self._local_round)
 
     # ------------------------------------------------------------------
     # Remote phase
@@ -204,23 +210,25 @@ class RecoveryProcess:
             self._fail()
             return
         parents = host.parent_member_ids()
-        if not parents:
+        if parents:
+            self.remote_rounds += 1
+            # Choose r first; the round tracks r whether or not the
+            # probabilistic send happens (§2.2).
+            target = self._rng.choice(parents)
+            region_size = max(1, host.region_size())
+            probability = min(1.0, host.config.remote_lambda / region_size)
+            if self._rng.random() < probability:
+                self.remote_requests_sent += 1
+                host.send_remote_request(target, self._remote_request)
+            delay = host.rtt_to(target) * self._timer_factor
+        elif host.has_parent_region():
+            # A parent region that exists but is *currently empty* may
+            # refill under churn: probe rather than abandon the phase.
+            delay = self._idle_retry_delay()
+        else:
             # §2.2: "If a receiver has no parent region, its remote
-            # recovery phase does nothing."  That is structural for a
-            # root region (regions never gain a parent), so stay
-            # silent there; a parent region that exists but is
-            # *currently empty* may refill under churn, so re-arm a
-            # probe timer rather than abandoning the phase.
-            if host.has_parent_region():
-                self._remote_timer.start(self._idle_retry_delay())
+            # recovery phase does nothing."  Structural for a root
+            # region (regions never gain a parent), so stay silent.
             return
-        self.remote_rounds += 1
-        # Choose r first; the timer tracks r whether or not the
-        # probabilistic send happens (§2.2).
-        target = self._rng.choice(parents)
-        region_size = max(1, host.region_size())
-        probability = min(1.0, host.config.remote_lambda / region_size)
-        if self._rng.random() < probability:
-            self.remote_requests_sent += 1
-            host.send_remote_request(target, self._remote_request)
-        self._remote_timer.start(host.rtt_to(target) * self._timer_factor)
+        sim = host.sim
+        self._remote_event = sim.at(sim.now + delay, self._remote_round)

@@ -13,7 +13,7 @@ threshold).
 from __future__ import annotations
 
 from heapq import heappop
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.sim import events as _events
 from repro.sim.events import Event, EventQueue
@@ -59,6 +59,9 @@ class Simulator:
         self.now = float(start_time)
         self._queue = EventQueue()
         self._seq = 0
+        #: The last seq :meth:`reserve_seq` handed out: no post queued
+        #: before it may take more items (see :meth:`post`).
+        self._reserved = 0
         self._running = False
         self._events_fired = 0
 
@@ -106,6 +109,41 @@ class Simulator:
             bucket.append(event)
         return event
 
+    def post(self, time: float, callback: Callable[[List[Any]], None],
+             items: List[Any]) -> None:
+        """Schedule ``callback(items)`` at *time*, one event for many items.
+
+        A region acts in lockstep, so a §2.2 request storm lands many
+        packets on the same instants; the network posts its deliveries,
+        and the packets of one instant ride one event.
+
+        If the last event queued for *time* is an earlier post of the
+        same *callback* (``==``, so a fresh bound method of the same
+        object matches), and no seq has been reserved since that post
+        was queued, *items* join its list instead.  The tail of an
+        instant, with no reservation in between, is exactly where one
+        :meth:`at` per item would have fired them, so firing order is
+        unchanged; only :attr:`events_fired` counts fewer.  The post
+        owns *items* from here on.
+
+        What a batch cannot do is let a seq reserved before it be
+        redeemed for its own instant while it fires (:meth:`at_reserved`
+        with ``time == now``): that event would follow the batch's last
+        item, not the current one.  :class:`~repro.sim.Timer` redeems
+        only for a later deadline.
+        """
+        queue = self._queue
+        posts = queue._posts
+        if time in posts:
+            event, open_callback, open_items = posts[time]
+            if open_callback == callback and event.seq > self._reserved:
+                bucket = queue._buckets[time]
+                if bucket and bucket[-1] is event:
+                    open_items += items
+                    return
+        # Through ``at``, so whatever wraps it sees the batch event.
+        posts[time] = (self.at(time, callback, items), callback, items)
+
     def _refusal(self, time: float) -> SimulationError:
         why = f"before now={self.now:.6f}" if time < self.now else "not finite"
         return SimulationError(f"cannot schedule at t={time:.6f}, which is {why}")
@@ -124,9 +162,11 @@ class Simulator:
         the cancel-and-reschedule it replaces would have, so same-time
         tie-breaking of every subsequent event is unchanged, and the
         timer's eventual catch-up event (:meth:`at_reserved`) fires in
-        precisely the order the rescheduled event would have.
+        precisely the order the rescheduled event would have.  It also
+        closes every open :meth:`post`, which that event may follow.
         """
         self._seq += 1
+        self._reserved = self._seq
         return self._seq
 
     def at_reserved(self, time: float, seq: int, callback: Callable[..., None],
@@ -166,7 +206,8 @@ class Simulator:
 
         When *until* is given, time is advanced to exactly *until* even
         if the queue drains earlier, so occupancy probes and time-series
-        samples line up across runs.  Returns the final simulated time.
+        samples line up across runs; but never past a live event that
+        *max_events* left unfired.  Returns the final simulated time.
 
         The loop is the simulator's hottest code: it works on the
         queue's heap of instants and their buckets directly instead of
@@ -180,7 +221,7 @@ class Simulator:
         # EventQueue.compact() and clear() work in place and only the
         # head of ``times`` is ever retired, so these aliases and the
         # bucket being drained stay valid whatever a callback does.
-        times, buckets = queue._times, queue._buckets
+        times, buckets, posts = queue._times, queue._buckets, queue._posts
         limit = _INF if max_events is None else max_events
         fired = 0
         try:
@@ -189,6 +230,8 @@ class Simulator:
                 bucket = buckets[time]
                 if not bucket:
                     del buckets[heappop(times)]
+                    if time in posts:
+                        del posts[time]
                     continue
                 if until is not None and time > until:
                     break
@@ -217,7 +260,9 @@ class Simulator:
             global _total_events_fired
             _total_events_fired += fired
         if until is not None and self.now < until:
-            self.now = until
+            next_time = queue.peek_time()
+            if next_time is None or next_time > until:
+                self.now = until
         return self.now
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> float:

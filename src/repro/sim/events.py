@@ -9,7 +9,10 @@ RRMP runs in lockstep — a region's members buffer a message, go idle
 and flip their coin at the *same* simulated instant — so
 :class:`EventQueue` orders **instants**, not events: a heap of the
 distinct pending firing times (floats, compared in C) and, per time, a
-bucket of that instant's events in seq order.
+bucket of that instant's events in seq order.  The queue also keeps,
+per instant, the last :meth:`~repro.sim.Simulator.post` queued there,
+so later items for that instant can join its event while it is still
+the bucket's tail: a region's same-instant deliveries are one event.
 
 Cancellation is *lazy*: cancelling an event marks it dead but leaves it
 in its bucket; the engine discards dead events when it reaches them.
@@ -117,11 +120,15 @@ class EventQueue:
     dead entries dominate them.
     """
 
-    __slots__ = ("_times", "_buckets", "_size", "_dead", "_opened")
+    __slots__ = ("_times", "_buckets", "_posts", "_size", "_dead", "_opened")
 
     def __init__(self) -> None:
         self._times: List[float] = []
         self._buckets: Dict[float, Deque[Event]] = {}
+        #: Per instant, the last :meth:`repro.sim.Simulator.post` queued
+        #: there: its event, its callback and its item list.  Retired
+        #: with the instant's bucket.
+        self._posts: Dict[float, Tuple[Event, Callable[..., None], List[Any]]] = {}
         #: Queued entries, cancelled ones included.
         self._size = 0
         #: Cancelled events still sitting in a bucket.  Maintained by
@@ -159,6 +166,7 @@ class EventQueue:
                 self._dead -= 1
             if bucket:
                 return bucket
+            self._posts.pop(times[0], None)
             del buckets[heappop(times)]
         return None
 
@@ -220,6 +228,7 @@ class EventQueue:
                 event._queue = None
             bucket.clear()
         self._buckets.clear()
+        self._posts.clear()
         self._times.clear()
         self._size = 0
         self._dead = 0

@@ -1,9 +1,9 @@
 """Restartable timers and periodic tasks on top of the event engine.
 
-RRMP is timer-heavy: every in-flight recovery keeps a per-round
-retransmission timer, every buffered message keeps an idle timer that is
+RRMP is timer-heavy: every buffered message keeps an idle timer that is
 pushed back each time a request arrives, and the baselines run periodic
-gossip.  :class:`Timer` and :class:`PeriodicTask` capture those two
+gossip.  (A recovery round is re-armed only from its own firing, so it
+is a plain event, not a :class:`Timer`.)  :class:`Timer` and :class:`PeriodicTask` capture those two
 patterns once so protocol code never manipulates raw events.
 """
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.scenario.registry import get_scenario, scenario_names
-from repro.sim import trace_digest
+from repro.sim import Simulator, trace_digest
 
 BASELINE_PATH = Path(__file__).parent / "scenario_trace_digests.json"
 UPDATE_ENV = "RRMP_UPDATE_BASELINES"
@@ -82,3 +83,29 @@ def test_baseline_file_covers_exactly_the_registry() -> None:
         pytest.skip("baseline update mode")
     baselines = _load_baselines()
     assert sorted(baselines) == sorted(scenario_names())
+
+
+def _forward(callback, *args):
+    callback(*args)
+
+
+def _forwarding(original, callback_at):
+    """*original* with a forwarding callback put in front of the real
+    one, as a span tracer that wraps the scheduler does."""
+
+    def schedule(*args):
+        return original(*args[:callback_at], _forward, *args[callback_at:])
+
+    return schedule
+
+
+@pytest.mark.parametrize("name", ["initial_holders", "overload_onset_cc"])
+def test_a_wrapped_scheduler_fires_the_same_events(name: str) -> None:
+    """Deliveries sharing an instant merge into one event whatever
+    callback the scheduler was handed, so a traced pass counts the
+    events an untraced one does."""
+    plain = _run_digest(name)
+    with mock.patch.object(Simulator, "at", _forwarding(Simulator.at, 2)), \
+            mock.patch.object(Simulator, "at_reserved", _forwarding(Simulator.at_reserved, 3)):
+        wrapped = _run_digest(name)
+    assert wrapped == plain

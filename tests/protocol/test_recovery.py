@@ -131,7 +131,7 @@ class TestRemotePhase:
         assert host.sent_remote == []
         # Structurally parentless (root region): the phase stays silent
         # — no idle probe keeps the event queue alive forever.
-        assert not process._remote_timer.armed
+        assert process._remote_event is None
 
     def test_remote_phase_resumes_when_parent_region_refills(self, sim, trace):
         """An emptied parent region refilling under churn revives the

@@ -137,6 +137,24 @@ class TestRun:
         sim.run(max_events=10)
         assert count[0] == 10
 
+    def test_max_events_keeps_the_clock_before_unfired_events(self, sim):
+        fired = []
+        for time in (1.0, 2.0, 3.0, 4.0):
+            sim.at(time, fired.append, time)
+        assert sim.run_for(10.0, max_events=2) == 2.0
+        sim.at(5.0, fired.append, 5.0)  # 3 and 4 are still queued: not the past
+        assert sim.run_for(10.0, max_events=2) == 4.0
+        assert sim.run_for(10.0) == 14.0
+        assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_max_events_still_advances_past_the_last_due_event(self, sim):
+        sim.at(1.0, lambda: None)
+        sim.at(20.0, lambda: None)
+        cancelled = sim.at(3.0, lambda: None)
+        cancelled.cancel()
+        assert sim.run(until=10.0, max_events=1) == 10.0
+        assert sim.pending_events == 1
+
     def test_run_is_not_reentrant(self, sim):
         error = []
 
@@ -181,6 +199,56 @@ class TestRun:
         sim.run()
         assert sim.events_fired == 2
         assert sim.pending_events == 0
+
+
+class TestPost:
+    def test_same_instant_posts_share_one_event(self, sim):
+        batches = []
+        sim.post(1.0, batches.append, ["a"])
+        sim.post(2.0, batches.append, ["x"])
+        sim.post(1.0, batches.append, ["b", "c"])
+        assert sim.pending_events == 2
+        sim.run()
+        assert batches == [["a", "b", "c"], ["x"]]
+        assert sim.events_fired == 2
+
+    def test_an_event_queued_behind_a_post_closes_it(self, sim):
+        log = []
+        sim.post(1.0, log.extend, ["a"])
+        sim.at(1.0, log.append, "event")
+        sim.post(1.0, log.extend, ["b"])
+        sim.run()
+        assert log == ["a", "event", "b"] and sim.events_fired == 3
+
+    def test_a_reservation_closes_every_open_post(self, sim):
+        log = []
+        sim.post(1.0, log.extend, ["a"])
+        seq = sim.reserve_seq()
+        sim.post(1.0, log.extend, ["b"])
+        sim.at_reserved(1.0, seq, log.append, "reserved")
+        sim.run()
+        assert log == ["a", "reserved", "b"]
+
+    def test_only_the_same_callback_joins(self, sim):
+        first, second = [], []
+        sim.post(1.0, first.extend, ["a"])
+        sim.post(1.0, second.extend, ["b"])
+        sim.post(1.0, second.extend, ["c"])  # a fresh bound method, equal
+        sim.run()
+        assert (first, second, sim.events_fired) == (["a"], ["b", "c"], 2)
+
+    def test_a_post_from_its_own_instant_is_a_new_event(self, sim):
+        batches = []
+
+        def deliver(items):
+            batches.append(list(items))
+            if items == ["a"]:
+                sim.post(sim.now, deliver, ["b"])
+
+        sim.post(1.0, deliver, ["a"])
+        sim.run()
+        assert batches == [["a"], ["b"]] and sim.events_fired == 2
+        assert sim._queue._posts == {}  # retired with the instant
 
 
 class TestDeterminism:

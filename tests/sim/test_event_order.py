@@ -10,13 +10,19 @@ firing log and the same clock, ``events_fired`` and ``pending_events``
 after every driver call, and ``drain()`` must raise on the same
 programs.  Compaction is forced on (threshold 1) so it happens inside
 callbacks, mid-bucket, all the time.
+
+Programs may also ``post`` items, from callbacks and before the run,
+also into the instant being drained.  The reference posts one event per
+item; the simulator may merge them into fewer events, so there the
+item-level log, the clock and whether anything is pending must match,
+and ``events_fired`` may only be lower.
 """
 
 import gc
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.sim import Simulator, events
@@ -44,6 +50,10 @@ class ListSimulator:
 
     def at(self, time, callback, *args):
         return self.at_reserved(time, self.reserve_seq(), callback, *args)
+
+    def post(self, time, callback, items):
+        for item in items:
+            self.at(time, callback, [item])
 
     def reserve_seq(self):
         self._seq += 1
@@ -86,7 +96,9 @@ class ListSimulator:
             fired += 1
             self._fire(handle)
         if until is not None and self.now < until:
-            self.now = until
+            handle = self._next()
+            if handle is None or handle.time > until:
+                self.now = until
         return self.now
 
     def drain(self, max_events):
@@ -116,6 +128,16 @@ programs = st.fixed_dictionaries({
     "drain_budget": st.integers(0, 40),
 })
 
+post = st.tuples(st.just("post"), st.sampled_from(DELAYS), st.integers(1, 3))
+post_programs = st.fixed_dictionaries({
+    # A time is an ``at``, a ("post", time, count) posts count items.
+    "initial": st.lists(st.one_of(st.sampled_from(TIMES), post), min_size=1, max_size=12),
+    # The i-th *item* to fire performs scripts[i].
+    "scripts": st.lists(st.lists(st.one_of(actions, post, post), max_size=4), max_size=30),
+    "until": st.sampled_from((0.0, 1.0, 2.25, 6.0)),
+    "chunk": st.integers(1, 5),
+})
+
 
 class Interpreter:
     """Runs one program against anything with the Simulator surface."""
@@ -126,12 +148,26 @@ class Interpreter:
         self.log = []
         self.handles = []
         self.reserved = []
-        for time in program["initial"]:
-            self.schedule(sim.at, time)
+        self.posted = 0
+        for entry in program["initial"]:
+            if isinstance(entry, tuple):
+                self.post(*entry[1:])
+            else:
+                self.schedule(sim.at, entry)
 
     def schedule(self, at, *where):
         ident = len(self.handles)
         self.handles.append(at(*where, self.fire, ident))
+
+    def post(self, time, count):
+        """Post *count* new items, named apart from the scheduled idents."""
+        items = [("post", self.posted + index) for index in range(count)]
+        self.posted += count
+        self.sim.post(time, self.fire_items, items)
+
+    def fire_items(self, items):
+        for ident in items:
+            self.fire(ident)
 
     def fire(self, ident):
         sim = self.sim
@@ -142,12 +178,19 @@ class Interpreter:
             kind = action[0]
             if kind == "at":
                 self.schedule(sim.at, sim.now + action[1])
+            elif kind == "post":
+                self.post(sim.now + action[1], action[2])
             elif kind == "reserve":
                 self.reserved.append(sim.reserve_seq())
             elif kind == "redeem" and self.reserved:
+                if action[2] == 0 and isinstance(ident, tuple):
+                    # A post's items share one event: a seq redeemed for
+                    # their own instant could not cut in between them
+                    # (Simulator.post's contract).
+                    continue
                 seq = self.reserved.pop(action[1] % len(self.reserved))
                 self.schedule(sim.at_reserved, sim.now + action[2], seq)
-            elif kind == "cancel":
+            elif kind == "cancel" and self.handles:
                 self.handles[action[1] % len(self.handles)].cancel()
             elif kind == "cancel_now":
                 rest_of_instant = [handle for handle in self.handles
@@ -160,11 +203,12 @@ class Interpreter:
 
 
 def drive(sim, program):
-    """run(max_events) / run(until) / step / drain / run, with the
-    observable state after every call."""
+    """run(until, max_events) / run(max_events) / run(until) / step /
+    drain / run, with the observable state after every call."""
     interpreter = Interpreter(sim, program)
     states = [interpreter.state()]
     for call in (
+        lambda: sim.run(until=program["until"], max_events=program["max_events"]),
         lambda: sim.run(max_events=program["max_events"]),
         lambda: sim.run(until=program["until"]),
         sim.step,
@@ -187,6 +231,44 @@ def test_fires_in_time_seq_order_like_a_plain_list(program):
     assert log == expected_log
     assert states == expected_states
     assert states[-1][3] == 0  # nothing pending after the final run()
+
+
+def drive_posts(sim, program):
+    """run(until) / run, with the item-level state after each call, then
+    the same program again in steps and ``chunk``-event runs.
+
+    Where a run stops or steps counts events, which posts merge, so only
+    the stepped run's final state is compared."""
+    interpreter = Interpreter(sim, program)
+    states = []
+    for call in (lambda: sim.run(until=program["until"]), sim.run):
+        states.append((call(), sim.pending_events > 0, list(interpreter.log)))
+    fired = sim.events_fired
+    assert sim.pending_events == 0
+    sim = type(sim)()
+    stepped = Interpreter(sim, program)
+    while sim.step():
+        sim.run(max_events=program["chunk"])
+    states.append((sim.now, sim.pending_events > 0, stepped.log))
+    assert sim.events_fired == fired
+    return states, fired
+
+
+def _post_example(*script):
+    return {"initial": [0.0], "scripts": [list(script)], "until": 6.0, "chunk": 1}
+
+
+@given(post_programs)
+# A seq reserved after a post is queued must still fire before later items.
+@example(_post_example(("post", 1.0, 1), ("reserve",), ("post", 1.0, 1), ("redeem", 0, 1.0)))
+# Only the instant's tail event may take more items.
+@example(_post_example(("post", 1.0, 1), ("at", 1.0), ("post", 1.0, 1)))
+def test_posts_fire_like_one_event_per_item(program):
+    with mock.patch.object(events, "COMPACT_MIN_DEAD", 1):
+        states, fired = drive_posts(Simulator(), program)
+    expected_states, expected_fired = drive_posts(ListSimulator(), program)
+    assert states == expected_states
+    assert fired <= expected_fired
 
 
 class TestCompactionMidBucket:
