@@ -42,7 +42,7 @@ def run_mode(mode: str) -> None:
     stats = simulation.network.stats
     report = summarize_fec(simulation.trace)
     delivered = all(simulation.all_received(seq) for seq in range(1, MESSAGES + 1))
-    print(f"== fec_mode={mode} ==")
+    print(f"== fec.mode={mode} ==")
     print(f"  all delivered:        {delivered}")
     print(f"  recoveries completed: {len(latencies)}")
     print(f"  recovery latency:     {Summary.from_values(latencies)}")

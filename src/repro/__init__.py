@@ -11,8 +11,8 @@ figure.
 
 Quickstart
 ----------
->>> from repro import RrmpSimulation, single_region, FixedHolderCount
->>> sim = RrmpSimulation(single_region(50), seed=7,
+>>> from repro import FixedHolderCount, PolicySpec, RrmpSimulation, single_region
+>>> sim = RrmpSimulation(single_region(50), config=PolicySpec(c=8.0), seed=7,
 ...                      outcome=FixedHolderCount(5))
 >>> _ = sim.sender.multicast()
 >>> _ = sim.run(duration=500.0)
@@ -46,14 +46,13 @@ from repro.protocol import (
     FEC_OFF,
     FEC_PROACTIVE,
     FEC_REACTIVE,
-    PAPER_SECTION4_CONFIG,
     DataMessage,
+    FecSpec,
     ParityMessage,
-    RrmpConfig,
+    PolicySpec,
     RrmpMember,
     RrmpSender,
     RrmpSimulation,
-    two_phase_policy_factory,
 )
 # NOTE: the `scenario()` builder function is deliberately NOT re-exported
 # here — a top-level `scenario` name would shadow the `repro.scenario`
@@ -80,6 +79,7 @@ __all__ = [
     "FEC_REACTIVE",
     "FecBlockDecoder",
     "FecEncoder",
+    "FecSpec",
     "FixedHolderCount",
     "FixedHolders",
     "FixedTimePolicy",
@@ -88,12 +88,11 @@ __all__ = [
     "HierarchicalLatency",
     "NeverDiscardPolicy",
     "NoBufferPolicy",
-    "PAPER_SECTION4_CONFIG",
     "ParityMessage",
     "PerfectOutcome",
+    "PolicySpec",
     "RandomStreams",
     "RegionCorrelatedOutcome",
-    "RrmpConfig",
     "RrmpMember",
     "RrmpSender",
     "RrmpSimulation",
@@ -112,6 +111,5 @@ __all__ = [
     "scenario_names",
     "single_region",
     "star",
-    "two_phase_policy_factory",
     "__version__",
 ]

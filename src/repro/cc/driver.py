@@ -58,7 +58,7 @@ class CongestionDriver:
         self.sent = 0
         self.done = False
         self._stopped = False
-        self._base_parity = sender.member.config.fec_parity
+        self._base_parity = sender.member.fec_spec.parity
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -285,16 +285,13 @@ def _scenarios_run(args) -> int:
         raise UsageError(f"--shards applies to flat-engine scenarios only "
                          f"({', '.join(scenario_names('flat'))}); {args.scenario!r} "
                          "runs on the object engine")
-    # Only construction is guarded: range checks on policy values live
-    # in RrmpConfig, so a bad --param surfaces here, while a ValueError
-    # raised by the run itself stays loud.
+    # Only construction is guarded: a ValueError raised by the run
+    # itself stays loud.
     try:
         if flat:
             from repro.scale.engine import require_flat_support, run_flat
-            from repro.scenario.materialize import build_config
 
             require_flat_support(spec)
-            build_config(spec.policy, spec.fec)
         else:
             simulation = spec.build()
     except ValueError as error:

@@ -52,9 +52,9 @@ class TwoPhaseBufferPolicy(BufferPolicy):
 
     Each buffered copy has at most one :class:`~repro.sim.Timer`: its
     idle clock while short-term, its TTL while long-term.  Parameters
-    mirror :class:`repro.protocol.config.RrmpConfig`; the policy is
-    usually built via :func:`repro.protocol.rrmp.two_phase_policy_factory`
-    so both share one config object.
+    are the ``idle_threshold``, ``c`` and ``long_term_ttl`` of
+    :class:`repro.protocol.config.PolicySpec`; a member given no policy
+    builds this one from its config.
     """
 
     def __init__(

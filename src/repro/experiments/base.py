@@ -84,8 +84,7 @@ def run_tree_baseline(spec: ScenarioSpec) -> BuiltScenario:
         latency=models.latency,
         loss=models.loss,
         outcome=models.outcome,
-        session_interval=spec.policy.session_interval,
-        timer_factor=spec.policy.timer_factor,
+        config=spec.policy,
     )
     built = BuiltScenario(spec=spec, simulation=tree, message_count=traffic.count)
     built.makespan = MakespanTracker().attach(tree.trace)

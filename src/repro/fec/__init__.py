@@ -18,8 +18,10 @@ The subsystem has three layers:
 * :mod:`repro.fec.decoder` — the receiver-side block reassembly that
   fills gaps before (or instead of) pull recovery.
 
-Wired into the protocol via ``RrmpConfig(fec_mode=..., fec_block_size=k,
-fec_parity=r)``; parity messages flow through the member's regular
+Wired into the protocol via
+``FecSpec(mode=..., block_size=k, parity=r)``
+(:class:`~repro.protocol.config.FecSpec`, a scenario's ``fec`` node);
+parity messages flow through the member's regular
 two-phase buffer policy, so long-term bufferers serve parity exactly
 like data.
 """

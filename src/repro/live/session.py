@@ -43,15 +43,10 @@ from repro.metrics.makespan import MakespanTracker
 from repro.metrics.snapshot import DeliveryCounter, MetricsSnapshot, take_snapshot
 from repro.net.topology import NodeId
 from repro.protocol.member import RrmpMember
-from repro.protocol.rrmp import (
-    MemberGroup,
-    default_sender_node,
-    two_phase_policy_factory,
-)
+from repro.protocol.rrmp import MemberGroup, default_sender_node
 from repro.protocol.sender import RrmpSender
 from repro.scenario.materialize import (
     BuiltScenario,
-    build_config,
     build_hierarchy,
     install_workload,
     network_models,
@@ -75,7 +70,7 @@ class LiveSession(MemberGroup):
     Usage::
 
         session = LiveSession(spec, speedup=10.0)
-        oracle = InvariantOracle().attach(session)
+        oracle = InvariantOracle().attach(session, spec.congestion)
         await session.start()
         await session.run()
         oracle.finish()
@@ -101,7 +96,8 @@ class LiveSession(MemberGroup):
         self.hold = hold
         self.hierarchy = build_hierarchy(spec.topology)
         self.hierarchy.validate()
-        self.config = build_config(spec.policy, spec.fec, spec.congestion)
+        self.config = spec.policy
+        self.fec_spec = spec.fec
         self.streams = RandomStreams(spec.seed)
         self.trace = TraceLog(keep_records=spec.measurement.keep_trace)
         # Subscribed up front, so the trace is always being emitted and
@@ -127,9 +123,7 @@ class LiveSession(MemberGroup):
         self._outcome = models.outcome
         self._local_nodes = set(local_nodes) if local_nodes is not None else None
         self._bind = bind
-        self._policy_factory = (
-            policy_factory_for(spec.policy) or two_phase_policy_factory(self.config)
-        )
+        self._policy_factory = policy_factory_for(spec.policy)
         self.members: Dict[NodeId, RrmpMember] = {}
         self.sender: Optional[RrmpSender] = None
         #: Everything :func:`install_workload` puts on this group at
@@ -305,7 +299,7 @@ async def run_spec_live(
     session = LiveSession(spec, speedup=speedup, local_nodes=local_nodes,
                           directory=directory, bind=bind)
     if oracle is not None:
-        oracle.attach(session)
+        oracle.attach(session, spec.congestion)
     try:
         await session.start()
         await session.run()

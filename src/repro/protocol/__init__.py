@@ -24,6 +24,7 @@ _EXPORTS = {
     "DATA_WIRE_SIZE": "messages",
     "DataMessage": "messages",
     "FEC_MODES": "config",
+    "FecSpec": "config",
     "FeedbackReport": "messages",
     "FEC_OFF": "config",
     "FEC_PROACTIVE": "config",
@@ -32,9 +33,9 @@ _EXPORTS = {
     "HandoffMessage": "messages",
     "HaveReply": "messages",
     "LocalRequest": "messages",
-    "PAPER_SECTION4_CONFIG": "config",
     "ParityMessage": "messages",
     "PolicyFactory": "rrmp",
+    "PolicySpec": "config",
     "REPAIR_LOCAL": "messages",
     "REPAIR_REGIONAL": "messages",
     "REPAIR_RELAY": "messages",
@@ -43,7 +44,6 @@ _EXPORTS = {
     "RecoveryProcess": "recovery",
     "RemoteRequest": "messages",
     "Repair": "messages",
-    "RrmpConfig": "config",
     "RrmpMember": "member",
     "RrmpSender": "sender",
     "RrmpSimulation": "rrmp",
@@ -57,7 +57,6 @@ _EXPORTS = {
     "VIA_MULTICAST": "member",
     "VIA_REGIONAL": "member",
     "VIA_REMOTE_REPAIR": "member",
-    "two_phase_policy_factory": "rrmp",
 }
 
 __all__ = sorted(_EXPORTS)
@@ -90,9 +89,9 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         FEC_OFF,
         FEC_PROACTIVE,
         FEC_REACTIVE,
-        PAPER_SECTION4_CONFIG,
         CongestionSpec,
-        RrmpConfig,
+        FecSpec,
+        PolicySpec,
     )
     from repro.protocol.loss_detection import GapTracker
     from repro.protocol.member import (
@@ -125,9 +124,5 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         SessionMessage,
     )
     from repro.protocol.recovery import RecoveryHost, RecoveryProcess
-    from repro.protocol.rrmp import (
-        PolicyFactory,
-        RrmpSimulation,
-        two_phase_policy_factory,
-    )
+    from repro.protocol.rrmp import PolicyFactory, RrmpSimulation
     from repro.protocol.sender import RrmpSender

@@ -1,7 +1,9 @@
 """RRMP protocol and buffer-management configuration.
 
-One dataclass gathers every tunable the paper names, with defaults set
-to the values used in the paper's §4 evaluation:
+Each protocol tunable is declared once, on a frozen node that is also
+the scenario tree's (:mod:`repro.scenario.spec` imports them from
+here): :class:`PolicySpec`, :class:`FecSpec` or :class:`CongestionSpec`.
+The defaults are the paper's §4 evaluation values:
 
 * intra-region RTT 10 ms (set in the latency model, not here);
 * idle threshold ``T = 40 ms`` ("4 times the maximum round trip time");
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import (
     Any,
     Callable,
@@ -39,6 +41,16 @@ CC_NONE = "none"        # open loop: today's behaviour, byte-identical
 CC_TFMCC = "tfmcc"      # NORM-style TCP-friendly, worst-receiver tracking
 CC_AIMD = "aimd"        # additive-increase / multiplicative-decrease baseline
 CC_CONTROLLERS = (CC_NONE, CC_TFMCC, CC_AIMD)
+
+#: Buffer-management families (see :class:`PolicySpec`).
+POLICY_KINDS = (
+    "two_phase", "fixed_time", "stability", "hash", "never_discard", "no_buffer",
+)
+
+def require_kind(kind: str, allowed: Tuple[str, ...], what: str) -> None:
+    """Refuse a discriminator *kind* that is not one of *allowed*."""
+    if kind not in allowed:
+        raise ValueError(f"{what} kind must be one of {allowed}, got {kind!r}")
 
 
 #: node class -> its (field name, annotation, converter) rules, resolved
@@ -138,8 +150,8 @@ class CongestionSpec:
       receiver's loss/RTT feedback;
     * ``aimd`` — additive-increase / multiplicative-decrease baseline.
 
-    One class serves the scenario tree (``ScenarioSpec.congestion``)
-    and the protocol (``RrmpConfig.congestion``).
+    The scenario installs it (``ScenarioSpec.congestion``) as the
+    sender's :class:`~repro.cc.CongestionDriver`.
     """
 
     controller: str = CC_NONE
@@ -158,10 +170,10 @@ class CongestionSpec:
     feedback_interval: float = 50.0
 
     #: Adaptive-FEC parity-shift bounds.  When ``parity_max`` is set and
-    #: the sender runs with ``fec_mode != "off"``, rising loss shifts the
-    #: encoder's parity budget up towards ``parity_max`` (and the rate
-    #: down); falling loss relaxes it back towards ``parity_min`` (which
-    #: defaults to the configured ``fec_parity``).  ``parity_max=None``
+    #: the sender runs FEC (:attr:`FecSpec.enabled`), rising loss shifts
+    #: the encoder's parity budget up towards ``parity_max`` (and the
+    #: rate down); falling loss relaxes it back towards ``parity_min``
+    #: (which defaults to :attr:`FecSpec.parity`).  ``parity_max=None``
     #: disables parity shifting.
     parity_min: Optional[int] = None
     parity_max: Optional[int] = None
@@ -205,44 +217,62 @@ class CongestionSpec:
 
 
 @dataclass(frozen=True)
-class RrmpConfig:
-    """Tunable parameters for RRMP error recovery and buffering."""
+class PolicySpec:
+    """The buffer policy and the protocol's recovery tunables.
 
-    #: Expected number of remote requests sent by a region per remote
-    #: round when the entire region missed a message (λ in §2.2).  Each
-    #: missing member sends with probability λ/n.
-    remote_lambda: float = 1.0
+    ``kind`` selects the buffer-management family (one of
+    :data:`POLICY_KINDS`):
 
-    #: Expected number of long-term bufferers per region (C in §3.2).
-    #: When a message goes idle each member keeps it with probability
-    #: C/n.  C = 0 disables long-term buffering entirely.
-    long_term_c: float = 6.0
+    * ``two_phase`` — the paper's contribution (short-term feedback
+      phase + randomized long-term selection), parameterized by ``c``,
+      ``idle_threshold`` and ``long_term_ttl``;
+    * ``fixed_time`` — Bimodal-Multicast-style hold for ``hold_time``;
+    * ``stability`` — gossip stability detection (discard only when
+      globally stable);
+    * ``hash`` — the authors' NGC'99 deterministic hash selection with
+      expected copy count ``c``;
+    * ``never_discard`` / ``no_buffer`` — the §1 strawmen.
+
+    The other fields tune loss recovery (§2) whatever the policy.  One
+    class serves the scenario tree (``ScenarioSpec.policy``) and the
+    protocol: every member group and member reads it as ``config``.
+    """
+
+    kind: str = "two_phase"
+
+    #: Expected long-term bufferers per region (C in §3.2): an idle
+    #: message is kept with probability C/n, C = 0 disables long-term
+    #: buffering.  Also the ``hash`` policy's expected copy count.
+    c: float = 6.0
 
     #: Idle threshold T (§3.1): a buffered message is discarded (or
     #: promoted to long-term) once no request for it has arrived for
     #: this many milliseconds.  Paper value: 40 ms = 4 × max RTT.
     idle_threshold: float = 40.0
 
-    #: Multiplier applied to the RTT estimate when arming request
-    #: timers ("sets a timer according to its estimated round trip
-    #: time"; 1.0 reproduces the paper's Figure 5 walkthrough).
-    timer_factor: float = 1.0
+    #: Drop a long-term entry once unused for this long ("eventually even
+    #: a long-term bufferer may decide to discard an idle message",
+    #: §3.2).  ``None`` keeps long-term entries forever.
+    long_term_ttl: Optional[float] = None
+
+    #: How long the ``fixed_time`` policy holds every message, in ms.
+    hold_time: float = 200.0
+
+    #: Expected number of remote requests sent by a region per remote
+    #: round when the entire region missed a message (λ in §2.2).  Each
+    #: missing member sends with probability λ/n.
+    remote_lambda: float = 1.0
 
     #: Interval between sender session messages (§2.1); ``None``
     #: disables them (single-burst experiments detect losses directly).
     session_interval: Optional[float] = 50.0
 
-    #: Optional eventual discard of long-term-buffered messages: drop a
-    #: long-term entry once unused for this long ("eventually even a
-    #: long-term bufferer may decide to discard an idle message",
-    #: §3.2).  ``None`` keeps long-term entries forever.
-    long_term_ttl: Optional[float] = None
-
-    #: Maximum random back-off before re-multicasting a remote repair in
-    #: the local region, used to suppress duplicate regional multicasts
-    #: (§2.2 mentions this trades latency for duplicate suppression).
-    #: ``None`` multicasts immediately (the paper's default behaviour).
-    regional_backoff_max: Optional[float] = None
+    #: Multiplier applied to the RTT estimate when arming request
+    #: timers ("sets a timer according to its estimated round trip
+    #: time"; 1.0 reproduces the paper's Figure 5 walkthrough).  At most
+    #: 1e6, so the timer every reader arms from ``rtt * timer_factor``
+    #: stays finite.
+    timer_factor: float = 1.0
 
     #: Give-up deadline for a recovery, measured from loss detection;
     #: crossing it records a reliability violation (§5 discusses the
@@ -254,63 +284,66 @@ class RrmpConfig:
     #: rounds.  ``None`` searches as long as requests keep failing.
     max_search_rounds: Optional[int] = None
 
-    #: FEC repair subsystem (see :mod:`repro.fec`).  ``fec_mode`` turns
-    #: erasure coding off (the paper's protocol), on proactively (the
-    #: sender multicasts ``fec_parity`` parity messages as each block
-    #: of ``fec_block_size`` data messages completes) or on reactively
-    #: (parity for a block is multicast the first time the sender
-    #: observes a retransmission request for one of its messages).
-    fec_mode: str = FEC_OFF
-    fec_block_size: int = 8
-    fec_parity: int = 1
+    def __post_init__(self) -> None:
+        normalise_fields(self)
+        require_kind(self.kind, POLICY_KINDS, "policy")
+        for name in ("c", "remote_lambda"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        for name in ("idle_threshold", "hold_time", "timer_factor", "session_interval",
+                     "long_term_ttl", "max_recovery_time", "max_search_rounds"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        if self.timer_factor > 1e6:
+            raise ValueError(f"timer_factor must be <= 1e6, got {self.timer_factor!r}")
 
-    #: Congestion-control sub-configuration (see :mod:`repro.cc`).  The
-    #: default controller ``"none"`` keeps the open-loop sender.
-    congestion: CongestionSpec = field(default_factory=CongestionSpec)
+    @property
+    def long_term_c(self) -> float:
+        """``c`` under its old protocol name.  It exists because the perf
+        ledger's ``stream_1k`` check reads ``simulation.config.long_term_c``;
+        nothing in this package reads it."""
+        return self.c
+
+
+@dataclass(frozen=True)
+class FecSpec:
+    """Erasure-coded repair (see :mod:`repro.fec`).
+
+    ``mode`` (one of :data:`FEC_MODES`) turns erasure coding off (the
+    paper's protocol), on proactively (the sender multicasts ``parity``
+    parity messages as each block of ``block_size`` data messages
+    completes) or on reactively (a block's parity is multicast the
+    first time the sender observes a retransmission request for one of
+    its messages).  ``flush_after`` schedules a tail-block parity flush
+    that many ms after the traffic stream ends (``None`` = never flush).
+    """
+
+    mode: str = FEC_OFF
+    block_size: int = 8
+    parity: int = 1
+    flush_after: Optional[float] = 1.0
 
     def __post_init__(self) -> None:
-        if self.remote_lambda < 0:
-            raise ValueError(f"remote_lambda must be >= 0, got {self.remote_lambda!r}")
-        if self.long_term_c < 0:
-            raise ValueError(f"long_term_c must be >= 0, got {self.long_term_c!r}")
-        if self.idle_threshold <= 0:
-            raise ValueError(f"idle_threshold must be > 0, got {self.idle_threshold!r}")
-        if self.timer_factor <= 0:
-            raise ValueError(f"timer_factor must be > 0, got {self.timer_factor!r}")
-        if self.session_interval is not None and self.session_interval <= 0:
-            raise ValueError("session_interval must be > 0 or None")
-        if self.long_term_ttl is not None and self.long_term_ttl <= 0:
-            raise ValueError("long_term_ttl must be > 0 or None")
-        if self.regional_backoff_max is not None and self.regional_backoff_max < 0:
-            raise ValueError("regional_backoff_max must be >= 0 or None")
-        if self.max_recovery_time is not None and self.max_recovery_time <= 0:
-            raise ValueError("max_recovery_time must be > 0 or None")
-        if self.max_search_rounds is not None and self.max_search_rounds <= 0:
-            raise ValueError("max_search_rounds must be > 0 or None")
-        if self.fec_mode not in FEC_MODES:
+        normalise_fields(self)
+        require_kind(self.mode, FEC_MODES, "fec")
+        if self.block_size < 1:
+            raise ValueError(f"fec block_size must be >= 1, got {self.block_size!r}")
+        if self.parity < (1 if self.enabled else 0):
             raise ValueError(
-                f"fec_mode must be one of {FEC_MODES}, got {self.fec_mode!r}"
+                f"fec parity must be >= {int(self.enabled)} with mode "
+                f"{self.mode!r}, got {self.parity!r}"
             )
-        if self.fec_block_size < 1:
-            raise ValueError(f"fec_block_size must be >= 1, got {self.fec_block_size!r}")
-        if self.fec_parity < 0:
-            raise ValueError(f"fec_parity must be >= 0, got {self.fec_parity!r}")
-        if self.fec_mode != FEC_OFF:
-            if self.fec_parity < 1:
-                raise ValueError("fec_parity must be >= 1 when fec_mode is on")
-            if self.fec_block_size + self.fec_parity > 256:
-                raise ValueError(
-                    "fec_block_size + fec_parity must be <= 256 (GF(256) limit), "
-                    f"got {self.fec_block_size + self.fec_parity}"
-                )
+        if self.enabled and self.block_size + self.parity > 256:
+            raise ValueError(
+                "fec block_size + parity must be <= 256 (GF(256) limit), "
+                f"got {self.block_size + self.parity}"
+            )
+        if self.flush_after is not None and self.flush_after < 0:
+            raise ValueError(f"flush_after must be >= 0, got {self.flush_after!r}")
 
-
-#: Configuration matching the paper's §4 simulation setup: T = 40 ms,
-#: no session messages (losses are detected simultaneously at t = 0),
-#: long-term buffering disabled so Figure 6/7 measure pure short-term
-#: (feedback-based) buffering behaviour.
-PAPER_SECTION4_CONFIG = RrmpConfig(
-    long_term_c=0.0,
-    idle_threshold=40.0,
-    session_interval=None,
-)
+    @property
+    def enabled(self) -> bool:
+        """Whether erasure coding (not ``"off"``) is configured."""
+        return self.mode != FEC_OFF

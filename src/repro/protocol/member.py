@@ -26,7 +26,7 @@ from repro.core.search import SearchCoordinator
 from repro.fec.decoder import FecBlockDecoder
 from repro.net.topology import Hierarchy, NodeId
 from repro.net.transport import Network, Packet
-from repro.protocol.config import FEC_OFF, RrmpConfig
+from repro.protocol.config import FecSpec, PolicySpec
 from repro.protocol.loss_detection import GapTracker
 from repro.protocol.messages import (
     REPAIR_LOCAL,
@@ -45,7 +45,7 @@ from repro.protocol.messages import (
     SessionMessage,
 )
 from repro.protocol.recovery import RecoveryProcess
-from repro.sim import Event, RandomStreams, Simulator, TraceLog
+from repro.sim import RandomStreams, Simulator, TraceLog
 
 #: ``via`` values for message arrival paths (trace field and behaviour
 #: switch: only remote arrivals trigger a regional re-multicast).
@@ -67,25 +67,36 @@ class RrmpMember:
         sim: Simulator,
         network: Network,
         hierarchy: Hierarchy,
-        config: RrmpConfig,
+        config: PolicySpec,
         streams: RandomStreams,
         trace: TraceLog,
         policy: Optional[BufferPolicy] = None,
+        fec_spec: FecSpec = FecSpec(),
     ) -> None:
         self.node_id = node_id
         self.sim = sim
         self.network = network
         self.hierarchy = hierarchy
         self.config = config
+        self.fec_spec = fec_spec
         self.streams = streams
         self.trace = trace
         self.alive = True
 
-        self.policy: BufferPolicy = policy if policy is not None else TwoPhaseBufferPolicy(
-            idle_threshold=config.idle_threshold,
-            long_term_c=config.long_term_c,
-            long_term_ttl=config.long_term_ttl,
-        )
+        if policy is None:
+            # Only the two-phase default is built here; any other kind
+            # would silently run as two-phase.
+            if config.kind != "two_phase":
+                raise ValueError(
+                    f"policy kind {config.kind!r} needs a policy_factory; "
+                    "build the run from a ScenarioSpec"
+                )
+            policy = TwoPhaseBufferPolicy(
+                idle_threshold=config.idle_threshold,
+                long_term_c=config.c,
+                long_term_ttl=config.long_term_ttl,
+            )
+        self.policy: BufferPolicy = policy
         self.policy.bind(self)
         self.search = SearchCoordinator(
             self, timer_factor=config.timer_factor, max_rounds=config.max_search_rounds
@@ -95,7 +106,7 @@ class RrmpMember:
         #: FEC block decoder (None when the subsystem is off): fills
         #: sequence gaps from parity before pull recovery has to run.
         self.fec: Optional[FecBlockDecoder] = (
-            FecBlockDecoder() if config.fec_mode != FEC_OFF else None
+            FecBlockDecoder() if fec_spec.enabled else None
         )
         #: Parity messages already processed (dedup, kept apart from
         #: the gap tracker whose seq space is data-only).
@@ -107,8 +118,6 @@ class RrmpMember:
         #: Downstream (child-region) members waiting for messages this
         #: member has not received yet (§2.2's relay rule).
         self.waiting_remote: Dict[Seq, Set[NodeId]] = {}
-        #: Pending (backed-off) regional re-multicasts, for suppression.
-        self._pending_regional: Dict[Seq, Event] = {}
         #: Extension point: payload type -> handler, used by companion
         #: agents (stability detection, failure detection) that share
         #: this member's network endpoint.
@@ -237,15 +246,6 @@ class RrmpMember:
     def _handle_data(self, data: DataMessage, via: str) -> None:
         seq = data.seq
         trace = self.trace
-        # Duplicate-suppression for our own pending regional multicast:
-        # if a neighbour already re-multicast this repair, drop ours.
-        if via == VIA_REGIONAL:
-            pending = self._pending_regional.pop(seq, None)
-            if pending is not None:
-                pending.cancel()
-                if trace.enabled:
-                    trace.emit(self.sim.now, "regional_multicast_suppressed",
-                               node=self.node_id, seq=seq)
         if self.gap.is_received(seq):
             # §2.2: a duplicate remote repair is *not* re-multicast.
             if trace.enabled:
@@ -271,7 +271,7 @@ class RrmpMember:
         if via == VIA_REMOTE_REPAIR:
             # §2.2: a repair received from a remote member is multicast
             # in the local region so neighbours sharing the loss get it.
-            self._schedule_regional_multicast(data)
+            self._regional_multicast(data)
 
     # ==================================================================
     # FEC repair path
@@ -330,19 +330,7 @@ class RrmpMember:
                 self.trace.emit(self.sim.now, "remote_request_served",
                                 node=self.node_id, seq=seq, requester=waiter, via="receipt")
 
-    def _schedule_regional_multicast(self, data: DataMessage) -> None:
-        backoff_max = self.config.regional_backoff_max
-        if backoff_max:
-            # Randomized back-off: wait, and suppress if a neighbour's
-            # regional multicast of the same message arrives first.
-            delay = self.policy_rng("regional-backoff").uniform(0.0, backoff_max)
-            event = self.sim.after(delay, self._do_regional_multicast, data)
-            self._pending_regional[data.seq] = event
-        else:
-            self._do_regional_multicast(data)
-
-    def _do_regional_multicast(self, data: DataMessage) -> None:
-        self._pending_regional.pop(data.seq, None)
+    def _regional_multicast(self, data: DataMessage) -> None:
         repair = Repair(data=data, responder=self.node_id, scope=REPAIR_REGIONAL)
         # The transport skips the sender itself.
         self.network.multicast(self.node_id, self.region_member_ids(), repair, group="region")
@@ -608,9 +596,6 @@ class RrmpMember:
             process.cancel()
         self.recoveries.clear()
         self.search.close()
-        for event in self._pending_regional.values():
-            event.cancel()
-        self._pending_regional.clear()
         self.policy.close()
         self.network.unregister(self.node_id)
         if self.hierarchy.contains(self.node_id):

@@ -30,18 +30,19 @@ from __future__ import annotations
 import random
 from typing import Optional, Protocol, Sequence, Tuple
 
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.messages import LocalRequest, RemoteRequest, Seq
 from repro.sim import Event, Simulator, TraceLog, pick_other
 
 
 class RecoveryHost(Protocol):
-    """What a recovery process may ask of its hosting member."""
+    """What a recovery process may ask of its hosting member; its
+    ``config`` is the group's :class:`~repro.protocol.config.PolicySpec`."""
 
     node_id: int
     sim: Simulator
     trace: TraceLog
-    config: RrmpConfig
+    config: PolicySpec
 
     def region_peers(self) -> Tuple[Sequence[int], int]:
         """The host's region (a shared sequence, host included) and

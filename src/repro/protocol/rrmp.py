@@ -18,13 +18,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.policies import BufferPolicy
-from repro.core.manager import TwoPhaseBufferPolicy
 from repro.net.ipmulticast import MulticastOutcome
 from repro.net.latency import HierarchicalLatency, LatencyModel
 from repro.net.loss import LossModel
 from repro.net.topology import Hierarchy, NodeId
 from repro.net.transport import Network
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import FecSpec, PolicySpec
 from repro.protocol.member import RrmpMember
 from repro.protocol.messages import Seq
 from repro.protocol.sender import RrmpSender
@@ -33,19 +32,6 @@ from repro.sim import RandomStreams, Simulator, TraceLog
 #: Builds a buffer policy for a given node; lets experiments swap the
 #: paper's two-phase policy for any baseline.
 PolicyFactory = Callable[[NodeId], BufferPolicy]
-
-
-def two_phase_policy_factory(config: RrmpConfig) -> PolicyFactory:
-    """Policy factory for the paper's two-phase algorithm (§3)."""
-
-    def build(_node_id: NodeId) -> BufferPolicy:
-        return TwoPhaseBufferPolicy(
-            idle_threshold=config.idle_threshold,
-            long_term_c=config.long_term_c,
-            long_term_ttl=config.long_term_ttl,
-        )
-
-    return build
 
 
 def default_sender_node(hierarchy: Hierarchy) -> NodeId:
@@ -70,11 +56,11 @@ class MemberGroup:
     :class:`~repro.protocol.member.RrmpMember`), ``trace`` (a
     :class:`~repro.sim.TraceLog`), ``network`` (anything with a
     ``stats`` :class:`~repro.net.transport.NetworkStats`) and — for
-    building members — ``sim`` (the clock), ``hierarchy``, ``config``,
-    ``streams`` and ``_policy_factory``; everything here derives from
-    those, which is what lets experiment code, the scenario installer
-    and the invariant oracle treat a live group exactly like a
-    simulated one.
+    building members — ``sim`` (the clock), ``hierarchy``, ``config``
+    (a ``PolicySpec``), ``fec_spec``, ``streams`` and ``_policy_factory``
+    (``None``: members build the two-phase default).  Everything here
+    derives from those, which lets experiment code, the scenario
+    installer and the oracle treat a live group like a simulated one.
     """
 
     members: Dict[NodeId, RrmpMember]
@@ -85,6 +71,7 @@ class MemberGroup:
     def _new_member(self, node: NodeId) -> RrmpMember:
         """Build and register the member for *node*, wired to this
         group's clock, network, streams, trace and policy factory."""
+        factory = self._policy_factory
         member = self.members[node] = RrmpMember(
             node_id=node,
             sim=self.sim,
@@ -93,7 +80,8 @@ class MemberGroup:
             config=self.config,
             streams=self.streams,
             trace=self.trace,
-            policy=self._policy_factory(node),
+            policy=None if factory is None else factory(node),
+            fec_spec=self.fec_spec,
         )
         return member
 
@@ -178,7 +166,10 @@ class RrmpSimulation(MemberGroup):
         Regions and parent links (see :mod:`repro.net.topology`
         builders).  The simulation registers one member per node.
     config:
-        Protocol parameters; defaults to :class:`RrmpConfig` defaults.
+        Buffer policy and recovery tunables (the paper's §4 values by
+        default).
+    fec:
+        Erasure-coded repair (off by default).
     seed:
         Master seed; every random decision derives from it.
     latency:
@@ -190,8 +181,9 @@ class RrmpSimulation(MemberGroup):
     outcome:
         IP-multicast outcome model for the sender (default: perfect).
     policy_factory:
-        Buffer-policy builder per node (default: the two-phase policy
-        configured from *config*).
+        Buffer-policy builder per node (default: each member builds the
+        two-phase policy from *config*; any other ``config.kind`` needs
+        one and is refused without it).
     sender_node:
         Which member is the sender; defaults to the first member of a
         root region (a region with no parent).
@@ -203,7 +195,8 @@ class RrmpSimulation(MemberGroup):
     def __init__(
         self,
         hierarchy: Hierarchy,
-        config: Optional[RrmpConfig] = None,
+        config: PolicySpec = PolicySpec(),
+        fec: FecSpec = FecSpec(),
         seed: int = 0,
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
@@ -214,14 +207,13 @@ class RrmpSimulation(MemberGroup):
     ) -> None:
         hierarchy.validate()
         self.hierarchy = hierarchy
-        self.config = config if config is not None else RrmpConfig()
+        self.config = config
+        self.fec_spec = fec
         self.streams = RandomStreams(seed)
         self.sim = Simulator()
         self.trace = TraceLog(keep_records=keep_trace)
         self.latency = latency if latency is not None else HierarchicalLatency(hierarchy)
         self.network = Network(self.sim, self.latency, loss=loss, streams=self.streams)
-        if policy_factory is None:
-            policy_factory = two_phase_policy_factory(self.config)
         self._policy_factory = policy_factory
         self.members: Dict[NodeId, RrmpMember] = {}
         for node in hierarchy.nodes:

@@ -12,8 +12,8 @@ and adds:
 * periodic session messages advertising the highest sequence number, so
   receivers can detect the loss of the last message in a burst (§2.1);
 * the sender half of the FEC repair subsystem (:mod:`repro.fec`): data
-  messages are grouped into blocks of ``fec_block_size`` and each
-  block's ``fec_parity`` parity messages are multicast either as the
+  messages are grouped into blocks of ``FecSpec.block_size`` and each
+  block's ``FecSpec.parity`` parity messages are multicast either as the
   block fills (proactive) or on the first retransmission request the
   sender observes for the block (reactive).
 """
@@ -25,7 +25,7 @@ from typing import Any, List, Optional, Sequence
 from repro.fec.encoder import FecEncoder
 from repro.net.ipmulticast import MulticastOutcome, PerfectOutcome
 from repro.net.topology import NodeId
-from repro.protocol.config import FEC_OFF, FEC_PROACTIVE, FEC_REACTIVE
+from repro.protocol.config import FEC_PROACTIVE, FEC_REACTIVE
 from repro.protocol.member import RrmpMember
 from repro.protocol.messages import (
     DATA_WIRE_SIZE,
@@ -51,7 +51,7 @@ class RrmpSender:
         self._rng = member.streams.stream("sender", member.node_id, "outcome")
         #: Separate substream for parity outcomes so enabling FEC does
         #: not perturb the data-loss pattern of an equally-seeded run —
-        #: fec_mode sweeps stay sample-path comparable.
+        #: FEC mode sweeps stay sample-path comparable.
         self._parity_rng = member.streams.stream(
             "sender", member.node_id, "parity-outcome"
         )
@@ -61,13 +61,14 @@ class RrmpSender:
             self._session_task = PeriodicTask(member.sim, interval, self._send_session)
             self._session_task.start()
         self.fec: Optional[FecEncoder] = None
-        if member.config.fec_mode != FEC_OFF:
+        fec_spec = member.fec_spec
+        if fec_spec.enabled:
             self.fec = FecEncoder(
-                block_size=member.config.fec_block_size,
-                parity=member.config.fec_parity,
+                block_size=fec_spec.block_size,
+                parity=fec_spec.parity,
                 sender=member.node_id,
             )
-            if member.config.fec_mode == FEC_REACTIVE:
+            if fec_spec.mode == FEC_REACTIVE:
                 member.repair_interest_hook = self._on_repair_interest
 
     @property
@@ -115,7 +116,7 @@ class RrmpSender:
             completed_block = self.fec.add(data)
             if (
                 completed_block is not None
-                and self.member.config.fec_mode == FEC_PROACTIVE
+                and self.member.fec_spec.mode == FEC_PROACTIVE
             ):
                 self._emit_parity(completed_block, trigger="proactive")
         return data
@@ -131,7 +132,7 @@ class RrmpSender:
         """Seal the current partial block and emit *its* parity.
 
         Call at the end of a burst or session so a tail block shorter
-        than ``fec_block_size`` is still protected.  Only the tail
+        than ``FecSpec.block_size`` is still protected.  Only the tail
         block is touched: in reactive mode, earlier sealed blocks keep
         waiting for an observed request (bulk-encoding them here would
         silently turn reactive into proactive-at-the-end).  No-op

@@ -62,7 +62,7 @@ import numpy as np
 from repro.net.topology import Hierarchy, RegionId
 from repro.scale.pool import FlatMemberPool
 from repro.scale.streams import pcg64_states
-from repro.scenario.materialize import build_config, build_hierarchy
+from repro.scenario.materialize import build_hierarchy
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.engine import Simulator
 from repro.sim.randomness import derive_seed
@@ -213,7 +213,7 @@ class FlatShard:
         self.spec = spec
         # Static and only read: one run's in-process shards share it.
         self.hierarchy = build_hierarchy(spec.topology) if hierarchy is None else hierarchy
-        self.config = build_config(spec.policy, spec.fec)
+        self.config = spec.policy
         self.sim = Simulator()
         self.trace = TraceLog(keep_records=keep_records)
         self.digest = CommutativeTraceDigest().attach(self.trace) if digest else None
@@ -225,14 +225,8 @@ class FlatShard:
             raise ValueError(f"unknown shard regions: {sorted(unknown)}")
 
         # Derived protocol parameters.
-        topology = spec.topology
-        policy = spec.policy
-        self.intra = topology.intra_one_way
-        self.inter = topology.inter_one_way
-        self.idle_threshold = policy.idle_threshold
-        self.long_term_c = policy.c
-        self.session_interval = policy.session_interval
-        self.max_recovery_time = policy.max_recovery_time
+        self.intra = spec.topology.intra_one_way
+        self.inter = spec.topology.inter_one_way
         self.loss_p = spec.loss.p if spec.loss.kind == "bernoulli" else 0.0
         # A remote retry must outlive one full parent round trip.
         self.remote_retry = 2.0 * max(self.inter, self.intra) + self.intra + 1.0
@@ -377,7 +371,7 @@ class FlatShard:
                 # Only the pinned copy arrived: nothing for ``_live``, but
                 # a delivery has always armed a sweep and ``events_fired``
                 # is part of the golden baselines.
-                self._arm_sweep(region_id, now + self.idle_threshold)
+                self._arm_sweep(region_id, now + self.config.idle_threshold)
             self._settle(region_id, col)
 
     def _detect_delay(self, seq: int) -> float:
@@ -389,8 +383,8 @@ class FlatShard:
         """
         if seq < self.spec.traffic.count:
             return self.spec.traffic.interval
-        if self.session_interval is not None:
-            return self.session_interval
+        if self.config.session_interval is not None:
+            return self.config.session_interval
         return self.spec.traffic.interval
 
     def _detect(self, region_id: RegionId, seq: int) -> None:
@@ -421,7 +415,7 @@ class FlatShard:
         if not missing.any():
             return
         detected = self._detected_at[(region_id, seq)]
-        if now - detected > self.max_recovery_time + _TIME_EPS:
+        if now - detected > self.config.max_recovery_time + _TIME_EPS:
             column.given_up |= missing
             trace = self.trace
             if trace.enabled:
@@ -438,7 +432,7 @@ class FlatShard:
                 0, holders.size, requesters.size
             )
             self._refresh(region_id, col, holders[picks],
-                          now + self.intra + self.idle_threshold)
+                          now + self.intra + self.config.idle_threshold)
             self.sim.at(now + 2.0 * self.intra, self._apply,
                         region_id, seq, "local-repair")
         else:
@@ -462,7 +456,7 @@ class FlatShard:
             return  # child keeps retrying; we may hold a copy later
         rng = self._rng("serve", region_id, seq, child_region)
         row = int(holders[int(rng.integers(0, holders.size))])
-        self._refresh(region_id, col, row, now + self.idle_threshold)
+        self._refresh(region_id, col, row, now + self.config.idle_threshold)
         served = self.pool.rows(region_id)[0] + row
         if self.trace.enabled:
             self.trace.emit(now, "remote_request_served", node=served, seq=seq,
@@ -507,7 +501,7 @@ class FlatShard:
         message at *now* as short-term copies: the one place that opens a
         column to the sweep, so no copy turns short-term without a sweep
         armed to judge it."""
-        when = now + self.idle_threshold
+        when = now + self.config.idle_threshold
         clock = self._clocks[region_id].get(col)
         if clock is None:
             spare = self._spare[region_id]
@@ -591,7 +585,7 @@ class FlatShard:
         sizes = [rows.size for rows in due]
         if found:
             self.sweep_cells += len(found) * (stop - start)
-            keep_p = min(1.0, self.long_term_c / (stop - start))
+            keep_p = min(1.0, self.config.c / (stop - start))
             kept = self._rng("coin", region_id).random(sum(sizes)) < keep_p
             if len(found) > 1:
                 # Draws are in member-major order across the due columns;

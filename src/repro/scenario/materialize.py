@@ -16,7 +16,7 @@ same construction steps, in the same order, with the same named RNG
 streams as the historical hand-assembled setups — so migrating an
 experiment onto specs leaves its tables byte-identical.  Build order:
 
-1. hierarchy, config, latency, transport loss, outcome, policy factory;
+1. hierarchy, latency, transport loss, outcome, policy factory;
 2. the group itself;
 3. trace subscribers (makespan, playout), adaptive tree, oracle;
 4. stability agents (``policy.kind == "stability"``);
@@ -34,7 +34,7 @@ probes before scheduling traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, List, Mapping, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adapt import LinkStateEstimator, TreeOptimizer
@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.buffer import DISCARD_IDLE
 from repro.core.policies import (
-    BufferPolicy,
     FixedTimePolicy,
     NeverDiscardPolicy,
     NoBufferPolicy,
@@ -75,11 +74,14 @@ from repro.net.topology import (
     star,
 )
 from repro.cc import CongestionDriver, controller_for, install_feedback_reporters
-from repro.protocol.config import FEC_OFF, CongestionSpec, RrmpConfig
 from repro.protocol.messages import DataMessage
-from repro.protocol.rrmp import MemberGroup, RrmpSimulation, default_sender_node
+from repro.protocol.rrmp import (
+    MemberGroup,
+    PolicyFactory,
+    RrmpSimulation,
+    default_sender_node,
+)
 from repro.scenario.spec import (
-    FecSpec,
     LossSpec,
     PolicySpec,
     ScenarioSpec,
@@ -96,9 +98,6 @@ from repro.workloads.traffic import (
     UniformStream,
 )
 
-PolicyFactory = Callable[[NodeId], BufferPolicy]
-
-
 def build_hierarchy(topology: TopologySpec) -> Hierarchy:
     """The spec's region hierarchy (shared with the live runtime)."""
     if topology.kind == "single_region":
@@ -110,27 +109,9 @@ def build_hierarchy(topology: TopologySpec) -> Hierarchy:
     return balanced_tree(topology.depth, topology.fanout, topology.n)
 
 
-def build_config(policy: PolicySpec, fec: FecSpec,
-                 congestion: CongestionSpec = CongestionSpec()) -> RrmpConfig:
-    """Protocol configuration from the policy, FEC and congestion specs."""
-    return RrmpConfig(
-        remote_lambda=policy.remote_lambda,
-        long_term_c=policy.c,
-        idle_threshold=policy.idle_threshold,
-        timer_factor=policy.timer_factor,
-        session_interval=policy.session_interval,
-        long_term_ttl=policy.long_term_ttl,
-        max_recovery_time=policy.max_recovery_time,
-        max_search_rounds=policy.max_search_rounds,
-        fec_mode=fec.mode,
-        fec_block_size=fec.block_size,
-        fec_parity=fec.parity,
-        congestion=congestion,
-    )
-
-
 def policy_factory_for(policy: PolicySpec) -> Optional[PolicyFactory]:
-    """``None`` selects the facade's default (two-phase from config)."""
+    """``None`` for ``two_phase``: a member given no policy builds the
+    paper's two-phase policy from its config."""
     if policy.kind == "two_phase":
         return None
     if policy.kind == "fixed_time":
@@ -567,7 +548,6 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
     """
     spec = built.spec
     group = built.simulation
-    config = group.config
     sender = group.sender
     trace = group.trace
     if group.sharded:
@@ -634,7 +614,7 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
         # workers, and repro.validate pulls in the full oracle stack.
         from repro.validate.oracle import InvariantOracle
 
-        built.oracle = InvariantOracle().attach(group)
+        built.oracle = InvariantOracle().attach(group, spec.congestion)
 
     if spec.policy.kind == "stability":
         built.stability_agents = attach_stability(list(group.members.values()))
@@ -642,7 +622,7 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
     if spec.measurement.probe_period is not None:
         built.install_probes(spec.measurement.probe_period)
 
-    flush_fec = config.fec_mode != FEC_OFF and spec.fec.flush_after is not None
+    flush_fec = spec.fec.enabled and spec.fec.flush_after is not None
     if spec.traffic.kind == "detect_all":
         built.data, built.holders = inject_detect_all(group, spec.traffic)
         built.message_count = 1
@@ -655,7 +635,7 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
         generator = traffic_generator_for(spec.traffic, spec, group.streams)
         if generator is not None:
             built.traffic = generator
-            congested = config.congestion.enabled
+            congested = spec.congestion.enabled
             if sender is None:
                 # The sender lives in another shard; still consume the
                 # arrival draw so Poisson streams stay aligned with the
@@ -671,7 +651,7 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
                     group.sim,
                     sender,
                     generator,
-                    controller_for(config.congestion),
+                    controller_for(spec.congestion),
                     trace=trace,
                     on_complete=_on_stream_complete,
                 )
@@ -684,7 +664,7 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
                 built.cc_reporters = install_feedback_reporters(
                     group.members.values(),
                     default_sender_node(group.hierarchy),
-                    config.congestion.feedback_interval,
+                    spec.congestion.feedback_interval,
                 )
                 built.offered_count = generator.arrival_count()
                 built.message_count = built.offered_count
@@ -724,7 +704,8 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     models = network_models(spec, hierarchy)
     simulation = RrmpSimulation(
         hierarchy,
-        config=build_config(spec.policy, spec.fec, spec.congestion),
+        config=spec.policy,
+        fec=spec.fec,
         seed=spec.seed,
         latency=models.latency,
         loss=models.loss,

@@ -19,7 +19,9 @@ dataclass tree that
 
 Every sub-spec is a plain frozen dataclass discriminated by a ``kind``
 string, so adding a new topology/traffic/loss family is one enum value
-plus one materializer branch — not a new experiment module.
+plus one materializer branch — not a new experiment module.  The
+``policy``, ``fec`` and ``congestion`` nodes are the protocol's own
+configuration, declared in :mod:`repro.protocol.config`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, get_type_hints
 
-from repro.protocol.config import CongestionSpec, normalise_fields
+from repro.protocol.config import (
+    CongestionSpec,
+    FecSpec,
+    PolicySpec,
+    normalise_fields,
+    require_kind,
+)
 
 TOPOLOGY_KINDS = ("single_region", "chain", "star", "balanced_tree")
 TRAFFIC_KINDS = (
@@ -43,20 +51,12 @@ LOSS_KINDS = (
 CHURN_KINDS = ("none", "random")
 MOBILITY_KINDS = ("none", "waypoint")
 PLAYOUT_KINDS = ("none", "cbr")
-POLICY_KINDS = (
-    "two_phase", "fixed_time", "stability", "hash", "never_discard", "no_buffer",
-)
 ADAPT_MODES = ("off", "passive")
 
 #: Field metadata of a field added after specs were first digested:
 #: :meth:`ScenarioSpec.to_dict` leaves it out while it holds its
 #: default, so every older spec keeps its serialised form and digest.
 OMIT_AT_DEFAULT = {"omit_at_default": True}
-
-
-def _require_kind(kind: str, allowed: Tuple[str, ...], what: str) -> None:
-    if kind not in allowed:
-        raise ValueError(f"{what} kind must be one of {allowed}, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class TopologySpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        _require_kind(self.kind, TOPOLOGY_KINDS, "topology")
+        require_kind(self.kind, TOPOLOGY_KINDS, "topology")
         if self.kind in ("single_region", "star", "balanced_tree") and self.n < 1:
             raise ValueError(f"topology n must be >= 1, got {self.n}")
         if self.kind == "chain" and not self.sizes:
@@ -155,7 +155,9 @@ class TrafficSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        _require_kind(self.kind, TRAFFIC_KINDS, "traffic")
+        require_kind(self.kind, TRAFFIC_KINDS, "traffic")
+        if self.start < 0:
+            raise ValueError(f"traffic start must be >= 0, got {self.start!r}")
         if self.kind in ("uniform", "ramp") and self.count < 0:
             raise ValueError(f"traffic count must be >= 0, got {self.count}")
         if self.kind == "uniform" and self.interval <= 0:
@@ -228,7 +230,7 @@ class LossSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        _require_kind(self.kind, LOSS_KINDS, "loss")
+        require_kind(self.kind, LOSS_KINDS, "loss")
         for name in ("p", "region_loss", "receiver_loss",
                      "p_good_to_bad", "p_bad_to_good", "p_good", "p_bad"):
             value = getattr(self, name)
@@ -272,7 +274,7 @@ class ChurnSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        _require_kind(self.kind, CHURN_KINDS, "churn")
+        require_kind(self.kind, CHURN_KINDS, "churn")
         for name in ("leave_rate", "crash_rate", "join_rate"):
             if getattr(self, name) < 0:
                 raise ValueError(f"churn {name} must be >= 0")
@@ -314,7 +316,7 @@ class MobilitySpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        _require_kind(self.kind, MOBILITY_KINDS, "mobility")
+        require_kind(self.kind, MOBILITY_KINDS, "mobility")
         if self.speed < 0:
             raise ValueError(f"mobility speed must be >= 0, got {self.speed!r}")
         if self.epoch <= 0:
@@ -356,7 +358,7 @@ class PlayoutSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        _require_kind(self.kind, PLAYOUT_KINDS, "playout")
+        require_kind(self.kind, PLAYOUT_KINDS, "playout")
         if self.interval <= 0:
             raise ValueError(f"playout interval must be > 0 ms, got {self.interval!r}")
         if self.startup_delay < 0:
@@ -368,70 +370,6 @@ class PlayoutSpec:
     def enabled(self) -> bool:
         """Whether playout clocks (not ``"none"``) are requested."""
         return self.kind != "none"
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """Buffer policy plus the protocol knobs of :class:`RrmpConfig`.
-
-    ``kind`` selects the buffer-management family:
-
-    * ``two_phase`` — the paper's contribution (short-term feedback
-      phase + randomized long-term selection), parameterized by ``c``
-      (expected long-term bufferers), ``idle_threshold`` (T) and
-      ``long_term_ttl``;
-    * ``fixed_time`` — Bimodal-Multicast-style hold for ``hold_time``;
-    * ``stability`` — gossip stability detection (discard only when
-      globally stable);
-    * ``hash`` — the authors' NGC'99 deterministic hash selection with
-      expected copy count ``c``;
-    * ``never_discard`` / ``no_buffer`` — the §1 strawmen.
-
-    The remaining fields mirror :class:`RrmpConfig` so one spec pins
-    every protocol tunable an experiment varies.
-    """
-
-    kind: str = "two_phase"
-    c: float = 6.0
-    idle_threshold: float = 40.0
-    long_term_ttl: Optional[float] = None
-    hold_time: float = 200.0
-    remote_lambda: float = 1.0
-    session_interval: Optional[float] = 50.0
-    timer_factor: float = 1.0
-    max_recovery_time: Optional[float] = None
-    max_search_rounds: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        normalise_fields(self)
-        _require_kind(self.kind, POLICY_KINDS, "policy")
-        # Range validation is delegated to RrmpConfig at build time;
-        # only policy-family fields are checked here.
-        if self.c < 0:
-            raise ValueError(f"policy c must be >= 0, got {self.c!r}")
-        if self.hold_time <= 0:
-            raise ValueError(f"hold_time must be > 0, got {self.hold_time!r}")
-
-
-@dataclass(frozen=True)
-class FecSpec:
-    """Erasure-coded repair (see :mod:`repro.fec`).
-
-    ``flush_after`` schedules a tail-block parity flush that many ms
-    after the traffic stream ends (``None`` = never flush).
-    """
-
-    mode: str = "off"
-    block_size: int = 8
-    parity: int = 1
-    flush_after: Optional[float] = 1.0
-
-    def __post_init__(self) -> None:
-        normalise_fields(self)
-        if self.mode not in ("off", "proactive", "reactive"):
-            raise ValueError(f"fec mode must be off/proactive/reactive, got {self.mode!r}")
-        if self.flush_after is not None and self.flush_after < 0:
-            raise ValueError("flush_after must be >= 0 or None")
 
 
 @dataclass(frozen=True)
@@ -463,7 +401,7 @@ class AdaptSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        _require_kind(self.mode, ADAPT_MODES, "adapt")
+        require_kind(self.mode, ADAPT_MODES, "adapt")
         if self.update_interval <= 0:
             raise ValueError(
                 f"adapt update_interval must be > 0 ms, got {self.update_interval!r}"

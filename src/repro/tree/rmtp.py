@@ -30,6 +30,7 @@ from repro.net.loss import LossModel
 from repro.net.packet import KIND_CONTROL
 from repro.net.topology import Hierarchy, NodeId, RegionId
 from repro.net.transport import Network, Packet
+from repro.protocol.config import PolicySpec
 from repro.protocol.loss_detection import GapTracker
 from repro.protocol.messages import (
     CONTROL_WIRE_SIZE,
@@ -214,6 +215,7 @@ class TreeSimulation(MemberGroup):
     (``buffer_occupancy``, ``recovery_latencies``, …) with
     :class:`~repro.protocol.rrmp.RrmpSimulation`, so experiment code
     reads the two protocols uniformly.  Its members never leave.
+    Of *config* it reads the session interval and the NACK timer factor.
     """
 
     def __init__(
@@ -223,8 +225,7 @@ class TreeSimulation(MemberGroup):
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
         outcome: Optional[MulticastOutcome] = None,
-        session_interval: Optional[float] = 50.0,
-        timer_factor: float = 1.0,
+        config: PolicySpec = PolicySpec(),
     ) -> None:
         hierarchy.validate()
         self.hierarchy = hierarchy
@@ -258,11 +259,12 @@ class TreeSimulation(MemberGroup):
             self.members[node] = TreeMember(
                 node_id=node, sim=self.sim, network=self.network,
                 hierarchy=hierarchy, trace=self.trace,
-                is_server=is_server, repair_target=target, timer_factor=timer_factor,
+                is_server=is_server, repair_target=target,
+                timer_factor=config.timer_factor,
             )
         self.next_seq: Seq = 1
-        if session_interval is not None:
-            PeriodicTask(self.sim, session_interval, self._send_session).start()
+        if config.session_interval is not None:
+            PeriodicTask(self.sim, config.session_interval, self._send_session).start()
 
     # ------------------------------------------------------------------
     # Sending

@@ -284,7 +284,7 @@ class LongTermQuota(Invariant):
 
     def _quota_bound(self, simulation) -> float:
         if self._bound is None:
-            c = float(simulation.config.long_term_c)
+            c = float(simulation.config.c)
             self._bound = c + 6.0 * math.sqrt(max(c, 1.0)) + 4.0
         return self._bound
 
@@ -318,7 +318,7 @@ class LongTermQuota(Invariant):
                 record.time,
                 f"seq {seq} has {in_region} concurrent long-term holders in "
                 f"region {region}, beyond the statistical quota "
-                f"{bound:.1f} for C={simulation.config.long_term_c:g}",
+                f"{bound:.1f} for C={simulation.config.c:g}",
                 record,
             )
 
@@ -462,7 +462,8 @@ class CongestionQuota(Invariant):
     per-promotion check (:class:`LongTermQuota`) still applies; this
     sweep additionally catches slow aggregate creep that individual
     promotions never trip.  The invariant is inert (consumes nothing,
-    reports nothing) when the run's congestion controller is ``none``.
+    reports nothing) when the run's congestion controller (given to
+    :meth:`~repro.validate.oracle.InvariantOracle.attach`) is ``none``.
     """
 
     name = "congestion-quota"
@@ -485,10 +486,8 @@ class CongestionQuota(Invariant):
 
     def _rate_window(self):
         if self._window is None:
-            congestion = getattr(
-                self._sink.simulation.config, "congestion", None
-            )
-            if congestion is None or not congestion.enabled:
+            congestion = self._sink.congestion
+            if not congestion.enabled:
                 self._window = False
             else:
                 self._window = (
@@ -536,7 +535,7 @@ class CongestionQuota(Invariant):
     def at_end(self, ctx: EndContext) -> None:
         if self._rate_window() is False or not ctx.quiescent:
             return
-        c = float(ctx.simulation.config.long_term_c)
+        c = float(ctx.simulation.config.c)
         bound = c + 6.0 * math.sqrt(max(c, 1.0)) + 4.0
         totals: Dict[int, int] = {}
         messages: Dict[int, Set[Seq]] = {}

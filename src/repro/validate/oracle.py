@@ -9,7 +9,7 @@ recovery processes) for the end-of-run checks.  Attach it to any
 :class:`~repro.protocol.rrmp.RrmpSimulation` — directly, via
 ``MeasurementSpec(oracle=True)``, or through the ``validate`` CLI::
 
-    oracle = InvariantOracle().attach(simulation)
+    oracle = InvariantOracle().attach(simulation, spec.congestion)
     simulation.run(duration=...)
     violations = oracle.finish()
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.protocol.config import CongestionSpec
 from repro.validate.invariants import (
     EndContext,
     Invariant,
@@ -44,6 +45,7 @@ class InvariantOracle:
         for invariant in self._invariants:
             invariant.bind(self)
         self.simulation = None
+        self.congestion = CongestionSpec()
         self._emitted_at_attach = 0
         self.violation_count = 0
         self._violations: List[Violation] = []
@@ -52,13 +54,18 @@ class InvariantOracle:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def attach(self, simulation) -> "InvariantOracle":
+    def attach(self, simulation,
+               congestion: CongestionSpec = CongestionSpec()) -> "InvariantOracle":
         """Subscribe to *simulation*'s trace log.  Call once, before the
-        run starts (records emitted earlier are not replayed)."""
+        run starts (records emitted earlier are not replayed).
+        *congestion* is the controller the run paces its sender with
+        (its spec's ``congestion`` node); under ``none`` the
+        congestion-quota invariant is inert."""
         if self.simulation is not None:
             raise RuntimeError("oracle already attached; use one oracle per run")
         trace = simulation.trace
         self.simulation = simulation
+        self.congestion = congestion
         self._emitted_at_attach = trace.emitted
         for invariant in self._invariants:
             for kind in invariant.kinds:

@@ -11,7 +11,7 @@ one completion, no resurrection.
 import pytest
 
 from repro.net.topology import star
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.loss_detection import GapTracker
 from repro.protocol.recovery import RecoveryProcess
 from repro.protocol.rrmp import RrmpSimulation
@@ -25,7 +25,7 @@ class SwitchableHost:
         self.node_id = 0
         self.sim = sim
         self.trace = trace
-        self.config = RrmpConfig(session_interval=None, remote_lambda=1.0)
+        self.config = PolicySpec(session_interval=None, remote_lambda=1.0)
         self.parents = list(parents)
         self.sent_remote = []  # (time, dst, seq)
         self._region_size = region_size
@@ -156,7 +156,7 @@ class TestReparentThroughTheHierarchy:
         simulation = RrmpSimulation(
             hierarchy, seed=3,
             # lambda = region size: every remote round sends its request.
-            config=RrmpConfig(session_interval=None, remote_lambda=3.0),
+            config=PolicySpec(session_interval=None, remote_lambda=3.0),
         )
         member = simulation.members[hierarchy.regions[2].members[0]]
         targets = []

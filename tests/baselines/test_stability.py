@@ -4,7 +4,7 @@
 from repro.net.ipmulticast import BernoulliOutcome
 from repro.net.latency import ConstantLatency
 from repro.net.topology import single_region
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 from repro.stability.detector import StabilityBufferPolicy, attach_stability
 from repro.stability.digest import WatermarkTable
@@ -50,7 +50,7 @@ class TestWatermarkTable:
 def build_stability_sim(n=10, seed=0, loss=0.0, gossip_interval=20.0):
     simulation = RrmpSimulation(
         single_region(n),
-        config=RrmpConfig(session_interval=25.0),
+        config=PolicySpec(session_interval=25.0),
         seed=seed,
         latency=ConstantLatency(5.0),
         outcome=BernoulliOutcome(loss),
@@ -90,7 +90,7 @@ class TestStabilityProtocol:
         from repro.net.ipmulticast import FixedHolders
         simulation = RrmpSimulation(
             single_region(6),
-            config=RrmpConfig(session_interval=None),  # loss never detected
+            config=PolicySpec(session_interval=None),  # loss never detected
             seed=3,
             latency=ConstantLatency(5.0),
             outcome=FixedHolders({0, 1, 2, 3, 4}),  # node 5 misses seq 1

@@ -4,6 +4,7 @@
 from repro.net.ipmulticast import BernoulliOutcome, FixedHolders
 from repro.net.latency import HierarchicalLatency
 from repro.net.topology import chain
+from repro.protocol.config import PolicySpec
 from repro.tree.rmtp import TreeSimulation
 
 
@@ -14,7 +15,7 @@ def build(sizes=(5, 5), seed=0, outcome=None, session_interval=25.0):
         seed=seed,
         latency=HierarchicalLatency(hierarchy, inter_one_way=40.0),
         outcome=outcome,
-        session_interval=session_interval,
+        config=PolicySpec(session_interval=session_interval),
     )
 
 

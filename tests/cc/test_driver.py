@@ -4,7 +4,7 @@ import pytest
 
 from repro.cc.controller import AimdController, NoneCc
 from repro.cc.driver import CongestionDriver
-from repro.protocol.config import CongestionSpec
+from repro.protocol.config import CongestionSpec, FecSpec
 from repro.protocol.messages import FeedbackReport
 from repro.sim import Simulator
 from repro.workloads.traffic import UniformStream
@@ -14,7 +14,7 @@ class StubMember:
     def __init__(self):
         self.extra_handlers = {}
         self.repair_interest_hook = None
-        self.config = type("Cfg", (), {"fec_parity": 2})()
+        self.fec_spec = FecSpec(parity=2)
 
 
 class StubEncoder:

@@ -7,17 +7,16 @@ from repro.net.ipmulticast import (
     RegionCorrelatedOutcome,
 )
 from repro.net.topology import chain, single_region
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import FecSpec, PolicySpec
 from repro.protocol.messages import LocalRequest, Repair
 from repro.protocol.rrmp import RrmpSimulation
 
 
-def fec_config(mode="proactive", k=4, r=1, **overrides):
-    defaults = dict(
-        fec_mode=mode, fec_block_size=k, fec_parity=r, session_interval=None
-    )
+def fec_setup(mode="proactive", k=4, r=1, **overrides):
+    """``RrmpSimulation`` keyword arguments: FEC on, sessions off."""
+    defaults = dict(session_interval=None)
     defaults.update(overrides)
-    return RrmpConfig(**defaults)
+    return dict(config=PolicySpec(**defaults), fec=FecSpec(mode=mode, block_size=k, parity=r))
 
 
 class LoseSeqsAt(MulticastOutcome):
@@ -42,7 +41,7 @@ class TestProactiveRepair:
         parity fills the gap before the loss is even detected, so pull
         recovery never sends a request."""
         hierarchy = single_region(4)
-        simulation = RrmpSimulation(hierarchy, config=fec_config(k=2, r=1), seed=1)
+        simulation = RrmpSimulation(hierarchy, **fec_setup(k=2, r=1), seed=1)
         sender = simulation.sender
         victim = [n for n in hierarchy.nodes if n != sender.node_id][0]
         sender.outcome = LoseSeqsAt(victim, {2})
@@ -68,7 +67,7 @@ class TestProactiveRepair:
         the gap and completes them (no timers left running)."""
         hierarchy = chain([3, 3])
         simulation = RrmpSimulation(
-            hierarchy, config=fec_config(k=2, r=1), seed=2
+            hierarchy, **fec_setup(k=2, r=1), seed=2
         )
         sender = simulation.sender
         child = set(hierarchy.regions[1].members)
@@ -89,7 +88,7 @@ class TestProactiveRepair:
 
     def test_partial_tail_block_protected_by_flush(self):
         hierarchy = single_region(3)
-        simulation = RrmpSimulation(hierarchy, config=fec_config(k=8, r=1), seed=3)
+        simulation = RrmpSimulation(hierarchy, **fec_setup(k=8, r=1), seed=3)
         sender = simulation.sender
         victim = [n for n in hierarchy.nodes if n != sender.node_id][0]
         sender.outcome = LoseSeqsAt(victim, {2})
@@ -103,7 +102,7 @@ class TestProactiveRepair:
 
     def test_encode_and_overhead_traces(self):
         hierarchy = single_region(3)
-        simulation = RrmpSimulation(hierarchy, config=fec_config(k=2, r=1), seed=4)
+        simulation = RrmpSimulation(hierarchy, **fec_setup(k=2, r=1), seed=4)
         simulation.sender.multicast()
         simulation.sender.multicast()
         encode = simulation.trace.first("fec_encode")
@@ -120,7 +119,7 @@ class TestReactiveRepair:
     def test_request_observed_by_sender_triggers_parity(self):
         hierarchy = single_region(3)
         simulation = RrmpSimulation(
-            hierarchy, config=fec_config(mode="reactive", k=2, r=1), seed=5
+            hierarchy, **fec_setup(mode="reactive", k=2, r=1), seed=5
         )
         sender = simulation.sender
         simulation.sender.multicast()
@@ -146,8 +145,8 @@ class TestParityThroughBufferPolicy:
         """Parity occupies a regular buffer entry (reserved negative
         seq) and a bufferer answers a local request for it."""
         hierarchy = single_region(3)
-        config = fec_config(k=2, r=1, long_term_c=100.0)  # always promote
-        simulation = RrmpSimulation(hierarchy, config=config, seed=6)
+        setup = fec_setup(k=2, r=1, c=100.0)  # always promote
+        simulation = RrmpSimulation(hierarchy, **setup, seed=6)
         sender = simulation.sender
         sender.multicast()
         sender.multicast()
@@ -171,8 +170,8 @@ class TestParityThroughBufferPolicy:
 
     def test_parity_entry_survives_idle_when_promoted(self):
         hierarchy = single_region(3)
-        config = fec_config(k=2, r=1, long_term_c=100.0)
-        simulation = RrmpSimulation(hierarchy, config=config, seed=7)
+        setup = fec_setup(k=2, r=1, c=100.0)
+        simulation = RrmpSimulation(hierarchy, **setup, seed=7)
         simulation.sender.multicast()
         simulation.sender.multicast()
         simulation.run(duration=1_000.0)  # far past the idle threshold
@@ -185,8 +184,8 @@ class TestParityThroughBufferPolicy:
 
     def test_parity_discarded_when_never_requested_and_c_zero(self):
         hierarchy = single_region(3)
-        config = fec_config(k=2, r=1, long_term_c=0.0)
-        simulation = RrmpSimulation(hierarchy, config=config, seed=8)
+        setup = fec_setup(k=2, r=1, c=0.0)
+        simulation = RrmpSimulation(hierarchy, **setup, seed=8)
         simulation.sender.multicast()
         simulation.sender.multicast()
         simulation.run(duration=1_000.0)
@@ -201,14 +200,15 @@ class TestRegionalLossSweep:
     def test_proactive_beats_off_on_latency_and_remote_requests(self):
         """Seeded determinism of the headline claim: at one (k, r, loss)
         point proactive FEC cuts both mean recovery latency and remote
-        requests versus fec_mode=off at equal data load."""
+        requests versus FEC off at equal data load."""
         def measure(mode):
             hierarchy = chain([20, 20])
-            config = RrmpConfig(
-                fec_mode=mode, fec_block_size=8, fec_parity=2,
-                remote_lambda=4.0, session_interval=50.0,
+            simulation = RrmpSimulation(
+                hierarchy,
+                config=PolicySpec(remote_lambda=4.0, session_interval=50.0),
+                fec=FecSpec(mode=mode, block_size=8, parity=2),
+                seed=11,
             )
-            simulation = RrmpSimulation(hierarchy, config=config, seed=11)
             simulation.sender.outcome = RegionCorrelatedOutcome(
                 hierarchy, region_loss=0.3, sender=simulation.sender.node_id
             )
@@ -232,7 +232,7 @@ class TestFecOffIsInert:
     def test_off_mode_has_no_fec_state_or_traffic(self):
         hierarchy = single_region(4)
         simulation = RrmpSimulation(
-            hierarchy, config=RrmpConfig(session_interval=None), seed=9
+            hierarchy, config=PolicySpec(session_interval=None), seed=9
         )
         simulation.sender.multicast()
         simulation.run(duration=200.0)

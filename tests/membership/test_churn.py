@@ -14,14 +14,14 @@ from repro.membership.churn import (
 )
 from repro.net.ipmulticast import BernoulliOutcome
 from repro.net.topology import single_region
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 
 
 def build(n=12, seed=0):
     return RrmpSimulation(
         single_region(n),
-        config=RrmpConfig(session_interval=25.0),
+        config=PolicySpec(session_interval=25.0),
         seed=seed,
         outcome=BernoulliOutcome(0.1),
     )

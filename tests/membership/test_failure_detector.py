@@ -5,14 +5,14 @@ import pytest
 from repro.membership.failure_detector import attach_failure_detectors
 from repro.net.latency import ConstantLatency
 from repro.net.topology import single_region
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 
 
 def build(n=8, seed=0, gossip_interval=20.0, suspect_timeout=120.0):
     simulation = RrmpSimulation(
         single_region(n),
-        config=RrmpConfig(session_interval=None),
+        config=PolicySpec(session_interval=None),
         seed=seed,
         latency=ConstantLatency(5.0),
     )
@@ -71,7 +71,7 @@ class TestCrashDetection:
     def test_on_suspect_callback_runs_once_per_peer(self):
         simulation = RrmpSimulation(
             single_region(6),
-            config=RrmpConfig(session_interval=None),
+            config=PolicySpec(session_interval=None),
             seed=5,
             latency=ConstantLatency(5.0),
         )
@@ -107,7 +107,7 @@ class TestCrashDetection:
 class TestConfiguration:
     def test_timeout_must_exceed_interval(self):
         simulation = RrmpSimulation(
-            single_region(3), config=RrmpConfig(session_interval=None), seed=1,
+            single_region(3), config=PolicySpec(session_interval=None), seed=1,
         )
         from repro.membership.failure_detector import GossipFailureDetector
         member = simulation.members[0]

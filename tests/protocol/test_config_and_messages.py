@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.net.topology import Hierarchy, single_region
-from repro.protocol.config import PAPER_SECTION4_CONFIG, RrmpConfig
+from repro.protocol.config import FecSpec, PolicySpec
 from repro.protocol.messages import (
     CONTROL_WIRE_SIZE,
     DATA_WIRE_SIZE,
@@ -20,42 +20,74 @@ from repro.protocol.messages import (
     SessionMessage,
 )
 from repro.protocol.rrmp import RrmpSimulation
+from repro.scenario.materialize import policy_factory_for
 
 
-class TestRrmpConfig:
+class TestPolicySpec:
     def test_defaults_match_paper_values(self):
-        config = RrmpConfig()
+        config = PolicySpec()
         assert config.idle_threshold == 40.0   # 4 x max RTT (§4)
-        assert config.long_term_c == 6.0       # §3.2's example value
+        assert config.c == 6.0                 # §3.2's example value
         assert config.remote_lambda == 1.0     # §2.2's example value
 
-    def test_paper_section4_config(self):
-        assert PAPER_SECTION4_CONFIG.long_term_c == 0.0
-        assert PAPER_SECTION4_CONFIG.session_interval is None
-        assert PAPER_SECTION4_CONFIG.idle_threshold == 40.0
+    def test_long_term_c_reads_c_and_cannot_be_set(self):
+        config = PolicySpec(c=2.5)
+        assert config.long_term_c == 2.5
+        with pytest.raises(AttributeError):
+            config.long_term_c = 1.0  # type: ignore[misc]
 
     def test_replace_returns_new_frozen_copy(self):
-        base = RrmpConfig()
-        other = replace(base, long_term_c=3.0)
-        assert other.long_term_c == 3.0
-        assert base.long_term_c == 6.0
+        base = PolicySpec()
+        other = replace(base, c=3.0)
+        assert other.c == 3.0
+        assert base.c == 6.0
         with pytest.raises(Exception):
-            other.long_term_c = 1.0  # type: ignore[misc]
+            other.c = 1.0  # type: ignore[misc]
 
-    @pytest.mark.parametrize("field, value", [
-        ("remote_lambda", -1.0),
-        ("long_term_c", -0.5),
-        ("idle_threshold", 0.0),
-        ("timer_factor", 0.0),
-        ("session_interval", 0.0),
-        ("long_term_ttl", -5.0),
-        ("regional_backoff_max", -1.0),
-        ("max_recovery_time", 0.0),
-        ("max_search_rounds", 0),
+    @pytest.mark.parametrize("field, value, message", [
+        ("remote_lambda", -1.0, "remote_lambda must be >= 0, got -1.0"),
+        ("c", -0.5, "c must be >= 0, got -0.5"),
+        ("idle_threshold", 0.0, "idle_threshold must be > 0, got 0.0"),
+        ("idle_threshold", -1, "idle_threshold must be > 0, got -1.0"),
+        ("timer_factor", 0.0, "timer_factor must be > 0, got 0.0"),
+        ("timer_factor", 1.7e308, "timer_factor must be <= 1e6, got 1.7e+308"),
+        ("hold_time", 0.0, "hold_time must be > 0, got 0.0"),
+        ("session_interval", 0.0, "session_interval must be > 0, got 0.0"),
+        ("long_term_ttl", -5.0, "long_term_ttl must be > 0, got -5.0"),
+        ("max_recovery_time", 0.0, "max_recovery_time must be > 0, got 0.0"),
+        ("max_search_rounds", 0, "max_search_rounds must be > 0, got 0"),
+        ("idle_threshold", float("nan"),
+         "PolicySpec.idle_threshold must be finite float, got nan"),
+        ("max_search_rounds", 2.5,
+         "PolicySpec.max_search_rounds must be Optional[int], got 2.5"),
+        ("kind", "lru", "policy kind must be one of"),
     ])
-    def test_invalid_values_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            RrmpConfig(**{field: value})
+    def test_invalid_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as refused:
+            PolicySpec(**{field: value})
+        assert str(refused.value).startswith(message)
+
+
+class TestFecSpec:
+    @pytest.mark.parametrize("changes, message", [
+        (dict(mode="sometimes"), "fec kind must be one of"),
+        (dict(block_size=0), "fec block_size must be >= 1, got 0"),
+        (dict(parity=-1), "fec parity must be >= 0 with mode 'off', got -1"),
+        (dict(mode="proactive", parity=0),
+         "fec parity must be >= 1 with mode 'proactive', got 0"),
+        (dict(mode="reactive", block_size=250, parity=7),
+         "fec block_size + parity must be <= 256 (GF(256) limit), got 257"),
+        (dict(block_size=True), "FecSpec.block_size must be int, got True"),
+        (dict(flush_after=-1.0), "flush_after must be >= 0, got -1.0"),
+    ])
+    def test_invalid_values_rejected(self, changes, message):
+        with pytest.raises(ValueError) as refused:
+            FecSpec(**changes)
+        assert str(refused.value).startswith(message)
+
+    def test_off_admits_any_parity_and_the_largest_block_is_accepted(self):
+        assert not FecSpec(parity=0).enabled
+        assert FecSpec(mode="proactive", block_size=255, parity=1).enabled
 
 
 class TestMessages:
@@ -114,6 +146,17 @@ class TestFacadeEdgeCases:
         hierarchy.regions[0].members.append(0)  # duplicate placement
         with pytest.raises(Exception):
             RrmpSimulation(hierarchy)
+
+    @pytest.mark.parametrize("kind", ["fixed_time", "stability", "hash", "no_buffer"])
+    def test_a_policy_kind_without_its_factory_is_refused(self, kind):
+        """Members build only the two-phase default; any other kind would
+        silently run as two-phase."""
+        config = PolicySpec(kind=kind)
+        with pytest.raises(ValueError, match=f"policy kind '{kind}' needs a policy_factory"):
+            RrmpSimulation(single_region(4), config=config)
+        simulation = RrmpSimulation(single_region(4), config=config,
+                                    policy_factory=policy_factory_for(config))
+        assert type(simulation.member(1).policy).__name__ != "TwoPhaseBufferPolicy"
 
     def test_member_lookup(self):
         simulation = RrmpSimulation(single_region(4))

@@ -20,7 +20,7 @@ from repro.core.buffer import BufferRecord
 from repro.core.manager import TwoPhaseBufferPolicy
 from repro.net.topology import chain, single_region
 from repro.protocol import recovery
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 from repro.scenario import build_scenario, scenario
 from repro.scenario.library import scale_spec
@@ -123,7 +123,7 @@ class TestPickingAPeerCopiesNothing:
 
     def test_local_round(self, monkeypatch):
         simulation = RrmpSimulation(single_region(1000),
-                                    config=RrmpConfig(session_interval=None))
+                                    config=PolicySpec(session_interval=None))
         shared = simulation.hierarchy.regions[0].member_ids()
         seen = self.spy_on(monkeypatch, recovery)
         simulation.members[500].inject_loss_detection(1)
@@ -133,14 +133,14 @@ class TestPickingAPeerCopiesNothing:
 
     def test_remote_round_reads_the_parents_shared_tuple(self):
         simulation = RrmpSimulation(chain([1000, 2]),
-                                    config=RrmpConfig(session_interval=None))
+                                    config=PolicySpec(session_interval=None))
         child = simulation.members[simulation.hierarchy.regions[1].members[0]]
         assert child.parent_member_ids() is simulation.hierarchy.regions[0].member_ids()
         assert child.region_member_ids() is simulation.hierarchy.regions[1].member_ids()
 
     def test_search_round(self, monkeypatch):
         simulation = RrmpSimulation(single_region(1000),
-                                    config=RrmpConfig(session_interval=None))
+                                    config=PolicySpec(session_interval=None))
         shared = simulation.hierarchy.regions[0].member_ids()
         seen = self.spy_on(monkeypatch, search)
         simulation.members[7].search.begin(1, [3])

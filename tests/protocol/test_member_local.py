@@ -3,7 +3,7 @@
 
 from repro.net.latency import ConstantLatency
 from repro.net.topology import single_region
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.messages import DataMessage, FeedbackReport
 from repro.protocol.rrmp import RrmpSimulation
 
@@ -13,7 +13,7 @@ def build(n=10, seed=0, **config_overrides):
     defaults.update(config_overrides)
     return RrmpSimulation(
         single_region(n),
-        config=RrmpConfig(**defaults),
+        config=PolicySpec(**defaults),
         seed=seed,
         latency=ConstantLatency(5.0),
     )
@@ -101,7 +101,7 @@ class TestLocalRecovery:
 
 class TestBufferingIntegration:
     def test_holders_buffer_until_idle(self):
-        simulation = build(n=10, long_term_c=0.0)
+        simulation = build(n=10, c=0.0)
         inject(simulation, holders={0})
         simulation.run(duration=2_000.0)
         assert simulation.buffering_count(1) == 0
@@ -110,13 +110,13 @@ class TestBufferingIntegration:
 
     def test_recovered_members_buffer_too(self):
         """Every member that receives the message buffers it (§3.1)."""
-        simulation = build(n=10, long_term_c=0.0)
+        simulation = build(n=10, c=0.0)
         inject(simulation, holders={0})
         simulation.run(duration=60.0)  # recovery done, idle not everywhere yet
         assert simulation.trace.count("buffer_add") == 10
 
     def test_long_term_bufferers_remain(self):
-        simulation = build(n=10, long_term_c=10.0)  # P = 1: everyone keeps
+        simulation = build(n=10, c=10.0)  # P = 1: everyone keeps
         inject(simulation, holders={0})
         simulation.run(duration=2_000.0)
         assert simulation.buffering_count(1) == 10
@@ -148,7 +148,7 @@ class TestSessionMessages:
     def test_session_reveals_tail_loss(self):
         simulation = RrmpSimulation(
             single_region(6),
-            config=RrmpConfig(session_interval=25.0),
+            config=PolicySpec(session_interval=25.0),
             seed=1,
             latency=ConstantLatency(5.0),
         )

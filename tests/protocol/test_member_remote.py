@@ -3,7 +3,7 @@
 
 from repro.net.latency import HierarchicalLatency
 from repro.net.topology import chain
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.messages import DataMessage
 from repro.protocol.rrmp import RrmpSimulation
 
@@ -14,7 +14,7 @@ def build_wan(sizes=(5, 5), seed=0, inter=40.0, **overrides):
     defaults.update(overrides)
     return RrmpSimulation(
         hierarchy,
-        config=RrmpConfig(**defaults),
+        config=PolicySpec(**defaults),
         seed=seed,
         latency=HierarchicalLatency(hierarchy, inter_one_way=inter),
     )
@@ -118,24 +118,6 @@ class TestRelayRule:
         # duplicates (via regional multicast) never cascade.
         multicasts = simulation.trace.count("regional_multicast")
         assert 1 <= multicasts <= 4
-
-    def test_suppression_backoff_reduces_duplicate_multicasts(self):
-        with_backoff = []
-        without_backoff = []
-        for seed in range(6):
-            simulation = build_wan(sizes=(6, 6), seed=seed, remote_lambda=18.0,
-                                   regional_backoff_max=None)
-            regional_loss(simulation)
-            simulation.run(duration=3_000.0)
-            without_backoff.append(simulation.trace.count("regional_multicast"))
-
-            simulation = build_wan(sizes=(6, 6), seed=seed, remote_lambda=18.0,
-                                   regional_backoff_max=20.0)
-            regional_loss(simulation)
-            simulation.run(duration=3_000.0)
-            with_backoff.append(simulation.trace.count("regional_multicast"))
-            assert simulation.all_received(1)
-        assert sum(with_backoff) <= sum(without_backoff)
 
 
 class TestHierarchyDepth:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.net.latency import HierarchicalLatency
 from repro.net.topology import chain
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.messages import DataMessage, SearchRequest
 from repro.protocol.rrmp import RrmpSimulation
 from repro.scenario.library import search_spec
@@ -79,7 +79,7 @@ class TestFigure5Walkthrough:
 
     def build(self):
         hierarchy = chain([4, 1])
-        config = RrmpConfig(session_interval=None)
+        config = PolicySpec(session_interval=None)
         latency = HierarchicalLatency(hierarchy, intra_one_way=5.0,
                                       inter_one_way=500.0)
         simulation = RrmpSimulation(hierarchy, config=config, seed=0,

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.live.codec import encode_frame
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.messages import LocalRequest, RemoteRequest
 from repro.protocol.recovery import RecoveryProcess
 from repro.sim import RandomStreams
@@ -20,7 +20,7 @@ class FakeRecoveryHost:
         self.node_id = 0
         self.sim = sim
         self.trace = trace
-        self.config = config if config is not None else RrmpConfig(session_interval=None)
+        self.config = config if config is not None else PolicySpec(session_interval=None)
         self.neighbors = list(neighbors)
         self.parents = list(parents)
         #: Structural parent-region existence; defaults to "has one
@@ -115,7 +115,7 @@ class TestLocalPhase:
         assert host.sent_local == []
 
     def test_timer_factor_stretches_rounds(self, sim, trace):
-        config = RrmpConfig(session_interval=None, timer_factor=2.0)
+        config = PolicySpec(session_interval=None, timer_factor=2.0)
         host = FakeRecoveryHost(sim, trace, config=config, neighbors=[1, 2])
         RecoveryProcess(host, 7, 0.0).start()
         sim.run(until=25.0)
@@ -150,7 +150,7 @@ class TestRemotePhase:
 
     def test_probability_is_lambda_over_n(self, sim, trace):
         """§2.2: region-wide expected remote requests per round is λ."""
-        config = RrmpConfig(session_interval=None, remote_lambda=1.0)
+        config = PolicySpec(session_interval=None, remote_lambda=1.0)
         sent = 0
         for seed in range(120):
             local_sim = type(sim)()
@@ -171,7 +171,7 @@ class TestRemotePhase:
 
     def test_remote_timer_runs_even_without_send(self, sim, trace):
         """The remote phase keeps cycling whether or not it sent (§2.2)."""
-        config = RrmpConfig(session_interval=None, remote_lambda=0.0)
+        config = PolicySpec(session_interval=None, remote_lambda=0.0)
         host = FakeRecoveryHost(sim, trace, config=config, neighbors=[],
                                 parents=[9], region_size=10)
         process = RecoveryProcess(host, 7, 0.0)
@@ -230,7 +230,7 @@ class TestCompletion:
 
 class TestGiveUp:
     def test_deadline_records_violation(self, sim, trace):
-        config = RrmpConfig(session_interval=None, max_recovery_time=50.0)
+        config = PolicySpec(session_interval=None, max_recovery_time=50.0)
         host = FakeRecoveryHost(sim, trace, config=config, neighbors=[1, 2])
         RecoveryProcess(host, 7, 0.0).start()
         sim.run(until=200.0)

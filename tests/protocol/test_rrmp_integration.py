@@ -5,7 +5,7 @@ from repro.core.policies import FixedTimePolicy
 from repro.net.ipmulticast import BernoulliOutcome, RegionCorrelatedOutcome
 from repro.net.latency import HierarchicalLatency
 from repro.net.topology import chain, single_region, star
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 
 
@@ -13,7 +13,7 @@ class TestStreamDelivery:
     def test_lossy_stream_fully_delivered(self):
         simulation = RrmpSimulation(
             single_region(30),
-            config=RrmpConfig(session_interval=25.0),
+            config=PolicySpec(session_interval=25.0),
             seed=11,
             outcome=BernoulliOutcome(0.2),
         )
@@ -27,7 +27,7 @@ class TestStreamDelivery:
         hierarchy = chain([8, 8, 8])
         simulation = RrmpSimulation(
             hierarchy,
-            config=RrmpConfig(session_interval=25.0),
+            config=PolicySpec(session_interval=25.0),
             seed=13,
             latency=HierarchicalLatency(hierarchy, inter_one_way=40.0),
             outcome=RegionCorrelatedOutcome(hierarchy, region_loss=0.4, sender=0),
@@ -42,7 +42,7 @@ class TestStreamDelivery:
         hierarchy = star(5, [5, 5, 5])
         simulation = RrmpSimulation(
             hierarchy,
-            config=RrmpConfig(session_interval=25.0),
+            config=PolicySpec(session_interval=25.0),
             seed=17,
             latency=HierarchicalLatency(hierarchy),
             outcome=RegionCorrelatedOutcome(hierarchy, region_loss=0.5, sender=0),
@@ -59,7 +59,7 @@ class TestBufferLifecycle:
         """Across many messages the long-term census per message ≈ C."""
         simulation = RrmpSimulation(
             single_region(50),
-            config=RrmpConfig(session_interval=25.0, long_term_c=5.0),
+            config=PolicySpec(session_interval=25.0, c=5.0),
             seed=19,
         )
         messages = 20
@@ -74,7 +74,7 @@ class TestBufferLifecycle:
         """Conclusion claim: buffering load is balanced, not hot-spotted."""
         simulation = RrmpSimulation(
             single_region(40),
-            config=RrmpConfig(session_interval=25.0, long_term_c=8.0),
+            config=PolicySpec(session_interval=25.0, c=8.0),
             seed=23,
         )
         for _ in range(30):
@@ -90,7 +90,7 @@ class TestBufferLifecycle:
     def test_ttl_drains_all_buffers_eventually(self):
         simulation = RrmpSimulation(
             single_region(20),
-            config=RrmpConfig(session_interval=25.0, long_term_c=4.0,
+            config=PolicySpec(session_interval=25.0, c=4.0,
                               long_term_ttl=500.0),
             seed=29,
         )
@@ -104,7 +104,7 @@ class TestPolicyFactorySwap:
     def test_custom_policy_factory_is_used(self):
         simulation = RrmpSimulation(
             single_region(10),
-            config=RrmpConfig(session_interval=None),
+            config=PolicySpec(session_interval=None),
             seed=1,
             policy_factory=lambda _node: FixedTimePolicy(100.0),
         )
@@ -120,7 +120,7 @@ class TestMembershipChanges:
     def test_graceful_leave_hands_off_long_term_buffers(self):
         simulation = RrmpSimulation(
             single_region(10),
-            config=RrmpConfig(session_interval=None, long_term_c=10.0),
+            config=PolicySpec(session_interval=None, c=10.0),
             seed=31,
         )
         simulation.sender.multicast()
@@ -138,7 +138,7 @@ class TestMembershipChanges:
     def test_crash_loses_buffered_state(self):
         simulation = RrmpSimulation(
             single_region(10),
-            config=RrmpConfig(session_interval=None, long_term_c=10.0),
+            config=PolicySpec(session_interval=None, c=10.0),
             seed=31,
         )
         simulation.sender.multicast()
@@ -155,7 +155,7 @@ class TestMembershipChanges:
     def test_join_mid_session_recovers_history_via_sessions(self):
         simulation = RrmpSimulation(
             single_region(10),
-            config=RrmpConfig(session_interval=25.0),
+            config=PolicySpec(session_interval=25.0),
             seed=37,
         )
         simulation.sender.multicast()
@@ -167,7 +167,7 @@ class TestMembershipChanges:
     def test_leave_then_messages_still_deliver(self):
         simulation = RrmpSimulation(
             single_region(10),
-            config=RrmpConfig(session_interval=25.0),
+            config=PolicySpec(session_interval=25.0),
             seed=41,
             outcome=BernoulliOutcome(0.3),
         )
@@ -183,7 +183,7 @@ class TestTrafficAccounting:
     def test_control_and_data_split(self):
         simulation = RrmpSimulation(
             single_region(20),
-            config=RrmpConfig(session_interval=25.0),
+            config=PolicySpec(session_interval=25.0),
             seed=43,
             outcome=BernoulliOutcome(0.3),
         )

@@ -4,14 +4,14 @@
 from repro.net.ipmulticast import FixedHolderCount, FixedHolders, PerfectOutcome
 from repro.net.latency import ConstantLatency
 from repro.net.topology import single_region
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 
 
 def build(n=10, seed=0, outcome=None, session_interval=None):
     return RrmpSimulation(
         single_region(n),
-        config=RrmpConfig(session_interval=session_interval),
+        config=PolicySpec(session_interval=session_interval),
         seed=seed,
         latency=ConstantLatency(5.0),
         outcome=outcome if outcome is not None else PerfectOutcome(),

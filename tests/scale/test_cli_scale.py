@@ -85,8 +85,8 @@ class TestScenariosRunSharded:
 
     def test_policy_value_rrmp_config_refuses_is_a_usage_error(
             self, capsys, monkeypatch):
-        """``PolicySpec`` leaves range checks to ``RrmpConfig``; the flat
-        tier has to ask it before anything is built."""
+        """``PolicySpec`` refuses the value while ``--param`` builds the
+        spec, so the flat tier builds nothing."""
         def build_nothing(topology):
             raise AssertionError("hierarchy built for a refused spec")
 

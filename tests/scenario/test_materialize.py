@@ -18,7 +18,7 @@ from repro.metrics.stats import mean
 from repro.net.ipmulticast import BernoulliOutcome
 from repro.net.loss import GilbertElliottLoss
 from repro.net.topology import chain
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 from repro.scenario import build_scenario
 from repro.scenario.builder import scenario
@@ -41,7 +41,7 @@ def _hand_built_policy_trial(
     """The pre-migration ablation_policies trial body, verbatim
     (two-phase arm), kept as the reference the builder must match."""
     hierarchy = chain([region_size] * 3)
-    config = RrmpConfig(
+    config = PolicySpec(
         session_interval=50.0, max_recovery_time=horizon, long_term_ttl=1_000.0
     )
     simulation = RrmpSimulation(

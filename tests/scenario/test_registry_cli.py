@@ -289,8 +289,8 @@ class TestSpecOverrides:
         assert "error" in capsys.readouterr().err
 
     def test_cli_value_refused_at_build_time_is_a_usage_error(self, capsys):
-        """``PolicySpec`` delegates range checks to ``RrmpConfig``, which
-        only sees the value when the scenario is built."""
+        """``PolicySpec`` refuses the value while ``--param`` builds the
+        spec, before any scenario is built."""
         assert main([
             "scenarios", "run", "initial_holders", "--json",
             "--param", "policy.idle_threshold=0",
@@ -298,6 +298,35 @@ class TestSpecOverrides:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: idle_threshold must be > 0, got 0.0\n"
+
+    @pytest.mark.parametrize("command, params, message", [
+        (["scenarios", "describe", "scale"], ["policy.idle_threshold=-1"],
+         "idle_threshold must be > 0, got -1.0"),
+        (["scenarios", "run", "scale_10k"], ["policy.max_search_rounds=0"],
+         "max_search_rounds must be > 0, got 0"),
+        (["validate", "run", "initial_holders"], ["policy.remote_lambda=-1"],
+         "remote_lambda must be >= 0, got -1.0"),
+        (["validate", "digest", "search"], ["policy.timer_factor=1.7e308"],
+         "timer_factor must be <= 1e6, got 1.7e+308"),
+        (["scenarios", "run", "initial_holders"], ["fec.mode='proactive'", "fec.parity=0"],
+         "fec parity must be >= 1 with mode 'proactive', got 0"),
+    ])
+    def test_a_refused_policy_or_fec_value_is_refused_alike_by_every_command(
+            self, capsys, command, params, message):
+        argv = list(command)
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["wan_burst_loss", "flash_crowd", "scale"])
+    def test_cli_negative_traffic_start_is_a_usage_error(self, capsys, name):
+        assert main(["scenarios", "run", name, "--param", "traffic.start=-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: traffic start must be >= 0, got -1.0\n"
 
     @pytest.mark.parametrize("name, field, value, message", [
         ("initial_holders", "intra_one_way", "nan",

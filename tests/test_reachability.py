@@ -36,8 +36,8 @@ PLUGGABLE_BASES = (LossModel, LatencyModel, MulticastOutcome, BufferPolicy,
 EXEMPT = {
     "NoLoss": "engine default: Network/LiveTransport without a loss model",
     "PerfectOutcome": "engine default: RrmpSender without an outcome",
-    "TwoPhaseBufferPolicy": "engine default: built by two_phase_policy_factory "
-                            "and by RrmpMember without a policy",
+    "TwoPhaseBufferPolicy": "engine default: RrmpMember builds it from its "
+                            "config when given no policy (policy kind two_phase)",
     "ConstantLatency": "test double; also the ledger's loopback microbenchmark",
     "BernoulliLoss": "test double: per-delivery loss on a bare transport",
     "ReceiverSetLoss": "test double: scripts exact loss patterns",
@@ -77,7 +77,7 @@ def test_every_pluggable_model_is_spec_reachable_or_exempt_with_a_reason():
 
 
 #: Classes an experiment would wire a run from by hand.
-HAND_BUILT = {"RrmpSimulation", "RrmpConfig", "HierarchicalLatency", "TreeSimulation"}
+HAND_BUILT = {"RrmpSimulation", "HierarchicalLatency", "TreeSimulation"}
 
 
 def test_experiments_build_every_run_from_a_spec():

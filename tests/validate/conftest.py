@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 import pytest
 
 from repro.core.buffer import MessageBuffer
+from repro.protocol.config import PolicySpec
 from repro.sim import TraceLog
 
 
@@ -33,11 +34,6 @@ class FakeHierarchy:
 
     def region_id_of(self, node_id: int) -> int:
         return self.node_regions[node_id]
-
-
-class FakeConfig:
-    def __init__(self, long_term_c: float = 6.0) -> None:
-        self.long_term_c = long_term_c
 
 
 class FakePolicy:
@@ -71,12 +67,12 @@ class FakeSimulation:
     """Just enough of RrmpSimulation for InvariantOracle."""
 
     def __init__(self, nodes: Optional[Dict[int, int]] = None,
-                 long_term_c: float = 6.0) -> None:
+                 c: float = 6.0) -> None:
         nodes = nodes if nodes is not None else {1: 0, 2: 0, 3: 0}
         self.trace = TraceLog()
         self.sim = FakeEngine()
         self.hierarchy = FakeHierarchy(nodes)
-        self.config = FakeConfig(long_term_c)
+        self.config = PolicySpec(c=c)
         self.members = {node: FakeMember(node) for node in nodes}
 
     def alive_members(self):

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.protocol.config import CongestionSpec
 from repro.protocol.messages import DATA_WIRE_SIZE, DataMessage
+from repro.scenario.materialize import build_scenario
+from repro.scenario.spec import MeasurementSpec, ScenarioSpec, TopologySpec, TrafficSpec
 from repro.validate.invariants import Violation
 from repro.validate.oracle import InvariantOracle
 
@@ -213,6 +216,67 @@ class TestFecAccounting:
         fake_sim.trace.emit(1.0, "fec_parity_overhead", block=0, parity_messages=2,
                             parity_bytes=7, data_bytes=4 * DATA_WIRE_SIZE)
         assert any("parity_bytes" in v.message for v in oracle.violations)
+
+
+class TestCongestionQuota:
+    WINDOW = CongestionSpec(controller="aimd", min_rate=10.0, max_rate=100.0)
+
+    def _quota_oracle(self, fake_sim, congestion):
+        from repro.validate.invariants import CongestionQuota
+
+        return InvariantOracle(invariants=[CongestionQuota()]).attach(fake_sim, congestion)
+
+    @pytest.mark.parametrize("kind", ["cc_send", "cc_rate_change"])
+    def test_interval_outside_the_rate_window_fires(self, fake_sim, kind):
+        # min_rate 10/s and max_rate 100/s -> a [10, 100] ms window.
+        oracle = self._quota_oracle(fake_sim, self.WINDOW)
+        fake_sim.trace.emit(1.0, kind, interval=5.0)
+        assert names(oracle) == ["congestion-quota"]
+        assert "escaped the configured [10, 100] ms rate window" in oracle.violations[0].message
+
+    def test_interval_inside_the_window_is_clean(self, fake_sim):
+        oracle = self._quota_oracle(fake_sim, self.WINDOW)
+        for interval in (10.0, 42.0, 100.0):
+            fake_sim.trace.emit(1.0, "cc_send", interval=interval)
+        assert oracle.ok
+
+    def test_aggregate_over_quota_at_quiescence_fires(self, fake_sim):
+        # C=6 -> 24.7 long-term holders per message; 30 hold seq 3.
+        oracle = self._quota_oracle(fake_sim, self.WINDOW)
+        fake_sim.hierarchy.node_regions = {n: 0 for n in range(1, 40)}
+        for node in range(1, 31):
+            fake_sim.trace.emit(1.0, "long_term_selected", node=node, seq=3,
+                                via="coin-flip")
+        assert oracle.ok
+        oracle.finish()
+        assert names(oracle) == ["congestion-quota"]
+        assert "holds 30 long-term entries across 1 messages" in oracle.violations[0].message
+
+    def test_inert_without_a_controller(self, fake_sim):
+        oracle = self._quota_oracle(fake_sim, CongestionSpec())
+        fake_sim.hierarchy.node_regions = {n: 0 for n in range(1, 40)}
+        fake_sim.trace.emit(1.0, "cc_send", interval=5.0)
+        for node in range(1, 31):
+            fake_sim.trace.emit(1.0, "long_term_selected", node=node, seq=3,
+                                via="coin-flip")
+        oracle.finish()
+        assert oracle.ok
+
+    def test_a_cc_scenario_arms_the_check(self):
+        """``build_scenario`` hands the spec's controller to the oracle:
+        an out-of-window interval in a real CC run is reported."""
+        spec = ScenarioSpec(
+            name="cc-quota",
+            topology=TopologySpec(n=4),
+            traffic=TrafficSpec(kind="uniform", count=4, interval=10.0),
+            congestion=self.WINDOW,
+            measurement=MeasurementSpec(oracle=True, horizon=500.0),
+        )
+        built = build_scenario(spec)
+        built.simulation.trace.emit(0.0, "cc_send", seq=0, interval=5.0)
+        built.run()
+        assert built.simulation.trace.count("cc_send") > 1
+        assert names(built.oracle) == ["congestion-quota"]
 
 
 class TestViolationShape:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.topology import chain, single_region
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 from repro.scenario.spec import MobilitySpec
 from repro.sim.randomness import derive_seed
@@ -88,7 +88,7 @@ class TestHandoffs:
     def build(self, seed=11):
         simulation = RrmpSimulation(
             chain([6, 6, 6]),
-            config=RrmpConfig(session_interval=25.0),
+            config=PolicySpec(session_interval=25.0),
             seed=seed,
         )
         m = MobilityManager(

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.net.topology import single_region
-from repro.protocol.config import RrmpConfig
+from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 from repro.workloads.traffic import (
     BurstStream,
@@ -32,7 +32,7 @@ class TestUniformStream:
 
     def test_schedule_drives_sender(self):
         simulation = RrmpSimulation(
-            single_region(5), config=RrmpConfig(session_interval=None), seed=0,
+            single_region(5), config=PolicySpec(session_interval=None), seed=0,
         )
         count = UniformStream(count=4, interval=10.0).schedule(simulation)
         simulation.run(duration=100.0)
@@ -98,7 +98,7 @@ class TestRampStream:
 
     def test_schedule_drives_sender(self):
         simulation = RrmpSimulation(
-            single_region(5), config=RrmpConfig(session_interval=None), seed=0,
+            single_region(5), config=PolicySpec(session_interval=None), seed=0,
         )
         count = RampStream(6, 20.0, 5.0).schedule(simulation)
         simulation.run(duration=200.0)
@@ -128,7 +128,7 @@ class TestBurstStream:
         detectable via session messages (§2.1)."""
         from repro.net.ipmulticast import FixedHolders
         simulation = RrmpSimulation(
-            single_region(6), config=RrmpConfig(session_interval=25.0), seed=3,
+            single_region(6), config=PolicySpec(session_interval=25.0), seed=3,
         )
         simulation.sender.outcome = FixedHolders(set())  # everyone misses all
         BurstStream([(0.0, 3)]).schedule(simulation)
