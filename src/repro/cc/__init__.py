@@ -7,11 +7,14 @@ This package closes the loop, in the spirit of NORM's TCP-friendly
 multicast congestion control (TFMCC):
 
 * :mod:`repro.cc.controller` — the :class:`CongestionController`
-  protocol and its implementations: :class:`NoneCc` (open loop,
-  byte-identical to the historical sender), :class:`TfmccController`
-  (equation-based rate from the worst receiver's loss/RTT feedback) and
-  :class:`AimdController` (additive-increase / multiplicative-decrease
-  baseline);
+  protocol and its two implementations, one per
+  ``CongestionSpec.controller`` value other than ``"none"``:
+  :class:`TfmccController` (equation-based rate from the worst
+  receiver's loss/RTT feedback) and :class:`AimdController`
+  (additive-increase / multiplicative-decrease baseline).  ``"none"``
+  is the open-loop sender: no controller and no driver, the traffic
+  generator's precomputed schedule, byte-identical to the historical
+  sender;
 * :mod:`repro.cc.feedback` — receiver-side periodic
   :class:`~repro.protocol.messages.FeedbackReport` unicasts back to the
   sender (armed only when a controller is configured);
@@ -30,7 +33,6 @@ The same driver runs under the simulator and the live asyncio backend
 from repro.cc.controller import (
     AimdController,
     CongestionController,
-    NoneCc,
     TfmccController,
     controller_for,
     tcp_friendly_rate,
@@ -45,7 +47,6 @@ __all__ = [
     "CongestionDriver",
     "FairnessResult",
     "FeedbackReporter",
-    "NoneCc",
     "TfmccController",
     "build_feedback",
     "controller_for",

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Protocol
 
-from repro.protocol.config import CC_AIMD, CC_NONE, CC_TFMCC, CongestionSpec
+from repro.protocol.config import CC_AIMD, CC_TFMCC, CongestionSpec
 from repro.protocol.messages import FeedbackReport, Seq
 
 _UNLIMITED = float("-inf")
@@ -61,36 +61,6 @@ class CongestionController(Protocol):
     def parity_budget(self, block_size: int, base_parity: int) -> int:
         """Proactive parity messages the current loss regime warrants."""
         ...
-
-
-class NoneCc:
-    """Open loop: never defers a send, never shifts parity.
-
-    With this controller the driver degenerates to the historical
-    precomputed schedule — materialization keeps the open-loop fast
-    path, so runs are byte-identical to the pre-congestion-control
-    code.
-    """
-
-    name = CC_NONE
-
-    def on_send(self, now: float) -> None:
-        pass
-
-    def on_feedback(self, now: float, report: FeedbackReport) -> None:
-        pass
-
-    def on_nack(self, now: float, seq: Seq) -> None:
-        pass
-
-    def send_credit(self, now: float) -> float:
-        return _UNLIMITED
-
-    def interval(self) -> float:
-        return 0.0
-
-    def parity_budget(self, block_size: int, base_parity: int) -> int:
-        return base_parity
 
 
 @dataclass
@@ -291,9 +261,11 @@ class TfmccController(_AdaptiveBase):
 
 def controller_for(config: CongestionSpec,
                    initial_rate: Optional[float] = None) -> CongestionController:
-    """Instantiate the controller the config names."""
-    if config.controller == CC_NONE:
-        return NoneCc()
+    """Instantiate the controller the config names.
+
+    ``"none"`` names no controller: an open-loop run installs no driver
+    and sends on the traffic generator's own schedule.
+    """
     if config.controller == CC_AIMD:
         return AimdController(config, initial_rate)
     if config.controller == CC_TFMCC:

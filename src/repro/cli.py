@@ -211,8 +211,10 @@ def _spec(args: argparse.Namespace):
         raise UsageError(str(error.args[0] if isinstance(error, KeyError) else error)) from None
 
 
-def _on_flat_engine(args: argparse.Namespace) -> bool:
-    return args.scenario in scenario_names("flat")
+def _on_flat_engine(spec) -> bool:
+    """Whether the resolved *spec* is a flat-tier scenario, whether it
+    was named or read from a JSON file."""
+    return spec.name in scenario_names("flat")
 
 
 def _print(report: RunReport, as_json: bool, title: Optional[str] = None) -> None:
@@ -280,7 +282,7 @@ def _scenarios_describe(args) -> int:
 
 def _scenarios_run(args) -> int:
     spec = _spec(args)
-    flat = _on_flat_engine(args)
+    flat = _on_flat_engine(spec)
     if args.shards > 1 and not flat:
         raise UsageError(f"--shards applies to flat-engine scenarios only "
                          f"({', '.join(scenario_names('flat'))}); {args.scenario!r} "
@@ -351,12 +353,13 @@ def _oracle_report(spec, as_json: bool, flat: bool = False) -> int:
 
 
 def _validate_run(args) -> int:
-    return _oracle_report(_spec(args), args.as_json, flat=_on_flat_engine(args))
+    spec = _spec(args)
+    return _oracle_report(spec, args.as_json, flat=_on_flat_engine(spec))
 
 
 def _validate_digest(args) -> int:
     spec = _spec(args)
-    if _on_flat_engine(args):
+    if _on_flat_engine(spec):
         from repro.scale.engine import run_flat
 
         result = run_flat(spec)

@@ -8,7 +8,7 @@ Two-phase buffer management for RRMP:
   answers remote requests for already-discarded messages (§3.3);
 * :func:`plan_handoff` — long-term buffer transfer on graceful leave;
 * the :class:`BufferPolicy` interface plus simple baselines
-  (fixed-time, never-discard, no-buffer) used in comparisons.
+  (fixed-time, never-discard, no-buffer, stability) used in comparisons.
 """
 
 from repro.core.buffer import (
@@ -31,6 +31,7 @@ from repro.core.policies import (
     FixedTimePolicy,
     NeverDiscardPolicy,
     NoBufferPolicy,
+    StabilityBufferPolicy,
 )
 from repro.core.search import SearchCoordinator, SearchHost
 
@@ -51,6 +52,7 @@ __all__ = [
     "NoBufferPolicy",
     "SearchCoordinator",
     "SearchHost",
+    "StabilityBufferPolicy",
     "TwoPhaseBufferPolicy",
     "handoff_load",
     "keeps_long_term",

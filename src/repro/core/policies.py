@@ -21,6 +21,7 @@ from typing import List, Optional, Protocol, Tuple
 from repro.core.buffer import (
     DISCARD_CLOSE,
     DISCARD_FIXED,
+    DISCARD_STABLE,
     MessageBuffer,
 )
 from repro.protocol.messages import DataMessage, Seq
@@ -191,3 +192,32 @@ class FixedTimePolicy(BufferPolicy):
             event.cancel()  # type: ignore[attr-defined]
         self._expiries.clear()
         super().close()
+
+
+class StabilityBufferPolicy(BufferPolicy):
+    """Buffer everything until the stability detector
+    (:mod:`repro.stability`) clears it."""
+
+    def on_receive(self, data: DataMessage) -> None:
+        self.buffer.add(data, self.host.sim.now)
+        self.host.trace.emit(self.host.sim.now, "buffer_add",
+                             node=self.host.node_id, seq=data.seq)
+
+    def notify_stable(self, frontier: Seq) -> int:
+        """Discard every buffered message with seq ≤ *frontier*.
+
+        Returns the number of messages discarded.
+        """
+        now = self.host.sim.now
+        discarded = 0
+        for seq in list(self.buffer.seqs()):
+            if seq <= frontier:
+                entry = self.buffer.discard(seq, now, DISCARD_STABLE)
+                if entry is not None:
+                    discarded += 1
+                    self.host.trace.emit(
+                        now, "buffer_discard", node=self.host.node_id, seq=seq,
+                        reason=DISCARD_STABLE, was_long_term=False,
+                        duration=now - entry.receive_time,
+                    )
+        return discarded

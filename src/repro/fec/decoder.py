@@ -113,10 +113,6 @@ class FecBlockDecoder:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def block_of(self, seq: Seq) -> Optional[int]:
-        """The block id covering *seq*, if a parity message announced one."""
-        return self._seq_to_block.get(seq)
-
     @property
     def tracked_blocks(self) -> int:
         """Blocks currently held open (awaiting shards)."""

@@ -160,10 +160,6 @@ class FecEncoder:
         """Whether parity for *block_id* has already been produced."""
         return block_id in self._encoded
 
-    def unencoded_blocks(self) -> List[int]:
-        """Sealed blocks whose parity has not been produced yet."""
-        return sorted(self._sealed)
-
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------

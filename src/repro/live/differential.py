@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.tracing import StreamingTraceDigest, TraceRecord
+from repro.sim.tracing import TraceRecord, trace_digest
 from repro.validate.oracle import InvariantOracle
 
 
@@ -72,11 +72,10 @@ def delivery_digest(records: Iterable[TraceRecord]) -> str:
 class SideResult:
     """One world's run: digest, delivery sets, oracle verdict, summary.
 
-    ``trace_digest`` is the raw (non-normalized) trace digest, computed
-    incrementally by :class:`~repro.sim.tracing.StreamingTraceDigest`.
-    It is *not* expected to match between worlds (timestamps differ);
-    it identifies each side's exact trace for reproduction, without the
-    harness ever needing a second pass over the record list.
+    ``trace_digest`` is the raw (non-normalized) trace digest
+    (:func:`~repro.sim.tracing.trace_digest` over the retained
+    records).  It is *not* expected to match between worlds (timestamps
+    differ); it identifies each side's exact trace for reproduction.
     """
 
     mode: str                          #: ``"sim"`` or ``"live"``
@@ -151,12 +150,6 @@ def run_sim_side(spec: ScenarioSpec) -> SideResult:
     built = spec.build()
     oracle = built.oracle
     assert oracle is not None  # forced on by _with_trace
-    # Incremental trace digest: replay build-time workload injections
-    # (emitted before we could subscribe), then stream the run itself.
-    stream = StreamingTraceDigest()
-    for record in built.simulation.trace.records:
-        stream.update(record)
-    stream.attach(built.simulation.trace)
     built.run()
     records = built.simulation.trace.records
     delivered, violations = delivery_sets(records)
@@ -168,8 +161,8 @@ def run_sim_side(spec: ScenarioSpec) -> SideResult:
         oracle_violations=oracle.violation_count,
         records_checked=oracle.records_checked,
         summary=built.summary(),
-        trace_digest=stream.hexdigest(),
-        trace_records=stream.count,
+        trace_digest=trace_digest(records),
+        trace_records=len(records),
     )
 
 
@@ -181,9 +174,6 @@ async def run_live_side(spec: ScenarioSpec, speedup: float = 1.0) -> SideResult:
     oracle = InvariantOracle()
     session = await run_spec_live(spec, speedup=speedup, oracle=oracle)
     records = session.trace.records
-    stream = StreamingTraceDigest()
-    for record in records:
-        stream.update(record)
     delivered, violations = delivery_sets(records)
     return SideResult(
         mode="live",
@@ -193,8 +183,8 @@ async def run_live_side(spec: ScenarioSpec, speedup: float = 1.0) -> SideResult:
         oracle_violations=oracle.violation_count,
         records_checked=oracle.records_checked,
         summary=session.summary(),
-        trace_digest=stream.hexdigest(),
-        trace_records=stream.count,
+        trace_digest=trace_digest(records),
+        trace_records=len(records),
     )
 
 

@@ -50,7 +50,6 @@ from repro.scenario.materialize import (
     build_hierarchy,
     install_workload,
     network_models,
-    policy_factory_for,
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.sim import RandomStreams, TraceLog
@@ -123,7 +122,6 @@ class LiveSession(MemberGroup):
         self._outcome = models.outcome
         self._local_nodes = set(local_nodes) if local_nodes is not None else None
         self._bind = bind
-        self._policy_factory = policy_factory_for(spec.policy)
         self.members: Dict[NodeId, RrmpMember] = {}
         self.sender: Optional[RrmpSender] = None
         #: Everything :func:`install_workload` puts on this group at

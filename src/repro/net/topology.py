@@ -19,7 +19,7 @@ position map instead of a copy per query: only those drop the view.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 NodeId = int
 RegionId = int
@@ -345,8 +345,3 @@ def balanced_tree(depth: int, fanout: int, region_size: int) -> Hierarchy:
                 next_id += 1
         frontier = new_frontier
     return hierarchy
-
-
-def regions_of(hierarchy: Hierarchy, node_ids: Iterable[NodeId]) -> List[RegionId]:
-    """Map each node id to its region id (convenience for tests/metrics)."""
-    return [hierarchy.region_id_of(node) for node in node_ids]

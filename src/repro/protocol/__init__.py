@@ -34,7 +34,6 @@ _EXPORTS = {
     "HaveReply": "messages",
     "LocalRequest": "messages",
     "ParityMessage": "messages",
-    "PolicyFactory": "rrmp",
     "PolicySpec": "config",
     "REPAIR_LOCAL": "messages",
     "REPAIR_REGIONAL": "messages",
@@ -124,5 +123,5 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         SessionMessage,
     )
     from repro.protocol.recovery import RecoveryHost, RecoveryProcess
-    from repro.protocol.rrmp import PolicyFactory, RrmpSimulation
+    from repro.protocol.rrmp import RrmpSimulation
     from repro.protocol.sender import RrmpSender

@@ -144,8 +144,8 @@ class CongestionSpec:
     :data:`CC_CONTROLLERS`):
 
     * ``none`` — open loop (the default; byte-identical to historical
-      behaviour: no feedback reporters are armed and the traffic
-      generator is installed on the simulator unchanged);
+      behaviour: no controller, no driver and no feedback reporters;
+      the traffic generator is installed on the simulator unchanged);
     * ``tfmcc`` — NORM-style TCP-friendly rate from the worst
       receiver's loss/RTT feedback;
     * ``aimd`` — additive-increase / multiplicative-decrease baseline.

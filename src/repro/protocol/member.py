@@ -21,9 +21,16 @@ from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.handoff import plan_handoff
 from repro.core.manager import TwoPhaseBufferPolicy
-from repro.core.policies import BufferPolicy
+from repro.core.policies import (
+    BufferPolicy,
+    FixedTimePolicy,
+    NeverDiscardPolicy,
+    NoBufferPolicy,
+    StabilityBufferPolicy,
+)
 from repro.core.search import SearchCoordinator
 from repro.fec.decoder import FecBlockDecoder
+from repro.hashing.deterministic import HashBuffererPolicy
 from repro.net.topology import Hierarchy, NodeId
 from repro.net.transport import Network, Packet
 from repro.protocol.config import FecSpec, PolicySpec
@@ -57,6 +64,27 @@ VIA_HANDOFF = "handoff"
 VIA_INJECTED = "injected"
 VIA_FEC = "fec-decode"
 
+#: ``PolicySpec.kind`` -> the buffer policy it names, built from the
+#: spec (one row per :data:`~repro.protocol.config.POLICY_KINDS` entry).
+_POLICY_BUILDERS: Dict[str, Callable[[PolicySpec], BufferPolicy]] = {
+    "two_phase": lambda config: TwoPhaseBufferPolicy(
+        idle_threshold=config.idle_threshold,
+        long_term_c=config.c,
+        long_term_ttl=config.long_term_ttl,
+    ),
+    "fixed_time": lambda config: FixedTimePolicy(config.hold_time),
+    "stability": lambda config: StabilityBufferPolicy(),
+    "hash": lambda config: HashBuffererPolicy(config.c),
+    "never_discard": lambda config: NeverDiscardPolicy(),
+    "no_buffer": lambda config: NoBufferPolicy(),
+}
+
+
+def build_policy(config: PolicySpec) -> BufferPolicy:
+    """A fresh, unbound buffer policy of the kind *config* names: the
+    one way a member gets its policy."""
+    return _POLICY_BUILDERS[config.kind](config)
+
 
 class RrmpMember:
     """One receiver (the sender is also a member, §2.1)."""
@@ -70,7 +98,6 @@ class RrmpMember:
         config: PolicySpec,
         streams: RandomStreams,
         trace: TraceLog,
-        policy: Optional[BufferPolicy] = None,
         fec_spec: FecSpec = FecSpec(),
     ) -> None:
         self.node_id = node_id
@@ -83,20 +110,7 @@ class RrmpMember:
         self.trace = trace
         self.alive = True
 
-        if policy is None:
-            # Only the two-phase default is built here; any other kind
-            # would silently run as two-phase.
-            if config.kind != "two_phase":
-                raise ValueError(
-                    f"policy kind {config.kind!r} needs a policy_factory; "
-                    "build the run from a ScenarioSpec"
-                )
-            policy = TwoPhaseBufferPolicy(
-                idle_threshold=config.idle_threshold,
-                long_term_c=config.c,
-                long_term_ttl=config.long_term_ttl,
-            )
-        self.policy: BufferPolicy = policy
+        self.policy = build_policy(config)
         self.policy.bind(self)
         self.search = SearchCoordinator(
             self, timer_factor=config.timer_factor, max_rounds=config.max_search_rounds

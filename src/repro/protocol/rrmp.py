@@ -4,20 +4,24 @@
 sender for a given hierarchy, wiring every component to one master
 seed.  It is the main entry point of the public API::
 
-    from repro import RrmpSimulation, single_region, FixedHolderCount
+    from repro import FixedHolderCount, PolicySpec, RrmpSimulation, single_region
 
     sim = RrmpSimulation(single_region(100), seed=42,
+                         config=PolicySpec(kind="fixed_time", hold_time=100.0),
                          outcome=FixedHolderCount(10))
     sim.sender.multicast()
     sim.run(duration=500.0)
     assert sim.all_received(1)
+
+Each pluggable part has one way in: ``config.kind`` names the buffer
+policy every member builds (:func:`repro.protocol.member.build_policy`),
+and the sender is always :func:`default_sender_node`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.core.policies import BufferPolicy
 from repro.net.ipmulticast import MulticastOutcome
 from repro.net.latency import HierarchicalLatency, LatencyModel
 from repro.net.loss import LossModel
@@ -29,16 +33,13 @@ from repro.protocol.messages import Seq
 from repro.protocol.sender import RrmpSender
 from repro.sim import RandomStreams, Simulator, TraceLog
 
-#: Builds a buffer policy for a given node; lets experiments swap the
-#: paper's two-phase policy for any baseline.
-PolicyFactory = Callable[[NodeId], BufferPolicy]
-
 
 def default_sender_node(hierarchy: Hierarchy) -> NodeId:
     """The conventional sender: first member of the first root region.
 
-    Shared by the simulated facade and the live runtime so one spec
-    elects the same sender in both worlds.
+    The one sender rule: the simulated facade, the live runtime and the
+    flat engine all elect it, so one spec has the same sender
+    everywhere.
     """
     for region_id in sorted(hierarchy.regions):
         region = hierarchy.regions[region_id]
@@ -57,8 +58,8 @@ class MemberGroup:
     :class:`~repro.sim.TraceLog`), ``network`` (anything with a
     ``stats`` :class:`~repro.net.transport.NetworkStats`) and — for
     building members — ``sim`` (the clock), ``hierarchy``, ``config``
-    (a ``PolicySpec``), ``fec_spec``, ``streams`` and ``_policy_factory``
-    (``None``: members build the two-phase default).  Everything here
+    (a ``PolicySpec``, whose ``kind`` names each member's buffer
+    policy), ``fec_spec`` and ``streams``.  Everything here
     derives from those, which lets experiment code, the scenario
     installer and the oracle treat a live group like a simulated one.
     """
@@ -70,8 +71,7 @@ class MemberGroup:
 
     def _new_member(self, node: NodeId) -> RrmpMember:
         """Build and register the member for *node*, wired to this
-        group's clock, network, streams, trace and policy factory."""
-        factory = self._policy_factory
+        group's clock, network, streams, trace and config."""
         member = self.members[node] = RrmpMember(
             node_id=node,
             sim=self.sim,
@@ -80,7 +80,6 @@ class MemberGroup:
             config=self.config,
             streams=self.streams,
             trace=self.trace,
-            policy=None if factory is None else factory(node),
             fec_spec=self.fec_spec,
         )
         return member
@@ -166,7 +165,8 @@ class RrmpSimulation(MemberGroup):
         Regions and parent links (see :mod:`repro.net.topology`
         builders).  The simulation registers one member per node.
     config:
-        Buffer policy and recovery tunables (the paper's §4 values by
+        Buffer policy (``config.kind``; the paper's two-phase policy by
+        default) and recovery tunables (the paper's §4 values by
         default).
     fec:
         Erasure-coded repair (off by default).
@@ -180,13 +180,6 @@ class RrmpSimulation(MemberGroup):
         §4 assumption for requests and repairs).
     outcome:
         IP-multicast outcome model for the sender (default: perfect).
-    policy_factory:
-        Buffer-policy builder per node (default: each member builds the
-        two-phase policy from *config*; any other ``config.kind`` needs
-        one and is refused without it).
-    sender_node:
-        Which member is the sender; defaults to the first member of a
-        root region (a region with no parent).
     keep_trace:
         Retain trace records in memory (on for experiments; turn off
         for long soak runs).
@@ -201,8 +194,6 @@ class RrmpSimulation(MemberGroup):
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
         outcome: Optional[MulticastOutcome] = None,
-        policy_factory: Optional[PolicyFactory] = None,
-        sender_node: Optional[NodeId] = None,
         keep_trace: bool = True,
     ) -> None:
         hierarchy.validate()
@@ -214,13 +205,11 @@ class RrmpSimulation(MemberGroup):
         self.trace = TraceLog(keep_records=keep_trace)
         self.latency = latency if latency is not None else HierarchicalLatency(hierarchy)
         self.network = Network(self.sim, self.latency, loss=loss, streams=self.streams)
-        self._policy_factory = policy_factory
         self.members: Dict[NodeId, RrmpMember] = {}
         for node in hierarchy.nodes:
             self._new_member(node)
-        if sender_node is None:
-            sender_node = default_sender_node(hierarchy)
-        self.sender = RrmpSender(self.members[sender_node], outcome=outcome)
+        self.sender = RrmpSender(self.members[default_sender_node(hierarchy)],
+                                 outcome=outcome)
 
     # ------------------------------------------------------------------
     # Execution

@@ -60,6 +60,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.net.topology import Hierarchy, RegionId
+from repro.protocol.rrmp import default_sender_node
 from repro.scale.pool import FlatMemberPool
 from repro.scale.streams import pcg64_states
 from repro.scenario.materialize import build_hierarchy
@@ -231,14 +232,10 @@ class FlatShard:
         # A remote retry must outlive one full parent round trip.
         self.remote_retry = 2.0 * max(self.inter, self.intra) + self.intra + 1.0
 
-        # Sender: first member of the first root region, its copies
-        # pinned long-term (the sending application always holds its own
-        # stream, so the group is never globally copyless).
-        self.sender_node = min(
-            self.hierarchy.regions[rid].members[0]
-            for rid in all_regions
-            if self.hierarchy.regions[rid].parent_id is None
-        )
+        # Sender: the object engine's, its copies pinned long-term (the
+        # sending application always holds its own stream, so the group
+        # is never globally copyless).
+        self.sender_node = default_sender_node(self.hierarchy)
         self.sender_region = self.hierarchy.region_id_of(self.sender_node)
 
         self.outbox: List[Message] = []

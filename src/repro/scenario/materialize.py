@@ -16,8 +16,9 @@ same construction steps, in the same order, with the same named RNG
 streams as the historical hand-assembled setups — so migrating an
 experiment onto specs leaves its tables byte-identical.  Build order:
 
-1. hierarchy, latency, transport loss, outcome, policy factory;
-2. the group itself;
+1. hierarchy, latency, transport loss, outcome;
+2. the group itself (each member builds the buffer policy
+   ``policy.kind`` names);
 3. trace subscribers (makespan, playout), adaptive tree, oracle;
 4. stability agents (``policy.kind == "stability"``);
 5. occupancy probes (``measurement.probe_period``);
@@ -41,12 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.validate.oracle import InvariantOracle
 
 from repro.core.buffer import DISCARD_IDLE
-from repro.core.policies import (
-    FixedTimePolicy,
-    NeverDiscardPolicy,
-    NoBufferPolicy,
-)
-from repro.hashing.deterministic import HashBuffererPolicy
 from repro.membership.churn import ChurnSchedule, random_churn
 from repro.metrics.makespan import MakespanTracker
 from repro.metrics.occupancy import OccupancyProbe
@@ -75,20 +70,9 @@ from repro.net.topology import (
 )
 from repro.cc import CongestionDriver, controller_for, install_feedback_reporters
 from repro.protocol.messages import DataMessage
-from repro.protocol.rrmp import (
-    MemberGroup,
-    PolicyFactory,
-    RrmpSimulation,
-    default_sender_node,
-)
-from repro.scenario.spec import (
-    LossSpec,
-    PolicySpec,
-    ScenarioSpec,
-    TopologySpec,
-    TrafficSpec,
-)
-from repro.stability.detector import StabilityBufferPolicy, attach_stability
+from repro.protocol.rrmp import MemberGroup, RrmpSimulation, default_sender_node
+from repro.scenario.spec import LossSpec, ScenarioSpec, TopologySpec, TrafficSpec
+from repro.stability.detector import attach_stability
 from repro.workloads.mobility import DistanceLoss, MobilityManager
 from repro.workloads.traffic import (
     BurstStream,
@@ -107,22 +91,6 @@ def build_hierarchy(topology: TopologySpec) -> Hierarchy:
     if topology.kind == "star":
         return star(topology.n, list(topology.sizes))
     return balanced_tree(topology.depth, topology.fanout, topology.n)
-
-
-def policy_factory_for(policy: PolicySpec) -> Optional[PolicyFactory]:
-    """``None`` for ``two_phase``: a member given no policy builds the
-    paper's two-phase policy from its config."""
-    if policy.kind == "two_phase":
-        return None
-    if policy.kind == "fixed_time":
-        return lambda _n: FixedTimePolicy(policy.hold_time)
-    if policy.kind == "stability":
-        return lambda _n: StabilityBufferPolicy()
-    if policy.kind == "hash":
-        return lambda _n: HashBuffererPolicy(policy.c)
-    if policy.kind == "never_discard":
-        return lambda _n: NeverDiscardPolicy()
-    return lambda _n: NoBufferPolicy()
 
 
 def transport_loss_for(loss: LossSpec, hierarchy: Hierarchy) -> Optional[LossModel]:
@@ -710,7 +678,6 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         latency=models.latency,
         loss=models.loss,
         outcome=models.outcome,
-        policy_factory=policy_factory_for(spec.policy),
         keep_trace=spec.measurement.keep_trace,
     )
     return install_workload(

@@ -12,7 +12,6 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.randomness import RandomStreams, derive_seed, pick_other
 from repro.sim.timers import PeriodicTask, Timer
 from repro.sim.tracing import (
-    StreamingTraceDigest,
     TraceLog,
     TraceRecord,
     record_line,
@@ -26,7 +25,6 @@ __all__ = [
     "RandomStreams",
     "SimulationError",
     "Simulator",
-    "StreamingTraceDigest",
     "Timer",
     "TraceLog",
     "TraceRecord",

@@ -76,7 +76,7 @@ class TraceLog:
     before building a record, so a run with tracing fully off pays no
     per-event kwargs/record cost.  The flag is an attribute, not a
     constructor snapshot, because subscribers (the invariant oracle,
-    the streaming digest) attach after members are built.
+    the flat engine's commutative digest) attach after members are built.
     """
 
     def __init__(self, keep_records: bool = True) -> None:
@@ -221,7 +221,7 @@ def record_line(record: TraceRecord) -> bytes:
     One canonical JSON line (``{"f": fields, "k": kind, "t": time}``
     with sorted keys), stable across process restarts, platforms and
     Python versions.  Tuples serialize as JSON arrays; any non-JSON
-    field value falls back to ``repr``.  Every digest (batch, streaming,
+    field value falls back to ``repr``.  Every digest (the batch one and
     the flat engine's commutative one) hashes exactly these lines, which
     is what lets a sharded run's merged digest be compared against a
     serial golden baseline.
@@ -236,11 +236,9 @@ _DIGEST_CHUNK = 4096
 def trace_digest(records: Iterable[TraceRecord]) -> str:
     """SHA-256 over the canonical serialization of a trace stream.
 
-    The batch form: iterates retained records.  Runs too large to
-    retain records use :class:`StreamingTraceDigest` instead; both
-    produce identical digests for the same record stream (the
-    golden-baseline differential tests under ``tests/baselines/``
-    key on this canonical form).
+    Iterates the records once, hashing them in chunks of lines (the
+    golden-baseline differential tests under ``tests/baselines/`` key
+    on this canonical form).
     """
     hasher = hashlib.sha256()
     lines = _line_texts(records)
@@ -248,45 +246,3 @@ def trace_digest(records: Iterable[TraceRecord]) -> str:
         chunk.append("")  # every line ends in a newline, the last one too
         hasher.update("\n".join(chunk).encode("utf-8"))
     return hasher.hexdigest()
-
-
-class StreamingTraceDigest:
-    """Incremental SHA-256 over a trace stream, record by record.
-
-    Subscribing this to a ``TraceLog(keep_records=False)`` computes the
-    exact digest :func:`trace_digest` would produce over the retained
-    records — without holding any of them, which is what lets a
-    100k-member run verify its trace digest in O(1) memory::
-
-        digest = StreamingTraceDigest().attach(simulation.trace)
-        simulation.run(...)
-        assert digest.hexdigest() == expected
-
-    ``update_line`` accepts pre-serialized canonical lines (from
-    :func:`record_line`), which the shard-merge path uses to hash
-    records that crossed a process boundary as bytes.
-    """
-
-    def __init__(self) -> None:
-        self._hasher = hashlib.sha256()
-        #: Number of records hashed so far.
-        self.count = 0
-
-    def attach(self, trace: TraceLog) -> "StreamingTraceDigest":
-        """Subscribe to *trace*; returns self for chaining."""
-        trace.subscribe(self.update)
-        return self
-
-    def update(self, record: TraceRecord) -> None:
-        """Hash one record (usable directly as a trace subscriber)."""
-        self.update_line(record_line(record))
-
-    def update_line(self, line: bytes) -> None:
-        """Hash one pre-serialized canonical record line."""
-        self._hasher.update(line)
-        self._hasher.update(b"\n")
-        self.count += 1
-
-    def hexdigest(self) -> str:
-        """The digest over everything hashed so far (non-destructive)."""
-        return self._hasher.copy().hexdigest()

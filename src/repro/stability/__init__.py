@@ -2,20 +2,17 @@
 
 Members periodically gossip low-watermark history digests; a message is
 discarded only once it is known to be received by the entire group.
-Safe but membership-hungry and traffic-hungry — the contrast class for
+The buffer policy the agents clear is
+:class:`repro.core.policies.StabilityBufferPolicy` (policy kind
+``stability``).  Safe but membership-hungry and traffic-hungry — the contrast class for
 RRMP's feedback-based scheme.
 """
 
-from repro.stability.detector import (
-    StabilityAgent,
-    StabilityBufferPolicy,
-    attach_stability,
-)
+from repro.stability.detector import StabilityAgent, attach_stability
 from repro.stability.digest import WatermarkDigest, WatermarkTable
 
 __all__ = [
     "StabilityAgent",
-    "StabilityBufferPolicy",
     "WatermarkDigest",
     "WatermarkTable",
     "attach_stability",

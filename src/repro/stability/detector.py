@@ -1,4 +1,4 @@
-"""Gossip-based stability detection and its buffer policy (baseline [8]).
+"""Gossip-based stability detection (baseline [8]).
 
 Each member periodically gossips its low watermark (plus its whole
 known table) to a few random group members.  When the minimum watermark
@@ -19,41 +19,11 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from repro.core.buffer import DISCARD_STABLE
-from repro.core.policies import BufferPolicy
 from repro.net.topology import NodeId
 from repro.protocol.member import RrmpMember
-from repro.protocol.messages import DataMessage, Seq
+from repro.protocol.messages import Seq
 from repro.sim import PeriodicTask
 from repro.stability.digest import WatermarkDigest, WatermarkTable
-
-
-class StabilityBufferPolicy(BufferPolicy):
-    """Buffer everything until the stability detector clears it."""
-
-    def on_receive(self, data: DataMessage) -> None:
-        self.buffer.add(data, self.host.sim.now)
-        self.host.trace.emit(self.host.sim.now, "buffer_add",
-                             node=self.host.node_id, seq=data.seq)
-
-    def notify_stable(self, frontier: Seq) -> int:
-        """Discard every buffered message with seq ≤ *frontier*.
-
-        Returns the number of messages discarded.
-        """
-        now = self.host.sim.now
-        discarded = 0
-        for seq in list(self.buffer.seqs()):
-            if seq <= frontier:
-                entry = self.buffer.discard(seq, now, DISCARD_STABLE)
-                if entry is not None:
-                    discarded += 1
-                    self.host.trace.emit(
-                        now, "buffer_discard", node=self.host.node_id, seq=seq,
-                        reason=DISCARD_STABLE, was_long_term=False,
-                        duration=now - entry.receive_time,
-                    )
-        return discarded
 
 
 class StabilityAgent:
@@ -143,7 +113,8 @@ def attach_stability(
 
     The group-provider closes over the live hierarchy, so members that
     leave stop gating stability.  Members should have been built with
-    :class:`StabilityBufferPolicy` for discards to actually happen.
+    :class:`~repro.core.policies.StabilityBufferPolicy` (policy kind
+    ``stability``) for discards to actually happen.
     """
     if not members:
         return []

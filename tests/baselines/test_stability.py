@@ -6,7 +6,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.topology import single_region
 from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
-from repro.stability.detector import StabilityBufferPolicy, attach_stability
+from repro.stability.detector import attach_stability
 from repro.stability.digest import WatermarkTable
 
 
@@ -50,11 +50,10 @@ class TestWatermarkTable:
 def build_stability_sim(n=10, seed=0, loss=0.0, gossip_interval=20.0):
     simulation = RrmpSimulation(
         single_region(n),
-        config=PolicySpec(session_interval=25.0),
+        config=PolicySpec(kind="stability", session_interval=25.0),
         seed=seed,
         latency=ConstantLatency(5.0),
         outcome=BernoulliOutcome(loss),
-        policy_factory=lambda _node: StabilityBufferPolicy(),
     )
     agents = attach_stability(list(simulation.members.values()),
                               gossip_interval=gossip_interval)
@@ -90,11 +89,10 @@ class TestStabilityProtocol:
         from repro.net.ipmulticast import FixedHolders
         simulation = RrmpSimulation(
             single_region(6),
-            config=PolicySpec(session_interval=None),  # loss never detected
+            config=PolicySpec(kind="stability", session_interval=None),  # loss never detected
             seed=3,
             latency=ConstantLatency(5.0),
             outcome=FixedHolders({0, 1, 2, 3, 4}),  # node 5 misses seq 1
-            policy_factory=lambda _node: StabilityBufferPolicy(),
         )
         attach_stability(list(simulation.members.values()))
         simulation.sender.multicast()

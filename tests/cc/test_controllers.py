@@ -9,7 +9,6 @@ import pytest
 
 from repro.cc.controller import (
     AimdController,
-    NoneCc,
     TfmccController,
     controller_for,
     tcp_friendly_rate,
@@ -30,26 +29,10 @@ def _report(receiver=1, loss=0.0, rtt=10.0):
                           rtt_ms=rtt, max_seq=0, received=0)
 
 
-class TestNoneCc:
-    def test_never_defers(self):
-        cc = NoneCc()
-        assert cc.send_credit(123.0) == float("-inf")
-        assert cc.interval() == 0.0
-
-    def test_parity_passthrough(self):
-        assert NoneCc().parity_budget(8, 2) == 2
-
-    def test_events_are_noops(self):
-        cc = NoneCc()
-        cc.on_send(1.0)
-        cc.on_feedback(2.0, _report(loss=0.9))
-        cc.on_nack(3.0, 7)
-        assert cc.send_credit(4.0) == float("-inf")
-
-
 class TestFactory:
     def test_dispatch(self):
-        assert isinstance(controller_for(_config(controller="none")), NoneCc)
+        with pytest.raises(ValueError, match="'none'"):
+            controller_for(_config(controller="none"))  # open loop: no controller
         assert isinstance(controller_for(_config(controller="aimd")),
                           AimdController)
         assert isinstance(controller_for(_config(controller="tfmcc")),

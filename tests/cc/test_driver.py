@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cc.controller import AimdController, NoneCc
+from repro.cc.controller import AimdController
 from repro.cc.driver import CongestionDriver
 from repro.protocol.config import CongestionSpec, FecSpec
 from repro.protocol.messages import FeedbackReport
@@ -21,6 +21,31 @@ class StubEncoder:
     def __init__(self, block_size=8, parity=2):
         self.block_size = block_size
         self.parity = parity
+
+
+class OpenLoop:
+    """A controller that never defers a send (runs install no driver
+    for ``controller="none"``; these tests pace the driver itself)."""
+
+    name = "open"
+
+    def on_send(self, now):
+        pass
+
+    def on_feedback(self, now, report):
+        pass
+
+    def on_nack(self, now, seq):
+        pass
+
+    def send_credit(self, now):
+        return float("-inf")
+
+    def interval(self):
+        return 0.0
+
+    def parity_budget(self, block_size, base_parity):
+        return base_parity
 
 
 class StubSender:
@@ -58,9 +83,9 @@ def _drive(controller, generator, fec=None):
 
 
 class TestOpenLoopPacing:
-    def test_nonecc_emits_the_arrival_schedule_exactly(self):
+    def test_open_loop_emits_the_arrival_schedule_exactly(self):
         _sim, sender, driver = _drive(
-            NoneCc(), UniformStream(count=4, interval=10.0, start=5.0))
+            OpenLoop(), UniformStream(count=4, interval=10.0, start=5.0))
         assert sender.send_times == [5.0, 15.0, 25.0, 35.0]
         assert driver.sent == 4
         assert driver.done
@@ -86,7 +111,7 @@ class TestAdaptivePacing:
         sim = Simulator()
         sender = StubSender()
         driver = CongestionDriver(
-            sim, sender, UniformStream(count=100, interval=10.0), NoneCc())
+            sim, sender, UniformStream(count=100, interval=10.0), OpenLoop())
         driver.start()
         sim.at(25.0, driver.stop)
         sim.run()
@@ -97,7 +122,7 @@ class TestAdaptivePacing:
         sim = Simulator()
         sender = StubSender()
         driver = CongestionDriver(
-            sim, sender, UniformStream(count=2, interval=10.0), NoneCc(),
+            sim, sender, UniformStream(count=2, interval=10.0), OpenLoop(),
             on_complete=completions.append)
         driver.start()
         sim.run()

@@ -16,11 +16,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.manager import TwoPhaseBufferPolicy
-from repro.core.policies import FixedTimePolicy, NeverDiscardPolicy, NoBufferPolicy
+from repro.core.policies import (
+    FixedTimePolicy,
+    NeverDiscardPolicy,
+    NoBufferPolicy,
+    StabilityBufferPolicy,
+)
 from repro.hashing.deterministic import HashBuffererPolicy
 from repro.protocol.messages import DataMessage
 from repro.sim import Simulator, TraceLog
-from repro.stability.detector import StabilityBufferPolicy
 from tests.conftest import FakeBufferHost
 
 IDLE, TTL = 40.0, 200.0

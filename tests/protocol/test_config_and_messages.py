@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.net.topology import Hierarchy, single_region
-from repro.protocol.config import FecSpec, PolicySpec
+from repro.net.topology import Hierarchy, chain, single_region
+from repro.protocol.config import POLICY_KINDS, FecSpec, PolicySpec
 from repro.protocol.messages import (
     CONTROL_WIRE_SIZE,
     DATA_WIRE_SIZE,
@@ -19,8 +19,7 @@ from repro.protocol.messages import (
     SearchRequest,
     SessionMessage,
 )
-from repro.protocol.rrmp import RrmpSimulation
-from repro.scenario.materialize import policy_factory_for
+from repro.protocol.rrmp import RrmpSimulation, default_sender_node
 
 
 class TestPolicySpec:
@@ -137,9 +136,10 @@ class TestFacadeEdgeCases:
         with pytest.raises(ValueError):
             RrmpSimulation(hierarchy)
 
-    def test_explicit_sender_node(self):
-        simulation = RrmpSimulation(single_region(5), sender_node=3)
-        assert simulation.sender.node_id == 3
+    def test_the_sender_is_the_default_sender_node(self):
+        hierarchy = chain([2, 3])
+        simulation = RrmpSimulation(hierarchy)
+        assert simulation.sender.node_id == default_sender_node(hierarchy) == 0
 
     def test_invalid_hierarchy_rejected_on_construction(self):
         hierarchy = single_region(3)
@@ -147,16 +147,23 @@ class TestFacadeEdgeCases:
         with pytest.raises(Exception):
             RrmpSimulation(hierarchy)
 
-    @pytest.mark.parametrize("kind", ["fixed_time", "stability", "hash", "no_buffer"])
-    def test_a_policy_kind_without_its_factory_is_refused(self, kind):
-        """Members build only the two-phase default; any other kind would
-        silently run as two-phase."""
-        config = PolicySpec(kind=kind)
-        with pytest.raises(ValueError, match=f"policy kind '{kind}' needs a policy_factory"):
-            RrmpSimulation(single_region(4), config=config)
-        simulation = RrmpSimulation(single_region(4), config=config,
-                                    policy_factory=policy_factory_for(config))
-        assert type(simulation.member(1).policy).__name__ != "TwoPhaseBufferPolicy"
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_every_policy_kind_builds_its_policy_from_the_config_alone(self, kind):
+        """``PolicySpec.kind`` is the one way to choose a member's buffer
+        policy: no kind silently runs as another."""
+        expected = {
+            "two_phase": "TwoPhaseBufferPolicy", "fixed_time": "FixedTimePolicy",
+            "stability": "StabilityBufferPolicy", "hash": "HashBuffererPolicy",
+            "never_discard": "NeverDiscardPolicy", "no_buffer": "NoBufferPolicy",
+        }
+        simulation = RrmpSimulation(single_region(4), config=PolicySpec(kind=kind,
+                                                                        hold_time=75.0, c=3.0))
+        policies = {type(member.policy).__name__ for member in simulation.members.values()}
+        assert policies == {expected[kind]}
+        policy = simulation.member(1).policy
+        assert getattr(policy, "hold_time", 75.0) == 75.0
+        assert getattr(policy, "expected_bufferers", 3.0) == 3.0
+        assert getattr(policy, "long_term_c", 3.0) == 3.0
 
     def test_member_lookup(self):
         simulation = RrmpSimulation(single_region(4))

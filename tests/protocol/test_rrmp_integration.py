@@ -100,17 +100,16 @@ class TestBufferLifecycle:
         assert simulation.buffer_occupancy() == 0
 
 
-class TestPolicyFactorySwap:
-    def test_custom_policy_factory_is_used(self):
+class TestPolicyKindSwap:
+    def test_policy_kind_is_used(self):
         simulation = RrmpSimulation(
             single_region(10),
-            config=PolicySpec(session_interval=None),
+            config=PolicySpec(kind="fixed_time", hold_time=100.0, session_interval=None),
             seed=1,
-            policy_factory=lambda _node: FixedTimePolicy(100.0),
         )
         assert isinstance(simulation.members[0].policy, FixedTimePolicy)
 
-    def test_default_factory_builds_two_phase(self):
+    def test_default_kind_builds_two_phase(self):
         from repro.core.manager import TwoPhaseBufferPolicy
         simulation = RrmpSimulation(single_region(5))
         assert isinstance(simulation.members[0].policy, TwoPhaseBufferPolicy)

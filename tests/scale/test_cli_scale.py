@@ -5,6 +5,11 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.scenario.registry import get_scenario
+
+#: Keeps the flat runs below short, and the object engine's when the
+#: engine is picked wrongly.
+SHORT = ["--param", "traffic.count=3"]
 
 
 class TestScenariosList:
@@ -41,6 +46,26 @@ class TestScenariosRunSharded:
         assert payload["shards"] == 2
         assert payload["delivered_fraction"] == 1.0
         assert payload["trace_digest"]
+
+    def test_a_flat_spec_file_runs_on_the_flat_engine_and_shards(self, tmp_path, capsys):
+        path = tmp_path / "scale_10k.json"
+        path.write_text(get_scenario("scale_10k").to_json())
+        assert main(["scenarios", "run", "scale_10k", "--json", *SHORT]) == 0
+        by_name = json.loads(capsys.readouterr().out)
+        assert main(["scenarios", "run", str(path), "--shards", "2", "--json", *SHORT]) == 0
+        by_file = json.loads(capsys.readouterr().out)
+        assert by_file["engine"] == "flat"
+        assert by_file["shards"] == 2
+        assert by_file["trace_digest"] == by_name["trace_digest"]
+
+    @pytest.mark.parametrize("command", [["validate", "digest"], ["validate", "run", "--json"]])
+    def test_validate_picks_the_flat_engine_for_a_spec_file(self, command, tmp_path, capsys):
+        path = tmp_path / "scale_10k.json"
+        path.write_text(get_scenario("scale_10k").to_json())
+        assert main([*command, "scale_10k", *SHORT]) == 0
+        by_name = capsys.readouterr().out
+        assert main([*command, str(path), *SHORT]) == 0
+        assert capsys.readouterr().out == by_name
 
     def test_shards_on_an_object_engine_name_is_a_usage_error(self, capsys):
         assert main(["scenarios", "run", "initial_holders", "--shards", "2",

@@ -46,7 +46,6 @@ def _hand_built_policy_trial(
     )
     simulation = RrmpSimulation(
         hierarchy, config=config, seed=seed, outcome=BernoulliOutcome(loss),
-        policy_factory=None,
     )
     total_probe = OccupancyProbe(simulation.sim, simulation.buffer_occupancy, period=10.0)
     peak_node = [0.0]

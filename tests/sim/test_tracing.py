@@ -1,7 +1,7 @@
 """Unit tests for the trace log."""
 
-from repro.sim import StreamingTraceDigest, TraceLog, trace_digest
-from repro.sim.tracing import TraceRecord, record_line
+from repro.sim import TraceLog, trace_digest
+from repro.sim.tracing import TraceRecord
 
 
 class TestTraceLog:
@@ -172,37 +172,3 @@ class TestEnabledFlag:
         log = TraceLog(keep_records=False)
         log.subscribe(lambda record: None)
         assert log.enabled
-
-
-class TestStreamingTraceDigest:
-    def _fill(self, log):
-        log.emit(1.0, "a", node=1, via="multicast")
-        log.emit(2.5, "b", waiters=(3, 4))
-        log.emit(3.0, "c")
-
-    def test_matches_batch_digest_exactly(self):
-        retained = TraceLog()
-        streamed = TraceLog(keep_records=False)
-        digest = StreamingTraceDigest().attach(streamed)
-        self._fill(retained)
-        self._fill(streamed)
-        assert digest.hexdigest() == trace_digest(retained.records)
-        assert digest.count == len(retained.records)
-
-    def test_update_line_equals_update(self):
-        log = TraceLog()
-        self._fill(log)
-        by_record, by_line = StreamingTraceDigest(), StreamingTraceDigest()
-        for record in log.records:
-            by_record.update(record)
-            by_line.update_line(record_line(record))
-        assert by_record.hexdigest() == by_line.hexdigest()
-
-    def test_hexdigest_is_non_destructive(self):
-        log = TraceLog()
-        digest = StreamingTraceDigest().attach(log)
-        log.emit(1.0, "a")
-        mid = digest.hexdigest()
-        assert digest.hexdigest() == mid
-        log.emit(2.0, "b")
-        assert digest.hexdigest() != mid
