@@ -100,8 +100,8 @@ class CongestionDriver:
         self.clock.at(t if t > now else now, self._fire)
 
     def _fire(self) -> None:
-        if self._stopped:
-            return
+        if self._stopped or not self.sender.member.alive:
+            return  # stopped, or the sender departed and ended the session
         now = self.clock.now
         self._apply_parity_budget(now)
         self.sender.multicast()

@@ -73,7 +73,8 @@ class FeedbackReporter:
     def report_now(self) -> None:
         """Send one report immediately (the periodic task's callback)."""
         member = self.member
-        if not member.alive:
+        if not member.alive or not member.hierarchy.contains(self.sender_node):
+            # This receiver left, or the sender did and ended the session.
             self.stop()
             return
         report = build_feedback(member, self.sender_node)

@@ -3,9 +3,11 @@
 The simulator validates the protocol; this package *deploys* it: the
 same :class:`~repro.protocol.member.RrmpMember` code runs over real UDP
 sockets, driven by a wall-clock :class:`~repro.live.clock.LiveClock`
-instead of the discrete-event engine.  The member-facing surface both
-runtimes implement is captured by the structural protocols of
-:mod:`repro.live.runtime`; :mod:`repro.live.session` materializes any
+instead of the discrete-event engine.  The clock both runtimes
+implement is pinned by the structural protocols of
+:mod:`repro.live.runtime`; :class:`~repro.live.transport.LiveTransport`
+is the simulated :class:`~repro.net.transport.Network` with a UDP socket
+as its last step; :mod:`repro.live.session` materializes any
 :class:`~repro.scenario.spec.ScenarioSpec` over loopback UDP (or a
 multi-process node directory), and :mod:`repro.live.differential` runs
 the same spec in both worlds and compares normalized delivery digests
@@ -26,7 +28,7 @@ from repro.live.differential import (
     delivery_sets,
     run_differential,
 )
-from repro.live.runtime import Clock, Handle, Transport
+from repro.live.runtime import Clock, Handle
 from repro.live.session import LiveSession, run_spec_live
 from repro.live.transport import LiveTransport
 
@@ -39,7 +41,6 @@ __all__ = [
     "LiveHandle",
     "LiveSession",
     "LiveTransport",
-    "Transport",
     "decode_frame",
     "decode_message",
     "delivery_digest",

@@ -1,16 +1,17 @@
-"""The runtime interface: what protocol code may assume about its host.
+"""The runtime interface: what protocol code may assume about its clock.
 
 :class:`~repro.protocol.member.RrmpMember` and friends never talk to an
 event loop or a socket directly — they see a *clock* (time and one-shot
 scheduling, consumed via :class:`~repro.sim.Timer` and
-:class:`~repro.sim.PeriodicTask`) and a *transport* (unicast, multicast,
-RTT estimates, membership registration).  These structural protocols
-pin that surface down so it can be implemented twice:
+:class:`~repro.sim.PeriodicTask`) and a *transport*.  The clock is
+implemented twice, so these structural protocols pin its surface down:
 
-* the discrete-event world — :class:`repro.sim.Simulator` +
-  :class:`repro.net.transport.Network`;
-* the live world — :class:`repro.live.clock.LiveClock` +
-  :class:`repro.live.transport.LiveTransport` over asyncio UDP.
+* the discrete-event world — :class:`repro.sim.Simulator`;
+* the live world — :class:`repro.live.clock.LiveClock`.
+
+The transport is implemented once: :class:`repro.net.transport.Network`
+states the send rule, and :class:`repro.live.transport.LiveTransport`
+is the subclass that delivers over asyncio UDP.
 
 The protocols are ``runtime_checkable`` so conformance is testable
 (``isinstance(Simulator(), Clock)``), and deliberately *structural*:
@@ -38,10 +39,7 @@ of ``now``, so the clamp is a tolerance, not a behaviour change.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Protocol, runtime_checkable
-
-from repro.net.packet import Packet
-from repro.net.topology import NodeId
+from typing import Any, Callable, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -97,32 +95,3 @@ class Clock(Protocol):
         """Schedule under a sequence number from :meth:`reserve_seq`."""
         ...
 
-
-@runtime_checkable
-class Transport(Protocol):
-    """Point-to-point and fan-out delivery between registered endpoints."""
-
-    def register(self, node_id: NodeId, endpoint: Any) -> None:
-        """Attach an endpoint (anything with ``on_packet``)."""
-        ...
-
-    def unregister(self, node_id: NodeId) -> None:
-        """Detach a node; in-flight traffic to it is dropped."""
-        ...
-
-    def is_registered(self, node_id: NodeId) -> bool:
-        """Whether *node_id* currently has an attached endpoint."""
-        ...
-
-    def unicast(self, src: NodeId, dst: NodeId, payload: Any) -> Optional[Packet]:
-        """Send *payload* from *src* to *dst*."""
-        ...
-
-    def multicast(self, src: NodeId, dsts: Iterable[NodeId], payload: Any,
-                  group: str = "group") -> int:
-        """Fan *payload* out to every node in *dsts* except *src*."""
-        ...
-
-    def rtt(self, src: NodeId, dst: NodeId) -> float:
-        """Round-trip estimate protocol timers use."""
-        ...

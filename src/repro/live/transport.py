@@ -1,4 +1,5 @@
-"""Asyncio-UDP implementation of the runtime :class:`~repro.live.runtime.Transport`.
+"""The live transport: a :class:`~repro.net.transport.Network` whose last
+step is a UDP socket.
 
 One :class:`LiveTransport` owns one UDP socket and carries every member
 registered with it; frames tag ``src``/``dst`` node ids (see
@@ -6,27 +7,23 @@ registered with it; frames tag ``src``/``dst`` node ids (see
 single socket, or be sharded across processes via a *directory* mapping
 node ids to ``(host, port)`` addresses.
 
-The send path deliberately mirrors :class:`repro.net.transport.Network`
-step for step — account the send, check membership (``send_dropped``),
-consult the loss shim, apply the latency shim, deliver — so a
-:class:`~repro.scenario.spec.ScenarioSpec`'s ``LossSpec`` drives a real
-run unmodified:
+Which receivers a send reaches is the simulated network's own rule,
+inherited rather than copied: the send is accounted, each destination
+is routed (``send_dropped``), loss-drawn from the ``("net", "loss")``
+stream and delayed by the latency model, in the same order, so a
+:class:`~repro.scenario.spec.ScenarioSpec`'s ``LossSpec`` and
+``TopologySpec`` drive a real run unmodified.  The subclass supplies the
+two steps around that rule:
 
-* **Loss shim**: the same :class:`~repro.net.loss.LossModel` objects
-  (e.g. :class:`~repro.net.loss.GilbertElliottLoss`) decide drops
-  before the datagram is written, drawing from the ``("net", "loss")``
-  stream exactly like the simulated network.
-* **Latency shim**: the spec's :class:`~repro.net.latency.LatencyModel`
-  delays the socket write by the modelled one-way time (in virtual
-  milliseconds on the :class:`~repro.live.clock.LiveClock`), so
-  protocol timers see the topology the spec describes rather than bare
-  loopback latency.  A zero-delay model degenerates to an immediate
-  write.
-
-A unicast is a fan-out of one: every send goes through the same
-routine, which encodes the message once (only the header differs per
-receiver) and hands the clock one callback per distinct modelled delay
-rather than one per datagram.
+* **Route**: a destination goes to this socket's own address when it is
+  registered here, or to its directory entry; a departed co-located
+  member routes nowhere, as in the simulator.
+* **Delivery**: the message is encoded once per send (only the header
+  differs per receiver), and the datagrams of each arrival time ride
+  one :class:`~repro.live.clock.LiveClock` callback that writes them
+  after the modelled one-way delay (virtual milliseconds), so protocol
+  timers see the topology the spec describes rather than bare loopback
+  latency.  A zero delay writes at once.
 
 Inbound datagrams that fail to decode are counted (``recv_rejected``)
 and rejected whole (:class:`~repro.live.codec.CodecError` never reaches
@@ -43,10 +40,10 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.live.clock import LiveClock
 from repro.live.codec import MAX_DATAGRAM, CodecError, decode_frame, frame_encoder
 from repro.net.latency import LatencyModel
-from repro.net.loss import LossModel, NoLoss
-from repro.net.packet import Packet, payload_kind, payload_size, payload_type_name
+from repro.net.loss import LossModel
+from repro.net.packet import Packet
 from repro.net.topology import NodeId
-from repro.net.transport import Endpoint, NetworkStats
+from repro.net.transport import Network
 from repro.sim import RandomStreams
 
 Address = Tuple[str, int]
@@ -64,13 +61,14 @@ SOCKET_BUFFER_BYTES = 4 * 1024 * 1024
 READ_BATCH = 512
 
 
-class LiveTransport:
+class LiveTransport(Network):
     """Delivers protocol messages between members over real UDP.
 
-    Parameters mirror :class:`repro.net.transport.Network` (clock in
-    place of the simulator); *directory* optionally maps node ids to
-    peer addresses for multi-process deployments.  Without a directory
-    every destination is assumed local to this socket (loopback mode).
+    Parameters are :class:`~repro.net.transport.Network`'s, with the
+    live clock in place of the simulator; *directory* optionally maps
+    node ids to peer addresses for multi-process deployments.  Without a
+    directory every destination is assumed local to this socket
+    (loopback mode).
     """
 
     def __init__(
@@ -81,22 +79,12 @@ class LiveTransport:
         streams: Optional[RandomStreams] = None,
         directory: Optional[Dict[NodeId, Address]] = None,
     ) -> None:
-        self.clock = clock
-        self.latency = latency
-        self.loss = loss if loss is not None else NoLoss()
-        bind_clock = getattr(self.loss, "bind_clock", None)
-        if bind_clock is not None:
-            bind_clock(clock)  # rate-sensitive models need a time source
-        if streams is None:  # not ``or``: a factory with no stream yet is falsy
-            streams = RandomStreams(0)
-        self._loss_rng = streams.stream("net", "loss")
-        self.stats = NetworkStats()
+        super().__init__(clock, latency, loss, streams)
         #: Inbound datagrams rejected by the codec (malformed/foreign).
         self.recv_rejected = 0
         #: Inbound frames addressed to a node not registered here.
         self.recv_unknown = 0
         self.directory = directory
-        self._endpoints: Dict[NodeId, Endpoint] = {}
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._local_addr: Optional[Address] = None
@@ -142,30 +130,13 @@ class LiveTransport:
         return self._local_addr
 
     # ------------------------------------------------------------------
-    # Registration (the Transport protocol surface)
+    # Sending: the rule is Network's; routing and delivery are the socket's.
+    # unicast and multicast stay attributes of this class, so per-class
+    # instrumentation (the ledger's span tracer) tells live sends apart.
     # ------------------------------------------------------------------
-    def register(self, node_id: NodeId, endpoint: Endpoint) -> None:
-        """Attach *endpoint* so it can receive frames addressed to it."""
-        self._endpoints[node_id] = endpoint
-
-    def unregister(self, node_id: NodeId) -> None:
-        """Detach a node (frames in flight to it are dropped on arrival)."""
-        self._endpoints.pop(node_id, None)
-
-    def is_registered(self, node_id: NodeId) -> bool:
-        """Whether *node_id* currently has an attached endpoint."""
-        return node_id in self._endpoints
-
-    # ------------------------------------------------------------------
-    # Sending
-    # ------------------------------------------------------------------
-    def unicast(self, src: NodeId, dst: NodeId, payload: Any) -> Optional[Packet]:
-        """Send *payload* from *src* to *dst* over UDP: a fan-out of one."""
-        now, delays = self._fan_out(src, (dst,), payload, None)
-        if not delays:
-            return None
-        return Packet(src=src, dst=dst, payload=payload, kind=payload_kind(payload),
-                      send_time=now, deliver_time=now + delays[0])
+    def unicast(self, src: NodeId, dst: NodeId, payload: Any) -> int:
+        """Send *payload* from *src* to *dst* over UDP (see :meth:`Network.unicast`)."""
+        return super().unicast(src, dst, payload)
 
     def multicast(
         self,
@@ -174,57 +145,10 @@ class LiveTransport:
         payload: Any,
         group: str = "group",
     ) -> int:
-        """Fan *payload* out as one datagram per receiver other than *src*."""
-        dsts = [dst for dst in dsts if dst != src]
-        return len(self._fan_out(src, dsts, payload, group)[1])
+        """One datagram per receiver other than *src* (see :meth:`Network.multicast`)."""
+        return super().multicast(src, dsts, payload, group)
 
-    def rtt(self, src: NodeId, dst: NodeId) -> float:
-        """Round-trip estimate from the modelled latency (virtual ms)."""
-        return self.latency.rtt(src, dst)
-
-    def _fan_out(self, src: NodeId, dsts: Iterable[NodeId], payload: Any,
-                 group: Optional[str]) -> Tuple[float, List[float]]:
-        """Send *payload* to every node in *dsts*.
-
-        What the receivers share — classification, send time, the
-        encoded message — is computed once; each destination then costs
-        its accounting, the loss and latency draws (in *dsts* order,
-        like :class:`~repro.net.transport.Network`) and one header.
-        Frames are grouped by modelled delay and each group rides one
-        clock callback, the live twin of ``Network._deliver_batch``.
-        Returns the send time and the delay of every frame scheduled.
-        """
-        kind = payload_kind(payload)
-        size = payload_size(payload)
-        type_name = payload_type_name(payload)
-        now = self.clock.now
-        frame = frame_encoder(src, payload, now, group)
-        stats = self.stats
-        delays: List[float] = []
-        batches: Dict[float, List[Tuple[bytes, Address]]] = {}
-        for dst in dsts:
-            stats.record_send(type_name, kind, size)
-            addr = self._address_of(dst)
-            if addr is None:
-                # No endpoint here and no directory entry: the destination
-                # left, crashed, or was never deployed.  Same observable
-                # outcome as the simulated network's membership check.
-                stats.dropped += 1
-                stats.send_dropped += 1
-            elif self.loss.is_lost(src, dst, kind, self._loss_rng):
-                stats.dropped += 1
-            else:
-                delay = self.latency.one_way(src, dst)
-                delays.append(delay)
-                batches.setdefault(delay, []).append((frame(dst), addr))
-        for delay, batch in batches.items():
-            if delay > 0:
-                self.clock.after(delay, self._transmit, batch)
-            else:
-                self._transmit(batch)
-        return now, delays
-
-    def _address_of(self, dst: NodeId) -> Optional[Address]:
+    def _route(self, dst: NodeId) -> Optional[Address]:
         """Where datagrams for *dst* go; ``None`` means drop the send."""
         if self.directory is not None:
             addr = self.directory.get(dst)
@@ -240,8 +164,26 @@ class LiveTransport:
         assert self._local_addr is not None, "open() the transport before sending"
         return self._local_addr
 
+    def _deliver(self, packet: Packet, route: Address) -> None:
+        """Write one datagram once its modelled delay has passed."""
+        self._deliver_groups({packet.deliver_time: [packet]}, {packet.dst: route})
+
+    def _deliver_groups(self, arrivals: Dict[float, List[Packet]],
+                        routes: Dict[NodeId, Address]) -> None:
+        """Encode the message once, and write each arrival time's
+        datagrams from one clock callback (at once for a zero delay)."""
+        first = next(iter(arrivals.values()))[0]
+        now = first.send_time
+        frame = frame_encoder(first.src, first.payload, now, first.multicast_group)
+        for deliver_time, packets in arrivals.items():
+            batch = [(frame(packet.dst), routes[packet.dst]) for packet in packets]
+            if deliver_time > now:
+                self.sim.at(deliver_time, self._transmit, batch)
+            else:
+                self._transmit(batch)
+
     def _transmit(self, batch: List[Tuple[bytes, Address]]) -> None:
-        """Write one delay group of a fan-out to the socket."""
+        """Write the datagrams of one arrival time to the socket."""
         sock = self._sock
         if sock is None:
             return  # closed while the latency shim held the frames
@@ -290,6 +232,6 @@ class LiveTransport:
             self.recv_unknown += 1
             self.stats.dropped += 1
             return
-        now = self.clock.now
+        now = self.sim.now
         self.stats.delivered += 1
         endpoint.on_packet(Packet(src, dst, payload, payload.kind, send_time, now, group))

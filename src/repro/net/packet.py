@@ -43,17 +43,3 @@ class Packet(NamedTuple):
         """One-way delay this packet experienced."""
         return self.deliver_time - self.send_time
 
-
-def payload_kind(payload: Any) -> str:
-    """Classification of a payload (defaults to control)."""
-    return getattr(payload, "kind", KIND_CONTROL)
-
-
-def payload_size(payload: Any) -> int:
-    """Nominal wire size of a payload in bytes (default 64)."""
-    return int(getattr(payload, "wire_size", 64))
-
-
-def payload_type_name(payload: Any) -> str:
-    """Short type name used for per-message-type traffic accounting."""
-    return type(payload).__name__

@@ -1,4 +1,4 @@
-"""The simulated network: unicast and multicast delivery with latency/loss.
+"""The send rule, and the simulated network that applies it.
 
 :class:`Network` connects protocol endpoints (anything with an
 ``on_packet(packet)`` method) through a :class:`~repro.net.latency.LatencyModel`
@@ -12,11 +12,23 @@ than the sender — the standard abstraction for IP multicast over a
 dissemination tree, where each receiver observes its own delay and loss
 outcome.  What happened to each packet is kept as counters only.
 
-Every delivery is handed to :meth:`repro.sim.Simulator.post`, so all
-packets that arrive at one instant, from any number of sends, ride one
-engine event (:meth:`Network._deliver_batch`) in the order one event
-per packet would have fired them.  A multicast posts each run of
-receivers that share a delivery time once.
+Which receivers a send reaches is decided here, once, for every
+transport.  A send classifies its payload once and accounts its sends
+in one :class:`NetworkStats` update; then each destination, in order,
+passes the route check (``send_dropped``), the loss draw from the
+``("net", "loss")`` stream and the latency model; the survivors are
+grouped by arrival time.  A transport supplies the two steps around
+that rule: where a destination routes (:meth:`Network._route`) and how
+arrivals are delivered (:meth:`Network._deliver` for one packet,
+:meth:`Network._deliver_groups` for a fan-out).
+:class:`repro.live.transport.LiveTransport` is the subclass whose last
+step is a UDP socket.
+
+Here a destination routes to its registered endpoint, and every
+delivery is handed to :meth:`repro.sim.Simulator.post`, so all packets
+that arrive at one instant, from any number of sends, ride one engine
+event (:meth:`Network._deliver_batch`) in the order one event per
+packet would have fired them.
 """
 
 from __future__ import annotations
@@ -56,13 +68,13 @@ class NetworkStats:
     bytes_by_type: Dict[str, int] = field(default_factory=dict)
     sent_by_kind: Dict[str, int] = field(default_factory=dict)
 
-    def record_send(self, type_name: str, kind: str, size: int) -> None:
-        """Count one transmission attempt."""
-        self.sent += 1
-        self.bytes_sent += size
-        self.sent_by_type[type_name] = self.sent_by_type.get(type_name, 0) + 1
-        self.bytes_by_type[type_name] = self.bytes_by_type.get(type_name, 0) + size
-        self.sent_by_kind[kind] = self.sent_by_kind.get(kind, 0) + 1
+    def record_sends(self, type_name: str, kind: str, size: int, count: int) -> None:
+        """Count *count* transmission attempts of one payload."""
+        self.sent += count
+        self.bytes_sent += size * count
+        self.sent_by_type[type_name] = self.sent_by_type.get(type_name, 0) + count
+        self.bytes_by_type[type_name] = self.bytes_by_type.get(type_name, 0) + size * count
+        self.sent_by_kind[kind] = self.sent_by_kind.get(kind, 0) + count
 
     def control_messages(self) -> int:
         """Total control-plane transmissions."""
@@ -79,7 +91,8 @@ class Network:
     Parameters
     ----------
     sim:
-        The event engine that provides time and scheduling.
+        The event engine that provides time and scheduling (the live
+        transport passes its :class:`~repro.live.clock.LiveClock`).
     latency:
         One-way delay model.
     loss:
@@ -125,32 +138,32 @@ class Network:
         return node_id in self._endpoints
 
     # ------------------------------------------------------------------
-    # Sending
+    # Sending: the one rule
     # ------------------------------------------------------------------
-    def unicast(self, src: NodeId, dst: NodeId, payload: Any) -> Optional[Packet]:
+    def unicast(self, src: NodeId, dst: NodeId, payload: Any) -> int:
         """Send *payload* from *src* to *dst*.
 
-        Returns the scheduled :class:`Packet`, or ``None`` if the loss
-        model dropped it.  Sending to an unregistered destination counts
-        as a send but delivers nothing (the node left or crashed).
+        Returns the number of deliveries scheduled: 1, or 0 if the loss
+        model dropped the packet.  Sending to a destination that does
+        not route counts as a send but delivers nothing (the node left
+        or crashed).
         """
-        # _send and the post, inline: a repair storm is all unicasts.
+        # The rule of multicast, straight-line: a repair storm is all unicasts.
         kind = getattr(payload, "kind", KIND_CONTROL)
         stats = self.stats
-        stats.record_send(type(payload).__name__, kind, int(getattr(payload, "wire_size", 64)))
-        if dst not in self._endpoints:
+        stats.record_sends(type(payload).__name__, kind, int(getattr(payload, "wire_size", 64)), 1)
+        route = self._route(dst)
+        if route is None:
             stats.dropped += 1
             stats.send_dropped += 1
-            return None
+            return 0
         if self.loss.is_lost(src, dst, kind, self._loss_rng):
             stats.dropped += 1
-            return None
-        sim = self.sim
-        now = sim.now
+            return 0
+        now = self.sim.now
         deliver_time = now + self.latency.one_way(src, dst)
-        packet = Packet(src, dst, payload, kind, now, deliver_time, None)
-        sim.post(deliver_time, self._deliver_batch, [packet])
-        return packet
+        self._deliver(Packet(src, dst, payload, kind, now, deliver_time, None), route)
+        return 1
 
     def multicast(
         self,
@@ -162,56 +175,69 @@ class Network:
         """Fan *payload* out to every node in *dsts* except *src* itself
         (a host does not loop back its own multicast).
 
-        Returns the number of deliveries actually scheduled (excluding
-        losses).
+        Returns the number of deliveries scheduled (excluding losses).
         """
-        scheduled = 0
-        # Consecutive receivers that share a deliver_time (the common
-        # case under constant-latency models) are posted as one run.
-        post = self.sim.post
-        deliver = self._deliver_batch
-        batch: List[Packet] = []
-        batch_time = 0.0
-        for dst in dsts:
-            if dst == src:
-                continue
-            packet = self._send(src, dst, payload, group)
-            if packet is None:
-                continue
-            scheduled += 1
-            if batch and packet.deliver_time != batch_time:
-                post(batch_time, deliver, batch)
-                batch = []
-            batch.append(packet)
-            batch_time = packet.deliver_time
-        if batch:
-            post(batch_time, deliver, batch)
-        return scheduled
-
-    def _send(self, src: NodeId, dst: NodeId, payload: Any,
-              group: Optional[str]) -> Optional[Packet]:
-        """Count, loss-draw and price one packet; ``None`` if it is lost."""
-        # payload_kind, payload_size and payload_type_name, inline (per packet).
+        dsts = [dst for dst in dsts if dst != src]
+        if not dsts:
+            return 0
         kind = getattr(payload, "kind", KIND_CONTROL)
-        size = int(getattr(payload, "wire_size", 64))
-        self.stats.record_send(type(payload).__name__, kind, size)
-        if dst not in self._endpoints:
-            # The destination already left or crashed: the send happens
-            # (and is accounted) but the packet goes nowhere — checked
-            # before the latency model, which cannot place a node the
-            # hierarchy no longer contains.  The loss RNG is untouched
-            # so surviving traffic keeps its sample path.  Counted under
-            # its own counter: a `send_dropped` is a membership fact, not
-            # a loss-model outcome, and deployments watch it to catch
-            # stale directories.
-            self.stats.dropped += 1
-            self.stats.send_dropped += 1
-            return None
-        if self.loss.is_lost(src, dst, kind, self._loss_rng):
-            self.stats.dropped += 1
-            return None
+        stats = self.stats
+        stats.record_sends(type(payload).__name__, kind, int(getattr(payload, "wire_size", 64)),
+                           len(dsts))
+        route_of, is_lost, rng = self._route, self.loss.is_lost, self._loss_rng
+        one_way = self.latency.one_way
         now = self.sim.now
-        return Packet(src, dst, payload, kind, now, now + self.latency.one_way(src, dst), group)
+        arrivals: Dict[float, List[Packet]] = {}
+        routes: Dict[NodeId, Any] = {}
+        for dst in dsts:
+            route = route_of(dst)
+            if route is None:
+                # The destination already left or crashed: the send happens
+                # (and is accounted) but the packet goes nowhere — checked
+                # before the latency model, which cannot place a node the
+                # hierarchy no longer contains.  The loss RNG is untouched
+                # so surviving traffic keeps its sample path.  Counted under
+                # its own counter: a `send_dropped` is a membership fact, not
+                # a loss-model outcome, and deployments watch it to catch
+                # stale directories.
+                stats.dropped += 1
+                stats.send_dropped += 1
+            elif is_lost(src, dst, kind, rng):
+                stats.dropped += 1
+            else:
+                deliver_time = now + one_way(src, dst)
+                packet = Packet(src, dst, payload, kind, now, deliver_time, group)
+                arrival = arrivals.get(deliver_time)
+                if arrival is None:
+                    arrivals[deliver_time] = [packet]
+                else:
+                    arrival.append(packet)
+                routes[dst] = route
+        if not arrivals:
+            return 0
+        self._deliver_groups(arrivals, routes)
+        return sum(map(len, arrivals.values()))
+
+    # ------------------------------------------------------------------
+    # What a transport supplies: routing and delivery
+    # ------------------------------------------------------------------
+    def _route(self, dst: NodeId) -> Any:
+        """Where packets for *dst* go — here its registered endpoint;
+        ``None`` drops the send (``send_dropped``)."""
+        return self._endpoints.get(dst)
+
+    def _deliver(self, packet: Packet, route: Any) -> None:
+        """Deliver one packet at its ``deliver_time``."""
+        self.sim.post(packet.deliver_time, self._deliver_batch, [packet])
+
+    def _deliver_groups(self, arrivals: Dict[float, List[Packet]],
+                        routes: Dict[NodeId, Any]) -> None:
+        """Deliver a fan-out: *arrivals* maps each arrival time, in the
+        order first reached, to its packets in destination order;
+        *routes* maps each of their destinations to its route."""
+        post, deliver = self.sim.post, self._deliver_batch
+        for deliver_time, packets in arrivals.items():
+            post(deliver_time, deliver, packets)
 
     def _deliver_batch(self, packets: List[Packet]) -> None:
         """Hand every packet of one engine event to its endpoint."""

@@ -88,13 +88,17 @@ class RrmpSender:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def multicast(self, payload: Any = None) -> DataMessage:
+    def multicast(self, payload: Any = None) -> Optional[DataMessage]:
         """Multicast the next message; returns the DataMessage sent.
 
         The outcome model picks which receivers the unreliable IP
         multicast reaches; everyone else must recover the loss.  The
-        sender always holds its own message.
+        sender always holds its own message.  A sender that left or
+        crashed has ended the session: it sends nothing and returns
+        ``None``.
         """
+        if not self.member.alive:
+            return None
         data = DataMessage(seq=self.next_seq, sender=self.node_id, payload=payload)
         self.next_seq += 1
         group = list(self.group())
@@ -121,7 +125,7 @@ class RrmpSender:
                 self._emit_parity(completed_block, trigger="proactive")
         return data
 
-    def multicast_burst(self, count: int, payload: Any = None) -> Sequence[DataMessage]:
+    def multicast_burst(self, count: int, payload: Any = None) -> Sequence[Optional[DataMessage]]:
         """Multicast *count* messages back-to-back at the current instant."""
         return [self.multicast(payload) for _ in range(count)]
 
@@ -155,8 +159,11 @@ class RrmpSender:
         self._emit_parity(block_id, trigger="reactive")
 
     def _emit_parity(self, block_id: int, trigger: str) -> List[ParityMessage]:
-        """Encode one block and multicast its parity through the outcome model."""
+        """Encode one block and multicast its parity through the outcome
+        model; a departed sender emits nothing."""
         assert self.fec is not None
+        if not self.member.alive:
+            return []
         parities = self.fec.encode_block(block_id)
         if not parities:
             return []

@@ -354,6 +354,12 @@ class BuiltScenario:
             # Under congestion control ``message_count`` is what the
             # paced sender actually transmitted, not the offered load.
             self.message_count = self.cc_driver.sent
+        elif self.traffic is not None:
+            sender = self.simulation.sender
+            if sender is not None and not sender.member.alive:
+                # The sender left or crashed, which ended the session:
+                # count what it multicast, not what was scheduled.
+                self.message_count = sender.max_seq
         if self.oracle is not None:
             self.oracle.finish()
 

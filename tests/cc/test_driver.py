@@ -12,6 +12,7 @@ from repro.workloads.traffic import UniformStream
 
 class StubMember:
     def __init__(self):
+        self.alive = True
         self.extra_handlers = {}
         self.repair_interest_hook = None
         self.fec_spec = FecSpec(parity=2)

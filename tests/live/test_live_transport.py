@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import heapq
+import itertools
+import select
+import time
 
 import pytest
 
 from repro.live.clock import LiveClock
 from repro.live.codec import MAGIC, encode_frame
-from repro.live.runtime import Transport
 from repro.live.transport import LiveTransport
 from repro.net.latency import ConstantLatency, HierarchicalLatency
 from repro.net.loss import BernoulliLoss
@@ -45,16 +48,8 @@ async def drain(clock, virtual_ms=50.0):
 
 
 class TestProtocolSurface:
-    def test_both_transports_satisfy_the_runtime_protocol(self):
-        async def main():
-            _clock, live = await open_transport()
-            assert isinstance(live, Transport)
-            live.close()
-            sim_net = Network(Simulator(), ConstantLatency(1.0))
-            assert isinstance(sim_net, Transport)
-
-        run(main())
-
+    def test_the_live_transport_is_a_network(self):
+        assert issubclass(LiveTransport, Network)
 
     def test_loss_stream_comes_from_the_given_factory_even_when_empty(self):
         streams = RandomStreams(5)  # no stream yet, so falsy: ``or`` would drop it
@@ -69,8 +64,7 @@ class TestDelivery:
             sink = Sink()
             transport.register(1, sink)
             message = DataMessage(seq=1, sender=0)
-            packet = transport.unicast(0, 1, message)
-            assert packet is not None
+            assert transport.unicast(0, 1, message) == 1
             await drain(clock)
             assert [p.payload for p in sink.packets] == [message]
             assert transport.stats.delivered == 1
@@ -120,9 +114,8 @@ class TestDelivery:
             )
             sink = Sink()
             transport.register(1, sink)
-            assert transport.unicast(0, 1, DataMessage(seq=1, sender=0)) is None
-            packet = transport.unicast(0, 1, LocalRequest(seq=1, requester=0))
-            assert packet is not None
+            assert transport.unicast(0, 1, DataMessage(seq=1, sender=0)) == 0
+            assert transport.unicast(0, 1, LocalRequest(seq=1, requester=0)) == 1
             await drain(clock)
             assert [type(p.payload).__name__ for p in sink.packets] \
                 == ["LocalRequest"]
@@ -179,50 +172,108 @@ class TestFanOutBatching:
 
         run(main())
 
-    def test_fan_out_equals_the_per_datagram_path(self):
-        """Same loss draws, stats and receiving sinks as 63 unicasts —
-        and as the simulated network on the same seed."""
-        async def main():
-            message = DataMessage(seq=1, sender=0)
-            outcomes = []
-            for fan_out in (True, False):
-                clock, transport = await open_transport(
-                    loss=BernoulliLoss(probability=0.3),
-                    streams=RandomStreams(11))
-                sinks = {n: Sink() for n in range(64)}
-                for n, sink in sinks.items():
-                    if n != 40:  # one unregistered destination
-                        transport.register(n, sink)
+    @pytest.mark.parametrize("latency", [
+        ConstantLatency(1.0),
+        HierarchicalLatency(chain([32, 32]), intra_one_way=1.0, inter_one_way=60.0),
+    ], ids=["one-arrival-time", "two-arrival-times"])
+    def test_fan_out_equals_the_per_datagram_path(self, latency):
+        """Same loss draws, stats and arrivals — each in order, at its
+        time — as 63 unicasts per message, and as the simulated network
+        on the same seed."""
+        messages = [DataMessage(seq=1, sender=0), DataMessage(seq=2, sender=0)]
+
+        def send(transport, fan_out):
+            for message in messages:
                 if fan_out:
-                    scheduled = transport.multicast(0, list(sinks), message)
+                    yield transport.multicast(0, range(64), message)
                 else:
-                    scheduled = sum(
-                        transport.unicast(0, n, message) is not None
-                        for n in range(1, 64))
-                await drain(clock)
-                stats = transport.stats
-                assert stats.delivered == scheduled == 63 - stats.dropped
-                outcomes.append(
-                    (stats, [n for n, sink in sinks.items() if sink.packets]))
-                transport.close()
-            assert outcomes[0] == outcomes[1]
-            assert outcomes[0][0].send_dropped == 1  # node 40
-            assert 0 < len(outcomes[0][1]) < 62  # the loss model did bite
+                    yield from (transport.unicast(0, n, message) for n in range(1, 64))
 
-            sim = Simulator()
-            network = Network(sim, ConstantLatency(1.0),
-                              loss=BernoulliLoss(probability=0.3),
+        def outcome(transport, scheduled, log, fan_out):
+            stats = transport.stats
+            assert stats.delivered == scheduled == 126 - stats.dropped
+            assert {group for *_, group in log} == {"group" if fan_out else None}
+            return stats, [arrival[:-1] for arrival in log]
+
+        def attach(transport):
+            log = []  # (dst, seq, send time, arrival time, group), as they arrive
+            for n in range(64):
+                if n != 40:  # one unregistered destination
+                    transport.register(n, LoggingSink(log))
+            return log
+
+        async def live(fan_out):
+            clock = ManualClock()
+            transport = LiveTransport(clock, latency, loss=BernoulliLoss(probability=0.3),
+                                      streams=RandomStreams(11))
+            await transport.open()
+            log = attach(transport)
+            scheduled = sum(send(transport, fan_out))
+            clock.run(transport)
+            transport.close()
+            return outcome(transport, scheduled, log, fan_out)
+
+        def sim(fan_out):
+            engine = Simulator()
+            network = Network(engine, latency, loss=BernoulliLoss(probability=0.3),
                               streams=RandomStreams(11))
-            sinks = {n: Sink() for n in range(64)}
-            for n, sink in sinks.items():
-                if n != 40:
-                    network.register(n, sink)
-            network.multicast(0, list(sinks), message)
-            sim.run()
-            assert (network.stats,
-                    [n for n, sink in sinks.items() if sink.packets]) == outcomes[0]
+            log = attach(network)
+            scheduled = sum(send(network, fan_out))
+            engine.run()
+            return outcome(network, scheduled, log, fan_out)
 
-        run(main())
+        outcomes = [run(live(True)), run(live(False)), sim(True), sim(False)]
+        assert all(other == outcomes[0] for other in outcomes[1:])
+        stats, arrivals = outcomes[0]
+        assert stats.send_dropped == 2  # node 40, once per message
+        assert 0 < len(arrivals) < 124  # the loss model did bite
+        times = [arrival[-1] for arrival in arrivals]
+        assert times == sorted(times)
+        if isinstance(latency, HierarchicalLatency):
+            assert len(set(times)) == 2
+
+
+class LoggingSink:
+    """An endpoint that appends what it receives to a shared log."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def on_packet(self, packet):
+        self.log.append((packet.dst, packet.payload.seq, packet.send_time,
+                         packet.deliver_time, packet.multicast_group))
+
+
+class ManualClock:
+    """A live-transport clock that stands still until :meth:`run` fires
+    its callbacks in time order, so arrivals carry exact modelled times."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._queue = []
+        self._seq = itertools.count()
+
+    def at(self, when, callback, *args):
+        heapq.heappush(self._queue, (when, next(self._seq), callback, args))
+
+    def run(self, transport):
+        """Fire every socket write in time order, reading its datagrams
+        back before the next."""
+        written = 0
+        while self._queue:
+            self.now, _, write, (batch,) = heapq.heappop(self._queue)
+            write(batch)
+            written += len(batch)
+            receive(transport, written)
+
+
+def receive(transport, expected):
+    """Drain the socket until *expected* datagrams have been handled."""
+    deadline = time.monotonic() + 5.0
+    while transport.stats.delivered + transport.recv_unknown < expected:
+        assert time.monotonic() < deadline, "datagrams lost on loopback"
+        select.select([transport._sock], [], [], 0.1)
+        transport._on_readable()
 
 
 class FlakySocket:
@@ -277,7 +328,7 @@ class TestSendDropped:
         async def main():
             clock, transport = await open_transport()
             transport.register(0, Sink())
-            assert transport.unicast(0, 99, DataMessage(seq=1, sender=0)) is None
+            assert transport.unicast(0, 99, DataMessage(seq=1, sender=0)) == 0
             assert transport.stats.send_dropped == 1
             assert transport.stats.dropped == 1
             assert transport.stats.sent == 1
@@ -293,7 +344,7 @@ class TestSendDropped:
             transport.directory = {0: transport.local_address,
                                    1: transport.local_address}
             transport.register(0, Sink())  # 1 is in the directory, not here
-            assert transport.unicast(0, 1, DataMessage(seq=1, sender=0)) is None
+            assert transport.unicast(0, 1, DataMessage(seq=1, sender=0)) == 0
             assert transport.stats.send_dropped == 1
             transport.close()
 
@@ -340,7 +391,7 @@ class TestInboundRejection:
             assert transport.is_registered(1)
             transport.unregister(1)
             assert not transport.is_registered(1)
-            assert transport.unicast(0, 1, DataMessage(seq=1, sender=0)) is None
+            assert transport.unicast(0, 1, DataMessage(seq=1, sender=0)) == 0
             transport.close()
 
         run(main())

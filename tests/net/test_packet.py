@@ -1,6 +1,7 @@
 """The :class:`Packet` contract both transports build against.
 
-``Network._send`` and ``LiveTransport.datagram_received`` construct a
+``Network.unicast``/``Network.multicast`` (the send rule both
+transports share) and ``LiveTransport.datagram_received`` construct a
 packet positionally, so the field order is part of the contract: these
 tests read every field back by name from packets both paths built.
 """
