@@ -213,8 +213,17 @@ def _spec(args: argparse.Namespace):
 
 def _on_flat_engine(spec) -> bool:
     """Whether the resolved *spec* is a flat-tier scenario, whether it
-    was named or read from a JSON file."""
-    return spec.name in scenario_names("flat")
+    was named or read from a JSON file; one with a spec node the flat
+    engine refuses is a usage error."""
+    if spec.name not in scenario_names("flat"):
+        return False
+    from repro.scenario.materialize import require_envelope
+
+    try:
+        require_envelope(spec, "flat")
+    except ValueError as error:
+        raise UsageError(str(error)) from None
+    return True
 
 
 def _print(report: RunReport, as_json: bool, title: Optional[str] = None) -> None:
@@ -289,15 +298,13 @@ def _scenarios_run(args) -> int:
                          "runs on the object engine")
     # Only construction is guarded: a ValueError raised by the run
     # itself stays loud.
-    try:
-        if flat:
-            from repro.scale.engine import require_flat_support, run_flat
-
-            require_flat_support(spec)
-        else:
+    if flat:
+        from repro.scale.engine import run_flat
+    else:
+        try:
             simulation = spec.build()
-    except ValueError as error:
-        raise UsageError(str(error)) from None
+        except ValueError as error:
+            raise UsageError(str(error)) from None
     with maybe_profile(args.profile):
         if flat:
             result = run_flat(spec, shards=args.shards, processes=args.jobs > 1)
@@ -317,7 +324,8 @@ def _oracle_report(spec, as_json: bool, flat: bool = False) -> int:
         from repro.scale.engine import run_flat
 
         # The flat engine reports the oracle's counts, not each violation.
-        result = run_flat(spec, digest=False, oracle=True)
+        measurement = dataclasses.replace(spec.measurement, oracle=True)
+        result = run_flat(dataclasses.replace(spec, measurement=measurement), digest=False)
         outcome = TrialOutcome(spec=spec, violation_count=result.invariant_violations,
                                records_checked=result.oracle_records_checked,
                                events_fired=result.events_fired)

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-from repro.metrics.makespan import MakespanTracker
 from repro.protocol.messages import DataMessage
 from repro.runner import SweepSpec, current_runner
 from repro.scenario.builder import ScenarioBuilder
-from repro.scenario.materialize import BuiltScenario, build_hierarchy, network_models
+from repro.scenario.materialize import BuiltScenario, build_group, require_envelope
 from repro.scenario.spec import ScenarioSpec
 from repro.tree.rmtp import TreeSimulation
 
@@ -63,40 +62,12 @@ def run_sweeps(sweeps: Sequence[SweepSpec]) -> List[List[List[Any]]]:
 
 def run_tree_baseline(spec: ScenarioSpec) -> BuiltScenario:
     """Run the RMTP-like repair-server tree (:mod:`repro.tree.rmtp`) on
-    the RRMP arm's *spec*, to its measurement horizon.
-
-    Topology, latency, transport loss and multicast outcome come from
-    :func:`~repro.scenario.materialize.network_models`; the session
-    interval and NACK timer factor from ``spec.policy``.  The makespan
-    tracker is attached, and the occupancy probes when
-    ``measurement.probe_period`` is set.  The tree has no buffer policy,
-    FEC, churn or oracle, so those spec nodes are not read.  The result's
-    ``simulation`` is the tree, read like any member group.
-    """
-    traffic = spec.traffic
-    if traffic.kind != "uniform":
-        raise ValueError(f"the tree baseline runs uniform traffic only, got {traffic.kind!r}")
-    hierarchy = build_hierarchy(spec.topology)
-    models = network_models(spec, hierarchy)
-    tree = TreeSimulation(
-        hierarchy,
-        seed=spec.seed,
-        latency=models.latency,
-        loss=models.loss,
-        outcome=models.outcome,
-        config=spec.policy,
-    )
-    built = BuiltScenario(spec=spec, simulation=tree, message_count=traffic.count)
-    built.makespan = MakespanTracker().attach(tree.trace)
-    if spec.measurement.probe_period is not None:
-        built.install_probes(spec.measurement.probe_period)
-    # Probes first: a probe tick and a send at one instant fire in
-    # insertion order.
-    for index in range(traffic.count):
-        tree.sim.at(traffic.start + index * traffic.interval, tree.multicast)
-    tree.run(until=spec.measurement.horizon or spec.measurement.duration)
-    built.finish()
-    return built
+    the RRMP arm's *spec*, built and loaded like an RRMP group, to its
+    measurement end.  The ``tree`` column of
+    :data:`~repro.scenario.materialize.ENVELOPE` says what it refuses and
+    what it resets on the copy it installs.  The result's ``simulation``
+    is the tree, read like any member group."""
+    return build_group(require_envelope(spec, "tree"), TreeSimulation).run()
 
 
 def late_request(builder: ScenarioBuilder, n: int, request_at: float) -> BuiltScenario:

@@ -91,6 +91,16 @@ class SideResult:
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
+    @classmethod
+    def of(cls, mode: str, records: List[TraceRecord], oracle: InvariantOracle,
+           summary: Dict[str, Any]) -> "SideResult":
+        """One world's result from its retained *records*, *oracle* and *summary*."""
+        delivered, violations = delivery_sets(records)
+        return cls(mode=mode, digest=delivery_digest(records), delivered=delivered,
+                   violations=violations, oracle_violations=oracle.violation_count,
+                   records_checked=oracle.records_checked, summary=summary,
+                   trace_digest=trace_digest(records), trace_records=len(records))
+
 
 @dataclass(frozen=True)
 class DifferentialResult:
@@ -151,19 +161,7 @@ def run_sim_side(spec: ScenarioSpec) -> SideResult:
     oracle = built.oracle
     assert oracle is not None  # forced on by _with_trace
     built.run()
-    records = built.simulation.trace.records
-    delivered, violations = delivery_sets(records)
-    return SideResult(
-        mode="sim",
-        digest=delivery_digest(records),
-        delivered=delivered,
-        violations=violations,
-        oracle_violations=oracle.violation_count,
-        records_checked=oracle.records_checked,
-        summary=built.summary(),
-        trace_digest=trace_digest(records),
-        trace_records=len(records),
-    )
+    return SideResult.of("sim", built.simulation.trace.records, oracle, built.summary())
 
 
 async def run_live_side(spec: ScenarioSpec, speedup: float = 1.0) -> SideResult:
@@ -173,19 +171,7 @@ async def run_live_side(spec: ScenarioSpec, speedup: float = 1.0) -> SideResult:
     spec = _with_trace(spec)
     oracle = InvariantOracle()
     session = await run_spec_live(spec, speedup=speedup, oracle=oracle)
-    records = session.trace.records
-    delivered, violations = delivery_sets(records)
-    return SideResult(
-        mode="live",
-        digest=delivery_digest(records),
-        delivered=delivered,
-        violations=violations,
-        oracle_violations=oracle.violation_count,
-        records_checked=oracle.records_checked,
-        summary=session.summary(),
-        trace_digest=trace_digest(records),
-        trace_records=len(records),
-    )
+    return SideResult.of("live", session.trace.records, oracle, session.summary())
 
 
 def run_differential(

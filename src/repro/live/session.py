@@ -20,9 +20,9 @@ Two deployment shapes share the class:
   stack.  This is what the differential harness and CI smoke use.
 * **Sharded**: ``local_nodes`` restricts which members are built here
   and ``directory`` maps every node id to its owner's address — one
-  process per member (or per region) on real hosts.  Spec nodes that
-  act on the whole group (probe workloads, churn, mobility, the
-  adaptive tree) are refused by name when sharded.
+  process per member (or per region) on real hosts.  :meth:`LiveSession.start`
+  refuses what a shard cannot run (the ``live_shard`` column of
+  :data:`~repro.scenario.materialize.ENVELOPE`) before the socket opens.
 
 Determinism: protocol decisions (holder draws, long-term coin flips,
 request targets) come from the same seeded streams as the simulator,
@@ -47,9 +47,9 @@ from repro.protocol.rrmp import MemberGroup, default_sender_node
 from repro.protocol.sender import RrmpSender
 from repro.scenario.materialize import (
     BuiltScenario,
-    build_hierarchy,
     install_workload,
     network_models,
+    require_envelope,
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.sim import RandomStreams, TraceLog
@@ -93,7 +93,8 @@ class LiveSession(MemberGroup):
         #: line up their epochs: every process binds and builds, *then*
         #: all release inside the same window.
         self.hold = hold
-        self.hierarchy = build_hierarchy(spec.topology)
+        models = network_models(spec)
+        self.hierarchy = models.hierarchy
         self.hierarchy.validate()
         self.config = spec.policy
         self.fec_spec = spec.fec
@@ -110,7 +111,6 @@ class LiveSession(MemberGroup):
         # member even exists).  The simulator gets this for free — all
         # construction happens "at" t=0.
         self.sim = LiveClock(speedup=speedup, held=True)
-        models = network_models(spec, self.hierarchy)
         self.latency = models.latency
         self.network = LiveTransport(
             self.sim,
@@ -153,11 +153,13 @@ class LiveSession(MemberGroup):
         """Open the socket, build local members, install the workload.
 
         Returns the bound address (useful with an ephemeral port).
-        Raises :class:`ValueError` naming the spec node when the spec
-        asks a shard for something only a whole group can do.
+        Raises :class:`ValueError` naming every spec node a shard cannot
+        run, before the socket opens.
         """
         if self._started:
             raise RuntimeError("session already started")
+        if self.sharded:
+            require_envelope(self.spec, "live_shard")
         self._started = True
         address = await self.network.open(*self._bind)
         for node in self.hierarchy.nodes:
@@ -194,15 +196,6 @@ class LiveSession(MemberGroup):
         """
         measurement = self.spec.measurement
         bounded = False
-        if self.sharded and measurement.horizon is None \
-                and measurement.duration is None:
-            # One shard cannot observe group-wide quiescence: an idle
-            # shard would "drain" instantly and exit before the sender
-            # shard transmits anything.
-            raise ValueError(
-                "sharded sessions need a horizon or duration; "
-                "group-wide quiescence is not observable from one shard"
-            )
         if measurement.horizon is not None:
             await self.sim.sleep_until(measurement.horizon)
             bounded = True
@@ -278,14 +271,7 @@ class LiveSession(MemberGroup):
         )
 
 
-async def run_spec_live(
-    spec: ScenarioSpec,
-    speedup: float = 1.0,
-    oracle=None,
-    local_nodes: Optional[Set[NodeId]] = None,
-    directory: Optional[Dict[NodeId, Address]] = None,
-    bind: Address = ("127.0.0.1", 0),
-) -> LiveSession:
+async def run_spec_live(spec: ScenarioSpec, speedup: float = 1.0, oracle=None) -> LiveSession:
     """Run one spec end to end over loopback UDP; returns the session.
 
     *oracle* — an unattached
@@ -294,8 +280,7 @@ async def run_spec_live(
     the session cancels every timer, which would make a horizon-bounded
     run look quiescent and trip the liveness sweeps).
     """
-    session = LiveSession(spec, speedup=speedup, local_nodes=local_nodes,
-                          directory=directory, bind=bind)
+    session = LiveSession(spec, speedup=speedup)
     if oracle is not None:
         oracle.attach(session, spec.congestion)
     try:

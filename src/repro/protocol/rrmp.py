@@ -65,9 +65,6 @@ class MemberGroup:
     """
 
     members: Dict[NodeId, RrmpMember]
-    #: Whether members of the hierarchy are hosted elsewhere (only a live
-    #: session can be one shard of a group).
-    sharded = False
 
     def _new_member(self, node: NodeId) -> RrmpMember:
         """Build and register the member for *node*, wired to this

@@ -19,6 +19,11 @@ operation:
   idle deadline has come are read whole and their expired short-term
   copies flip the C/n long-term coin in one batch.
 
+The ``flat`` column of :data:`repro.scenario.materialize.ENVELOPE` is
+what the engine runs; it refuses any other value by name before building
+anything, except the measurement bounds and ``keep_trace``, which it
+ignores: it runs to quiescence, keeping records only on ``keep_records``.
+
 A column holds dense state only while it is open (:mod:`repro.scale.pool`);
 its idle clock — receive times and deadlines — only while it holds a
 short-term copy.  ``_settle`` closes it once nothing in it can change.
@@ -63,7 +68,7 @@ from repro.net.topology import Hierarchy, RegionId
 from repro.protocol.rrmp import default_sender_node
 from repro.scale.pool import FlatMemberPool
 from repro.scale.streams import pcg64_states
-from repro.scenario.materialize import build_hierarchy
+from repro.scenario.materialize import build_hierarchy, require_envelope
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.engine import Simulator
 from repro.sim.randomness import derive_seed
@@ -132,35 +137,6 @@ class CommutativeTraceDigest:
         return f"{self._acc:064x}-{self.count}"
 
 
-def _flat_unsupported(spec: ScenarioSpec) -> Optional[str]:
-    """Why the flat engine cannot run *spec* (None = it can).
-
-    The flat engine covers the scale-tier envelope: stream traffic over
-    a static membership with independent per-receiver loss and the
-    two-phase policy.  Everything else belongs to the object engine.
-    """
-    if spec.traffic.kind != "uniform" or spec.traffic.count < 1:
-        return f"traffic kind {spec.traffic.kind!r} (need uniform with count >= 1)"
-    if spec.loss.kind not in ("none", "bernoulli"):
-        return f"loss kind {spec.loss.kind!r} (need none or bernoulli)"
-    if spec.churn.kind != "none":
-        return "churn (flat membership is static)"
-    if spec.fec.mode != "off":
-        return "FEC (no flat parity pipeline)"
-    if spec.policy.kind != "two_phase":
-        return f"policy kind {spec.policy.kind!r} (need two_phase)"
-    if spec.policy.max_recovery_time is None:
-        return "unbounded max_recovery_time (flat retries need a give-up bound)"
-    return None
-
-
-def require_flat_support(spec: ScenarioSpec) -> None:
-    """Raise ``ValueError`` if *spec* is outside the flat envelope."""
-    problem = _flat_unsupported(spec)
-    if problem is not None:
-        raise ValueError(f"flat engine cannot run spec {spec.name!r}: {problem}")
-
-
 class FlatMemberView:
     """One member's oracle-facing view of the pool's columns.
 
@@ -210,7 +186,7 @@ class FlatShard:
         digest: bool = False,
         hierarchy: Optional[Hierarchy] = None,
     ) -> None:
-        require_flat_support(spec)
+        require_envelope(spec, "flat")
         self.spec = spec
         # Static and only read: one run's in-process shards share it.
         self.hierarchy = build_hierarchy(spec.topology) if hierarchy is None else hierarchy
@@ -777,7 +753,6 @@ def run_flat(
     processes: bool = False,
     digest: bool = True,
     keep_records: bool = False,
-    oracle: bool = False,
     max_epochs: int = 1_000_000,
 ) -> FlatRunResult:
     """Run *spec* on the flat engine and merge the shard results.
@@ -786,17 +761,17 @@ def run_flat(
     barrier loop, which is why sharded digests match it exactly.
     ``processes=True`` puts each shard in its own OS process (pipes
     carry the epoch protocol); results are identical, so tests assert
-    process-mode digests against in-process ones.
+    process-mode digests against in-process ones.  Each shard attaches
+    the invariant oracle when ``spec.measurement.oracle`` is set.
     """
-    require_flat_support(spec)
+    require_envelope(spec, "flat")
     hierarchy = build_hierarchy(spec.topology)
     parts = partition_regions(sorted(hierarchy.regions), shards)
     if processes and len(parts) > 1:
-        return _run_flat_processes(spec, parts, digest=digest, oracle=oracle,
-                                   max_epochs=max_epochs)
+        return _run_flat_processes(spec, parts, digest=digest, max_epochs=max_epochs)
     handles = [
         _LocalShard(FlatShard(spec, owned=part, keep_records=keep_records,
-                              digest=digest, hierarchy=hierarchy), oracle)
+                              digest=digest, hierarchy=hierarchy))
         for part in parts
     ]
     finals = _run_epochs(spec, parts, handles, max_epochs)
@@ -807,10 +782,10 @@ class _LocalShard:
     """A shard handle over a :class:`FlatShard` in this process (also
     the engine inside each shard process)."""
 
-    def __init__(self, engine: FlatShard, oracle: bool) -> None:
+    def __init__(self, engine: FlatShard) -> None:
         self.engine = engine
         self.oracle = None
-        if oracle:
+        if engine.spec.measurement.oracle:
             from repro.validate.oracle import InvariantOracle
 
             self.oracle = InvariantOracle().attach(engine)
@@ -944,11 +919,10 @@ def _merge_results(spec: ScenarioSpec, finals: List[Dict[str, Any]],
 # ----------------------------------------------------------------------
 # Process-per-shard mode
 # ----------------------------------------------------------------------
-def _shard_worker(conn, spec_json: str, owned: List[RegionId],
-                  digest: bool, oracle: bool) -> None:
+def _shard_worker(conn, spec_json: str, owned: List[RegionId], digest: bool) -> None:
     """One shard in its own process, serving a :class:`_PipeShard`."""
     shard = _LocalShard(
-        FlatShard(ScenarioSpec.from_json(spec_json), owned=owned, digest=digest), oracle
+        FlatShard(ScenarioSpec.from_json(spec_json), owned=owned, digest=digest)
     )
     while True:
         command = conn.recv()
@@ -963,8 +937,7 @@ def _shard_worker(conn, spec_json: str, owned: List[RegionId],
 
 
 def _run_flat_processes(spec: ScenarioSpec, parts: List[List[RegionId]],
-                        digest: bool, oracle: bool,
-                        max_epochs: int) -> FlatRunResult:
+                        digest: bool, max_epochs: int) -> FlatRunResult:
     spec_json = spec.to_json()
     pipes = []
     workers = []
@@ -973,7 +946,7 @@ def _run_flat_processes(spec: ScenarioSpec, parts: List[List[RegionId]],
             parent_conn, child_conn = Pipe()
             worker = Process(
                 target=_shard_worker,
-                args=(child_conn, spec_json, part, digest, oracle),
+                args=(child_conn, spec_json, part, digest),
                 daemon=True,
             )
             worker.start()
@@ -1000,6 +973,5 @@ __all__ = [
     "FlatRunResult",
     "FlatShard",
     "partition_regions",
-    "require_flat_support",
     "run_flat",
 ]

@@ -1,13 +1,12 @@
 """Materialize a :class:`~repro.scenario.spec.ScenarioSpec` into a run.
 
-There is one path from a spec to a wired, loaded member group, and both
-engines walk it: :func:`network_models` builds what must exist before
-the group (latency, transport loss, sender outcome, mobility manager),
-the engine builds its group — :func:`build_scenario` an
-:class:`~repro.protocol.rrmp.RrmpSimulation`,
-:class:`~repro.live.session.LiveSession` its members over UDP — and
-:func:`install_workload` installs the paper's §3–§4 workload on it
-through the :class:`~repro.protocol.rrmp.MemberGroup` surface alone.
+There is one path from a spec to a wired, loaded member group, and every
+runner but the flat one walks it: :func:`network_models` builds what
+must exist before the group (hierarchy, latency, transport loss, sender
+outcome, mobility manager), :func:`build_group` builds an RRMP or RMTP
+tree group on it — :class:`~repro.live.session.LiveSession` its members
+over UDP — and :func:`install_workload` installs the paper's §3–§4
+workload through the :class:`~repro.protocol.rrmp.MemberGroup` surface.
 :class:`BuiltScenario` then stops, finalizes and summarizes the run the
 same way whichever clock drove it.
 
@@ -30,12 +29,18 @@ experiment onto specs leaves its tables byte-identical.  Build order:
 Steps 5-before-6 matter: probe and send events that share a deadline
 fire in insertion order, and the historical experiments created their
 probes before scheduling traffic.
+
+Before step 1, :func:`require_envelope` reads the runner table,
+:data:`ENVELOPE`: per spec node, what the ``flat``, ``tree`` and
+``live_shard`` runners refuse by name or run without (ignored values are
+reset to their defaults).  A node with no entry is honoured, and the
+object engine and loopback live sessions honour every node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Mapping, NamedTuple, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adapt import LinkStateEstimator, TreeOptimizer
@@ -81,6 +86,104 @@ from repro.workloads.traffic import (
     TrafficGenerator,
     UniformStream,
 )
+
+
+class Limit(NamedTuple):
+    """Values of a spec node a runner cannot run: those ``outside(node)``
+    picks or, without it, those where one of ``fields`` left its default.
+    A refused value names ``fields`` and ``reason``; an ``ignored`` one
+    has ``fields`` reset to their defaults."""
+
+    reason: str
+    fields: Tuple[str, ...]
+    outside: Optional[Callable[[Any], bool]] = None
+    ignored: bool = False
+
+
+_SHARD = "acts on the whole group, which a sharded session does not host; deploy it loopback"
+_STATIC = "membership is static"
+
+#: Per spec node, the runners that do not run every value of it.
+ENVELOPE: Dict[str, Dict[str, Tuple[Limit, ...]]] = {
+    "topology": {"flat": (Limit("flat hops are symmetric",
+                                ("inter_up_one_way", "inter_down_one_way")),)},
+    "traffic": {
+        "flat": (Limit("need uniform with count >= 1", ("kind", "count"),
+                       lambda n: n.kind != "uniform" or n.count < 1),),
+        "tree": (Limit("need uniform", ("kind",), lambda n: n.kind != "uniform"),),
+        "live_shard": (Limit(_SHARD, ("kind",),
+                             lambda n: n.kind in ("detect_all", "search_probe")),),
+    },
+    "loss": {"flat": (Limit("need none or bernoulli", ("kind",),
+                            lambda n: n.kind not in ("none", "bernoulli")),)},
+    "churn": {"flat": (Limit(_STATIC, ("kind",)),),
+              "tree": (Limit(_STATIC, ("kind", "leave_rate", "crash_rate", "join_rate",
+                                       "duration", "protect_sender"), ignored=True),),
+              "live_shard": (Limit(_SHARD, ("kind",)),)},
+    "policy": {
+        "flat": (Limit("need two_phase", ("kind",)),
+                 Limit("need a give-up bound", ("max_recovery_time",),
+                       lambda n: n.max_recovery_time is None),
+                 Limit("fixed in the flat recovery model", ("long_term_ttl", "remote_lambda",
+                                                            "timer_factor", "max_search_rounds"))),
+        "tree": (Limit("the tree has no buffer policy and no give-up",
+                       ("kind", "c", "idle_threshold", "long_term_ttl", "hold_time",
+                        "remote_lambda", "max_recovery_time", "max_search_rounds"),
+                       ignored=True),),
+    },
+    "fec": {runner: (Limit("no parity pipeline", ("mode",)),) for runner in ("flat", "tree")},
+    "congestion": {runner: (Limit("the sender runs open loop", ("controller",)),)
+                   for runner in ("flat", "tree")},
+    "adapt": {"flat": (Limit("regions never re-parent", ("mode",)),),
+              "tree": (Limit("repair servers are fixed", ("mode",)),),
+              "live_shard": (Limit(_SHARD, ("mode",)),)},
+    "mobility": {"flat": (Limit(_STATIC, ("kind",)),), "tree": (Limit(_STATIC, ("kind",)),),
+                 "live_shard": (Limit(_SHARD, ("kind",)),)},
+    "playout": {"flat": (Limit("no playout clocks", ("kind",)),)},
+    "measurement": {
+        "flat": (Limit("no occupancy probes", ("probe_period",)),
+                 Limit("flat runs to quiescence, which max_recovery_time bounds",
+                       ("horizon", "duration", "drain", "keep_trace"), ignored=True)),
+        "tree": (Limit("no invariant oracle; the tree keeps every record",
+                       ("oracle", "keep_trace"), ignored=True),),
+        "live_shard": (Limit("a sharded session needs a horizon or duration: it cannot "
+                             "observe group-wide quiescence", ("horizon", "duration"),
+                             lambda n: n.horizon is None and n.duration is None),),
+    },
+}
+
+#: What each runner's refusal starts with, before the refused nodes.
+_REFUSAL = {"flat": "flat engine cannot run spec {!r}: ",
+            "tree": "tree baseline cannot run spec {!r}: ", "live_shard": ""}
+
+_DEFAULT = ScenarioSpec()
+
+
+def require_envelope(spec: ScenarioSpec, runner: str) -> ScenarioSpec:
+    """*spec* as *runner* runs it: what :data:`ENVELOPE` says it ignores
+    reset to the defaults.  Raises one ``ValueError`` naming every node it
+    refuses; reads dataclass fields only, before anything is built."""
+    refused: List[str] = []
+    resets: Dict[str, Any] = {}
+    for name, row in ENVELOPE.items():
+        node, default = getattr(spec, name), getattr(_DEFAULT, name)
+        for limit in row.get(runner, ()):
+            if limit.outside is not None:
+                outside = limit.outside(node)
+            else:
+                outside = any(getattr(node, f) != getattr(default, f) for f in limit.fields)
+            if not outside:
+                continue
+            if limit.ignored:
+                resets[name] = replace(resets.get(name, node), **{
+                    f: getattr(default, f) for f in limit.fields})
+            else:
+                values = ", ".join(f"{f}={getattr(node, f)!r}" for f in limit.fields)
+                refused.append(f"spec node {name}: {values} ({limit.reason})")
+    if refused:
+        raise ValueError(_REFUSAL[runner].format(spec.name) + "; ".join(refused))
+    return replace(spec, **resets) if resets else spec
+
 
 def build_hierarchy(topology: TopologySpec) -> Hierarchy:
     """The spec's region hierarchy (shared with the live runtime)."""
@@ -151,6 +254,7 @@ def outcome_for(loss: LossSpec, hierarchy: Hierarchy) -> Optional[MulticastOutco
 class NetworkModels(NamedTuple):
     """What a spec says about the wire, built before any group exists."""
 
+    hierarchy: Hierarchy
     latency: HierarchicalLatency
     loss: Optional[LossModel]
     outcome: Optional[MulticastOutcome]
@@ -158,11 +262,13 @@ class NetworkModels(NamedTuple):
     mobility: Optional[MobilityManager]
 
 
-def network_models(spec: ScenarioSpec, hierarchy: Hierarchy) -> NetworkModels:
-    """Step 1 of the build order, shared by every engine: the latency
-    model, the transport loss (distance-scaled under mobility), the
-    sender's multicast outcome and the mobility manager."""
+def network_models(spec: ScenarioSpec) -> NetworkModels:
+    """Step 1 of the build order, shared by every group-building runner:
+    the hierarchy, the latency model, the transport loss
+    (distance-scaled under mobility), the sender's multicast outcome and
+    the mobility manager."""
     topology = spec.topology
+    hierarchy = build_hierarchy(topology)
     mobility = None
     if spec.mobility.enabled:
         # Built against the bare hierarchy so DistanceLoss can wrap the
@@ -172,6 +278,7 @@ def network_models(spec: ScenarioSpec, hierarchy: Hierarchy) -> NetworkModels:
     if mobility is not None and spec.mobility.distance_loss > 0:
         loss = DistanceLoss(mobility, spec.mobility.distance_loss, base=loss)
     return NetworkModels(
+        hierarchy=hierarchy,
         latency=HierarchicalLatency(
             hierarchy,
             intra_one_way=topology.intra_one_way,
@@ -200,12 +307,7 @@ def traffic_generator_for(
     if traffic.kind == "poisson":
         duration = traffic.duration
         if duration <= 0:
-            horizon = spec.measurement.horizon or spec.measurement.duration
-            if horizon is None:
-                raise ValueError(
-                    "poisson traffic needs a duration or a measurement horizon"
-                )
-            duration = horizon - traffic.start
+            duration = _active_window(0.0, spec, "poisson traffic") - traffic.start
         rng = streams.stream("scenario", "traffic")
         return PoissonStream(traffic.rate, duration, rng, start=traffic.start)
     if traffic.kind == "burst":
@@ -225,10 +327,10 @@ class BuiltScenario:
     """A materialized scenario: the member group plus everything
     :func:`install_workload` put on it.
 
-    ``simulation`` is the group: the
-    :class:`~repro.protocol.rrmp.RrmpSimulation` that
-    :func:`build_scenario` made, or — on the live engine — the
-    :class:`~repro.live.session.LiveSession` itself.
+    ``simulation`` is the group: what :func:`build_group` made (an
+    :class:`~repro.protocol.rrmp.RrmpSimulation` or a
+    :class:`~repro.tree.rmtp.TreeSimulation`), or — on the live engine —
+    the :class:`~repro.live.session.LiveSession` itself.
 
     Probe workloads (``detect_all``/``search_probe``) expose their cast
     — ``data``, ``holders``, ``bufferers``, ``requester`` — and the two
@@ -274,7 +376,8 @@ class BuiltScenario:
     holders: List[NodeId] = field(default_factory=list)
     bufferers: List[NodeId] = field(default_factory=list)
     requester: Optional[NodeId] = None
-    _peak_node: float = 0.0
+    #: Largest single-member occupancy any probe tick observed.
+    peak_node_occupancy: float = 0.0
 
     def holder_buffering_durations(self) -> List[float]:
         """Short-term buffering time of each ``detect_all`` holder
@@ -305,11 +408,6 @@ class BuiltScenario:
             return None
         return served.time - arrival.time
 
-    @property
-    def peak_node_occupancy(self) -> float:
-        """Largest single-member occupancy any probe tick observed."""
-        return self._peak_node
-
     def install_probes(self, period: float) -> None:
         """Sample the group's total occupancy and its largest
         single-member occupancy every *period* ms (build step 5)."""
@@ -319,7 +417,7 @@ class BuiltScenario:
         def sample_peak() -> float:
             per_node = group.occupancy_by_node()
             current = max(per_node.values()) if per_node else 0
-            self._peak_node = max(self._peak_node, float(current))
+            self.peak_node_occupancy = max(self.peak_node_occupancy, float(current))
             return float(current)
 
         self.node_probe = OccupancyProbe(group.sim, sample_peak, period=period)
@@ -366,19 +464,19 @@ class BuiltScenario:
     def run(self) -> "BuiltScenario":
         """Advance a simulated group to the measurement end and finish."""
         measurement = self.spec.measurement
-        simulation = self.simulation
+        sim = self.simulation.sim
         bounded = False
         if measurement.horizon is not None:
-            simulation.run(until=measurement.horizon)
+            sim.run(until=measurement.horizon)
             bounded = True
         elif measurement.duration is not None:
-            simulation.run(duration=measurement.duration)
+            sim.run_for(measurement.duration)
             bounded = True
         if measurement.drain or not bounded:
             # Drain: the explicit ``drain`` flag, possibly after a
             # bounded run, or the no-bound default.
             self.quiesce()
-            simulation.sim.drain()
+            sim.drain()
         self.finish()
         return self
 
@@ -516,27 +614,13 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
     :class:`~repro.protocol.rrmp.MemberGroup` surface (``sim`` is any
     clock with ``now``/``at``/``after``), so the simulated and the live
     engine install the same things in the same order from the same
-    named RNG streams.  A live shard hosts a subset of the members and
-    maybe not the sender: spec nodes that act on the whole group are
-    refused there by name.
+    named RNG streams.  A live shard, which may not host the sender, has
+    had what acts on the whole group refused (:func:`require_envelope`).
     """
     spec = built.spec
     group = built.simulation
     sender = group.sender
     trace = group.trace
-    if group.sharded:
-        for node, wanted in (
-            (f"traffic ({spec.traffic.kind})",
-             spec.traffic.kind in ("detect_all", "search_probe")),
-            ("churn", spec.churn.kind == "random"),
-            ("mobility", spec.mobility.enabled),
-            ("adapt", spec.adapt.enabled),
-        ):
-            if wanted:
-                raise ValueError(
-                    f"spec node {node} acts on the whole group and cannot "
-                    "run in a sharded session; deploy it loopback"
-                )
 
     if trace.enabled:
         # Pure subscriber: schedules nothing, so event counts and trace
@@ -672,20 +756,21 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
     return built
 
 
-def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
-    """Materialize *spec*: simulation built, traffic and churn scheduled."""
-    hierarchy = build_hierarchy(spec.topology)
-    models = network_models(spec, hierarchy)
-    simulation = RrmpSimulation(
-        hierarchy,
-        config=spec.policy,
-        fec=spec.fec,
-        seed=spec.seed,
-        latency=models.latency,
-        loss=models.loss,
-        outcome=models.outcome,
-        keep_trace=spec.measurement.keep_trace,
-    )
+def build_group(spec: ScenarioSpec, group: Callable[..., MemberGroup],
+                **options: Any) -> BuiltScenario:
+    """The build order on a simulated *group* class (:class:`RrmpSimulation`,
+    :class:`~repro.tree.rmtp.TreeSimulation`) taking the hierarchy, the
+    spec's models and *options*."""
+    models = network_models(spec)
+    simulation = group(models.hierarchy, config=spec.policy, seed=spec.seed,
+                       latency=models.latency, loss=models.loss, outcome=models.outcome,
+                       **options)
     return install_workload(
         BuiltScenario(spec=spec, simulation=simulation, mobility=models.mobility)
     )
+
+
+def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
+    """Materialize *spec*: simulation built, traffic and churn scheduled."""
+    return build_group(spec, RrmpSimulation, fec=spec.fec,
+                       keep_trace=spec.measurement.keep_trace)

@@ -208,14 +208,25 @@ class TreeMember:
         return seq in self.buffer
 
 
+class TreeSender:
+    """The session source as the scenario installer drives it: the tree's
+    ``multicast``, the sending ``member`` and ``stop`` (the heartbeat)."""
+
+    def __init__(self, tree: "TreeSimulation", heartbeat: Optional[PeriodicTask]) -> None:
+        self.multicast = tree.multicast
+        self.member = tree.members[tree.sender_node]
+        self.stop = heartbeat.stop if heartbeat is not None else lambda: None
+
+
 class TreeSimulation(MemberGroup):
     """A fully-wired tree-based (RMTP-like) session for comparisons.
 
     Shares :class:`~repro.protocol.rrmp.MemberGroup`'s query surface
-    (``buffer_occupancy``, ``recovery_latencies``, …) with
-    :class:`~repro.protocol.rrmp.RrmpSimulation`, so experiment code
-    reads the two protocols uniformly.  Its members never leave.
-    Of *config* it reads the session interval and the NACK timer factor.
+    (``buffer_occupancy``, ``recovery_latencies``, …) and a ``sender``
+    with :class:`~repro.protocol.rrmp.RrmpSimulation`, so one spec
+    installs and reads the same on both protocols.  Its members never
+    leave.  Of *config* it reads the session interval and the NACK
+    timer factor.
     """
 
     def __init__(
@@ -263,8 +274,11 @@ class TreeSimulation(MemberGroup):
                 timer_factor=config.timer_factor,
             )
         self.next_seq: Seq = 1
+        heartbeat = None
         if config.session_interval is not None:
-            PeriodicTask(self.sim, config.session_interval, self._send_session).start()
+            heartbeat = PeriodicTask(self.sim, config.session_interval, self._send_session)
+            heartbeat.start()
+        self.sender = TreeSender(self, heartbeat)
 
     # ------------------------------------------------------------------
     # Sending
@@ -287,12 +301,3 @@ class TreeSimulation(MemberGroup):
         message = SessionMessage(sender=self.sender_node, max_seq=self.next_seq - 1)
         group = [n for n in self.hierarchy.nodes if n != self.sender_node]
         self.network.multicast(self.sender_node, group, message, group="session")
-
-    # ------------------------------------------------------------------
-    # Execution (queries are inherited from MemberGroup)
-    # ------------------------------------------------------------------
-    def run(self, duration: Optional[float] = None, until: Optional[float] = None) -> float:
-        """Advance the simulation."""
-        if duration is not None:
-            return self.sim.run_for(duration)
-        return self.sim.run(until=until)

@@ -269,6 +269,34 @@ class BufferConservation(Invariant):
                     )
 
 
+def _quota_bound(c: float) -> float:
+    """The statistical envelope on one message's long-term holders in one
+    region for the configured C (§3.2)."""
+    return c + 6.0 * math.sqrt(max(c, 1.0)) + 4.0
+
+
+def _track_long_term(holders: Dict[Seq, Dict[NodeId, int]], record: TraceRecord,
+                     hierarchy) -> Optional[Tuple[Seq, int]]:
+    """Fold a ``long_term_selected``, ``buffer_discard`` or departure
+    *record* into *holders* (seq -> {node: region at promotion time});
+    ``(seq, region)`` when it adds a long-term holder."""
+    node = record["node"]
+    if record.kind in ("member_left", "member_crashed"):
+        for by_node in holders.values():
+            by_node.pop(node, None)
+        return None
+    seq = record["seq"]
+    if record.kind == "buffer_discard":
+        if record.get("was_long_term"):
+            holders.get(seq, {}).pop(node, None)
+        return None
+    by_node = holders.setdefault(seq, {})
+    if node in by_node:
+        return None  # re-promotion (e.g. handoff onto an existing holder)
+    by_node[node] = hierarchy.region_id_of(node) if hierarchy.contains(node) else -1
+    return seq, by_node[node]
+
+
 class LongTermQuota(Invariant):
     """Concurrent long-term holders per (region, message) stay within a
     statistical envelope of the configured C."""
@@ -280,39 +308,15 @@ class LongTermQuota(Invariant):
         super().__init__()
         #: seq -> {node: region at promotion time}
         self._holders: Dict[Seq, Dict[NodeId, int]] = {}
-        self._bound: Optional[float] = None
-
-    def _quota_bound(self, simulation) -> float:
-        if self._bound is None:
-            c = float(simulation.config.c)
-            self._bound = c + 6.0 * math.sqrt(max(c, 1.0)) + 4.0
-        return self._bound
 
     def on_record(self, record: TraceRecord) -> None:
         simulation = self._sink.simulation
-        if record.kind in ("member_left", "member_crashed"):
-            node = record["node"]
-            for holders in self._holders.values():
-                holders.pop(node, None)
+        promoted = _track_long_term(self._holders, record, simulation.hierarchy)
+        if promoted is None:
             return
-        node, seq = record["node"], record["seq"]
-        if record.kind == "buffer_discard":
-            if record.get("was_long_term"):
-                holders = self._holders.get(seq)
-                if holders is not None:
-                    holders.pop(node, None)
-            return
-        # long_term_selected
-        holders = self._holders.setdefault(seq, {})
-        if node in holders:
-            return  # re-promotion (e.g. handoff onto an existing holder)
-        hierarchy = simulation.hierarchy
-        region = (
-            hierarchy.region_id_of(node) if hierarchy.contains(node) else -1
-        )
-        holders[node] = region
-        bound = self._quota_bound(simulation)
-        in_region = sum(1 for other in holders.values() if other == region)
+        seq, region = promoted
+        bound = _quota_bound(float(simulation.config.c))
+        in_region = sum(1 for other in self._holders[seq].values() if other == region)
         if in_region > bound:
             self.fail(
                 record.time,
@@ -511,32 +515,13 @@ class CongestionQuota(Invariant):
                     record,
                 )
             return
-        if record.kind in ("member_left", "member_crashed"):
-            node = record["node"]
-            for holders in self._holders.values():
-                holders.pop(node, None)
-            return
-        node, seq = record["node"], record["seq"]
-        if record.kind == "buffer_discard":
-            if record.get("was_long_term"):
-                holders = self._holders.get(seq)
-                if holders is not None:
-                    holders.pop(node, None)
-            return
-        # long_term_selected
-        holders = self._holders.setdefault(seq, {})
-        if node in holders:
-            return
-        hierarchy = self._sink.simulation.hierarchy
-        holders[node] = (
-            hierarchy.region_id_of(node) if hierarchy.contains(node) else -1
-        )
+        _track_long_term(self._holders, record, self._sink.simulation.hierarchy)
 
     def at_end(self, ctx: EndContext) -> None:
         if self._rate_window() is False or not ctx.quiescent:
             return
         c = float(ctx.simulation.config.c)
-        bound = c + 6.0 * math.sqrt(max(c, 1.0)) + 4.0
+        bound = _quota_bound(c)
         totals: Dict[int, int] = {}
         messages: Dict[int, Set[Seq]] = {}
         for seq, holders in self._holders.items():

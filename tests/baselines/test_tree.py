@@ -52,7 +52,7 @@ class TestRecovery:
     def test_local_loss_repaired_by_region_server(self):
         simulation = build(seed=1, outcome=BernoulliOutcome(0.4))
         simulation.multicast()
-        simulation.run(duration=2_000.0)
+        simulation.sim.run_for(2_000.0)
         assert simulation.all_received(1)
 
     def test_regional_loss_repaired_through_upstream_server(self):
@@ -61,13 +61,13 @@ class TestRecovery:
         holders = set(simulation.hierarchy.regions[0].members)
         simulation.outcome = FixedHolders(holders)
         simulation.multicast()
-        simulation.run(duration=5_000.0)
+        simulation.sim.run_for(5_000.0)
         assert simulation.all_received(1)
 
     def test_recovery_latency_traced(self):
         simulation = build(seed=3, outcome=BernoulliOutcome(0.5))
         simulation.multicast()
-        simulation.run(duration=2_000.0)
+        simulation.sim.run_for(2_000.0)
         latencies = simulation.recovery_latencies()
         assert latencies and all(latency > 0 for latency in latencies)
 
@@ -75,7 +75,7 @@ class TestRecovery:
         simulation = build(sizes=(6, 6), seed=4, outcome=BernoulliOutcome(0.2))
         for index in range(5):
             simulation.sim.at(index * 20.0, simulation.multicast)
-        simulation.run(duration=5_000.0)
+        simulation.sim.run_for(5_000.0)
         for seq in range(1, 6):
             assert simulation.all_received(seq)
 
@@ -86,7 +86,7 @@ class TestBufferConcentration:
         simulation = build(sizes=(5, 5), seed=5)
         for _ in range(4):
             simulation.multicast()
-        simulation.run(duration=2_000.0)
+        simulation.sim.run_for(2_000.0)
         for member in simulation.members.values():
             if member.is_server:
                 assert member.buffered_count == 4
@@ -97,7 +97,7 @@ class TestBufferConcentration:
         simulation = build(sizes=(10, 10), seed=6)
         for _ in range(8):
             simulation.multicast()
-        simulation.run(duration=2_000.0)
+        simulation.sim.run_for(2_000.0)
         per_node = simulation.occupancy_by_node()
         values = sorted(per_node.values(), reverse=True)
         # Two servers hold everything; everyone else zero.
@@ -109,6 +109,6 @@ class TestBufferConcentration:
         simulation = build(sizes=(4, 4), seed=7)
         for index in range(30):
             simulation.sim.at(index * 10.0, simulation.multicast)
-        simulation.run(duration=2_000.0)
+        simulation.sim.run_for(2_000.0)
         server = simulation.members[simulation.servers[1]]
         assert server.buffered_count == 30

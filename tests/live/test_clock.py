@@ -123,23 +123,66 @@ class TestScheduling:
 
     def test_sim_timer_rearms_on_live_clock(self):
         """The protocol's Timer (in-place re-arm via reserved seqs)
-        must work unchanged against the live clock."""
-        async def main():
-            clock = LiveClock(speedup=10.0)
-            fired = []
-            timer = Timer(clock, lambda: fired.append(clock.now))
-            timer.start(10.0)
-            timer.start(50.0)      # push-back: in-place re-arm
-            await clock.sleep(30.0)
-            assert fired == []     # stale event fired, deadline held
-            await clock.sleep(60.0)
-            assert len(fired) == 1
-            assert fired[0] >= 50.0
-            timer.start(5.0)       # reusable after firing
-            await clock.sleep(40.0)
-            assert len(fired) == 2
+        must work unchanged against the live clock.  The loop's time is
+        held and moved by the test, so no scheduling delay can carry
+        the clock past the re-armed deadline."""
+        loop = HeldLoop()
+        clock = LiveClock(speedup=10.0, loop=loop)
+        fired = []
+        timer = Timer(clock, lambda: fired.append(clock.now))
+        timer.start(10.0)
+        timer.start(50.0)      # push-back: in-place re-arm
+        loop.advance(clock.real_delay(30.0))
+        assert fired == []     # stale event fired, deadline held
+        loop.advance(clock.real_delay(60.0))
+        assert len(fired) == 1
+        assert fired[0] >= 50.0
+        timer.start(5.0)       # reusable after firing
+        loop.advance(clock.real_delay(40.0))
+        assert len(fired) == 2
 
-        run(main())
+
+class HeldCall:
+    """A call scheduled on a :class:`HeldLoop`."""
+
+    def __init__(self, when, callback):
+        self.when = when
+        self.callback = callback
+
+    def cancel(self):
+        self.callback = None
+
+
+class HeldLoop:
+    """The two event-loop calls :class:`LiveClock` makes — ``time`` and
+    ``call_later`` — over a time that moves only in :meth:`advance`."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._calls = []
+
+    def time(self):
+        return self.now
+
+    def call_later(self, delay, callback):
+        call = HeldCall(self.now + delay, callback)
+        self._calls.append(call)
+        return call
+
+    def advance(self, seconds):
+        """Fire every call due within *seconds*, each at its own time,
+        in deadline order (ties in scheduling order)."""
+        until = self.now + seconds
+        while True:
+            due = [call for call in self._calls if call.when <= until]
+            if not due:
+                break
+            call = min(due, key=lambda call: call.when)
+            self._calls.remove(call)
+            self.now = call.when
+            if call.callback is not None:
+                call.callback()
+        self.now = until
 
 
 class TestHoldRelease:

@@ -290,10 +290,9 @@ class TestSharded:
                                   local_nodes={0, 1, 2},
                                   directory={n: ("127.0.0.1", 1)
                                              for n in range(6)})
-            await session.start()
             try:
                 with pytest.raises(ValueError, match="horizon or duration"):
-                    await session.run()
+                    await session.start()
             finally:
                 await session.close()
 

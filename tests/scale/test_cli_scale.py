@@ -95,6 +95,21 @@ class TestScenariosRunSharded:
             "error: flat engine cannot run spec 'scale_10k': ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["validate", "run"], ["validate", "digest"]])
+    def test_validate_on_a_spec_the_flat_engine_refuses_is_a_usage_error(
+            self, command, capsys, monkeypatch):
+        """Like ``scenarios run``: one ``error:`` line, not a traceback."""
+        def build_nothing(topology):
+            raise AssertionError("hierarchy built for a refused spec")
+
+        monkeypatch.setattr("repro.scale.engine.build_hierarchy", build_nothing)
+        assert main([*command, "scale_10k", "--param", "congestion.controller=aimd"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: flat engine cannot run spec 'scale_10k': spec node congestion: ")
+        assert captured.err.count("\n") == 1
+
     def test_invalid_shard_count_is_a_usage_error(self, capsys):
         assert main(["scenarios", "run", "initial_holders",
                      "--shards", "0"]) == 2

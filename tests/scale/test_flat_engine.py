@@ -89,14 +89,18 @@ class TestDeterminism:
                 == run_flat(small_spec()).trace_digest)
 
 
+def with_oracle(spec):
+    return spec.with_(measurement=dataclasses.replace(spec.measurement, oracle=True))
+
+
 class TestOracle:
     def test_serial_flat_run_is_invariant_clean(self):
-        result = run_flat(small_spec(), oracle=True)
+        result = run_flat(with_oracle(small_spec()))
         assert result.invariant_violations == 0
         assert result.oracle_records_checked > 0
 
     def test_sharded_flat_run_is_invariant_clean(self):
-        result = run_flat(remote_heavy_spec(), shards=2, oracle=True)
+        result = run_flat(with_oracle(remote_heavy_spec()), shards=2)
         assert result.invariant_violations == 0
         assert result.oracle_records_checked > 0
 
