@@ -56,8 +56,9 @@ class CongestionDriver:
         self.trace = trace
         self.on_complete = on_complete
         self.sent = 0
+        #: No further send will be made: the stream ran dry or
+        #: :meth:`stop` was called.
         self.done = False
-        self._stopped = False
         self._base_parity = sender.member.fec_spec.parity
 
     # ------------------------------------------------------------------
@@ -70,7 +71,7 @@ class CongestionDriver:
 
     def stop(self) -> None:
         """Stop pacing: no further sends are scheduled.  Idempotent."""
-        self._stopped = True
+        self.done = True
 
     def _install(self) -> None:
         member = self.sender.member
@@ -100,7 +101,7 @@ class CongestionDriver:
         self.clock.at(t if t > now else now, self._fire)
 
     def _fire(self) -> None:
-        if self._stopped or not self.sender.member.alive:
+        if self.done or not self.sender.member.alive:
             return  # stopped, or the sender departed and ended the session
         now = self.clock.now
         self._apply_parity_budget(now)

@@ -476,10 +476,13 @@ def _live_run(spec, args) -> int:
     import asyncio
 
     from repro.live.session import run_spec_live
-    from repro.validate.oracle import InvariantOracle
 
-    oracle = InvariantOracle()
-    summary = asyncio.run(run_spec_live(spec, speedup=args.speedup, oracle=oracle)).summary()
+    measurement = dataclasses.replace(spec.measurement, oracle=True)
+    session = asyncio.run(run_spec_live(spec.with_(measurement=measurement),
+                                        speedup=args.speedup))
+    oracle = session.built.oracle
+    # The spec as the user named it, as `validate run` reports it.
+    summary = {**session.summary(), "digest": spec.digest()}
     report = RunReport(kind="live", scenario=spec.name, seed=spec.seed, metrics=summary,
                        oracle=oracle.report_dict(),
                        failed=oracle.violation_count > 0 or summary["reliability_violations"] > 0)

@@ -135,43 +135,31 @@ class DifferentialResult:
         }
 
 
-def _with_trace(spec: ScenarioSpec, oracle: bool = False) -> ScenarioSpec:
-    """The spec with record retention (and optionally the oracle) forced on.
-
-    Digests need retained records; the sim side also needs
-    ``measurement.oracle`` so the oracle attaches *inside* the build,
-    before probe workloads inject their records.
-    """
+def _with_trace(spec: ScenarioSpec) -> ScenarioSpec:
+    """The spec both sides run: record retention and the oracle forced
+    on.  Digests need retained records, and ``measurement.oracle``
+    attaches the oracle *inside* the build, before probe workloads
+    inject their records."""
     measurement = spec.measurement
-    if measurement.keep_trace and (measurement.oracle or not oracle):
+    if measurement.keep_trace and measurement.oracle:
         return spec
-    return spec.with_(
-        measurement=dataclasses.replace(
-            measurement,
-            keep_trace=True,
-            oracle=measurement.oracle or oracle,
-        )
-    )
+    return spec.with_(measurement=dataclasses.replace(measurement, keep_trace=True, oracle=True))
 
 
 def run_sim_side(spec: ScenarioSpec) -> SideResult:
     """Run *spec* in the discrete-event simulator under the oracle."""
-    spec = _with_trace(spec, oracle=True)
-    built = spec.build()
-    oracle = built.oracle
-    assert oracle is not None  # forced on by _with_trace
-    built.run()
-    return SideResult.of("sim", built.simulation.trace.records, oracle, built.summary())
+    built = _with_trace(spec).build().run()
+    assert built.oracle is not None  # forced on by _with_trace
+    return SideResult.of("sim", built.simulation.trace.records, built.oracle, built.summary())
 
 
 async def run_live_side(spec: ScenarioSpec, speedup: float = 1.0) -> SideResult:
     """Run *spec* over loopback UDP under the oracle."""
     from repro.live.session import run_spec_live
 
-    spec = _with_trace(spec)
-    oracle = InvariantOracle()
-    session = await run_spec_live(spec, speedup=speedup, oracle=oracle)
-    return SideResult.of("live", session.trace.records, oracle, session.summary())
+    session = await run_spec_live(_with_trace(spec), speedup=speedup)
+    assert session.built.oracle is not None  # forced on by _with_trace
+    return SideResult.of("live", session.trace.records, session.built.oracle, session.summary())
 
 
 def run_differential(

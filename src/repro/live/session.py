@@ -6,7 +6,9 @@ asyncio socket on a wall clock instead of the event engine — and hands
 it to the same :func:`~repro.scenario.materialize.install_workload` the
 simulator uses, so every spec node (traffic, congestion control, FEC
 flush, churn, mobility, playout, adaptive tree, probes, oracle) is
-installed, stopped, finalized and summarized by one piece of code.
+installed, run by one plan, stopped, finalized and summarized by one
+piece of code.  The invariant oracle goes on a live run as on a
+simulated one: through ``measurement.oracle``.
 Because the session exposes the :class:`~repro.protocol.rrmp.MemberGroup`
 surface plus ``sim``/``trace``/``config``/``hierarchy``, everything
 written against the simulation facade — the invariant oracle, traffic
@@ -68,11 +70,10 @@ class LiveSession(MemberGroup):
 
     Usage::
 
+        spec = spec.with_(measurement=replace(spec.measurement, oracle=True))
         session = LiveSession(spec, speedup=10.0)
-        oracle = InvariantOracle().attach(session, spec.congestion)
         await session.start()
-        await session.run()
-        oracle.finish()
+        await session.run()          # finalizes session.built.oracle
         await session.close()
 
     (Or :func:`run_spec_live`, which sequences exactly that.)
@@ -186,25 +187,15 @@ class LiveSession(MemberGroup):
         self.sim.release()
 
     async def run(self) -> float:
-        """Execute the spec's measurement plan; returns the final virtual time.
-
-        The wall-clock twin of
-        :meth:`repro.scenario.materialize.BuiltScenario.run`: sleep to
-        the horizon/duration if bounded, then — for draining (or
-        unbounded) specs — quiesce and wait for the group to settle,
-        and finish the build the same way the simulator does.
-        """
-        measurement = self.spec.measurement
-        bounded = False
-        if measurement.horizon is not None:
-            await self.sim.sleep_until(measurement.horizon)
-            bounded = True
-        elif measurement.duration is not None:
-            await self.sim.sleep(measurement.duration)
-            bounded = True
-        if measurement.drain or not bounded:
-            self.built.quiesce()
-            await self.wait_quiescent()
+        """Drive the spec's run plan
+        (:meth:`~repro.scenario.materialize.BuiltScenario.plan`) on the
+        wall clock, finish the build as the simulator does, and return
+        the final virtual time."""
+        for until in self.built.plan():
+            if until is None:
+                await self.wait_quiescent()
+            else:
+                await self.sim.sleep_until(until)
         self.built.finish()
         return self.sim.now
 
@@ -241,11 +232,10 @@ class LiveSession(MemberGroup):
             await asyncio.sleep(_QUIESCENCE_POLL_S)
 
     async def close(self) -> None:
-        """Tear down: stop the sender, cancel timers, close the socket."""
+        """Tear down: cancel every timer, close the socket."""
         if self._closed:
             return
         self._closed = True
-        self.built.quiesce()
         self.sim.cancel_all()
         self.network.close()
         await asyncio.sleep(0)  # let the transport finish closing
@@ -271,23 +261,14 @@ class LiveSession(MemberGroup):
         )
 
 
-async def run_spec_live(spec: ScenarioSpec, speedup: float = 1.0, oracle=None) -> LiveSession:
+async def run_spec_live(spec: ScenarioSpec, speedup: float = 1.0) -> LiveSession:
     """Run one spec end to end over loopback UDP; returns the session.
-
-    *oracle* — an unattached
-    :class:`~repro.validate.oracle.InvariantOracle` — is attached
-    before any member exists and finalized **before** teardown (closing
-    the session cancels every timer, which would make a horizon-bounded
-    run look quiescent and trip the liveness sweeps).
-    """
+    ``session.built.oracle`` (``measurement.oracle``) is finalized by
+    :meth:`LiveSession.run`, before teardown cancels every timer."""
     session = LiveSession(spec, speedup=speedup)
-    if oracle is not None:
-        oracle.attach(session, spec.congestion)
     try:
         await session.start()
         await session.run()
-        if oracle is not None:
-            oracle.finish()
     finally:
         await session.close()
     return session

@@ -73,6 +73,11 @@ class GapTracker:
         """Whether *seq* has ever been received."""
         return seq in self.received
 
+    def knows(self, seq: Seq) -> bool:
+        """Whether *seq* was received or detected (advertised, or below a
+        seq that was received or advertised)."""
+        return seq <= self.highest or seq in self.received
+
     def missing(self) -> List[Seq]:
         """Currently-known missing seqs, in order."""
         return sorted(s for s in self._reported if s not in self.received)

@@ -7,8 +7,8 @@ outcome, mobility manager), :func:`build_group` builds an RRMP or RMTP
 tree group on it — :class:`~repro.live.session.LiveSession` its members
 over UDP — and :func:`install_workload` installs the paper's §3–§4
 workload through the :class:`~repro.protocol.rrmp.MemberGroup` surface.
-:class:`BuiltScenario` then stops, finalizes and summarizes the run the
-same way whichever clock drove it.
+:class:`BuiltScenario` then plans, stops, finalizes and summarizes the
+run the same way whichever clock drives it.
 
 Determinism contract: for a given spec the build performs the exact
 same construction steps, in the same order, with the same named RNG
@@ -30,6 +30,13 @@ Steps 5-before-6 matter: probe and send events that share a deadline
 fire in insertion order, and the historical experiments created their
 probes before scheduling traffic.
 
+Run plan: :meth:`BuiltScenario.plan` is the one reading of the
+measurement node (:class:`~repro.scenario.spec.MeasurementSpec` states its
+stop rule), a generator of "advance to virtual time t" and "until idle"
+steps that :meth:`BuiltScenario.run` drives on the simulated clock (the
+RMTP tree included) and :meth:`~repro.live.session.LiveSession.run` on
+the wall clock.
+
 Before step 1, :func:`require_envelope` reads the runner table,
 :data:`ENVELOPE`: per spec node, what the ``flat``, ``tree`` and
 ``live_shard`` runners refuse by name or run without (ignored values are
@@ -40,7 +47,9 @@ object engine and loopback live sessions honour every node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+import math
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adapt import LinkStateEstimator, TreeOptimizer
@@ -148,7 +157,7 @@ ENVELOPE: Dict[str, Dict[str, Tuple[Limit, ...]]] = {
                        ("oracle", "keep_trace"), ignored=True),),
         "live_shard": (Limit("a sharded session needs a horizon or duration: it cannot "
                              "observe group-wide quiescence", ("horizon", "duration"),
-                             lambda n: n.horizon is None and n.duration is None),),
+                             lambda n: n.bound is None),),
     },
 }
 
@@ -438,13 +447,6 @@ class BuiltScenario:
         for agent in self.stability_agents:
             agent.stop()
 
-    def quiesce(self) -> None:
-        """Stop the periodic machinery *and* the session heartbeat, or
-        the group's clock never runs dry."""
-        self.stop_periodic()
-        if self.simulation.sender is not None:
-            self.simulation.sender.stop()
-
     def finish(self) -> None:
         """The measurement end, once the clock has been advanced."""
         self.stop_periodic()
@@ -461,22 +463,58 @@ class BuiltScenario:
         if self.oracle is not None:
             self.oracle.finish()
 
-    def run(self) -> "BuiltScenario":
-        """Advance a simulated group to the measurement end and finish."""
+    def plan(self) -> Iterator[Optional[float]]:
+        """The run's steps: a virtual time to advance to, or ``None`` for
+        "until idle" (the rule is :class:`MeasurementSpec`'s)."""
         measurement = self.spec.measurement
+        if measurement.bound is not None:
+            yield measurement.bound
+            if not measurement.drain:
+                return
+            self.stop_periodic()
+        yield from self._settle()
+        self.stop_periodic()
+        if self.simulation.sender is not None:
+            self.simulation.sender.stop()  # the heartbeat
+        yield None
+
+    def _settle(self) -> Iterator[float]:
+        """Heartbeat rounds while a send is due or an alive member has
+        not received or detected the sender's last seq, but no more
+        rounds without news than the stream took.  Without a heartbeat
+        only sends are waited for, a feedback interval at a time."""
+        group, heartbeat = self.simulation, self.spec.policy.session_interval
+        clock, sender = group.sim, group.sender
+        step = heartbeat or self.spec.congestion.feedback_interval
+        patience = None
+        while sender is not None and sender.member.alive:
+            if self.cc_driver is not None:
+                sending = not self.cc_driver.done
+            else:
+                sending = self.traffic is not None and sender.max_seq < self.message_count
+            if not sending:
+                if heartbeat is None:
+                    return
+                behind = sum(1 for member in group.alive_members()
+                             if not member.gap.knows(sender.max_seq))
+                if patience is None:  # the stream has just ended
+                    patience, fewest, quiet = max(1, math.ceil(clock.now / step)), behind, 0
+                elif behind < fewest:
+                    fewest, quiet = behind, 0
+                else:
+                    quiet += 1
+                if behind == 0 or quiet >= patience:
+                    return
+            yield clock.now + step
+
+    def run(self) -> "BuiltScenario":
+        """Drive :meth:`plan` on the simulated clock and finish."""
         sim = self.simulation.sim
-        bounded = False
-        if measurement.horizon is not None:
-            sim.run(until=measurement.horizon)
-            bounded = True
-        elif measurement.duration is not None:
-            sim.run_for(measurement.duration)
-            bounded = True
-        if measurement.drain or not bounded:
-            # Drain: the explicit ``drain`` flag, possibly after a
-            # bounded run, or the no-bound default.
-            self.quiesce()
-            sim.drain()
+        for until in self.plan():
+            if until is None:
+                sim.drain()
+            else:
+                sim.run(until=until)
         self.finish()
         return self
 
@@ -598,10 +636,10 @@ def inject_search_probe(group, traffic: TrafficSpec):
 
 def _active_window(duration: float, spec: ScenarioSpec, what: str) -> float:
     """How long a timed spec node runs: its own ``duration``, else the
-    measurement horizon."""
+    measurement bound."""
     if duration > 0:
         return duration
-    window = spec.measurement.horizon or spec.measurement.duration
+    window = spec.measurement.bound
     if window is None:
         raise ValueError(f"{what} needs a duration or a horizon")
     return window

@@ -427,12 +427,17 @@ class AdaptSpec:
 class MeasurementSpec:
     """How long to run and what to record.
 
-    ``horizon`` runs until that absolute time; otherwise ``duration``
-    runs for that long; with neither, the run drains the event queue.
-    ``drain=True`` additionally drains *after* a bounded run (letting
-    in-flight recovery settle); sessions are stopped before draining so
-    the queue can empty.  ``probe_period`` turns on the occupancy
-    probes (total and per-node peak) every that many ms.
+    ``horizon`` (the time the run stops at) and ``duration`` (how long
+    it runs from t=0) are one bound named two ways, so a spec sets at
+    most one; :attr:`bound` reads it.  With no bound, or after it with
+    ``drain=True``, the run settles: the session heartbeat stays up until
+    no send is due and every alive member has received or detected the
+    sender's last seq (once the stream has ended, for no more heartbeat
+    rounds without news than the stream took), then everything periodic
+    stops and the run drains.  ``drain`` stops the other periodic parts
+    at the bound; an unbounded run keeps them up.  ``probe_period``
+    turns on the occupancy probes (total and per-node peak) every that
+    many ms.
     ``oracle=True`` attaches the protocol invariant oracle
     (:mod:`repro.validate`) for the whole run and finalizes it at the
     measurement end; default off, so experiment outputs are untouched
@@ -456,8 +461,16 @@ class MeasurementSpec:
             raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
         if self.duration is not None and self.duration <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration!r}")
+        if self.horizon is not None and self.duration is not None:
+            raise ValueError(f"horizon and duration are exclusive, got horizon="
+                             f"{self.horizon!r} and duration={self.duration!r}")
         if self.probe_period is not None and self.probe_period <= 0:
             raise ValueError(f"probe_period must be > 0, got {self.probe_period!r}")
+
+    @property
+    def bound(self) -> Optional[float]:
+        """The virtual time a bounded run stops at; ``None`` when unbounded."""
+        return self.horizon if self.horizon is not None else self.duration
 
 
 class _Slot(NamedTuple):

@@ -209,13 +209,20 @@ class TreeMember:
 
 
 class TreeSender:
-    """The session source as the scenario installer drives it: the tree's
-    ``multicast``, the sending ``member`` and ``stop`` (the heartbeat)."""
+    """The session source as the scenario installer and the run plan
+    drive it: the tree's ``multicast``, the sending ``member``,
+    ``max_seq`` and ``stop`` (the heartbeat)."""
 
     def __init__(self, tree: "TreeSimulation", heartbeat: Optional[PeriodicTask]) -> None:
+        self._tree = tree
         self.multicast = tree.multicast
         self.member = tree.members[tree.sender_node]
         self.stop = heartbeat.stop if heartbeat is not None else lambda: None
+
+    @property
+    def max_seq(self) -> Seq:
+        """Highest sequence number multicast so far (0 before any send)."""
+        return self._tree.next_seq - 1
 
 
 class TreeSimulation(MemberGroup):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.live.differential import (
+    _with_trace,
     delivery_digest,
     delivery_sets,
     run_differential,
@@ -74,6 +75,13 @@ class TestDifferential:
         assert result.ok
         assert result.sim.delivered == result.live.delivered
         assert result.sim.violations == [] and result.live.violations == []
+
+    def test_both_sides_run_one_spec(self):
+        """The oracle goes on through the spec on both sides."""
+        result = run_differential(small_spec(), speedup=20.0)
+        digest = _with_trace(small_spec()).digest()
+        assert result.sim.summary["digest"] == result.live.summary["digest"] == digest
+        assert result.sim.records_checked > 0 and result.live.records_checked > 0
 
     def test_seed_override_propagates(self):
         result = run_differential(small_spec(), speedup=20.0, seed=99)

@@ -47,6 +47,18 @@ class TestLiveRun:
         assert payload["reliability_violations"] == 0
         assert payload["oracle"]["violation_count"] == 0
 
+    def test_json_reports_the_named_spec_and_the_oracle(self, tmp_path, capsys):
+        """The oracle is put on the run through the spec; the payload
+        still carries the digest of the spec as named."""
+        path = spec_path(tmp_path)
+        assert main(["scenarios", "describe", path]) == 0
+        described = capsys.readouterr().out.rsplit("digest:", 1)[1].strip()
+        assert main(["live", "run", path, "--speedup", "20", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["digest"] == described == small_spec().digest()
+        assert payload["oracle"]["records_checked"] > 0
+        assert payload["oracle"]["violation_count"] == 0
+
     def test_seed_override(self, tmp_path, capsys):
         assert main(["live", "run", spec_path(tmp_path), "--speedup", "20",
                      "--seed", "7", "--json"]) == 0

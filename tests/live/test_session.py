@@ -11,8 +11,7 @@ from repro.live.codec import encode_frame
 from repro.live.session import LiveSession, run_spec_live
 from repro.protocol.messages import FeedbackReport
 from repro.scenario.registry import get_scenario, scenario_names
-from repro.scenario.spec import AdaptSpec, ChurnSpec, MobilitySpec, PlayoutSpec
-from repro.validate.oracle import InvariantOracle
+from repro.scenario.spec import AdaptSpec, ChurnSpec, LossSpec, MobilitySpec, PlayoutSpec
 
 
 def small_spec(**overrides):
@@ -29,6 +28,11 @@ def small_spec(**overrides):
     return spec.with_(**overrides) if overrides else spec
 
 
+def with_oracle(spec):
+    """*spec* with the invariant oracle put on the run."""
+    return spec.with_(measurement=dataclasses.replace(spec.measurement, oracle=True))
+
+
 def run(coro):
     return asyncio.run(coro)
 
@@ -42,9 +46,21 @@ class TestLoopbackRun:
         assert session.network.stats.send_dropped == 0
         assert session.network.recv_rejected == 0
 
+    def test_unbounded_lossy_stream_delivers_everything(self):
+        """Every multicast misses members 3 and 4 with the seed-0 draws,
+        the last one included.  The heartbeat must stay up until they
+        have detected it: quiescing at t=0 left them at 22 of 24."""
+        base = small_spec()
+        spec = small_spec(loss=LossSpec(kind="bernoulli", p=0.3),
+                          policy=dataclasses.replace(base.policy, c=6.0, session_interval=20.0))
+        assert spec.measurement.bound is None
+        session = run(run_spec_live(spec, speedup=20.0))
+        assert session.delivered_fraction(session.message_count) == 1.0
+        assert session.violation_count() == 0
+
     def test_oracle_holds_over_the_live_trace(self):
-        oracle = InvariantOracle()
-        run(run_spec_live(small_spec(), speedup=20.0, oracle=oracle))
+        session = run(run_spec_live(with_oracle(small_spec()), speedup=20.0))
+        oracle = session.built.oracle
         assert oracle.violation_count == 0
         assert oracle.records_checked > 0
 
@@ -197,8 +213,8 @@ class TestNoSpecNodeDropped:
     def test_playout_keys_reach_the_live_summary(self):
         spec = small_spec(playout=PlayoutSpec(kind="cbr", interval=20.0,
                                               startup_delay=50.0))
-        oracle = InvariantOracle()
-        session = run(run_spec_live(spec, speedup=20.0, oracle=oracle))
+        session = run(run_spec_live(with_oracle(spec), speedup=20.0))
+        oracle = session.built.oracle
         summary = session.summary()
         assert summary["playout_receivers"] == 6
         assert summary["frames_played"] > 0

@@ -154,7 +154,8 @@ class TestFlat:
             f"flat engine cannot run spec 'scale': spec node {node}: ")
 
     @pytest.mark.parametrize("change", [
-        {"horizon": 1.0}, {"duration": 1.0}, {"drain": True}, {"keep_trace": False},
+        {"horizon": 1.0, "duration": None}, {"duration": 1.0}, {"drain": True},
+        {"keep_trace": False},
     ])
     def test_measurement_bounds_are_declared_ignored(self, change):
         spec = probed("measurement", change)
