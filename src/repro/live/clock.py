@@ -163,6 +163,16 @@ class LiveClock:
         self._seq += 1
         return self._schedule(time, self._seq, callback, args)
 
+    def post(self, time: float, callback: Callable[[list], None], items: list) -> LiveHandle:
+        """Schedule ``callback(items)`` at *time*: one handle per call.
+
+        The simulator merges same-instant posts into one event; here
+        every post keeps its own handle, so each fires on its own
+        deadline as it always did (:class:`~repro.sim.Timer` arms
+        through this).
+        """
+        return self.at(time, callback, items)
+
     def reserve_seq(self) -> int:
         """Consume the next scheduling sequence number (Timer re-arm)."""
         self._seq += 1

@@ -22,6 +22,10 @@ Semantics both implementations honour
 * Time is a ``float`` in milliseconds.
 * ``after``/``at`` return a cancellable handle; a cancelled handle
   never fires and stops counting as pending.
+* ``post(time, callback, items)`` schedules ``callback(items)`` and
+  returns the handle the items ride; :class:`repro.sim.Timer` arms
+  through it.  The simulator merges same-instant posts into one event;
+  the live clock gives every post its own handle.
 * ``reserve_seq``/``at_reserved`` support the in-place re-arm of
   :class:`repro.sim.Timer`: a reservation burns one scheduling slot and
   ``at_reserved`` schedules under it.  The simulator uses the sequence
@@ -84,6 +88,10 @@ class Clock(Protocol):
 
     def at(self, time: float, callback: Callable[..., None], *args: Any) -> Handle:
         """Schedule *callback(*args)* at absolute *time*."""
+        ...
+
+    def post(self, time: float, callback: Callable[[list], None], items: list) -> Handle:
+        """Schedule ``callback(items)`` at *time* (see module docstring)."""
         ...
 
     def reserve_seq(self) -> int:

@@ -41,7 +41,7 @@ from repro.live.clock import LiveClock
 from repro.live.codec import MAX_DATAGRAM, CodecError, decode_frame, frame_encoder
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel
-from repro.net.packet import Packet
+from repro.net.packet import Packet, make_packet
 from repro.net.topology import NodeId
 from repro.net.transport import Network
 from repro.sim import RandomStreams
@@ -234,4 +234,4 @@ class LiveTransport(Network):
             return
         now = self.sim.now
         self.stats.delivered += 1
-        endpoint.on_packet(Packet(src, dst, payload, payload.kind, send_time, now, group))
+        endpoint.on_packet(make_packet((src, dst, payload, payload.kind, send_time, now, group)))

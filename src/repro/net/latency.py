@@ -14,8 +14,9 @@ Protocol timers use :meth:`LatencyModel.rtt`, mirroring the paper's
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Dict, List, Sequence
 
-from repro.net.topology import Hierarchy, NodeId
+from repro.net.topology import Hierarchy, NodeId, RegionId
 
 _INF = float("inf")
 
@@ -35,6 +36,11 @@ class LatencyModel(ABC):
     def rtt(self, src: NodeId, dst: NodeId) -> float:
         """Round-trip estimate used for protocol timers."""
         return self.one_way(src, dst) + self.one_way(dst, src)
+
+    def delays(self, src: NodeId, dsts: Sequence[NodeId]) -> List[float]:
+        """``[one_way(src, dst) for dst in dsts]``: a fan-out's delays."""
+        one_way = self.one_way
+        return [one_way(src, dst) for dst in dsts]
 
 
 class ConstantLatency(LatencyModel):
@@ -100,6 +106,25 @@ class HierarchicalLatency(LatencyModel):
         hops = up + down
         delay = self.intra_one_way if hops == 0 else self.inter_one_way * hops
         return delay + delay
+
+    def delays(self, src: NodeId, dsts: Sequence[NodeId]) -> List[float]:
+        """A fan-out's delays, priced once per destination region.
+
+        The delay depends on the destination only through its region,
+        so a multicast to a region's *n* members walks the hop table
+        once, not *n* times.  The memo lives for this call only, so a
+        re-parent or a member move between calls needs no invalidation.
+        """
+        region_of, one_way = self.hierarchy.region_id_of, self.one_way
+        by_region: Dict[RegionId, float] = {}
+        delays = []
+        for dst in dsts:
+            region = region_of(dst)
+            delay = by_region.get(region)
+            if delay is None:
+                delay = by_region[region] = one_way(src, dst)
+            delays.append(delay)
+        return delays
 
     def one_way(self, src: NodeId, dst: NodeId) -> float:
         up, down = self.hierarchy.region_hop_split(src, dst)

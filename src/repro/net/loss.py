@@ -9,7 +9,10 @@ pluggable :class:`LossModel` consulted per (src, dst, kind) delivery.
 (``"data"`` or ``"control"``).  Every model here drops data only and
 keeps control traffic reliable — exactly the paper's evaluation
 assumption — except :class:`RegionalOutageLoss`, whose partition severs
-both.
+both.  That rule is declared in code: :meth:`LossModel.drops` names the
+kinds a model can drop, and the transport consults :meth:`LossModel.is_lost`
+only for those, so a fan-out of control traffic, or of anything over
+:class:`NoLoss`, makes no loss call per receiver.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Dict, Set, Tuple
 
+from repro.net.packet import KIND_DATA
 from repro.net.topology import Hierarchy, NodeId
 
 
@@ -29,11 +33,29 @@ class LossModel(ABC):
     def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
         """Return ``True`` to drop the packet from *src* to *dst*."""
 
+    def drops(self, kind: str) -> bool:
+        """Whether a packet of *kind* can be dropped (default: any kind).
+
+        Where this is ``False``, :meth:`is_lost` returns ``False`` for
+        *kind* without drawing from its RNG or changing any state, so the
+        transport skips the call.  A model that draws for a kind, even
+        at probability 0, must answer ``True`` for it.
+        """
+        return True
+
+
+def _data_only(model: LossModel, kind: str) -> bool:
+    """``drops`` of the models that keep control traffic reliable."""
+    return kind == KIND_DATA
+
 
 class NoLoss(LossModel):
     """A perfectly reliable network (the §4 control-plane assumption)."""
 
     def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
+        return False
+
+    def drops(self, kind: str) -> bool:
         return False
 
 
@@ -42,6 +64,8 @@ class BernoulliLoss(LossModel):
 
     A test double: no ``LossSpec`` kind builds it.
     """
+
+    drops = _data_only
 
     def __init__(self, probability: float) -> None:
         if not 0 <= probability <= 1:
@@ -59,6 +83,8 @@ class ReceiverSetLoss(LossModel):
 
     Deterministic; used by tests to script exact loss patterns.
     """
+
+    drops = _data_only
 
     def __init__(self, lost_receivers: Set[NodeId]) -> None:
         self.lost_receivers = set(lost_receivers)
@@ -85,6 +111,8 @@ class BottleneckLoss(LossModel):
     its time source (the simulator or a live clock — anything with a
     ``now`` property).
     """
+
+    drops = _data_only
 
     def __init__(
         self,
@@ -147,6 +175,8 @@ class GilbertElliottLoss(LossModel):
     motivates buffering a message until the *burst* has been repaired,
     not just the first request.
     """
+
+    drops = _data_only
 
     def __init__(
         self,

@@ -15,6 +15,7 @@ network model consults:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, NamedTuple, Optional
 
 from repro.net.topology import NodeId
@@ -43,3 +44,9 @@ class Packet(NamedTuple):
         """One-way delay this packet experienced."""
         return self.deliver_time - self.send_time
 
+
+#: ``make_packet((src, dst, payload, kind, send_time, deliver_time,
+#: multicast_group))`` builds a :class:`Packet` from all seven fields in
+#: field order, in C: the paths that build one per delivery skip the
+#: Python frame of the NamedTuple's ``__new__``.
+make_packet = partial(tuple.__new__, Packet)

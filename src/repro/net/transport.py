@@ -15,14 +15,18 @@ outcome.  What happened to each packet is kept as counters only.
 Which receivers a send reaches is decided here, once, for every
 transport.  A send classifies its payload once and accounts its sends
 in one :class:`NetworkStats` update; then each destination, in order,
-passes the route check (``send_dropped``), the loss draw from the
-``("net", "loss")`` stream and the latency model; the survivors are
-grouped by arrival time.  A transport supplies the two steps around
-that rule: where a destination routes (:meth:`Network._route`) and how
-arrivals are delivered (:meth:`Network._deliver` for one packet,
-:meth:`Network._deliver_groups` for a fan-out).
-:class:`repro.live.transport.LiveTransport` is the subclass whose last
-step is a UDP socket.
+passes the route check (``send_dropped``) and the loss draw from the
+``("net", "loss")`` stream.  The loss model is consulted only for the
+kinds it declares it can drop (:meth:`~repro.net.loss.LossModel.drops`),
+so a lossless control send makes no call per receiver, and no draw that
+a droppable kind makes is skipped.  The survivors' delays come from one
+:meth:`~repro.net.latency.LatencyModel.delays` call, taken once per
+destination region, and the survivors are grouped by arrival time.  A
+transport supplies the two steps around that rule: where a destination
+routes (:meth:`Network._route`) and how arrivals are delivered
+(:meth:`Network._deliver` for one packet, :meth:`Network._deliver_groups`
+for a fan-out).  :class:`repro.live.transport.LiveTransport` is the
+subclass whose last step is a UDP socket.
 
 Here a destination routes to its registered endpoint, and every
 delivery is handed to :meth:`repro.sim.Simulator.post`, so all packets
@@ -38,7 +42,7 @@ from typing import Any, Dict, Iterable, List, Optional, Protocol
 
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
-from repro.net.packet import KIND_CONTROL, Packet
+from repro.net.packet import KIND_CONTROL, Packet, make_packet
 from repro.net.topology import NodeId
 from repro.sim import RandomStreams, Simulator
 
@@ -157,12 +161,13 @@ class Network:
             stats.dropped += 1
             stats.send_dropped += 1
             return 0
-        if self.loss.is_lost(src, dst, kind, self._loss_rng):
+        loss = self.loss
+        if loss.drops(kind) and loss.is_lost(src, dst, kind, self._loss_rng):
             stats.dropped += 1
             return 0
         now = self.sim.now
         deliver_time = now + self.latency.one_way(src, dst)
-        self._deliver(Packet(src, dst, payload, kind, now, deliver_time, None), route)
+        self._deliver(make_packet((src, dst, payload, kind, now, deliver_time, None)), route)
         return 1
 
     def multicast(
@@ -184,10 +189,10 @@ class Network:
         stats = self.stats
         stats.record_sends(type(payload).__name__, kind, int(getattr(payload, "wire_size", 64)),
                            len(dsts))
-        route_of, is_lost, rng = self._route, self.loss.is_lost, self._loss_rng
-        one_way = self.latency.one_way
-        now = self.sim.now
-        arrivals: Dict[float, List[Packet]] = {}
+        route_of, rng = self._route, self._loss_rng
+        loss = self.loss
+        is_lost = loss.is_lost if loss.drops(kind) else None
+        survivors: List[NodeId] = []
         routes: Dict[NodeId, Any] = {}
         for dst in dsts:
             route = route_of(dst)
@@ -202,21 +207,25 @@ class Network:
                 # stale directories.
                 stats.dropped += 1
                 stats.send_dropped += 1
-            elif is_lost(src, dst, kind, rng):
+            elif is_lost is not None and is_lost(src, dst, kind, rng):
                 stats.dropped += 1
             else:
-                deliver_time = now + one_way(src, dst)
-                packet = Packet(src, dst, payload, kind, now, deliver_time, group)
-                arrival = arrivals.get(deliver_time)
-                if arrival is None:
-                    arrivals[deliver_time] = [packet]
-                else:
-                    arrival.append(packet)
+                survivors.append(dst)
                 routes[dst] = route
-        if not arrivals:
+        if not survivors:
             return 0
+        now = self.sim.now
+        arrivals: Dict[float, List[Packet]] = {}
+        for dst, delay in zip(survivors, self.latency.delays(src, survivors)):
+            deliver_time = now + delay
+            packet = make_packet((src, dst, payload, kind, now, deliver_time, group))
+            arrival = arrivals.get(deliver_time)
+            if arrival is None:
+                arrivals[deliver_time] = [packet]
+            else:
+                arrival.append(packet)
         self._deliver_groups(arrivals, routes)
-        return sum(map(len, arrivals.values()))
+        return len(survivors)
 
     # ------------------------------------------------------------------
     # What a transport supplies: routing and delivery

@@ -326,7 +326,8 @@ class RrmpMember:
         """Serve downstream waiters and resolve any active search."""
         seq = data.seq
         enabled = self.trace.enabled
-        for waiter in sorted(self.waiting_remote.pop(seq, set())):
+        relayed = self.waiting_remote.pop(seq, None)
+        for waiter in sorted(relayed) if relayed else ():
             self.network.unicast(
                 self.node_id, waiter,
                 Repair(data=data, responder=self.node_id, scope=REPAIR_RELAY),
@@ -335,6 +336,7 @@ class RrmpMember:
             if enabled:
                 self.trace.emit(self.sim.now, "remote_request_served",
                                 node=self.node_id, seq=seq, requester=waiter, via="relay")
+        # Always: resolving also clears the search's give-up mark for seq.
         for waiter in self.search.resolve(seq):
             self.network.unicast(
                 self.node_id, waiter,

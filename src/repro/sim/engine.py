@@ -110,21 +110,24 @@ class Simulator:
         return event
 
     def post(self, time: float, callback: Callable[[List[Any]], None],
-             items: List[Any]) -> None:
+             items: List[Any]) -> Event:
         """Schedule ``callback(items)`` at *time*, one event for many items.
 
         A region acts in lockstep, so a §2.2 request storm lands many
-        packets on the same instants; the network posts its deliveries,
-        and the packets of one instant ride one event.
+        packets on the same instants, and its members' idle clocks
+        expire together; the network posts its deliveries and
+        :class:`~repro.sim.Timer` its arms, and the items of one instant
+        ride one event.
 
-        If the last event queued for *time* is an earlier post of the
-        same *callback* (``==``, so a fresh bound method of the same
-        object matches), and no seq has been reserved since that post
-        was queued, *items* join its list instead.  The tail of an
-        instant, with no reservation in between, is exactly where one
-        :meth:`at` per item would have fired them, so firing order is
-        unchanged; only :attr:`events_fired` counts fewer.  The post
-        owns *items* from here on.
+        If the last event queued for *time* is an earlier, uncancelled
+        post of the same *callback* (``==``, so a fresh bound method of
+        the same object matches), and no seq has been reserved since
+        that post was queued, *items* join its list instead (``+=``, so
+        a list subclass may note the merge).  The tail of an instant,
+        with no reservation in between, is exactly where one :meth:`at`
+        per item would have fired them, so firing order is unchanged;
+        only :attr:`events_fired` counts fewer.  The post owns *items*
+        from here on.  Returns the event *items* ride.
 
         What a batch cannot do is let a seq reserved before it be
         redeemed for its own instant while it fires (:meth:`at_reserved`
@@ -134,15 +137,19 @@ class Simulator:
         """
         queue = self._queue
         posts = queue._posts
-        if time in posts:
-            event, open_callback, open_items = posts[time]
-            if open_callback == callback and event.seq > self._reserved:
+        open_post = posts.get(time)
+        if open_post is not None:
+            event, open_callback, open_items = open_post
+            if (open_callback == callback and event.seq > self._reserved
+                    and not event._cancelled):
                 bucket = queue._buckets[time]
                 if bucket and bucket[-1] is event:
                     open_items += items
-                    return
+                    return event
         # Through ``at``, so whatever wraps it sees the batch event.
-        posts[time] = (self.at(time, callback, items), callback, items)
+        event = self.at(time, callback, items)
+        posts[time] = (event, callback, items)
+        return event
 
     def _refusal(self, time: float) -> SimulationError:
         why = f"before now={self.now:.6f}" if time < self.now else "not finite"

@@ -13,6 +13,9 @@ bucket of that instant's events in seq order.  The queue also keeps,
 per instant, the last :meth:`~repro.sim.Simulator.post` queued there,
 so later items for that instant can join its event while it is still
 the bucket's tail: a region's same-instant deliveries are one event.
+A post may also carry timers: :class:`~repro.sim.Timer` arms through
+it, so the idle clocks a region arms for one deadline ride one event,
+and a post whose timers were all cancelled is a cancelled event.
 
 Cancellation is *lazy*: cancelling an event marks it dead but leaves it
 in its bucket; the engine discards dead events when it reaches them.

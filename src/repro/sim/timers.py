@@ -5,14 +5,52 @@ pushed back each time a request arrives, and the baselines run periodic
 gossip.  (A recovery round is re-armed only from its own firing, so it
 is a plain event, not a :class:`Timer`.)  :class:`Timer` and :class:`PeriodicTask` capture those two
 patterns once so protocol code never manipulates raw events.
+
+A region acts in lockstep: its members buffer a multicast, go idle and
+flip their §3.2 coin at the same instants, so their idle clocks share
+deadlines.  :class:`Timer` therefore arms through
+:meth:`~repro.sim.Simulator.post` with one module-level callback,
+:func:`_fire_timers`: the timers armed for one deadline, with no seq
+reserved in between, ride one engine event (a :class:`_Batch`) and fire
+in arming order, exactly where one event each would have fired them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
+
+
+class _Batch(list):
+    """The tokens of the timers riding one engine event, in arming order.
+
+    ``live`` counts the tokens still valid: a timer that is cancelled or
+    re-armed elsewhere leaves its token behind, stale, and the batch
+    whose last live token goes is cancelled itself, so an instant where
+    nothing is left to fire costs no event.
+    """
+
+    __slots__ = ("live",)
+
+    def __iadd__(self, later: Any) -> "_Batch":
+        # Simulator.post merges a later post for the same instant into
+        # this open one with ``+=``: the one token a Timer posts, and its
+        # timer, now ride this batch.
+        token = later[0]
+        token[0]._batch = self
+        self.live += 1
+        self.append(token)
+        return self
+
+
+def _fire_timers(batch: _Batch) -> None:
+    """Fire every timer whose token in *batch* is still its own."""
+    for token in batch:
+        timer = token[0]
+        if timer._token is token:
+            timer._fire()
 
 
 class Timer:
@@ -23,38 +61,56 @@ class Timer:
     retransmission request pushes the discard deadline back to
     ``now + T``.
 
-    Re-arming to a **later** deadline — the overwhelmingly common case,
+    **Arming** posts a fresh *token* (a 1-tuple naming the timer) at the
+    deadline; timers armed for the same deadline with no seq reserved in
+    between share one engine event, a :class:`_Batch`.  The token is
+    per arm: only the timer's current token fires it, so a timer that
+    was re-armed for the same deadline fires at its new place in the
+    batch, not its old one.
+
+    **Re-arming to a later deadline** — the overwhelmingly common case,
     since every push-back moves the deadline forward — is done *in
     place*: the timer records the new deadline (and reserves the event
     sequence number a reschedule would have consumed, keeping same-time
-    tie-breaking bit-identical) and leaves its scheduled event where it
-    is.  When the stale event fires early, the timer notices the
-    pushed-back deadline and schedules one catch-up event at the true
-    deadline under the reserved seq.  A burst of *k* refreshes
-    therefore costs *k* field writes plus at most one extra event,
-    instead of *k* cancelled :class:`Event` allocations sitting in the
-    engine's queue.  Re-arming to an equal-or-earlier deadline falls
-    back to cancel + reschedule (the queued event would fire too late,
-    or in the wrong same-time order, otherwise).
+    tie-breaking bit-identical) and stays where it is.  When its event
+    fires early, the timer notices the pushed-back deadline and
+    schedules one catch-up event of its own at the true deadline under
+    the reserved seq.  A burst of *k* refreshes therefore costs *k*
+    field writes plus at most one extra event.
+
+    **Re-arming to an equal-or-earlier deadline, or cancelling**,
+    detaches the timer from its event (its token goes stale) and arms
+    it afresh; the shared event stays for the other timers on it.  A
+    batch left with no live token is cancelled, so
+    :attr:`~repro.sim.Simulator.pending_events` and the end of
+    :meth:`~repro.sim.Simulator.drain` read as if each timer had its own
+    event.
 
     The timer fires ``callback(*args)``, so a tracker arming one timer
     per message passes its bound method and the seq — no closure each.
     """
 
-    __slots__ = ("_sim", "_callback", "_args", "_event", "_deadline", "_reserved_seq")
+    __slots__ = ("_sim", "_callback", "_args", "_event", "_batch", "_token",
+                 "_deadline", "_reserved_seq")
 
     def __init__(self, sim: Simulator, callback: Callable[..., None], *args: Any) -> None:
         self._sim = sim
         self._callback = callback
         self._args = args
+        #: The engine event the timer rides (a batch, or its own
+        #: catch-up event), or ``None`` while disarmed.
         self._event: Optional[Event] = None
+        #: The batch whose ``live`` count includes this timer, if any.
+        self._batch: Optional[_Batch] = None
+        #: The token in ``_batch`` that fires this timer.
+        self._token: Optional[Tuple["Timer"]] = None
         self._deadline = 0.0
         self._reserved_seq = 0
 
     @property
     def armed(self) -> bool:
         """Whether the timer is currently counting down."""
-        return self._event is not None and self._event.pending
+        return self._event is not None
 
     @property
     def deadline(self) -> Optional[float]:
@@ -68,26 +124,40 @@ class Timer:
         sim = self._sim
         deadline = sim.now + delay
         event = self._event
-        if event is not None and event.pending:
+        if event is not None:
             if deadline > event.time:
                 # Push-back: keep the scheduled event, just move the
                 # logical deadline.  _fire() re-checks before invoking.
                 self._deadline = deadline
                 self._reserved_seq = sim.reserve_seq()
                 return
-            event.cancel()
+            self._detach()
         self._deadline = deadline
-        new_event = sim.at(deadline, self._fire)
-        self._event = new_event
-        self._reserved_seq = new_event.seq
+        self._token = token = (self,)
+        self._batch = batch = _Batch((token,))
+        batch.live = 1
+        # A merge re-points self._batch at the open batch (_Batch.__iadd__).
+        self._event = sim.post(deadline, _fire_timers, batch)
 
     def cancel(self) -> None:
         """Disarm the timer if armed.  Idempotent."""
         if self._event is not None:
-            self._event.cancel()
+            self._detach()
             self._event = None
 
+    def _detach(self) -> None:
+        """Leave the current event, cancelling it if nothing else rides it."""
+        batch = self._batch
+        if batch is None:
+            self._event.cancel()  # its own catch-up event
+            return
+        self._batch = self._token = None
+        batch.live -= 1
+        if not batch.live:
+            self._event.cancel()
+
     def _fire(self) -> None:
+        self._batch = self._token = None
         deadline = self._deadline
         if deadline > self._sim.now:
             # The deadline was pushed back after this event was queued:

@@ -121,6 +121,21 @@ class TestScheduling:
 
         run(main())
 
+    def test_posts_keep_one_handle_each(self):
+        """The simulator merges same-instant posts; the live clock keeps
+        each post's own handle, so each fires on its own deadline."""
+        async def main():
+            clock = LiveClock(speedup=100.0)
+            fired = []
+            first = clock.post(10.0, fired.extend, ["a"])
+            second = clock.post(10.0, fired.extend, ["b"])
+            assert first is not second and clock.pending_events == 2
+            await clock.sleep(40.0)
+            assert sorted(fired) == ["a", "b"]  # real time has no same-instant order
+            assert clock.events_fired == 2
+
+        run(main())
+
     def test_sim_timer_rearms_on_live_clock(self):
         """The protocol's Timer (in-place re-arm via reserved seqs)
         must work unchanged against the live clock.  The loop's time is

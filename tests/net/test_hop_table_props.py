@@ -7,13 +7,15 @@ tree, then interleave legal re-parents (detaching a region into a
 second root included), member moves between regions and queries.
 After every step each queried pair's ``region_hop_split``,
 ``region_distance`` and both latency models' ``one_way`` and ``rtt``
-must equal values recomputed here from the parent links alone.
+must equal values recomputed here from the parent links alone, and so
+must a fan-out's ``delays`` from one node to every node, which price
+each destination region once per call.
 """
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.latency import HierarchicalLatency
+from repro.net.latency import HierarchicalLatency, LatencyModel
 from repro.net.topology import balanced_tree, chain, star
 
 INTRA, INTER, UP, DOWN = 5.0, 40.0, 10.0, 30.0
@@ -85,4 +87,12 @@ def test_table_matches_a_fresh_walk(hierarchy, program):
             check_pair(hierarchy, models, nodes[i % len(nodes)], nodes[j % len(nodes)])
         nodes = hierarchy.nodes
         check_pair(hierarchy, models, nodes[k % len(nodes)], nodes[(i + j) % len(nodes)])
+        check_fan_out(hierarchy, models, nodes[i % len(nodes)], nodes[j % len(nodes):] + nodes)
     hierarchy.validate()
+
+
+def check_fan_out(hierarchy, models, src, dsts):
+    for asymmetric, model in models.items():
+        expected = [walked_one_way(hierarchy, src, dst, asymmetric) for dst in dsts]
+        assert model.delays(src, dsts) == expected
+        assert LatencyModel.delays(model, src, dsts) == expected  # the default loop

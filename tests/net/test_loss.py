@@ -1,5 +1,6 @@
 """Unit tests for loss models."""
 
+import copy
 import random
 
 import pytest
@@ -8,9 +9,13 @@ from repro.net.loss import (
     BernoulliLoss,
     BottleneckLoss,
     GilbertElliottLoss,
+    LossModel,
     NoLoss,
     ReceiverSetLoss,
+    RegionalOutageLoss,
 )
+from repro.net.packet import KIND_CONTROL, KIND_DATA
+from repro.workloads.mobility import DistanceLoss
 
 
 @pytest.fixture
@@ -177,3 +182,70 @@ class TestBottleneckLoss:
             BottleneckLoss(capacity=10.0, window_ms=0.0)
         with pytest.raises(ValueError):
             BottleneckLoss(capacity=10.0, base_loss=1.5)
+
+
+def _bottleneck_over_capacity():
+    model = BottleneckLoss(capacity=1.0, window_ms=1_000.0, base_loss=0.5)
+    model.bind_clock(FakeClock(10.0))
+    for _ in range(5):
+        model.is_lost(0, 1, KIND_DATA, random.Random(0))
+    return model
+
+
+#: Every model that declares it keeps some kind reliable, built in a
+#: state where it does drop what it can.
+NARROW = {
+    NoLoss: NoLoss,
+    BernoulliLoss: lambda: BernoulliLoss(0.5),
+    ReceiverSetLoss: lambda: ReceiverSetLoss({1, 2}),
+    BottleneckLoss: _bottleneck_over_capacity,
+    GilbertElliottLoss: lambda: GilbertElliottLoss(p_good_to_bad=1.0, p_bad=1.0),
+}
+#: Models that may drop any kind: a partition severs control traffic,
+#: and a distance model's base may be such a partition.
+ANY_KIND = {RegionalOutageLoss, DistanceLoss}
+
+
+def _repro_models():
+    found, queue = set(), [LossModel]
+    while queue:
+        for model in queue.pop().__subclasses__():
+            if model.__module__.startswith("repro.") and model not in found:
+                found.add(model)
+                queue.append(model)
+    return found
+
+
+class TestDropsDeclaration:
+    """What ``drops`` rules out, ``is_lost`` never does: the transport
+    skips the call, so it must have been a ``False`` without a draw."""
+
+    def test_every_model_is_declared_here(self):
+        assert _repro_models() == set(NARROW) | ANY_KIND
+        for model in ANY_KIND:
+            assert model.drops is LossModel.drops
+            assert LossModel.drops(model, KIND_DATA) and LossModel.drops(model, KIND_CONTROL)
+
+    def test_the_data_only_rule(self):
+        assert not NoLoss().drops(KIND_DATA) and not NoLoss().drops(KIND_CONTROL)
+        for model, build in NARROW.items():
+            if model is not NoLoss:
+                assert build().drops(KIND_DATA) and not build().drops(KIND_CONTROL)
+
+    @pytest.mark.parametrize("model, kind", [
+        (model, kind) for model in sorted(NARROW, key=lambda model: model.__name__)
+        for kind in (KIND_DATA, KIND_CONTROL) if not NARROW[model]().drops(kind)])
+    def test_a_kind_it_cannot_drop_is_never_lost_nor_drawn_for(self, model, kind):
+        instance = NARROW[model]()
+        rng = random.Random(7)
+        state, before = rng.getstate(), copy.deepcopy(self.state(instance))
+        for src in range(4):
+            for dst in range(4):
+                assert instance.is_lost(src, dst, kind, rng) is False
+        assert rng.getstate() == state
+        assert self.state(instance) == before
+
+    @staticmethod
+    def state(instance):
+        return {key: value for key, value in vars(instance).items() if key != "clock"}
+

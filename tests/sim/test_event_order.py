@@ -16,6 +16,12 @@ also into the instant being drained.  The reference posts one event per
 item; the simulator may merge them into fewer events, so there the
 item-level log, the clock and whether anything is pending must match,
 and ``events_fired`` may only be lower.
+
+The same programs also start, push back, re-arm (earlier or to the same
+deadline) and cancel :class:`~repro.sim.Timer` objects, from callbacks
+and into the instant being drained.  On the simulator the timers of one
+deadline ride one event; the reference is :class:`ReferenceTimer` over
+:class:`ListSimulator`, one event per arm.
 """
 
 import gc
@@ -25,7 +31,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.sim import Simulator, events
+from repro.sim import Simulator, Timer, events
 from repro.sim.engine import SimulationError
 from repro.sim.events import Event, EventQueue
 
@@ -108,6 +114,43 @@ class ListSimulator:
         return end
 
 
+class ReferenceTimer:
+    """A timer with one event per arm: pushed back in place (a reserved
+    seq and one catch-up event), cancelled and rescheduled otherwise."""
+
+    def __init__(self, sim, callback, *args):
+        self.sim, self.callback, self.args = sim, callback, args
+        self.event = None
+        self.deadline = 0.0
+        self.reserved = 0
+
+    def start(self, delay):
+        deadline = self.sim.now + delay
+        if self.event is not None and self.event.pending:
+            if deadline > self.event.time:
+                self.deadline = deadline
+                self.reserved = self.sim.reserve_seq()
+                return
+            self.event.cancel()
+        self.deadline = deadline
+        self.event = self.sim.at(deadline, self._fire)
+
+    def cancel(self):
+        if self.event is not None:
+            self.event.cancel()
+            self.event = None
+
+    def _fire(self):
+        if self.deadline > self.sim.now:
+            self.event = self.sim.at_reserved(self.deadline, self.reserved, self._fire)
+            return
+        self.event = None
+        self.callback(*self.args)
+
+
+TIMER_OF = {Simulator: Timer, ListSimulator: ReferenceTimer}
+TIMERS = 4
+
 TIMES = (0.0, 1.0, 1.0, 1.0, 2.0, 2.5, 4.0)
 DELAYS = (0.0, 0.0, 0.5, 1.0, 3.0)
 
@@ -129,11 +172,19 @@ programs = st.fixed_dictionaries({
 })
 
 post = st.tuples(st.just("post"), st.sampled_from(DELAYS), st.integers(1, 3))
+# Start (a push-back, an earlier or an equal re-arm when already armed)
+# or cancel one of the program's timers.
+timer_start = st.tuples(st.just("timer_start"), st.integers(0, TIMERS - 1),
+                        st.sampled_from(DELAYS))
+timer_cancel = st.tuples(st.just("timer_cancel"), st.integers(0, TIMERS - 1))
 post_programs = st.fixed_dictionaries({
-    # A time is an ``at``, a ("post", time, count) posts count items.
-    "initial": st.lists(st.one_of(st.sampled_from(TIMES), post), min_size=1, max_size=12),
-    # The i-th *item* to fire performs scripts[i].
-    "scripts": st.lists(st.lists(st.one_of(actions, post, post), max_size=4), max_size=30),
+    # A time is an ``at``, a ("post", time, count) posts count items, a
+    # ("timer_start", timer, delay) arms a timer.
+    "initial": st.lists(st.one_of(st.sampled_from(TIMES), post, timer_start),
+                        min_size=1, max_size=12),
+    # The i-th *item* (a timer firing is one) to fire performs scripts[i].
+    "scripts": st.lists(st.lists(st.one_of(actions, post, post, timer_start, timer_start,
+                                           timer_cancel), max_size=4), max_size=30),
     "until": st.sampled_from((0.0, 1.0, 2.25, 6.0)),
     "chunk": st.integers(1, 5),
 })
@@ -149,11 +200,15 @@ class Interpreter:
         self.handles = []
         self.reserved = []
         self.posted = 0
+        timer = TIMER_OF[type(sim)]
+        self.timers = [timer(sim, self.fire, ("timer", index)) for index in range(TIMERS)]
         for entry in program["initial"]:
-            if isinstance(entry, tuple):
+            if not isinstance(entry, tuple):
+                self.schedule(sim.at, entry)
+            elif entry[0] == "post":
                 self.post(*entry[1:])
             else:
-                self.schedule(sim.at, entry)
+                self.timers[entry[1]].start(entry[2])
 
     def schedule(self, at, *where):
         ident = len(self.handles)
@@ -180,13 +235,17 @@ class Interpreter:
                 self.schedule(sim.at, sim.now + action[1])
             elif kind == "post":
                 self.post(sim.now + action[1], action[2])
+            elif kind == "timer_start":
+                self.timers[action[1]].start(action[2])
+            elif kind == "timer_cancel":
+                self.timers[action[1]].cancel()
             elif kind == "reserve":
                 self.reserved.append(sim.reserve_seq())
             elif kind == "redeem" and self.reserved:
                 if action[2] == 0 and isinstance(ident, tuple):
-                    # A post's items share one event: a seq redeemed for
-                    # their own instant could not cut in between them
-                    # (Simulator.post's contract).
+                    # A post's items, and a deadline's timers, share one
+                    # event: a seq redeemed for their own instant could
+                    # not cut in between them (Simulator.post's contract).
                     continue
                 seq = self.reserved.pop(action[1] % len(self.reserved))
                 self.schedule(sim.at_reserved, sim.now + action[2], seq)
@@ -263,12 +322,35 @@ def _post_example(*script):
 @example(_post_example(("post", 1.0, 1), ("reserve",), ("post", 1.0, 1), ("redeem", 0, 1.0)))
 # Only the instant's tail event may take more items.
 @example(_post_example(("post", 1.0, 1), ("at", 1.0), ("post", 1.0, 1)))
+# An equal re-arm fires at its new place in its old batch.
+@example(_post_example(("timer_start", 0, 1.0), ("timer_start", 1, 1.0),
+                       ("timer_start", 0, 1.0)))
+# A batch emptied by a cancel and an earlier re-arm is cancelled, and a
+# later arm for its instant does not join it.
+@example(_post_example(("timer_start", 0, 3.0), ("timer_start", 1, 3.0), ("timer_cancel", 0),
+                       ("timer_start", 1, 1.0), ("timer_start", 2, 3.0)))
 def test_posts_fire_like_one_event_per_item(program):
     with mock.patch.object(events, "COMPACT_MIN_DEAD", 1):
         states, fired = drive_posts(Simulator(), program)
     expected_states, expected_fired = drive_posts(ListSimulator(), program)
     assert states == expected_states
     assert fired <= expected_fired
+
+
+def test_a_batch_whose_timers_are_all_cancelled_is_cancelled():
+    sim = Simulator()
+    timers = [Timer(sim, pytest.fail, "a cancelled timer fired") for _ in range(3)]
+    for timer in timers:
+        timer.start(5.0)
+    sim.at(1.0, lambda: None)
+    assert sim.pending_events == 2
+    timers[0].cancel()
+    timers[1].start(0.5)  # an earlier re-arm leaves the batch too ...
+    timers[1].cancel()    # ... and is cancelled where it went
+    timers[2].cancel()
+    assert sim.pending_events == 1
+    assert sim.drain() == 1.0
+    assert sim.pending_events == 0 and sim.events_fired == 1
 
 
 class TestCompactionMidBucket:

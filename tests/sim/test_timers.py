@@ -66,6 +66,67 @@ class TestTimer:
         assert fired == [pytest.approx(95.0)]
 
 
+class TestTimersShareAnInstant:
+    """Timers armed for one deadline ride one engine event."""
+
+    def test_same_deadline_timers_fire_in_arming_order_on_one_event(self, sim):
+        order = []
+        timers = [Timer(sim, order.append, index) for index in range(5)]
+        for timer in timers:
+            timer.start(10.0)
+        assert sim.pending_events == 1
+        sim.run()
+        assert order == list(range(5))
+        assert sim.events_fired == 1
+        assert not any(timer.armed for timer in timers)
+
+    def test_a_reserved_seq_splits_the_batch(self, sim):
+        order = []
+        first, second = Timer(sim, order.append, "first"), Timer(sim, order.append, "second")
+        first.start(10.0)
+        seq = sim.reserve_seq()
+        second.start(10.0)
+        sim.at_reserved(10.0, seq, order.append, "reserved")
+        sim.run()
+        assert order == ["first", "reserved", "second"]
+
+    def test_an_equal_rearm_fires_at_its_new_place_in_the_batch(self, sim):
+        order = []
+        timers = [Timer(sim, order.append, index) for index in range(3)]
+        for timer in timers:
+            timer.start(10.0)
+        timers[0].start(10.0)
+        sim.run()
+        assert order == [1, 2, 0]
+        assert sim.events_fired == 1
+
+    def test_a_callback_may_cancel_or_push_back_a_later_timer_of_its_batch(self, sim):
+        order = []
+
+        def first():
+            order.append(("first", sim.now))
+            timers[1].cancel()
+            timers[2].start(5.0)
+
+        timers = [Timer(sim, first)] + [
+            Timer(sim, lambda name=name: order.append((name, sim.now)))
+            for name in ("cancelled", "pushed", "kept")]
+        for timer in timers:
+            timer.start(10.0)
+        sim.run()
+        assert order == [("first", 10.0), ("kept", 10.0), ("pushed", 15.0)]
+
+    def test_cancelling_one_timer_keeps_the_batch_for_the_others(self, sim):
+        fired = []
+        keep, drop = Timer(sim, fired.append, "keep"), Timer(sim, fired.append, "drop")
+        keep.start(10.0)
+        drop.start(10.0)
+        drop.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["keep"]
+
+
 class TestPeriodicTask:
     def test_ticks_at_interval(self, sim):
         ticks = []
@@ -146,24 +207,29 @@ class TestTimerInPlaceRearm:
         assert fired == [pytest.approx(59.0)]
 
     def test_earlier_rearm_falls_back_to_reschedule(self, sim):
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
+        # Earlier: the timer fires once, at the new deadline, and after
+        # an event queued for that instant before the re-arm.
+        order = []
+        timer = Timer(sim, lambda: order.append(("timer", sim.now)))
         timer.start(10.0)
-        original = timer._event
-        timer.start(3.0)  # earlier: must cancel + reschedule
-        assert timer._event is not original
-        assert original.cancelled
-        sim.run()
-        assert fired == [pytest.approx(3.0)]
+        sim.at(3.0, lambda: order.append(("plain", sim.now)))
+        timer.start(3.0)
+        assert sim.run() == 3.0
+        assert order == [("plain", 3.0), ("timer", 3.0)]
+        assert not timer.armed and sim.pending_events == 0
 
     def test_equal_deadline_rearm_reschedules(self, sim):
-        # An equal deadline must not keep the old event: the replacement
-        # event's (later) seq decides same-time ordering.
-        timer = Timer(sim, lambda: None)
+        # Equal: the re-arm, not the first arm, decides same-time order,
+        # so the timer fires after an event queued between the two.
+        order = []
+        timer = Timer(sim, lambda: order.append(("timer", sim.now)))
+        other = Timer(sim, lambda: order.append(("other", sim.now)))
         timer.start(10.0)
-        original = timer._event
+        other.start(10.0)
+        sim.at(10.0, lambda: order.append(("plain", sim.now)))
         timer.start(10.0)
-        assert timer._event is not original
+        sim.run()
+        assert order == [("other", 10.0), ("plain", 10.0), ("timer", 10.0)]
 
     def test_pushback_preserves_same_time_ordering(self, sim):
         # The catch-up event must fire in the order a cancel+reschedule
