@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional, Protocol, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.buffer import (
     DISCARD_CLOSE,
@@ -117,6 +117,21 @@ class BufferPolicy(ABC):
         Default: nothing (policies without a long-term responsibility
         can simply drop their buffers on leave).
         """
+        return []
+
+    def accept_handoff(self, data: DataMessage) -> None:
+        """A leaving peer handed *data* to this member (or a scenario
+        installs it as held).  Default: buffer it as :meth:`on_receive`
+        would."""
+        self.on_receive(data)
+
+    # ------------------------------------------------------------------
+    # Requester-side lookup (§3.4)
+    # ------------------------------------------------------------------
+    def locate_bufferers(self, seq: Seq, members: Sequence[int]) -> List[int]:
+        """Members of *members* that buffer *seq*, computed without
+        asking anyone.  Default: no candidates, so the member runs the
+        §3.3 randomized search."""
         return []
 
 

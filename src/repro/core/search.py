@@ -73,12 +73,9 @@ class _SearchProcess:
         self.rounds = 0
         self.started_at = coordinator.host.sim.now
         self._timer = Timer(coordinator.host.sim, self._on_timeout)
-        self._stopped = False
 
     def run_round(self) -> None:
         """Forward the request to a fresh random member and arm the timer."""
-        if self._stopped:
-            return
         host = self.coordinator.host
         members, position = host.region_peers()
         if len(members) < 2:
@@ -104,8 +101,8 @@ class _SearchProcess:
         self._timer.start(host.rtt_to(target) * self.coordinator.timer_factor)
 
     def stop(self) -> None:
-        """Terminate this member's participation."""
-        self._stopped = True
+        """Terminate this member's participation: a cancelled timer
+        never fires, so no further round runs."""
         self._timer.cancel()
 
     def _on_timeout(self) -> None:

@@ -26,7 +26,8 @@ class LiveHandle:
 
     Mirrors the :class:`repro.sim.events.Event` surface that
     :class:`repro.sim.Timer` relies on: ``time``, ``seq``, ``pending``
-    and ``cancel()``.
+    and ``cancel()``.  A handle that fired and one that was cancelled
+    both read ``pending`` False; neither clock tells them apart.
     """
 
     __slots__ = ("time", "seq", "_clock", "_timer", "_callback", "_args", "_done")
@@ -45,11 +46,6 @@ class LiveHandle:
     def pending(self) -> bool:
         """Whether the callback is still waiting to fire."""
         return not self._done
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was called before the callback fired."""
-        return self._done and self._callback is None and self._timer is None
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent and O(1)."""

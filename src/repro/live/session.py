@@ -42,7 +42,7 @@ from typing import Dict, Optional, Set
 from repro.live.clock import LiveClock
 from repro.live.transport import Address, LiveTransport
 from repro.metrics.makespan import MakespanTracker
-from repro.metrics.snapshot import DeliveryCounter, MetricsSnapshot, take_snapshot
+from repro.metrics.snapshot import MetricsSnapshot, take_snapshot
 from repro.net.topology import NodeId
 from repro.protocol.member import RrmpMember
 from repro.protocol.rrmp import MemberGroup, default_sender_node
@@ -101,10 +101,11 @@ class LiveSession(MemberGroup):
         self.fec_spec = spec.fec
         self.streams = RandomStreams(spec.seed)
         self.trace = TraceLog(keep_records=spec.measurement.keep_trace)
-        # Subscribed up front, so the trace is always being emitted and
-        # the installer's pure subscribers (makespan, playout) attach
-        # whether or not records are kept.
-        self.deliveries = DeliveryCounter(self.trace)
+        # A live run always emits its trace, records kept or not: its
+        # summary and snapshots read the log's tallies, and the
+        # installer's pure subscribers (makespan, playout) attach only
+        # to a trace that is being emitted.
+        self.trace.enabled = True
         # Held until start() finishes: building members and injecting
         # the workload takes real milliseconds, and a running clock
         # would feed that setup time straight into the protocol's first

@@ -16,22 +16,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 from repro.metrics.stats import mean
-from repro.sim.tracing import TraceLog, TraceRecord
-
-
-class DeliveryCounter:
-    """Counts ``member_received`` records as they are emitted.
-
-    Subscription-based, so it works with ``keep_records=False`` traces
-    (long soak runs must not hoard records just to count deliveries).
-    """
-
-    def __init__(self, trace: TraceLog) -> None:
-        self.count = 0
-        trace.subscribe(self._on_record, kind="member_received")
-
-    def _on_record(self, _record: TraceRecord) -> None:
-        self.count += 1
 
 
 @dataclass(frozen=True)
@@ -78,9 +62,8 @@ def take_snapshot(group, previous: Optional[MetricsSnapshot] = None) -> MetricsS
     rate is computed over the whole run so far.
     """
     now = group.sim.now
-    counter = getattr(group, "deliveries", None)
-    delivered = counter.count if counter is not None \
-        else group.trace.count("member_received")
+    # The log tallies every record it emits, retained or not.
+    delivered = group.trace.count("member_received")
     latencies = group.recovery_latencies()
     if previous is not None:
         delta_msgs = delivered - previous.delivered_total

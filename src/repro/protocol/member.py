@@ -426,22 +426,18 @@ class RrmpMember:
             # The hint chain went nowhere — the announced owner must
             # have discarded the message since.  Forget it and search.
             self._search_owner_hint.pop(seq, None)
-        locate = getattr(self.policy, "locate_bufferers", None)
-        if locate is not None:
-            self._forward_via_lookup(seq, waiters, locate)
-        else:
-            self.search.begin(seq, waiters)
+        self._forward_via_lookup(seq, waiters)
 
-    def _forward_via_lookup(self, seq: Seq, waiters: Sequence[NodeId], locate) -> None:
+    def _forward_via_lookup(self, seq: Seq, waiters: Sequence[NodeId]) -> None:
         """§3.4 deterministic alternative to searching: hash every known
         address, forward the request straight to a computed bufferer."""
         candidates = [
-            node for node in locate(seq, self.region_member_ids())
+            node for node in self.policy.locate_bufferers(seq, self.region_member_ids())
             if node != self.node_id
         ]
         if not candidates:
-            # Hash selected nobody (probability ≈ e^{-C}) or only us —
-            # fall back to the randomized search.
+            # No lookup (the policy has none), hash selected nobody
+            # (probability ≈ e^{-C}) or only us: the randomized search.
             self.search.begin(seq, waiters)
             return
         target = candidates[0]
@@ -499,18 +495,12 @@ class RrmpMember:
             # + short-term buffer), then promote to long-term since the
             # leaver's responsibility moves to us.
             self._on_parity(message.data)
-            accept = getattr(self.policy, "accept_handoff", None)
-            if accept is not None:
-                accept(message.data)
+            self.policy.accept_handoff(message.data)
             return
         if not self.gap.is_received(message.seq):
             # The handoff doubles as first receipt of the message.
             self._handle_data(message.data, VIA_HANDOFF)
-        accept = getattr(self.policy, "accept_handoff", None)
-        if accept is not None:
-            accept(message.data)
-        else:
-            self.policy.on_receive(message.data)
+        self.policy.accept_handoff(message.data)
 
     # ==================================================================
     # Recovery management
@@ -570,11 +560,7 @@ class RrmpMember:
     def install_long_term(self, data: DataMessage) -> None:
         """Make this member a long-term bufferer of *data* (Figure 8/9 setup)."""
         self.gap.on_receive(data.seq)
-        accept = getattr(self.policy, "accept_handoff", None)
-        if accept is not None:
-            accept(data)
-        else:
-            self.policy.on_receive(data)
+        self.policy.accept_handoff(data)
 
     # ==================================================================
     # Membership changes

@@ -40,7 +40,7 @@ def trial_engine_exercise(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     fired = []
     scheduled = [sim.after(float(i + 1), fired.append, i) for i in range(n_events)]
     # Cancel every ``cancel_stride``-th event *after* scheduling, the
-    # lazy-cancellation path the EventQueue must tolerate mid-queue.
+    # lazy-cancellation path the simulator's queue must tolerate mid-queue.
     cancelled = 0
     for index in range(0, n_events, cancel_stride):
         scheduled[index].cancel()

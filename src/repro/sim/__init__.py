@@ -1,14 +1,14 @@
 """Discrete-event simulation substrate (system S1 in DESIGN.md).
 
 Everything in ``repro`` runs on this engine: a millisecond-resolution
-virtual clock (:class:`Simulator`), lazily-cancellable events, protocol
-timers (:class:`Timer`, :class:`PeriodicTask`), deterministic named RNG
-streams (:class:`RandomStreams`) and a structured trace log
-(:class:`TraceLog`).
+virtual clock that owns its event queue (:class:`Simulator`),
+lazily-cancellable events (:class:`Event`), protocol timers
+(:class:`Timer`, :class:`PeriodicTask`), deterministic named RNG streams
+(:class:`RandomStreams`) and a structured trace log (:class:`TraceLog`).
 """
 
 from repro.sim.engine import SimulationError, Simulator, total_events_fired
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.randomness import RandomStreams, derive_seed, pick_other
 from repro.sim.timers import PeriodicTask, Timer
 from repro.sim.tracing import (
@@ -20,7 +20,6 @@ from repro.sim.tracing import (
 
 __all__ = [
     "Event",
-    "EventQueue",
     "PeriodicTask",
     "RandomStreams",
     "SimulationError",

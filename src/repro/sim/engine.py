@@ -8,15 +8,37 @@ is what makes every run reproducible from a single seed.
 Time is a ``float`` in **milliseconds**, matching the units used in the
 paper's evaluation (10 ms intra-region round-trip time, 40 ms idle
 threshold).
+
+RRMP runs in lockstep — a region's members buffer a message, go idle
+and flip their coin at the *same* simulated instant — so the queue
+orders **instants**, not events: a heap of the distinct pending firing
+times (floats, compared in C) and, per time, a bucket of that instant's
+events in seq order.  The simulator also keeps, per instant, the last
+:meth:`Simulator.post` queued there, so later items for that instant
+can join its event while it is still the bucket's tail: a region's
+same-instant deliveries are one event.  A post may also carry timers:
+:class:`~repro.sim.Timer` arms through it, so the idle clocks a region
+arms for one deadline ride one event, and a post whose timers were all
+cancelled is a cancelled event.
+
+Cancelled events stay in their buckets until the clock reaches them
+(:class:`~repro.sim.events.Event`).  To keep a timer-churn-heavy run
+from dragging a queue full of corpses, the simulator counts its dead
+entries and drops them in one O(n) pass when they outnumber the live
+ones (:data:`COMPACT_MIN_DEAD` guards tiny queues).  Compaction never
+changes firing order — the ``(time, seq)`` total order is unaffected —
+so runs stay bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
-from heapq import heappop
-from typing import Any, Callable, List, Optional
+from bisect import insort
+from collections import deque
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.sim import events as _events
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 
 
 class SimulationError(RuntimeError):
@@ -30,6 +52,12 @@ class SimulationError(RuntimeError):
 _total_events_fired = 0
 
 _INF = float("inf")
+
+#: Compaction is considered only once this many dead entries have
+#: accumulated; below it the queue is too small for the scan to matter.
+COMPACT_MIN_DEAD = 64
+
+_seq_of = attrgetter("seq")
 
 
 def total_events_fired() -> int:
@@ -57,7 +85,22 @@ class Simulator:
         #: for speed, but read-only by contract: only the engine (the
         #: run loop, :meth:`step` and ``run(until=...)``) writes it.
         self.now = float(start_time)
-        self._queue = EventQueue()
+        #: The queue: a heap of the distinct pending times, and per time
+        #: its unfired events in seq order, so firing order is exactly
+        #: ``(time, seq)``.  An emptied bucket is retired only at the
+        #: head of ``_times``: the run loop may be holding it.
+        self._times: List[float] = []
+        self._buckets: Dict[float, Deque[Event]] = {}
+        #: Per instant, the last :meth:`post` queued there: its event,
+        #: its callback and its item list.  Retired with the bucket.
+        self._posts: Dict[float, Tuple[Event, Callable[..., None], List[Any]]] = {}
+        #: Queued entries, cancelled ones included.
+        self._size = 0
+        #: Cancelled events still sitting in a bucket: counted up by
+        #: :meth:`_note_dead`, down where a dead entry is dropped.
+        self._dead = 0
+        #: Buckets ever opened, i.e. distinct instants scheduled.
+        self._opened = 0
         self._seq = 0
         #: The last seq :meth:`reserve_seq` handed out: no post queued
         #: before it may take more items (see :meth:`post`).
@@ -76,12 +119,12 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live events still queued."""
-        return self._queue.live_count()
+        return self._size - self._dead
 
     @property
     def instants_opened(self) -> int:
         """Distinct firing times scheduled so far: heap entries paid for."""
-        return self._queue._opened
+        return self._opened
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -97,15 +140,14 @@ class Simulator:
             raise self._refusal(time)
         self._seq += 1
         event = Event(time, self._seq, callback, args)
-        queue = self._queue
-        bucket = queue._buckets.get(time)
-        if bucket is None or (queue._dead >= _events.COMPACT_MIN_DEAD
-                              and queue._dead * 2 >= queue._size):
-            queue.push(event)
+        bucket = self._buckets.get(time)
+        if bucket is None or (self._dead >= COMPACT_MIN_DEAD
+                              and self._dead * 2 >= self._size):
+            self._push(event)
         else:
             # A fresh seq is the largest yet: it goes at the bucket's tail.
-            event._queue = queue
-            queue._size += 1
+            event._sim = self
+            self._size += 1
             bucket.append(event)
         return event
 
@@ -135,14 +177,13 @@ class Simulator:
         item, not the current one.  :class:`~repro.sim.Timer` redeems
         only for a later deadline.
         """
-        queue = self._queue
-        posts = queue._posts
+        posts = self._posts
         open_post = posts.get(time)
         if open_post is not None:
             event, open_callback, open_items = open_post
             if (open_callback == callback and event.seq > self._reserved
                     and not event._cancelled):
-                bucket = queue._buckets[time]
+                bucket = self._buckets[time]
                 if bucket and bucket[-1] is event:
                     open_items += items
                     return event
@@ -186,8 +227,65 @@ class Simulator:
         if not self.now <= time < _INF:
             raise self._refusal(time)
         event = Event(time, seq, callback, args)
-        self._queue.push(event)
+        self._push(event)
         return event
+
+    def _push(self, event: Event) -> None:
+        """Queue *event*, compacting first when dead entries dominate."""
+        event._sim = self
+        if self._dead >= COMPACT_MIN_DEAD and self._dead * 2 >= self._size:
+            self._compact()
+        self._size += 1
+        bucket = self._buckets.get(event.time)
+        if bucket is None:
+            bucket = self._buckets[event.time] = deque()
+            bucket.append(event)
+            heappush(self._times, event.time)
+            self._opened += 1
+        elif not bucket or bucket[-1].seq < event.seq:
+            bucket.append(event)
+        else:
+            # Only a reserved seq can be older than the bucket's tail.
+            insort(bucket, event, key=_seq_of)
+
+    def _note_dead(self) -> None:
+        """A queued event was cancelled (:meth:`Event.cancel`)."""
+        self._dead += 1
+
+    def _head(self) -> Optional[Deque[Event]]:
+        """The earliest bucket, with its live head event at the left,
+        or ``None`` when nothing live is queued."""
+        times, buckets = self._times, self._buckets
+        while times:
+            bucket = buckets[times[0]]
+            while bucket and bucket[0]._cancelled:
+                bucket.popleft()
+                self._size -= 1
+                self._dead -= 1
+            if bucket:
+                return bucket
+            self._posts.pop(times[0], None)
+            del buckets[heappop(times)]
+        return None
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry in one O(n) pass.
+
+        Firing order is unaffected: live events keep their ``(time,
+        seq)`` total order.  Called from :meth:`_push` when dead entries
+        reach half the queue.
+        """
+        if self._dead == 0:
+            return
+        # In place, and emptied buckets stay: the run loop holds the
+        # bucket it is draining, so that object must survive.
+        for bucket in self._buckets.values():
+            live = [event for event in bucket if not event._cancelled]
+            if len(live) != len(bucket):
+                bucket.clear()
+                bucket.extend(live)
+        self._size -= self._dead
+        self._dead = 0
 
     # ------------------------------------------------------------------
     # Execution
@@ -198,9 +296,14 @@ class Simulator:
         Returns ``True`` if an event fired, ``False`` if the queue was
         empty (time does not advance in that case).
         """
-        event = self._queue.pop()
-        if event is None:
+        bucket = self._head()
+        if bucket is None:
             return False
+        event = bucket.popleft()
+        self._size -= 1
+        # Detach so a later cancel() of the fired event cannot disturb
+        # the dead-entry accounting.
+        event._sim = None
         global _total_events_fired
         self.now = event.time
         self._events_fired += 1
@@ -216,19 +319,17 @@ class Simulator:
         samples line up across runs; but never past a live event that
         *max_events* left unfired.  Returns the final simulated time.
 
-        The loop is the simulator's hottest code: it works on the
-        queue's heap of instants and their buckets directly instead of
-        going through :meth:`EventQueue.peek_time` + :meth:`step`, so an
+        The loop is the simulator's hottest code: it drains a whole
+        instant's bucket before it looks at the heap again, so an
         instant costs one heap operation however many events share it.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        queue = self._queue
-        # EventQueue.compact() and clear() work in place and only the
-        # head of ``times`` is ever retired, so these aliases and the
-        # bucket being drained stay valid whatever a callback does.
-        times, buckets, posts = queue._times, queue._buckets, queue._posts
+        # _compact() works in place and only the head of ``times`` is
+        # ever retired, so these aliases and the bucket being drained
+        # stay valid whatever a callback does.
+        times, buckets, posts = self._times, self._buckets, self._posts
         limit = _INF if max_events is None else max_events
         fired = 0
         try:
@@ -247,11 +348,11 @@ class Simulator:
                 # bucket, so the loop ends only when the instant is over.
                 while bucket and fired < limit:
                     event = popleft()
-                    queue._size -= 1
+                    self._size -= 1
                     if event._cancelled:
-                        queue._dead -= 1
+                        self._dead -= 1
                         continue
-                    event._queue = None
+                    event._sim = None
                     self.now = time
                     fired += 1
                     self._events_fired += 1
@@ -267,8 +368,7 @@ class Simulator:
             global _total_events_fired
             _total_events_fired += fired
         if until is not None and self.now < until:
-            next_time = queue.peek_time()
-            if next_time is None or next_time > until:
+            if self._head() is None or times[0] > until:
                 self.now = until
         return self.now
 
@@ -285,11 +385,10 @@ class Simulator:
         pending deadline, so the runaway source is identifiable.
         """
         end = self.run(max_events=max_events)
-        next_time = self._queue.peek_time()
-        if next_time is not None:
+        if self._head() is not None:
             raise SimulationError(
                 f"drain() exceeded max_events={max_events}: "
-                f"{self._queue.live_count()} live events still queued, "
-                f"next pending at t={next_time:.6f} (now={self.now:.6f})"
+                f"{self.pending_events} live events still queued, "
+                f"next pending at t={self._times[0]:.6f} (now={self.now:.6f})"
             )
         return end

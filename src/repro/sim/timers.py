@@ -179,7 +179,7 @@ class PeriodicTask:
     :meth:`start` (default: one full interval).
     """
 
-    __slots__ = ("_sim", "_callback", "interval", "_event", "_stopped")
+    __slots__ = ("_sim", "_callback", "interval", "_event")
 
     def __init__(self, sim: Simulator, interval: float, callback: Callable[[], None]) -> None:
         if interval <= 0:
@@ -187,32 +187,29 @@ class PeriodicTask:
         self._sim = sim
         self._callback = callback
         self.interval = interval
+        #: The next tick's event, or ``None`` while stopped.
         self._event: Optional[Event] = None
-        self._stopped = True
 
     @property
     def running(self) -> bool:
         """Whether the task is currently scheduled."""
-        return not self._stopped
+        return self._event is not None
 
     def start(self, phase: Optional[float] = None) -> None:
         """Begin ticking.  *phase* delays the first tick (default: interval)."""
         self.stop()
-        self._stopped = False
         first = self.interval if phase is None else phase
         self._event = self._sim.after(first, self._tick)
 
     def stop(self) -> None:
         """Stop ticking.  Idempotent."""
-        self._stopped = True
         if self._event is not None:
             self._event.cancel()
             self._event = None
 
     def _tick(self) -> None:
-        if self._stopped:
-            return
         # Re-arm before invoking the callback so the callback may call
-        # stop() to terminate the task.
+        # stop() to terminate the task; a stopped task's event was
+        # cancelled, so it never ticks again.
         self._event = self._sim.after(self.interval, self._tick)
         self._callback()

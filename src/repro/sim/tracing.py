@@ -71,12 +71,13 @@ class TraceLog:
     only), which large parameter sweeps use to bound memory.
 
     ``enabled`` is the hot-path guard: it is true whenever an emitted
-    record could be observed (records retained, or at least one
-    subscriber registered).  Emit sites on hot protocol paths check it
-    before building a record, so a run with tracing fully off pays no
-    per-event kwargs/record cost.  The flag is an attribute, not a
-    constructor snapshot, because subscribers (the invariant oracle,
-    the flat engine's commutative digest) attach after members are built.
+    record could be observed (records retained, at least one subscriber
+    registered, or an owner that reads :meth:`count` set it).  Emit
+    sites on hot protocol paths check it before building a record, so a
+    run with tracing fully off pays no per-event kwargs/record cost.
+    The flag is an attribute, not a constructor snapshot, because
+    subscribers (the invariant oracle, the flat engine's commutative
+    digest) attach after members are built.
     """
 
     def __init__(self, keep_records: bool = True) -> None:

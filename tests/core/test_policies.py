@@ -40,6 +40,22 @@ class TestNeverDiscardPolicy:
         policy.on_receive(msg(1))
         assert policy.drain_for_handoff() == []
 
+    def test_accept_handoff_default_buffers_like_on_receive(self, sim, buffer_host):
+        handed, received = FixedTimePolicy(hold_time=100.0), FixedTimePolicy(hold_time=100.0)
+        handed.bind(buffer_host)
+        received.bind(buffer_host)
+        handed.accept_handoff(msg(1))
+        received.on_receive(msg(1))
+        assert handed.has(1) and received.has(1)
+        sim.run()
+        assert not handed.has(1) and not received.has(1)
+
+    def test_locate_bufferers_default_has_no_candidates(self, sim, buffer_host):
+        policy = NeverDiscardPolicy()
+        policy.bind(buffer_host)
+        policy.on_receive(msg(1))
+        assert policy.locate_bufferers(1, list(range(10))) == []
+
 
 class TestFixedTimePolicy:
     def test_discards_after_hold_time(self, sim, buffer_host):

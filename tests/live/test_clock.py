@@ -79,12 +79,42 @@ class TestScheduling:
             assert handle.pending
             handle.cancel()
             assert not handle.pending
-            assert handle.cancelled
             await clock.sleep(40.0)
             assert fired == []
+            assert not handle.pending
             assert clock.pending_events == 0
 
         run(main())
+
+    @pytest.mark.parametrize("on", ["sim", "live"])
+    def test_fired_and_cancelled_handles_both_stop_pending(self, on):
+        """On either clock a fired and a cancelled handle both read
+        ``pending`` False, only the fired one ran, and neither offers a
+        ``cancelled`` reading to tell them apart."""
+        log = []
+
+        def schedule(clock):
+            fired = clock.after(1.0, log.append, "fired")
+            cancelled = clock.after(1.0, log.append, "cancelled")
+            assert fired.pending and cancelled.pending
+            cancelled.cancel()
+            return fired, cancelled
+
+        if on == "sim":
+            sim = Simulator()
+            handles = schedule(sim)
+            sim.run()
+        else:
+            async def main():
+                clock = LiveClock(speedup=100.0)
+                scheduled = schedule(clock)
+                await clock.sleep(40.0)
+                return scheduled
+
+            handles = run(main())
+        assert [handle.pending for handle in handles] == [False, False]
+        assert log == ["fired"]
+        assert not any(hasattr(handle, "cancelled") for handle in handles)
 
     def test_past_deadline_clamps_instead_of_raising(self):
         """The one deliberate divergence from the simulator (which

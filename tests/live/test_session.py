@@ -332,6 +332,26 @@ class TestSharded:
 
 
 class TestSnapshots:
+    def test_snapshot_and_summary_do_not_need_retained_records(self):
+        """The delivery tally, the makespan and the playout keys come
+        from the log's tallies and pure subscribers, not from records."""
+        readings = {}
+        for keep_trace in (True, False):
+            base = small_spec(playout=PlayoutSpec(kind="cbr", interval=20.0,
+                                                  startup_delay=50.0))
+            spec = base.with_(measurement=dataclasses.replace(
+                base.measurement, keep_trace=keep_trace))
+            session = run(run_spec_live(spec, speedup=20.0))
+            assert bool(session.trace.records) == keep_trace
+            summary = session.summary()
+            keys = sorted(key for key in summary
+                          if key.startswith(("makespan_", "playout_", "frames_", "rebuffer_")))
+            readings[keep_trace] = (session.snapshot().delivered_total, keys)
+        assert readings[False] == readings[True]
+        delivered, keys = readings[True]
+        assert delivered == 6 * 4
+        assert "makespan_session_ms" in keys and "playout_receivers" in keys
+
     def test_snapshot_reads_live_metrics(self):
         async def main():
             session = LiveSession(small_spec(), speedup=20.0)

@@ -5,13 +5,11 @@ from __future__ import annotations
 import json
 
 from repro.metrics.snapshot import (
-    DeliveryCounter,
     MetricsSnapshot,
     long_term_buffered,
     take_snapshot,
 )
 from repro.scenario.registry import get_scenario
-from repro.sim import TraceLog
 
 
 def built_group():
@@ -19,17 +17,6 @@ def built_group():
     built = get_scenario("initial_holders").build()
     built.run()
     return built.simulation
-
-
-class TestDeliveryCounter:
-    def test_counts_member_received_without_retaining_records(self):
-        trace = TraceLog(keep_records=False)
-        counter = DeliveryCounter(trace)
-        trace.emit(1.0, "member_received", node=1, seq=1)
-        trace.emit(2.0, "buffer_add", node=1, seq=1)
-        trace.emit(3.0, "member_received", node=2, seq=1)
-        assert counter.count == 2
-        assert trace.records == []
 
 
 class TestTakeSnapshot:

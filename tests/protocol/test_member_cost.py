@@ -68,13 +68,12 @@ class TestEventsShareInstants:
         built = build_scenario(dataclasses.replace(spec, policy=policy))
         simulation = built.simulation
         sim = simulation.sim
-        queue = sim._queue
         policies = [member.policy for member in simulation.members.values()]
         # Mid-stream: idle timers armed, session and data events queued.
         simulation.run(until=60.0)
         idle = self.clocks(policies, long_term=False)
-        assert len(queue._times) > 1 and idle
-        assert all(type(time) is float for time in queue._times)
+        assert len(sim._times) > 1 and idle
+        assert all(type(time) is float for time in sim._times)
         self.assert_bound_to_the_policy(idle)
         built.run()
         # Every copy's idle clock expires (5,000 buffer_idle records), yet
@@ -84,7 +83,7 @@ class TestEventsShareInstants:
         copies = simulation.trace.count("buffer_add")
         assert copies == simulation.trace.count("buffer_idle") == 5_000
         assert sim.events_fired < copies
-        assert all(type(time) is float for time in queue._times)
+        assert all(type(time) is float for time in sim._times)
         assert not self.clocks(policies, long_term=False)
         ttl = self.clocks(policies, long_term=True)
         assert ttl

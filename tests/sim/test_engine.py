@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from repro.sim import SimulationError, Simulator, events
+from repro.sim import SimulationError, Simulator, engine
 
 
 class TestScheduling:
@@ -88,13 +88,12 @@ class TestCompactionFromAt:
         doomed = [sim.at(1.0, lambda: None) for _ in range(6)]
         for event in doomed[:4]:
             event.cancel()
-        queue = sim._queue
         sim.at(1.0, lambda: None)
-        assert queue.dead_count == 4  # below COMPACT_MIN_DEAD
-        with mock.patch.object(events, "COMPACT_MIN_DEAD", 2):
+        assert sim._dead == 4  # below COMPACT_MIN_DEAD
+        with mock.patch.object(engine, "COMPACT_MIN_DEAD", 2):
             sim.at(1.0, lambda: None)
-        assert queue.dead_count == 0
-        assert len(queue) == sim.pending_events == 4
+        assert sim._dead == 0
+        assert sim._size == sim.pending_events == 4
 
 
 class TestRun:
@@ -248,7 +247,7 @@ class TestPost:
         sim.post(1.0, deliver, ["a"])
         sim.run()
         assert batches == [["a"], ["b"]] and sim.events_fired == 2
-        assert sim._queue._posts == {}  # retired with the instant
+        assert sim._posts == {}  # retired with the instant
 
 
 class TestDeterminism:

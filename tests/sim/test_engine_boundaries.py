@@ -1,4 +1,4 @@
-"""Boundary semantics of Simulator.run(max_events=...), EventQueue
+"""Boundary semantics of Simulator.run(max_events=...), queue
 cancellation and non-finite firing times, including under the
 process-pool backend (engine state must never leak across trials that
 share a worker process)."""
@@ -7,7 +7,7 @@ import pytest
 
 from repro.runner import ProcessPoolBackend, SerialBackend, SweepSpec
 from repro.runner._testing import trial_engine_exercise
-from repro.sim import EventQueue, Simulator
+from repro.sim import Simulator
 from repro.sim.engine import SimulationError, total_events_fired
 
 
@@ -112,38 +112,31 @@ class TestNonFiniteTimes:
         self.refused(sim, lambda: sim.at_reserved(time, sim.reserve_seq(), lambda: None))
 
 
-class TestEventQueueCancellation:
-    def test_pop_skips_cancelled_runs(self):
-        queue = EventQueue()
+class TestQueueCancellation:
+    def test_step_skips_cancelled_runs(self):
         sim = Simulator()
         events = [sim.at(float(i), lambda: None) for i in range(6)]
-        for event in events:
-            queue.push(event)
         for event in events[:3]:
             event.cancel()
-        assert queue.pop() is events[3]
-        assert queue.live_count() == 2
+        assert sim.step() and sim.now == events[3].time
+        assert not events[3].pending
+        assert sim.pending_events == 2
 
-    def test_peek_time_prunes_dead_prefix(self):
-        queue = EventQueue()
+    def test_next_time_prunes_dead_prefix(self):
         sim = Simulator()
         early = sim.at(1.0, lambda: None)
-        late = sim.at(2.0, lambda: None)
-        queue.push(early)
-        queue.push(late)
+        sim.at(2.0, lambda: None)
         early.cancel()
-        assert queue.peek_time() == 2.0
-        assert len(queue) == 1  # the dead entry was dropped during peek
+        assert sim._head() is not None and sim._times[0] == 2.0
+        assert sim._size == 1  # the dead entry was dropped on the way
 
     def test_cancel_all_empties(self):
-        queue = EventQueue()
         sim = Simulator()
         events = [sim.at(float(i), lambda: None) for i in range(4)]
         for event in events:
-            queue.push(event)
             event.cancel()
-        assert queue.pop() is None
-        assert queue.peek_time() is None
+        assert sim.step() is False
+        assert sim._head() is None and sim.now == 0.0
 
 
 def _engine_sweep(seeds):

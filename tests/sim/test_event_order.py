@@ -31,9 +31,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.sim import Simulator, Timer, events
+from repro.sim import Simulator, Timer, engine
 from repro.sim.engine import SimulationError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 
 
 class _Handle:
@@ -284,7 +284,7 @@ def drive(sim, program):
 
 @given(programs)
 def test_fires_in_time_seq_order_like_a_plain_list(program):
-    with mock.patch.object(events, "COMPACT_MIN_DEAD", 1):
+    with mock.patch.object(engine, "COMPACT_MIN_DEAD", 1):
         log, states = drive(Simulator(), program)
     expected_log, expected_states = drive(ListSimulator(), program)
     assert log == expected_log
@@ -330,7 +330,7 @@ def _post_example(*script):
 @example(_post_example(("timer_start", 0, 3.0), ("timer_start", 1, 3.0), ("timer_cancel", 0),
                        ("timer_start", 1, 1.0), ("timer_start", 2, 3.0)))
 def test_posts_fire_like_one_event_per_item(program):
-    with mock.patch.object(events, "COMPACT_MIN_DEAD", 1):
+    with mock.patch.object(engine, "COMPACT_MIN_DEAD", 1):
         states, fired = drive_posts(Simulator(), program)
     expected_states, expected_fired = drive_posts(ListSimulator(), program)
     assert states == expected_states
@@ -356,7 +356,6 @@ def test_a_batch_whose_timers_are_all_cancelled_is_cancelled():
 class TestCompactionMidBucket:
     def test_compaction_from_a_callback_keeps_the_rest_of_the_instant(self):
         sim = Simulator()
-        queue = sim._queue
         log = []
         handles = {}
 
@@ -369,10 +368,10 @@ class TestCompactionMidBucket:
                 for doomed in range(50, 400):
                     if doomed % 4:
                         handles[doomed].cancel()
-                assert queue.dead_count > events.COMPACT_MIN_DEAD
+                assert sim._dead > engine.COMPACT_MIN_DEAD
                 handles[400] = sim.at(sim.now, fire, 400)
-                assert queue.dead_count == 0
-                assert len(queue) == sim.pending_events
+                assert sim._dead == 0
+                assert sim._size == sim.pending_events
 
         for ident in range(400):
             handles[ident] = sim.at(1.0 if ident < 200 else 2.0, fire, ident)
@@ -381,7 +380,7 @@ class TestCompactionMidBucket:
         at_one = [ident for ident in survivors if ident < 200]
         at_two = [ident for ident in survivors if ident >= 200]
         assert log == list(range(50)) + at_one + [400] + at_two
-        assert sim.pending_events == 0 and len(queue) == 0
+        assert sim.pending_events == 0 and sim._size == 0
 
     def test_ten_thousand_cancelled_singletons_are_released(self):
         gc.collect()
@@ -390,48 +389,15 @@ class TestCompactionMidBucket:
         handles = [sim.at(float(index + 1), lambda: None) for index in range(10_000)]
         for handle in handles:
             handle.cancel()
-        sim._queue.compact()
+        sim._compact()
         del handles, handle
         gc.collect()
         assert sum(type(obj) is Event for obj in gc.get_objects()) - before < 10
-        assert len(sim._queue) == 0 and sim.pending_events == 0
+        assert sim._size == 0 and sim.pending_events == 0
         # The emptied buckets are retired as the clock passes them.
         sim.at(20_000.0, lambda: None)
         assert sim.run() == 20_000.0
-        assert sim._queue._buckets == {} and sim._queue._times == []
-
-
-class TestClear:
-    def test_clear_forgets_every_instant(self):
-        queue = EventQueue()
-        kept = [Event(1.0, seq, lambda: None) for seq in (1, 2, 3)]
-        for event in kept:
-            queue.push(event)
-        kept[0].cancel()
-        queue.clear()
-        assert len(queue) == 0 and queue.live_count() == 0 and queue.dead_count == 0
-        assert queue.pop() is None and queue.peek_time() is None
-        kept[1].cancel()  # no longer this queue's: accounting untouched
-        assert queue.dead_count == 0
-        again = Event(1.0, 4, lambda: None)
-        queue.push(again)
-        assert queue.pop() is again
-
-    def test_clear_from_a_callback_ends_the_run(self):
-        sim = Simulator()
-        log = []
-
-        def fire(ident):
-            log.append(ident)
-            if ident == 1:
-                sim._queue.clear()
-
-        for ident in range(4):
-            sim.at(1.0, fire, ident)
-        sim.at(2.0, fire, 4)
-        assert sim.run() == 1.0
-        assert log == [0, 1]
-        assert sim.pending_events == 0
+        assert sim._buckets == {} and sim._times == []
 
 
 def test_a_reserved_seq_redeemed_for_now_fires_before_newer_events():

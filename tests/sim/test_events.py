@@ -1,8 +1,9 @@
-"""Unit tests for the event primitives."""
+"""Unit tests for the event primitives and the simulator's queue."""
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim import Simulator
+from repro.sim.events import Event
 
 
 def make_event(time: float, seq: int, sink=None):
@@ -10,23 +11,33 @@ def make_event(time: float, seq: int, sink=None):
     return Event(time, seq, sink.append, (seq,)), sink
 
 
+def next_time(sim):
+    """The firing time of the earliest live event, or ``None``."""
+    return sim._times[0] if sim._head() is not None else None
+
+
 class TestEvent:
     def test_new_event_is_pending(self):
         event, _ = make_event(1.0, 1)
         assert event.pending
-        assert not event.cancelled
 
     def test_cancel_marks_event(self):
-        event, _ = make_event(1.0, 1)
+        event, sink = make_event(1.0, 1)
         event.cancel()
-        assert event.cancelled
         assert not event.pending
+        event._fire()
+        assert sink == []
 
     def test_cancel_is_idempotent(self):
-        event, _ = make_event(1.0, 1)
+        sim = Simulator()
+        log = []
+        event = sim.at(1.0, log.append, "a")
         event.cancel()
         event.cancel()
-        assert event.cancelled
+        assert not event.pending
+        assert sim._dead == 1 and sim.pending_events == 0
+        sim.run()
+        assert log == []
 
     def test_cancel_releases_callback_references(self):
         event, _ = make_event(1.0, 1)
@@ -52,137 +63,120 @@ class TestEvent:
         assert sink == [42]
 
 
-class TestEventQueue:
-    def test_pop_empty_returns_none(self):
-        queue = EventQueue()
-        assert queue.pop() is None
+class TestQueue:
+    """The simulator's queue, driven through its public scheduling calls."""
 
-    def test_pop_returns_earliest(self):
-        queue = EventQueue()
-        a, _ = make_event(5.0, 1)
-        b, _ = make_event(3.0, 2)
-        queue.push(a)
-        queue.push(b)
-        assert queue.pop() is b
-        assert queue.pop() is a
+    def test_step_on_empty_returns_false(self):
+        assert Simulator().step() is False
 
-    def test_same_time_pops_in_schedule_order(self):
-        queue = EventQueue()
-        first, _ = make_event(1.0, 1)
-        second, _ = make_event(1.0, 2)
-        queue.push(second)
-        queue.push(first)
-        assert queue.pop() is first
-        assert queue.pop() is second
+    def test_step_fires_earliest(self):
+        sim = Simulator()
+        log = []
+        sim.at(5.0, log.append, "a")
+        sim.at(3.0, log.append, "b")
+        assert sim.step() and log == ["b"]
+        assert sim.step() and log == ["b", "a"]
 
-    def test_pop_skips_cancelled(self):
-        queue = EventQueue()
-        a, _ = make_event(1.0, 1)
-        b, _ = make_event(2.0, 2)
-        queue.push(a)
-        queue.push(b)
+    def test_same_time_fires_in_seq_order(self):
+        sim = Simulator()
+        log = []
+        first = sim.reserve_seq()
+        sim.at(1.0, log.append, "second")
+        # The older seq is queued behind a newer one: it must be sorted in.
+        sim.at_reserved(1.0, first, log.append, "first")
+        assert sim.step() and sim.step()
+        assert log == ["first", "second"]
+
+    def test_step_skips_cancelled(self):
+        sim = Simulator()
+        log = []
+        a = sim.at(1.0, log.append, "a")
+        sim.at(2.0, log.append, "b")
         a.cancel()
-        assert queue.pop() is b
+        assert sim.step()
+        assert log == ["b"] and sim.now == 2.0
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        a, _ = make_event(1.0, 1)
-        b, _ = make_event(2.0, 2)
-        queue.push(a)
-        queue.push(b)
+    def test_next_time_skips_cancelled(self):
+        sim = Simulator()
+        a = sim.at(1.0, lambda: None)
+        sim.at(2.0, lambda: None)
         a.cancel()
-        assert queue.peek_time() == pytest.approx(2.0)
+        assert next_time(sim) == pytest.approx(2.0)
 
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
+    def test_next_time_empty(self):
+        assert next_time(Simulator()) is None
 
-    def test_live_count_excludes_cancelled(self):
-        queue = EventQueue()
-        events = [make_event(float(i), i)[0] for i in range(5)]
-        for event in events:
-            queue.push(event)
+    def test_pending_events_excludes_cancelled(self):
+        sim = Simulator()
+        events = [sim.at(float(i), lambda: None) for i in range(5)]
         events[0].cancel()
         events[3].cancel()
-        assert queue.live_count() == 3
-        assert len(queue) == 5  # cancelled entries still occupy their buckets
-
-    def test_clear_empties_queue(self):
-        queue = EventQueue()
-        queue.push(make_event(1.0, 1)[0])
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.pop() is None
+        assert sim.pending_events == 3
+        assert sim._size == 5  # cancelled entries still occupy their buckets
 
 
 class TestCompaction:
     """Batched removal of cancelled events from the queue."""
 
-    def _fill(self, queue, count):
-        events = []
-        for seq in range(1, count + 1):
-            event = Event(float(seq), seq, lambda: None)
-            queue.push(event)
-            events.append(event)
-        return events
+    def _fill(self, sim, count, log=None):
+        sink = (lambda seq: None) if log is None else log.append
+        return [sim.at(float(seq), sink, seq) for seq in range(1, count + 1)]
 
     def test_cancel_updates_dead_and_live_counts(self):
-        queue = EventQueue()
-        events = self._fill(queue, 10)
+        sim = Simulator()
+        events = self._fill(sim, 10)
         for event in events[:4]:
             event.cancel()
-        assert queue.dead_count == 4
-        assert queue.live_count() == 6
-        assert len(queue) == 10
+        assert sim._dead == 4
+        assert sim.pending_events == 6
+        assert sim._size == 10
 
-    def test_push_compacts_when_half_dead(self):
-        queue = EventQueue()
-        events = self._fill(queue, 200)
+    def test_at_compacts_when_half_dead(self):
+        sim = Simulator()
+        events = self._fill(sim, 200)
         for event in events[:150]:  # 75% cancelled, well past the trigger
             event.cancel()
-        assert len(queue) == 200
-        queue.push(Event(999.0, 999, lambda: None))
-        # The triggering push lands on an already-compacted queue.
-        assert len(queue) == 51
-        assert queue.dead_count == 0
-        assert queue.live_count() == 51
+        assert sim._size == 200
+        sim.at(999.0, lambda: None)
+        # The triggering schedule lands on an already-compacted queue.
+        assert sim._size == 51
+        assert sim._dead == 0
+        assert sim.pending_events == 51
 
-    def test_compaction_preserves_pop_order(self):
-        queue = EventQueue()
-        events = self._fill(queue, 120)
+    def test_compaction_preserves_firing_order(self):
+        sim = Simulator()
+        log = []
+        events = self._fill(sim, 120, log)
         for event in events[::2]:  # cancel every other event
             event.cancel()
-        queue.compact()
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event.seq)
-        assert popped == [event.seq for event in events[1::2]]
+        sim._compact()
+        while sim.step():
+            pass
+        assert log == [event.seq for event in events[1::2]]
 
     def test_small_queues_never_compact(self):
-        queue = EventQueue()
-        events = self._fill(queue, 10)
+        sim = Simulator()
+        events = self._fill(sim, 10)
         for event in events:
             event.cancel()
-        queue.push(Event(99.0, 99, lambda: None))
+        sim.at(99.0, lambda: None)
         # Below COMPACT_MIN_DEAD the corpses stay until popped over.
-        assert len(queue) == 11
-        assert queue.live_count() == 1
+        assert sim._size == 11
+        assert sim.pending_events == 1
 
-    def test_cancel_after_pop_does_not_corrupt_accounting(self):
-        queue = EventQueue()
-        self._fill(queue, 5)
-        event = queue.pop()
-        event.cancel()  # already out of the queue
-        assert queue.dead_count == 0
-        assert queue.live_count() == 4
+    def test_cancel_after_firing_does_not_corrupt_accounting(self):
+        sim = Simulator()
+        events = self._fill(sim, 5)
+        assert sim.step()
+        events[0].cancel()  # already out of the queue
+        assert sim._dead == 0
+        assert sim.pending_events == 4
 
     def test_explicit_compact_is_idempotent(self):
-        queue = EventQueue()
-        events = self._fill(queue, 8)
+        sim = Simulator()
+        events = self._fill(sim, 8)
         events[0].cancel()
-        queue.compact()
-        queue.compact()
-        assert queue.dead_count == 0
-        assert queue.live_count() == 7
+        sim._compact()
+        sim._compact()
+        assert sim._dead == 0
+        assert sim.pending_events == 7

@@ -162,6 +162,7 @@ class TestPeriodicTask:
         task.start()
         sim.run(until=100.0)
         assert len(ticks) == 2
+        assert not task.running and sim.pending_events == 0
 
     def test_invalid_interval_raises(self, sim):
         with pytest.raises(ValueError):
