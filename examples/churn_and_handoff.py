@@ -15,9 +15,9 @@ imperative on the built simulation.
 Run:  python examples/churn_and_handoff.py
 """
 
-from repro.membership import attach_failure_detectors
+from repro.membership.failure_detector import attach_failure_detectors
 from repro.protocol.messages import DataMessage
-from repro.scenario import scenario
+from repro.scenario.builder import scenario
 
 
 def main() -> None:

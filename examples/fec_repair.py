@@ -17,8 +17,9 @@ the ``fec`` line:
 Run:  python examples/fec_repair.py
 """
 
-from repro.metrics import Summary, summarize_fec
-from repro.scenario import scenario
+from repro.metrics.fec import summarize_fec
+from repro.metrics.stats import Summary
+from repro.scenario.builder import scenario
 
 MESSAGES = 24
 INTERVAL = 5.0

@@ -20,7 +20,7 @@ Run:  python examples/policy_comparison.py        (~a minute)
 """
 
 from repro.experiments.ablation_policies import run_policy_comparison
-from repro.scenario import scenario
+from repro.scenario.builder import scenario
 
 
 def main() -> None:

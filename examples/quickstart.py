@@ -14,8 +14,8 @@ that reaches only 10 members — then watches three things happen:
 Run:  python examples/quickstart.py
 """
 
-from repro.metrics import Summary
-from repro.scenario import scenario
+from repro.metrics.stats import Summary
+from repro.scenario.builder import scenario
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ Run:  python examples/wan_hierarchy.py
 """
 
 from repro.protocol.messages import DataMessage
-from repro.scenario import scenario
+from repro.scenario.builder import scenario
 
 INTERESTING = (
     "loss_detected",

@@ -9,9 +9,17 @@ discrete-event simulator, a region-hierarchy network model, baseline
 buffering policies and the experiment harness that regenerates each
 figure.
 
+Each name has one import path, the module that defines it: package
+``__init__`` files re-export nothing but the seven names the perf ledger
+imports through ``repro.scenario``, ``repro.runner`` and
+``repro.experiments``.
+
 Quickstart
 ----------
->>> from repro import FixedHolderCount, PolicySpec, RrmpSimulation, single_region
+>>> from repro.net.ipmulticast import FixedHolderCount
+>>> from repro.net.topology import single_region
+>>> from repro.protocol.config import PolicySpec
+>>> from repro.protocol.rrmp import RrmpSimulation
 >>> sim = RrmpSimulation(single_region(50), config=PolicySpec(c=8.0), seed=7,
 ...                      outcome=FixedHolderCount(5))
 >>> _ = sim.sender.multicast()
@@ -20,96 +28,4 @@ Quickstart
 True
 """
 
-from repro.core import (
-    BufferPolicy,
-    FixedTimePolicy,
-    NeverDiscardPolicy,
-    NoBufferPolicy,
-    TwoPhaseBufferPolicy,
-)
-from repro.net import (
-    BernoulliOutcome,
-    ConstantLatency,
-    FixedHolderCount,
-    FixedHolders,
-    Hierarchy,
-    HierarchicalLatency,
-    PerfectOutcome,
-    RegionCorrelatedOutcome,
-    balanced_tree,
-    chain,
-    single_region,
-    star,
-)
-from repro.fec import FecBlockDecoder, FecEncoder, Gf256Codec, XorCodec, make_codec
-from repro.protocol import (
-    FEC_OFF,
-    FEC_PROACTIVE,
-    FEC_REACTIVE,
-    DataMessage,
-    FecSpec,
-    ParityMessage,
-    PolicySpec,
-    RrmpMember,
-    RrmpSender,
-    RrmpSimulation,
-)
-# NOTE: the `scenario()` builder function is deliberately NOT re-exported
-# here — a top-level `scenario` name would shadow the `repro.scenario`
-# submodule attribute.  Use ``from repro.scenario import scenario``.
-from repro.scenario import (
-    ScenarioBuilder,
-    ScenarioSpec,
-    build_scenario,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
-from repro.sim import RandomStreams, Simulator, TraceLog
-
 __version__ = "1.1.0"
-
-__all__ = [
-    "BernoulliOutcome",
-    "BufferPolicy",
-    "ConstantLatency",
-    "DataMessage",
-    "FEC_OFF",
-    "FEC_PROACTIVE",
-    "FEC_REACTIVE",
-    "FecBlockDecoder",
-    "FecEncoder",
-    "FecSpec",
-    "FixedHolderCount",
-    "FixedHolders",
-    "FixedTimePolicy",
-    "Gf256Codec",
-    "Hierarchy",
-    "HierarchicalLatency",
-    "NeverDiscardPolicy",
-    "NoBufferPolicy",
-    "ParityMessage",
-    "PerfectOutcome",
-    "PolicySpec",
-    "RandomStreams",
-    "RegionCorrelatedOutcome",
-    "RrmpMember",
-    "RrmpSender",
-    "RrmpSimulation",
-    "ScenarioBuilder",
-    "ScenarioSpec",
-    "Simulator",
-    "TraceLog",
-    "TwoPhaseBufferPolicy",
-    "XorCodec",
-    "balanced_tree",
-    "build_scenario",
-    "chain",
-    "get_scenario",
-    "make_codec",
-    "register_scenario",
-    "scenario_names",
-    "single_region",
-    "star",
-    "__version__",
-]

@@ -27,7 +27,9 @@ from typing import Dict, Optional
 
 from repro.adapt.linkstate import LinkStateEstimator
 from repro.net.topology import Hierarchy, RegionId
-from repro.sim import PeriodicTask, Simulator, TraceLog
+from repro.sim.engine import Simulator
+from repro.sim.timers import PeriodicTask
+from repro.sim.tracing import TraceLog
 
 
 class TreeOptimizer:

@@ -4,33 +4,3 @@ Formulas from §3.1/§3.2 (request-silence probability, long-term
 bufferer distribution) and mean-field models of the recovery and search
 dynamics used to sanity-check the simulator.
 """
-
-from repro.analysis.epidemic import (
-    pull_epidemic_curve,
-    pull_epidemic_rounds,
-    search_time_estimate,
-)
-from repro.analysis.formulas import (
-    bufferer_distribution_poisson,
-    bufferer_pmf_binomial,
-    bufferer_pmf_poisson,
-    expected_remote_requests,
-    prob_no_bufferer,
-    prob_no_bufferer_binomial,
-    prob_no_request,
-    prob_no_request_limit,
-)
-
-__all__ = [
-    "bufferer_distribution_poisson",
-    "bufferer_pmf_binomial",
-    "bufferer_pmf_poisson",
-    "expected_remote_requests",
-    "prob_no_bufferer",
-    "prob_no_bufferer_binomial",
-    "prob_no_request",
-    "prob_no_request_limit",
-    "pull_epidemic_curve",
-    "pull_epidemic_rounds",
-    "search_time_estimate",
-]

@@ -6,11 +6,12 @@ the ``overload_onset`` scenario documents the collapse when they do.
 This package closes the loop, in the spirit of NORM's TCP-friendly
 multicast congestion control (TFMCC):
 
-* :mod:`repro.cc.controller` — the :class:`CongestionController`
-  protocol and its two implementations, one per
+* :mod:`repro.cc.controller` — the
+  :class:`~repro.cc.controller.CongestionController` protocol and its two implementations, one per
   ``CongestionSpec.controller`` value other than ``"none"``:
-  :class:`TfmccController` (equation-based rate from the worst
-  receiver's loss/RTT feedback) and :class:`AimdController`
+  :class:`~repro.cc.controller.TfmccController` (equation-based rate from the worst
+  receiver's loss/RTT feedback) and
+  :class:`~repro.cc.controller.AimdController`
   (additive-increase / multiplicative-decrease baseline).  ``"none"``
   is the open-loop sender: no controller and no driver, the traffic
   generator's precomputed schedule, byte-identical to the historical
@@ -18,7 +19,7 @@ multicast congestion control (TFMCC):
 * :mod:`repro.cc.feedback` — receiver-side periodic
   :class:`~repro.protocol.messages.FeedbackReport` unicasts back to the
   sender (armed only when a controller is configured);
-* :mod:`repro.cc.driver` — :class:`CongestionDriver`, the clock-driven
+* :mod:`repro.cc.driver` — :class:`~repro.cc.driver.CongestionDriver`, the clock-driven
   send loop pulling arrivals from a
   :class:`~repro.workloads.traffic.TrafficGenerator` under controller
   credit, plus sender-side feedback/NACK plumbing and adaptive FEC
@@ -29,29 +30,3 @@ multicast congestion control (TFMCC):
 The same driver runs under the simulator and the live asyncio backend
 (both satisfy the ``now``/``at`` clock surface).
 """
-
-from repro.cc.controller import (
-    AimdController,
-    CongestionController,
-    TfmccController,
-    controller_for,
-    tcp_friendly_rate,
-)
-from repro.cc.driver import CongestionDriver
-from repro.cc.fairness import FairnessResult, jain_index, run_fairness_duel
-from repro.cc.feedback import FeedbackReporter, build_feedback, install_feedback_reporters
-
-__all__ = [
-    "AimdController",
-    "CongestionController",
-    "CongestionDriver",
-    "FairnessResult",
-    "FeedbackReporter",
-    "TfmccController",
-    "build_feedback",
-    "controller_for",
-    "install_feedback_reporters",
-    "jain_index",
-    "run_fairness_duel",
-    "tcp_friendly_rate",
-]

@@ -30,7 +30,8 @@ from typing import Sequence, Tuple
 from repro.cc.controller import controller_for
 from repro.protocol.config import CongestionSpec
 from repro.protocol.messages import FeedbackReport
-from repro.sim import PeriodicTask, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.timers import PeriodicTask
 
 
 def jain_index(rates: Sequence[float]) -> float:

@@ -27,7 +27,7 @@ from typing import Iterable, List, Optional
 
 from repro.net.topology import NodeId
 from repro.protocol.messages import FeedbackReport
-from repro.sim import PeriodicTask
+from repro.sim.timers import PeriodicTask
 
 #: Reporter start phases are staggered across this many slots so a big
 #: region does not synchronize its feedback into one burst per interval.

@@ -66,7 +66,9 @@ from typing import List, Optional
 from repro.experiments.quick import quick_params_for
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from repro.metrics.runreport import RunReport
-from repro.runner import ProcessPoolBackend, ResultCache, Runner, SerialBackend, using_runner
+from repro.runner.backends import ProcessPoolBackend, SerialBackend
+from repro.runner.cache import ResultCache
+from repro.runner.runner import Runner, using_runner
 from repro.scenario.registry import registered_scenarios, resolve_spec, scenario_names
 
 

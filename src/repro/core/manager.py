@@ -44,13 +44,13 @@ from repro.core.buffer import (
 from repro.core.long_term import keeps_long_term
 from repro.core.policies import BufferHost, BufferPolicy
 from repro.protocol.messages import DataMessage, Seq
-from repro.sim import Timer
+from repro.sim.timers import Timer
 
 
 class TwoPhaseBufferPolicy(BufferPolicy):
     """Feedback-based short-term + randomized long-term buffering.
 
-    Each buffered copy has at most one :class:`~repro.sim.Timer`: its
+    Each buffered copy has at most one :class:`~repro.sim.timers.Timer`: its
     idle clock while short-term, its TTL while long-term.  Parameters
     are the ``idle_threshold``, ``c`` and ``long_term_ttl`` of
     :class:`repro.protocol.config.PolicySpec`; a member given no policy
@@ -146,7 +146,7 @@ class TwoPhaseBufferPolicy(BufferPolicy):
         leaver's long-term responsibility transfers to us.  Only a
         short-term copy cancels its clock (the idle deadline) before the
         TTL starts; a long-term copy's armed TTL is restarted as is,
-        which a :class:`~repro.sim.Timer` does by pushing it back in place.
+        which a :class:`~repro.sim.timers.Timer` does by pushing it back in place.
         """
         seq = data.seq
         host = self.host

@@ -25,7 +25,8 @@ from repro.core.buffer import (
     MessageBuffer,
 )
 from repro.protocol.messages import DataMessage, Seq
-from repro.sim import Simulator, TraceLog
+from repro.sim.engine import Simulator
+from repro.sim.tracing import TraceLog
 
 
 class BufferHost(Protocol):
@@ -133,6 +134,14 @@ class BufferPolicy(ABC):
         asking anyone.  Default: no candidates, so the member runs the
         §3.3 randomized search."""
         return []
+
+    # ------------------------------------------------------------------
+    # Stability detection (the ``stability`` baseline)
+    # ------------------------------------------------------------------
+    def notify_stable(self, frontier: Seq) -> int:
+        """Every member has received every seq <= *frontier*.  Returns
+        the number of messages discarded.  Default: keep them all."""
+        return 0
 
 
 class NoBufferPolicy(BufferPolicy):

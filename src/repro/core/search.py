@@ -29,7 +29,10 @@ import random
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.protocol.messages import SearchRequest, Seq
-from repro.sim import Simulator, Timer, TraceLog, pick_other
+from repro.sim.engine import Simulator
+from repro.sim.randomness import pick_other
+from repro.sim.timers import Timer
+from repro.sim.tracing import TraceLog
 
 
 class SearchHost(Protocol):
@@ -83,7 +86,9 @@ class _SearchProcess:
             # (repair arrival) resolves the waiters instead.
             return
         limit = self.coordinator.max_rounds
-        if limit is not None and self.rounds >= limit:
+        max_time = self.coordinator.max_time
+        if ((limit is not None and self.rounds >= limit)
+                or (max_time is not None and host.sim.now - self.started_at >= max_time)):
             rounds = self.rounds
             self.coordinator._given_up.add(self.seq)
             self.coordinator._finish(self.seq)
@@ -117,20 +122,24 @@ class SearchCoordinator:
         host: SearchHost,
         timer_factor: float = 1.0,
         max_rounds: Optional[int] = None,
+        max_time: Optional[float] = None,
     ) -> None:
         self.host = host
         self.timer_factor = timer_factor
         self.max_rounds = max_rounds
+        #: Abandon a search this member joined this many ms ago, as one
+        #: past ``max_rounds``: where nobody buffers the message any more,
+        #: the searchers recruit each other for ever.
+        self.max_time = max_time
         self.rng = host.search_rng()
         self._active: Dict[Seq, _SearchProcess] = {}
         #: Messages whose search this member already abandoned after
-        #: ``max_rounds`` rounds.  Without this memory, two members that
-        #: both discarded a vanished message re-seed each other's search
-        #: forever: A's request makes B join, B's request makes A rejoin
-        #: right after A abandoned — a collective livelock the per-process
-        #: round limit cannot see (found by ``validate fuzz``).  Only
-        #: populated when ``max_rounds`` is finite, so the default
-        #: unbounded configuration behaves exactly as before.
+        #: ``max_rounds`` rounds or ``max_time`` ms.  Without this memory,
+        #: two members that both discarded a vanished message re-seed each
+        #: other's search forever: A's request makes B join, B's request
+        #: makes A rejoin right after A abandoned — a collective livelock
+        #: the per-process bound cannot see (found by ``validate fuzz``).
+        #: Populated only when one of the two bounds is set.
         self._given_up: Set[Seq] = set()
 
     # ------------------------------------------------------------------
@@ -147,8 +156,8 @@ class SearchCoordinator:
             process.waiters.update(waiters)
             return
         if seq in self._given_up:
-            # This member already searched to its round limit and gave
-            # up; re-joining on a peer's request would defeat the limit.
+            # This member already searched to its bound and gave up;
+            # re-joining on a peer's request would defeat the bound.
             return
         process = _SearchProcess(self, seq, set(waiters))
         self._active[seq] = process

@@ -33,7 +33,7 @@ from typing import Dict, Sequence
 from repro.experiments.base import run_sweeps, run_tree_baseline, seed_list
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
-from repro.runner import SweepSpec
+from repro.runner.spec import SweepSpec
 from repro.scenario.registry import get_scenario
 from repro.scenario.spec import AdaptSpec
 

@@ -33,7 +33,7 @@ from repro.cc.fairness import run_fairness_duel
 from repro.experiments.base import run_sweeps, seed_list
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
-from repro.runner import SweepSpec
+from repro.runner.spec import SweepSpec
 from repro.scenario.builder import scenario
 
 #: Controllers compared at every sweep point.

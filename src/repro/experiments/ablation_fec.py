@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.base import run_sweeps, run_tree_baseline, seed_list
 from repro.metrics.fec import summarize_fec
-from repro.runner import SweepSpec
+from repro.runner.spec import SweepSpec
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean_defined
 from repro.scenario.builder import ScenarioBuilder, scenario

@@ -25,12 +25,12 @@ invariant oracle, so the ``handoff-conservation`` and
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.experiments.base import run_sweeps, seed_list
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
-from repro.runner import SweepSpec
+from repro.runner.spec import SweepSpec
 from repro.scenario.registry import get_scenario
 from repro.scenario.spec import LossSpec, MobilitySpec, ScenarioSpec
 

@@ -7,7 +7,7 @@ benchmarks print them and EXPERIMENTS.md quotes them.
 Per-seed work lives in **top-level trial functions** — picklable
 ``(params, seed) -> JSON-serializable dict`` units — which experiments
 fan out with :func:`run_sweep` through the ambient
-:class:`repro.runner.Runner`.  The default runner executes serially
+:class:`repro.runner.runner.Runner`.  The default runner executes serially
 with no cache (the historical behaviour); the CLI installs a parallel,
 cached runner via ``--jobs`` / ``--cache-dir``.
 
@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from repro.protocol.messages import DataMessage
-from repro.runner import SweepSpec, current_runner
+from repro.runner.runner import current_runner
+from repro.runner.spec import SweepSpec
 from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.materialize import BuiltScenario, build_group, require_envelope
 from repro.scenario.spec import ScenarioSpec

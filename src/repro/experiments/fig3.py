@@ -19,7 +19,7 @@ from repro.analysis.formulas import bufferer_pmf_poisson
 from repro.core.long_term import keeps_long_term
 from repro.experiments.base import run_sweep
 from repro.metrics.report import SeriesTable
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 
 
 def sample_bufferer_counts(

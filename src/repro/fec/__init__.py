@@ -25,35 +25,3 @@ parity messages flow through the member's regular
 two-phase buffer policy, so long-term bufferers serve parity exactly
 like data.
 """
-
-from repro.fec.codec import (
-    FecDecodeError,
-    FecError,
-    Gf256Codec,
-    XorCodec,
-    make_codec,
-)
-from repro.fec.decoder import FecBlockDecoder
-from repro.fec.encoder import (
-    FecEncoder,
-    decode_payload,
-    encode_payload,
-    message_shard,
-    pad_shard,
-    shard_payload,
-)
-
-__all__ = [
-    "FecBlockDecoder",
-    "FecDecodeError",
-    "FecEncoder",
-    "FecError",
-    "Gf256Codec",
-    "XorCodec",
-    "decode_payload",
-    "encode_payload",
-    "make_codec",
-    "message_shard",
-    "pad_shard",
-    "shard_payload",
-]

@@ -4,21 +4,3 @@ The authors' earlier NGC'99 scheme, reproduced as the §3.4 comparison
 baseline: hash-selected bufferers, requester-side direct lookup, no
 search traffic, O(n) hash computation, and no story for churn handoff.
 """
-
-from repro.hashing.deterministic import (
-    HashBuffererPolicy,
-    bufferers_for,
-    hash_evaluations,
-    hash_unit,
-    is_selected,
-    reset_hash_counter,
-)
-
-__all__ = [
-    "HashBuffererPolicy",
-    "bufferers_for",
-    "hash_evaluations",
-    "hash_unit",
-    "is_selected",
-    "reset_hash_counter",
-]

@@ -13,40 +13,3 @@ multi-process node directory), and :mod:`repro.live.differential` runs
 the same spec in both worlds and compares normalized delivery digests
 under the invariant oracle.
 """
-
-from repro.live.clock import LiveClock, LiveHandle
-from repro.live.codec import (
-    CodecError,
-    decode_frame,
-    decode_message,
-    encode_frame,
-    encode_message,
-)
-from repro.live.differential import (
-    DifferentialResult,
-    delivery_digest,
-    delivery_sets,
-    run_differential,
-)
-from repro.live.runtime import Clock, Handle
-from repro.live.session import LiveSession, run_spec_live
-from repro.live.transport import LiveTransport
-
-__all__ = [
-    "Clock",
-    "CodecError",
-    "DifferentialResult",
-    "Handle",
-    "LiveClock",
-    "LiveHandle",
-    "LiveSession",
-    "LiveTransport",
-    "decode_frame",
-    "decode_message",
-    "delivery_digest",
-    "delivery_sets",
-    "encode_frame",
-    "encode_message",
-    "run_differential",
-    "run_spec_live",
-]

@@ -9,7 +9,7 @@ finishes in a quarter of a second).  All protocol timers — recovery
 rounds, idle thresholds, session heartbeats — are expressed in virtual
 time, so a scaled run exercises exactly the same schedule, compressed.
 
-Unlike :class:`repro.sim.Simulator`, which raises on scheduling in the
+Unlike :class:`repro.sim.engine.Simulator`, which raises on scheduling in the
 past, the live clock clamps past deadlines to "fire as soon as
 possible": real time keeps moving between computing a deadline and
 scheduling it, so a hard error would turn slow hosts into crashes.
@@ -25,7 +25,7 @@ class LiveHandle:
     """A scheduled callback on a :class:`LiveClock`.
 
     Mirrors the :class:`repro.sim.events.Event` surface that
-    :class:`repro.sim.Timer` relies on: ``time``, ``seq``, ``pending``
+    :class:`repro.sim.timers.Timer` relies on: ``time``, ``seq``, ``pending``
     and ``cancel()``.  A handle that fired and one that was cancelled
     both read ``pending`` False; neither clock tells them apart.
     """
@@ -164,7 +164,7 @@ class LiveClock:
 
         The simulator merges same-instant posts into one event; here
         every post keeps its own handle, so each fires on its own
-        deadline as it always did (:class:`~repro.sim.Timer` arms
+        deadline as it always did (:class:`~repro.sim.timers.Timer` arms
         through this).
         """
         return self.at(time, callback, items)

@@ -2,11 +2,11 @@
 
 :class:`~repro.protocol.member.RrmpMember` and friends never talk to an
 event loop or a socket directly — they see a *clock* (time and one-shot
-scheduling, consumed via :class:`~repro.sim.Timer` and
-:class:`~repro.sim.PeriodicTask`) and a *transport*.  The clock is
+scheduling, consumed via :class:`~repro.sim.timers.Timer` and
+:class:`~repro.sim.timers.PeriodicTask`) and a *transport*.  The clock is
 implemented twice, so these structural protocols pin its surface down:
 
-* the discrete-event world — :class:`repro.sim.Simulator`;
+* the discrete-event world — :class:`repro.sim.engine.Simulator`;
 * the live world — :class:`repro.live.clock.LiveClock`.
 
 The transport is implemented once: :class:`repro.net.transport.Network`
@@ -23,11 +23,11 @@ Semantics both implementations honour
 * ``after``/``at`` return a cancellable handle; a cancelled handle
   never fires and stops counting as pending.
 * ``post(time, callback, items)`` schedules ``callback(items)`` and
-  returns the handle the items ride; :class:`repro.sim.Timer` arms
+  returns the handle the items ride; :class:`repro.sim.timers.Timer` arms
   through it.  The simulator merges same-instant posts into one event;
   the live clock gives every post its own handle.
 * ``reserve_seq``/``at_reserved`` support the in-place re-arm of
-  :class:`repro.sim.Timer`: a reservation burns one scheduling slot and
+  :class:`repro.sim.timers.Timer`: a reservation burns one scheduling slot and
   ``at_reserved`` schedules under it.  The simulator uses the sequence
   for same-time tie-breaking; real time has no simultaneous events, so
   the live clock only preserves the call contract.

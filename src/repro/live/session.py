@@ -41,7 +41,6 @@ from typing import Dict, Optional, Set
 
 from repro.live.clock import LiveClock
 from repro.live.transport import Address, LiveTransport
-from repro.metrics.makespan import MakespanTracker
 from repro.metrics.snapshot import MetricsSnapshot, take_snapshot
 from repro.net.topology import NodeId
 from repro.protocol.member import RrmpMember
@@ -54,7 +53,8 @@ from repro.scenario.materialize import (
     require_envelope,
 )
 from repro.scenario.spec import ScenarioSpec
-from repro.sim import RandomStreams, TraceLog
+from repro.sim.randomness import RandomStreams
+from repro.sim.tracing import TraceLog
 
 #: How often quiescence is polled, in real seconds.
 _QUIESCENCE_POLL_S = 0.005
@@ -145,11 +145,6 @@ class LiveSession(MemberGroup):
     def message_count(self) -> int:
         """Messages sent so far by the installed workload."""
         return self.built.message_count
-
-    @property
-    def makespan(self) -> Optional[MakespanTracker]:
-        """The installed delivery-span tracker (``None`` before start)."""
-        return self.built.makespan
 
     async def start(self) -> Address:
         """Open the socket, build local members, install the workload.
@@ -246,7 +241,7 @@ class LiveSession(MemberGroup):
     # ------------------------------------------------------------------
     def snapshot(self, previous: Optional[MetricsSnapshot] = None) -> MetricsSnapshot:
         """Current metrics sample (see :mod:`repro.metrics.snapshot`)."""
-        return take_snapshot(self, previous)
+        return take_snapshot(self.built, previous)
 
     def summary(self) -> dict:
         """Headline metrics: ``BuiltScenario.summary()`` plus the live

@@ -44,7 +44,7 @@ from repro.net.loss import LossModel
 from repro.net.packet import Packet, make_packet
 from repro.net.topology import NodeId
 from repro.net.transport import Network
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 
 Address = Tuple[str, int]
 

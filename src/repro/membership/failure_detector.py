@@ -22,7 +22,7 @@ from repro.net.packet import KIND_CONTROL
 from repro.net.topology import NodeId
 from repro.protocol.member import RrmpMember
 from repro.protocol.messages import CONTROL_WIRE_SIZE
-from repro.sim import PeriodicTask
+from repro.sim.timers import PeriodicTask
 
 
 @dataclass(frozen=True)

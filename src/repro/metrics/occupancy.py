@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.metrics.timeseries import StepSeries
-from repro.sim import PeriodicTask, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.timers import PeriodicTask
 
 
 class OccupancyProbe:

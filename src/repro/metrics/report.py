@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Union
+from typing import Any, Dict, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -71,10 +71,6 @@ class SeriesTable:
         parts.extend(f"note: {note}" for note in self.notes)
         return "\n".join(parts)
 
-    # ------------------------------------------------------------------
-    # JSON round trip — the interchange format shared by the sweep
-    # runner's result cache, benchmark artifacts and the CLI.
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """A plain-dict form preserving series insertion order."""
         return {
@@ -84,29 +80,6 @@ class SeriesTable:
             "series": {name: list(values) for name, values in self.series.items()},
             "notes": list(self.notes),
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SeriesTable":
-        """Rebuild a table from :meth:`to_dict` output."""
-        table = cls(
-            title=payload["title"],
-            x_label=payload["x_label"],
-            xs=list(payload["xs"]),
-            notes=list(payload.get("notes", ())),
-        )
-        for name, values in payload.get("series", {}).items():
-            table.add_series(name, values)
-        return table
-
-    def to_json(self, indent: "int | None" = None) -> str:
-        """Lossless JSON serialization (NaN/Infinity use JSON5-style
-        literals, which :func:`json.loads` accepts back)."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeriesTable":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON form — a stable fingerprint two

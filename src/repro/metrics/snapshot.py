@@ -2,7 +2,7 @@
 
 The experiment harness measures a run after the fact, from its trace;
 a live deployment needs the same headline numbers *while it runs*.
-:func:`take_snapshot` reads them off any wired member group (simulated
+:func:`take_snapshot` reads them off any built scenario (simulated
 or live) without touching protocol state, and chains snapshots so rate
 quantities (goodput) come out per interval rather than cumulative.
 
@@ -54,13 +54,16 @@ def long_term_buffered(group) -> int:
     return sum(member.policy.buffer.long_term_count for member in group.alive_members())
 
 
-def take_snapshot(group, previous: Optional[MetricsSnapshot] = None) -> MetricsSnapshot:
-    """Sample *group* (an :class:`~repro.protocol.rrmp.MemberGroup`).
+def take_snapshot(built, previous: Optional[MetricsSnapshot] = None) -> MetricsSnapshot:
+    """Sample the group of *built* (a
+    :class:`~repro.scenario.materialize.BuiltScenario`), with the
+    makespan and playout trackers it installed.
 
     *previous* — the last snapshot of the same group — turns
     ``goodput_msgs_per_s`` into a per-interval rate; without it the
     rate is computed over the whole run so far.
     """
+    group = built.simulation
     now = group.sim.now
     # The log tallies every record it emits, retained or not.
     delivered = group.trace.count("member_received")
@@ -72,9 +75,9 @@ def take_snapshot(group, previous: Optional[MetricsSnapshot] = None) -> MetricsS
         delta_msgs = delivered
         delta_ms = now
     goodput = (delta_msgs / (delta_ms / 1000.0)) if delta_ms > 0 else 0.0
-    tracker = getattr(group, "makespan", None)
+    tracker = built.makespan
     makespan_ms = tracker.session_makespan() if tracker is not None else 0.0
-    rebuffer = getattr(group, "rebuffer_tracker", None)
+    rebuffer = built.rebuffer
     return MetricsSnapshot(
         time_ms=now,
         alive_members=len(group.alive_members()),

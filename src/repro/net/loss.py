@@ -43,6 +43,10 @@ class LossModel(ABC):
         """
         return True
 
+    def bind_clock(self, clock) -> None:
+        """Attach the run's clock; the owning transport calls this once.
+        Default: nothing, for models that do not read the time."""
+
 
 def _data_only(model: LossModel, kind: str) -> bool:
     """``drops`` of the models that keep control traffic reliable."""

@@ -61,7 +61,7 @@ class Region:
 
     def peers_of(self, node_id: NodeId) -> Tuple[Tuple[NodeId, ...], int]:
         """``(member_ids(), position of node_id in it)``, the input of
-        an O(1) neighbour pick (:func:`repro.sim.pick_other`)."""
+        an O(1) neighbour pick (:func:`repro.sim.randomness.pick_other`)."""
         members, positions = self._current_view()
         return members, positions[node_id]
 

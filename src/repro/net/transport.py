@@ -29,7 +29,7 @@ for a fan-out).  :class:`repro.live.transport.LiveTransport` is the
 subclass whose last step is a UDP socket.
 
 Here a destination routes to its registered endpoint, and every
-delivery is handed to :meth:`repro.sim.Simulator.post`, so all packets
+delivery is handed to :meth:`repro.sim.engine.Simulator.post`, so all packets
 that arrive at one instant, from any number of sends, ride one engine
 event (:meth:`Network._deliver_batch`) in the order one event per
 packet would have fired them.
@@ -44,7 +44,8 @@ from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import KIND_CONTROL, Packet, make_packet
 from repro.net.topology import NodeId
-from repro.sim import RandomStreams, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
 
 
 class Endpoint(Protocol):
@@ -117,9 +118,7 @@ class Network:
         self.sim = sim
         self.latency = latency
         self.loss = loss if loss is not None else NoLoss()
-        bind_clock = getattr(self.loss, "bind_clock", None)
-        if bind_clock is not None:
-            bind_clock(sim)  # rate-sensitive models need a time source
+        self.loss.bind_clock(sim)  # rate-sensitive models need a time source
         if streams is None:  # not ``or``: a factory with no stream yet is falsy
             streams = RandomStreams(0)
         self._loss_rng = streams.stream("net", "loss")

@@ -151,7 +151,7 @@ class CongestionSpec:
     * ``aimd`` — additive-increase / multiplicative-decrease baseline.
 
     The scenario installs it (``ScenarioSpec.congestion``) as the
-    sender's :class:`~repro.cc.CongestionDriver`.
+    sender's :class:`~repro.cc.driver.CongestionDriver`.
     """
 
     controller: str = CC_NONE
@@ -276,7 +276,9 @@ class PolicySpec:
 
     #: Give-up deadline for a recovery, measured from loss detection;
     #: crossing it records a reliability violation (§5 discusses the
-    #: small residual violation probability).  ``None`` retries forever.
+    #: small residual violation probability).  It also bounds each §3.3
+    #: search a member runs, from when that member joined it.  ``None``
+    #: retries and searches forever.
     max_recovery_time: Optional[float] = None
 
     #: Safety valve for degenerate configurations (e.g. nobody buffers

@@ -52,7 +52,9 @@ from repro.protocol.messages import (
     SessionMessage,
 )
 from repro.protocol.recovery import RecoveryProcess
-from repro.sim import RandomStreams, Simulator, TraceLog
+from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
+from repro.sim.tracing import TraceLog
 
 #: ``via`` values for message arrival paths (trace field and behaviour
 #: switch: only remote arrivals trigger a regional re-multicast).
@@ -113,7 +115,8 @@ class RrmpMember:
         self.policy = build_policy(config)
         self.policy.bind(self)
         self.search = SearchCoordinator(
-            self, timer_factor=config.timer_factor, max_rounds=config.max_search_rounds
+            self, timer_factor=config.timer_factor, max_rounds=config.max_search_rounds,
+            max_time=config.max_recovery_time,
         )
         self.gap = GapTracker()
         self.recoveries: Dict[Seq, RecoveryProcess] = {}

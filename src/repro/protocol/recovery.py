@@ -32,7 +32,10 @@ from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.protocol.config import PolicySpec
 from repro.protocol.messages import LocalRequest, RemoteRequest, Seq
-from repro.sim import Event, Simulator, TraceLog, pick_other
+from repro.sim.engine import Simulator
+from repro.sim.events import Event
+from repro.sim.randomness import pick_other
+from repro.sim.tracing import TraceLog
 
 
 class RecoveryHost(Protocol):

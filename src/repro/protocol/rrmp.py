@@ -4,7 +4,10 @@
 sender for a given hierarchy, wiring every component to one master
 seed.  It is the main entry point of the public API::
 
-    from repro import FixedHolderCount, PolicySpec, RrmpSimulation, single_region
+    from repro.net.ipmulticast import FixedHolderCount
+    from repro.net.topology import single_region
+    from repro.protocol.config import PolicySpec
+    from repro.protocol.rrmp import RrmpSimulation
 
     sim = RrmpSimulation(single_region(100), seed=42,
                          config=PolicySpec(kind="fixed_time", hold_time=100.0),
@@ -31,7 +34,9 @@ from repro.protocol.config import FecSpec, PolicySpec
 from repro.protocol.member import RrmpMember
 from repro.protocol.messages import Seq
 from repro.protocol.sender import RrmpSender
-from repro.sim import RandomStreams, Simulator, TraceLog
+from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
+from repro.sim.tracing import TraceLog
 
 
 def default_sender_node(hierarchy: Hierarchy) -> NodeId:
@@ -55,7 +60,7 @@ class MemberGroup:
     network) and :class:`repro.live.session.LiveSession` (members over
     asyncio UDP).  Implementations provide ``members`` (dict of
     :class:`~repro.protocol.member.RrmpMember`), ``trace`` (a
-    :class:`~repro.sim.TraceLog`), ``network`` (anything with a
+    :class:`~repro.sim.tracing.TraceLog`), ``network`` (anything with a
     ``stats`` :class:`~repro.net.transport.NetworkStats`) and — for
     building members — ``sim`` (the clock), ``hierarchy``, ``config``
     (a ``PolicySpec``, whose ``kind`` names each member's buffer

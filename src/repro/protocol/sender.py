@@ -34,7 +34,7 @@ from repro.protocol.messages import (
     Seq,
     SessionMessage,
 )
-from repro.sim import PeriodicTask
+from repro.sim.timers import PeriodicTask
 
 
 class RrmpSender:

@@ -1,45 +1,17 @@
 """Declarative sweep runner (parallel trial execution + result cache).
 
-Experiments describe their work as :class:`TrialSpec` /
-:class:`SweepSpec` values — picklable ``(experiment id, params, seed)``
-units — and submit them to the ambient :class:`Runner`, which executes
-them on a pluggable backend (:class:`SerialBackend` or
-:class:`ProcessPoolBackend`) through an on-disk :class:`ResultCache`.
+Experiments describe their work as :class:`~repro.runner.spec.TrialSpec`
+/ :class:`~repro.runner.spec.SweepSpec` values — picklable
+``(experiment id, params, seed)`` units — and submit them to the
+ambient :class:`~repro.runner.runner.Runner`, which executes them on a
+pluggable backend (:class:`~repro.runner.backends.SerialBackend` or
+:class:`~repro.runner.backends.ProcessPoolBackend`) through an on-disk
+:class:`~repro.runner.cache.ResultCache`.
 Reduction happens in spec order, so ``--jobs N`` is byte-identical to
 serial execution at equal seeds.
 """
 
-from repro.runner.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    TrialOutcome,
-    execute_trial,
-)
-from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
-from repro.runner.runner import Runner, RunnerStats, current_runner, using_runner
-from repro.runner.spec import (
-    CACHE_SCHEMA_VERSION,
-    SweepSpec,
-    TrialSpec,
-    canonical_params,
-    trial_name,
-)
-
-__all__ = [
-    "CACHE_DIR_ENV",
-    "CACHE_SCHEMA_VERSION",
-    "ProcessPoolBackend",
-    "ResultCache",
-    "Runner",
-    "RunnerStats",
-    "SerialBackend",
-    "SweepSpec",
-    "TrialOutcome",
-    "TrialSpec",
-    "canonical_params",
-    "current_runner",
-    "default_cache_dir",
-    "execute_trial",
-    "trial_name",
-    "using_runner",
-]
+# benchmarks/ledger/workloads.py imports SerialBackend from this package.
+from repro.runner.backends import SerialBackend  # noqa: F401
+# benchmarks/ledger/workloads.py imports these two from this package.
+from repro.runner.runner import Runner, using_runner  # noqa: F401

@@ -110,7 +110,7 @@ class Runner:
         flat = self.run(all_specs)
         grouped: List[List[List[Any]]] = []
         for sweep, offset in zip(sweeps, offsets):
-            count = len(sweep.grid) * len(sweep.derived_seeds())
+            count = len(sweep.grid) * len(sweep.seeds)
             grouped.append(sweep.group(flat[offset:offset + count]))
         return grouped
 

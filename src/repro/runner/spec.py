@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 import repro
-from repro.sim.randomness import derive_seed
 
 #: Bump when the meaning of cached trial results changes (new fields,
 #: changed units, renamed metrics) so stale on-disk entries are ignored.
@@ -100,32 +99,17 @@ class SweepSpec:
     """A parameter grid × seed list, fanned into :class:`TrialSpec` units.
 
     ``grid`` is a sequence of parameter dicts (one per sweep point);
-    every point runs once per seed.  ``seed_salt``, when set, derives a
-    per-sweep seed list from the nominal seeds via the same SHA-based
-    :func:`repro.sim.randomness.derive_seed` the protocol streams use —
-    for sweeps that must not share seeds with other sweeps.  The default
-    (no salt) uses the seeds as given, matching the historical
-    ``seed_list`` behaviour of every experiment.
+    every point runs once per seed, as given.
     """
 
     experiment_id: str
     trial: TrialFn
     grid: Sequence[Dict[str, Any]]
     seeds: Sequence[int]
-    seed_salt: "str | None" = field(default=None)
-
-    def derived_seeds(self) -> List[int]:
-        """The concrete per-point seed list after derivation."""
-        if self.seed_salt is None:
-            return [int(seed) for seed in self.seeds]
-        return [
-            derive_seed(int(seed), (self.experiment_id, self.seed_salt))
-            for seed in self.seeds
-        ]
 
     def trials(self) -> List[TrialSpec]:
         """Fan out: grid-major, seed-minor, deterministic order."""
-        seeds = self.derived_seeds()
+        seeds = [int(seed) for seed in self.seeds]
         return [
             TrialSpec(self.experiment_id, self.trial, dict(params), seed)
             for params in self.grid
@@ -134,7 +118,7 @@ class SweepSpec:
 
     def group(self, results: Sequence[Any]) -> List[List[Any]]:
         """Chunk flat trial results back into one list per grid point."""
-        per_point = len(self.derived_seeds())
+        per_point = len(self.seeds)
         expected = per_point * len(self.grid)
         if len(results) != expected:
             raise ValueError(

@@ -7,13 +7,14 @@ event granularity for per-*(region, message)* aggregate events over
 numpy column state, which is what lets one machine reach
 100,000 members (see EXPERIMENTS.md "Mega-scale methodology"):
 
-* :mod:`repro.scale.pool` — :class:`FlatMemberPool`, the member state
+* :mod:`repro.scale.pool` — :class:`~repro.scale.pool.FlatMemberPool`, the member state
   as one column per (region, message): receipt/buffer/long-term/give-up
   bitmaps while the column is open, its long-term holders once closed;
-* :mod:`repro.scale.engine` — :class:`FlatShard`, the region-sharded
+* :mod:`repro.scale.engine` — :class:`~repro.scale.engine.FlatShard`, the region-sharded
   flat engine with epoch-barrier synchronization, plus
-  :func:`run_flat` (serial, in-process sharded, or one OS process per
-  shard) and the order-independent :class:`CommutativeTraceDigest`.
+  :func:`~repro.scale.engine.run_flat` (serial, in-process sharded, or one OS process per
+  shard) and the order-independent
+  :class:`~repro.scale.engine.CommutativeTraceDigest`.
 
 The named workloads of this tier (``scale_10k``, ``scale_100k``) live in
 the one scenario registry (:mod:`repro.scenario.library`, registered
@@ -21,19 +22,3 @@ with ``engine="flat"``); ``--shards`` on ``scenarios run`` partitions
 their regions across flat engines and is refused for object-engine
 scenarios, which have no sharded mode.
 """
-
-from repro.scale.engine import (
-    CommutativeTraceDigest,
-    FlatRunResult,
-    FlatShard,
-    run_flat,
-)
-from repro.scale.pool import FlatMemberPool
-
-__all__ = [
-    "CommutativeTraceDigest",
-    "FlatMemberPool",
-    "FlatRunResult",
-    "FlatShard",
-    "run_flat",
-]

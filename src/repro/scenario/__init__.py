@@ -4,11 +4,13 @@ The package makes the implicit experiment tuple — topology × traffic ×
 loss × churn × buffer policy — a first-class, serializable value:
 
 * :mod:`repro.scenario.spec` — the frozen dataclass tree
-  (:class:`ScenarioSpec` and its sub-specs, each field declared once)
-  with JSON/pickle round trips and a stable digest;
-* :mod:`repro.scenario.builder` — the fluent :func:`scenario` builder,
-  whose verbs take the nodes' own field names;
-* :mod:`repro.scenario.materialize` — :func:`build_scenario`, turning
+  (:class:`~repro.scenario.spec.ScenarioSpec` and its sub-specs, each
+  field declared once) with JSON/pickle round trips and a stable digest;
+* :mod:`repro.scenario.builder` — the fluent
+  :func:`~repro.scenario.builder.scenario` builder, whose verbs take the
+  nodes' own field names;
+* :mod:`repro.scenario.materialize` —
+  :func:`~repro.scenario.materialize.build_scenario`, turning
   a spec into a wired :class:`~repro.protocol.rrmp.RrmpSimulation`
   with traffic, churn, probes and FEC flush scheduled;
 * :mod:`repro.scenario.registry` / :mod:`repro.scenario.library` —
@@ -17,7 +19,7 @@ loss × churn × buffer policy — a first-class, serializable value:
 
 Quickstart::
 
-    from repro.scenario import scenario
+    from repro.scenario.builder import scenario
 
     built = (
         scenario("demo", seed=7)
@@ -31,50 +33,7 @@ Quickstart::
     print(built.summary())
 """
 
-from repro.scenario.builder import ScenarioBuilder, scenario
-from repro.scenario.materialize import BuiltScenario, build_scenario
-from repro.scenario.registry import (
-    RegisteredScenario,
-    get_scenario,
-    register_scenario,
-    registered_scenarios,
-    scenario_names,
-)
-from repro.scenario.spec import (
-    AdaptSpec,
-    ChurnSpec,
-    CongestionSpec,
-    FecSpec,
-    LossSpec,
-    MeasurementSpec,
-    MobilitySpec,
-    PlayoutSpec,
-    PolicySpec,
-    ScenarioSpec,
-    TopologySpec,
-    TrafficSpec,
-)
-
-__all__ = [
-    "AdaptSpec",
-    "BuiltScenario",
-    "ChurnSpec",
-    "CongestionSpec",
-    "FecSpec",
-    "LossSpec",
-    "MeasurementSpec",
-    "MobilitySpec",
-    "PlayoutSpec",
-    "PolicySpec",
-    "RegisteredScenario",
-    "ScenarioBuilder",
-    "ScenarioSpec",
-    "TopologySpec",
-    "TrafficSpec",
-    "build_scenario",
-    "get_scenario",
-    "register_scenario",
-    "registered_scenarios",
-    "scenario",
-    "scenario_names",
-]
+# benchmarks/ledger/workloads.py imports build_scenario from this package.
+from repro.scenario.materialize import build_scenario  # noqa: F401
+# benchmarks/ledger/workloads.py imports these two from this package.
+from repro.scenario.registry import get_scenario, scenario_names  # noqa: F401

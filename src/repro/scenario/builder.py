@@ -4,7 +4,7 @@ The builder is sugar over the frozen spec tree: every method replaces
 one sub-spec and returns ``self``, so a complete scenario reads as one
 chain::
 
-    from repro.scenario import scenario
+    from repro.scenario.builder import scenario
 
     built = (
         scenario("wan-demo", seed=7)

@@ -52,7 +52,8 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping,
                     Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.adapt import LinkStateEstimator, TreeOptimizer
+    from repro.adapt.linkstate import LinkStateEstimator
+    from repro.adapt.optimizer import TreeOptimizer
     from repro.validate.oracle import InvariantOracle
 
 from repro.core.buffer import DISCARD_IDLE
@@ -82,7 +83,9 @@ from repro.net.topology import (
     single_region,
     star,
 )
-from repro.cc import CongestionDriver, controller_for, install_feedback_reporters
+from repro.cc.controller import controller_for
+from repro.cc.driver import CongestionDriver
+from repro.cc.feedback import install_feedback_reporters
 from repro.protocol.messages import DataMessage
 from repro.protocol.rrmp import MemberGroup, RrmpSimulation, default_sender_node
 from repro.scenario.spec import LossSpec, ScenarioSpec, TopologySpec, TrafficSpec
@@ -306,7 +309,7 @@ def traffic_generator_for(
 ) -> Optional[TrafficGenerator]:
     """The spec's stream workload (``None`` for probe/none kinds).
 
-    *streams* is the run's :class:`~repro.sim.RandomStreams`; Poisson
+    *streams* is the run's :class:`~repro.sim.randomness.RandomStreams`; Poisson
     arrivals draw from its ``("scenario", "traffic")`` substream, so
     sim and live materializations of one spec schedule identical send
     instants.
@@ -670,18 +673,17 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
 
     if spec.playout.enabled and trace.enabled:
         # Same pure-subscriber contract as the makespan tracker.  The
-        # spec and tracker are stashed on the group so the oracle's
-        # rebuffer-accounting invariant can cross-check the counts.
+        # oracle below is handed the tracker, so its rebuffer-accounting
+        # invariant can cross-check the counts.
         built.rebuffer = RebufferTracker(
             interval=spec.playout.interval,
             startup_delay=spec.playout.startup_delay,
         ).attach(trace)
-        group.playout_spec = spec.playout
-        group.rebuffer_tracker = built.rebuffer
 
     if spec.adapt.enabled:
         # Imported lazily for the same reason as the oracle below.
-        from repro.adapt import LinkStateEstimator, TreeOptimizer
+        from repro.adapt.linkstate import LinkStateEstimator
+        from repro.adapt.optimizer import TreeOptimizer
 
         up = spec.topology.inter_up_one_way
         down = spec.topology.inter_down_one_way
@@ -710,7 +712,7 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
         # workers, and repro.validate pulls in the full oracle stack.
         from repro.validate.oracle import InvariantOracle
 
-        built.oracle = InvariantOracle().attach(group, spec.congestion)
+        built.oracle = InvariantOracle().attach(group, spec.congestion, built.rebuffer)
 
     if spec.policy.kind == "stability":
         built.stability_agents = attach_stability(list(group.members.values()))

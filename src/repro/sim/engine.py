@@ -17,7 +17,7 @@ events in seq order.  The simulator also keeps, per instant, the last
 :meth:`Simulator.post` queued there, so later items for that instant
 can join its event while it is still the bucket's tail: a region's
 same-instant deliveries are one event.  A post may also carry timers:
-:class:`~repro.sim.Timer` arms through it, so the idle clocks a region
+:class:`~repro.sim.timers.Timer` arms through it, so the idle clocks a region
 arms for one deadline ride one event, and a post whose timers were all
 cancelled is a cancelled event.
 
@@ -158,7 +158,7 @@ class Simulator:
         A region acts in lockstep, so a §2.2 request storm lands many
         packets on the same instants, and its members' idle clocks
         expire together; the network posts its deliveries and
-        :class:`~repro.sim.Timer` its arms, and the items of one instant
+        :class:`~repro.sim.timers.Timer` its arms, and the items of one instant
         ride one event.
 
         If the last event queued for *time* is an earlier, uncancelled
@@ -174,7 +174,7 @@ class Simulator:
         What a batch cannot do is let a seq reserved before it be
         redeemed for its own instant while it fires (:meth:`at_reserved`
         with ``time == now``): that event would follow the batch's last
-        item, not the current one.  :class:`~repro.sim.Timer` redeems
+        item, not the current one.  :class:`~repro.sim.timers.Timer` redeems
         only for a later deadline.
         """
         posts = self._posts
@@ -205,7 +205,7 @@ class Simulator:
     def reserve_seq(self) -> int:
         """Consume and return the next event sequence number.
 
-        Determinism-preserving support for :class:`repro.sim.Timer`'s
+        Determinism-preserving support for :class:`repro.sim.timers.Timer`'s
         in-place re-arm: a push-back burns a sequence number exactly as
         the cancel-and-reschedule it replaces would have, so same-time
         tie-breaking of every subsequent event is unchanged, and the

@@ -23,8 +23,8 @@ if TYPE_CHECKING:
 class Event:
     """A single scheduled callback.
 
-    Instances are created by the engine (:meth:`repro.sim.Simulator.at` /
-    :meth:`repro.sim.Simulator.after`); user code normally only keeps a
+    Instances are created by the engine (:meth:`repro.sim.engine.Simulator.at` /
+    :meth:`repro.sim.engine.Simulator.after`); user code normally only keeps a
     reference in order to :meth:`cancel` it.
     """
 

@@ -9,7 +9,7 @@ patterns once so protocol code never manipulates raw events.
 A region acts in lockstep: its members buffer a multicast, go idle and
 flip their §3.2 coin at the same instants, so their idle clocks share
 deadlines.  :class:`Timer` therefore arms through
-:meth:`~repro.sim.Simulator.post` with one module-level callback,
+:meth:`~repro.sim.engine.Simulator.post` with one module-level callback,
 :func:`_fire_timers`: the timers armed for one deadline, with no seq
 reserved in between, ride one engine event (a :class:`_Batch`) and fire
 in arming order, exactly where one event each would have fired them.
@@ -82,8 +82,8 @@ class Timer:
     detaches the timer from its event (its token goes stale) and arms
     it afresh; the shared event stays for the other timers on it.  A
     batch left with no live token is cancelled, so
-    :attr:`~repro.sim.Simulator.pending_events` and the end of
-    :meth:`~repro.sim.Simulator.drain` read as if each timer had its own
+    :attr:`~repro.sim.engine.Simulator.pending_events` and the end of
+    :meth:`~repro.sim.engine.Simulator.drain` read as if each timer had its own
     event.
 
     The timer fires ``callback(*args)``, so a tracker arming one timer

@@ -7,13 +7,3 @@ The buffer policy the agents clear is
 ``stability``).  Safe but membership-hungry and traffic-hungry — the contrast class for
 RRMP's feedback-based scheme.
 """
-
-from repro.stability.detector import StabilityAgent, attach_stability
-from repro.stability.digest import WatermarkDigest, WatermarkTable
-
-__all__ = [
-    "StabilityAgent",
-    "WatermarkDigest",
-    "WatermarkTable",
-    "attach_stability",
-]

@@ -22,7 +22,7 @@ from typing import Callable, List, Sequence
 from repro.net.topology import NodeId
 from repro.protocol.member import RrmpMember
 from repro.protocol.messages import Seq
-from repro.sim import PeriodicTask
+from repro.sim.timers import PeriodicTask
 from repro.stability.digest import WatermarkDigest, WatermarkTable
 
 
@@ -99,9 +99,7 @@ class StabilityAgent:
             self.member.sim.now, "stability_advanced",
             node=self.member.node_id, frontier=frontier,
         )
-        notify = getattr(self.member.policy, "notify_stable", None)
-        if notify is not None:
-            notify(frontier)
+        self.member.policy.notify_stable(frontier)
 
 
 def attach_stability(

@@ -4,7 +4,3 @@ An RMTP-like protocol where one repair server per region buffers the
 whole session and answers NACKs; used to contrast RRMP's spread-out
 buffering with a concentrated hotspot.
 """
-
-from repro.tree.rmtp import Nack, TreeMember, TreeRepair, TreeSimulation
-
-__all__ = ["Nack", "TreeMember", "TreeRepair", "TreeSimulation"]

@@ -40,7 +40,10 @@ from repro.protocol.messages import (
     SessionMessage,
 )
 from repro.protocol.rrmp import MemberGroup, default_sender_node
-from repro.sim import PeriodicTask, RandomStreams, Simulator, Timer, TraceLog
+from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
+from repro.sim.timers import PeriodicTask, Timer
+from repro.sim.tracing import TraceLog
 
 
 @dataclass(frozen=True)

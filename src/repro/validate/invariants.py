@@ -691,8 +691,8 @@ class RebufferAccounting(Invariant):
     playout model (:func:`repro.metrics.rebuffer.replay_rebuffer`) the
     attached :class:`~repro.metrics.rebuffer.RebufferTracker` ran
     incrementally — stall events, stall time and frames played must
-    agree exactly, receiver for receiver.  Inert unless the
-    materializer stashed a playout spec and tracker on the simulation.
+    agree exactly, receiver for receiver.  Inert unless the run gave
+    :meth:`~repro.validate.oracle.InvariantOracle.attach` its tracker.
     """
 
     name = "rebuffer-accounting"
@@ -708,14 +708,12 @@ class RebufferAccounting(Invariant):
         )
 
     def at_end(self, ctx: EndContext) -> None:
-        simulation = ctx.simulation
-        playout = getattr(simulation, "playout_spec", None)
-        tracker = getattr(simulation, "rebuffer_tracker", None)
-        if playout is None or tracker is None or not playout.enabled:
+        tracker = self._sink.rebuffer
+        if tracker is None:
             return
         from repro.metrics.rebuffer import replay_rebuffer
 
-        now = simulation.sim.now
+        now = ctx.simulation.sim.now
         if set(self._arrivals) != set(tracker.clocks):
             missing = sorted(set(self._arrivals) ^ set(tracker.clocks))
             self.fail(
@@ -726,7 +724,7 @@ class RebufferAccounting(Invariant):
             return
         for node in sorted(self._arrivals):
             replayed = replay_rebuffer(
-                self._arrivals[node], playout.interval, playout.startup_delay
+                self._arrivals[node], tracker.interval, tracker.startup_delay
             )
             clock = tracker.clocks[node]
             expected = (replayed.stall_events, replayed.stall_time,

@@ -20,7 +20,7 @@ run is event-for-event identical to the same run without it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.protocol.config import CongestionSpec
 from repro.validate.invariants import (
@@ -29,6 +29,9 @@ from repro.validate.invariants import (
     Violation,
     default_invariants,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metrics.rebuffer import RebufferTracker
 
 #: Stop *storing* violations beyond this many (they are still counted);
 #: a systematically broken run would otherwise hoard memory.
@@ -46,6 +49,7 @@ class InvariantOracle:
             invariant.bind(self)
         self.simulation = None
         self.congestion = CongestionSpec()
+        self.rebuffer: Optional["RebufferTracker"] = None
         self._emitted_at_attach = 0
         self.violation_count = 0
         self._violations: List[Violation] = []
@@ -55,17 +59,21 @@ class InvariantOracle:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, simulation,
-               congestion: CongestionSpec = CongestionSpec()) -> "InvariantOracle":
+               congestion: CongestionSpec = CongestionSpec(),
+               rebuffer: Optional["RebufferTracker"] = None) -> "InvariantOracle":
         """Subscribe to *simulation*'s trace log.  Call once, before the
         run starts (records emitted earlier are not replayed).
         *congestion* is the controller the run paces its sender with
         (its spec's ``congestion`` node); under ``none`` the
-        congestion-quota invariant is inert."""
+        congestion-quota invariant is inert.  *rebuffer* is the run's
+        playout tracker, if it has one; without it the
+        rebuffer-accounting invariant is inert."""
         if self.simulation is not None:
             raise RuntimeError("oracle already attached; use one oracle per run")
         trace = simulation.trace
         self.simulation = simulation
         self.congestion = congestion
+        self.rebuffer = rebuffer
         self._emitted_at_attach = trace.emitted
         for invariant in self._invariants:
             for kind in invariant.kinds:

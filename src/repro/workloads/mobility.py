@@ -224,7 +224,7 @@ class DistanceLoss(LossModel):
     at co-location, ``max_loss`` at full-field separation — the
     SNR-vs-distance shape from the rate-adaptive multicast literature.
     Composes with an optional *base* model (evaluated first, its
-    ``bind_clock`` duck-hook forwarded).
+    ``bind_clock`` forwarded).
     """
 
     def __init__(self, manager: MobilityManager, max_loss: float,
@@ -236,9 +236,8 @@ class DistanceLoss(LossModel):
         self.base = base
 
     def bind_clock(self, clock) -> None:
-        bind = getattr(self.base, "bind_clock", None)
-        if bind is not None:
-            bind(clock)
+        if self.base is not None:
+            self.base.bind_clock(clock)
 
     def probability(self, src: NodeId, dst: NodeId) -> float:
         """The current distance-driven drop probability for the link."""

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from repro.scenario.registry import get_scenario
 from repro.scenario.spec import AdaptSpec
-from repro.sim import trace_digest
+from repro.sim.tracing import trace_digest
 
 
 class TestDefaultOff:

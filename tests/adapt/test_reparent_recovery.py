@@ -8,14 +8,12 @@ accounting is untouched by the switch — one recovery per missing seq,
 one completion, no resurrection.
 """
 
-import pytest
-
 from repro.net.topology import star
 from repro.protocol.config import PolicySpec
 from repro.protocol.loss_detection import GapTracker
 from repro.protocol.recovery import RecoveryProcess
 from repro.protocol.rrmp import RrmpSimulation
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 
 
 class SwitchableHost:

@@ -1,7 +1,7 @@
 """Golden trace-digest baselines for every registered scenario.
 
 Each registry scenario is run at its default seed and the SHA-256 of
-its full trace stream (see :func:`repro.sim.trace_digest`) is compared
+its full trace stream (see :func:`repro.sim.tracing.trace_digest`) is compared
 against ``tests/baselines/scenario_trace_digests.json``.  The
 simulator is deterministic, so *any* drift in the digest means the
 scenario's event stream changed — a new trace kind, a reordered
@@ -29,7 +29,8 @@ from unittest import mock
 import pytest
 
 from repro.scenario.registry import get_scenario, scenario_names
-from repro.sim import Simulator, trace_digest
+from repro.sim.engine import Simulator
+from repro.sim.tracing import trace_digest
 
 BASELINE_PATH = Path(__file__).parent / "scenario_trace_digests.json"
 UPDATE_ENV = "RRMP_UPDATE_BASELINES"

@@ -6,7 +6,7 @@ from repro.cc.controller import AimdController
 from repro.cc.driver import CongestionDriver
 from repro.protocol.config import CongestionSpec, FecSpec
 from repro.protocol.messages import FeedbackReport
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.workloads.traffic import UniformStream
 
 

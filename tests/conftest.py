@@ -7,7 +7,9 @@ import random
 import pytest
 from hypothesis import settings
 
-from repro.sim import RandomStreams, Simulator, TraceLog
+from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
+from repro.sim.tracing import TraceLog
 
 # ``--hypothesis-profile ci``: the depth CI's live-smoke job runs the
 # wire-codec properties at, from a fixed seed so a failure reproduces.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.long_term import keeps_long_term, long_term_probability
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 
 
 class TestProbability:

@@ -24,7 +24,8 @@ from repro.core.policies import (
 )
 from repro.hashing.deterministic import HashBuffererPolicy
 from repro.protocol.messages import DataMessage
-from repro.sim import Simulator, TraceLog
+from repro.sim.engine import Simulator
+from repro.sim.tracing import TraceLog
 from tests.conftest import FakeBufferHost
 
 IDLE, TTL = 40.0, 200.0

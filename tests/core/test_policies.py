@@ -56,6 +56,13 @@ class TestNeverDiscardPolicy:
         policy.on_receive(msg(1))
         assert policy.locate_bufferers(1, list(range(10))) == []
 
+    def test_notify_stable_default_keeps_every_copy(self, sim, buffer_host):
+        policy = NeverDiscardPolicy()
+        policy.bind(buffer_host)
+        policy.on_receive(msg(1))
+        assert policy.notify_stable(1) == 0
+        assert policy.has(1)
+
 
 class TestFixedTimePolicy:
     def test_discards_after_hold_time(self, sim, buffer_host):

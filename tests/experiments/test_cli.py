@@ -6,7 +6,7 @@ from repro.cli import build_parser, main, parse_param, runner_from_args
 from repro.experiments.quick import QUICK_PARAMS
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from repro.metrics.report import SeriesTable
-from repro.runner import ProcessPoolBackend, SerialBackend
+from repro.runner.backends import ProcessPoolBackend, SerialBackend
 
 
 class TestRegistry:

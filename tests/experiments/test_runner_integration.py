@@ -8,13 +8,9 @@ experiment level on reduced parameters.
 from repro.experiments.ablation_scaling import run_scaling
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig8 import run_fig8
-from repro.runner import (
-    ProcessPoolBackend,
-    ResultCache,
-    Runner,
-    SerialBackend,
-    using_runner,
-)
+from repro.runner.backends import ProcessPoolBackend, SerialBackend
+from repro.runner.cache import ResultCache
+from repro.runner.runner import Runner, using_runner
 
 
 class TestParallelDeterminism:
@@ -23,7 +19,7 @@ class TestParallelDeterminism:
             serial = run_fig6(ks=(1, 4), seeds=3)
         with using_runner(Runner(backend=ProcessPoolBackend(2))):
             parallel = run_fig6(ks=(1, 4), seeds=3)
-        assert parallel.to_json() == serial.to_json()
+        assert parallel.digest() == serial.digest()
         assert parallel.to_text() == serial.to_text()
 
     def test_fig8_parallel_table_identical_to_serial(self):
@@ -31,7 +27,7 @@ class TestParallelDeterminism:
             serial = run_fig8(bs=(1, 5), seeds=4)
         with using_runner(Runner(backend=ProcessPoolBackend(2))):
             parallel = run_fig8(bs=(1, 5), seeds=4)
-        assert parallel.to_json() == serial.to_json()
+        assert parallel.digest() == serial.digest()
 
 
 class TestWarmCache:
@@ -47,7 +43,7 @@ class TestWarmCache:
             second = run_scaling(ns=(25, 50), seeds=2)
         assert warm.stats.executed == 0
         assert warm.stats.cached == 4
-        assert second.to_json() == first.to_json()
+        assert second.digest() == first.digest()
 
     def test_param_change_misses_cache(self, tmp_path):
         with using_runner(Runner(cache=ResultCache(tmp_path))):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.live.clock import LiveClock
 from repro.live.runtime import Clock, Handle
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 
 

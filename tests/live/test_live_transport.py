@@ -19,7 +19,8 @@ from repro.net.loss import BernoulliLoss
 from repro.net.topology import chain
 from repro.net.transport import Network
 from repro.protocol.messages import DataMessage, HaveReply, LocalRequest
-from repro.sim import RandomStreams, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
 
 
 class Sink:

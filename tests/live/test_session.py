@@ -79,7 +79,7 @@ class TestLoopbackRun:
         assert summary["makespan_session_ms"] > 0
         assert (summary["makespan_seq_p90_ms"]
                 <= summary["makespan_seq_max_ms"])
-        assert session.makespan.delivery_count == 24  # 6 members x 4 msgs
+        assert session.built.makespan.delivery_count == 24  # 6 members x 4 msgs
 
     def test_asymmetric_inter_region_delays_are_plumbed(self):
         """netem-style up/down split flows from the spec into the live

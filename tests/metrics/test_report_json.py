@@ -1,6 +1,4 @@
-"""Tests for the SeriesTable JSON round trip and digest."""
-
-import math
+"""Tests for the SeriesTable digest."""
 
 from repro.metrics.report import SeriesTable
 
@@ -13,33 +11,6 @@ def sample_table():
     table.add_series("floats", [0.1, float("nan"), 110.0])
     table.notes.append("paper: a note with unicode — §3.2")
     return table
-
-
-class TestJsonRoundTrip:
-    def test_lossless_for_plain_cells(self):
-        table = sample_table()
-        clone = SeriesTable.from_json(table.to_json())
-        assert clone.title == table.title
-        assert clone.x_label == table.x_label
-        assert clone.xs == table.xs
-        assert clone.notes == table.notes
-        assert list(clone.series) == list(table.series)  # order preserved
-        assert clone.series["mixed cells"] == table.series["mixed cells"]
-
-    def test_int_float_distinction_survives(self):
-        table = SeriesTable(title="t", x_label="x", xs=[1])
-        table.add_series("s", [2])
-        clone = SeriesTable.from_json(table.to_json())
-        assert isinstance(clone.xs[0], int)
-        assert isinstance(clone.series["s"][0], int)
-
-    def test_nan_survives(self):
-        clone = SeriesTable.from_json(sample_table().to_json())
-        assert math.isnan(clone.series["floats"][1])
-
-    def test_rendered_text_identical_after_roundtrip(self):
-        table = sample_table()
-        assert SeriesTable.from_json(table.to_json()).to_text() == table.to_text()
 
 
 class TestDigest:

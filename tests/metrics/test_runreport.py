@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.metrics import RunReport
+from repro.metrics.runreport import RunReport
 
 
 def _report(**overrides):

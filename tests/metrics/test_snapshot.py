@@ -12,17 +12,16 @@ from repro.metrics.snapshot import (
 from repro.scenario.registry import get_scenario
 
 
-def built_group():
+def finished_run():
     """A finished sim run of a small registry scenario."""
     built = get_scenario("initial_holders").build()
     built.run()
-    return built.simulation
+    return built
 
 
 class TestTakeSnapshot:
     def test_snapshot_of_a_finished_sim_run(self):
-        group = built_group()
-        snapshot = take_snapshot(group)
+        snapshot = take_snapshot(finished_run())
         assert snapshot.alive_members == 100
         assert snapshot.delivered_total == 100
         assert snapshot.recoveries_completed == 90
@@ -32,34 +31,34 @@ class TestTakeSnapshot:
         assert snapshot.goodput_msgs_per_s > 0
 
     def test_chained_snapshots_compute_interval_goodput(self):
-        group = built_group()
-        first = take_snapshot(group)
-        second = take_snapshot(group, previous=first)
+        built = finished_run()
+        first = take_snapshot(built)
+        second = take_snapshot(built, previous=first)
         # Nothing moved between the two samples: the interval rate is 0
         # (or the whole interval is zero-length, which also reads as 0).
         assert second.goodput_msgs_per_s == 0.0
         assert second.delivered_total == first.delivered_total
 
-    def test_makespan_read_from_groups_that_carry_a_tracker(self):
-        """Live sessions expose ``.makespan``; plain simulations don't.
-        The snapshot must report the span for the former and a quiet
-        0.0 for the latter."""
+    def test_makespan_read_from_the_built_scenario(self):
+        """The snapshot reports the span of the build's makespan
+        tracker, and a quiet 0.0 for a build without one."""
         from repro.metrics.makespan import MakespanTracker
 
-        group = built_group()
-        assert take_snapshot(group).session_makespan_ms == 0.0
+        built = finished_run()
+        built.makespan = None
+        assert take_snapshot(built).session_makespan_ms == 0.0
         tracker = MakespanTracker()
-        for record in group.trace.records:
+        for record in built.simulation.trace.records:
             if record.kind == "member_received":
                 tracker._on_received(record)
-        group.makespan = tracker
-        assert take_snapshot(group).session_makespan_ms == (
+        built.makespan = tracker
+        assert take_snapshot(built).session_makespan_ms == (
             tracker.session_makespan()
         )
-        assert take_snapshot(group).session_makespan_ms > 0.0
+        assert take_snapshot(built).session_makespan_ms > 0.0
 
     def test_to_dict_is_json_ready(self):
-        snapshot = take_snapshot(built_group())
+        snapshot = take_snapshot(finished_run())
         payload = json.loads(json.dumps(snapshot.to_dict()))
         assert payload["alive_members"] == 100
         assert set(payload) == {
@@ -67,6 +66,6 @@ class TestTakeSnapshot:
         }
 
     def test_long_term_buffered_counts_only_long_term(self):
-        group = built_group()
+        group = finished_run().simulation
         # Run is drained: every buffer is empty again.
         assert long_term_buffered(group) == 0

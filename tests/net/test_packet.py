@@ -14,7 +14,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.packet import KIND_DATA, Packet
 from repro.net.transport import Network
 from repro.protocol.messages import DataMessage
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 FIELDS = ("src", "dst", "payload", "kind", "send_time", "deliver_time", "multicast_group")
 

@@ -7,7 +7,7 @@ import pytest
 from repro.net.latency import ConstantLatency
 from repro.net.loss import ReceiverSetLoss
 from repro.net.transport import Network
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro.core.manager import TwoPhaseBufferPolicy
 from repro.protocol.messages import DataMessage
-from repro.sim import Simulator, TraceLog
+from repro.sim.engine import Simulator
+from repro.sim.tracing import TraceLog
 from tests.conftest import FakeBufferHost
 
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1_000.0, allow_nan=False),

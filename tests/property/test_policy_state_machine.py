@@ -30,7 +30,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.core.buffer import DISCARD_IDLE, DISCARD_TTL
 from repro.core.manager import TwoPhaseBufferPolicy
 from repro.protocol.messages import DataMessage
-from repro.sim import Simulator, TraceLog
+from repro.sim.engine import Simulator
+from repro.sim.tracing import TraceLog
 from tests.conftest import FakeBufferHost
 
 T = 40.0

@@ -22,7 +22,8 @@ from repro.net.topology import chain, single_region
 from repro.protocol import recovery
 from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
-from repro.scenario import build_scenario, scenario
+from repro.scenario.builder import scenario
+from repro.scenario.materialize import build_scenario
 from repro.scenario.library import scale_spec
 from tests.conftest import assert_views_match_a_fresh_scan
 

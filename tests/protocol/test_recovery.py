@@ -9,7 +9,7 @@ from repro.live.codec import encode_frame
 from repro.protocol.config import PolicySpec
 from repro.protocol.messages import LocalRequest, RemoteRequest
 from repro.protocol.recovery import RecoveryProcess
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 
 WIRE_FRAMES = Path(__file__).parents[1] / "baselines" / "wire_frames.json"
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runner import ProcessPoolBackend, SerialBackend, SweepSpec, TrialSpec
+from repro.runner.backends import ProcessPoolBackend, SerialBackend
+from repro.runner.spec import SweepSpec, TrialSpec
 from repro.runner._testing import trial_draw, trial_square
 
 

@@ -2,8 +2,8 @@
 
 import json
 
-from repro.runner import ResultCache, TrialSpec
-from repro.runner.cache import default_cache_dir
+from repro.runner.cache import ResultCache, default_cache_dir
+from repro.runner.spec import TrialSpec
 from repro.runner._testing import trial_square
 
 

@@ -1,14 +1,9 @@
 """Tests for the Runner (cache interplay, stats, ambient context)."""
 
-from repro.runner import (
-    ProcessPoolBackend,
-    ResultCache,
-    Runner,
-    SerialBackend,
-    SweepSpec,
-    current_runner,
-    using_runner,
-)
+from repro.runner.backends import ProcessPoolBackend, SerialBackend
+from repro.runner.cache import ResultCache
+from repro.runner.runner import Runner, current_runner, using_runner
+from repro.runner.spec import SweepSpec
 from repro.runner._testing import trial_square
 
 

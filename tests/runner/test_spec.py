@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.runner import CACHE_SCHEMA_VERSION, SweepSpec, TrialSpec, canonical_params
+from repro.runner.spec import CACHE_SCHEMA_VERSION, SweepSpec, TrialSpec, canonical_params
 from repro.runner._testing import trial_square
 
 
@@ -65,10 +65,3 @@ class TestSweepSpec:
         sweep = SweepSpec("exp", trial_square, [{"x": 1}], [0, 1])
         with pytest.raises(ValueError, match="expects 2 results"):
             sweep.group([1, 2, 3])
-
-    def test_seed_salt_derivation_is_deterministic(self):
-        plain = SweepSpec("exp", trial_square, [{"x": 1}], [0, 1])
-        salted = SweepSpec("exp", trial_square, [{"x": 1}], [0, 1], seed_salt="v2")
-        assert plain.derived_seeds() == [0, 1]
-        assert salted.derived_seeds() != [0, 1]
-        assert salted.derived_seeds() == salted.derived_seeds()

@@ -11,7 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.scenario import get_scenario, scenario
+from repro.scenario.builder import scenario
+from repro.scenario.registry import get_scenario
 
 DEPARTURES = ("member_left", "member_crashed")
 

@@ -20,7 +20,7 @@ from repro.net.loss import GilbertElliottLoss
 from repro.net.topology import chain
 from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
-from repro.scenario import build_scenario
+from repro.scenario.materialize import build_scenario
 from repro.scenario.builder import scenario
 from repro.scenario.library import scale_spec
 from repro.scenario.registry import get_scenario
@@ -270,4 +270,4 @@ class TestGiveUpsAreCountedWithoutATrace:
     def test_snapshot_reads_the_tally_not_the_records(self):
         streamed = self._run(False)
         assert len(streamed.simulation.trace.records) == 0
-        assert take_snapshot(streamed.simulation).reliability_violations == 129
+        assert take_snapshot(streamed).reliability_violations == 129

@@ -19,8 +19,9 @@ from repro.cli import main
 from repro.live.differential import _with_trace
 from repro.live.session import LiveSession, run_spec_live
 from repro.scenario.materialize import BuiltScenario, build_group, require_envelope
+from repro.scenario.library import initial_holders_spec
 from repro.scenario.registry import get_scenario
-from repro.scenario.spec import LossSpec, MeasurementSpec
+from repro.scenario.spec import LossSpec, MeasurementSpec, TopologySpec, TrafficSpec
 from repro.tree.rmtp import TreeSimulation
 
 STREAMS = ["overload_onset_cc", "wan_burst_loss", "heterogeneous_regions", "flash_crowd",
@@ -111,6 +112,43 @@ class TestDrainAfterABound:
         for member in group.alive_members():
             assert member.has_received(last) or member.node_id in reported
         assert group.sim.pending_events == 0
+
+
+def vanishing_copies(seed):
+    """A lossy stream in two 3-member regions where nobody keeps a
+    long-term copy (``c=0``): once the short-term copies go idle, a
+    remote request starts a §3.3 search that no member can answer."""
+    spec = initial_holders_spec(6, 1, seed=seed)
+    return spec.with_(topology=TopologySpec(kind="chain", sizes=(3, 3), intra_one_way=5.0),
+                      traffic=TrafficSpec(kind="uniform", count=4, interval=10.0),
+                      loss=LossSpec(kind="bernoulli", p=0.3),
+                      policy=dataclasses.replace(spec.policy, session_interval=20.0),
+                      measurement=MeasurementSpec())
+
+
+class TestSearchEnds:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_search_nobody_can_answer_stops_at_the_recovery_bound(self, seed):
+        """Without a bound in time the searchers recruited each other for
+        ever, long after all 24 deliveries: ``drain()`` ran 10,000,000
+        events before it raised."""
+        built = vanishing_copies(seed).build()
+        sim = built.simulation.sim
+        for until in built.plan():
+            sim.run(until=until, max_events=100_000)
+        built.finish()
+        assert sim.pending_events == 0
+        assert built.summary()["delivered_fraction"] == 1.0
+        trace = built.simulation.trace
+        assert trace.count("search_abandoned") > 0
+        bound = built.spec.policy.max_recovery_time
+        joined = {}
+        for record in trace.records:
+            key = (record.fields.get("node"), record.fields.get("seq"))
+            if record.kind == "search_joined":
+                joined[key] = record.time
+            elif record.kind == "search_forwarded":
+                assert record.time - joined[key] < bound
 
 
 class TestExclusiveBounds:

@@ -4,7 +4,8 @@ from unittest import mock
 
 import pytest
 
-from repro.sim import SimulationError, Simulator, engine
+from repro.sim import engine
+from repro.sim.engine import SimulationError, Simulator
 
 
 class TestScheduling:

@@ -5,10 +5,10 @@ share a worker process)."""
 
 import pytest
 
-from repro.runner import ProcessPoolBackend, SerialBackend, SweepSpec
+from repro.runner.backends import ProcessPoolBackend, SerialBackend
+from repro.runner.spec import SweepSpec
 from repro.runner._testing import trial_engine_exercise
-from repro.sim import Simulator
-from repro.sim.engine import SimulationError, total_events_fired
+from repro.sim.engine import SimulationError, Simulator, total_events_fired
 
 
 class TestMaxEventsBoundaries:

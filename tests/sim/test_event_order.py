@@ -4,7 +4,7 @@ Generated programs — colliding firing times, callbacks that schedule
 for ``now`` and later, reserve a seq now and redeem it later (also for
 ``now``, under a seq older than the bucket's tail), cancel anything
 pending, cancel a later event of the instant being drained — run on
-:class:`repro.sim.Simulator` and on :class:`ListSimulator`, which keeps
+:class:`repro.sim.engine.Simulator` and on :class:`ListSimulator`, which keeps
 a plain list and fires ``min((time, seq))``.  Both must produce the same
 firing log and the same clock, ``events_fired`` and ``pending_events``
 after every driver call, and ``drain()`` must raise on the same
@@ -18,7 +18,7 @@ item-level log, the clock and whether anything is pending must match,
 and ``events_fired`` may only be lower.
 
 The same programs also start, push back, re-arm (earlier or to the same
-deadline) and cancel :class:`~repro.sim.Timer` objects, from callbacks
+deadline) and cancel :class:`~repro.sim.timers.Timer` objects, from callbacks
 and into the instant being drained.  On the simulator the timers of one
 deadline ride one event; the reference is :class:`ReferenceTimer` over
 :class:`ListSimulator`, one event per arm.
@@ -31,9 +31,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.sim import Simulator, Timer, engine
-from repro.sim.engine import SimulationError
+from repro.sim import engine
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event
+from repro.sim.timers import Timer
 
 
 class _Handle:

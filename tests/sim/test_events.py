@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.sim.events import Event
 
 

@@ -6,7 +6,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import RandomStreams, derive_seed, pick_other
+from repro.sim.randomness import RandomStreams, derive_seed, pick_other
 
 
 class TestDeriveSeed:

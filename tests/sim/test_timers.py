@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import PeriodicTask, Timer
+from repro.sim.timers import PeriodicTask, Timer
 
 
 class TestTimer:

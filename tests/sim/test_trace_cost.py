@@ -15,7 +15,8 @@ from unittest import mock
 
 import pytest
 
-from repro.scenario import build_scenario, get_scenario
+from repro.scenario.materialize import build_scenario
+from repro.scenario.registry import get_scenario
 from repro.sim import tracing
 from repro.sim.tracing import trace_digest
 

@@ -1,7 +1,6 @@
 """Unit tests for the trace log."""
 
-from repro.sim import TraceLog, trace_digest
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import TraceLog, TraceRecord, trace_digest
 
 
 class TestTraceLog:

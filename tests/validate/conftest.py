@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.buffer import MessageBuffer
 from repro.protocol.config import PolicySpec
-from repro.sim import TraceLog
+from repro.sim.tracing import TraceLog
 
 
 class FakeEngine:

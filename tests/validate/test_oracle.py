@@ -16,7 +16,7 @@ from repro.net.ipmulticast import FixedHolderCount
 from repro.net.topology import single_region
 from repro.protocol.rrmp import RrmpSimulation
 from repro.scenario.registry import get_scenario, scenario_names
-from repro.sim import trace_digest
+from repro.sim.tracing import trace_digest
 from repro.validate.oracle import MAX_STORED_VIOLATIONS, InvariantOracle
 from repro.validate.invariants import Violation
 
@@ -136,3 +136,22 @@ def test_oracle_catches_an_injected_duplicate_delivery():
                           node=record["node"], seq=record["seq"], via="replay")
     assert not oracle.ok
     assert oracle.violations[0].invariant == "no-duplicate-delivery"
+
+
+def test_the_oracle_checks_the_playout_tracker_the_build_installed():
+    """The build hands the oracle its rebuffer tracker; a tracker count
+    that disagrees with the delivery trace is then a violation."""
+    spec = get_scenario("streaming_playback")
+    built = replace(spec, measurement=replace(spec.measurement, oracle=True)).build()
+    assert built.rebuffer is not None
+    assert built.oracle.rebuffer is built.rebuffer
+    sim = built.simulation.sim
+    for until in built.plan():
+        if until is None:
+            sim.drain()
+        else:
+            sim.run(until=until)
+    next(iter(built.rebuffer.clocks.values())).stall_events += 1
+    built.finish()
+    assert [violation.invariant for violation in built.oracle.violations] == [
+        "rebuffer-accounting"]

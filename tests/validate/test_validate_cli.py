@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.scenario.registry import get_scenario
-from repro.sim import trace_digest
+from repro.sim.tracing import trace_digest
 from repro.validate.fuzz import sample_spec
 
 FLAT_GOLDEN = json.loads(
