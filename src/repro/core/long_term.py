@@ -20,13 +20,14 @@ TTL.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 
 def long_term_probability(expected_bufferers: float, region_size: int) -> float:
     """The per-member keep probability ``P = C/n``, clamped to [0, 1].
 
     For regions smaller than C every member keeps the message (P = 1);
-    an empty or single-member region degenerates to P = min(1, C).
+    a single-member region gives P = min(1, C) and an empty one 0.0.
     """
     if expected_bufferers < 0:
         raise ValueError(f"expected_bufferers must be >= 0, got {expected_bufferers!r}")
@@ -35,14 +36,23 @@ def long_term_probability(expected_bufferers: float, region_size: int) -> float:
     return min(1.0, expected_bufferers / region_size)
 
 
-def keeps_long_term(rng: random.Random, expected_bufferers: float, region_size: int) -> bool:
+def keeps_long_term(
+    rng: Optional[random.Random], expected_bufferers: float, region_size: int
+) -> bool:
     """The §3.2 coin: does this member keep an idle message?
 
-    Draws from *rng* only when the outcome is uncertain (0 < P < 1).
+    Draws from *rng* only when the outcome is uncertain (0 < P < 1), so
+    *rng* may be ``None`` where it is certain.  P is
+    :func:`long_term_probability`, computed inline: every idle copy
+    flips this coin.
     """
-    probability = long_term_probability(expected_bufferers, region_size)
+    if expected_bufferers < 0:
+        raise ValueError(f"expected_bufferers must be >= 0, got {expected_bufferers!r}")
+    if region_size <= 0:
+        return False
+    probability = expected_bufferers / region_size
     if probability <= 0.0:
         return False
-    if probability >= 1.0:
-        return True
-    return rng.random() < probability
+    if probability < 1.0:
+        return rng.random() < probability
+    return True

@@ -42,7 +42,7 @@ from repro.core.buffer import (
     DISCARD_TTL,
 )
 from repro.core.long_term import keeps_long_term
-from repro.core.policies import BufferHost, BufferPolicy
+from repro.core.policies import BufferPolicy
 from repro.protocol.messages import DataMessage, Seq
 from repro.sim.timers import Timer
 
@@ -77,15 +77,12 @@ class TwoPhaseBufferPolicy(BufferPolicy):
         self.long_term_ttl = long_term_ttl
         #: seq -> the copy's one clock (idle deadline or TTL).
         self._clocks: Dict[Seq, Timer] = {}
+        #: The coin's stream, asked for by the first coin that may draw.
         self._rng: Optional[random.Random] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def bind(self, host: BufferHost) -> None:
-        super().bind(host)
-        self._rng = host.policy_rng("long-term")
-
     def close(self) -> None:
         for timer in self._clocks.values():
             timer.cancel()
@@ -192,7 +189,12 @@ class TwoPhaseBufferPolicy(BufferPolicy):
         trace = host.trace
         if trace.enabled:
             trace.emit(now, "buffer_idle", node=host.node_id, seq=seq)
-        if keeps_long_term(self._rng, self.long_term_c, host.region_size()):
+        c, n = self.long_term_c, host.region_size()
+        rng = self._rng
+        if rng is None and 0 < c < n:
+            # The first coin that may draw (0 < C/n < 1) asks for it.
+            rng = self._rng = host.policy_rng("long-term")
+        if keeps_long_term(rng, c, n):
             entry.long_term = True
             self._arm_ttl(seq)
             if trace.enabled:

@@ -41,8 +41,8 @@ class BufferHost(Protocol):
         ...
 
     def policy_rng(self, purpose: str) -> random.Random:
-        """A deterministic RNG substream for the given purpose (asked
-        for at ``bind``, maybe never drawn from: hand out a lazy one)."""
+        """A deterministic RNG substream for the given purpose (the
+        two-phase coin asks for it at its first draw)."""
         ...
 
 

@@ -57,12 +57,19 @@ class SearchHost(Protocol):
 
     def search_rng(self) -> random.Random:
         """Deterministic RNG substream for target selection (asked for
-        at construction, maybe never drawn from: hand out a lazy one)."""
+        when the coordinator is built, maybe never drawn from: hand out
+        a lazy one)."""
         ...
 
 
 class _SearchProcess:
-    """One member's participation in the search for one message."""
+    """One member's participation in the search for one message.
+
+    A request is frozen and the same every round while the waiter set
+    is, so the process keeps the one it last sent and resends that
+    object; :meth:`SearchCoordinator.begin` drops it when a merge adds
+    a waiter.
+    """
 
     def __init__(
         self,
@@ -75,6 +82,7 @@ class _SearchProcess:
         self.waiters = set(waiters)
         self.rounds = 0
         self.started_at = coordinator.host.sim.now
+        self.request: Optional[SearchRequest] = None
         self._timer = Timer(coordinator.host.sim, self._on_timeout)
 
     def run_round(self) -> None:
@@ -97,9 +105,11 @@ class _SearchProcess:
             return
         self.rounds += 1
         target = pick_other(self.coordinator.rng, members, position)
-        request = SearchRequest(
-            seq=self.seq, waiters=tuple(sorted(self.waiters)), forwarder=host.node_id
-        )
+        request = self.request
+        if request is None:
+            request = self.request = SearchRequest(
+                seq=self.seq, waiters=tuple(sorted(self.waiters)), forwarder=host.node_id
+            )
         host.trace.emit(host.sim.now, "search_forwarded",
                         node=host.node_id, seq=self.seq, target=target, round=self.rounds)
         host.send_search_request(target, request)
@@ -153,7 +163,9 @@ class SearchCoordinator:
         """
         process = self._active.get(seq)
         if process is not None:
-            process.waiters.update(waiters)
+            if not process.waiters.issuperset(waiters):
+                process.waiters.update(waiters)
+                process.request = None
             return
         if seq in self._given_up:
             # This member already searched to its bound and gave up;

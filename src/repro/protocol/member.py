@@ -114,10 +114,9 @@ class RrmpMember:
 
         self.policy = build_policy(config)
         self.policy.bind(self)
-        self.search = SearchCoordinator(
-            self, timer_factor=config.timer_factor, max_rounds=config.max_search_rounds,
-            max_time=config.max_recovery_time,
-        )
+        #: The §3.3 search coordinator, built by :attr:`search` on first
+        #: use: most members never search.
+        self._search: Optional[SearchCoordinator] = None
         self.gap = GapTracker()
         self.recoveries: Dict[Seq, RecoveryProcess] = {}
         #: FEC block decoder (None when the subsystem is off): fills
@@ -126,8 +125,9 @@ class RrmpMember:
             FecBlockDecoder() if fec_spec.enabled else None
         )
         #: Parity messages already processed (dedup, kept apart from
-        #: the gap tracker whose seq space is data-only).
-        self._parity_seen: Set[Seq] = set()
+        #: the gap tracker whose seq space is data-only); made by the
+        #: first parity.
+        self._parity_seen: Optional[Set[Seq]] = None
         #: Reactive-FEC hook: the sender installs this on its own
         #: member so observed retransmission requests can trigger
         #: on-demand parity for the affected block.
@@ -154,6 +154,18 @@ class RrmpMember:
         self.unhandled_packets = 0
 
         network.register(node_id, self)
+
+    @property
+    def search(self) -> SearchCoordinator:
+        """This member's search coordinator, built on first use."""
+        search = self._search
+        if search is None:
+            config = self.config
+            search = self._search = SearchCoordinator(
+                self, timer_factor=config.timer_factor,
+                max_rounds=config.max_search_rounds, max_time=config.max_recovery_time,
+            )
+        return search
 
     # ==================================================================
     # Host-protocol surface (BufferHost / SearchHost / RecoveryHost)
@@ -185,12 +197,12 @@ class RrmpMember:
 
     def policy_rng(self, purpose: str) -> random.Random:
         """Deterministic RNG substream for the buffer policy (lazy:
-        a member none of whose messages goes idle never draws)."""
+        a leaver with nothing to hand off never draws)."""
         return self.streams.lazy("member", self.node_id, "policy", purpose)
 
     def search_rng(self) -> random.Random:
-        """Deterministic RNG substream for bufferer search (lazy:
-        most members never search)."""
+        """Deterministic RNG substream for bufferer search (lazy: a
+        search in a one-member region never draws)."""
         return self.streams.lazy("member", self.node_id, "search")
 
     def recovery_rng(self) -> random.Random:
@@ -240,7 +252,8 @@ class RrmpMember:
 
     def _on_have_reply(self, reply: HaveReply) -> None:
         self._search_owner_hint[reply.seq] = reply.owner
-        self.search.on_have_reply(reply.seq)
+        if self._search is not None:
+            self._search.on_have_reply(reply.seq)
 
     # ==================================================================
     # Data-path handling
@@ -302,11 +315,14 @@ class RrmpMember:
         bufferer can serve parity exactly like data.
         """
         seq = parity.seq
-        if seq in self._parity_seen:
+        seen = self._parity_seen
+        if seen is None:
+            seen = self._parity_seen = set()
+        elif seq in seen:
             self.trace.emit(self.sim.now, "duplicate_received",
                             node=self.node_id, seq=seq, via="parity")
             return
-        self._parity_seen.add(seq)
+        seen.add(seq)
         self.trace.emit(self.sim.now, "fec_parity_received", node=self.node_id,
                         seq=seq, block=parity.block_id, index=parity.index)
         self.policy.on_receive(parity)
@@ -339,8 +355,10 @@ class RrmpMember:
             if enabled:
                 self.trace.emit(self.sim.now, "remote_request_served",
                                 node=self.node_id, seq=seq, requester=waiter, via="relay")
-        # Always: resolving also clears the search's give-up mark for seq.
-        for waiter in self.search.resolve(seq):
+        # Resolving also clears the search's give-up mark for seq, so
+        # every member that ever searched resolves every delivery.
+        search = self._search
+        for waiter in search.resolve(seq) if search is not None else ():
             self.network.unicast(
                 self.node_id, waiter,
                 Repair(data=data, responder=self.node_id, scope=REPAIR_REMOTE),
@@ -464,7 +482,8 @@ class RrmpMember:
                 self.policy.on_serve(seq)
                 self.trace.emit(self.sim.now, "remote_request_served",
                                 node=self.node_id, seq=seq, requester=waiter, via="search")
-            self.search.on_have_reply(seq)  # stop our own search, if any
+            if self._search is not None:
+                self._search.on_have_reply(seq)  # stop our own search, if any
             last = self._announced_at.get(seq)
             if last is None or self.sim.now - last >= self.config.idle_threshold:
                 self._announced_at[seq] = self.sim.now
@@ -600,7 +619,8 @@ class RrmpMember:
         for process in self.recoveries.values():
             process.cancel()
         self.recoveries.clear()
-        self.search.close()
+        if self._search is not None:
+            self._search.close()
         self.policy.close()
         self.network.unregister(self.node_id)
         if self.hierarchy.contains(self.node_id):

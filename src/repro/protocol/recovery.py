@@ -21,8 +21,9 @@ if ``max_recovery_time`` is configured — gives up and records a
 reliability violation (the §5 trade-off).
 
 Requests are frozen and the same every round, so a process builds its
-one :class:`LocalRequest` and one :class:`RemoteRequest` up front and
-each round resends that object.
+one :class:`LocalRequest` up front and its one :class:`RemoteRequest`
+at the first remote send (a root region never sends one), and each
+round resends that object.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class RecoveryProcess:
         self._limit = config.max_recovery_time
         self._timer_factor = config.timer_factor
         self._local_request = LocalRequest(seq=seq, requester=host.node_id)
-        self._remote_request = RemoteRequest(seq=seq, requester=host.node_id)
+        self._remote_request: Optional[RemoteRequest] = None
         # A round is only ever armed by the start or by the round's own
         # firing, so each phase is one plain event, never pushed back.
         self._local_event: Optional[Event] = None
@@ -223,7 +224,11 @@ class RecoveryProcess:
             probability = min(1.0, host.config.remote_lambda / region_size)
             if self._rng.random() < probability:
                 self.remote_requests_sent += 1
-                host.send_remote_request(target, self._remote_request)
+                request = self._remote_request
+                if request is None:
+                    request = self._remote_request = RemoteRequest(
+                        seq=self.seq, requester=host.node_id)
+                host.send_remote_request(target, request)
             delay = host.rtt_to(target) * self._timer_factor
         elif host.has_parent_region():
             # A parent region that exists but is *currently empty* may

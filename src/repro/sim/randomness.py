@@ -18,7 +18,8 @@ properties the experiments rely on:
 * **A stream exists once it is drawn from.**  Its seed is
   ``SHA-256(master, name)`` and nothing else, so creation order and
   count are unobservable, and :meth:`RandomStreams.lazy` can defer
-  creation to the first draw (most members never search).
+  creation to the first draw (a leaver with nothing to hand off never
+  draws from its handoff stream).
 """
 
 from __future__ import annotations

@@ -97,6 +97,24 @@ class TestWaiterMerging:
         _dst, request = search_host.sent[-1]
         assert request.waiters == (42, 43)
 
+    def test_rounds_resend_one_request_while_the_waiters_stay(self, sim, search_host):
+        coordinator = SearchCoordinator(search_host)
+        coordinator.begin(1, [42])
+        coordinator.begin(1, [42])  # a merge that adds nobody
+        sim.run(until=35.0)  # rounds at 0, 10, 20, 30
+        requests = [request for _dst, request in search_host.sent]
+        assert len(requests) == 4
+        assert all(request is requests[0] for request in requests)
+
+    def test_a_merged_waiter_rides_the_very_next_round(self, sim, search_host):
+        coordinator = SearchCoordinator(search_host)
+        coordinator.begin(1, [42])
+        sim.run(until=15.0)  # rounds at 0 and 10
+        coordinator.begin(1, [7])
+        sim.run(until=25.0)  # the round at 20
+        waiters = [request.waiters for _dst, request in search_host.sent]
+        assert waiters == [(42,), (42,), (7, 42)]
+
     def test_trace_search_joined(self, sim, search_host, trace):
         coordinator = SearchCoordinator(search_host)
         coordinator.begin(1, [42])

@@ -21,10 +21,11 @@ from repro.core.manager import TwoPhaseBufferPolicy
 from repro.net.topology import chain, single_region
 from repro.protocol import recovery
 from repro.protocol.config import PolicySpec
+from repro.protocol.member import RrmpMember
 from repro.protocol.rrmp import RrmpSimulation
 from repro.scenario.builder import scenario
 from repro.scenario.materialize import build_scenario
-from repro.scenario.library import scale_spec
+from repro.scenario.library import scale_spec, search_spec
 from tests.conftest import assert_views_match_a_fresh_scan
 
 
@@ -54,6 +55,41 @@ class TestStreamsExistOnceDrawnFrom:
         assert member_streams(simulation, "recovery") == []
         # Every member did flip the §3.2 coin, so those streams exist.
         assert len(member_streams(simulation, "long-term")) == 1000
+
+
+class TestStateBuiltOnFirstUse:
+    """Search, coin and parity state exist only at members that use them."""
+
+    def test_a_search_trial_builds_state_only_where_it_is_used(self, monkeypatch):
+        asked = []
+        real = RrmpMember.policy_rng
+
+        def spy(member, purpose):
+            asked.append((member.node_id, purpose))
+            return real(member, purpose)
+
+        monkeypatch.setattr(RrmpMember, "policy_rng", spy)
+        built = build_scenario(search_spec(100, 5))
+        built.run()
+        simulation = built.simulation
+        joined = {record["node"] for record in simulation.trace.of_kind("search_joined")}
+        holding = {node for node, member in simulation.members.items()
+                   if member._search is not None}
+        assert joined and holding == joined
+        # The requester's copy goes idle, but alone in its region its
+        # coin is certain (P = 1): no member asks for a coin stream.
+        assert simulation.trace.count("buffer_idle") >= 1
+        assert asked == []
+        assert all(member._parity_seen is None for member in simulation.members.values())
+
+    def test_a_root_region_recovery_builds_no_remote_request(self):
+        simulation = RrmpSimulation(single_region(50),
+                                    config=PolicySpec(session_interval=None))
+        member = simulation.members[5]
+        member.inject_loss_detection(1)
+        process = member.recoveries[1]
+        assert process._remote_request is None
+        assert simulation.network.stats.sent_by_type == {"LocalRequest": 1}
 
 
 class TestEventsShareInstants:
