@@ -22,6 +22,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Literal,
     Optional,
     Tuple,
     Union,
@@ -47,12 +48,6 @@ POLICY_KINDS = (
     "two_phase", "fixed_time", "stability", "hash", "never_discard", "no_buffer",
 )
 
-def require_kind(kind: str, allowed: Tuple[str, ...], what: str) -> None:
-    """Refuse a discriminator *kind* that is not one of *allowed*."""
-    if kind not in allowed:
-        raise ValueError(f"{what} kind must be one of {allowed}, got {kind!r}")
-
-
 #: node class -> its (field name, annotation, converter) rules, resolved
 #: on the first instance.
 _FIELD_RULES: Dict[type, Tuple[Tuple[str, Any, Callable[[Any], Any]], ...]] = {}
@@ -66,8 +61,10 @@ def normalise_fields(node: Any) -> None:
     ``float(value)`` and refuses nan and ±inf (no spec value is
     infinite), an ``int`` field accepts integral values only, a
     ``Tuple`` field turns lists into tuples (element by element),
-    ``Optional`` admits ``None``, and a ``bool``, ``str`` or node field
-    takes an instance of its class.  Anything else raises ``ValueError``
+    ``Optional`` admits ``None``, a ``Literal`` field (a node's
+    discriminator, whose values it declares) takes one of its values,
+    and a ``bool``, ``str`` or node field takes an instance of its
+    class.  Anything else raises ``ValueError``
     naming the node and the field.  Equal values thus make equal nodes,
     with equal hashes and serialised forms, however they were spelled.
     """
@@ -118,6 +115,14 @@ def _converter(hint: Any) -> Callable[[Any], Any]:
 
         return instance
     args = get_args(hint)
+    if get_origin(hint) is Literal:
+
+        def one_of(value: Any) -> Any:
+            if value not in args:
+                raise ValueError(value)
+            return value
+
+        return one_of
     if get_origin(hint) is Union and len(args) == 2 and type(None) in args:
         inner = _converter(args[0] if args[1] is type(None) else args[1])
         return lambda value: None if value is None else inner(value)
@@ -154,7 +159,7 @@ class CongestionSpec:
     sender's :class:`~repro.cc.driver.CongestionDriver`.
     """
 
-    controller: str = CC_NONE
+    controller: Literal[CC_CONTROLLERS] = CC_NONE
 
     #: Loss fraction the controller steers the worst receiver towards.
     target_loss: float = 0.05
@@ -185,10 +190,6 @@ class CongestionSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        if self.controller not in CC_CONTROLLERS:
-            raise ValueError(
-                f"controller must be one of {CC_CONTROLLERS}, got {self.controller!r}"
-            )
         if not 0.0 <= self.target_loss < 1.0:
             raise ValueError(f"target_loss must be in [0, 1), got {self.target_loss!r}")
         if self.min_rate <= 0:
@@ -238,7 +239,7 @@ class PolicySpec:
     protocol: every member group and member reads it as ``config``.
     """
 
-    kind: str = "two_phase"
+    kind: Literal[POLICY_KINDS] = "two_phase"
 
     #: Expected long-term bufferers per region (C in §3.2): an idle
     #: message is kept with probability C/n, C = 0 disables long-term
@@ -288,7 +289,6 @@ class PolicySpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        require_kind(self.kind, POLICY_KINDS, "policy")
         for name in ("c", "remote_lambda"):
             value = getattr(self, name)
             if value < 0:
@@ -322,14 +322,13 @@ class FecSpec:
     that many ms after the traffic stream ends (``None`` = never flush).
     """
 
-    mode: str = FEC_OFF
+    mode: Literal[FEC_MODES] = FEC_OFF
     block_size: int = 8
     parity: int = 1
     flush_after: Optional[float] = 1.0
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        require_kind(self.mode, FEC_MODES, "fec")
         if self.block_size < 1:
             raise ValueError(f"fec block_size must be >= 1, got {self.block_size!r}")
         if self.parity < (1 if self.enabled else 0):

@@ -426,8 +426,10 @@ class RrmpMember:
             # otherwise run the randomized search of §3.3.
             self._find_bufferer(seq, (requester,))
 
-    #: Maximum consecutive owner-hint redirects before falling back to
-    #: the randomized search (breaks cycles of stale hints).
+    #: Maximum consecutive owner-hint redirects and hash lookups before
+    #: falling back to the randomized search, whose rounds are bounded
+    #: (breaks cycles of stale hints, and of computed bufferers that no
+    #: longer hold the message).
     _MAX_REDIRECT_HOPS = 8
 
     def _find_bufferer(self, seq: Seq, waiters: Sequence[NodeId], hops: int = 0) -> None:
@@ -443,13 +445,16 @@ class RrmpMember:
                                     forwarder=self.node_id, hops=hops + 1)
             )
             return
-        if hint is not None and hops >= self._MAX_REDIRECT_HOPS:
-            # The hint chain went nowhere — the announced owner must
-            # have discarded the message since.  Forget it and search.
+        if hops >= self._MAX_REDIRECT_HOPS:
+            # The chain went nowhere — the announced owner, or every
+            # computed bufferer, has discarded the message since.
+            # Forget the hint and search.
             self._search_owner_hint.pop(seq, None)
-        self._forward_via_lookup(seq, waiters)
+            self.search.begin(seq, waiters)
+            return
+        self._forward_via_lookup(seq, waiters, hops)
 
-    def _forward_via_lookup(self, seq: Seq, waiters: Sequence[NodeId]) -> None:
+    def _forward_via_lookup(self, seq: Seq, waiters: Sequence[NodeId], hops: int) -> None:
         """§3.4 deterministic alternative to searching: hash every known
         address, forward the request straight to a computed bufferer."""
         candidates = [
@@ -466,7 +471,7 @@ class RrmpMember:
                         node=self.node_id, seq=seq, target=target)
         self.send_search_request(
             target, SearchRequest(seq=seq, waiters=tuple(sorted(waiters)),
-                                  forwarder=self.node_id)
+                                  forwarder=self.node_id, hops=hops + 1)
         )
 
     def _on_search_request(self, request: SearchRequest) -> None:

@@ -736,8 +736,9 @@ def partition_regions(region_ids: Sequence[RegionId],
 
 
 def _lookahead(spec: ScenarioSpec) -> float:
-    """Epoch width: the inter-region latency floor (min 1 ms so zero-
-    latency toy specs still make progress)."""
+    """Epoch width: the inter-region latency floor, at least 1 ms so a
+    sub-millisecond latency does not multiply the epoch count
+    (:class:`~repro.scenario.spec.TopologySpec` refuses a zero latency)."""
     return max(spec.topology.inter_one_way, 1.0)
 
 

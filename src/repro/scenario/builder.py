@@ -25,6 +25,11 @@ only the fields they are given.  The shape helpers (``regions``,
 ``chain``, ``star``, ``tree``, ``multicast_once``) compute field values
 instead.
 
+A verb refuses what its node refuses.  The rules that tie nodes
+together (a ``search_probe`` needs two regions, say) are
+:class:`ScenarioSpec`'s and are checked when ``spec()`` makes the
+value, so verbs may come in any order.
+
 ``spec()`` returns the immutable value (serialize it, register it,
 ship it to a worker); ``build()`` materializes it; ``run()`` builds and
 runs it.
@@ -32,8 +37,8 @@ runs it.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Optional, Tuple
+from dataclasses import fields as spec_fields, replace
+from typing import Any, Dict, Optional, Tuple
 
 from repro.scenario.materialize import BuiltScenario
 from repro.scenario.spec import ScenarioSpec
@@ -43,18 +48,19 @@ class ScenarioBuilder:
     """Accumulates a :class:`ScenarioSpec` through chained calls."""
 
     def __init__(self, *args: Any, **fields: Any) -> None:
-        self._spec = ScenarioSpec(*args, **fields)
+        spec = ScenarioSpec(*args, **fields)
+        self._fields: Dict[str, Any] = {
+            spec_field.name: getattr(spec, spec_field.name) for spec_field in spec_fields(spec)
+        }
 
     def _update(self, node: str, **fields: Any) -> "ScenarioBuilder":
         """Change *fields* of the current *node*, keeping the rest."""
-        current = getattr(self._spec, node)
-        self._spec = replace(self._spec, **{node: replace(current, **fields)})
+        self._fields[node] = replace(self._fields[node], **fields)
         return self
 
     def _fresh(self, node: str, **fields: Any) -> "ScenarioBuilder":
         """Replace *node* with a new one: its defaults plus *fields*."""
-        node_class = type(getattr(self._spec, node))
-        self._spec = replace(self._spec, **{node: node_class(**fields)})
+        self._fields[node] = type(self._fields[node])(**fields)
         return self
 
     # ------------------------------------------------------------------
@@ -207,17 +213,17 @@ class ScenarioBuilder:
 
     def seed(self, seed: int) -> "ScenarioBuilder":
         """Master seed; every random decision derives from it."""
-        self._spec = replace(self._spec, seed=seed)
+        self._fields["seed"] = seed
         return self
 
     def named(self, name: str) -> "ScenarioBuilder":
         """Rename the scenario."""
-        self._spec = replace(self._spec, name=name)
+        self._fields["name"] = name
         return self
 
     def describe(self, text: str) -> "ScenarioBuilder":
         """Attach a one-line human description."""
-        self._spec = replace(self._spec, description=text)
+        self._fields["description"] = text
         return self
 
     # ------------------------------------------------------------------
@@ -225,15 +231,15 @@ class ScenarioBuilder:
     # ------------------------------------------------------------------
     def spec(self) -> ScenarioSpec:
         """The immutable spec value accumulated so far."""
-        return self._spec
+        return ScenarioSpec(**self._fields)
 
     def build(self) -> BuiltScenario:
         """Materialize: simulation built, traffic and churn scheduled."""
-        return self._spec.build()
+        return self.spec().build()
 
     def run(self) -> BuiltScenario:
         """Build and run to the measurement end."""
-        return self._spec.run()
+        return self.spec().run()
 
 
 def scenario(*args: Any, **fields: Any) -> ScenarioBuilder:

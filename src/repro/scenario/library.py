@@ -84,8 +84,6 @@ def search_spec(
 ) -> ScenarioSpec:
     """The Figure 8/9 workload: *bufferers* long-term holders in an
     *n*-member region, one downstream requester searching for them."""
-    if not 0 <= bufferers <= n:
-        raise ValueError(f"bufferers must be in [0, n], got {bufferers}")
     return ScenarioSpec(
         name="search",
         seed=seed,

@@ -319,7 +319,7 @@ def traffic_generator_for(
     if traffic.kind == "poisson":
         duration = traffic.duration
         if duration <= 0:
-            duration = _active_window(0.0, spec, "poisson traffic") - traffic.start
+            duration = spec.measurement.bound - traffic.start
         rng = streams.stream("scenario", "traffic")
         return PoissonStream(traffic.rate, duration, rng, start=traffic.start)
     if traffic.kind == "burst":
@@ -582,18 +582,13 @@ def inject_detect_all(group, traffic: TrafficSpec):
     *group* is any wired member group (an
     :class:`~repro.protocol.rrmp.RrmpSimulation` or a live session)
     exposing ``hierarchy``, ``members``, ``sender`` and ``streams``.
-    Returns ``(data, holders)``.
+    Returns ``(data, holders)``.  :class:`ScenarioSpec` has checked that
+    the group has ``holders`` members.
     """
     hierarchy = group.hierarchy
-    k = traffic.holders
-    if k > len(hierarchy.nodes):
-        raise ValueError(
-            f"detect_all holders must be <= group size, got k={k}, "
-            f"n={len(hierarchy.nodes)}"
-        )
     data = DataMessage(seq=1, sender=group.sender.node_id)
     rng = group.streams.stream("scenario", "holders")
-    holders = sorted(rng.sample(hierarchy.nodes, k))
+    holders = sorted(rng.sample(hierarchy.nodes, traffic.holders))
     holder_set = set(holders)
     for node in hierarchy.nodes:
         member = group.members[node]
@@ -608,20 +603,14 @@ def inject_search_probe(group, traffic: TrafficSpec):
     """The Figure 8/9 workload: b bufferers, one downstream requester.
 
     Same *group* contract as :func:`inject_detect_all`; returns
-    ``(data, bufferers, requester)``.
+    ``(data, bufferers, requester)``.  :class:`ScenarioSpec` has checked
+    that there are two regions and that the first has ``bufferers``
+    members.
     """
     hierarchy = group.hierarchy
     region_ids = sorted(hierarchy.regions)
-    if len(region_ids) < 2:
-        raise ValueError("search_probe needs at least two regions")
     region = hierarchy.regions[region_ids[0]]
     requester_region = hierarchy.regions[region_ids[-1]]
-    if not requester_region.members:
-        raise ValueError("search_probe requester region is empty")
-    if traffic.bufferers > region.size:
-        raise ValueError(
-            f"bufferers must be in [0, n], got {traffic.bufferers}"
-        )
     requester = requester_region.members[0]
     data = DataMessage(seq=1, sender=group.sender.node_id)
     rng = group.streams.stream("scenario", "bufferers")
@@ -635,17 +624,6 @@ def inject_search_probe(group, traffic: TrafficSpec):
             member.force_received(data)
     group.members[requester].inject_loss_detection(data.seq)
     return data, chosen, requester
-
-
-def _active_window(duration: float, spec: ScenarioSpec, what: str) -> float:
-    """How long a timed spec node runs: its own ``duration``, else the
-    measurement bound."""
-    if duration > 0:
-        return duration
-    window = spec.measurement.bound
-    if window is None:
-        raise ValueError(f"{what} needs a duration or a horizon")
-    return window
 
 
 def install_workload(built: BuiltScenario) -> BuiltScenario:
@@ -782,7 +760,7 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
         built.churn = random_churn(
             group,
             group.streams.stream("scenario", "churn"),
-            duration=_active_window(spec.churn.duration, spec, "random churn"),
+            duration=spec.churn.duration or spec.measurement.bound,
             leave_rate=spec.churn.leave_rate,
             crash_rate=spec.churn.crash_rate,
             join_rate=spec.churn.join_rate,
@@ -790,9 +768,7 @@ def install_workload(built: BuiltScenario) -> BuiltScenario:
         )
 
     if built.mobility is not None:
-        built.mobility.attach(
-            group, _active_window(spec.mobility.duration, spec, "mobility")
-        )
+        built.mobility.attach(group, spec.mobility.duration or spec.measurement.bound)
     return built
 
 

@@ -18,8 +18,11 @@ dataclass tree that
   :mod:`repro.scenario.materialize`).
 
 Every sub-spec is a plain frozen dataclass discriminated by a ``kind``
-string, so adding a new topology/traffic/loss family is one enum value
-plus one materializer branch — not a new experiment module.  The
+string whose ``Literal`` annotation declares its values, so adding a new
+topology/traffic/loss family is one value there plus one materializer
+branch — not a new experiment module.  A node's ``__post_init__`` holds
+its range rules, and :class:`ScenarioSpec`'s the rules that tie nodes
+together, so a spec that constructs also builds.  The
 ``policy``, ``fec`` and ``congestion`` nodes are the protocol's own
 configuration, declared in :mod:`repro.protocol.config`.
 """
@@ -30,28 +33,18 @@ import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
-from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, get_type_hints
-
-from repro.protocol.config import (
-    CongestionSpec,
-    FecSpec,
-    PolicySpec,
-    normalise_fields,
-    require_kind,
+from typing import (
+    Any,
+    Dict,
+    Literal,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    get_type_hints,
 )
 
-TOPOLOGY_KINDS = ("single_region", "chain", "star", "balanced_tree")
-TRAFFIC_KINDS = (
-    "none", "uniform", "poisson", "burst", "ramp", "detect_all", "search_probe",
-)
-LOSS_KINDS = (
-    "none", "bernoulli", "fixed_holders", "region_correlated", "gilbert_elliott",
-    "bottleneck", "outage",
-)
-CHURN_KINDS = ("none", "random")
-MOBILITY_KINDS = ("none", "waypoint")
-PLAYOUT_KINDS = ("none", "cbr")
-ADAPT_MODES = ("off", "passive")
+from repro.protocol.config import CongestionSpec, FecSpec, PolicySpec, normalise_fields
 
 #: Field metadata of a field added after specs were first digested:
 #: :meth:`ScenarioSpec.to_dict` leaves it out while it holds its
@@ -77,10 +70,13 @@ class TopologySpec:
     intra-region RTT is the default.  ``inter_up_one_way`` /
     ``inter_down_one_way`` optionally split the inter-region delay by
     direction (netem-style asymmetry: hops toward an ancestor region
-    vs hops away from it); ``None`` keeps the symmetric value.
+    vs hops away from it); ``None`` keeps the symmetric value.  Every
+    latency is > 0, since recovery rounds re-arm one round-trip apart and
+    at 0 the clock would never move, and at most 1e9 ms, so every path
+    delay and round-trip timer stays finite.
     """
 
-    kind: str = "single_region"
+    kind: Literal["single_region", "chain", "star", "balanced_tree"] = "single_region"
     n: int = 100
     sizes: Tuple[int, ...] = ()
     depth: int = 1
@@ -92,18 +88,20 @@ class TopologySpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        require_kind(self.kind, TOPOLOGY_KINDS, "topology")
         if self.kind in ("single_region", "star", "balanced_tree") and self.n < 1:
             raise ValueError(f"topology n must be >= 1, got {self.n}")
         if self.kind == "chain" and not self.sizes:
             raise ValueError("chain topology requires non-empty sizes")
         if any(size < 1 for size in self.sizes):
             raise ValueError(f"region sizes must be >= 1, got {self.sizes}")
+        if self.kind == "balanced_tree" and (self.depth < 0 or self.fanout < 1):
+            raise ValueError(f"balanced_tree needs depth >= 0 and fanout >= 1, "
+                             f"got depth={self.depth} and fanout={self.fanout}")
         for name in ("intra_one_way", "inter_one_way",
                      "inter_up_one_way", "inter_down_one_way"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            if value is not None and not 0 < value <= 1e9:
+                raise ValueError(f"{name} must be > 0 and <= 1e9 ms, got {value!r}")
 
     def member_count(self) -> int:
         """Total receivers the topology will contain."""
@@ -141,7 +139,9 @@ class TrafficSpec:
       member's remote request must find a bufferer (Figures 8/9).
     """
 
-    kind: str = "none"
+    kind: Literal[
+        "none", "uniform", "poisson", "burst", "ramp", "detect_all", "search_probe",
+    ] = "none"
     count: int = 0
     interval: float = 25.0
     start: float = 0.0
@@ -155,7 +155,6 @@ class TrafficSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        require_kind(self.kind, TRAFFIC_KINDS, "traffic")
         if self.start < 0:
             raise ValueError(f"traffic start must be >= 0, got {self.start!r}")
         if self.kind in ("uniform", "ramp") and self.count < 0:
@@ -213,7 +212,10 @@ class LossSpec:
       applies to data packets throughout.
     """
 
-    kind: str = "none"
+    kind: Literal[
+        "none", "bernoulli", "fixed_holders", "region_correlated", "gilbert_elliott",
+        "bottleneck", "outage",
+    ] = "none"
     p: float = 0.0
     k: int = 0
     region_loss: float = 0.0
@@ -230,7 +232,6 @@ class LossSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        require_kind(self.kind, LOSS_KINDS, "loss")
         for name in ("p", "region_loss", "receiver_loss",
                      "p_good_to_bad", "p_bad_to_good", "p_good", "p_bad"):
             value = getattr(self, name)
@@ -265,7 +266,7 @@ class ChurnSpec:
     sender alive — without it a crashed sender ends the session.
     """
 
-    kind: str = "none"
+    kind: Literal["none", "random"] = "none"
     leave_rate: float = 0.0
     crash_rate: float = 0.0
     join_rate: float = 0.0
@@ -274,7 +275,6 @@ class ChurnSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        require_kind(self.kind, CHURN_KINDS, "churn")
         for name in ("leave_rate", "crash_rate", "join_rate"):
             if getattr(self, name) < 0:
                 raise ValueError(f"churn {name} must be >= 0")
@@ -306,7 +306,7 @@ class MobilitySpec:
     and ``protect_sender`` pins the sender so the session survives.
     """
 
-    kind: str = "none"
+    kind: Literal["none", "waypoint"] = "none"
     speed: float = 4.0
     epoch: float = 50.0
     area: float = 1000.0
@@ -316,7 +316,6 @@ class MobilitySpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        require_kind(self.kind, MOBILITY_KINDS, "mobility")
         if self.speed < 0:
             raise ValueError(f"mobility speed must be >= 0, got {self.speed!r}")
         if self.epoch <= 0:
@@ -352,13 +351,12 @@ class PlayoutSpec:
       shifts all later deadlines by the stall (playback pauses).
     """
 
-    kind: str = "none"
+    kind: Literal["none", "cbr"] = "none"
     interval: float = 25.0
     startup_delay: float = 100.0
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        require_kind(self.kind, PLAYOUT_KINDS, "playout")
         if self.interval <= 0:
             raise ValueError(f"playout interval must be > 0 ms, got {self.interval!r}")
         if self.startup_delay < 0:
@@ -393,7 +391,7 @@ class AdaptSpec:
     link-state smoothing factor.
     """
 
-    mode: str = "off"
+    mode: Literal["off", "passive"] = "off"
     update_interval: float = 250.0
     hysteresis: float = 0.1
     max_reparents: int = 8
@@ -401,7 +399,6 @@ class AdaptSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
-        require_kind(self.mode, ADAPT_MODES, "adapt")
         if self.update_interval <= 0:
             raise ValueError(
                 f"adapt update_interval must be > 0 ms, got {self.update_interval!r}"
@@ -540,6 +537,25 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         normalise_fields(self)
+        topology, traffic = self.topology, self.traffic
+        members = topology.member_count()
+        if traffic.kind == "search_probe":
+            root = topology.sizes[0] if topology.kind == "chain" else topology.n
+            if members == root:  # the sender's region is the only one
+                raise ValueError("search_probe needs at least two regions")
+            if traffic.bufferers > root:
+                raise ValueError(f"search_probe bufferers must be <= the first region's "
+                                 f"{root} members, got {traffic.bufferers}")
+        if traffic.kind == "detect_all" and traffic.holders > members:
+            raise ValueError(f"detect_all holders must be <= the group's {members} "
+                             f"members, got {traffic.holders}")
+        untimed = [what for what, on, duration in (
+            ("poisson traffic", traffic.kind == "poisson", traffic.duration),
+            ("random churn", self.churn.kind == "random", self.churn.duration),
+            ("mobility", self.mobility.enabled, self.mobility.duration),
+        ) if on and duration <= 0]
+        if untimed and self.measurement.bound is None:
+            raise ValueError(f"{untimed[0]} needs a duration or a horizon")
 
     # ------------------------------------------------------------------
     # Serialization

@@ -93,15 +93,17 @@ class TraceLog:
         self.enabled = keep_records
 
     def emit(self, time: float, kind: str, **fields: Any) -> None:
-        """Record an event at simulated *time* with the given *kind*."""
-        record = TraceRecord(time, kind, fields)
+        """Record an event at simulated *time* with the given *kind*.  The
+        record is built only when someone retains or reads it."""
         self._counts[kind] += 1
         try:
             route = self._routes[kind]
         except KeyError:
             route = self._route(kind)
-        for deliver in route:
-            deliver(record)
+        if route:
+            record = TraceRecord(time, kind, fields)
+            for deliver in route:
+                deliver(record)
 
     def _route(self, kind: str) -> Tuple[Subscriber, ...]:
         retain = [self.records.append] if self.keep_records else []

@@ -2,26 +2,42 @@
 
 The paper's claims were exercised at exactly seven hand-picked points
 of the :class:`~repro.scenario.spec.ScenarioSpec` space; the fuzzer
-samples that space at random — topology × traffic × loss × churn ×
-policy × FEC — and runs every sampled spec under the full invariant
-oracle.  Sampling is deterministic per ``(seed, trial index)``, so a
-reported failure is reproducible by seed alone, and every failure is
-additionally written out as a **repro artifact**: the (minimized)
-spec's JSON, its digest, and the first violating trace record, so any
-failure is a one-command replay::
+samples that space at random and runs every sampled spec under the
+full invariant oracle.  Sampling is deterministic per ``(seed, trial
+index)``, so a reported failure is reproducible by seed alone, and
+every failure is additionally written out as a **repro artifact**: the
+(minimized) spec's JSON, its digest, and the first violating trace
+record, so any failure is a one-command replay::
 
     rrmp validate fuzz --trials 200 --seed 0 --artifacts out/
     rrmp validate replay out/repro_000042_ab12cd34ef56.json
 
-Sampled specs are bounded small (tens of members, a handful of
-messages, sub-second sim horizons) so hundreds of trials run in
-seconds; they always end with a drain to a quiescent queue, which is
-what arms the oracle's liveness checks.  Two sampling rules keep the
-generated space inside the protocol's stated operating envelope rather
-than trivially violating it: ``max_recovery_time`` is always finite
-(otherwise a message nobody buffers spins recovery forever — the §5
-trade-off, not a bug) and ``max_search_rounds`` is always finite (an
-unbounded search for a fully-discarded message never terminates).
+A sample is drawn from the spec's own declarations.  For each node of
+the spec the sampler picks one of the kinds its ``Literal``
+discriminator declares and draws every other field from its annotation
+and default: an ``int`` from :data:`SIZES`, a ``float`` as its default
+times one of :data:`SCALES` (one of :data:`MAGNITUDES` when the default
+is 0 or ``None``), an ``Optional`` field ``None`` now and then, a tuple
+as one to three entries.  The node's ``__post_init__``, and the
+spec's for the rules that tie nodes together, are the only range
+rules: a draw they refuse is drawn again.  The minimizer likewise
+resets one node to its default, or halves one size, at a time.
+
+Two things a spec cannot know are this module's, and only these:
+
+* **trial size** — at most :data:`MAX_MEMBERS` members, at most
+  :data:`MAX_CHURN_EVENTS` churn events expected and at most
+  :data:`MAX_MESSAGES` messages in the stream, so hundreds of trials
+  run in seconds;
+* **termination** — a finite ``max_recovery_time`` and
+  ``max_search_rounds`` (otherwise a message nobody buffers spins
+  recovery, or its search, forever: the §5 trade-off, not a bug) and a
+  session heartbeat (so tail losses are detected at all).
+
+A sampled run has no measurement bound: it ends by the run plan's
+settle rule (:meth:`~repro.scenario.materialize.BuiltScenario.plan`),
+then drains to a quiescent queue, which is what arms the oracle's
+liveness checks.
 """
 
 from __future__ import annotations
@@ -29,281 +45,123 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.scenario.spec import (
-    AdaptSpec,
-    ChurnSpec,
-    CongestionSpec,
-    FecSpec,
-    LossSpec,
-    MeasurementSpec,
-    MobilitySpec,
-    PlayoutSpec,
-    PolicySpec,
-    ScenarioSpec,
-    TopologySpec,
-    TrafficSpec,
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Literal,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
+
+from repro.scenario.materialize import traffic_generator_for
+from repro.scenario.spec import MeasurementSpec, ScenarioSpec
+from repro.sim.randomness import RandomStreams
 
 ARTIFACT_FORMAT = "rrmp-validate-repro/1"
 
-#: Policy families the fuzzer samples.  ``stability`` is excluded: its
-#: gossip agents tick forever, so a drain-to-quiescence run never ends.
-POLICY_CHOICES = (
-    "two_phase", "two_phase", "two_phase", "two_phase",  # weight the paper's policy
-    "fixed_time", "fixed_time",
-    "hash",
-    "never_discard",
-    "no_buffer",
-)
+#: The trial size (module docstring).
+MAX_MEMBERS = 40
+MAX_CHURN_EVENTS = 10
+MAX_MESSAGES = 32
+
+#: What a drawn ``int`` takes (and a tuple's length, from 1 to 3).
+SIZES = (0, 1, 2, 3, 5, 8)
+#: What a drawn ``float`` multiplies its default by...
+SCALES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+#: ...or takes, when its default is 0 or ``None``.
+MAGNITUDES = (0.0, 0.05, 0.5, 50.0, 200.0, 500.0)
+
+#: The spec's nodes at their defaults; ``measurement`` is the fuzzer's.
+NODES = {spec_field.name: spec_field.default_factory()
+         for spec_field in fields(ScenarioSpec) if spec_field.name != "measurement"
+         and callable(spec_field.default_factory)}
+
+#: The trial size and termination rules a node must keep, by node.
+RULES: Dict[str, Callable[[Any], bool]] = {
+    "topology": lambda topology: topology.member_count() <= MAX_MEMBERS,
+    "churn": lambda churn: churn.kind == "none" or churn.duration * (
+        churn.leave_rate + churn.crash_rate + churn.join_rate) <= MAX_CHURN_EVENTS,
+    "policy": lambda policy: None not in (
+        policy.max_recovery_time, policy.max_search_rounds, policy.session_interval),
+}
 
 
 # ----------------------------------------------------------------------
 # Spec sampling
 # ----------------------------------------------------------------------
-def _sample_topology(rng: random.Random) -> TopologySpec:
-    kind = rng.choice(("single_region", "single_region", "chain", "chain",
-                       "star", "balanced_tree"))
-    intra = rng.choice((2.5, 5.0, 10.0))
-    inter = rng.choice((20.0, 40.0, 80.0))
-    if kind == "single_region":
-        return TopologySpec(kind=kind, n=rng.randint(2, 10),
-                            intra_one_way=intra, inter_one_way=inter)
-    if kind == "chain":
-        sizes = tuple(rng.randint(2, 6) for _ in range(rng.randint(2, 3)))
-        return TopologySpec(kind=kind, sizes=sizes,
-                            intra_one_way=intra, inter_one_way=inter)
-    if kind == "star":
-        sizes = tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 2)))
-        return TopologySpec(kind=kind, n=rng.randint(2, 5), sizes=sizes,
-                            intra_one_way=intra, inter_one_way=inter)
-    return TopologySpec(kind="balanced_tree", depth=1, fanout=2,
-                        n=rng.randint(2, 3),
-                        intra_one_way=intra, inter_one_way=inter)
+@lru_cache(maxsize=None)
+def _hints(cls: type) -> Dict[str, Any]:
+    return get_type_hints(cls)
 
 
-def _sample_traffic(rng: random.Random, member_count: int) -> TrafficSpec:
-    kind = rng.choice(("uniform", "uniform", "uniform", "poisson",
-                       "burst", "ramp", "detect_all"))
-    if kind == "uniform":
-        return TrafficSpec(kind=kind, count=rng.randint(2, 10),
-                           interval=rng.choice((5.0, 10.0, 25.0, 40.0)),
-                           start=1.0)
-    if kind == "poisson":
-        return TrafficSpec(kind=kind, rate=rng.choice((0.02, 0.05, 0.1)),
-                           duration=float(rng.randint(150, 350)), start=1.0)
-    if kind == "burst":
-        bursts = tuple(
-            (float(rng.randint(1, 200)), rng.randint(2, 5))
-            for _ in range(rng.randint(1, 3))
-        )
-        return TrafficSpec(kind=kind, bursts=bursts)
-    if kind == "ramp":
-        return TrafficSpec(kind=kind, count=rng.randint(4, 10),
-                           initial_interval=rng.choice((20.0, 30.0)),
-                           final_interval=rng.choice((2.0, 5.0)), start=1.0)
-    return TrafficSpec(kind="detect_all",
-                       holders=rng.randint(1, max(1, member_count // 2)))
+def _draw(rng: random.Random, hint: Any, default: Any = None) -> Any:
+    """A value for a field annotated *hint* whose default is *default*."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return rng.choice(args)
+    if origin is Union:  # Optional[...]
+        return None if rng.random() < 0.2 else _draw(rng, args[0], default)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_draw(rng, args[0]) for _ in range(rng.choice(SIZES[1:4])))
+        return tuple(_draw(rng, arg) for arg in args)
+    if hint is bool:
+        return rng.random() < 0.5
+    if hint is int:
+        return rng.choice(SIZES)
+    if hint is float:
+        return default * rng.choice(SCALES) if default else rng.choice(MAGNITUDES)
+    raise TypeError(f"no draw rule for annotation {hint!r}")
 
 
-def _traffic_end(traffic: TrafficSpec) -> float:
-    """Upper bound on the last scheduled send time."""
-    if traffic.kind == "uniform":
-        return traffic.start + traffic.count * traffic.interval
-    if traffic.kind == "poisson":
-        return traffic.start + traffic.duration
-    if traffic.kind == "burst":
-        return max((time for time, _size in traffic.bursts), default=0.0)
-    if traffic.kind == "ramp":
-        mean_gap = (traffic.initial_interval + traffic.final_interval) / 2.0
-        return traffic.start + traffic.count * mean_gap
-    return 0.0  # detect_all injects at build time
+def _draw_node(rng: random.Random, name: str) -> Any:
+    """The spec's *name* node, every field drawn, until the node
+    constructs and keeps its rule."""
+    cls = type(NODES[name])
+    hints, rule = _hints(cls), RULES.get(name, bool)
+    while True:
+        values = {spec_field.name: _draw(rng, hints[spec_field.name], spec_field.default)
+                  for spec_field in fields(cls)}
+        try:
+            node = cls(**values)
+        except ValueError:
+            continue
+        if rule(node):
+            return node
 
 
-def _sample_loss(rng: random.Random) -> LossSpec:
-    kind = rng.choice(("none", "bernoulli", "bernoulli", "bernoulli",
-                       "fixed_holders", "region_correlated", "gilbert_elliott",
-                       "outage"))
-    if kind == "bernoulli":
-        return LossSpec(kind=kind, p=rng.choice((0.05, 0.1, 0.2, 0.35)))
-    if kind == "fixed_holders":
-        return LossSpec(kind=kind, k=rng.randint(0, 3))
-    if kind == "region_correlated":
-        return LossSpec(kind=kind,
-                        region_loss=rng.choice((0.1, 0.25, 0.5)),
-                        receiver_loss=rng.choice((0.0, 0.05, 0.15)))
-    if kind == "gilbert_elliott":
-        return LossSpec(kind=kind,
-                        p_good_to_bad=rng.choice((0.01, 0.05)),
-                        p_bad_to_good=rng.choice((0.2, 0.4)),
-                        p_bad=rng.choice((0.5, 0.8)))
-    if kind == "outage":
-        return LossSpec(kind=kind,
-                        outage_start=rng.choice((20.0, 60.0, 120.0)),
-                        outage_duration=rng.choice((60.0, 120.0, 250.0)),
-                        outage_regions=rng.randint(1, 2),
-                        receiver_loss=rng.choice((0.0, 0.05)))
-    return LossSpec()
-
-
-def _sample_churn(rng: random.Random) -> ChurnSpec:
-    if rng.random() < 0.55:
-        return ChurnSpec()
-    return ChurnSpec(
-        kind="random",
-        leave_rate=rng.choice((0.0, 0.002, 0.005)),
-        crash_rate=rng.choice((0.0, 0.002, 0.005)),
-        join_rate=rng.choice((0.0, 0.002, 0.005)),
-        protect_sender=True,
-    )
-
-
-def _sample_policy(rng: random.Random) -> PolicySpec:
-    kind = rng.choice(POLICY_CHOICES)
-    # Finite recovery deadline and search budget keep every sampled run
-    # terminating (see module docstring); sessions always on so tail
-    # losses are detectable at all.
-    common: Dict[str, Any] = dict(
-        session_interval=float(rng.randint(15, 45)),
-        remote_lambda=rng.choice((0.5, 1.0, 2.0)),
-        max_recovery_time=float(rng.randint(300, 700)),
-        max_search_rounds=rng.randint(8, 24),
-    )
-    if kind == "two_phase":
-        return PolicySpec(
-            kind=kind,
-            c=rng.choice((0.0, 1.0, 3.0, 6.0)),
-            idle_threshold=float(rng.randint(10, 60)),
-            long_term_ttl=rng.choice((None, 150.0, 400.0)),
-            **common,
-        )
-    if kind == "fixed_time":
-        return PolicySpec(kind=kind, hold_time=float(rng.randint(40, 300)), **common)
-    if kind == "hash":
-        return PolicySpec(kind=kind, c=rng.choice((1.0, 3.0, 6.0)), **common)
-    return PolicySpec(kind=kind, **common)
-
-
-def _sample_fec(rng: random.Random) -> FecSpec:
-    if rng.random() < 0.6:
-        return FecSpec()
-    return FecSpec(
-        mode=rng.choice(("proactive", "reactive")),
-        block_size=rng.randint(2, 6),
-        parity=rng.randint(1, 2),
-        flush_after=rng.choice((1.0, 20.0)),
-    )
-
-
-def _sample_congestion(rng: random.Random) -> CongestionSpec:
-    # Mostly off, so the bulk of trials keep exercising the open-loop
-    # paths; when on, small rate windows and short feedback intervals
-    # make the controller actually move within a fuzz-sized run.
-    if rng.random() < 0.7:
-        return CongestionSpec()
-    min_rate = rng.choice((1.0, 5.0, 20.0))
-    return CongestionSpec(
-        controller=rng.choice(("tfmcc", "tfmcc", "aimd")),
-        target_loss=rng.choice((0.01, 0.05, 0.15)),
-        min_rate=min_rate,
-        max_rate=min_rate * rng.choice((5.0, 20.0, 100.0)),
-        feedback_interval=rng.choice((20.0, 50.0, 100.0)),
-        parity_min=rng.choice((None, 1)),
-        parity_max=rng.choice((None, 2, 4)),
-    )
-
-
-def _sample_adapt(rng: random.Random) -> AdaptSpec:
-    # ~30% on, so the adaptive-topology invariant sees adversarial
-    # topologies regularly without dominating the trial budget.  Update
-    # intervals are bounded small relative to fuzz-sized horizons so
-    # the optimizer actually gets passes in.
-    if rng.random() < 0.7:
-        return AdaptSpec()
-    return AdaptSpec(
-        mode="passive",
-        update_interval=rng.choice((50.0, 100.0, 200.0)),
-        hysteresis=rng.choice((0.0, 0.1, 0.3)),
-        max_reparents=rng.randint(1, 6),
-        ewma_alpha=rng.choice((0.1, 0.2, 0.5)),
-    )
-
-
-def _sample_mobility(rng: random.Random) -> MobilitySpec:
-    # ~30% on, mirroring the adapt node: the handoff-conservation
-    # invariant then sees mobility handoffs regularly.  Duration 0
-    # resolves to the measurement bound, so movement always terminates.
-    if rng.random() < 0.7:
-        return MobilitySpec()
-    return MobilitySpec(
-        kind="waypoint",
-        speed=rng.choice((2.0, 5.0, 10.0)),
-        epoch=rng.choice((25.0, 50.0)),
-        distance_loss=rng.choice((0.0, 0.1, 0.25)),
-        protect_sender=True,
-    )
-
-
-def _sample_playout(rng: random.Random) -> PlayoutSpec:
-    # ~30% on: the rebuffer-accounting invariant cross-checks the
-    # tracker against the delivery trace on these trials.
-    if rng.random() < 0.7:
-        return PlayoutSpec()
-    return PlayoutSpec(
-        kind="cbr",
-        interval=rng.choice((10.0, 25.0, 50.0)),
-        startup_delay=rng.choice((0.0, 50.0, 150.0)),
-    )
+def _fits(spec: ScenarioSpec) -> bool:
+    """Whether *spec* keeps the trial size and termination rules."""
+    stream = traffic_generator_for(spec.traffic, spec, RandomStreams(spec.seed))
+    return (all(rule(getattr(spec, name)) for name, rule in RULES.items())
+            and (stream is None or stream.arrival_count() <= MAX_MESSAGES))
 
 
 def sample_spec(seed: int, index: int) -> ScenarioSpec:
     """The deterministically-sampled spec for trial *index* of *seed*."""
     rng = random.Random(seed * 1_000_003 + index)
-    topology = _sample_topology(rng)
-    traffic = _sample_traffic(rng, topology.member_count())
-    loss = _sample_loss(rng)
-    churn = _sample_churn(rng)
-    policy = _sample_policy(rng)
-    fec = _sample_fec(rng)
-    congestion = _sample_congestion(rng)
-    adapt = _sample_adapt(rng)
-    mobility = _sample_mobility(rng)
-    playout = _sample_playout(rng)
-    session = policy.session_interval or 50.0
-    duration = _traffic_end(traffic) + 3.0 * session + 100.0
-    if congestion.enabled:
-        # A throttled sender stretches the stream: the last arrival may
-        # wait for credit at min_rate before the tail settles.
-        duration += 1000.0 / congestion.min_rate + 3.0 * session
-    if mobility.enabled:
-        # Handoff re-joins accumulate gaps late in the run; give the
-        # fresh members room to detect and recover (or give up) before
-        # the drain is judged.
-        duration += 300.0
-    if loss.kind == "outage":
-        # The partition must heal inside the run, with recovery room
-        # after it, or gapless-delivery is judged mid-outage.
-        duration = max(duration,
-                       loss.outage_start + loss.outage_duration + 3.0 * session + 200.0)
-    measurement = MeasurementSpec(duration=duration, drain=True, oracle=True)
-    return ScenarioSpec(
-        name=f"fuzz-{seed}-{index}",
-        seed=rng.randint(0, 2**31 - 1),
-        topology=topology,
-        traffic=traffic,
-        loss=loss,
-        churn=churn,
-        policy=policy,
-        fec=fec,
-        congestion=congestion,
-        adapt=adapt,
-        mobility=mobility,
-        playout=playout,
-        measurement=measurement,
-        description=f"fuzzer sample (fuzz seed {seed}, trial {index})",
-    )
+    while True:
+        nodes = {name: _draw_node(rng, name) for name in NODES}
+        try:
+            spec = ScenarioSpec(
+                name=f"fuzz-{seed}-{index}",
+                seed=rng.randint(0, 2**31 - 1),
+                measurement=MeasurementSpec(oracle=True),
+                description=f"fuzzer sample (fuzz seed {seed}, trial {index})",
+                **nodes,
+            )
+        except ValueError:
+            continue
+        if _fits(spec):
+            return spec
 
 
 # ----------------------------------------------------------------------
@@ -357,62 +215,36 @@ def run_spec(spec: ScenarioSpec) -> TrialOutcome:
 # Minimization
 # ----------------------------------------------------------------------
 def _shrink_candidates(spec: ScenarioSpec) -> List[Tuple[str, ScenarioSpec]]:
-    """Ordered simplifications of *spec* to try (coarsest first)."""
-    candidates: List[Tuple[str, ScenarioSpec]] = []
-    if spec.mobility.enabled:
-        candidates.append(("drop mobility", replace(spec, mobility=MobilitySpec())))
-    if spec.playout.enabled:
-        candidates.append(("drop playout", replace(spec, playout=PlayoutSpec())))
-    if spec.churn.kind != "none":
-        candidates.append(("drop churn", replace(spec, churn=ChurnSpec())))
-    if spec.congestion.enabled:
-        candidates.append(
-            ("drop congestion", replace(spec, congestion=CongestionSpec()))
-        )
-    if spec.adapt.enabled:
-        candidates.append(("drop adapt", replace(spec, adapt=AdaptSpec())))
-    if spec.fec.mode != "off":
-        candidates.append(("drop fec", replace(spec, fec=FecSpec())))
-    if spec.loss.kind != "none":
-        candidates.append(("drop loss", replace(spec, loss=LossSpec())))
-    traffic = spec.traffic
-    if traffic.kind in ("uniform", "ramp") and traffic.count > 1:
-        candidates.append((
-            "halve traffic",
-            replace(spec, traffic=replace(traffic, count=max(1, traffic.count // 2))),
-        ))
-    if traffic.kind == "poisson" and traffic.duration > 50.0:
-        candidates.append((
-            "halve traffic window",
-            replace(spec, traffic=replace(traffic, duration=traffic.duration / 2.0)),
-        ))
-    if traffic.kind == "burst" and len(traffic.bursts) > 1:
-        candidates.append((
-            "drop bursts",
-            replace(spec, traffic=replace(traffic, bursts=traffic.bursts[:1])),
-        ))
-    topology = spec.topology
-    if topology.kind == "single_region" and topology.n > 2:
-        smaller = replace(topology, n=max(2, topology.n // 2))
-        candidates.append(("halve region", _clamped(spec, smaller)))
-    if topology.kind in ("chain", "star") and len(topology.sizes) > 1:
-        smaller = replace(topology, sizes=topology.sizes[:-1])
-        candidates.append(("drop region", _clamped(spec, smaller)))
+    """Ordered simplifications of *spec* to try: each non-default node
+    reset to its default, then each size (an ``int`` above 1, a tuple of
+    two or more entries) halved.  Only candidates that construct and
+    keep the trial size are offered."""
+    changes = [(f"reset {name}", name, default)
+               for name, default in NODES.items() if getattr(spec, name) != default]
+    for name in NODES:
+        node = getattr(spec, name)
+        for spec_field in fields(node):
+            value = getattr(node, spec_field.name)
+            if type(value) is int and value > 1:
+                half: Any = value // 2
+            elif isinstance(value, tuple) and len(value) > 1:
+                half = value[:len(value) // 2]
+            else:
+                continue
+            try:
+                changes.append((f"halve {name}.{spec_field.name}", name,
+                                replace(node, **{spec_field.name: half})))
+            except ValueError:
+                continue
+    candidates = []
+    for label, name, node in changes:
+        try:
+            candidate = replace(spec, **{name: node})
+        except ValueError:
+            continue
+        if _fits(candidate):
+            candidates.append((label, candidate))
     return candidates
-
-
-def _clamped(spec: ScenarioSpec, topology: TopologySpec) -> ScenarioSpec:
-    """Re-fit member-count-dependent traffic fields to a smaller topology."""
-    traffic = spec.traffic
-    members = topology.member_count()
-    if traffic.kind == "detect_all" and traffic.holders > members:
-        traffic = replace(traffic, holders=max(1, members))
-    if traffic.kind == "search_probe":
-        first = topology.sizes[0] if topology.kind == "chain" and topology.sizes \
-            else topology.n
-        if traffic.bufferers > first:
-            traffic = replace(traffic, bufferers=first)
-    return replace(spec, topology=topology, traffic=traffic)
 
 
 def minimize_spec(

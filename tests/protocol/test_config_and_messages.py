@@ -59,7 +59,7 @@ class TestPolicySpec:
          "PolicySpec.idle_threshold must be finite float, got nan"),
         ("max_search_rounds", 2.5,
          "PolicySpec.max_search_rounds must be Optional[int], got 2.5"),
-        ("kind", "lru", "policy kind must be one of"),
+        ("kind", "lru", "PolicySpec.kind must be Literal['two_phase', "),
     ])
     def test_invalid_values_rejected(self, field, value, message):
         with pytest.raises(ValueError) as refused:
@@ -69,7 +69,8 @@ class TestPolicySpec:
 
 class TestFecSpec:
     @pytest.mark.parametrize("changes, message", [
-        (dict(mode="sometimes"), "fec kind must be one of"),
+        (dict(mode="sometimes"),
+         "FecSpec.mode must be Literal['off', 'proactive', 'reactive'], got 'sometimes'"),
         (dict(block_size=0), "fec block_size must be >= 1, got 0"),
         (dict(parity=-1), "fec parity must be >= 0 with mode 'off', got -1"),
         (dict(mode="proactive", parity=0),

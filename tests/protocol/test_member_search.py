@@ -7,8 +7,10 @@ from repro.net.latency import HierarchicalLatency
 from repro.net.topology import chain
 from repro.protocol.config import PolicySpec
 from repro.protocol.messages import DataMessage, SearchRequest
+from repro.protocol.member import RrmpMember
 from repro.protocol.rrmp import RrmpSimulation
 from repro.scenario.library import search_spec
+from repro.scenario.spec import ScenarioSpec, TopologySpec, TrafficSpec
 
 
 class TestSearchBasics:
@@ -165,3 +167,23 @@ class TestOwnerHints:
         member.on_packet(type("FakePacket", (), {"payload": request})())
         # At the hop limit the member must fall back to searching.
         assert member.search.is_searching(1) or member.is_buffering(1)
+
+    def test_hash_lookups_that_miss_fall_back_to_the_bounded_search(self):
+        """Fuzz finding: two hash-selected members that no longer buffer the
+        message forwarded a remote request to each other forever (39,954
+        lookups in 20,000 events at t = 99,960 ms), past every give-up
+        bound.  A lookup counts as a hop, so the chain ends in the §3.3
+        search, whose rounds are bounded."""
+        spec = ScenarioSpec(
+            seed=1,
+            topology=TopologySpec(kind="chain", sizes=(5, 2)),
+            traffic=TrafficSpec(kind="search_probe", bufferers=1),
+            policy=PolicySpec(kind="hash", long_term_ttl=10.0, session_interval=None,
+                              max_recovery_time=100.0, max_search_rounds=2),
+        )
+        built = spec.build()
+        built.simulation.sim.run(max_events=20_000)
+        trace = built.simulation.trace
+        assert built.simulation.sim.events_fired < 20_000  # drained
+        assert 0 < trace.count("lookup_forwarded") <= 4 * RrmpMember._MAX_REDIRECT_HOPS
+        assert trace.count("remote_request_served") > 0

@@ -15,6 +15,7 @@ class TestBuilderProducesSpecs:
             .poisson(rate=2.0)
             .loss(p=0.01)
             .policy("two_phase", c=3.0)
+            .measure(horizon=2_000.0)
             .spec()
         )
         assert spec.topology.kind == "star"
@@ -101,6 +102,7 @@ class TestBuilderProducesSpecs:
             scenario().regions(3, 10)
             .mobility(speed=5.0, epoch=30.0, distance_loss=0.15)
             .playout(interval=20.0, startup_delay=60.0)
+            .measure(horizon=500.0)
             .spec()
         )
         assert spec.mobility.enabled

@@ -197,13 +197,12 @@ class TestMaterializeFeatures:
         assert built.holders == result.holders
 
     def test_detect_all_validates_holder_count(self):
-        spec = ScenarioSpec(
-            topology=TopologySpec(kind="single_region", n=4),
-            traffic=TrafficSpec(kind="detect_all", holders=9),
-            measurement=MeasurementSpec(duration=100.0),
-        )
-        with pytest.raises(ValueError):
-            spec.build()
+        with pytest.raises(ValueError, match="holders must be <= the group's 4 members"):
+            ScenarioSpec(
+                topology=TopologySpec(kind="single_region", n=4),
+                traffic=TrafficSpec(kind="detect_all", holders=9),
+                measurement=MeasurementSpec(duration=100.0),
+            )
 
     def test_drain_after_bounded_run_settles_remaining_events(self):
         """drain=True after a horizon keeps running until the queue is

@@ -334,7 +334,14 @@ class TestSpecOverrides:
         ("search", "inter_one_way", "1e999",
          "TopologySpec.inter_one_way must be finite float, got inf"),
         ("initial_holders", "intra_one_way", "-1",
-         "intra_one_way must be finite and >= 0, got -1.0"),
+         "intra_one_way must be > 0 and <= 1e9 ms, got -1.0"),
+        # A zero latency used to spin recovery rounds at t = 0 forever.
+        ("heterogeneous_regions", "intra_one_way", "0",
+         "intra_one_way must be > 0 and <= 1e9 ms, got 0.0"),
+        ("regional_outage", "intra_one_way", "0",
+         "intra_one_way must be > 0 and <= 1e9 ms, got 0.0"),
+        ("heterogeneous_regions", "inter_one_way", "0",
+         "inter_one_way must be > 0 and <= 1e9 ms, got 0.0"),
         ("search", "inter_down_one_way", "1e999",
          "TopologySpec.inter_down_one_way must be Optional[finite float], got inf"),
     ])

@@ -188,6 +188,58 @@ class TestValidation:
             build()
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("latencies", [
+        {"intra_one_way": 0.0, "inter_one_way": 40.0},
+        {"intra_one_way": 5.0, "inter_one_way": 0.0},
+        {"inter_up_one_way": 0.0, "inter_down_one_way": 0.0},
+    ], ids=["intra", "inter", "up-and-down"])
+    def test_a_zero_latency_is_refused(self, latencies):
+        """Recovery rounds re-arm one round-trip apart: on the chain (3, 3)
+        with one detect_all holder and ``max_recovery_time=500``, each of
+        these fired 100,000 events at t = 0.0 and never gave up."""
+        with pytest.raises(ValueError, match=r"_one_way must be > 0 and <= 1e9 ms, got 0\.0"):
+            ScenarioSpec(
+                topology=TopologySpec(kind="chain", sizes=(3, 3), **latencies),
+                traffic=TrafficSpec(kind="detect_all", holders=1),
+                policy=PolicySpec(max_recovery_time=500.0),
+                measurement=MeasurementSpec(horizon=1_000.0),
+            )
+
+    @pytest.mark.parametrize("shape", [{"depth": 1, "fanout": 0}, {"depth": -1}])
+    def test_a_balanced_tree_needs_a_depth_and_a_fanout(self, shape):
+        """Fuzz finding: the spec constructed and the build raised."""
+        with pytest.raises(ValueError, match="balanced_tree needs depth >= 0 and fanout >= 1"):
+            TopologySpec(kind="balanced_tree", n=2, **shape)
+
+    @pytest.mark.parametrize("nodes, message", [
+        (dict(topology=TopologySpec(n=4), traffic=TrafficSpec(kind="search_probe")),
+         "search_probe needs at least two regions"),
+        (dict(topology=TopologySpec(kind="star", n=4),
+              traffic=TrafficSpec(kind="search_probe")),
+         "search_probe needs at least two regions"),
+        (dict(topology=TopologySpec(kind="chain", sizes=(2, 5)),
+              traffic=TrafficSpec(kind="search_probe", bufferers=3)),
+         "search_probe bufferers must be <= the first region's 2 members, got 3"),
+        (dict(topology=TopologySpec(kind="star", n=2, sizes=(1,)),
+              traffic=TrafficSpec(kind="detect_all", holders=4)),
+         "detect_all holders must be <= the group's 3 members, got 4"),
+        (dict(traffic=TrafficSpec(kind="poisson")),
+         "poisson traffic needs a duration or a horizon"),
+        (dict(churn=ChurnSpec(kind="random")), "random churn needs a duration or a horizon"),
+        (dict(mobility=MobilitySpec(kind="waypoint")), "mobility needs a duration or a horizon"),
+    ], ids=["probe-one-region", "probe-bare-star", "probe-bufferers", "detect-holders",
+            "poisson", "churn", "mobility"])
+    def test_rules_between_nodes_are_checked_at_construction(self, nodes, message):
+        """What used to surface only mid-build is refused when the spec is made."""
+        with pytest.raises(ValueError) as refused:
+            ScenarioSpec(**nodes)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("bound", [{"horizon": 100.0}, {"duration": 100.0}])
+    def test_a_bound_times_the_nodes_without_a_duration(self, bound):
+        ScenarioSpec(traffic=TrafficSpec(kind="poisson"), churn=ChurnSpec(kind="random"),
+                     mobility=MobilitySpec(kind="waypoint"), measurement=MeasurementSpec(**bound))
+
     def test_member_count(self):
         assert TopologySpec(kind="single_region", n=7).member_count() == 7
         assert TopologySpec(kind="chain", sizes=(3, 4)).member_count() == 7
@@ -264,6 +316,7 @@ class TestWorkloadSpecs:
             playout=PlayoutSpec(kind="cbr", interval=10.0),
             loss=LossSpec(kind="outage", outage_start=100.0,
                           outage_duration=250.0, outage_regions=2),
+            measurement=MeasurementSpec(horizon=500.0),
         )
         restored = ScenarioSpec.from_json(spec.to_json())
         assert restored == spec
@@ -272,7 +325,7 @@ class TestWorkloadSpecs:
         assert restored.digest() == spec.digest()
 
     def test_enabled_nodes_change_the_digest(self):
-        base = ScenarioSpec()
+        base = ScenarioSpec(measurement=MeasurementSpec(horizon=500.0))
         assert base.with_(mobility=MobilitySpec(kind="waypoint")).digest() \
             != base.digest()
         assert base.with_(playout=PlayoutSpec(kind="cbr")).digest() \

@@ -70,6 +70,23 @@ class TestTraceLog:
         assert (log.count("x"), log.count("y"), log.count("z")) == (2, 1, 0)
         assert log.emitted == 3
 
+    def test_an_unread_emit_builds_no_record(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return TraceRecord(*args)
+
+        monkeypatch.setattr("repro.sim.tracing.TraceRecord", counting)
+        log = TraceLog(keep_records=False)
+        log.emit(1.0, "x", node=1)
+        assert (built, log.count("x")) == ([], 1)
+        log.subscribe(lambda record: None, kind="y")
+        log.emit(2.0, "x")
+        log.emit(3.0, "y")
+        assert [args[1] for args in built] == ["y"]
+        assert (log.count("x"), log.count("y")) == (2, 1)
+
     def test_clear_zeroes_count_but_not_emitted(self, trace):
         trace.emit(1.0, "x")
         trace.emit(2.0, "x")

@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+from typing import Literal, get_args, get_origin, get_type_hints
 
-from repro.scenario.spec import ChurnSpec, FecSpec, LossSpec, ScenarioSpec
+from repro.scenario.materialize import traffic_generator_for
+from repro.scenario.spec import (
+    ChurnSpec,
+    FecSpec,
+    LossSpec,
+    ScenarioSpec,
+    TopologySpec,
+    TrafficSpec,
+)
+from repro.sim.randomness import RandomStreams
 from repro.validate import fuzz as fuzz_module
 from repro.validate.fuzz import (
     ARTIFACT_FORMAT,
+    MAX_MESSAGES,
     TrialOutcome,
-    _traffic_end,
+    _shrink_candidates,
     artifact_payload,
     load_artifact_spec,
     minimize_spec,
@@ -18,6 +30,13 @@ from repro.validate.fuzz import (
     sample_spec,
     write_artifact,
 )
+
+
+def _first(seed, wanted):
+    """The first trial of *seed* whose spec is *wanted* and streams messages."""
+    return next(index for index in range(200)
+                if wanted(spec := sample_spec(seed, index))
+                and spec.traffic.kind in ("uniform", "ramp") and spec.traffic.count > 0)
 
 
 class TestSampling:
@@ -32,28 +51,41 @@ class TestSampling:
     def test_distinct_seeds_differ(self):
         assert sample_spec(0, 3) != sample_spec(1, 3)
 
-    def test_samples_are_valid_and_bounded(self):
-        for index in range(50):
-            spec = sample_spec(2, index)
+    def test_samples_keep_the_trial_size_and_terminate(self):
+        for index in range(200):
+            spec = sample_spec(0, index)
             # Constructing the frozen spec validates every field.
             assert spec.topology.member_count() <= 40
-            measurement = spec.measurement
-            assert measurement.oracle and measurement.drain
-            assert measurement.duration is not None
+            churn = spec.churn
+            assert churn.kind == "none" or churn.duration * (
+                churn.leave_rate + churn.crash_rate + churn.join_rate) <= 10
+            # An unbounded run: the run plan's settle rule ends it.
+            assert spec.measurement == spec.measurement.__class__(oracle=True)
             # Termination guarantees (see fuzz module docstring).
             assert spec.policy.max_recovery_time is not None
             assert spec.policy.max_search_rounds is not None
             assert spec.policy.session_interval is not None
+            stream = traffic_generator_for(spec.traffic, spec, RandomStreams(spec.seed))
+            assert stream is None or stream.arrival_count() <= MAX_MESSAGES
 
     def test_samples_round_trip_through_json(self):
         for index in range(10):
             spec = sample_spec(3, index)
             assert ScenarioSpec.from_json(spec.to_json()) == spec
 
-    def test_traffic_end_covers_all_kinds(self):
-        for index in range(30):
-            spec = sample_spec(4, index)
-            assert _traffic_end(spec.traffic) >= 0.0
+    def test_every_declared_kind_is_drawn_within_200_trials(self):
+        """Kinds come from each node's Literal discriminator, none from a
+        table of the fuzzer's own."""
+        declared = {
+            (name, field_name): set(get_args(hint))
+            for name, node in get_type_hints(ScenarioSpec).items() if is_dataclass(node)
+            for field_name, hint in get_type_hints(node).items() if get_origin(hint) is Literal
+        }
+        assert len(declared) == 10  # every node but measurement
+        samples = [sample_spec(0, index) for index in range(200)]
+        for (name, field_name), kinds in declared.items():
+            drawn = {getattr(getattr(spec, name), field_name) for spec in samples}
+            assert drawn == kinds, (name, kinds - drawn)
 
     def test_congestion_sampled_in_both_modes(self):
         """The fuzzer must exercise open-loop AND controlled senders."""
@@ -68,10 +100,6 @@ class TestSampling:
             if cc.enabled:
                 assert 0.0 < cc.min_rate <= cc.max_rate
                 assert cc.feedback_interval > 0.0
-                # Throttled senders get extra drain headroom.
-                assert spec.measurement.duration >= (
-                    _traffic_end(spec.traffic) + 1000.0 / cc.min_rate
-                )
 
     def test_adapt_sampled_in_both_modes(self):
         """The fuzzer must exercise static AND adaptive hierarchies."""
@@ -80,15 +108,24 @@ class TestSampling:
         # Roughly the configured ~30% on-rate, not a token one-off.
         assert 5 <= sum(modes) <= 40
 
-    def test_adapt_samples_are_bounded(self):
-        for index in range(60):
-            adapt = sample_spec(8, index).adapt
-            if adapt.enabled:
-                assert adapt.mode == "passive"
-                assert adapt.update_interval > 0.0
-                assert adapt.hysteresis >= 0.0
-                assert 1 <= adapt.max_reparents <= 6
-                assert 0.0 < adapt.ewma_alpha <= 1.0
+    def test_a_zero_latency_is_drawn_and_refused(self, monkeypatch):
+        """0 is one of the scales, so the sampler offers zero latencies;
+        the topology node refuses them and the sampler draws again."""
+        refused = []
+        init = TopologySpec.__post_init__
+
+        def watching(node):
+            try:
+                init(node)
+            except ValueError as error:
+                refused.append(str(error))
+                raise
+
+        monkeypatch.setattr(TopologySpec, "__post_init__", watching)
+        for index in range(20):
+            sample_spec(0, index)
+        assert any(message.startswith("intra_one_way must be > 0 and <= 1e9 ms, got 0.0")
+                   for message in refused)
 
 
 class TestRunSpec:
@@ -100,26 +137,25 @@ class TestRunSpec:
         assert outcome.events_fired > 0
 
     def test_cc_enabled_sample_runs_clean(self):
-        index = next(i for i in range(60)
-                     if sample_spec(7, i).congestion.enabled)
+        index = _first(7, lambda spec: spec.congestion.enabled)
         outcome = run_spec(sample_spec(7, index))
         assert not outcome.failed
         assert outcome.records_checked > 0
 
     def test_adapt_enabled_sample_runs_clean(self):
-        index = next(i for i in range(80)
-                     if sample_spec(8, i).adapt.enabled)
+        index = _first(8, lambda spec: spec.adapt.enabled)
         outcome = run_spec(sample_spec(8, index))
         assert not outcome.failed
         assert outcome.records_checked > 0
 
-    def test_crash_is_captured_not_raised(self):
-        # An unsatisfiable build (detect_all holders > group size)
-        # must come back as an error outcome, not an exception.
-        spec = sample_spec(0, 0)
-        bad = spec.with_(traffic=spec.traffic.__class__(
-            kind="detect_all", holders=10_000))
-        outcome = run_spec(bad)
+    def test_crash_is_captured_not_raised(self, monkeypatch):
+        # A build or run that raises must come back as an error
+        # outcome, not an exception.
+        def crash(spec):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ScenarioSpec, "build", crash)
+        outcome = run_spec(sample_spec(0, 0))
         assert outcome.failed
         assert outcome.error is not None
         assert outcome.failure_key.startswith("error:")
@@ -157,8 +193,7 @@ class TestArtifacts:
     def test_adaptive_violation_artifact_is_replayable(self, tmp_path):
         """An adaptive-topology failure must ship a one-command repro:
         the artifact keeps the adapt node, and the restored spec runs."""
-        index = next(i for i in range(80)
-                     if sample_spec(8, i).adapt.enabled)
+        index = _first(8, lambda spec: spec.adapt.enabled)
         spec = sample_spec(8, index)
         outcome = TrialOutcome(
             spec=spec,
@@ -182,7 +217,7 @@ class TestMinimization:
         """With a stubbed runner that fails iff churn is on, the
         minimizer must drop fec and loss but keep churn."""
         spec = sample_spec(0, 0).with_(
-            churn=ChurnSpec(kind="random", leave_rate=0.01),
+            churn=ChurnSpec(kind="random", leave_rate=0.01, duration=100.0),
             fec=FecSpec(mode="proactive", block_size=4, parity=1),
             loss=LossSpec(kind="bernoulli", p=0.2),
         )
@@ -212,7 +247,7 @@ class TestMinimization:
         from repro.scenario.spec import CongestionSpec
 
         spec = sample_spec(0, 0).with_(
-            churn=ChurnSpec(kind="random", leave_rate=0.01),
+            churn=ChurnSpec(kind="random", leave_rate=0.01, duration=100.0),
             congestion=CongestionSpec(controller="aimd", min_rate=5.0,
                                       max_rate=100.0),
         )
@@ -237,7 +272,7 @@ class TestMinimization:
         from repro.scenario.spec import AdaptSpec
 
         spec = sample_spec(0, 0).with_(
-            churn=ChurnSpec(kind="random", leave_rate=0.01),
+            churn=ChurnSpec(kind="random", leave_rate=0.01, duration=100.0),
             adapt=AdaptSpec(mode="passive", update_interval=100.0),
         )
 
@@ -255,6 +290,24 @@ class TestMinimization:
             spec, "invariant:recovery-liveness")
         assert not minimized.adapt.enabled
         assert minimized.churn.kind == "random"
+
+    def test_candidates_reset_one_node_or_halve_one_size(self):
+        spec = sample_spec(0, 0).with_(
+            topology=TopologySpec(kind="chain", sizes=(4, 4)),
+            traffic=TrafficSpec(kind="uniform", count=6),
+            fec=FecSpec(mode="proactive", block_size=4, parity=1),
+        )
+        candidates = dict(_shrink_candidates(spec))
+        assert candidates["reset fec"].fec == FecSpec()
+        assert candidates["halve fec.block_size"].fec.block_size == 2
+        assert candidates["halve topology.sizes"].topology.sizes == (4,)
+        assert candidates["halve traffic.count"].traffic.count == 3
+        for candidate in candidates.values():
+            changed = [spec_field.name for spec_field in fields(ScenarioSpec)
+                       if getattr(candidate, spec_field.name) != getattr(spec, spec_field.name)]
+            assert len(changed) == 1
+        # A reset that breaks the trial size or termination is not offered.
+        assert "reset topology" not in candidates and "reset policy" not in candidates
 
     def test_minimizer_keeps_spec_when_nothing_reproduces(self, monkeypatch):
         spec = sample_spec(0, 0).with_(loss=LossSpec(kind="bernoulli", p=0.2))
@@ -289,7 +342,7 @@ class TestRunFuzz:
             return outcome
 
         monkeypatch.setattr(fuzz_module, "run_spec", failing_run)
-        trials = 6
+        trials = 8
         churny = [i for i in range(trials)
                   if sample_spec(0, i).churn.kind == "random"]
         assert churny, "expected at least one churny sample in the window"

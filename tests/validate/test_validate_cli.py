@@ -124,6 +124,29 @@ class TestReplayDirectory:
         assert "no *.json artifacts" in capsys.readouterr().err
 
 
+class TestFindings:
+    """Every fuzz finding ships as a spec in ``findings/``: one the
+    protocol now runs clean, or one its node now refuses by name."""
+
+    FINDINGS = Path(__file__).parent / "findings"
+
+    def test_a_fixed_finding_replays_clean(self, capsys):
+        path = self.FINDINGS / "hash_lookup_ping_pong.json"
+        assert main(["validate", "replay", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["violation_count"] == 0
+
+    @pytest.mark.parametrize("name, refusal", [
+        ("zero_latency_spin", "intra_one_way must be > 0 and <= 1e9 ms, got 0.0"),
+        ("balanced_tree_without_fanout",
+         "balanced_tree needs depth >= 0 and fanout >= 1, got depth=1 and fanout=0"),
+    ])
+    def test_a_refused_finding_is_one_error_line(self, capsys, name, refusal):
+        path = self.FINDINGS / f"{name}.json"
+        assert main(["validate", "replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot load artifact {str(path)!r}: {refusal}\n"
+
+
 class TestValidateDigest:
     def test_digest_matches_a_direct_run(self, capsys):
         assert main(["validate", "digest", "search"]) == 0
