@@ -96,21 +96,23 @@ class TreeOptimizer:
         parent hop on its way to a root region.  Roots cost 0.
         """
         costs: Dict[RegionId, float] = {}
-
-        def cost_of(region_id: RegionId) -> float:
-            if region_id in costs:
-                return costs[region_id]
-            parent = self.hierarchy.regions[region_id].parent_id
-            if parent is None:
-                value = 0.0
-            else:
-                value = self.linkstate.edge_cost(region_id, parent) + cost_of(parent)
-            costs[region_id] = value
-            return value
-
         for region_id in sorted(self.hierarchy.regions):
-            cost_of(region_id)
+            self._cost_of(region_id, costs)
         return costs
+
+    def _cost_of(self, region_id: RegionId, costs: Dict[RegionId, float]) -> float:
+        """*region_id*'s path cost, memoised in *costs*.  A method, not a
+        nested function: a recursive closure's cell refers to itself, a
+        reference cycle per pass that a run must not make."""
+        if region_id in costs:
+            return costs[region_id]
+        parent = self.hierarchy.regions[region_id].parent_id
+        if parent is None:
+            value = 0.0
+        else:
+            value = self.linkstate.edge_cost(region_id, parent) + self._cost_of(parent, costs)
+        costs[region_id] = value
+        return value
 
     # ------------------------------------------------------------------
     # Optimization pass

@@ -347,6 +347,7 @@ def _oracle_report(spec, as_json: bool, flat: bool = False) -> int:
             "records_checked": outcome.records_checked,
             "events_fired": outcome.events_fired,
             "violations": outcome.violations,
+            "cyclic_garbage": outcome.cyclic_garbage,
         },
         failed=outcome.failed,
     )
@@ -357,6 +358,8 @@ def _oracle_report(spec, as_json: bool, flat: bool = False) -> int:
                   f"{violation['message']}")
         if outcome.violation_count > 20:
             print(f"  ... and {outcome.violation_count - 20} more")
+        if outcome.cyclic_garbage:
+            print(f"  the run left {outcome.cyclic_garbage} objects in reference cycles")
         if not outcome.failed:
             print("  all invariants hold")
     return report.exit_code

@@ -83,7 +83,10 @@ class _SearchProcess:
         self.rounds = 0
         self.started_at = coordinator.host.sim.now
         self.request: Optional[SearchRequest] = None
-        self._timer = Timer(coordinator.host.sim, self._on_timeout)
+        #: The round clock, dropped by :meth:`stop`: it holds this
+        #: process's bound method, and a finished search must die by
+        #: reference count (a run makes no reference cycles).
+        self._timer: Optional[Timer] = Timer(coordinator.host.sim, self._on_timeout)
 
     def run_round(self) -> None:
         """Forward the request to a fresh random member and arm the timer."""
@@ -117,8 +120,11 @@ class _SearchProcess:
 
     def stop(self) -> None:
         """Terminate this member's participation: a cancelled timer
-        never fires, so no further round runs."""
-        self._timer.cancel()
+        never fires, so no further round runs.  Idempotent."""
+        timer = self._timer
+        if timer is not None:
+            timer.cancel()
+            self._timer = None
 
     def _on_timeout(self) -> None:
         self.run_round()

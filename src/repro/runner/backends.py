@@ -9,6 +9,15 @@ trials deriving all randomness from their own seed).
 pickle reference, so worker processes import the experiment module
 fresh; nothing of the parent's engine state (simulators, event queues,
 RNG streams) travels along.
+
+**The collector.**  A trial runs with CPython's cyclic collector paused
+(:func:`~repro.sim.engine.collector_paused`, restored as found on every
+exit).  A run makes no reference cycles, but a finished trial's whole
+graph (member and network, member and policy) is cyclic garbage, and
+with the collector on, full collections during the *next* trial would
+re-walk it and every live object besides.  Paused, everything a trial
+allocated is still in the young generation when it returns, so the
+first young collection after it frees the whole trial at once.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.runner.spec import TrialFn, TrialSpec
-from repro.sim.engine import total_events_fired
+from repro.sim.engine import collector_paused, total_events_fired
 
 #: The picklable wire form of one task: (trial function, params, seed).
 Task = Tuple[TrialFn, Dict[str, Any], int]
@@ -38,7 +47,8 @@ def execute_trial(trial: TrialFn, params: Dict[str, Any], seed: int) -> TrialOut
     """Run one trial, attributing engine events and wall time to it."""
     events_before = total_events_fired()
     started = time.perf_counter()
-    value = trial(dict(params), seed)
+    with collector_paused():
+        value = trial(dict(params), seed)
     return TrialOutcome(
         value=value,
         events_fired=total_events_fired() - events_before,

@@ -28,15 +28,28 @@ entries and drops them in one O(n) pass when they outnumber the live
 ones (:data:`COMPACT_MIN_DEAD` guards tiny queues).  Compaction never
 changes firing order — the ``(time, seq)`` total order is unaffected —
 so runs stay bit-for-bit reproducible.
+
+**The collector.**  A run creates no reference cycles: what it frees
+(fired events, finished searches, a dropped copy's clock) dies by
+reference count alone, and what it keeps stays reachable until the
+run returns.  So CPython's cyclic collector, which would re-walk every
+live member, buffer record and trace record of the group on its
+thresholds and find nothing, is paused while :meth:`Simulator.run`
+fires events (:func:`collector_paused`) and left as found on every
+exit, exceptions included.  A change that makes a cycle during a run
+breaks this contract; ``tests/sim/test_collector.py`` and the fuzzer
+(each run must leave ``gc.collect() == 0``) catch it.
 """
 
 from __future__ import annotations
 
+import gc
 from bisect import insort
 from collections import deque
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.events import Event
 
@@ -63,6 +76,23 @@ _seq_of = attrgetter("seq")
 def total_events_fired() -> int:
     """Events fired in this process, across all simulators ever created."""
     return _total_events_fired
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector off for the block, then restore the
+    state found: re-enabled if it was on, on every exit, exceptions
+    included; left off if it was off.  Adds no threshold, freeze or
+    forced collection: what the block allocated stays in the young
+    generation, and the first collection after it frees what died."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class Simulator:
@@ -322,6 +352,7 @@ class Simulator:
         The loop is the simulator's hottest code: it drains a whole
         instant's bucket before it looks at the heap again, so an
         instant costs one heap operation however many events share it.
+        The cyclic collector is off while it fires (module docstring).
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
@@ -332,41 +363,42 @@ class Simulator:
         times, buckets, posts = self._times, self._buckets, self._posts
         limit = _INF if max_events is None else max_events
         fired = 0
-        try:
-            while times:
-                time = times[0]
-                bucket = buckets[time]
-                if not bucket:
-                    del buckets[heappop(times)]
-                    if time in posts:
-                        del posts[time]
-                    continue
-                if until is not None and time > until:
-                    break
-                popleft = bucket.popleft
-                # A callback scheduling for ``now`` appends to this very
-                # bucket, so the loop ends only when the instant is over.
-                while bucket and fired < limit:
-                    event = popleft()
-                    self._size -= 1
-                    if event._cancelled:
-                        self._dead -= 1
+        with collector_paused():
+            try:
+                while times:
+                    time = times[0]
+                    bucket = buckets[time]
+                    if not bucket:
+                        del buckets[heappop(times)]
+                        if time in posts:
+                            del posts[time]
                         continue
-                    event._sim = None
-                    self.now = time
-                    fired += 1
-                    self._events_fired += 1
-                    callback, args = event.callback, event.args
-                    event.callback = None
-                    event.args = ()
-                    if callback is not None:
-                        callback(*args)
-                if bucket:  # max_events stopped the run mid-instant
-                    break
-        finally:
-            self._running = False
-            global _total_events_fired
-            _total_events_fired += fired
+                    if until is not None and time > until:
+                        break
+                    popleft = bucket.popleft
+                    # A callback scheduling for ``now`` appends to this very
+                    # bucket, so the loop ends only when the instant is over.
+                    while bucket and fired < limit:
+                        event = popleft()
+                        self._size -= 1
+                        if event._cancelled:
+                            self._dead -= 1
+                            continue
+                        event._sim = None
+                        self.now = time
+                        fired += 1
+                        self._events_fired += 1
+                        callback, args = event.callback, event.args
+                        event.callback = None
+                        event.args = ()
+                        if callback is not None:
+                            callback(*args)
+                    if bucket:  # max_events stopped the run mid-instant
+                        break
+            finally:
+                self._running = False
+                global _total_events_fired
+                _total_events_fired += fired
         if until is not None and self.now < until:
             if self._head() is None or times[0] > until:
                 self.now = until

@@ -38,10 +38,18 @@ A sampled run has no measurement bound: it ends by the run plan's
 settle rule (:meth:`~repro.scenario.materialize.BuiltScenario.plan`),
 then drains to a quiescent queue, which is what arms the oracle's
 liveness checks.
+
+A run must also make no reference cycles: the engine pauses the
+cyclic collector while it runs (:mod:`repro.sim.engine`), so a cycle
+would be garbage that only a full collection frees.  :func:`run_spec`
+collects once after the build and once after the run, with the built
+scenario alive, and a run that leaves cyclic garbage is a finding of
+its own (``garbage:cyclic``), minimized and written out like any other.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -63,6 +71,7 @@ from typing import (
 
 from repro.scenario.materialize import traffic_generator_for
 from repro.scenario.spec import MeasurementSpec, ScenarioSpec
+from repro.sim.engine import collector_paused
 from repro.sim.randomness import RandomStreams
 
 ARTIFACT_FORMAT = "rrmp-validate-repro/1"
@@ -177,10 +186,13 @@ class TrialOutcome:
     records_checked: int = 0
     events_fired: int = 0
     error: Optional[str] = None
+    #: Objects the run left in reference cycles (the module docstring).
+    cyclic_garbage: int = 0
 
     @property
     def failed(self) -> bool:
-        return self.violation_count > 0 or self.error is not None
+        return (self.violation_count > 0 or self.error is not None
+                or self.cyclic_garbage > 0)
 
     @property
     def failure_key(self) -> str:
@@ -189,18 +201,25 @@ class TrialOutcome:
             return f"error:{self.error.splitlines()[0][:80]}"
         if self.violations:
             return f"invariant:{self.violations[0]['invariant']}"
+        if self.cyclic_garbage:
+            return "garbage:cyclic"
         return ""
 
 
 def run_spec(spec: ScenarioSpec) -> TrialOutcome:
-    """Build and run *spec* under the oracle, capturing crashes too."""
+    """Build and run *spec* under the oracle, capturing crashes and the
+    cyclic garbage the run leaves too."""
     spec = replace(spec, measurement=replace(spec.measurement, oracle=True))
     outcome = TrialOutcome(spec=spec)
     try:
-        built = spec.build().run()
+        built = spec.build()
+        gc.collect()
+        with collector_paused():
+            built.run()
     except Exception as error:  # noqa: BLE001 - a crash IS a fuzz finding
         outcome.error = f"{type(error).__name__}: {error}"
         return outcome
+    outcome.cyclic_garbage = gc.collect()
     oracle = built.oracle
     assert oracle is not None  # measurement.oracle forced above
     report = oracle.report_dict()
@@ -304,6 +323,8 @@ def artifact_payload(
         payload["error"] = outcome.error
     if outcome.violations:
         payload["first_violation"] = outcome.violations[0]
+    if outcome.cyclic_garbage:
+        payload["cyclic_garbage"] = outcome.cyclic_garbage
     return payload
 
 

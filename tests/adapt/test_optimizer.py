@@ -5,6 +5,7 @@ import pytest
 from repro.adapt.linkstate import LinkStateEstimator
 from repro.adapt.optimizer import TreeOptimizer
 from repro.net.topology import chain, star
+from tests.conftest import cycles_left_by
 
 
 def make_optimizer(sim, trace, hierarchy, **kwargs):
@@ -33,6 +34,12 @@ class TestValidation:
 
 
 class TestPathCosts:
+    def test_a_pass_leaves_no_reference_cycle(self, sim, trace):
+        """A recursive closure would refer to itself through its cell:
+        cyclic garbage every pass, in a run that pauses the collector."""
+        optimizer = make_optimizer(sim, trace, chain([2, 2, 2]))
+        assert cycles_left_by(optimizer.path_costs) == 0
+
     def test_costs_accumulate_along_the_chain(self, sim, trace):
         optimizer = make_optimizer(sim, trace, chain([2, 2, 2]))
         costs = optimizer.path_costs()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -24,6 +25,24 @@ def send_times(stream) -> list:
     while (t := stream.next_send(0.0)) is not None:
         times.append(t)
     return times
+
+
+def cycles_left_by(body) -> int:
+    """The objects *body()* leaves in reference cycles: what
+    ``gc.collect()`` finds after it runs with the cyclic collector off,
+    while what *body* returns is still alive.  A run must leave none
+    (:mod:`repro.sim.engine`)."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kept = body()
+    finally:
+        if enabled:
+            gc.enable()
+    found = gc.collect()
+    del kept
+    return found
 
 
 @pytest.fixture

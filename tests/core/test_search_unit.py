@@ -2,6 +2,7 @@
 
 
 from repro.core.search import SearchCoordinator
+from tests.conftest import cycles_left_by
 
 
 class TestRounds:
@@ -79,6 +80,23 @@ class TestTermination:
         sim.run(until=100.0)
         assert len(search_host.sent) == 2  # only the initial forwards
         assert coordinator.active_seqs() == []
+
+
+    def test_a_finished_search_leaves_no_reference_cycle(self, sim, search_host):
+        """The round clock holds the process's bound method; a stopped
+        process drops it, so it dies by reference count, and a second
+        stop is a no-op."""
+        coordinator = SearchCoordinator(search_host)
+
+        def search():
+            coordinator.begin(1, [42])
+            process = coordinator._active[1]
+            sim.at(5.0, coordinator.on_have_reply, 1)
+            sim.run(until=100.0)
+            process.stop()
+
+        assert cycles_left_by(search) == 0
+        assert not coordinator.is_searching(1)
 
 
 class TestWaiterMerging:

@@ -10,7 +10,9 @@ from repro.protocol.messages import DataMessage, SearchRequest
 from repro.protocol.member import RrmpMember
 from repro.protocol.rrmp import RrmpSimulation
 from repro.scenario.library import search_spec
+from repro.scenario.materialize import build_scenario
 from repro.scenario.spec import ScenarioSpec, TopologySpec, TrafficSpec
+from tests.conftest import cycles_left_by
 
 
 class TestSearchBasics:
@@ -68,6 +70,15 @@ class TestSearchBasics:
             return sum(times) / len(times)
 
         assert mean_time(10) < mean_time(1)
+
+
+    def test_finished_searches_leave_no_reference_cycles(self):
+        """A run makes no reference cycles (the engine pauses the
+        collector on that promise): every finished search dies by
+        reference count, so nothing is left with the scenario alive."""
+        built = build_scenario(search_spec(100, 5))
+        assert cycles_left_by(built.run) == 0
+        assert built.simulation.trace.count("search_joined") > 0
 
 
 class TestFigure5Walkthrough:

@@ -6,7 +6,7 @@ import json
 from dataclasses import fields, is_dataclass
 from typing import Literal, get_args, get_origin, get_type_hints
 
-from repro.scenario.materialize import traffic_generator_for
+from repro.scenario.materialize import BuiltScenario, traffic_generator_for
 from repro.scenario.spec import (
     ChurnSpec,
     FecSpec,
@@ -357,6 +357,25 @@ class TestRunFuzz:
         # Minimization ran and (at least) kept the failure reproducing.
         restored = load_artifact_spec(report.artifacts[0])
         assert restored.churn.kind == "random"
+
+    def test_a_run_that_leaves_a_cycle_is_a_finding(self, tmp_path, monkeypatch):
+        """A run makes no reference cycles (the engine pauses the
+        collector on that promise); one that does is a finding of its
+        own, minimized and written out like a violated invariant."""
+        finish = BuiltScenario.finish
+
+        def leaky_finish(built):
+            cycle = []
+            cycle.append(cycle)
+            finish(built)
+
+        monkeypatch.setattr(BuiltScenario, "finish", leaky_finish)
+        report = run_fuzz(trials=1, seed=0, artifact_dir=str(tmp_path))
+        assert [failure["failure"] for failure in report.failures] == ["garbage:cyclic"]
+        assert report.failures[0]["cyclic_garbage"] == 1
+        assert report.minimization_runs > 0
+        with open(report.artifacts[0], encoding="utf-8") as handle:
+            assert json.load(handle)["failure"] == "garbage:cyclic"
 
     def test_progress_callback_fires_per_trial(self):
         seen = []
