@@ -3,15 +3,22 @@
 :class:`MessageBuffer` is the passive store that buffer-management
 policies (two-phase, fixed-time, stability-based, …) operate on.  It
 tracks, per message, when it was received and whether it has been
-promoted to long-term; and it keeps a log of :class:`BufferRecord`
-entries describing every discard, which is what the Figure 6
-experiment aggregates into "average buffering time".
+promoted to long-term; and it keeps a log of every discard, which is
+what the Figure 6 experiment aggregates into "average buffering time".
+
+The discard log is columnar: one ``array`` each of seqs, receive times
+and discard times, and one byte per record for the reason and the
+long-term flag.  A discard costs 25 bytes and no Python object, so a
+member's log grows by bytes with the stream, not by tuples;
+:attr:`MessageBuffer.records` builds the :class:`BufferRecord` list on
+demand.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.protocol.messages import DataMessage, Seq
 
@@ -53,6 +60,12 @@ DISCARD_STABLE = "stable"        # stability detector declared it stable
 DISCARD_HANDOFF = "handoff"      # transferred to another member on leave
 DISCARD_CLOSE = "close"          # simulation/member shutdown
 
+#: Every discard reason.  A log entry's code is the reason's index
+#: shifted left by one, plus one if the copy was long-term.
+DISCARD_REASONS = (DISCARD_IDLE, DISCARD_TTL, DISCARD_FIXED, DISCARD_STABLE,
+                   DISCARD_HANDOFF, DISCARD_CLOSE)
+_REASON_INDEX = {reason: index for index, reason in enumerate(DISCARD_REASONS)}
+
 
 class MessageBuffer:
     """Message store with discard accounting.
@@ -63,7 +76,10 @@ class MessageBuffer:
 
     def __init__(self) -> None:
         self._entries: Dict[Seq, BufferEntry] = {}
-        self.records: List[BufferRecord] = []
+        #: The discard log's columns (seqs, receive times, discard times,
+        #: codes), built on the first discard: most members of a short
+        #: run never discard.
+        self._log: Optional[Tuple[array, array, array, array]] = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -108,6 +124,17 @@ class MessageBuffer:
         end of a run, never per packet."""
         return sum(entry.long_term for entry in self._entries.values())
 
+    @property
+    def records(self) -> List[BufferRecord]:
+        """Every completed buffering episode, in discard order: a fresh
+        list built from the columnar log on each read."""
+        if self._log is None:
+            return []
+        return [
+            BufferRecord(seq, received, discarded, DISCARD_REASONS[code >> 1], bool(code & 1))
+            for seq, received, discarded, code in zip(*self._log)
+        ]
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -130,16 +157,22 @@ class MessageBuffer:
         return entry
 
     def discard(self, seq: Seq, now: float, reason: str) -> Optional[BufferEntry]:
-        """Remove *seq*, recording a :class:`BufferRecord`.
+        """Remove *seq*, logging the episode; *reason* is one of
+        :data:`DISCARD_REASONS`.
 
         Returns the removed entry, or ``None`` if it was not buffered.
         """
         entry = self._entries.pop(seq, None)
         if entry is None:
             return None
-        self.records.append(
-            BufferRecord(seq, entry.receive_time, now, reason, entry.long_term)
-        )
+        log = self._log
+        if log is None:
+            log = self._log = (array("q"), array("d"), array("d"), array("B"))
+        seqs, received, discarded, codes = log
+        seqs.append(seq)
+        received.append(entry.receive_time)
+        discarded.append(now)
+        codes.append(_REASON_INDEX[reason] << 1 | entry.long_term)
         return entry
 
     def discard_all(self, now: float, reason: str = DISCARD_CLOSE) -> List[BufferEntry]:
@@ -156,8 +189,11 @@ class MessageBuffer:
     # ------------------------------------------------------------------
     def durations(self, reason: Optional[str] = None) -> List[float]:
         """Buffering durations of completed episodes, optionally by reason."""
-        return [
-            record.duration
-            for record in self.records
-            if reason is None or record.reason == reason
-        ]
+        if self._log is None:
+            return []
+        _, received, discarded, codes = self._log
+        if reason is None:
+            return [end - start for start, end in zip(received, discarded)]
+        index = _REASON_INDEX.get(reason)
+        return [end - start for start, end, code in zip(received, discarded, codes)
+                if code >> 1 == index]

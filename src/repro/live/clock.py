@@ -13,12 +13,19 @@ Unlike :class:`repro.sim.engine.Simulator`, which raises on scheduling in the
 past, the live clock clamps past deadlines to "fire as soon as
 possible": real time keeps moving between computing a deadline and
 scheduling it, so a hard error would turn slow hosts into crashes.
+Each fire's lateness (virtual ms past its deadline) is counted instead
+(:meth:`LiveClock.lateness`), so a run can say whether the host fell
+behind; the counters never feed a digest.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
+
+
+#: A fire this many virtual ms past its deadline counts as late.
+LATE_MS = 10.0
 
 
 class LiveHandle:
@@ -84,6 +91,8 @@ class LiveClock:
         self._epoch: Optional[float] = None
         self._seq = 0
         self._events_fired = 0
+        self._max_lateness = 0.0
+        self._late_fires = 0
         self._live: Set[LiveHandle] = set()
         self._held = held
         self._deferred: list = []
@@ -148,6 +157,12 @@ class LiveClock:
         """Total callbacks executed so far."""
         return self._events_fired
 
+    def lateness(self) -> Dict[str, float]:
+        """How far behind the host ran: the most virtual ms any callback
+        fired past its deadline, and how many fired more than
+        :data:`LATE_MS` late.  ``events_fired`` is the base."""
+        return {"max_lateness_ms": self._max_lateness, "late_fires": self._late_fires}
+
     def after(self, delay: float, callback: Callable[..., None], *args: Any) -> LiveHandle:
         """Schedule *callback(*args)* *delay* virtual ms from now."""
         if delay < 0:
@@ -197,6 +212,11 @@ class LiveClock:
     def _fired(self, handle: LiveHandle) -> None:
         self._events_fired += 1
         self._live.discard(handle)
+        late = self.now - handle.time
+        if late > LATE_MS:
+            self._late_fires += 1
+        if late > self._max_lateness:
+            self._max_lateness = late
 
     def _retire(self, handle: LiveHandle) -> None:
         self._live.discard(handle)

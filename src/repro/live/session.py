@@ -245,7 +245,8 @@ class LiveSession(MemberGroup):
 
     def summary(self) -> dict:
         """Headline metrics: ``BuiltScenario.summary()`` plus the live
-        engine's mode, socket and clock readings."""
+        engine's mode, socket and clock readings, the clock's lateness
+        counters last."""
         return self.built.summarize(
             {"mode": "live", "speedup": self.sim.speedup},
             {
@@ -253,6 +254,7 @@ class LiveSession(MemberGroup):
                 "recv_rejected": self.network.recv_rejected,
                 "events_fired": self.sim.events_fired,
                 "time_ms": self.sim.now,
+                **self.sim.lateness(),
             },
         )
 

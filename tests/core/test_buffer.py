@@ -1,9 +1,18 @@
 """Unit tests for the message buffer store."""
 
+import gc
+
 import pytest
 
-from repro.core.buffer import DISCARD_IDLE, DISCARD_TTL, MessageBuffer
+from repro.core.buffer import (
+    DISCARD_IDLE,
+    DISCARD_REASONS,
+    DISCARD_TTL,
+    BufferRecord,
+    MessageBuffer,
+)
 from repro.protocol.messages import DataMessage
+from repro.sim.engine import collector_paused
 
 
 def msg(seq: int) -> DataMessage:
@@ -87,6 +96,46 @@ class TestDiscard:
         buffer.discard(2, now=100.0, reason=DISCARD_TTL)
         assert buffer.durations(reason=DISCARD_IDLE) == [pytest.approx(40.0)]
         assert sorted(buffer.durations()) == [pytest.approx(40.0), pytest.approx(100.0)]
+
+
+class TestColumnarLog:
+    @staticmethod
+    def episode(seq: int) -> BufferRecord:
+        """The episode ``log`` writes for *seq*: every reason, both flags."""
+        received = seq * 1.5
+        return BufferRecord(seq, received, received + seq % 7,
+                            DISCARD_REASONS[seq % len(DISCARD_REASONS)], seq % 3 == 0)
+
+    def log(self, count: int):
+        """Log *count* episodes; returns the buffer, the records it must
+        read back, and how many collector-tracked objects the discards
+        left behind."""
+        buffer = MessageBuffer()
+        messages = [msg(seq) for seq in range(1, count + 1)]
+        episodes = [self.episode(seq) for seq in range(1, count + 1)]
+        with collector_paused():
+            before = len(gc.get_objects())
+            for data, episode in zip(messages, episodes):
+                buffer.add(data, now=episode.receive_time, long_term=episode.was_long_term)
+                buffer.discard(data.seq, now=episode.discard_time, reason=episode.reason)
+            grown = len(gc.get_objects()) - before
+        return buffer, episodes, grown
+
+    def test_records_read_back_every_episode(self):
+        buffer, expected, _ = self.log(300)
+        records = buffer.records
+        assert records == expected
+        assert all(type(record) is BufferRecord for record in records)
+        assert all(type(record.was_long_term) is bool for record in records)
+        assert buffer.records is not records  # a fresh list per read
+
+    def test_log_holds_no_object_per_discard(self):
+        """The discard log grows by bytes, not by objects the collector
+        tracks: ten times the discards leave no more objects behind."""
+        short, _, grown_short = self.log(200)
+        long, _, grown_long = self.log(2_000)
+        assert grown_long <= grown_short
+        assert len(long.records) == 2_000 and len(short.records) == 200
 
 
 class TestLongTermView:

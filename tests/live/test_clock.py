@@ -186,6 +186,22 @@ class TestScheduling:
         loop.advance(clock.real_delay(40.0))
         assert len(fired) == 2
 
+    def test_lateness_counts_fires_past_their_deadline(self):
+        """A fire is late by how far the clock had passed its deadline;
+        past deadlines fire at once, so their lateness is exact here."""
+        loop = HeldLoop()
+        clock = LiveClock(speedup=1.0, loop=loop)
+        clock.at(5.0, lambda: None)          # on time
+        loop.advance(clock.real_delay(20.0))
+        assert clock.lateness() == {"max_lateness_ms": 0.0, "late_fires": 0}
+        clock.at(15.0, lambda: None)         # 5 ms late: under LATE_MS
+        clock.at(2.0, lambda: None)          # 18 ms late
+        loop.advance(0.0)
+        assert clock.events_fired == 3
+        lateness = clock.lateness()
+        assert lateness["max_lateness_ms"] == pytest.approx(18.0)
+        assert lateness["late_fires"] == 1
+
 
 class HeldCall:
     """A call scheduled on a :class:`HeldLoop`."""

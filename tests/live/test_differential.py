@@ -109,5 +109,7 @@ class TestDifferential:
             traffic=dataclasses.replace(spec.traffic, holders=5),
         )
         result = run_differential(spec, speedup=5.0)
-        assert result.ok, (result.sim.to_dict(), result.live.to_dict())
-        assert len(result.live.delivered) == 20
+        # Did the host fall behind?  The live clock's lateness counters.
+        lateness = {key: result.live.summary[key] for key in ("max_lateness_ms", "late_fires")}
+        assert result.ok, (lateness, result.sim.to_dict(), result.live.to_dict())
+        assert len(result.live.delivered) == 20, lateness

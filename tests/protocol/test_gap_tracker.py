@@ -91,11 +91,6 @@ class TestContiguousPrefix:
         tracker.on_receive(2)
         assert tracker.contiguous_prefix() == 4
 
-    def test_custom_first_seq(self):
-        tracker = GapTracker(first_seq=10)
-        assert tracker.contiguous_prefix() == 9
-        assert tracker.on_receive(11) == [10]
-
 
 class TestQueries:
     def test_is_received(self):
@@ -109,3 +104,19 @@ class TestQueries:
         for seq in (1, 5, 9):
             tracker.on_receive(seq)
         assert tracker.received_count == 3
+
+
+class TestMemory:
+    def test_state_follows_the_holes_not_the_stream(self):
+        """Ten thousand receipts around one permanent hole (a give-up)
+        leave one reported entry and no other per-seq state."""
+        tracker = GapTracker()
+        for seq in range(1, 10_001):
+            if seq != 17:
+                tracker.on_receive(seq)
+        per_seq = {name: value for name, value in vars(tracker).items()
+                   if not isinstance(value, int)}
+        assert per_seq == {"_reported": {17}}
+        assert tracker.missing() == [17]
+        assert tracker.received_count == 9_999
+        assert tracker.contiguous_prefix() == 16
