@@ -69,7 +69,7 @@ from repro.metrics.runreport import RunReport
 from repro.runner.backends import ProcessPoolBackend, SerialBackend
 from repro.runner.cache import ResultCache
 from repro.runner.runner import Runner, using_runner
-from repro.scenario.registry import registered_scenarios, resolve_spec, scenario_names
+from repro.scenario.library import registered_scenarios, resolve_spec, scenario_names
 
 
 class UsageError(SystemExit):
@@ -278,9 +278,9 @@ def _scenarios_list(args) -> int:
         if engine == "flat":
             print()
             print("scale tier (flat engine):")
-        for name, entry in entries.items():
-            members = entry.spec().topology.member_count()
-            print(f"{name.ljust(width)}  [{members:>6d} members]  {entry.description}")
+        for name, spec in entries.items():
+            members = spec.topology.member_count()
+            print(f"{name.ljust(width)}  [{members:>6d} members]  {spec.description}")
     return 0
 
 

@@ -14,7 +14,7 @@ rather than dumping its whole buffer on one member.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.protocol.messages import DataMessage, HandoffMessage
 from repro.net.topology import NodeId
@@ -40,11 +40,3 @@ def plan_handoff(
         target = rng.choice(peers)
         plan.append((target, HandoffMessage(data=data, from_member=leaver)))
     return plan
-
-
-def handoff_load(plan: Sequence[Tuple[NodeId, HandoffMessage]]) -> Dict[NodeId, int]:
-    """Messages-per-target histogram of a handoff plan (for tests/metrics)."""
-    load: Dict[NodeId, int] = {}
-    for target, _message in plan:
-        load[target] = load.get(target, 0) + 1
-    return load

@@ -31,7 +31,7 @@ from repro.experiments.base import run_sweeps, seed_list
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean
 from repro.runner.spec import SweepSpec
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 from repro.scenario.spec import LossSpec, MobilitySpec, ScenarioSpec
 
 #: Workload conditions compared on the same stream.

@@ -125,10 +125,6 @@ class RrmpSender:
                 self._emit_parity(completed_block, trigger="proactive")
         return data
 
-    def multicast_burst(self, count: int, payload: Any = None) -> Sequence[Optional[DataMessage]]:
-        """Multicast *count* messages back-to-back at the current instant."""
-        return [self.multicast(payload) for _ in range(count)]
-
     # ------------------------------------------------------------------
     # FEC parity emission
     # ------------------------------------------------------------------

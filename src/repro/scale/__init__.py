@@ -16,9 +16,9 @@ numpy column state, which is what lets one machine reach
   shard) and the order-independent
   :class:`~repro.scale.engine.CommutativeTraceDigest`.
 
-The named workloads of this tier (``scale_10k``, ``scale_100k``) live in
-the one scenario registry (:mod:`repro.scenario.library`, registered
-with ``engine="flat"``); ``--shards`` on ``scenarios run`` partitions
-their regions across flat engines and is refused for object-engine
-scenarios, which have no sharded mode.
+The named workloads of this tier (``scale_10k``, ``scale_100k``) are
+the flat tier of the scenario catalogue (:mod:`repro.scenario.library`);
+``--shards`` on ``scenarios run`` partitions their regions across flat
+engines and is refused for object-engine scenarios, which have no
+sharded mode.
 """

@@ -13,9 +13,9 @@ loss × churn × buffer policy — a first-class, serializable value:
   :func:`~repro.scenario.materialize.build_scenario`, turning
   a spec into a wired :class:`~repro.protocol.rrmp.RrmpSimulation`
   with traffic, churn, probes and FEC flush scheduled;
-* :mod:`repro.scenario.registry` / :mod:`repro.scenario.library` —
-  named scenarios (``@register_scenario``) behind the ``scenarios``
-  CLI subcommand.
+* :mod:`repro.scenario.library` — the §4 workload factories and the
+  named-scenario catalogue, one tuple of spec values per engine tier,
+  behind the ``scenarios`` CLI subcommand.
 
 Quickstart::
 
@@ -36,4 +36,4 @@ Quickstart::
 # benchmarks/ledger/workloads.py imports build_scenario from this package.
 from repro.scenario.materialize import build_scenario  # noqa: F401
 # benchmarks/ledger/workloads.py imports these two from this package.
-from repro.scenario.registry import get_scenario, scenario_names  # noqa: F401
+from repro.scenario.library import get_scenario, scenario_names  # noqa: F401

@@ -26,13 +26,12 @@ only the fields they are given.  The shape helpers (``regions``,
 instead.
 
 A verb refuses what its node refuses.  The rules that tie nodes
-together (a ``search_probe`` needs two regions, say) are
+together (a ``poisson`` stream needs a run bound, say) are
 :class:`ScenarioSpec`'s and are checked when ``spec()`` makes the
 value, so verbs may come in any order.
 
-``spec()`` returns the immutable value (serialize it, register it,
-ship it to a worker); ``build()`` materializes it; ``run()`` builds and
-runs it.
+``spec()`` returns the immutable value (serialize it, ship it to a
+worker); ``build()`` materializes it; ``run()`` builds and runs it.
 """
 
 from __future__ import annotations
@@ -124,16 +123,6 @@ class ScenarioBuilder:
                            initial_interval=initial_interval,
                            final_interval=final_interval, **fields)
 
-    def initial_holders(self, holders: int) -> "ScenarioBuilder":
-        """The Figure 6/7 probe: one message held by *holders* random
-        members, everyone else detecting the loss simultaneously at t = 0."""
-        return self._fresh("traffic", kind="detect_all", holders=holders)
-
-    def search_probe(self, bufferers: int) -> "ScenarioBuilder":
-        """The Figure 8/9 probe: *bufferers* long-term holders in the
-        root region, one downstream requester searching for them."""
-        return self._fresh("traffic", kind="search_probe", bufferers=bufferers)
-
     # ------------------------------------------------------------------
     # Loss
     # ------------------------------------------------------------------
@@ -210,16 +199,6 @@ class ScenarioBuilder:
     def measure(self, **fields: Any) -> "ScenarioBuilder":
         """Run bound, probes, trace retention, ``oracle`` (:class:`MeasurementSpec`)."""
         return self._update("measurement", **fields)
-
-    def seed(self, seed: int) -> "ScenarioBuilder":
-        """Master seed; every random decision derives from it."""
-        self._fields["seed"] = seed
-        return self
-
-    def named(self, name: str) -> "ScenarioBuilder":
-        """Rename the scenario."""
-        self._fields["name"] = name
-        return self
 
     def describe(self, text: str) -> "ScenarioBuilder":
         """Attach a one-line human description."""

@@ -1,34 +1,36 @@
-"""The built-in scenario library.
-
-Two layers:
+"""The built-in scenario library: the §4 workload factories and the
+named-scenario catalogue.
 
 * **Parameterized spec factories** (``initial_holders_spec``,
   ``search_spec``, ``scale_spec``) — the declarative form of the
   paper's §4 workloads: the figure experiments call
   ``initial_holders_spec(...).run()`` / ``search_spec(...).run()`` and
   read the result off :class:`~repro.scenario.materialize.BuiltScenario`,
-  and the registered defaults below are their fixed points.
-* **Registered named scenarios** — ``@register_scenario`` entries,
-  the one catalogue every CLI subcommand (``scenarios``, ``validate``,
-  ``live``) resolves names in.  Beyond the three §4 workloads, the
-  library ships the configurations the related work motivates and the
-  old constructor sprawl made painful to express: bursty
+  and the catalogue's defaults are their fixed points.
+* **The catalogue** — one tuple of :class:`~repro.scenario.spec.ScenarioSpec`
+  values per engine tier, each keyed by its own ``name`` and described
+  by its own ``description``; every CLI subcommand (``scenarios``,
+  ``validate``, ``live``) resolves names in it through
+  :func:`resolve_spec`.  Beyond the three §4 workloads, the object tier
+  holds the configurations the related work motivates: bursty
   Gilbert–Elliott WAN links (Seok & Turletti's 802.11 setting), a
   linearly accelerating overload-onset stream, grid-style heterogeneous
   region sizes (Hudzia & Petiton), and a flash-crowd join storm.  The
-  last two entries are the ``scale_spec`` shape at sizes only the flat
-  numpy engine exists for; they register with ``engine="flat"``, which
-  keeps them out of the golden-digest iteration (``scenario_names()``)
-  and makes ``scenarios run`` execute them on
-  :func:`repro.scale.engine.run_flat`.
+  flat tier is the ``scale_spec`` shape at sizes only the numpy engine
+  exists for: :func:`scenario_names` leaves it out by default, which
+  keeps it out of the golden-digest iteration, and ``scenarios run``
+  executes it on :func:`repro.scale.engine.run_flat`.
+
+Specs are frozen values, so a lookup hands out the catalogue's own
+object; ``spec.with_(seed=...)`` makes a changed copy.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import os
+from typing import Dict, List, Optional, Tuple
 
 from repro.scenario.builder import scenario
-from repro.scenario.registry import register_scenario
 from repro.scenario.spec import (
     LossSpec,
     MeasurementSpec,
@@ -139,203 +141,145 @@ def scale_spec(
 
 
 # ----------------------------------------------------------------------
-# Registered named scenarios
+# The catalogue
 # ----------------------------------------------------------------------
-@register_scenario(
-    "initial_holders",
-    description="Fig 6/7 workload: 10 of 100 members hold a message, "
-    "feedback buffering serves the rest",
+#: The object-engine tier, in listing order: the golden-digest
+#: catalogue that tests and the perf ledger iterate exhaustively.
+OBJECT_SCENARIOS: Tuple[ScenarioSpec, ...] = (
+    initial_holders_spec(n=100, k=10),
+    search_spec(n=100, bufferers=10),
+    scale_spec(),
+    scenario("wan_burst_loss")
+    .describe("bursty two-state link loss; repairs drop too")
+    .chain(20, 20)
+    .latency(intra_one_way=5.0, inter_one_way=40.0)
+    .uniform(30, 10.0, start=1.0)
+    .gilbert_elliott(p_good_to_bad=0.02, p_bad_to_good=0.25, p_bad=0.8)
+    .protocol(remote_lambda=2.0, max_recovery_time=1_500.0)
+    .measure(horizon=2_500.0)
+    .spec(),
+    scenario("overload_onset")
+    .describe("linearly accelerating stream into a lossy region")
+    .single_region(50)
+    .ramp(40, initial_interval=25.0, final_interval=2.5, start=1.0)
+    .loss(p=0.10)
+    .protocol(max_recovery_time=1_500.0)
+    .measure(horizon=2_500.0)
+    .spec(),
+    scenario("overload_onset_cc")
+    .describe("accelerating stream, but the sender yields to feedback")
+    .single_region(50)
+    .ramp(40, initial_interval=25.0, final_interval=2.5, start=1.0)
+    .loss(p=0.10)
+    .congestion("tfmcc", target_loss=0.02, min_rate=5.0,
+                max_rate=400.0, feedback_interval=100.0)
+    .protocol(max_recovery_time=1_500.0)
+    .measure(horizon=2_500.0)
+    .spec(),
+    scenario("heterogeneous_regions")
+    .describe("50/12/4-member chain; whole regions miss messages")
+    .chain(50, 12, 4)
+    .latency(intra_one_way=5.0, inter_one_way=80.0)
+    .uniform(20, 25.0, start=1.0)
+    .regional_loss(region_loss=0.2, receiver_loss=0.05)
+    .protocol(remote_lambda=2.0, max_recovery_time=2_000.0)
+    .measure(horizon=3_000.0)
+    .spec(),
+    scenario("flash_crowd")
+    .describe("high join rate plus background leaves under load")
+    .regions(3, 20)
+    .uniform(24, 20.0, start=1.0)
+    .loss(p=0.05)
+    .churn(join_rate=0.05, leave_rate=0.01, duration=500.0)
+    .protocol(max_recovery_time=1_500.0)
+    .measure(horizon=2_500.0)
+    .spec(),
+    scenario("mobile_handoff")
+    .describe("random-waypoint movement with distance-scaled loss; "
+              "region changes trigger leave/rejoin handoffs")
+    .regions(3, 10)
+    .uniform(20, 25.0, start=1.0)
+    .loss(p=0.02)
+    .mobility(speed=2.0, epoch=50.0, distance_loss=0.10)
+    .protocol(max_recovery_time=1_200.0)
+    .measure(horizon=2_000.0)
+    .spec(),
+    scenario("streaming_playback")
+    .describe("25 ms frame cadence into a lossy two-region WAN; "
+              "rebuffer tracker scores playback smoothness")
+    .chain(25, 25)
+    .latency(intra_one_way=5.0, inter_one_way=60.0)
+    .uniform(40, 25.0, start=1.0)
+    .loss(p=0.08)
+    .playout(interval=25.0, startup_delay=50.0)
+    .protocol(max_recovery_time=1_200.0)
+    .measure(horizon=2_500.0)
+    .spec(),
+    scenario("regional_outage")
+    .describe("inter-region links to one region black-holed for "
+              "300 ms; mass gap recovery after the heal")
+    .regions(3, 15)
+    .uniform(24, 20.0, start=1.0)
+    .outage(outage_start=150.0, outage_duration=300.0, outage_regions=1,
+            receiver_loss=0.02)
+    .protocol(max_recovery_time=1_500.0)
+    .measure(horizon=2_800.0)
+    .spec(),
 )
-def _initial_holders() -> ScenarioSpec:
-    return initial_holders_spec(n=100, k=10)
 
-
-@register_scenario(
-    "search",
-    description="Fig 8/9 workload: a downstream request searches 10 "
-    "bufferers in a 100-member region",
+#: The flat-engine tier: the ``scale_spec`` shape at sizes only the
+#: numpy engine runs.  ``scale_10k`` is the shard-parity workload;
+#: ``scale_100k`` the nightly full-oracle one (ledger ``flat_100k`` is
+#: its 40-message twin), whose 1,000-member regions keep the numpy
+#: fan-out wide enough that per-event Python overhead amortizes.
+FLAT_SCENARIOS: Tuple[ScenarioSpec, ...] = (
+    scale_spec(regions=10, members_per_region=1_000, messages=10).with_(
+        name="scale_10k",
+        description="flat engine: 10 regions x 1,000 members, 10 messages at 5% loss",
+    ),
+    scale_spec(regions=100, members_per_region=1_000, messages=10).with_(
+        name="scale_100k",
+        description="flat engine: 100 regions x 1,000 members, 10 messages at 5% loss",
+    ),
 )
-def _search() -> ScenarioSpec:
-    return search_spec(n=100, bufferers=10)
+
+_TIERS = {"object": OBJECT_SCENARIOS, "flat": FLAT_SCENARIOS}
 
 
-@register_scenario(
-    "scale",
-    description="north-star stress: 10 regions x 100 members, 20 "
-    "messages at 5% loss",
-)
-def _scale() -> ScenarioSpec:
-    return scale_spec()
+def registered_scenarios(engine: str = "object") -> Dict[str, ScenarioSpec]:
+    """*engine*'s tier (``"object"`` or ``"flat"``), name → spec, in
+    listing order."""
+    return {spec.name: spec for spec in _TIERS[engine]}
 
 
-@register_scenario(
-    "wan_burst_loss",
-    description="Gilbert-Elliott bursty link loss on a two-region WAN "
-    "(802.11-style correlated drops)",
-)
-def _wan_burst_loss() -> ScenarioSpec:
-    return (
-        scenario("wan_burst_loss")
-        .describe("bursty two-state link loss; repairs drop too")
-        .chain(20, 20)
-        .latency(intra_one_way=5.0, inter_one_way=40.0)
-        .uniform(30, 10.0, start=1.0)
-        .gilbert_elliott(p_good_to_bad=0.02, p_bad_to_good=0.25, p_bad=0.8)
-        .protocol(remote_lambda=2.0, max_recovery_time=1_500.0)
-        .measure(horizon=2_500.0)
-    ).spec()
+def scenario_names(engine: str = "object") -> List[str]:
+    """The names in *engine*'s tier, in listing order."""
+    return [spec.name for spec in _TIERS[engine]]
 
 
-@register_scenario(
-    "overload_onset",
-    description="RampStream send rate climbing 25 ms -> 2.5 ms gaps "
-    "while 10% of receivers miss each message",
-)
-def _overload_onset() -> ScenarioSpec:
-    return (
-        scenario("overload_onset")
-        .describe("linearly accelerating stream into a lossy region")
-        .single_region(50)
-        .ramp(40, initial_interval=25.0, final_interval=2.5, start=1.0)
-        .loss(p=0.10)
-        .protocol(max_recovery_time=1_500.0)
-        .measure(horizon=2_500.0)
-    ).spec()
+def get_scenario(name: str) -> ScenarioSpec:
+    """The spec named *name* (either tier); raises ``KeyError`` with the
+    catalogue."""
+    for tier in _TIERS.values():
+        for spec in tier:
+            if spec.name == name:
+                return spec
+    raise KeyError(
+        f"unknown scenario {name!r}; known: " + ", ".join(scenario_names())
+        + "; flat engine: " + ", ".join(scenario_names("flat"))
+    )
 
 
-@register_scenario(
-    "overload_onset_cc",
-    description="overload_onset with a TFMCC controller pacing the "
-    "sender off worst-receiver feedback",
-)
-def _overload_onset_cc() -> ScenarioSpec:
-    return (
-        scenario("overload_onset_cc")
-        .describe("accelerating stream, but the sender yields to feedback")
-        .single_region(50)
-        .ramp(40, initial_interval=25.0, final_interval=2.5, start=1.0)
-        .loss(p=0.10)
-        .congestion("tfmcc", target_loss=0.02, min_rate=5.0,
-                    max_rate=400.0, feedback_interval=100.0)
-        .protocol(max_recovery_time=1_500.0)
-        .measure(horizon=2_500.0)
-    ).spec()
+def resolve_spec(name_or_path: str) -> ScenarioSpec:
+    """A catalogue name, or a path to a ScenarioSpec JSON file.
 
-
-@register_scenario(
-    "heterogeneous_regions",
-    description="grid-style hierarchy with very unequal region sizes "
-    "and regional losses",
-)
-def _heterogeneous_regions() -> ScenarioSpec:
-    return (
-        scenario("heterogeneous_regions")
-        .describe("50/12/4-member chain; whole regions miss messages")
-        .chain(50, 12, 4)
-        .latency(intra_one_way=5.0, inter_one_way=80.0)
-        .uniform(20, 25.0, start=1.0)
-        .regional_loss(region_loss=0.2, receiver_loss=0.05)
-        .protocol(remote_lambda=2.0, max_recovery_time=2_000.0)
-        .measure(horizon=3_000.0)
-    ).spec()
-
-
-@register_scenario(
-    "flash_crowd",
-    description="join storm: fresh members flood in mid-stream while "
-    "the sender keeps multicasting",
-)
-def _flash_crowd() -> ScenarioSpec:
-    return (
-        scenario("flash_crowd")
-        .describe("high join rate plus background leaves under load")
-        .regions(3, 20)
-        .uniform(24, 20.0, start=1.0)
-        .loss(p=0.05)
-        .churn(join_rate=0.05, leave_rate=0.01, duration=500.0)
-        .protocol(max_recovery_time=1_500.0)
-        .measure(horizon=2_500.0)
-    ).spec()
-
-
-@register_scenario(
-    "mobile_handoff",
-    description="waypoint mobility: members roam between 3 regions, "
-    "handing buffers off through the §3.2 long-term path",
-)
-def _mobile_handoff() -> ScenarioSpec:
-    return (
-        scenario("mobile_handoff")
-        .describe("random-waypoint movement with distance-scaled loss; "
-                  "region changes trigger leave/rejoin handoffs")
-        .regions(3, 10)
-        .uniform(20, 25.0, start=1.0)
-        .loss(p=0.02)
-        .mobility(speed=2.0, epoch=50.0, distance_loss=0.10)
-        .protocol(max_recovery_time=1_200.0)
-        .measure(horizon=2_000.0)
-    ).spec()
-
-
-@register_scenario(
-    "streaming_playback",
-    description="CBR stream judged against per-receiver playout "
-    "deadlines; stalls are counted as rebuffer events",
-)
-def _streaming_playback() -> ScenarioSpec:
-    return (
-        scenario("streaming_playback")
-        .describe("25 ms frame cadence into a lossy two-region WAN; "
-                  "rebuffer tracker scores playback smoothness")
-        .chain(25, 25)
-        .latency(intra_one_way=5.0, inter_one_way=60.0)
-        .uniform(40, 25.0, start=1.0)
-        .loss(p=0.08)
-        .playout(interval=25.0, startup_delay=50.0)
-        .protocol(max_recovery_time=1_200.0)
-        .measure(horizon=2_500.0)
-    ).spec()
-
-
-@register_scenario(
-    "regional_outage",
-    description="whole-region partition mid-stream: one region drops "
-    "off the WAN, heals, and recovers its accumulated gaps",
-)
-def _regional_outage() -> ScenarioSpec:
-    return (
-        scenario("regional_outage")
-        .describe("inter-region links to one region black-holed for "
-                  "300 ms; mass gap recovery after the heal")
-        .regions(3, 15)
-        .uniform(24, 20.0, start=1.0)
-        .outage(outage_start=150.0, outage_duration=300.0, outage_regions=1,
-                receiver_loss=0.02)
-        .protocol(max_recovery_time=1_500.0)
-        .measure(horizon=2_800.0)
-    ).spec()
-
-
-_SCALE_10K = "flat engine: 10 regions x 1,000 members, 10 messages at 5% loss"
-_SCALE_100K = "flat engine: 100 regions x 1,000 members, 10 messages at 5% loss"
-
-
-@register_scenario("scale_10k", description=_SCALE_10K, engine="flat")
-def _scale_10k() -> ScenarioSpec:
-    """The PR-gate shard-parity workload."""
-    return scale_spec(
-        regions=10, members_per_region=1_000, messages=10
-    ).with_(description=_SCALE_10K)
-
-
-@register_scenario("scale_100k", description=_SCALE_100K, engine="flat")
-def _scale_100k() -> ScenarioSpec:
-    """The nightly full-oracle workload (ledger ``flat_100k`` is its 40-message twin).
-
-    1,000-member regions keep the numpy fan-out wide enough that the
-    per-event Python overhead amortizes (100 x 1000 beats 1000 x 100 by
-    an order of magnitude at identical member count).
+    Raises ``KeyError`` (with the catalogue) when it is neither, and
+    ``OSError``/``ValueError`` when the file cannot be read as a spec.
     """
-    return scale_spec(
-        regions=100, members_per_region=1_000, messages=10
-    ).with_(description=_SCALE_100K)
+    try:
+        return get_scenario(name_or_path)
+    except KeyError:
+        if not os.path.exists(name_or_path):
+            raise
+    with open(name_or_path, encoding="utf-8") as handle:
+        return ScenarioSpec.from_json(handle.read())

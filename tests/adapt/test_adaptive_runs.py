@@ -7,7 +7,7 @@ one re-parents under the invariant oracle without a single violation.
 
 from dataclasses import replace
 
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 from repro.scenario.spec import AdaptSpec
 from repro.sim.tracing import trace_digest
 

@@ -24,8 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.scale.engine import _TIME_EPS, FlatShard, run_flat
-from repro.scenario.library import scale_spec
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario, scale_spec
 
 BASELINE_PATH = Path(__file__).parent / "flat_trace_digests.json"
 UPDATE_ENV = "RRMP_UPDATE_BASELINES"

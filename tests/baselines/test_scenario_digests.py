@@ -28,7 +28,7 @@ from unittest import mock
 
 import pytest
 
-from repro.scenario.registry import get_scenario, scenario_names
+from repro.scenario.library import get_scenario, scenario_names
 from repro.sim.engine import Simulator
 from repro.sim.tracing import trace_digest
 

@@ -25,7 +25,7 @@ from typing import Callable, Dict
 
 import pytest
 
-from repro.scenario.registry import get_scenario, scenario_names
+from repro.scenario.library import get_scenario, scenario_names
 from repro.scenario.spec import ScenarioSpec
 from repro.validate.fuzz import sample_spec
 

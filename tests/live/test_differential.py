@@ -11,7 +11,7 @@ from repro.live.differential import (
     run_differential,
     run_sim_side,
 )
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 from repro.sim.tracing import TraceLog
 
 

@@ -9,7 +9,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 
 
 def small_spec():

@@ -10,7 +10,7 @@ import pytest
 from repro.live.codec import encode_frame
 from repro.live.session import LiveSession, run_spec_live
 from repro.protocol.messages import FeedbackReport
-from repro.scenario.registry import get_scenario, scenario_names
+from repro.scenario.library import get_scenario, scenario_names
 from repro.scenario.spec import AdaptSpec, ChurnSpec, LossSpec, MobilitySpec, PlayoutSpec
 
 

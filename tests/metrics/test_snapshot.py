@@ -9,7 +9,7 @@ from repro.metrics.snapshot import (
     long_term_buffered,
     take_snapshot,
 )
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 
 
 def finished_run():

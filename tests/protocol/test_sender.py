@@ -52,11 +52,6 @@ class TestMulticast:
         assert record["seq"] == 1
         assert record["group"] == 10
 
-    def test_burst_helper(self):
-        simulation = build()
-        sent = simulation.sender.multicast_burst(5)
-        assert [d.seq for d in sent] == [1, 2, 3, 4, 5]
-
 
 class TestSessionMessages:
     def test_sessions_emitted_periodically(self):

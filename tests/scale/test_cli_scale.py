@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 
 #: Keeps the flat runs below short, and the object engine's when the
 #: engine is picked wrongly.

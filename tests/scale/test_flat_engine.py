@@ -7,10 +7,10 @@ import pytest
 
 from repro.analysis.formulas import bufferer_pmf_binomial
 from repro.scale.engine import CommutativeTraceDigest, FlatShard, run_flat
-from repro.scenario.library import scale_spec
-from repro.scenario.registry import (
+from repro.scenario.library import (
     get_scenario,
     registered_scenarios,
+    scale_spec,
     scenario_names,
 )
 
@@ -302,9 +302,8 @@ class TestPaperQuantities:
 class TestScaleTier:
     def test_tier_names_resolve_to_supported_specs(self):
         assert scenario_names(engine="flat") == ["scale_10k", "scale_100k"]
-        for name, entry in registered_scenarios(engine="flat").items():
-            spec = get_scenario(name)
-            assert spec == entry.spec()
+        for name, spec in registered_scenarios(engine="flat").items():
+            assert spec is get_scenario(name)
             assert spec.name == name
             assert spec.topology.member_count() >= 10_000
 

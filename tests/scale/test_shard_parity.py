@@ -8,8 +8,7 @@ run's, for any shard count and for process-mode execution.
 import pytest
 
 from repro.scale.engine import run_flat
-from repro.scenario.library import scale_spec
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario, scale_spec
 
 
 def parity_spec(seed=3):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.scenario.builder import scenario
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, TrafficSpec
 
 
 class TestBuilderProducesSpecs:
@@ -76,8 +76,8 @@ class TestBuilderProducesSpecs:
     def test_spec_returns_value_not_view(self):
         builder = scenario("x")
         first = builder.spec()
-        builder.seed(5)
-        assert first.seed == 0  # earlier snapshot unaffected
+        builder.single_region(5)
+        assert first.topology == scenario("x").spec().topology  # earlier snapshot unaffected
 
     def test_regions_validation(self):
         with pytest.raises(ValueError):
@@ -180,9 +180,10 @@ class TestBuilderMaterializes:
             scenario("probe", seed=1)
             .chain(20, 1)
             .latency(inter_one_way=500.0)
-            .search_probe(4)
             .protocol(session_interval=None)
             .measure(duration=1_500.0)
+            .spec()
+            .with_(traffic=TrafficSpec(kind="search_probe", bufferers=4))
             .run()
         )
         assert len(built.bufferers) == 4

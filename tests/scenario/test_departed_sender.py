@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.scenario.builder import scenario
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 
 DEPARTURES = ("member_left", "member_crashed")
 

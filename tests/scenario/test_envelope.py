@@ -9,9 +9,8 @@ import pytest
 from repro.experiments.base import run_tree_baseline
 from repro.live.session import LiveSession
 from repro.scale.engine import run_flat
-from repro.scenario.library import scale_spec
+from repro.scenario.library import get_scenario, scale_spec, scenario_names
 from repro.scenario.materialize import ENVELOPE, require_envelope
-from repro.scenario.registry import get_scenario, scenario_names
 from repro.scenario.spec import ScenarioSpec
 
 #: The ScenarioSpec fields that are spec nodes (sub-specs).

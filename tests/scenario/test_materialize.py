@@ -22,8 +22,7 @@ from repro.protocol.config import PolicySpec
 from repro.protocol.rrmp import RrmpSimulation
 from repro.scenario.materialize import build_scenario
 from repro.scenario.builder import scenario
-from repro.scenario.library import scale_spec
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario, scale_spec
 from repro.scenario.spec import (
     MeasurementSpec,
     ScenarioSpec,

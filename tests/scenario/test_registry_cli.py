@@ -1,18 +1,19 @@
-"""Registry and ``scenarios`` CLI subcommand tests."""
+"""Scenario catalogue and ``scenarios`` CLI subcommand tests."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.scenario.registry import (
+from repro.scenario.library import (
     get_scenario,
-    register_scenario,
     registered_scenarios,
     resolve_spec,
     scenario_names,
 )
 from repro.scenario.spec import ScenarioSpec
+
+ALL_NAMES = scenario_names() + scenario_names("flat")
 
 
 class TestRegistry:
@@ -21,8 +22,7 @@ class TestRegistry:
 
     def test_default_catalogue_is_the_object_engine_tier(self):
         assert scenario_names() == list(registered_scenarios())
-        assert all(entry.engine == "object"
-                   for entry in registered_scenarios().values())
+        assert scenario_names() == scenario_names("object")
 
     def test_canned_workloads_are_registered(self):
         names = scenario_names()
@@ -37,41 +37,22 @@ class TestRegistry:
         traffic = {spec.traffic.kind for spec in specs.values()}
         assert "ramp" in traffic
 
-    def test_every_entry_has_description(self):
-        for entry in registered_scenarios().values():
-            assert entry.description
+    def test_names_are_unique_across_both_tiers(self):
+        assert len(set(ALL_NAMES)) == len(ALL_NAMES)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_a_name_finds_the_spec_of_that_name(self, name):
+        assert get_scenario(name).name == name
 
     def test_get_scenario_returns_fresh_values(self):
-        a = get_scenario("scale")
-        b = get_scenario("scale")
-        assert a == b and a is not b
+        assert get_scenario("scale") == get_scenario("scale")
 
     def test_unknown_name_lists_catalogue(self):
         with pytest.raises(KeyError, match="scale"):
             get_scenario("nope")
 
-    def test_registering_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_scenario("scale")
-            def _dup() -> ScenarioSpec:  # pragma: no cover
-                return ScenarioSpec()
-
-    def test_factory_returning_wrong_type_rejected(self):
-        @register_scenario("bogus-factory-test")
-        def _bogus():
-            return 42
-
-        try:
-            with pytest.raises(TypeError, match="expected ScenarioSpec"):
-                get_scenario("bogus-factory-test")
-        finally:
-            from repro.scenario import registry
-
-            registry._REGISTRY.pop("bogus-factory-test", None)
-
     def test_every_spec_materializes(self):
-        """Each registered spec builds a simulation (without running)."""
+        """Each catalogue spec builds a simulation (without running)."""
         for name in scenario_names():
             built = get_scenario(name).build()
             assert built.simulation.members, name
@@ -83,6 +64,13 @@ class TestScenariosCli:
         output = capsys.readouterr().out
         for name in scenario_names():
             assert name in output
+
+    def test_list_prints_each_spec_description(self, capsys):
+        assert main(["scenarios", "list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in ALL_NAMES:
+            [line] = [line for line in lines if line.split("  ", 1)[0] == name]
+            assert line.endswith("  " + get_scenario(name).description)
 
     def test_describe_prints_loadable_json_and_digest(self, capsys):
         assert main(["scenarios", "describe", "overload_onset"]) == 0

@@ -19,8 +19,7 @@ from repro.cli import main
 from repro.live.differential import _with_trace
 from repro.live.session import LiveSession, run_spec_live
 from repro.scenario.materialize import BuiltScenario, build_group, require_envelope
-from repro.scenario.library import initial_holders_spec
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario, initial_holders_spec
 from repro.scenario.spec import LossSpec, MeasurementSpec, TopologySpec, TrafficSpec
 from repro.tree.rmtp import TreeSimulation
 

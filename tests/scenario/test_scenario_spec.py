@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.scenario.registry import get_scenario, scenario_names
+from repro.scenario.library import get_scenario, scenario_names
 from repro.scenario.spec import (
     AdaptSpec,
     ChurnSpec,
@@ -105,7 +105,7 @@ class TestDigest:
 
     def test_digest_stable_across_process_restarts(self):
         """A fresh interpreter recomputes the identical digests (the
-        registered specs from the registry; the custom one rebuilt from
+        catalogue's specs; the custom one rebuilt from
         its JSON) — no dependence on hash randomization or import
         order."""
         import json
@@ -114,7 +114,7 @@ class TestDigest:
         expected["__custom__"] = _custom_spec().digest()
         code = (
             "import json, sys\n"
-            "from repro.scenario.registry import get_scenario, scenario_names\n"
+            "from repro.scenario.library import get_scenario, scenario_names\n"
             "from repro.scenario.spec import ScenarioSpec\n"
             "custom = ScenarioSpec.from_json(sys.stdin.read())\n"
             "digests = {n: get_scenario(n).digest() for n in scenario_names()}\n"

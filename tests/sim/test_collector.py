@@ -13,7 +13,7 @@ from repro.runner.backends import execute_trial
 from repro.scale.engine import run_flat
 from repro.scenario.builder import scenario
 from repro.scenario.materialize import build_group, require_envelope
-from repro.scenario.registry import get_scenario, scenario_names
+from repro.scenario.library import get_scenario, scenario_names
 from repro.sim.engine import Simulator
 from repro.tree.rmtp import TreeSimulation
 from tests.conftest import cycles_left_by

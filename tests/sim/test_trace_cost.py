@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 from repro.scenario.materialize import build_scenario
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 from repro.sim import tracing
 from repro.sim.tracing import trace_digest
 

@@ -24,8 +24,8 @@ SRC = ROOT / "src"
 #: package -> {name: defining module} for the ledger's package imports.
 LEDGER_REEXPORTS = {
     "repro.scenario": {"build_scenario": "repro.scenario.materialize",
-                       "get_scenario": "repro.scenario.registry",
-                       "scenario_names": "repro.scenario.registry"},
+                       "get_scenario": "repro.scenario.library",
+                       "scenario_names": "repro.scenario.library"},
     "repro.runner": {"Runner": "repro.runner.runner",
                      "SerialBackend": "repro.runner.backends",
                      "using_runner": "repro.runner.runner"},

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROGRAM = """
 import sys
 import repro, repro.scenario, repro.experiments, repro.validate, repro.live.session
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 get_scenario("initial_holders").build().run()
 loaded = sorted(name for name in sys.modules
                 if name == "numpy" or name.startswith(("numpy.", "repro.scale")))

@@ -15,7 +15,7 @@ import pytest
 from repro.net.ipmulticast import FixedHolderCount
 from repro.net.topology import single_region
 from repro.protocol.rrmp import RrmpSimulation
-from repro.scenario.registry import get_scenario, scenario_names
+from repro.scenario.library import get_scenario, scenario_names
 from repro.sim.tracing import trace_digest
 from repro.validate.oracle import MAX_STORED_VIOLATIONS, InvariantOracle
 from repro.validate.invariants import Violation

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.scenario.registry import get_scenario
+from repro.scenario.library import get_scenario
 from repro.sim.tracing import trace_digest
 from repro.validate.fuzz import sample_spec
 
