@@ -41,9 +41,10 @@ and ``validate digest``; there ``--shards`` partitions the regions and
 writes cProfile stats to PATH (default ``profile.pstats``) and the top
 25 functions by cumulative time to stderr.
 
-Exit codes: 0 clean; 1 invariant violations, a crashing spec or a
-sim/live digest mismatch; 2 usage error, printed as one ``error:``
-line whoever found it.
+Exit codes: 0 clean; 1 invariant violations, a crashing spec, a
+sim/live digest mismatch, or a recovery that gave up under ``validate
+run`` or ``live run``; 2 usage error, printed as one ``error:`` line
+whoever found it.
 """
 
 from __future__ import annotations
@@ -319,7 +320,10 @@ def _scenarios_run(args) -> int:
 
 # -- validate ---------------------------------------------------------
 
-def _oracle_report(spec, as_json: bool, flat: bool = False) -> int:
+def _oracle_report(spec, as_json: bool, flat: bool = False,
+                   give_ups_fail: bool = False) -> int:
+    """Run *spec* under the oracle and report it; with *give_ups_fail*
+    a recovery that gave up fails the run too, as in ``live run``."""
     from repro.validate.fuzz import TrialOutcome, run_spec
 
     if flat:
@@ -330,7 +334,8 @@ def _oracle_report(spec, as_json: bool, flat: bool = False) -> int:
         result = run_flat(dataclasses.replace(spec, measurement=measurement), digest=False)
         outcome = TrialOutcome(spec=spec, violation_count=result.invariant_violations,
                                records_checked=result.oracle_records_checked,
-                               events_fired=result.events_fired)
+                               events_fired=result.events_fired,
+                               give_ups=result.reliability_violations)
     else:
         outcome = run_spec(spec)
     report = RunReport(
@@ -348,8 +353,9 @@ def _oracle_report(spec, as_json: bool, flat: bool = False) -> int:
             "events_fired": outcome.events_fired,
             "violations": outcome.violations,
             "cyclic_garbage": outcome.cyclic_garbage,
+            "give_ups": outcome.give_ups,
         },
-        failed=outcome.failed,
+        failed=outcome.failed or (give_ups_fail and outcome.give_ups > 0),
     )
     _print(report, as_json)
     if not as_json:
@@ -360,6 +366,8 @@ def _oracle_report(spec, as_json: bool, flat: bool = False) -> int:
             print(f"  ... and {outcome.violation_count - 20} more")
         if outcome.cyclic_garbage:
             print(f"  the run left {outcome.cyclic_garbage} objects in reference cycles")
+        if give_ups_fail and outcome.give_ups:
+            print(f"  {outcome.give_ups} recoveries gave up (reliability_violation records)")
         if not outcome.failed:
             print("  all invariants hold")
     return report.exit_code
@@ -367,7 +375,7 @@ def _oracle_report(spec, as_json: bool, flat: bool = False) -> int:
 
 def _validate_run(args) -> int:
     spec = _spec(args)
-    return _oracle_report(spec, args.as_json, flat=_on_flat_engine(spec))
+    return _oracle_report(spec, args.as_json, flat=_on_flat_engine(spec), give_ups_fail=True)
 
 
 def _validate_digest(args) -> int:

@@ -75,7 +75,9 @@ class MessageBuffer:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Seq, BufferEntry] = {}
+        #: seq → live entry.  Read it freely (a request's lookup is one
+        #: dict read); change it only through the methods.
+        self.by_seq: Dict[Seq, BufferEntry] = {}
         #: The discard log's columns (seqs, receive times, discard times,
         #: codes), built on the first discard: most members of a short
         #: run never discard.
@@ -85,44 +87,44 @@ class MessageBuffer:
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, seq: Seq) -> bool:
-        return seq in self._entries
+        return seq in self.by_seq
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.by_seq)
 
     @property
     def occupancy(self) -> int:
         """Number of messages currently buffered."""
-        return len(self._entries)
+        return len(self.by_seq)
 
     def get(self, seq: Seq) -> Optional[BufferEntry]:
         """The live entry for *seq*, or ``None``."""
-        return self._entries.get(seq)
+        return self.by_seq.get(seq)
 
     def data(self, seq: Seq) -> Optional[DataMessage]:
         """The stored message body for *seq*, or ``None``."""
-        entry = self._entries.get(seq)
+        entry = self.by_seq.get(seq)
         return entry.data if entry is not None else None
 
     def seqs(self) -> Iterable[Seq]:
         """Sequence numbers currently buffered (insertion order)."""
-        return tuple(self._entries.keys())
+        return tuple(self.by_seq.keys())
 
     def entries(self) -> Iterable[BufferEntry]:
         """Live entries (insertion order)."""
-        return tuple(self._entries.values())
+        return tuple(self.by_seq.values())
 
     def long_term_seqs(self) -> Iterable[Seq]:
         """Sequence numbers of entries promoted to long-term, in
         admission order: a seq is re-added only after its discard, so
         the dict's insertion order is the order copies were buffered."""
-        return tuple(seq for seq, entry in self._entries.items() if entry.long_term)
+        return tuple(seq for seq, entry in self.by_seq.items() if entry.long_term)
 
     @property
     def long_term_count(self) -> int:
         """Number of long-term entries.  O(n): read at probes and at the
         end of a run, never per packet."""
-        return sum(entry.long_term for entry in self._entries.values())
+        return sum(entry.long_term for entry in self.by_seq.values())
 
     @property
     def records(self) -> List[BufferRecord]:
@@ -140,17 +142,17 @@ class MessageBuffer:
     # ------------------------------------------------------------------
     def add(self, data: DataMessage, now: float, long_term: bool = False) -> BufferEntry:
         """Store *data*; returns the new (or existing) entry."""
-        existing = self._entries.get(data.seq)
+        existing = self.by_seq.get(data.seq)
         if existing is not None:
             return existing
         entry = BufferEntry(data.seq, data, now, long_term)
-        self._entries[data.seq] = entry
+        self.by_seq[data.seq] = entry
         return entry
 
     def promote(self, seq: Seq) -> Optional[BufferEntry]:
         """Mark *seq* long-term.  Returns the entry, or ``None`` if
         *seq* is not buffered."""
-        entry = self._entries.get(seq)
+        entry = self.by_seq.get(seq)
         if entry is None:
             return None
         entry.long_term = True
@@ -162,7 +164,7 @@ class MessageBuffer:
 
         Returns the removed entry, or ``None`` if it was not buffered.
         """
-        entry = self._entries.pop(seq, None)
+        entry = self.by_seq.pop(seq, None)
         if entry is None:
             return None
         log = self._log
@@ -178,7 +180,7 @@ class MessageBuffer:
     def discard_all(self, now: float, reason: str = DISCARD_CLOSE) -> List[BufferEntry]:
         """Remove every entry (member shutdown); returns removed entries."""
         removed = []
-        for seq in list(self._entries.keys()):
+        for seq in list(self.by_seq.keys()):
             entry = self.discard(seq, now, reason)
             if entry is not None:
                 removed.append(entry)

@@ -104,7 +104,7 @@ class TwoPhaseBufferPolicy(BufferPolicy):
             host.trace.emit(now, "buffer_add", node=host.node_id, seq=data.seq)
 
     def on_request(self, seq: Seq) -> Optional[DataMessage]:
-        entry = self.buffer.get(seq)
+        entry = self.buffer.by_seq.get(seq)
         if entry is None:
             return None
         timer = self._clocks.get(seq)

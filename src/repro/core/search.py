@@ -18,6 +18,10 @@ the member conducts a randomized search:
   waiters and starts its own loss recovery (footnote 4);
 * on timeout, each searcher re-forwards to a fresh random member.
 
+A round is one host call, :meth:`SearchHost.ask_region_peer`, that
+draws the member, forwards the frozen request and prices the
+round-trip; the round then traces the hop it already sent.
+
 :class:`SearchCoordinator` holds a member's active searches; the member
 forwards protocol messages into it and supplies side effects through
 the narrow :class:`SearchHost` protocol.
@@ -30,7 +34,6 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.protocol.messages import SearchRequest, Seq
 from repro.sim.engine import Simulator
-from repro.sim.randomness import pick_other
 from repro.sim.timers import Timer
 from repro.sim.tracing import TraceLog
 
@@ -42,17 +45,16 @@ class SearchHost(Protocol):
     sim: Simulator
     trace: TraceLog
 
-    def region_peers(self) -> Tuple[Sequence[int], int]:
-        """The host's region (a shared sequence, host included) and
-        the host's position in it."""
+    def region_size(self) -> int:
+        """Current size of the host's region."""
         ...
 
-    def send_search_request(self, dst: int, request: SearchRequest) -> None:
-        """Forward a search hop to *dst*."""
-        ...
-
-    def rtt_to(self, dst: int) -> float:
-        """Round-trip estimate to *dst* (drives the retry timer)."""
+    def ask_region_peer(self, rng: random.Random,
+                        request: SearchRequest) -> Optional[Tuple[int, float]]:
+        """Forward a search hop to one uniformly random other member of
+        the host's region, drawn once from *rng*, and return that peer
+        and the round-trip to it (the retry timer); ``None`` when the
+        host is alone."""
         ...
 
     def search_rng(self) -> random.Random:
@@ -90,33 +92,35 @@ class _SearchProcess:
 
     def run_round(self) -> None:
         """Forward the request to a fresh random member and arm the timer."""
-        host = self.coordinator.host
-        members, position = host.region_peers()
-        if len(members) < 2:
-            # Nobody to ask: the search idles; a later regional event
-            # (repair arrival) resolves the waiters instead.
-            return
-        limit = self.coordinator.max_rounds
-        max_time = self.coordinator.max_time
+        coordinator = self.coordinator
+        host = coordinator.host
+        limit = coordinator.max_rounds
+        max_time = coordinator.max_time
         if ((limit is not None and self.rounds >= limit)
                 or (max_time is not None and host.sim.now - self.started_at >= max_time)):
+            if host.region_size() < 2:
+                return  # alone: idle, as below, rather than give up
             rounds = self.rounds
-            self.coordinator._given_up.add(self.seq)
-            self.coordinator._finish(self.seq)
+            coordinator._given_up.add(self.seq)
+            coordinator._finish(self.seq)
             host.trace.emit(host.sim.now, "search_abandoned",
                             node=host.node_id, seq=self.seq, rounds=rounds)
             return
-        self.rounds += 1
-        target = pick_other(self.coordinator.rng, members, position)
         request = self.request
         if request is None:
             request = self.request = SearchRequest(
                 seq=self.seq, waiters=tuple(sorted(self.waiters)), forwarder=host.node_id
             )
+        asked = host.ask_region_peer(coordinator.rng, request)
+        if asked is None:
+            # Nobody to ask: the search idles; a later regional event
+            # (repair arrival) resolves the waiters instead.
+            return
+        self.rounds += 1
+        target, rtt = asked
         host.trace.emit(host.sim.now, "search_forwarded",
                         node=host.node_id, seq=self.seq, target=target, round=self.rounds)
-        host.send_search_request(target, request)
-        self._timer.start(host.rtt_to(target) * self.coordinator.timer_factor)
+        self._timer.start(rtt * coordinator.timer_factor)
 
     def stop(self) -> None:
         """Terminate this member's participation: a cancelled timer

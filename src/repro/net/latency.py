@@ -98,6 +98,9 @@ class HierarchicalLatency(LatencyModel):
         return self._asymmetric
 
     def rtt(self, src: NodeId, dst: NodeId) -> float:
+        region_of = self.hierarchy.node_region
+        if src in region_of and dst in region_of and region_of[src] == region_of[dst]:
+            return self.intra_one_way + self.intra_one_way
         if self._asymmetric:
             # The reverse split is not always the forward one swapped
             # (disjoint trees), so price each direction on its own.
@@ -127,6 +130,11 @@ class HierarchicalLatency(LatencyModel):
         return delays
 
     def one_way(self, src: NodeId, dst: NodeId) -> float:
+        # A same-region pair is read off the node → region map; the hop
+        # table prices every other pair (and names an unknown node).
+        region_of = self.hierarchy.node_region
+        if src in region_of and dst in region_of and region_of[src] == region_of[dst]:
+            return self.intra_one_way
         up, down = self.hierarchy.region_hop_split(src, dst)
         hops = up + down
         if hops == 0:

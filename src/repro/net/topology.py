@@ -59,12 +59,6 @@ class Region:
         membership change builds a new one."""
         return self._current_view()[0]
 
-    def peers_of(self, node_id: NodeId) -> Tuple[Tuple[NodeId, ...], int]:
-        """``(member_ids(), position of node_id in it)``, the input of
-        an O(1) neighbour pick (:func:`repro.sim.randomness.pick_other`)."""
-        members, positions = self._current_view()
-        return members, positions[node_id]
-
     def _current_view(self) -> Tuple[Tuple[NodeId, ...], Dict[NodeId, int]]:
         view = self._view
         if view is None:
@@ -83,7 +77,9 @@ class Hierarchy:
 
     def __init__(self) -> None:
         self.regions: Dict[RegionId, Region] = {}
-        self._node_region: Dict[NodeId, RegionId] = {}
+        #: Node → region id.  Read it freely (the latency model prices a
+        #: same-region pair from it); change it only through the methods.
+        self.node_region: Dict[NodeId, RegionId] = {}
         self._next_node_id: NodeId = 0
         #: ``(region a, region b) → (up, down)`` hops, filled on first
         #: query.  Keyed by region, so membership changes keep it valid;
@@ -109,13 +105,13 @@ class Hierarchy:
             raise TopologyError(f"region {region_id} does not exist")
         if node_id is None:
             node_id = self._next_node_id
-        if node_id in self._node_region:
+        if node_id in self.node_region:
             raise TopologyError(f"node {node_id} already placed")
         self._next_node_id = max(self._next_node_id, node_id + 1)
         region = self.regions[region_id]
         region.members.append(node_id)
         region._view = None
-        self._node_region[node_id] = region_id
+        self.node_region[node_id] = region_id
         return node_id
 
     def add_members(self, region_id: RegionId, count: int) -> List[NodeId]:
@@ -130,13 +126,13 @@ class Hierarchy:
         region = self.regions[region_id]
         region.members.extend(nodes)
         region._view = None
-        self._node_region.update(dict.fromkeys(nodes, region_id))
+        self.node_region.update(dict.fromkeys(nodes, region_id))
         self._next_node_id += len(nodes)
         return nodes
 
     def remove_member(self, node_id: NodeId) -> None:
         """Remove a node (on leave or crash)."""
-        region_id = self._node_region.pop(node_id, None)
+        region_id = self.node_region.pop(node_id, None)
         if region_id is None:
             raise TopologyError(f"node {node_id} not in topology")
         region = self.regions[region_id]
@@ -169,23 +165,35 @@ class Hierarchy:
     @property
     def size(self) -> int:
         """Total number of nodes."""
-        return len(self._node_region)
+        return len(self.node_region)
 
     def contains(self, node_id: NodeId) -> bool:
         """Whether *node_id* is currently placed in some region."""
-        return node_id in self._node_region
+        return node_id in self.node_region
 
     def region_of(self, node_id: NodeId) -> Region:
         """The region containing *node_id*."""
         try:
-            return self.regions[self._node_region[node_id]]
+            return self.regions[self.node_region[node_id]]
         except KeyError:
             raise TopologyError(f"node {node_id} not in topology") from None
+
+    def peers_of(self, node_id: NodeId) -> Tuple[Tuple[NodeId, ...], int]:
+        """``(the region's member_ids(), position of node_id in it)``, the
+        input of an O(1) neighbour pick (:func:`repro.sim.randomness.pick_other`)."""
+        try:
+            region = self.regions[self.node_region[node_id]]
+        except KeyError:
+            raise TopologyError(f"node {node_id} not in topology") from None
+        view = region._view
+        if view is None:
+            view = region._current_view()
+        return view[0], view[1][node_id]
 
     def region_id_of(self, node_id: NodeId) -> RegionId:
         """The region id containing *node_id*."""
         try:
-            return self._node_region[node_id]
+            return self.node_region[node_id]
         except KeyError:
             raise TopologyError(f"node {node_id} not in topology") from None
 
@@ -229,7 +237,7 @@ class Hierarchy:
         Each region pair is walked once, then read from a table.
         """
         try:
-            pair = (self._node_region[a], self._node_region[b])
+            pair = (self.node_region[a], self.node_region[b])
         except KeyError as missing:
             raise TopologyError(f"node {missing.args[0]} not in topology") from None
         hops = self._pair_hops.get(pair)
@@ -279,7 +287,7 @@ class Hierarchy:
                 if node in placed:
                     raise TopologyError(f"node {node} in regions {placed[node]} and {region_id}")
                 placed[node] = region_id
-        if placed != self._node_region:
+        if placed != self.node_region:
             raise TopologyError("node→region index out of sync with region member lists")
 
 

@@ -13,8 +13,10 @@ dissemination tree, where each receiver observes its own delay and loss
 outcome.  What happened to each packet is kept as counters only.
 
 Which receivers a send reaches is decided here, once, for every
-transport.  A send classifies its payload once and accounts its sends
-in one :class:`NetworkStats` update; then each destination, in order,
+transport.  A send classifies its payload once and counts its sends
+with one dict update, under ``(payload type, kind, wire_size)`` in
+:attr:`NetworkStats.sends`, of which every other traffic total is a view
+built when it is read; then each destination, in order,
 passes the route check (``send_dropped``) and the loss draw from the
 ``("net", "loss")`` stream.  The loss model is consulted only for the
 kinds it declares it can drop (:meth:`~repro.net.loss.LossModel.drops`),
@@ -37,8 +39,9 @@ packet would have fired them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Protocol
+from typing import Any, DefaultDict, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
@@ -56,11 +59,29 @@ class Endpoint(Protocol):
         ...
 
 
+def _tally(counts: Iterable[Tuple[str, int]]) -> Dict[str, int]:
+    """*counts* summed by label, labels in the order first counted."""
+    tally: Dict[str, int] = {}
+    for label, count in counts:
+        tally[label] = tally.get(label, 0) + count
+    return tally
+
+
+#: What one send is counted under: the payload's type, its ``kind`` and
+#: its ``wire_size``.
+SendKey = Tuple[type, str, int]
+
+
 @dataclass
 class NetworkStats:
-    """Aggregate traffic counters maintained by :class:`Network`."""
+    """Aggregate traffic counters maintained by :class:`Network`.
 
-    sent: int = 0
+    A send is counted once, in :attr:`sends`, under its :data:`SendKey`;
+    ``sent``, ``bytes_sent``, ``sent_by_type``, ``bytes_by_type`` and
+    ``sent_by_kind`` are views over that one counter, each built when
+    it is read.
+    """
+
     delivered: int = 0
     dropped: int = 0
     #: Sends addressed to a destination with no registered endpoint
@@ -68,18 +89,34 @@ class NetworkStats:
     #: ``dropped``, counted separately so a misrouted deployment is
     #: distinguishable from transport loss.
     send_dropped: int = 0
-    bytes_sent: int = 0
-    sent_by_type: Dict[str, int] = field(default_factory=dict)
-    bytes_by_type: Dict[str, int] = field(default_factory=dict)
-    sent_by_kind: Dict[str, int] = field(default_factory=dict)
+    #: Transmission attempts per :data:`SendKey`.
+    sends: DefaultDict[SendKey, int] = field(default_factory=lambda: defaultdict(int))
 
-    def record_sends(self, type_name: str, kind: str, size: int, count: int) -> None:
-        """Count *count* transmission attempts of one payload."""
-        self.sent += count
-        self.bytes_sent += size * count
-        self.sent_by_type[type_name] = self.sent_by_type.get(type_name, 0) + count
-        self.bytes_by_type[type_name] = self.bytes_by_type.get(type_name, 0) + size * count
-        self.sent_by_kind[kind] = self.sent_by_kind.get(kind, 0) + count
+    @property
+    def sent(self) -> int:
+        """Transmission attempts."""
+        return sum(self.sends.values())
+
+    @property
+    def bytes_sent(self) -> int:
+        """Bytes of every transmission attempt."""
+        return sum(self.bytes_by_type.values())
+
+    @property
+    def sent_by_type(self) -> Dict[str, int]:
+        """Transmission attempts per payload type name."""
+        return _tally((cls.__name__, count) for (cls, _, _), count in self.sends.items())
+
+    @property
+    def bytes_by_type(self) -> Dict[str, int]:
+        """Bytes sent per payload type name."""
+        return _tally((cls.__name__, int(size) * count)
+                      for (cls, _, size), count in self.sends.items())
+
+    @property
+    def sent_by_kind(self) -> Dict[str, int]:
+        """Transmission attempts per payload kind."""
+        return _tally((kind, count) for (_, kind, _), count in self.sends.items())
 
     def control_messages(self) -> int:
         """Total control-plane transmissions."""
@@ -152,9 +189,12 @@ class Network:
         or crashed).
         """
         # The rule of multicast, straight-line: a repair storm is all unicasts.
-        kind = getattr(payload, "kind", KIND_CONTROL)
+        try:
+            kind, size = payload.kind, payload.wire_size
+        except AttributeError:
+            kind, size = getattr(payload, "kind", KIND_CONTROL), getattr(payload, "wire_size", 64)
         stats = self.stats
-        stats.record_sends(type(payload).__name__, kind, int(getattr(payload, "wire_size", 64)), 1)
+        stats.sends[type(payload), kind, size] += 1
         route = self._route(dst)
         if route is None:
             stats.dropped += 1
@@ -184,10 +224,12 @@ class Network:
         dsts = [dst for dst in dsts if dst != src]
         if not dsts:
             return 0
-        kind = getattr(payload, "kind", KIND_CONTROL)
+        try:
+            kind, size = payload.kind, payload.wire_size
+        except AttributeError:
+            kind, size = getattr(payload, "kind", KIND_CONTROL), getattr(payload, "wire_size", 64)
         stats = self.stats
-        stats.record_sends(type(payload).__name__, kind, int(getattr(payload, "wire_size", 64)),
-                           len(dsts))
+        stats.sends[type(payload), kind, size] += len(dsts)
         route_of, rng = self._route, self._loss_rng
         loss = self.loss
         is_lost = loss.is_lost if loss.drops(kind) else None

@@ -53,7 +53,7 @@ from repro.protocol.messages import (
 )
 from repro.protocol.recovery import RecoveryProcess
 from repro.sim.engine import Simulator
-from repro.sim.randomness import RandomStreams
+from repro.sim.randomness import RandomStreams, pick_other
 from repro.sim.tracing import TraceLog
 
 #: ``via`` values for message arrival paths (trace field and behaviour
@@ -179,10 +179,6 @@ class RrmpMember:
         region's shared tuple, not a copy)."""
         return self.hierarchy.region_of(self.node_id).member_ids()
 
-    def region_peers(self) -> Tuple[Sequence[NodeId], int]:
-        """:meth:`region_member_ids` and this member's position in it."""
-        return self.hierarchy.region_of(self.node_id).peers_of(self.node_id)
-
     def parent_member_ids(self) -> Sequence[NodeId]:
         """Members of the current parent region (empty for a root)."""
         return self.hierarchy.parent_members(self.node_id)
@@ -209,13 +205,21 @@ class RrmpMember:
         """Deterministic RNG substream for recovery target selection."""
         return self.streams.stream("member", self.node_id, "recovery")
 
-    def send_search_request(self, dst: NodeId, request: SearchRequest) -> None:
-        """Forward a search hop (SearchHost)."""
-        self.network.unicast(self.node_id, dst, request)
-
-    def send_local_request(self, dst: NodeId, request: LocalRequest) -> None:
-        """Transmit a local retransmission request (RecoveryHost)."""
-        self.network.unicast(self.node_id, dst, request)
+    def ask_region_peer(self, rng: random.Random,
+                        request: object) -> Optional[Tuple[NodeId, float]]:
+        """Send *request* to one uniformly random other member of this
+        member's region, drawn once from *rng*, and return that peer and
+        the round-trip to it; ``None`` when the member is alone (one call
+        per §2.2 local round and §3.3 search round: RecoveryHost,
+        SearchHost)."""
+        node = self.node_id
+        members, position = self.hierarchy.peers_of(node)
+        if len(members) < 2:
+            return None
+        target = pick_other(rng, members, position)
+        network = self.network
+        network.unicast(node, target, request)
+        return target, network.latency.rtt(node, target)
 
     def send_remote_request(self, dst: NodeId, request: RemoteRequest) -> None:
         """Transmit a remote retransmission request (RecoveryHost)."""
@@ -440,9 +444,9 @@ class RrmpMember:
             # instead of (re)starting the search.
             self.trace.emit(self.sim.now, "search_redirected",
                             node=self.node_id, seq=seq, target=hint)
-            self.send_search_request(
-                hint, SearchRequest(seq=seq, waiters=tuple(sorted(waiters)),
-                                    forwarder=self.node_id, hops=hops + 1)
+            self.network.unicast(
+                self.node_id, hint, SearchRequest(seq=seq, waiters=tuple(sorted(waiters)),
+                                                  forwarder=self.node_id, hops=hops + 1)
             )
             return
         if hops >= self._MAX_REDIRECT_HOPS:
@@ -457,21 +461,26 @@ class RrmpMember:
     def _forward_via_lookup(self, seq: Seq, waiters: Sequence[NodeId], hops: int) -> None:
         """§3.4 deterministic alternative to searching: hash every known
         address, forward the request straight to a computed bufferer."""
+        policy = self.policy
+        if type(policy).locate_bufferers is BufferPolicy.locate_bufferers:
+            # The policy has no lookup (only the hash policy has one).
+            self.search.begin(seq, waiters)
+            return
         candidates = [
-            node for node in self.policy.locate_bufferers(seq, self.region_member_ids())
+            node for node in policy.locate_bufferers(seq, self.region_member_ids())
             if node != self.node_id
         ]
         if not candidates:
-            # No lookup (the policy has none), hash selected nobody
-            # (probability ≈ e^{-C}) or only us: the randomized search.
+            # Hash selected nobody (probability ≈ e^{-C}) or only us:
+            # the randomized search.
             self.search.begin(seq, waiters)
             return
         target = candidates[0]
         self.trace.emit(self.sim.now, "lookup_forwarded",
                         node=self.node_id, seq=seq, target=target)
-        self.send_search_request(
-            target, SearchRequest(seq=seq, waiters=tuple(sorted(waiters)),
-                                  forwarder=self.node_id, hops=hops + 1)
+        self.network.unicast(
+            self.node_id, target, SearchRequest(seq=seq, waiters=tuple(sorted(waiters)),
+                                                forwarder=self.node_id, hops=hops + 1)
         )
 
     def _on_search_request(self, request: SearchRequest) -> None:

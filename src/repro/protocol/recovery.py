@@ -8,7 +8,10 @@ same message"):
 * **Local recovery** — each round, ask one uniformly-random region
   neighbour and arm a timer equal to the round-trip time to it; on
   expiry, ask another.  As long as at least one region member holds
-  the message, the pull-epidemic converges.
+  the message, the pull-epidemic converges.  A round is one host call,
+  :meth:`RecoveryHost.ask_region_peer`, that draws the neighbour, sends
+  the request and prices the round-trip: when nobody holds a copy,
+  almost every request of a run is one of these, and finds nothing.
 * **Remote recovery** — each round, choose a uniformly-random member
   *r* of the *parent region*; send it a request only with probability
   λ/n (so the region-wide expected number of remote requests per round
@@ -35,7 +38,6 @@ from repro.protocol.config import PolicySpec
 from repro.protocol.messages import LocalRequest, RemoteRequest, Seq
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.randomness import pick_other
 from repro.sim.tracing import TraceLog
 
 
@@ -47,11 +49,6 @@ class RecoveryHost(Protocol):
     sim: Simulator
     trace: TraceLog
     config: PolicySpec
-
-    def region_peers(self) -> Tuple[Sequence[int], int]:
-        """The host's region (a shared sequence, host included) and
-        the host's position in it."""
-        ...
 
     def parent_member_ids(self) -> Sequence[int]:
         """Members of the current parent region (a shared sequence;
@@ -71,8 +68,12 @@ class RecoveryHost(Protocol):
         """Current size of the host's region (the *n* in λ/n)."""
         ...
 
-    def send_local_request(self, dst: int, request: LocalRequest) -> None:
-        """Transmit a local retransmission request."""
+    def ask_region_peer(self, rng: random.Random,
+                        request: LocalRequest) -> Optional[Tuple[int, float]]:
+        """Send *request* to one uniformly random other member of the
+        host's region, drawn once from *rng* (as
+        :func:`~repro.sim.randomness.pick_other`), and return that peer
+        and the round-trip to it; ``None`` when the host is alone."""
         ...
 
     def send_remote_request(self, dst: int, request: RemoteRequest) -> None:
@@ -188,8 +189,8 @@ class RecoveryProcess:
         if limit is not None and host.sim.now - self.detected_at >= limit:
             self._fail()
             return
-        members, position = host.region_peers()
-        if len(members) < 2:
+        asked = host.ask_region_peer(self._rng, self._local_request)
+        if asked is None:
             # Alone in the region right now: nobody to ask, but churn
             # may add neighbours, so keep the phase alive instead of
             # going silent forever (no request is sent, no round is
@@ -197,9 +198,7 @@ class RecoveryProcess:
             delay = self._idle_retry_delay()
         else:
             self.local_rounds += 1
-            target = pick_other(self._rng, members, position)
-            host.send_local_request(target, self._local_request)
-            delay = host.rtt_to(target) * self._timer_factor
+            delay = asked[1] * self._timer_factor
         sim = host.sim
         self._local_event = sim.at(sim.now + delay, self._local_round)
 

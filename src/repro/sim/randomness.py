@@ -118,7 +118,14 @@ def pick_other(rng: random.Random, members: Sequence[int], position: int) -> int
     """A uniform pick among two or more *members*, skipping *position*.
 
     Same single draw and same element as ``rng.choice`` on the list
-    with that member filtered out, without building the list.
+    with that member filtered out, without building the list: the index
+    comes from the ``getrandbits`` rejection loop that ``randrange(n)``
+    runs, called through the public name so a :class:`LazyStream` (which
+    forwards no private name) draws it too.
     """
-    k = rng.randrange(len(members) - 1)
+    n = len(members) - 1
+    bits = n.bit_length()
+    k = rng.getrandbits(bits)
+    while k >= n:
+        k = rng.getrandbits(bits)
     return members[k + (k >= position)]

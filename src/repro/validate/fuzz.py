@@ -188,6 +188,10 @@ class TrialOutcome:
     error: Optional[str] = None
     #: Objects the run left in reference cycles (the module docstring).
     cyclic_garbage: int = 0
+    #: Recoveries that gave up (``reliability_violation`` records): the
+    #: §5 trade-off, which a drawn trial may legitimately make, so not
+    #: a failure here; ``validate run`` fails a named spec on it.
+    give_ups: int = 0
 
     @property
     def failed(self) -> bool:
@@ -227,6 +231,7 @@ def run_spec(spec: ScenarioSpec) -> TrialOutcome:
     outcome.violation_count = report["violation_count"]
     outcome.records_checked = report["records_checked"]
     outcome.events_fired = built.simulation.sim.events_fired
+    outcome.give_ups = built.simulation.violation_count()
     return outcome
 
 

@@ -29,9 +29,6 @@ class SwitchableHost:
         self._region_size = region_size
         self._streams = RandomStreams(seed)
 
-    def region_peers(self):
-        return (self.node_id,), 0
-
     def parent_member_ids(self):
         return tuple(self.parents)
 
@@ -41,8 +38,8 @@ class SwitchableHost:
     def region_size(self):
         return self._region_size
 
-    def send_local_request(self, dst, request):  # pragma: no cover
-        raise AssertionError("no neighbours configured")
+    def ask_region_peer(self, rng, request):
+        return None  # alone in its region
 
     def send_remote_request(self, dst, request):
         self.sent_remote.append((self.sim.now, dst, request.seq))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from repro.sim.engine import Simulator
-from repro.sim.randomness import RandomStreams
+from repro.sim.randomness import RandomStreams, pick_other
 from repro.sim.tracing import TraceLog
 
 # ``--hypothesis-profile ci``: the depth CI's live-smoke job runs the
@@ -103,14 +103,15 @@ class FakeSearchHost:
         self.sent = []  # list of (dst, SearchRequest)
         self._streams = RandomStreams(seed)
 
-    def region_peers(self):
-        return tuple(self.members), self.members.index(self.node_id)
+    def region_size(self):
+        return len(self.members)
 
-    def send_search_request(self, dst, request):
+    def ask_region_peer(self, rng, request):
+        if len(self.members) < 2:
+            return None
+        dst = pick_other(rng, tuple(self.members), self.members.index(self.node_id))
         self.sent.append((dst, request))
-
-    def rtt_to(self, dst):
-        return self.rtt
+        return dst, self.rtt
 
     def search_rng(self):
         return self._streams.lazy("search")
@@ -130,7 +131,7 @@ def assert_views_match_a_fresh_scan(hierarchy):
         assert members == tuple(region.members)
         assert members is region.member_ids()  # shared, not rebuilt per call
         for position, node in enumerate(region.members):
-            assert region.peers_of(node) == (members, position)
+            assert hierarchy.peers_of(node) == (members, position)
             assert node in region
         if region.members:
             parent = hierarchy.regions.get(region.parent_id)

@@ -12,6 +12,7 @@ from repro.live.session import LiveSession, run_spec_live
 from repro.protocol.messages import FeedbackReport
 from repro.scenario.library import get_scenario, scenario_names
 from repro.scenario.spec import AdaptSpec, ChurnSpec, LossSpec, MobilitySpec, PlayoutSpec
+from tests.conftest import cycles_left_by
 
 
 def small_spec(**overrides):
@@ -137,6 +138,20 @@ class TestLoopbackRun:
                 await session.close()
 
         run(main())
+
+
+class TestNoReferenceCycles:
+    def test_a_lossy_session_run_to_close_leaves_no_cycles(self):
+        """The simulator's contract holds live: a run makes no reference
+        cycles, so nothing for the collector to find once the session
+        has closed, its event loop included."""
+        base = small_spec()
+        spec = small_spec(loss=LossSpec(kind="bernoulli", p=0.3),
+                          policy=dataclasses.replace(base.policy, c=6.0, session_interval=20.0))
+        sessions = []
+        assert cycles_left_by(
+            lambda: sessions.append(run(run_spec_live(spec, speedup=20.0)))) == 0
+        assert sessions[0].network.stats.sent_by_type.get("LocalRequest", 0) > 0
 
 
 class TestWrongRoleDatagram:

@@ -156,7 +156,7 @@ class TestSharedMemberViews:
         hierarchy.remove_member(moved)
         hierarchy.add_member(0, node_id=moved)
         assert_views_match_a_fresh_scan(hierarchy)
-        assert hierarchy.regions[0].peers_of(moved)[1] == 3
+        assert hierarchy.peers_of(moved)[1] == 3
 
     def test_a_held_tuple_is_never_mutated(self):
         hierarchy = single_region(3)

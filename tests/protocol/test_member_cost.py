@@ -15,11 +15,10 @@ registry scenarios is pinned, next to their trace digests, by
 
 import dataclasses
 
-from repro.core import search
 from repro.core.buffer import BufferRecord
 from repro.core.manager import TwoPhaseBufferPolicy
 from repro.net.topology import chain, single_region
-from repro.protocol import recovery
+from repro.protocol import member as member_module
 from repro.protocol.config import PolicySpec
 from repro.protocol.member import RrmpMember
 from repro.protocol.rrmp import RrmpSimulation
@@ -168,7 +167,7 @@ class TestPickingAPeerCopiesNothing:
         simulation = RrmpSimulation(single_region(1000),
                                     config=PolicySpec(session_interval=None))
         shared = simulation.hierarchy.regions[0].member_ids()
-        seen = self.spy_on(monkeypatch, recovery)
+        seen = self.spy_on(monkeypatch, member_module)
         simulation.members[500].inject_loss_detection(1)
         assert len(seen) == 1
         members, position = seen[0]
@@ -185,7 +184,7 @@ class TestPickingAPeerCopiesNothing:
         simulation = RrmpSimulation(single_region(1000),
                                     config=PolicySpec(session_interval=None))
         shared = simulation.hierarchy.regions[0].member_ids()
-        seen = self.spy_on(monkeypatch, search)
+        seen = self.spy_on(monkeypatch, member_module)
         simulation.members[7].search.begin(1, [3])
         assert len(seen) == 1
         members, position = seen[0]

@@ -9,7 +9,7 @@ from repro.live.codec import encode_frame
 from repro.protocol.config import PolicySpec
 from repro.protocol.messages import LocalRequest, RemoteRequest
 from repro.protocol.recovery import RecoveryProcess
-from repro.sim.randomness import RandomStreams
+from repro.sim.randomness import RandomStreams, pick_other
 
 WIRE_FRAMES = Path(__file__).parents[1] / "baselines" / "wire_frames.json"
 
@@ -34,9 +34,6 @@ class FakeRecoveryHost:
         self.sent_remote = []  # (time, dst, seq)
         self._streams = RandomStreams(seed)
 
-    def region_peers(self):
-        return (self.node_id, *self.neighbors), 0
-
     def parent_member_ids(self):
         return tuple(self.parents)
 
@@ -45,6 +42,14 @@ class FakeRecoveryHost:
 
     def region_size(self):
         return self._region_size
+
+    def ask_region_peer(self, rng, request):
+        members = (self.node_id, *self.neighbors)
+        if len(members) < 2:
+            return None
+        dst = pick_other(rng, members, 0)
+        self.send_local_request(dst, request)
+        return dst, self.rtt
 
     def send_local_request(self, dst, request):
         self.sent_local.append((self.sim.now, dst, request.seq))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core import manager
 from repro.scenario.library import get_scenario
 from repro.sim.tracing import trace_digest
 from repro.validate.fuzz import sample_spec
@@ -47,6 +49,33 @@ class TestValidateRun:
         path.write_text(spec.to_json())
         assert main(["validate", "run", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["scenario"] == spec.name
+
+
+class TestValidateRunGiveUps:
+    """A named run whose recoveries give up fails ``validate run``, as it
+    fails ``live run``, though every invariant holds."""
+
+    def test_a_deadline_too_short_to_recover_fails_the_run(self, capsys):
+        assert main(["validate", "run", "wan_burst_loss",
+                     "--param", "policy.max_recovery_time=5"]) == 1
+        output = capsys.readouterr().out
+        assert "55 recoveries gave up (reliability_violation records)" in output
+        assert "violation_count  0" in output
+
+    def test_the_never_keep_coin_mutant_fails_the_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(manager, "keeps_long_term", lambda rng, c, region_size: False)
+        assert main(["validate", "run", "wan_burst_loss", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["give_ups"], payload["violation_count"]) == (2, 0)
+
+    def test_a_replayed_artifact_may_give_up(self, tmp_path, capsys):
+        """Drawn trials give up legitimately: replay keeps the oracle's rule."""
+        spec = get_scenario("wan_burst_loss")
+        spec = spec.with_(policy=dataclasses.replace(spec.policy, max_recovery_time=5.0))
+        path = tmp_path / "artifact.json"
+        path.write_text(spec.to_json())
+        assert main(["validate", "replay", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["give_ups"] == 55
 
 
 class TestValidateFuzz:
