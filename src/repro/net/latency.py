@@ -98,16 +98,11 @@ class HierarchicalLatency(LatencyModel):
         return self._asymmetric
 
     def rtt(self, src: NodeId, dst: NodeId) -> float:
-        region_of = self.hierarchy.node_region
-        if src in region_of and dst in region_of and region_of[src] == region_of[dst]:
-            return self.intra_one_way + self.intra_one_way
         if self._asymmetric:
             # The reverse split is not always the forward one swapped
             # (disjoint trees), so price each direction on its own.
             return self.one_way(src, dst) + self.one_way(dst, src)
-        up, down = self.hierarchy.region_hop_split(src, dst)
-        hops = up + down
-        delay = self.intra_one_way if hops == 0 else self.inter_one_way * hops
+        delay = self.one_way(src, dst)
         return delay + delay
 
     def delays(self, src: NodeId, dsts: Sequence[NodeId]) -> List[float]:
@@ -137,8 +132,6 @@ class HierarchicalLatency(LatencyModel):
             return self.intra_one_way
         up, down = self.hierarchy.region_hop_split(src, dst)
         hops = up + down
-        if hops == 0:
-            return self.intra_one_way
         if not self._asymmetric:
             return self.inter_one_way * hops
         up_delay = (

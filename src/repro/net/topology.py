@@ -185,10 +185,8 @@ class Hierarchy:
             region = self.regions[self.node_region[node_id]]
         except KeyError:
             raise TopologyError(f"node {node_id} not in topology") from None
-        view = region._view
-        if view is None:
-            view = region._current_view()
-        return view[0], view[1][node_id]
+        members, position = region._current_view()
+        return members, position[node_id]
 
     def region_id_of(self, node_id: NodeId) -> RegionId:
         """The region id containing *node_id*."""
