@@ -22,6 +22,14 @@ number of members still missing the message.  The closed form lives in
 :func:`repro.analysis.formulas.prob_no_request`; this module implements
 the mechanism.
 
+Every member buffers every message it receives, so a copy's life is the
+protocol's innermost loop.  It is kept flat: the policy reads its bound
+host and ``buffer.by_seq`` directly, arms a fresh copy's idle clock in
+one call (:func:`repro.sim.timers.started`), the clock's batch runs
+:meth:`TwoPhaseBufferPolicy._on_clock` itself, and the coin reads the
+region's size in one frame
+(:meth:`repro.protocol.member.RrmpMember.region_size`).
+
 Trace records emitted (consumed by experiments and tests):
 
 * ``buffer_idle`` — a message went idle at a member;
@@ -44,7 +52,7 @@ from repro.core.buffer import (
 from repro.core.long_term import keeps_long_term
 from repro.core.policies import BufferPolicy
 from repro.protocol.messages import DataMessage, Seq
-from repro.sim.timers import Timer
+from repro.sim.timers import Timer, started
 
 
 class TwoPhaseBufferPolicy(BufferPolicy):
@@ -93,15 +101,16 @@ class TwoPhaseBufferPolicy(BufferPolicy):
     # Protocol callbacks
     # ------------------------------------------------------------------
     def on_receive(self, data: DataMessage) -> None:
-        if data.seq in self.buffer:
+        seq = data.seq
+        if seq in self.buffer.by_seq:
             return
-        host = self.host
-        now = host.sim.now
+        host = self._host or self.host  # the property raises before bind()
+        sim = host.sim
+        now = sim.now
         self.buffer.add(data, now)
-        timer = self._clocks[data.seq] = Timer(host.sim, self._on_clock, data.seq)
-        timer.start(self.idle_threshold)
+        self._clocks[seq] = started(sim, self.idle_threshold, self._on_clock, seq)
         if host.trace.enabled:
-            host.trace.emit(now, "buffer_add", node=host.node_id, seq=data.seq)
+            host.trace.emit(now, "buffer_add", node=host.node_id, seq=seq)
 
     def on_request(self, seq: Seq) -> Optional[DataMessage]:
         entry = self.buffer.by_seq.get(seq)
@@ -113,7 +122,7 @@ class TwoPhaseBufferPolicy(BufferPolicy):
         return entry.data
 
     def on_serve(self, seq: Seq) -> None:
-        entry = self.buffer.get(seq)
+        entry = self.buffer.by_seq.get(seq)
         if entry is not None and entry.long_term:
             self._arm_ttl(seq)
 
@@ -175,9 +184,9 @@ class TwoPhaseBufferPolicy(BufferPolicy):
 
     def _on_clock(self, seq: Seq) -> None:
         """The copy's clock ran out; its phase says which one it was."""
-        host = self.host
+        host = self._host or self.host
         now = host.sim.now
-        entry = self.buffer.get(seq)
+        entry = self.buffer.by_seq.get(seq)
         if entry is None:  # pragma: no cover - defensive
             return
         if entry.long_term:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.live.clock import LiveClock
 from repro.live.codec import MAX_DATAGRAM, CodecError, decode_frame, frame_encoder
@@ -147,6 +147,10 @@ class LiveTransport(Network):
     ) -> int:
         """One datagram per receiver other than *src* (see :meth:`Network.multicast`)."""
         return super().multicast(src, dsts, payload, group)
+
+    def _router(self) -> Callable[[NodeId], Optional[Address]]:
+        """Every destination routes through :meth:`_route`."""
+        return self._route
 
     def _route(self, dst: NodeId) -> Optional[Address]:
         """Where datagrams for *dst* go; ``None`` means drop the send."""

@@ -14,9 +14,9 @@ Protocol timers use :meth:`LatencyModel.rtt`, mirroring the paper's
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from repro.net.topology import Hierarchy, NodeId, RegionId
+from repro.net.topology import Hierarchy, NodeId, TopologyError
 
 _INF = float("inf")
 
@@ -110,19 +110,19 @@ class HierarchicalLatency(LatencyModel):
 
         The delay depends on the destination only through its region,
         so a multicast to a region's *n* members walks the hop table
-        once, not *n* times.  The memo lives for this call only, so a
-        re-parent or a member move between calls needs no invalidation.
+        once, not *n* times, and reads each destination's region off the
+        node → region map with no call.  The memo lives for this call
+        only, so a re-parent or a member move between calls needs no
+        invalidation.
         """
-        region_of, one_way = self.hierarchy.region_id_of, self.one_way
-        by_region: Dict[RegionId, float] = {}
-        delays = []
-        for dst in dsts:
-            region = region_of(dst)
-            delay = by_region.get(region)
-            if delay is None:
-                delay = by_region[region] = one_way(src, dst)
-            delays.append(delay)
-        return delays
+        node_region = self.hierarchy.node_region
+        try:
+            regions = [node_region[dst] for dst in dsts]
+        except KeyError as unplaced:
+            raise TopologyError(f"node {unplaced.args[0]} not in topology") from None
+        one_way = self.one_way
+        price = {region: one_way(src, dst) for region, dst in dict(zip(regions, dsts)).items()}
+        return [price[region] for region in regions]
 
     def one_way(self, src: NodeId, dst: NodeId) -> float:
         # A same-region pair is read off the node → region map; the hop

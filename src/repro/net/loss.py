@@ -9,10 +9,11 @@ pluggable :class:`LossModel` consulted per (src, dst, kind) delivery.
 (``"data"`` or ``"control"``).  Every model here drops data only and
 keeps control traffic reliable — exactly the paper's evaluation
 assumption — except :class:`RegionalOutageLoss`, whose partition severs
-both.  That rule is declared in code: :meth:`LossModel.drops` names the
-kinds a model can drop, and the transport consults :meth:`LossModel.is_lost`
-only for those, so a fan-out of control traffic, or of anything over
-:class:`NoLoss`, makes no loss call per receiver.
+both.  That rule is declared as data: a model's class-level
+:attr:`LossModel.dropped_kinds` names the kinds it can drop, and the
+transport consults :meth:`LossModel.is_lost` only for those (a set
+lookup per send, no call), so a fan-out of control traffic, or of
+anything over :class:`NoLoss`, makes no loss call per receiver.
 """
 
 from __future__ import annotations
@@ -20,46 +21,41 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Dict, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
-from repro.net.packet import KIND_DATA
+from repro.net.packet import KIND_CONTROL, KIND_DATA
 from repro.net.topology import Hierarchy, NodeId
 
 
 class LossModel(ABC):
     """Decides, per delivery attempt, whether a packet is dropped."""
 
+    #: The packet kinds this model can drop (default: every kind).  For
+    #: a kind outside it, :meth:`is_lost` returns ``False`` without
+    #: drawing from its RNG or changing any state, so the transport
+    #: skips the call.  A model that draws for a kind, even at
+    #: probability 0, must list it.
+    dropped_kinds: FrozenSet[str] = frozenset((KIND_DATA, KIND_CONTROL))
+
     @abstractmethod
     def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
         """Return ``True`` to drop the packet from *src* to *dst*."""
-
-    def drops(self, kind: str) -> bool:
-        """Whether a packet of *kind* can be dropped (default: any kind).
-
-        Where this is ``False``, :meth:`is_lost` returns ``False`` for
-        *kind* without drawing from its RNG or changing any state, so the
-        transport skips the call.  A model that draws for a kind, even
-        at probability 0, must answer ``True`` for it.
-        """
-        return True
 
     def bind_clock(self, clock) -> None:
         """Attach the run's clock; the owning transport calls this once.
         Default: nothing, for models that do not read the time."""
 
 
-def _data_only(model: LossModel, kind: str) -> bool:
-    """``drops`` of the models that keep control traffic reliable."""
-    return kind == KIND_DATA
+#: ``dropped_kinds`` of the models that keep control traffic reliable.
+DATA_ONLY: FrozenSet[str] = frozenset((KIND_DATA,))
 
 
 class NoLoss(LossModel):
     """A perfectly reliable network (the §4 control-plane assumption)."""
 
-    def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
-        return False
+    dropped_kinds: FrozenSet[str] = frozenset()
 
-    def drops(self, kind: str) -> bool:
+    def is_lost(self, src: NodeId, dst: NodeId, kind: str, rng: random.Random) -> bool:
         return False
 
 
@@ -69,7 +65,7 @@ class BernoulliLoss(LossModel):
     A test double: no ``LossSpec`` kind builds it.
     """
 
-    drops = _data_only
+    dropped_kinds = DATA_ONLY
 
     def __init__(self, probability: float) -> None:
         if not 0 <= probability <= 1:
@@ -88,7 +84,7 @@ class ReceiverSetLoss(LossModel):
     Deterministic; used by tests to script exact loss patterns.
     """
 
-    drops = _data_only
+    dropped_kinds = DATA_ONLY
 
     def __init__(self, lost_receivers: Set[NodeId]) -> None:
         self.lost_receivers = set(lost_receivers)
@@ -116,7 +112,7 @@ class BottleneckLoss(LossModel):
     ``now`` property).
     """
 
-    drops = _data_only
+    dropped_kinds = DATA_ONLY
 
     def __init__(
         self,
@@ -180,7 +176,7 @@ class GilbertElliottLoss(LossModel):
     not just the first request.
     """
 
-    drops = _data_only
+    dropped_kinds = DATA_ONLY
 
     def __init__(
         self,

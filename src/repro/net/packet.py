@@ -9,8 +9,8 @@ network model consults:
   (requests, session messages, digests).  Loss models key off this, so
   the paper's "requests and repairs are not lost" assumption is the
   default configuration rather than a hard-coded rule.
-* ``wire_size`` — nominal bytes on the wire, used for traffic-overhead
-  accounting when comparing against stability-detection baselines.
+* ``wire_size`` — nominal bytes on the wire (FEC's parity-overhead
+  trace reports it; the transport counts sends, not bytes).
 """
 
 from __future__ import annotations

@@ -14,18 +14,20 @@ outcome.  What happened to each packet is kept as counters only.
 
 Which receivers a send reaches is decided here, once, for every
 transport.  A send classifies its payload once and counts its sends
-with one dict update, under ``(payload type, kind, wire_size)`` in
+with one dict update, under ``(payload type, kind)`` in
 :attr:`NetworkStats.sends`, of which every other traffic total is a view
-built when it is read; then each destination, in order,
-passes the route check (``send_dropped``) and the loss draw from the
-``("net", "loss")`` stream.  The loss model is consulted only for the
-kinds it declares it can drop (:meth:`~repro.net.loss.LossModel.drops`),
-so a lossless control send makes no call per receiver, and no draw that
-a droppable kind makes is skipped.  The survivors' delays come from one
-:meth:`~repro.net.latency.LatencyModel.delays` call, taken once per
-destination region, and the survivors are grouped by arrival time.  A
+built when it is read (sends are counted, not bytes); then each
+destination, in order, passes the route check (``send_dropped``) and the
+loss draw from the ``("net", "loss")`` stream.  The loss model is
+consulted only for the kinds it declares it can drop
+(:attr:`~repro.net.loss.LossModel.dropped_kinds`, one set lookup per
+send), so a lossless control send makes no call per receiver, and no
+draw that a droppable kind makes is skipped.  The survivors' delays come
+from one :meth:`~repro.net.latency.LatencyModel.delays` call, taken once
+per destination region, and the survivors are grouped by arrival time.  A
 transport supplies the two steps around that rule: where a destination
-routes (:meth:`Network._route`) and how arrivals are delivered
+routes (:meth:`Network._router`, the lookup a send applies to each
+destination, asked for once per send) and how arrivals are delivered
 (:meth:`Network._deliver` for one packet, :meth:`Network._deliver_groups`
 for a fan-out).  :class:`repro.live.transport.LiveTransport` is the
 subclass whose last step is a UDP socket.
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, DefaultDict, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Any, Callable, DefaultDict, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
@@ -67,9 +69,8 @@ def _tally(counts: Iterable[Tuple[str, int]]) -> Dict[str, int]:
     return tally
 
 
-#: What one send is counted under: the payload's type, its ``kind`` and
-#: its ``wire_size``.
-SendKey = Tuple[type, str, int]
+#: What one send is counted under: the payload's type and its ``kind``.
+SendKey = Tuple[type, str]
 
 
 @dataclass
@@ -77,9 +78,8 @@ class NetworkStats:
     """Aggregate traffic counters maintained by :class:`Network`.
 
     A send is counted once, in :attr:`sends`, under its :data:`SendKey`;
-    ``sent``, ``bytes_sent``, ``sent_by_type``, ``bytes_by_type`` and
-    ``sent_by_kind`` are views over that one counter, each built when
-    it is read.
+    ``sent``, ``sent_by_type`` and ``sent_by_kind`` are views over that
+    one counter, each built when it is read.
     """
 
     delivered: int = 0
@@ -98,25 +98,14 @@ class NetworkStats:
         return sum(self.sends.values())
 
     @property
-    def bytes_sent(self) -> int:
-        """Bytes of every transmission attempt."""
-        return sum(self.bytes_by_type.values())
-
-    @property
     def sent_by_type(self) -> Dict[str, int]:
         """Transmission attempts per payload type name."""
-        return _tally((cls.__name__, count) for (cls, _, _), count in self.sends.items())
-
-    @property
-    def bytes_by_type(self) -> Dict[str, int]:
-        """Bytes sent per payload type name."""
-        return _tally((cls.__name__, int(size) * count)
-                      for (cls, _, size), count in self.sends.items())
+        return _tally((cls.__name__, count) for (cls, _), count in self.sends.items())
 
     @property
     def sent_by_kind(self) -> Dict[str, int]:
         """Transmission attempts per payload kind."""
-        return _tally((kind, count) for (_, kind, _), count in self.sends.items())
+        return _tally((kind, count) for (_, kind), count in self.sends.items())
 
     def control_messages(self) -> int:
         """Total control-plane transmissions."""
@@ -189,19 +178,16 @@ class Network:
         or crashed).
         """
         # The rule of multicast, straight-line: a repair storm is all unicasts.
-        try:
-            kind, size = payload.kind, payload.wire_size
-        except AttributeError:
-            kind, size = getattr(payload, "kind", KIND_CONTROL), getattr(payload, "wire_size", 64)
+        kind = getattr(payload, "kind", KIND_CONTROL)
         stats = self.stats
-        stats.sends[type(payload), kind, size] += 1
-        route = self._route(dst)
+        stats.sends[type(payload), kind] += 1
+        route = self._router()(dst)
         if route is None:
             stats.dropped += 1
             stats.send_dropped += 1
             return 0
         loss = self.loss
-        if loss.drops(kind) and loss.is_lost(src, dst, kind, self._loss_rng):
+        if kind in loss.dropped_kinds and loss.is_lost(src, dst, kind, self._loss_rng):
             stats.dropped += 1
             return 0
         now = self.sim.now
@@ -224,15 +210,12 @@ class Network:
         dsts = [dst for dst in dsts if dst != src]
         if not dsts:
             return 0
-        try:
-            kind, size = payload.kind, payload.wire_size
-        except AttributeError:
-            kind, size = getattr(payload, "kind", KIND_CONTROL), getattr(payload, "wire_size", 64)
+        kind = getattr(payload, "kind", KIND_CONTROL)
         stats = self.stats
-        stats.sends[type(payload), kind, size] += len(dsts)
-        route_of, rng = self._route, self._loss_rng
+        stats.sends[type(payload), kind] += len(dsts)
+        route_of, rng = self._router(), self._loss_rng
         loss = self.loss
-        is_lost = loss.is_lost if loss.drops(kind) else None
+        is_lost = loss.is_lost if kind in loss.dropped_kinds else None
         survivors: List[NodeId] = []
         routes: Dict[NodeId, Any] = {}
         for dst in dsts:
@@ -271,10 +254,11 @@ class Network:
     # ------------------------------------------------------------------
     # What a transport supplies: routing and delivery
     # ------------------------------------------------------------------
-    def _route(self, dst: NodeId) -> Any:
-        """Where packets for *dst* go — here its registered endpoint;
-        ``None`` drops the send (``send_dropped``)."""
-        return self._endpoints.get(dst)
+    def _router(self) -> Callable[[NodeId], Any]:
+        """Where packets for a destination go, as one lookup per
+        destination — here the registered endpoint, read off the table
+        with no frame; ``None`` drops the send (``send_dropped``)."""
+        return self._endpoints.get
 
     def _deliver(self, packet: Packet, route: Any) -> None:
         """Deliver one packet at its ``deliver_time``."""

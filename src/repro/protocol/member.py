@@ -31,7 +31,7 @@ from repro.core.policies import (
 from repro.core.search import SearchCoordinator
 from repro.fec.decoder import FecBlockDecoder
 from repro.hashing.deterministic import HashBuffererPolicy
-from repro.net.topology import Hierarchy, NodeId
+from repro.net.topology import Hierarchy, NodeId, TopologyError
 from repro.net.transport import Network, Packet
 from repro.protocol.config import FecSpec, PolicySpec
 from repro.protocol.loss_detection import GapTracker
@@ -65,6 +65,12 @@ VIA_REGIONAL = "regional"
 VIA_HANDOFF = "handoff"
 VIA_INJECTED = "injected"
 VIA_FEC = "fec-decode"
+
+#: ``Repair.scope`` -> the arrival path of the copy it carries (the wire
+#: codec refuses any other scope).  A relayed repair comes from a remote
+#: member, so it arrives as one and is re-multicast in the region.
+_VIA_OF_SCOPE = {REPAIR_LOCAL: VIA_LOCAL_REPAIR, REPAIR_REMOTE: VIA_REMOTE_REPAIR,
+                 REPAIR_RELAY: VIA_REMOTE_REPAIR, REPAIR_REGIONAL: VIA_REGIONAL}
 
 #: ``PolicySpec.kind`` -> the buffer policy it names, built from the
 #: spec (one row per :data:`~repro.protocol.config.POLICY_KINDS` entry).
@@ -171,8 +177,13 @@ class RrmpMember:
     # Host-protocol surface (BufferHost / SearchHost / RecoveryHost)
     # ==================================================================
     def region_size(self) -> int:
-        """Current size of this member's region."""
-        return self.hierarchy.region_of(self.node_id).size
+        """Current size of this member's region (one frame: each idle
+        copy's coin asks)."""
+        hierarchy = self.hierarchy
+        try:
+            return len(hierarchy.regions[hierarchy.node_region[self.node_id]].members)
+        except KeyError:
+            raise TopologyError(f"node {self.node_id} not in topology") from None
 
     def region_member_ids(self) -> Sequence[NodeId]:
         """Members of this member's region, including itself (the
@@ -251,9 +262,6 @@ class RrmpMember:
             return
         extra(payload)
 
-    def _on_multicast_data(self, data: DataMessage) -> None:
-        self._handle_data(data, VIA_MULTICAST)
-
     def _on_have_reply(self, reply: HaveReply) -> None:
         self._search_owner_hint[reply.seq] = reply.owner
         if self._search is not None:
@@ -268,25 +276,20 @@ class RrmpMember:
             # feeds the decoder, never the gap tracker.
             self._on_parity(repair.data)
             return
-        if repair.scope == REPAIR_LOCAL:
-            self._handle_data(repair.data, VIA_LOCAL_REPAIR)
-        elif repair.scope in (REPAIR_REMOTE, REPAIR_RELAY):
-            self._handle_data(repair.data, VIA_REMOTE_REPAIR)
-        elif repair.scope == REPAIR_REGIONAL:
-            self._handle_data(repair.data, VIA_REGIONAL)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown repair scope {repair.scope!r}")
+        self._handle_data(repair.data, _VIA_OF_SCOPE[repair.scope])
 
-    def _handle_data(self, data: DataMessage, via: str) -> None:
+    def _handle_data(self, data: DataMessage, via: str = VIA_MULTICAST) -> None:
+        """A data message arrived (a multicast unless *via* says how)."""
         seq = data.seq
-        trace = self.trace
-        if self.gap.is_received(seq):
+        trace, gap = self.trace, self.gap
+        received = gap.received_count
+        newly_missing = gap.on_receive(seq)
+        if gap.received_count == received:  # one call: a duplicate counts nothing
             # §2.2: a duplicate remote repair is *not* re-multicast.
             if trace.enabled:
                 trace.emit(self.sim.now, "duplicate_received",
                            node=self.node_id, seq=seq, via=via)
             return
-        newly_missing = self.gap.on_receive(seq)
         if trace.enabled:
             trace.emit(self.sim.now, "member_received",
                        node=self.node_id, seq=seq, via=via)
@@ -294,7 +297,8 @@ class RrmpMember:
         if recovery is not None:
             recovery.complete(self.sim.now)
         self.policy.on_receive(data)
-        self._serve_waiters(data)
+        if self.waiting_remote or self._search is not None:
+            self._serve_waiters(data)
         if self.fec is not None:
             # Eager decode: this arrival may give the block its k-th
             # shard, filling this member's other gaps in the block
@@ -520,8 +524,10 @@ class RrmpMember:
             self._find_bufferer(seq, waiters, hops=request.hops)
 
     def _on_session(self, message: SessionMessage) -> None:
-        for missing in self.gap.on_advertise(message.max_seq):
-            self._start_recovery(missing)
+        # Most session messages advertise nothing new: no tracker call.
+        if message.max_seq > self.gap.highest:
+            for missing in self.gap.on_advertise(message.max_seq):
+                self._start_recovery(missing)
 
     def _on_handoff(self, message: HandoffMessage) -> None:
         self.trace.emit(self.sim.now, "handoff_received", node=self.node_id,
@@ -691,7 +697,7 @@ class RrmpMember:
 
 
 RrmpMember._DISPATCH = {
-    DataMessage: RrmpMember._on_multicast_data,
+    DataMessage: RrmpMember._handle_data,
     ParityMessage: RrmpMember._on_parity,
     Repair: RrmpMember._on_repair,
     LocalRequest: RrmpMember._on_local_request,

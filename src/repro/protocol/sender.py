@@ -97,15 +97,17 @@ class RrmpSender:
         crashed has ended the session: it sends nothing and returns
         ``None``.
         """
-        if not self.member.alive:
+        member = self.member
+        if not member.alive:
             return None
-        data = DataMessage(seq=self.next_seq, sender=self.node_id, payload=payload)
+        me = member.node_id
+        data = DataMessage(seq=self.next_seq, sender=me, payload=payload)
         self.next_seq += 1
         group = list(self.group())
         holders = set(self.outcome.holders(data.seq, group, self._rng))
-        holders.add(self.node_id)
-        self.member.trace.emit(
-            self.member.sim.now,
+        holders.add(me)
+        member.trace.emit(
+            member.sim.now,
             "message_sent",
             seq=data.seq,
             holders=len(holders),
@@ -113,9 +115,9 @@ class RrmpSender:
         )
         # The sender delivers to itself directly; remote holders get the
         # message through the network (per-receiver latency).
-        self.member.inject_receive(data, via="multicast")
-        targets = [node for node in group if node in holders and node != self.node_id]
-        self.member.network.multicast(self.node_id, targets, data, group="session")
+        member.inject_receive(data, via="multicast")
+        targets = [node for node in group if node in holders and node != me]
+        member.network.multicast(me, targets, data, group="session")
         if self.fec is not None:
             completed_block = self.fec.add(data)
             if (
@@ -180,16 +182,12 @@ class RrmpSender:
             parity_bytes=sum(parity.wire_size for parity in parities),
             data_bytes=len(first.block_seqs) * DATA_WIRE_SIZE,
         )
-        group = list(self.group())
+        group, me = list(self.group()), self.node_id
         for parity in parities:
             self.member.inject_parity(parity)
             holders = set(self.outcome.holders(parity.seq, group, self._parity_rng))
-            targets = [
-                node for node in group if node in holders and node != self.node_id
-            ]
-            self.member.network.multicast(
-                self.node_id, targets, parity, group="session"
-            )
+            targets = [node for node in group if node in holders and node != me]
+            self.member.network.multicast(me, targets, parity, group="session")
         return parities
 
     # ------------------------------------------------------------------
@@ -198,9 +196,10 @@ class RrmpSender:
     def _send_session(self) -> None:
         if self.max_seq < 1 or not self.member.alive:
             return
-        message = SessionMessage(sender=self.node_id, max_seq=self.max_seq)
-        group = [node for node in self.group() if node != self.node_id]
-        self.member.network.multicast(self.node_id, group, message, group="session")
+        me = self.node_id
+        message = SessionMessage(sender=me, max_seq=self.max_seq)
+        group = [node for node in self.group() if node != me]
+        self.member.network.multicast(me, group, message, group="session")
 
     def stop(self) -> None:
         """Stop session messages (end of session)."""

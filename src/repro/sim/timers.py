@@ -13,6 +13,12 @@ deadlines.  :class:`Timer` therefore arms through
 :func:`_fire_timers`: the timers armed for one deadline, with no seq
 reserved in between, ride one engine event (a :class:`_Batch`) and fire
 in arming order, exactly where one event each would have fired them.
+
+Every buffered copy's life runs through here (its idle clock is armed
+on receipt and fires into the §3.2 coin), so the copy path is kept
+short: :func:`started` builds a timer already armed, in one call, and
+:func:`_fire_timers` runs a due timer's callback itself, leaving
+:meth:`Timer._fire` only for a pushed-back timer's catch-up.
 """
 
 from __future__ import annotations
@@ -46,11 +52,16 @@ class _Batch(list):
 
 
 def _fire_timers(batch: _Batch) -> None:
-    """Fire every timer whose token in *batch* is still its own."""
+    """Fire every timer whose token in *batch* is still its own: a due
+    one runs its callback here, a pushed-back one goes to its catch-up."""
     for token in batch:
         timer = token[0]
         if timer._token is token:
-            timer._fire()
+            if timer._deadline > timer._sim.now:
+                timer._fire()
+            else:
+                timer._event = timer._batch = timer._token = None
+                timer._callback(*timer._args)
 
 
 class Timer:
@@ -88,6 +99,7 @@ class Timer:
 
     The timer fires ``callback(*args)``, so a tracker arming one timer
     per message passes its bound method and the seq — no closure each.
+    :func:`started` builds one already started, in one call.
     """
 
     __slots__ = ("_sim", "_callback", "_args", "_event", "_batch", "_token",
@@ -157,6 +169,8 @@ class Timer:
             self._event.cancel()
 
     def _fire(self) -> None:
+        """A pushed-back timer's catch-up (called from :func:`_fire_timers`,
+        and the catch-up event's callback): re-queue or fire."""
         self._batch = self._token = None
         deadline = self._deadline
         if deadline > self._sim.now:
@@ -168,6 +182,21 @@ class Timer:
             return
         self._event = None
         self._callback(*self._args)
+
+
+def started(sim: Simulator, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
+    """``Timer(sim, callback, *args)`` started for *delay*, in one call
+    (each buffered copy arms its idle clock this way): the fields
+    ``__init__`` sets, then :meth:`Timer.start`'s fresh arm."""
+    timer = Timer.__new__(Timer)
+    timer._sim, timer._callback, timer._args = sim, callback, args
+    timer._reserved_seq = 0
+    timer._deadline = deadline = sim.now + delay
+    timer._token = token = (timer,)
+    timer._batch = batch = _Batch((token,))
+    batch.live = 1
+    timer._event = sim.post(deadline, _fire_timers, batch)
+    return timer
 
 
 class PeriodicTask:

@@ -217,24 +217,25 @@ def _repro_models():
 
 
 class TestDropsDeclaration:
-    """What ``drops`` rules out, ``is_lost`` never does: the transport
-    skips the call, so it must have been a ``False`` without a draw."""
+    """What ``dropped_kinds`` leaves out, ``is_lost`` never drops: the
+    transport skips the call, so it must have been a ``False`` without a
+    draw."""
 
     def test_every_model_is_declared_here(self):
         assert _repro_models() == set(NARROW) | ANY_KIND
         for model in ANY_KIND:
-            assert model.drops is LossModel.drops
-            assert LossModel.drops(model, KIND_DATA) and LossModel.drops(model, KIND_CONTROL)
+            assert model.dropped_kinds is LossModel.dropped_kinds
+            assert LossModel.dropped_kinds == {KIND_DATA, KIND_CONTROL}
 
     def test_the_data_only_rule(self):
-        assert not NoLoss().drops(KIND_DATA) and not NoLoss().drops(KIND_CONTROL)
+        assert NoLoss.dropped_kinds == frozenset()
         for model, build in NARROW.items():
             if model is not NoLoss:
-                assert build().drops(KIND_DATA) and not build().drops(KIND_CONTROL)
+                assert build().dropped_kinds == {KIND_DATA}
 
     @pytest.mark.parametrize("model, kind", [
         (model, kind) for model in sorted(NARROW, key=lambda model: model.__name__)
-        for kind in (KIND_DATA, KIND_CONTROL) if not NARROW[model]().drops(kind)])
+        for kind in (KIND_DATA, KIND_CONTROL) if kind not in NARROW[model]().dropped_kinds])
     def test_a_kind_it_cannot_drop_is_never_lost_nor_drawn_for(self, model, kind):
         instance = NARROW[model]()
         rng = random.Random(7)

@@ -1,14 +1,14 @@
-"""Every ``NetworkStats`` view equals the five counters it replaced.
+"""Every ``NetworkStats`` view equals the per-send counters it replaced.
 
-A send is counted once, under ``(payload type, kind, wire_size)``;
-``sent``, ``bytes_sent``, ``sent_by_type``, ``bytes_by_type`` and
-``sent_by_kind`` are read off that one counter.  Generated programs mix
-unicasts and multicasts (to registered, unregistered and lossy
-destinations) of payloads with default, non-default and missing
-``kind``/``wire_size``, and after every send each view must equal what
-the old per-send accounting below adds up, in the same first-send order,
-on the simulated network and on the live UDP transport, which inherits
-the send rule.
+A send is counted once, under ``(payload type, kind)``; ``sent``,
+``sent_by_type`` and ``sent_by_kind`` are read off that one counter (the
+five counters of old also summed bytes; no program read them, and the
+byte views are gone).  Generated programs mix unicasts and multicasts
+(to registered, unregistered and lossy destinations) of payloads with
+default, non-default and missing ``kind``/``wire_size``, and after every
+send each view must equal what the old per-send accounting below adds
+up, in the same first-send order, on the simulated network and on the
+live UDP transport, which inherits the send rule.
 """
 
 import asyncio
@@ -26,25 +26,22 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 
 
-class FiveCounters:
+class SendCounters:
     """The accounting ``NetworkStats.record_sends`` kept, one send at a time."""
 
     def __init__(self):
-        self.sent = self.bytes_sent = 0
-        self.sent_by_type, self.bytes_by_type, self.sent_by_kind = {}, {}, {}
+        self.sent = 0
+        self.sent_by_type, self.sent_by_kind = {}, {}
 
     def record(self, payload, count):
         type_name = type(payload).__name__
         kind = getattr(payload, "kind", "control")
-        size = int(getattr(payload, "wire_size", 64))
         self.sent += count
-        self.bytes_sent += size * count
         self.sent_by_type[type_name] = self.sent_by_type.get(type_name, 0) + count
-        self.bytes_by_type[type_name] = self.bytes_by_type.get(type_name, 0) + size * count
         self.sent_by_kind[kind] = self.sent_by_kind.get(kind, 0) + count
 
     def matches(self, stats):
-        views = ("sent", "bytes_sent", "sent_by_type", "bytes_by_type", "sent_by_kind")
+        views = ("sent", "sent_by_type", "sent_by_kind")
         for view in views:
             mine, theirs = getattr(self, view), getattr(stats, view)
             assert theirs == mine, view
@@ -93,7 +90,7 @@ class Sink:
 def replay(network, program):
     for node in range(NODES - 1):
         network.register(node, Sink())
-    expected = FiveCounters()
+    expected = SendCounters()
     for op, src, dst, payload in program:
         if op == "unicast":
             network.unicast(src, dst, payload)
