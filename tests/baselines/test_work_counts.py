@@ -9,16 +9,16 @@ The congestion shape is the ``ablation_congestion`` one at twice the
 bottleneck capacity, seed 0, for the open-loop sender and both adaptive
 controllers (30 members in one region, 200 messages, 8 s): almost every
 packet in it is a local request that finds nothing.  Its counts are the
-packets sent per payload type, the engine events fired and instants
-opened, the trace records and the §2.2 local rounds summed over every
-completed recovery.
+packets sent per payload type, the deliveries and drops the network
+counted, the engine events fired and instants opened, the trace records
+and the §2.2 local rounds summed over every completed recovery.
 
 The stream shape (``stream``) is the lossy multi-region stream of
 :func:`repro.scenario.library.scale_spec` at 10 regions of 100 members,
 20 messages, 5% loss, seed 0, trace off: almost all of its work is the
 life of a buffered copy (receipt, idle clock, §3.2 coin, discard).  Its
-counts are the packets sent per payload type, the events and instants,
-the member deliveries, the discards per reason from the buffers' logs,
+counts are the packets sent per payload type, the network's deliveries
+and drops, the events and instants, the member deliveries, the discards per reason from the buffers' logs,
 the long-term copies held at the end and the RNG streams built.
 
 Re-bless only after an intended behaviour change:
@@ -65,11 +65,18 @@ def _builder(controller: str):
     return builder
 
 
+def _delivery_counts(stats) -> dict:
+    """What the network did with the packets it was handed, per destination."""
+    return {"delivered": stats.delivered, "dropped": stats.dropped,
+            "send_dropped": stats.send_dropped}
+
+
 def _work_counts(controller: str) -> dict:
     simulation = _builder(controller).build().run().simulation
     trace = simulation.trace
     return {
         "sent_by_type": dict(sorted(simulation.network.stats.sent_by_type.items())),
+        **_delivery_counts(simulation.network.stats),
         "events_fired": simulation.sim.events_fired,
         "instants_opened": simulation.sim.instants_opened,
         "records": len(trace.records),
@@ -86,6 +93,7 @@ def _stream_work_counts() -> dict:
     buffers = [member.policy.buffer for member in simulation.members.values()]
     return {
         "sent_by_type": dict(sorted(simulation.network.stats.sent_by_type.items())),
+        **_delivery_counts(simulation.network.stats),
         "events_fired": simulation.sim.events_fired,
         "instants_opened": simulation.sim.instants_opened,
         "member_deliveries": sum(member.gap.received_count
