@@ -39,8 +39,9 @@ import math
 import struct
 from dataclasses import fields
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.net.packet import Frame
 from repro.protocol.messages import (
     REPAIR_LOCAL,
     REPAIR_REGIONAL,
@@ -81,16 +82,6 @@ _SCOPES = {code: name for name, code in _SCOPE_CODES.items()}
 
 class CodecError(ValueError):
     """A datagram or message that cannot be (de)coded."""
-
-
-class Frame(NamedTuple):
-    """One decoded datagram: addressing plus the carried message."""
-
-    src: int
-    dst: int
-    send_time: float
-    payload: Any
-    group: Optional[str] = None
 
 
 # ----------------------------------------------------------------------

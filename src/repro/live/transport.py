@@ -18,17 +18,23 @@ two steps around that rule:
 * **Route**: a destination goes to this socket's own address when it is
   registered here, or to its directory entry; a departed co-located
   member routes nowhere, as in the simulator.
-* **Delivery**: the message is encoded once per send (only the header
-  differs per receiver), and the datagrams of each arrival time ride
-  one :class:`~repro.live.clock.LiveClock` callback that writes them
-  after the modelled one-way delay (virtual milliseconds), so protocol
-  timers see the topology the spec describes rather than bare loopback
+* **Delivery**: the rule hands over the sender, payload, send time and
+  group with each send's destinations grouped by arrival time; the
+  message is encoded once per send (only the header differs per
+  receiver), and the datagrams of each arrival time ride one
+  :class:`~repro.live.clock.LiveClock` callback that writes them after
+  the modelled one-way delay (virtual milliseconds), so protocol timers
+  see the topology the spec describes rather than bare loopback
   latency.  A zero delay writes at once.
 
-Inbound datagrams that fail to decode are counted (``recv_rejected``)
-and rejected whole (:class:`~repro.live.codec.CodecError` never reaches
-protocol code).  Like the simulated network, the transport keeps what
-happened to each datagram as counters only.
+An inbound datagram is handed to its endpoint as the decoded
+:class:`~repro.net.packet.Frame` (sender, destination, send time, the
+message as ``payload``, group), which a member dispatches on its
+``payload`` as it would the simulator's bare payload.  Datagrams that
+fail to decode are counted (``recv_rejected``) and rejected whole
+(:class:`~repro.live.codec.CodecError` never reaches protocol code).
+Like the simulated network, the transport keeps what happened to each
+datagram as counters only.
 """
 
 from __future__ import annotations
@@ -38,10 +44,9 @@ import socket
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.live.clock import LiveClock
-from repro.live.codec import MAX_DATAGRAM, CodecError, decode_frame, frame_encoder
+from repro.live.codec import MAX_DATAGRAM, CodecError, decode_frame, encode_frame, frame_encoder
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel
-from repro.net.packet import Packet, make_packet
 from repro.net.topology import NodeId
 from repro.net.transport import Network
 from repro.sim.randomness import RandomStreams
@@ -168,23 +173,27 @@ class LiveTransport(Network):
         assert self._local_addr is not None, "open() the transport before sending"
         return self._local_addr
 
-    def _deliver(self, packet: Packet, route: Address) -> None:
+    def _deliver(self, src: NodeId, dst: NodeId, payload: Any, now: float,
+                 arrival: float, route: Address) -> None:
         """Write one datagram once its modelled delay has passed."""
-        self._deliver_groups({packet.deliver_time: [packet]}, {packet.dst: route})
+        self._transmit_at(now, arrival, [(encode_frame(src, dst, payload, now), route)])
 
-    def _deliver_groups(self, arrivals: Dict[float, List[Packet]],
-                        routes: Dict[NodeId, Address]) -> None:
+    def _deliver_groups(self, src: NodeId, payload: Any, now: float, group: str,
+                        arrivals: Dict[float, List[NodeId]]) -> None:
         """Encode the message once, and write each arrival time's
         datagrams from one clock callback (at once for a zero delay)."""
-        first = next(iter(arrivals.values()))[0]
-        now = first.send_time
-        frame = frame_encoder(first.src, first.payload, now, first.multicast_group)
-        for deliver_time, packets in arrivals.items():
-            batch = [(frame(packet.dst), routes[packet.dst]) for packet in packets]
-            if deliver_time > now:
-                self.sim.at(deliver_time, self._transmit, batch)
-            else:
-                self._transmit(batch)
+        frame, route = frame_encoder(src, payload, now, group), self._route
+        for arrival, dsts in arrivals.items():
+            self._transmit_at(now, arrival, [(frame(dst), route(dst)) for dst in dsts])
+
+    def _transmit_at(self, now: float, arrival: float,
+                     batch: List[Tuple[bytes, Address]]) -> None:
+        """Write *batch* at *arrival*: from a clock callback, or at once
+        when it is not later than *now*."""
+        if arrival > now:
+            self.sim.at(arrival, self._transmit, batch)
+        else:
+            self._transmit(batch)
 
     def _transmit(self, batch: List[Tuple[bytes, Address]]) -> None:
         """Write the datagrams of one arrival time to the socket."""
@@ -223,19 +232,18 @@ class LiveTransport(Network):
             self.datagram_received(data, addr)
 
     def datagram_received(self, data: bytes, addr: Address) -> None:
-        """Decode one inbound datagram and hand it to its endpoint."""
+        """Decode one inbound datagram and hand its frame to its endpoint."""
         try:
-            src, dst, send_time, payload, group = decode_frame(data)
+            frame = decode_frame(data)
         except CodecError:
             self.recv_rejected += 1
             return
-        endpoint = self._endpoints.get(dst)
+        endpoint = self._endpoints.get(frame.dst)
         if endpoint is None:
             # Departed while in flight, or a stale directory points a
             # peer at us: mirrors the simulated in-flight drop.
             self.recv_unknown += 1
             self.stats.dropped += 1
             return
-        now = self.sim.now
         self.stats.delivered += 1
-        endpoint.on_packet(make_packet((src, dst, payload, payload.kind, send_time, now, group)))
+        endpoint.on_packet(frame)

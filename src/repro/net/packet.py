@@ -1,52 +1,35 @@
-"""Packet envelope and the payload protocol.
+"""The payload protocol, and the frame a wire hands over.
 
-The transport wraps every protocol message in a :class:`Packet` that
-records addressing and timing.  Payloads declare two attributes the
-network model consults:
+The simulated network carries protocol messages as they are: a delivery
+is its payload, handed to the destination's endpoint with no envelope
+around it.  The sender, send time and group travel only where a wire
+needs them, in a live datagram's header; the live transport hands its
+endpoint the decoded :class:`Frame`, whose ``payload`` is the message.
+Payloads declare two attributes the network model consults:
 
 * ``kind`` — ``"data"`` for packets that carry message bodies (original
   multicasts, repairs, handoffs) and ``"control"`` for everything else
   (requests, session messages, digests).  Loss models key off this, so
   the paper's "requests and repairs are not lost" assumption is the
-  default configuration rather than a hard-coded rule.
+  default configuration rather than a hard-coded rule.  A payload
+  without one is sent as ``"control"``.
 * ``wire_size`` — nominal bytes on the wire (FEC's parity-overhead
   trace reports it; the transport counts sends, not bytes).
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, NamedTuple, Optional
-
-from repro.net.topology import NodeId
 
 KIND_DATA = "data"
 KIND_CONTROL = "control"
 
 
-class Packet(NamedTuple):
-    """One point-to-point delivery (multicasts become one per receiver).
+class Frame(NamedTuple):
+    """One decoded datagram: addressing plus the carried message."""
 
-    A tuple, so its fields are read-only and the network builds one per
-    delivery positionally, in this field order.
-    """
-
-    src: NodeId
-    dst: NodeId
-    payload: Any
-    kind: str
+    src: int
+    dst: int
     send_time: float
-    deliver_time: float
-    multicast_group: Optional[str] = None
-
-    @property
-    def latency(self) -> float:
-        """One-way delay this packet experienced."""
-        return self.deliver_time - self.send_time
-
-
-#: ``make_packet((src, dst, payload, kind, send_time, deliver_time,
-#: multicast_group))`` builds a :class:`Packet` from all seven fields in
-#: field order, in C: the paths that build one per delivery skip the
-#: Python frame of the NamedTuple's ``__new__``.
-make_packet = partial(tuple.__new__, Packet)
+    payload: Any
+    group: Optional[str] = None

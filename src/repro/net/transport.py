@@ -1,7 +1,7 @@
 """The send rule, and the simulated network that applies it.
 
 :class:`Network` connects protocol endpoints (anything with an
-``on_packet(packet)`` method) through a :class:`~repro.net.latency.LatencyModel`
+``on_packet(payload)`` method) through a :class:`~repro.net.latency.LatencyModel`
 and an optional :class:`~repro.net.loss.LossModel`.  All traffic is
 counted in :class:`NetworkStats`, which the experiment harness reads to
 report overhead (e.g. RRMP's claim of lower traffic than stability
@@ -10,7 +10,8 @@ detection).
 A multicast is modelled as an independent delivery per receiver other
 than the sender — the standard abstraction for IP multicast over a
 dissemination tree, where each receiver observes its own delay and loss
-outcome.  What happened to each packet is kept as counters only.
+outcome.  What happened to each delivery is kept as counters only, and a
+delivery is its payload: no per-receiver envelope is built.
 
 Which receivers a send reaches is decided here, once, for every
 transport.  A send classifies its payload once and counts its sends
@@ -24,41 +25,51 @@ consulted only for the kinds it declares it can drop
 send), so a lossless control send makes no call per receiver, and no
 draw that a droppable kind makes is skipped.  The survivors' delays come
 from one :meth:`~repro.net.latency.LatencyModel.delays` call, taken once
-per destination region, and the survivors are grouped by arrival time.  A
-transport supplies the two steps around that rule: where a destination
-routes (:meth:`Network._router`, the lookup a send applies to each
-destination, asked for once per send) and how arrivals are delivered
-(:meth:`Network._deliver` for one packet, :meth:`Network._deliver_groups`
-for a fan-out).  :class:`repro.live.transport.LiveTransport` is the
-subclass whose last step is a UDP socket.
+per destination region, and the survivors are grouped by arrival time
+(``now + delay``), in destination order.  A transport supplies the two
+steps around that rule: where a destination routes
+(:meth:`Network._router`, the lookup a send applies to each destination,
+asked for once per send) and how arrivals are delivered
+(:meth:`Network._deliver` for a unicast, :meth:`Network._deliver_groups`
+for a fan-out; both are handed the sender, payload and send time, so a
+transport that encodes does so once per send).
+:class:`repro.live.transport.LiveTransport` is the subclass whose last
+step is a UDP socket.
 
-Here a destination routes to its registered endpoint, and every
-delivery is handed to :meth:`repro.sim.engine.Simulator.post`, so all packets
-that arrive at one instant, from any number of sends, ride one engine
-event (:meth:`Network._deliver_batch`) in the order one event per
-packet would have fired them.
+Here a destination routes to its registered endpoint, and each arrival
+instant of a send is handed to :meth:`repro.sim.engine.Simulator.post` as
+one ``(payload, destinations)`` item, so everything that arrives at one
+instant, from any number of sends, rides one engine event
+(:meth:`Network._deliver_batch`) in the order one event per delivery
+would have fired it.  Whether a destination is still registered is
+checked when its delivery fires, one destination at a time.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, DefaultDict, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Any, Callable, DefaultDict, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
-from repro.net.packet import KIND_CONTROL, Packet, make_packet
+from repro.net.packet import KIND_CONTROL
 from repro.net.topology import NodeId
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 
 
 class Endpoint(Protocol):
-    """Anything that can receive packets from the network."""
+    """Anything that can receive deliveries from the network."""
 
-    def on_packet(self, packet: Packet) -> None:
-        """Handle a delivered packet."""
+    def on_packet(self, payload: Any) -> None:
+        """Handle a delivered payload."""
         ...
+
+
+#: What one post carries: a payload and the destinations it reaches at
+#: the post's instant, in destination order.
+Delivery = Tuple[Any, Sequence[NodeId]]
 
 
 def _tally(counts: Iterable[Tuple[str, int]]) -> Dict[str, int]:
@@ -155,11 +166,11 @@ class Network:
     # Registration
     # ------------------------------------------------------------------
     def register(self, node_id: NodeId, endpoint: Endpoint) -> None:
-        """Attach *endpoint* so it can receive packets addressed to it."""
+        """Attach *endpoint* so it receives what is addressed to it."""
         self._endpoints[node_id] = endpoint
 
     def unregister(self, node_id: NodeId) -> None:
-        """Detach a node (packets in flight to it are silently dropped)."""
+        """Detach a node (deliveries in flight to it are silently dropped)."""
         self._endpoints.pop(node_id, None)
 
     def is_registered(self, node_id: NodeId) -> bool:
@@ -191,8 +202,7 @@ class Network:
             stats.dropped += 1
             return 0
         now = self.sim.now
-        deliver_time = now + self.latency.one_way(src, dst)
-        self._deliver(make_packet((src, dst, payload, kind, now, deliver_time, None)), route)
+        self._deliver(src, dst, payload, now, now + self.latency.one_way(src, dst), route)
         return 1
 
     def multicast(
@@ -217,10 +227,8 @@ class Network:
         loss = self.loss
         is_lost = loss.is_lost if kind in loss.dropped_kinds else None
         survivors: List[NodeId] = []
-        routes: Dict[NodeId, Any] = {}
         for dst in dsts:
-            route = route_of(dst)
-            if route is None:
+            if route_of(dst) is None:
                 # The destination already left or crashed: the send happens
                 # (and is accounted) but the packet goes nowhere — checked
                 # before the latency model, which cannot place a node the
@@ -235,55 +243,59 @@ class Network:
                 stats.dropped += 1
             else:
                 survivors.append(dst)
-                routes[dst] = route
         if not survivors:
             return 0
         now = self.sim.now
-        arrivals: Dict[float, List[Packet]] = {}
+        # Keyed by the sum, not the delay: two delays that round to one
+        # instant share one list.
+        arrivals: Dict[float, List[NodeId]] = {}
         for dst, delay in zip(survivors, self.latency.delays(src, survivors)):
-            deliver_time = now + delay
-            packet = make_packet((src, dst, payload, kind, now, deliver_time, group))
-            arrival = arrivals.get(deliver_time)
-            if arrival is None:
-                arrivals[deliver_time] = [packet]
+            arrival = now + delay
+            reached = arrivals.get(arrival)
+            if reached is None:
+                arrivals[arrival] = [dst]
             else:
-                arrival.append(packet)
-        self._deliver_groups(arrivals, routes)
+                reached.append(dst)
+        self._deliver_groups(src, payload, now, group, arrivals)
         return len(survivors)
 
     # ------------------------------------------------------------------
     # What a transport supplies: routing and delivery
     # ------------------------------------------------------------------
     def _router(self) -> Callable[[NodeId], Any]:
-        """Where packets for a destination go, as one lookup per
+        """Where deliveries for a destination go, as one lookup per
         destination — here the registered endpoint, read off the table
         with no frame; ``None`` drops the send (``send_dropped``)."""
         return self._endpoints.get
 
-    def _deliver(self, packet: Packet, route: Any) -> None:
-        """Deliver one packet at its ``deliver_time``."""
-        self.sim.post(packet.deliver_time, self._deliver_batch, [packet])
+    def _deliver(self, src: NodeId, dst: NodeId, payload: Any, now: float,
+                 arrival: float, route: Any) -> None:
+        """Deliver a unicast from *src*, sent at *now*, to *dst* (routed
+        to *route*) at *arrival*."""
+        self.sim.post(arrival, self._deliver_batch, [(payload, (dst,))])
 
-    def _deliver_groups(self, arrivals: Dict[float, List[Packet]],
-                        routes: Dict[NodeId, Any]) -> None:
-        """Deliver a fan-out: *arrivals* maps each arrival time, in the
-        order first reached, to its packets in destination order;
-        *routes* maps each of their destinations to its route."""
+    def _deliver_groups(self, src: NodeId, payload: Any, now: float, group: str,
+                        arrivals: Dict[float, List[NodeId]]) -> None:
+        """Deliver a fan-out from *src*, sent at *now* to *group*:
+        *arrivals* maps each arrival time, in the order first reached, to
+        its destinations in destination order."""
         post, deliver = self.sim.post, self._deliver_batch
-        for deliver_time, packets in arrivals.items():
-            post(deliver_time, deliver, packets)
+        for arrival, dsts in arrivals.items():
+            post(arrival, deliver, [(payload, dsts)])
 
-    def _deliver_batch(self, packets: List[Packet]) -> None:
-        """Hand every packet of one engine event to its endpoint."""
+    def _deliver_batch(self, deliveries: List[Delivery]) -> None:
+        """Hand every payload of one engine event to each of its
+        destinations' endpoints."""
         endpoints, stats = self._endpoints, self.stats
-        for packet in packets:
-            endpoint = endpoints.get(packet.dst)
-            if endpoint is None:
-                # Destination departed while the packet was in flight.
-                stats.dropped += 1
-                continue
-            stats.delivered += 1
-            endpoint.on_packet(packet)
+        for payload, dsts in deliveries:
+            for dst in dsts:
+                endpoint = endpoints.get(dst)
+                if endpoint is None:
+                    # Destination departed while the payload was in flight.
+                    stats.dropped += 1
+                    continue
+                stats.delivered += 1
+                endpoint.on_packet(payload)
 
     # ------------------------------------------------------------------
     # Timer helpers

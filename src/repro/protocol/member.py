@@ -1,7 +1,7 @@
 """The RRMP receiver state machine.
 
 :class:`RrmpMember` ties every piece of the reproduction together: it
-receives packets from the network, detects losses (§2.1), runs local
+receives payloads from the network, detects losses (§2.1), runs local
 and remote recovery (§2.2), feeds its buffer policy (§3.1–3.2), relays
 repairs for downstream waiters, re-multicasts remote repairs in its
 region, answers searches for bufferers (§3.3) and hands its long-term
@@ -17,7 +17,7 @@ and recovery engines stay independently testable.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.handoff import plan_handoff
 from repro.core.manager import TwoPhaseBufferPolicy
@@ -32,7 +32,8 @@ from repro.core.search import SearchCoordinator
 from repro.fec.decoder import FecBlockDecoder
 from repro.hashing.deterministic import HashBuffererPolicy
 from repro.net.topology import Hierarchy, NodeId, TopologyError
-from repro.net.transport import Network, Packet
+from repro.net.packet import Frame
+from repro.net.transport import Network
 from repro.protocol.config import FecSpec, PolicySpec
 from repro.protocol.loss_detection import GapTracker
 from repro.protocol.messages import (
@@ -245,15 +246,26 @@ class RrmpMember:
     #: after the class body.
     _DISPATCH: Dict[type, Callable[..., None]] = {}
 
-    def on_packet(self, packet: Packet) -> None:
-        """Dispatch a delivered packet to the protocol handlers."""
+    def on_packet(self, payload: Any) -> None:
+        """Dispatch a delivered payload to the protocol handlers (a live
+        transport's decoded :class:`~repro.net.packet.Frame` dispatches
+        on the message it carries)."""
         if not self.alive:
             return
-        payload = packet.payload
         handler = self._DISPATCH.get(type(payload))
         if handler is not None:
             handler(self, payload)
             return
+        self._on_unlisted(payload)
+
+    def _on_unlisted(self, payload: Any) -> None:
+        if type(payload) is Frame:
+            # A live datagram: dispatch the message it carries.
+            payload = payload.payload
+            handler = self._DISPATCH.get(type(payload))
+            if handler is not None:
+                handler(self, payload)
+                return
         extra = self.extra_handlers.get(type(payload))
         if extra is None:
             # A well-formed packet for a role this member does not play

@@ -116,7 +116,8 @@ class RrmpSender:
         # The sender delivers to itself directly; remote holders get the
         # message through the network (per-receiver latency).
         member.inject_receive(data, via="multicast")
-        targets = [node for node in group if node in holders and node != me]
+        # The network leaves the sender out of its own multicast.
+        targets = [node for node in group if node in holders]
         member.network.multicast(me, targets, data, group="session")
         if self.fec is not None:
             completed_block = self.fec.add(data)
@@ -186,7 +187,7 @@ class RrmpSender:
         for parity in parities:
             self.member.inject_parity(parity)
             holders = set(self.outcome.holders(parity.seq, group, self._parity_rng))
-            targets = [node for node in group if node in holders and node != me]
+            targets = [node for node in group if node in holders]
             self.member.network.multicast(me, targets, parity, group="session")
         return parities
 
@@ -198,8 +199,7 @@ class RrmpSender:
             return
         me = self.node_id
         message = SessionMessage(sender=me, max_seq=self.max_seq)
-        group = [node for node in self.group() if node != me]
-        self.member.network.multicast(me, group, message, group="session")
+        self.member.network.multicast(me, self.group(), message, group="session")
 
     def stop(self) -> None:
         """Stop session messages (end of session)."""

@@ -21,7 +21,7 @@ buffer occupancy or recovery-latency shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.buffer import MessageBuffer
 from repro.net.ipmulticast import MulticastOutcome, PerfectOutcome
@@ -29,7 +29,7 @@ from repro.net.latency import HierarchicalLatency, LatencyModel
 from repro.net.loss import LossModel
 from repro.net.packet import KIND_CONTROL
 from repro.net.topology import Hierarchy, NodeId, RegionId
-from repro.net.transport import Network, Packet
+from repro.net.transport import Network
 from repro.protocol.config import PolicySpec
 from repro.protocol.loss_detection import GapTracker
 from repro.protocol.messages import (
@@ -108,9 +108,8 @@ class TreeMember:
     # ------------------------------------------------------------------
     # Network entry
     # ------------------------------------------------------------------
-    def on_packet(self, packet: Packet) -> None:
-        """Dispatch a delivered packet."""
-        payload = packet.payload
+    def on_packet(self, payload: Any) -> None:
+        """Dispatch a delivered payload."""
         if isinstance(payload, DataMessage):
             self.handle_data(payload)
         elif isinstance(payload, TreeRepair):

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.live.codec import Frame, decode_frame, encode_frame
+from repro.live.codec import decode_frame, encode_frame
+from repro.net.packet import Frame
 from repro.protocol.messages import (
     REPAIR_REGIONAL,
     WIRE_MESSAGE_TYPES,

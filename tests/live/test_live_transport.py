@@ -16,6 +16,7 @@ from repro.live.codec import MAGIC, encode_frame
 from repro.live.transport import LiveTransport
 from repro.net.latency import ConstantLatency, HierarchicalLatency
 from repro.net.loss import BernoulliLoss
+from repro.net.packet import Frame
 from repro.net.topology import chain
 from repro.net.transport import Network
 from repro.protocol.messages import DataMessage, HaveReply, LocalRequest
@@ -24,13 +25,13 @@ from repro.sim.randomness import RandomStreams
 
 
 class Sink:
-    """A minimal endpoint that records delivered packets."""
+    """A minimal endpoint that records the decoded frames it receives."""
 
     def __init__(self):
         self.packets = []
 
-    def on_packet(self, packet):
-        self.packets.append(packet)
+    def on_packet(self, frame):
+        self.packets.append(frame)
 
 
 def run(coro):
@@ -56,6 +57,20 @@ class TestProtocolSurface:
         streams = RandomStreams(5)  # no stream yet, so falsy: ``or`` would drop it
         LiveTransport(LiveClock(), ConstantLatency(1.0), streams=streams)
         assert streams.names() == [("net", "loss")]
+
+    def test_a_received_datagram_reaches_its_endpoint_as_the_decoded_frame(self):
+        class HeldClock:
+            now = 7.25
+
+        transport = LiveTransport(HeldClock(), ConstantLatency(1.0))
+        sink = Sink()
+        transport.register(5, sink)
+        message = DataMessage(seq=3, sender=4)
+        transport.datagram_received(encode_frame(4, 5, message, send_time=2.0, group="group"),
+                                    ("127.0.0.1", 9))
+        assert sink.packets == [Frame(src=4, dst=5, send_time=2.0, payload=message,
+                                      group="group")]
+        assert transport.stats.delivered == 1
 
 
 class TestDelivery:
@@ -95,14 +110,14 @@ class TestDelivery:
             clock = LiveClock(speedup=100.0)
             transport = LiveTransport(clock, ConstantLatency(20.0))
             await transport.open()
-            sink = Sink()
-            transport.register(1, sink)
+            arrivals = []
+            transport.register(1, LoggingSink(arrivals, 1, clock))
             transport.unicast(0, 1, DataMessage(seq=1, sender=0))
             await clock.sleep(5.0)
-            assert sink.packets == []  # still in the latency shim
+            assert arrivals == []  # still in the latency shim
             await clock.sleep(60.0)
-            [packet] = sink.packets
-            assert packet.deliver_time >= 20.0
+            [(_, _, arrival)] = arrivals
+            assert arrival >= 20.0
             transport.close()
 
         run(main())
@@ -168,7 +183,23 @@ class TestFanOutBatching:
             assert sorted(near) == sorted(hierarchy.regions[0].members[1:])
             await clock.sleep(80.0)
             assert sum(len(sink.packets) for sink in sinks.values()) == 7
-            assert {p.multicast_group for s in sinks.values() for p in s.packets} == {"group"}
+            assert {p.group for s in sinks.values() for p in s.packets} == {"group"}
+            transport.close()
+
+        run(main())
+
+    def test_a_multicast_group_reaches_the_wire(self):
+        async def main():
+            clock, transport = await open_transport()
+            sinks = {n: Sink() for n in range(3)}
+            for n, sink in sinks.items():
+                transport.register(n, sink)
+            message = DataMessage(seq=1, sender=0)
+            assert transport.multicast(0, list(sinks), message, group="region") == 2
+            assert transport.unicast(0, 1, message) == 1
+            await drain(clock)
+            assert [(p.src, p.group) for p in sinks[1].packets] == [(0, "region"), (0, None)]
+            assert [p.group for p in sinks[2].packets] == ["region"]
             transport.close()
 
         run(main())
@@ -190,38 +221,39 @@ class TestFanOutBatching:
                 else:
                     yield from (transport.unicast(0, n, message) for n in range(1, 64))
 
-        def outcome(transport, scheduled, log, fan_out):
+        def outcome(transport, scheduled, log, groups, fan_out):
             stats = transport.stats
             assert stats.delivered == scheduled == 126 - stats.dropped
-            assert {group for *_, group in log} == {"group" if fan_out else None}
-            return stats, [arrival[:-1] for arrival in log]
+            if isinstance(transport, LiveTransport):
+                assert groups == {"group" if fan_out else None}
+            return stats, log
 
-        def attach(transport):
-            log = []  # (dst, seq, send time, arrival time, group), as they arrive
+        def attach(transport, clock):
+            log, groups = [], set()  # (dst, seq, arrival time), as they arrive
             for n in range(64):
                 if n != 40:  # one unregistered destination
-                    transport.register(n, LoggingSink(log))
-            return log
+                    transport.register(n, LoggingSink(log, n, clock, groups))
+            return log, groups
 
         async def live(fan_out):
             clock = ManualClock()
             transport = LiveTransport(clock, latency, loss=BernoulliLoss(probability=0.3),
                                       streams=RandomStreams(11))
             await transport.open()
-            log = attach(transport)
+            log, groups = attach(transport, clock)
             scheduled = sum(send(transport, fan_out))
             clock.run(transport)
             transport.close()
-            return outcome(transport, scheduled, log, fan_out)
+            return outcome(transport, scheduled, log, groups, fan_out)
 
         def sim(fan_out):
             engine = Simulator()
             network = Network(engine, latency, loss=BernoulliLoss(probability=0.3),
                               streams=RandomStreams(11))
-            log = attach(network)
+            log, groups = attach(network, engine)
             scheduled = sum(send(network, fan_out))
             engine.run()
-            return outcome(network, scheduled, log, fan_out)
+            return outcome(network, scheduled, log, groups, fan_out)
 
         outcomes = [run(live(True)), run(live(False)), sim(True), sim(False)]
         assert all(other == outcomes[0] for other in outcomes[1:])
@@ -235,14 +267,20 @@ class TestFanOutBatching:
 
 
 class LoggingSink:
-    """An endpoint that appends what it receives to a shared log."""
+    """An endpoint that appends ``(node, seq, clock.now)`` to a shared log
+    for what it receives: the payload itself from the simulated network,
+    a decoded frame (whose group joins *groups*) from the live one."""
 
-    def __init__(self, log):
-        self.log = log
+    def __init__(self, log, node, clock, groups=None):
+        self.log, self.node, self.clock, self.groups = log, node, clock, groups
 
-    def on_packet(self, packet):
-        self.log.append((packet.dst, packet.payload.seq, packet.send_time,
-                         packet.deliver_time, packet.multicast_group))
+    def on_packet(self, delivery):
+        if isinstance(delivery, Frame):
+            assert delivery.dst == self.node
+            if self.groups is not None:
+                self.groups.add(delivery.group)
+            delivery = delivery.payload
+        self.log.append((self.node, delivery.seq, self.clock.now))
 
 
 class ManualClock:

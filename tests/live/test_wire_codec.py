@@ -24,12 +24,12 @@ from repro.live.codec import (
     MAGIC,
     MAX_DATAGRAM,
     CodecError,
-    Frame,
     decode_frame,
     decode_message,
     encode_frame,
     encode_message,
 )
+from repro.net.packet import Frame
 from repro.protocol.messages import (
     DATA_WIRE_SIZE,
     REPAIR_LOCAL,

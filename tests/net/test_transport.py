@@ -4,9 +4,11 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.net.latency import ConstantLatency
-from repro.net.loss import ReceiverSetLoss
+from repro.net.latency import ConstantLatency, HierarchicalLatency
+from repro.net.loss import BernoulliLoss, ReceiverSetLoss
+from repro.net.topology import chain
 from repro.net.transport import Network
+from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 
 
@@ -27,8 +29,19 @@ class Sink:
     def __init__(self):
         self.packets = []
 
-    def on_packet(self, packet):
-        self.packets.append(packet)
+    def on_packet(self, payload):
+        self.packets.append(payload)
+
+
+class ClockedSink:
+    """Records ``(sim.now, payload)`` for every delivery."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.arrivals = []
+
+    def on_packet(self, payload):
+        self.arrivals.append((self.sim.now, payload))
 
 
 @pytest.fixture
@@ -37,16 +50,26 @@ def network(sim):
 
 
 class TestUnicast:
-    def test_delivery_with_latency(self, sim, network):
+    def test_delivery_is_the_payload_at_send_time_plus_one_way(self, sim, network):
+        sink = ClockedSink(sim)
+        network.register(1, sink)
+        ping = ControlPing()
+        sim.at(2.5, network.unicast, 0, 1, ping)
+        sim.run()
+        [(arrival, payload)] = sink.arrivals
+        assert payload is ping
+        assert arrival == 2.5 + network.latency.one_way(0, 1) == 7.5
+
+    def test_a_payload_without_a_kind_is_sent_as_control(self, sim):
+        # Data-only loss: a kind-less payload is control, so never drawn.
+        network = Network(sim, ConstantLatency(5.0), loss=BernoulliLoss(probability=1.0),
+                          streams=RandomStreams(1))
         sink = Sink()
         network.register(1, sink)
-        network.unicast(0, 1, ControlPing())
+        assert network.unicast(0, 1, "body") == 1
         sim.run()
-        assert len(sink.packets) == 1
-        packet = sink.packets[0]
-        assert packet.deliver_time == pytest.approx(5.0)
-        assert packet.latency == pytest.approx(5.0)
-        assert packet.src == 0 and packet.dst == 1
+        assert sink.packets == ["body"]
+        assert network.stats.sent_by_kind == {"control": 1}
 
     def test_unregistered_destination_drops(self, sim, network):
         network.unicast(0, 99, ControlPing())
@@ -73,7 +96,7 @@ class TestUnicast:
         network.unicast(0, 1, ControlPing("first"))
         network.unicast(0, 1, ControlPing("second"))
         sim.run()
-        assert [p.payload.note for p in sink.packets] == ["first", "second"]
+        assert [p.note for p in sink.packets] == ["first", "second"]
 
 
 class TestMulticast:
@@ -87,12 +110,22 @@ class TestMulticast:
         assert len(sinks[0].packets) == 0
         assert all(len(sinks[i].packets) == 1 for i in (1, 2, 3))
 
-    def test_multicast_group_tag(self, sim, network):
-        sink = Sink()
-        network.register(1, sink)
-        network.multicast(0, [1], ControlPing(), group="region")
+    def test_each_receiver_sees_the_payload_at_send_time_plus_its_one_way(self):
+        hierarchy = chain([3, 3])
+        sim = Simulator()
+        network = Network(sim, HierarchicalLatency(hierarchy, intra_one_way=2.0,
+                                                   inter_one_way=40.0))
+        sinks = {node: ClockedSink(sim) for node in hierarchy.nodes}
+        for node, sink in sinks.items():
+            network.register(node, sink)
+        ping = ControlPing()
+        sim.at(3.0, network.multicast, 0, hierarchy.nodes, ping, "region")
         sim.run()
-        assert sink.packets[0].multicast_group == "region"
+        assert sinks[0].arrivals == []
+        for node in hierarchy.nodes[1:]:
+            [(arrival, payload)] = sinks[node].arrivals
+            assert payload is ping
+            assert arrival == 3.0 + network.latency.one_way(0, node)
 
 
 class TestLossIntegration:

@@ -107,9 +107,7 @@ class TestFigure5Walkthrough:
     def deliver_request(self, simulation, target):
         remote = simulation.hierarchy.regions[1].members[0]
         request = SearchRequest(seq=1, waiters=(remote,), forwarder=remote)
-        simulation.members[target].on_packet(
-            type("FakePacket", (), {"payload": request})()
-        )
+        simulation.members[target].on_packet(request)
 
     def test_walkthrough_terminates_at_bufferer(self):
         simulation, members, _data = self.build()
@@ -153,11 +151,7 @@ class TestOwnerHints:
         target = [n for n in hierarchy.regions[0].members
                   if not simulation.members[n].is_buffering(1)][0]
         from repro.protocol.messages import RemoteRequest
-        simulation.members[target].on_packet(
-            type("FakePacket", (), {
-                "payload": RemoteRequest(seq=1, requester=requester)
-            })()
-        )
+        simulation.members[target].on_packet(RemoteRequest(seq=1, requester=requester))
         before = simulation.trace.count("search_forwarded")
         simulation.run(duration=500.0)
         after = simulation.trace.count("search_forwarded")
@@ -175,7 +169,7 @@ class TestOwnerHints:
         simulation.members[victim]._search_owner_hint[1] = member.node_id
         request = SearchRequest(seq=1, waiters=(99,), forwarder=99,
                                 hops=member._MAX_REDIRECT_HOPS)
-        member.on_packet(type("FakePacket", (), {"payload": request})())
+        member.on_packet(request)
         # At the hop limit the member must fall back to searching.
         assert member.search.is_searching(1) or member.is_buffering(1)
 
