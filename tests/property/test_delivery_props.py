@@ -148,7 +148,9 @@ payloads = st.one_of(
 )
 actions = st.one_of(
     st.tuples(st.just("unicast"), node, node, payloads),
-    st.tuples(st.just("multicast"), node, st.lists(node, max_size=NODES), payloads),
+    st.tuples(st.just("multicast"), node,
+              st.one_of(st.lists(node, max_size=NODES), st.permutations(range(NODES))),
+              payloads),
     st.tuples(st.just("unregister"), node),
     st.tuples(st.just("register"), node),
 )
