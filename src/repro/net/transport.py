@@ -142,7 +142,8 @@ class Network:
         paper's assumption for requests and repairs).
     streams:
         RNG factory; the network draws from the ``("net", "loss")``
-        substream, so loss outcomes never perturb protocol randomness.
+        substream, so loss outcomes never perturb protocol randomness
+        (built by its first draw: a lossless run never builds it).
     """
 
     def __init__(
@@ -158,7 +159,7 @@ class Network:
         self.loss.bind_clock(sim)  # rate-sensitive models need a time source
         if streams is None:  # not ``or``: a factory with no stream yet is falsy
             streams = RandomStreams(0)
-        self._loss_rng = streams.stream("net", "loss")
+        self._loss_rng = streams.lazy("net", "loss")
         self.stats = NetworkStats()
         self._endpoints: Dict[NodeId, Endpoint] = {}
 

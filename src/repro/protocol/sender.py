@@ -48,13 +48,13 @@ class RrmpSender:
         self.member = member
         self.outcome = outcome if outcome is not None else PerfectOutcome()
         self.next_seq: Seq = 1
-        self._rng = member.streams.stream("sender", member.node_id, "outcome")
+        # Both streams are built by their first draw: a run without FEC
+        # never builds the parity one.
+        self._rng = member.streams.lazy("sender", member.node_id, "outcome")
         #: Separate substream for parity outcomes so enabling FEC does
         #: not perturb the data-loss pattern of an equally-seeded run —
         #: FEC mode sweeps stay sample-path comparable.
-        self._parity_rng = member.streams.stream(
-            "sender", member.node_id, "parity-outcome"
-        )
+        self._parity_rng = member.streams.lazy("sender", member.node_id, "parity-outcome")
         self._session_task: Optional[PeriodicTask] = None
         interval = member.config.session_interval
         if interval is not None:

@@ -255,7 +255,7 @@ class TreeSimulation(MemberGroup):
         self.latency = latency if latency is not None else HierarchicalLatency(hierarchy)
         self.network = Network(self.sim, self.latency, loss=loss, streams=self.streams)
         self.outcome = outcome if outcome is not None else PerfectOutcome()
-        self._outcome_rng = self.streams.stream("tree", "outcome")
+        self._outcome_rng = self.streams.lazy("tree", "outcome")
         self.servers: Dict[RegionId, NodeId] = {}
         self.sender_node: NodeId = default_sender_node(hierarchy)
         root_region = hierarchy.region_id_of(self.sender_node)

@@ -55,7 +55,11 @@ class TestProtocolSurface:
 
     def test_loss_stream_comes_from_the_given_factory_even_when_empty(self):
         streams = RandomStreams(5)  # no stream yet, so falsy: ``or`` would drop it
-        LiveTransport(LiveClock(), ConstantLatency(1.0), streams=streams)
+        transport = LiveTransport(LiveClock(), ConstantLatency(1.0),
+                                  loss=BernoulliLoss(probability=1.0), streams=streams,
+                                  directory={1: ("127.0.0.1", 9)})
+        assert streams.names() == []  # built by its first draw
+        assert transport.unicast(0, 1, DataMessage(seq=1, sender=0)) == 0
         assert streams.names() == [("net", "loss")]
 
     def test_a_received_datagram_reaches_its_endpoint_as_the_decoded_frame(self):

@@ -156,9 +156,12 @@ class TestLossIntegration:
         for any factory that had not created a stream yet."""
         streams = RandomStreams(5)
         assert len(streams) == 0
-        network = Network(sim, ConstantLatency(5.0), streams=streams)
+        network = Network(sim, ConstantLatency(5.0), loss=BernoulliLoss(probability=0.5),
+                          streams=streams)
+        assert len(streams) == 0  # built by its first draw
+        network.register(1, Sink())
+        network.unicast(0, 1, DataBlob())
         assert streams.names() == [("net", "loss")]
-        assert network._loss_rng is streams.stream("net", "loss")
 
 
 class TestStats:
