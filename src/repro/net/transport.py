@@ -49,7 +49,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, DefaultDict, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import (Any, Callable, DefaultDict, Dict, Iterable, List, Optional, Protocol,
+                    Sequence, Tuple)
 
 from repro.net.latency import LatencyModel
 from repro.net.loss import LossModel, NoLoss
